@@ -91,8 +91,6 @@ impl Federation for DsFl {
         }
         let config = &self.config;
         let public = &self.scenario.public;
-        let num_classes = self.scenario.num_classes as u32;
-        let all_ids: Vec<u32> = (0..public.len() as u32).collect();
 
         // Local training; surviving clients upload *probabilities* (same
         // wire size as logits).
@@ -130,15 +128,11 @@ impl Federation for DsFl {
             .map(|(client, (p, _))| (client, p))
             .collect();
         for (client, probs) in &client_probs {
-            ledger.record(
+            ledger.record_bytes(
                 round,
                 *client,
                 Direction::Uplink,
-                &Message::Logits {
-                    sample_ids: all_ids.clone(),
-                    num_classes,
-                    values: probs.as_slice().to_vec(),
-                },
+                Message::logits_encoded_len(public.len(), probs.as_slice().len()),
             );
         }
 
@@ -169,17 +163,9 @@ impl Federation for DsFl {
 
         // Distribute + distill, survivors only.
         let distill_started = Instant::now();
+        let downlink_bytes = Message::logits_encoded_len(public.len(), sharpened.as_slice().len());
         for client in cohort.survivors() {
-            ledger.record(
-                round,
-                client,
-                Direction::Downlink,
-                &Message::Logits {
-                    sample_ids: all_ids.clone(),
-                    num_classes,
-                    values: sharpened.as_slice().to_vec(),
-                },
-            );
+            ledger.record_bytes(round, client, Direction::Downlink, downlink_bytes);
         }
         let target = &sharpened;
         let distill_stats: Vec<(usize, TrainStats)> = for_each_active_client(

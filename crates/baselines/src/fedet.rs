@@ -110,7 +110,6 @@ impl Federation for FedEt {
         let config = &self.config;
         let public = &self.scenario.public;
         let k = self.scenario.num_classes;
-        let all_ids: Vec<u32> = (0..public.len() as u32).collect();
 
         // Local training; parameters travel up (FedET's costly uplink) from
         // the survivors.
@@ -227,13 +226,10 @@ impl Federation for FedEt {
         // Server logits travel down; surviving clients distill.
         let distill_started = Instant::now();
         let server_probs = softmax(&eval::logits_on(&mut self.state.server_model, public), 1.0);
-        let server_logits_msg = Message::Logits {
-            sample_ids: all_ids,
-            num_classes: k as u32,
-            values: server_probs.as_slice().to_vec(),
-        };
+        let downlink_bytes =
+            Message::logits_encoded_len(public.len(), server_probs.as_slice().len());
         for client in cohort.survivors() {
-            ledger.record(round, client, Direction::Downlink, &server_logits_msg);
+            ledger.record_bytes(round, client, Direction::Downlink, downlink_bytes);
         }
         let target = &server_probs;
         let distill_stats: Vec<(usize, TrainStats)> = for_each_active_client(

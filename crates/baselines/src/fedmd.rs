@@ -90,8 +90,6 @@ impl Federation for FedMd {
         }
         let config = &self.config;
         let public = &self.scenario.public;
-        let num_classes = self.scenario.num_classes as u32;
-        let all_ids: Vec<u32> = (0..public.len() as u32).collect();
 
         // Local training + logit upload ("communicate"), survivors only.
         let training_started = Instant::now();
@@ -125,15 +123,11 @@ impl Federation for FedMd {
             .map(|(client, (l, _))| (client, l))
             .collect();
         for (client, logits) in &client_logits {
-            ledger.record(
+            ledger.record_bytes(
                 round,
                 *client,
                 Direction::Uplink,
-                &Message::Logits {
-                    sample_ids: all_ids.clone(),
-                    num_classes,
-                    values: logits.as_slice().to_vec(),
-                },
+                Message::logits_encoded_len(public.len(), logits.as_slice().len()),
             );
         }
 
@@ -162,17 +156,9 @@ impl Federation for FedMd {
         // Distribute + digest: every surviving client distills toward the
         // consensus; dropped clients never see it.
         let digest_started = Instant::now();
+        let downlink_bytes = Message::logits_encoded_len(public.len(), consensus.as_slice().len());
         for client in cohort.survivors() {
-            ledger.record(
-                round,
-                client,
-                Direction::Downlink,
-                &Message::Logits {
-                    sample_ids: all_ids.clone(),
-                    num_classes,
-                    values: consensus.as_slice().to_vec(),
-                },
-            );
+            ledger.record_bytes(round, client, Direction::Downlink, downlink_bytes);
         }
         let probs_ref = &consensus_probs;
         let digest_stats: Vec<(usize, TrainStats)> = for_each_active_client(

@@ -117,8 +117,6 @@ impl Federation for NaiveKd {
         }
         let config = &self.config;
         let public = &self.scenario.public;
-        let num_classes = self.scenario.num_classes as u32;
-        let all_ids: Vec<u32> = (0..public.len() as u32).collect();
 
         let training_started = Instant::now();
         let client_logits: Vec<(usize, (Tensor, TrainStats))> = for_each_active_client(
@@ -151,15 +149,11 @@ impl Federation for NaiveKd {
             .map(|(client, (l, _))| (client, l))
             .collect();
         for (client, logits) in &client_logits {
-            ledger.record(
+            ledger.record_bytes(
                 round,
                 *client,
                 Direction::Uplink,
-                &Message::Logits {
-                    sample_ids: all_ids.clone(),
-                    num_classes,
-                    values: logits.as_slice().to_vec(),
-                },
+                Message::logits_encoded_len(public.len(), logits.as_slice().len()),
             );
         }
 

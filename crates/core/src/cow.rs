@@ -21,6 +21,11 @@
 //!   commit — so full models exist only for clients that are actually on
 //!   a worker, and resident state is O(clients ever trained), not
 //!   O(fleet), with the per-client footprint shrunk to the delta.
+//! - **Incremental evaluation.** A client's local-test accuracy is a pure
+//!   function of its slot, so the pool caches it per slot and every slot
+//!   write drops it: [`pooled_client_accuracies`] re-evaluates only the
+//!   clients written since the last call — O(cohort) per round under a
+//!   sampled cohort, not O(fleet).
 //!
 //! The pool is bit-compatible with the owned path: materializing a fresh
 //! slot replays `build_clients`' construction exactly, and park/unpark
@@ -175,6 +180,12 @@ pub struct ClientPool {
     learning_rate: f32,
     seed: u64,
     slots: Vec<ClientSlot>,
+    /// Per-slot cached local-test accuracy; `None` is stale. Derived
+    /// state: dropped by every slot write ([`set_slot`](Self::set_slot)),
+    /// refilled by [`pooled_client_accuracies`], never snapshotted.
+    accuracy: Vec<Option<f64>>,
+    /// Clients evaluated by [`pooled_client_accuracies`] so far.
+    evaluations: u64,
 }
 
 impl ClientPool {
@@ -205,6 +216,8 @@ impl ClientPool {
             learning_rate,
             seed,
             slots,
+            accuracy: vec![None; specs.len()],
+            evaluations: 0,
         }
     }
 
@@ -268,24 +281,38 @@ impl ClientPool {
     /// Moves client `i`'s slot out of the pool, leaving it fresh. The
     /// caller owns the slot until it parks a replacement.
     pub fn take(&mut self, i: usize) -> ClientSlot {
-        std::mem::take(&mut self.slots[i])
+        self.set_slot(i, ClientSlot::Fresh)
     }
 
     /// Parks a live client back into slot `i` as its flattened delta.
     pub fn park(&mut self, i: usize, client: ClientState) {
-        self.slots[i] = ClientSlot::Parked(Box::new(ParkedClient::park(client)));
+        self.set_slot(i, ClientSlot::Parked(Box::new(ParkedClient::park(client))));
     }
 
     /// Stores an already-parked slot back at `i`.
     pub fn put(&mut self, i: usize, slot: ClientSlot) {
-        self.slots[i] = slot;
+        self.set_slot(i, slot);
     }
 
     /// Releases client `i`'s delta, returning it to template
     /// initialization. The freed memory is the point: a quarantined or
     /// decommissioned client stops costing anything.
     pub fn release(&mut self, i: usize) {
-        self.slots[i] = ClientSlot::Fresh;
+        self.set_slot(i, ClientSlot::Fresh);
+    }
+
+    /// How many client evaluations [`pooled_client_accuracies`] has run on
+    /// this pool — the cost the accuracy cache exists to bound.
+    pub fn evaluations(&self) -> u64 {
+        self.evaluations
+    }
+
+    /// The one place a slot is written: stores `slot` at `i`, returns what
+    /// was there, and drops the cached accuracy, which was computed from
+    /// the old contents.
+    fn set_slot(&mut self, i: usize, slot: ClientSlot) -> ClientSlot {
+        self.accuracy[i] = None;
+        std::mem::replace(&mut self.slots[i], slot)
     }
 
     fn materialize_fresh(&self, i: usize) -> ClientState {
@@ -338,7 +365,7 @@ pub fn for_each_pooled_client_streaming<T: Send>(
         .iter()
         .enumerate()
         .filter(|&(_, &m)| m)
-        .map(|(i, _)| (i, std::mem::take(&mut pool.slots[i]), &data[i]))
+        .map(|(i, _)| (i, pool.take(i), &data[i]))
         .collect();
     // Shared reference for the workers; slot writes happen only at the
     // ordered commit point on the caller's thread.
@@ -368,22 +395,46 @@ pub fn for_each_pooled_client_streaming<T: Send>(
         },
     );
     for (i, delta) in parked {
-        pool.slots[i] = ClientSlot::Parked(Box::new(delta));
+        pool.put(i, ClientSlot::Parked(Box::new(delta)));
     }
     stats
 }
 
-/// Per-client local-test accuracies for a pooled fleet — the pooled twin
-/// of [`client_accuracies`](crate::clients::client_accuracies). Clients
-/// are materialized, evaluated, and dropped (evaluation only touches
-/// forward buffers, never parameters or RNG), so the fleet's residency is
-/// unchanged afterwards.
-pub fn pooled_client_accuracies(pool: &ClientPool, scenario: &FederatedScenario) -> Vec<f64> {
-    let items: Vec<usize> = (0..pool.len()).collect();
-    dispatch_chunked(items, |i| {
-        let mut client = pool.materialize(i);
-        eval::accuracy(&mut client.model, &scenario.clients[i].test)
-    })
+/// Per-client local-test accuracies for a pooled fleet, in client order —
+/// the pooled twin of
+/// [`client_accuracies`](crate::clients::client_accuracies).
+///
+/// Only clients whose slot was written since their last evaluation are
+/// materialized, evaluated, and dropped (evaluation only touches forward
+/// buffers, never parameters or RNG, so residency is unchanged); the rest
+/// are answered from the pool's per-slot cache. Accuracy is a pure
+/// function of the slot's contents and the client's test shard, so a
+/// cached value is bit-for-bit what re-evaluating would return: the first
+/// call, and the first after [`read_pool`], sweep the whole fleet, and a
+/// sampled-cohort round afterwards costs O(cohort).
+///
+/// A pool must be evaluated against one `scenario` for its whole life —
+/// the cache is keyed by client index, not by test shard.
+pub fn pooled_client_accuracies(pool: &mut ClientPool, scenario: &FederatedScenario) -> Vec<f64> {
+    let stale: Vec<usize> = (0..pool.len())
+        .filter(|&i| pool.accuracy[i].is_none())
+        .collect();
+    let shared: &ClientPool = pool;
+    let fresh = dispatch_chunked(stale, |i| {
+        let mut client = shared.materialize(i);
+        (
+            i,
+            eval::accuracy(&mut client.model, &scenario.clients[i].test),
+        )
+    });
+    pool.evaluations += fresh.len() as u64;
+    for (i, accuracy) in fresh {
+        pool.accuracy[i] = Some(accuracy);
+    }
+    pool.accuracy
+        .iter()
+        .map(|cached| cached.expect("every stale slot was just evaluated"))
+        .collect()
 }
 
 /// Writes a pooled fleet in the exact byte layout of
@@ -482,11 +533,12 @@ pub fn read_pool(r: &mut dyn StateSource, pool: &mut ClientPool) -> Result<(), S
             opt_v,
             rng,
         };
-        pool.slots[i] = if pool.is_template_init(i, &parked) {
+        let slot = if pool.is_template_init(i, &parked) {
             ClientSlot::Fresh
         } else {
             ClientSlot::Parked(Box::new(parked))
         };
+        pool.put(i, slot);
     }
     Ok(())
 }
@@ -660,9 +712,9 @@ mod tests {
         let scenario = tiny_scenario(5);
         let specs = hetero_specs();
         let mut owned = build_clients(&specs, 0.001, 13);
-        let pool = ClientPool::new(&specs, 0.001, 13);
+        let mut pool = ClientPool::new(&specs, 0.001, 13);
         let expected = crate::clients::client_accuracies(&mut owned, &scenario);
-        assert_eq!(pooled_client_accuracies(&pool, &scenario), expected);
+        assert_eq!(pooled_client_accuracies(&mut pool, &scenario), expected);
         assert_eq!(pool.resident_clients(), 0);
     }
 

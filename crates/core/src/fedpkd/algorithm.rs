@@ -330,13 +330,12 @@ impl Federation for FedPkd {
         // and charge the downlink (the public-dataset mode ships nothing
         // here because the public set is pre-shared).
         if let Some((_, labels)) = &synth_batch {
-            let batch_msg = Message::SyntheticBatch {
-                sample_dim: transfer.sample_dim() as u32,
-                labels: labels.iter().map(|&y| y as u32).collect(),
-                values: transfer.features().as_slice().to_vec(),
-            };
+            let batch_bytes = Message::synthetic_batch_encoded_len(
+                labels.len(),
+                transfer.features().as_slice().len(),
+            );
             for &client in &roster {
-                ledger.record(round, client, Direction::Downlink, &batch_msg);
+                ledger.record_bytes(round, client, Direction::Downlink, batch_bytes);
             }
         }
 
@@ -468,15 +467,11 @@ impl Federation for FedPkd {
                         logits = Tensor::from_vec(quantized.dequantize(), logits.shape())
                             .expect("dequantization preserves the shape");
                     } else {
-                        ledger.record(
+                        ledger.record_bytes(
                             round,
                             client,
                             Direction::Uplink,
-                            &Message::Logits {
-                                sample_ids: all_ids.clone(),
-                                num_classes: num_classes_u32,
-                                values: logits.as_slice().to_vec(),
-                            },
+                            Message::logits_encoded_len(all_ids.len(), logits.as_slice().len()),
                         );
                     }
                     if config.use_prototypes {
@@ -926,39 +921,23 @@ impl Federation for FedPkd {
             None
         };
         let server_probs = softmax(&server_logits, self.config.temperature);
-        let proto_entries = global_to_wire_entries(global_prototypes);
+        // Every survivor receives the same three messages; size them once.
+        let logits_bytes = downlink_quantized.unwrap_or_else(|| {
+            Message::logits_encoded_len(selected_ids.len(), server_logits.as_slice().len())
+        });
+        let proto_bytes = self.config.use_prototypes.then(|| {
+            Message::Prototypes {
+                entries: global_to_wire_entries(global_prototypes),
+            }
+            .encoded_len()
+        });
+        let selection_bytes = Message::sample_selection_encoded_len(selected_ids.len());
         for client in cohort.survivors() {
-            match downlink_quantized {
-                Some(bytes) => ledger.record_bytes(round, client, Direction::Downlink, bytes),
-                None => ledger.record(
-                    round,
-                    client,
-                    Direction::Downlink,
-                    &Message::Logits {
-                        sample_ids: selected_ids.clone(),
-                        num_classes: num_classes_u32,
-                        values: server_logits.as_slice().to_vec(),
-                    },
-                ),
+            ledger.record_bytes(round, client, Direction::Downlink, logits_bytes);
+            if let Some(bytes) = proto_bytes {
+                ledger.record_bytes(round, client, Direction::Downlink, bytes);
             }
-            if self.config.use_prototypes {
-                ledger.record(
-                    round,
-                    client,
-                    Direction::Downlink,
-                    &Message::Prototypes {
-                        entries: proto_entries.clone(),
-                    },
-                );
-            }
-            ledger.record(
-                round,
-                client,
-                Direction::Downlink,
-                &Message::SampleSelection {
-                    ids: selected_ids.clone(),
-                },
-            );
+            ledger.record_bytes(round, client, Direction::Downlink, selection_bytes);
         }
         // Public-phase distillation (Eq. 15) rides the same work-stealing
         // pool; losses are committed (and logged) in client order.
@@ -999,7 +978,7 @@ impl Federation for FedPkd {
     }
 
     fn client_accuracies(&mut self) -> Vec<f64> {
-        pooled_client_accuracies(&self.state.clients, &self.scenario)
+        pooled_client_accuracies(&mut self.state.clients, &self.scenario)
     }
 
     fn driver(&self) -> &DriverState {
@@ -1699,6 +1678,81 @@ mod tests {
             .map(Option::is_some)
             .collect();
         assert_eq!(protos_before, protos_after);
+    }
+
+    /// The per-client readout costs O(cohort): on a 64-client fleet with 4
+    /// sampled per round, round 0 evaluates everyone, each later round only
+    /// the clients whose slot was written (the cohort), and the round after
+    /// a restore everyone again — while every round's accuracies equal an
+    /// uncached sweep of the whole fleet bit for bit.
+    #[test]
+    fn sampled_fleet_evaluates_only_written_clients() {
+        const FLEET: usize = 64;
+        const COHORT: usize = 4;
+        let scenario = ScenarioBuilder::new(SyntheticConfig::cifar10_like())
+            .clients(FLEET)
+            .samples(FLEET * 24)
+            .public_size(60)
+            .global_test_size(60)
+            .partition(Partition::Iid)
+            .seed(9)
+            .build()
+            .unwrap();
+        let build = || {
+            FedPkd::new(
+                scenario.clone(),
+                vec![spec(DepthTier::T11); FLEET],
+                spec(DepthTier::T20),
+                FedPkdConfig {
+                    client_private_epochs: 1,
+                    server_epochs: 1,
+                    ..fast_config()
+                },
+                31,
+            )
+            .unwrap()
+        };
+        let uncached = |algo: &FedPkd| -> Vec<f64> {
+            (0..FLEET)
+                .map(|i| {
+                    let mut client = algo.state.clients.materialize(i);
+                    eval::accuracy(&mut client.model, &algo.scenario.clients[i].test)
+                })
+                .collect()
+        };
+        let mut one_round = crate::driver::DriverBuilder::new()
+            .rounds(1)
+            .cohort(fedpkd_netsim::CohortPolicy::Sample {
+                size: COHORT,
+                seed: 5,
+            })
+            .build();
+        // Drives one round; returns how many clients it evaluated.
+        let mut step = |algo: &mut FedPkd| -> u64 {
+            let before = algo.state.clients.evaluations();
+            let result = one_round.run_silent(algo);
+            assert_eq!(result.last().client_accuracies, uncached(algo));
+            algo.state.clients.evaluations() - before
+        };
+
+        let mut algo = build();
+        assert_eq!(step(&mut algo), FLEET as u64, "cold cache: full sweep");
+        for round in 1..4 {
+            assert_eq!(step(&mut algo), COHORT as u64, "round {round}");
+        }
+        let mut snapshot = Vec::new();
+        algo.snapshot_to(&mut snapshot).unwrap();
+        let mut restored = build();
+        restored.restore_from(&mut snapshot.as_slice()).unwrap();
+        assert_eq!(
+            step(&mut restored),
+            FLEET as u64,
+            "cold again after restore"
+        );
+        assert_eq!(step(&mut restored), COHORT as u64);
+        // Restoring over a warm cache drops it too.
+        algo.restore_from(&mut snapshot.as_slice()).unwrap();
+        assert_eq!(step(&mut algo), FLEET as u64, "restore invalidates");
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! and for the copy-on-write client pool's bit-exactness contract.
 
 use fedpkd_core::clients::{build_clients, for_each_active_client_streaming, ClientState};
-use fedpkd_core::cow::{for_each_pooled_client_streaming, ClientPool, ClientSlot};
+use fedpkd_core::cow::{
+    for_each_pooled_client_streaming, pooled_client_accuracies, ClientPool, ClientSlot,
+};
+use fedpkd_core::eval;
 use fedpkd_core::fedpkd::filter::filter_public;
 use fedpkd_core::fedpkd::logits::{
     aggregate_logits, aggregate_logits_from_probs, aggregate_logits_trimmed,
@@ -550,6 +553,121 @@ proptest! {
         );
         for (i, owned_client) in owned.iter().enumerate() {
             prop_assert_eq!(fingerprint(&revived.materialize(i)), fingerprint(owned_client));
+        }
+    }
+}
+
+/// One mutation of a pool in the accuracy-cache property, aimed at `client`.
+#[derive(Debug, Clone, Copy)]
+enum PoolOp {
+    /// `materialize` → train → `park`.
+    TrainAndPark,
+    /// `take` the slot out and hold it (the pool's slot reads fresh).
+    Take,
+    /// `put` the held slot back (a fresh one if none is held).
+    Put,
+    /// `release` the delta.
+    Release,
+    /// Train through `for_each_pooled_client_streaming`.
+    Stream,
+    /// `write_pool` the fleet aside.
+    Snapshot,
+    /// `read_pool` the last snapshot back over whatever the pool holds now.
+    Restore,
+}
+
+fn pool_op() -> impl Strategy<Value = (PoolOp, usize)> {
+    let op = prop_oneof![
+        Just(PoolOp::TrainAndPark),
+        Just(PoolOp::Take),
+        Just(PoolOp::Put),
+        Just(PoolOp::Release),
+        Just(PoolOp::Stream),
+        Just(PoolOp::Snapshot),
+        Just(PoolOp::Restore),
+    ];
+    (op, 0usize..3)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The pool's cached accuracies are indistinguishable from recomputing:
+    /// after every step of a random take/park/put/release/stream/snapshot/
+    /// restore sequence, `pooled_client_accuracies` equals a from-scratch
+    /// sweep bit for bit, and evaluates exactly the slots the step wrote.
+    #[test]
+    fn cached_accuracies_equal_an_uncached_sweep(
+        seed in any::<u64>(),
+        ops in prop::collection::vec(pool_op(), 1..10),
+    ) {
+        let scenario = pool_scenario();
+        let specs = pool_specs();
+        let mut pool = ClientPool::new(&specs, 0.003, seed);
+        let uncached = |pool: &ClientPool| -> Vec<u64> {
+            (0..pool.len())
+                .map(|i| {
+                    let mut client = pool.materialize(i);
+                    eval::accuracy(&mut client.model, &scenario.clients[i].test).to_bits()
+                })
+                .collect()
+        };
+        let cached = |pool: &mut ClientPool| -> Vec<u64> {
+            pooled_client_accuracies(pool, scenario)
+                .into_iter()
+                .map(f64::to_bits)
+                .collect()
+        };
+        prop_assert_eq!(cached(&mut pool), uncached(&pool));
+        prop_assert_eq!(pool.evaluations(), 3, "cold cache sweeps the fleet");
+
+        let mut held: [Option<ClientSlot>; 3] = [None, None, None];
+        let mut saved: Option<Vec<u8>> = None;
+        for (op, client) in ops {
+            let written = match op {
+                PoolOp::TrainAndPark => {
+                    let mut live = pool.materialize(client);
+                    train_once(client, &mut live, &scenario.clients[client]);
+                    pool.park(client, live);
+                    1
+                }
+                PoolOp::Take => {
+                    held[client] = Some(pool.take(client));
+                    1
+                }
+                PoolOp::Put => {
+                    pool.put(client, held[client].take().unwrap_or_default());
+                    1
+                }
+                PoolOp::Release => {
+                    pool.release(client);
+                    1
+                }
+                PoolOp::Stream => {
+                    for_each_pooled_client_streaming(
+                        &mut pool, &scenario.clients, &[client], 2, train_once, |_, _| {},
+                    );
+                    1
+                }
+                PoolOp::Snapshot => {
+                    let mut w = SnapshotWriter::new();
+                    write_pool(&mut w, &pool);
+                    saved = Some(w.into_bytes());
+                    0
+                }
+                PoolOp::Restore => match &saved {
+                    Some(bytes) => {
+                        let mut r = SnapshotReader::new(bytes);
+                        read_pool(&mut r, &mut pool).unwrap();
+                        r.finish().unwrap();
+                        3
+                    }
+                    None => 0,
+                },
+            };
+            let before = pool.evaluations();
+            prop_assert_eq!(cached(&mut pool), uncached(&pool), "after {:?}({})", op, client);
+            prop_assert_eq!(pool.evaluations() - before, written, "after {:?}({})", op, client);
         }
     }
 }

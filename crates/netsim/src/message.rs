@@ -115,6 +115,23 @@ impl Message {
             Self::DataMoments { .. } => "data-moments",
         }
     }
+
+    /// Encoded size of a [`Message::Logits`] carrying `samples` ids and
+    /// `values` logits, for billing a transfer without materialising it.
+    pub fn logits_encoded_len(samples: usize, values: usize) -> usize {
+        1 + 4 + 4 * samples + 4 + 4 + 4 * values
+    }
+
+    /// Encoded size of a [`Message::SampleSelection`] of `ids` indices.
+    pub fn sample_selection_encoded_len(ids: usize) -> usize {
+        1 + 4 + 4 * ids
+    }
+
+    /// Encoded size of a [`Message::SyntheticBatch`] of `labels` rows and
+    /// `values` features.
+    pub fn synthetic_batch_encoded_len(labels: usize, values: usize) -> usize {
+        1 + 4 + 4 + 4 * labels + 4 + 4 * values
+    }
 }
 
 impl Wire for Message {
@@ -214,20 +231,17 @@ impl Wire for Message {
     }
 
     fn encoded_len(&self) -> usize {
-        1 + match self {
-            Self::ModelUpdate { params } => 4 + 4 * params.len(),
+        match self {
+            Self::ModelUpdate { params } => 1 + 4 + 4 * params.len(),
             Self::Logits {
                 sample_ids, values, ..
-            } => 4 + 4 * sample_ids.len() + 4 + 4 + 4 * values.len(),
-            Self::Prototypes { entries } => {
-                4 + entries.iter().map(Wire::encoded_len).sum::<usize>()
+            } => Self::logits_encoded_len(sample_ids.len(), values.len()),
+            Self::Prototypes { entries } | Self::DataMoments { entries } => {
+                1 + 4 + entries.iter().map(Wire::encoded_len).sum::<usize>()
             }
-            Self::SampleSelection { ids } => 4 + 4 * ids.len(),
+            Self::SampleSelection { ids } => Self::sample_selection_encoded_len(ids.len()),
             Self::SyntheticBatch { labels, values, .. } => {
-                4 + 4 + 4 * labels.len() + 4 + 4 * values.len()
-            }
-            Self::DataMoments { entries } => {
-                4 + entries.iter().map(Wire::encoded_len).sum::<usize>()
+                Self::synthetic_batch_encoded_len(labels.len(), values.len())
             }
         }
     }
@@ -300,6 +314,40 @@ mod tests {
             values: vec![],
         });
         round_trip(&Message::DataMoments { entries: vec![] });
+    }
+
+    #[test]
+    fn size_only_helpers_match_the_materialised_message() {
+        for (n, k) in [(0usize, 0usize), (1, 1), (3, 4), (120, 10), (7, 100)] {
+            let ids: Vec<u32> = (0..n as u32).collect();
+            let values = vec![0.5f32; n * k];
+            assert_eq!(
+                Message::logits_encoded_len(n, n * k),
+                Message::Logits {
+                    sample_ids: ids.clone(),
+                    num_classes: k as u32,
+                    values: values.clone(),
+                }
+                .to_bytes()
+                .len()
+            );
+            assert_eq!(
+                Message::sample_selection_encoded_len(n),
+                Message::SampleSelection { ids: ids.clone() }
+                    .to_bytes()
+                    .len()
+            );
+            assert_eq!(
+                Message::synthetic_batch_encoded_len(n, n * k),
+                Message::SyntheticBatch {
+                    sample_dim: k as u32,
+                    labels: ids,
+                    values,
+                }
+                .to_bytes()
+                .len()
+            );
+        }
     }
 
     #[test]

@@ -397,15 +397,36 @@ fn matmul_strip(
     }
 }
 
+/// Side of the square blocks [`transpose_into`] moves: a 16×16 `f32` block
+/// reads and writes whole 64-byte cache lines on both sides.
+const TRANSPOSE_BLOCK: usize = 16;
+
+/// Writes the transpose of row-major `src: [rows, cols]` into
+/// `dst: [cols, rows]`, block by block so neither side is walked at a
+/// cache-hostile stride. Every element of `dst` is written.
+pub(crate) fn transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
+    for r0 in (0..rows).step_by(TRANSPOSE_BLOCK) {
+        let r1 = (r0 + TRANSPOSE_BLOCK).min(rows);
+        for c0 in (0..cols).step_by(TRANSPOSE_BLOCK) {
+            let c1 = (c0 + TRANSPOSE_BLOCK).min(cols);
+            for r in r0..r1 {
+                for c in c0..c1 {
+                    dst[c * rows + r] = src[r * cols + c];
+                }
+            }
+        }
+    }
+}
+
 /// Fast tier: `out = A·Bᵀ` with `b` given in transposed layout `[n, k]`
 /// (the Dense backward's `dx = g·Wᵀ` shape). `out` must be zeroed.
 ///
 /// A direct dot-product kernel over the packed rows cannot vectorize: each
 /// output element is one k-sequential FP-add chain, and reassociating it
 /// into vector lanes would change the bits. Instead the operand is repacked
-/// into row-major `[k, n]` — an O(k·n) shuffle against the product's
-/// O(m·k·n) work — and the product runs through the vectorized tiled
-/// kernel. Per output element the reduction index is still strictly
+/// into row-major `[k, n]` — an O(k·n) blocked transpose against the
+/// product's O(m·k·n) work — and the product runs through the vectorized
+/// tiled kernel. Per output element the reduction index is still strictly
 /// increasing, so the result is bit-identical to the sequential dot while
 /// the flops run wide.
 pub(crate) fn matmul_transposed_fast_into(
@@ -422,11 +443,7 @@ pub(crate) fn matmul_transposed_fast_into(
     // Pooled scratch: the repack writes every element before the product
     // reads it, so the buffer's stale contents never leak into the result.
     crate::parallel::scratch::with_f32s(k * n, |b_packed| {
-        for (kk, packed_row) in b_packed.chunks_exact_mut(n).enumerate() {
-            for (j, o) in packed_row.iter_mut().enumerate() {
-                *o = bt[j * k + kk];
-            }
-        }
+        transpose_into(bt, b_packed, n, k);
         matmul_fast_into(a, b_packed, out, m, k, n, None, false);
     });
 }
@@ -435,11 +452,16 @@ pub(crate) fn matmul_transposed_fast_into(
 /// backward's `dW = xᵀ·g` shape, reduction over the shared row index `r`.
 /// `out` must be zeroed.
 ///
-/// Like [`matmul_transposed_fast_into`], this repacks the strided operand
-/// (`a` read column-wise) into row-major `[m, r]` once and reuses the tiled
-/// kernel: the repack is O(r·m) against the product's O(r·m·n), and per
-/// output element the reduction still runs over `r` strictly increasing, so
-/// the bits match the scalar tier's materialize-then-multiply path exactly.
+/// The `MI` values of `Aᵀ` a register tile needs at reduction step `rr` are
+/// `a[rr·m + i0 ..][..MI]` — contiguous in the row-major operand — so when
+/// whole tiles cover the output (`m % MI == 0`, `n % NJ_NARROW == 0`: every
+/// capacity-tier layer shape) and the product is below the row-parallel
+/// threshold, the tiles read `a` in place. Any other shape repacks `a` into
+/// row-major `[m, r]` (O(r·m) against the product's O(r·m·n)) and reuses
+/// [`matmul_fast_into`] with its remainder strips and row-parallel split.
+/// Either way the reduction runs over `r` strictly increasing from `+0.0`
+/// per output element, so the bits match the scalar tier's
+/// materialize-then-multiply path exactly.
 pub(crate) fn tr_matmul_fast_into(
     a: &[f32],
     b: &[f32],
@@ -451,14 +473,57 @@ pub(crate) fn tr_matmul_fast_into(
     if r == 0 {
         return;
     }
-    crate::parallel::scratch::with_f32s(m * r, |a_packed| {
-        for (i, packed_row) in a_packed.chunks_exact_mut(r).enumerate() {
-            for (rr, o) in packed_row.iter_mut().enumerate() {
-                *o = a[rr * m + i];
+    let tiles_cover = m.is_multiple_of(MI) && n.is_multiple_of(NJ_NARROW);
+    let row_parallel = r * m * n >= PAR_MIN_MADDS && m >= 2 * PAR_MIN_ROWS;
+    if tiles_cover && !row_parallel {
+        for i0 in (0..m).step_by(MI) {
+            let mut j0 = 0;
+            while j0 + NJ <= n {
+                tr_matmul_tile::<NJ>(a, b, out, i0, j0, m, n);
+                j0 += NJ;
+            }
+            while j0 < n {
+                tr_matmul_tile::<NJ_NARROW>(a, b, out, i0, j0, m, n);
+                j0 += NJ_NARROW;
             }
         }
+        return;
+    }
+    crate::parallel::scratch::with_f32s(m * r, |a_packed| {
+        transpose_into(a, a_packed, r, m);
         matmul_fast_into(a_packed, b, out, m, r, n, None, false);
     });
+}
+
+/// One `MI × W` register tile of `Aᵀ·B` at output rows `[i0, i0+MI)` and
+/// columns `[j0, j0+W)`, reading `a: [r, m]` in place: the twin of
+/// [`matmul_tile`] with the left operand's tile values taken from one row
+/// of `a` per reduction step instead of one column of four rows.
+#[inline]
+fn tr_matmul_tile<const W: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    i0: usize,
+    j0: usize,
+    m: usize,
+    n: usize,
+) {
+    let mut acc = [[0.0f32; W]; MI];
+    for (arow, brow) in a.chunks_exact(m).zip(b.chunks_exact(n)) {
+        // Copied out, not borrowed: through a reference into `a` the narrow
+        // tile reloads the four values per lane and runs ~10x slower.
+        let avs: [f32; MI] = arow[i0..i0 + MI].try_into().expect("tile height");
+        let bseg: &[f32; W] = brow[j0..j0 + W].try_into().expect("tile width");
+        for (acc_row, av) in acc.iter_mut().zip(avs) {
+            for (x, &bv) in acc_row.iter_mut().zip(bseg) {
+                *x += av * bv;
+            }
+        }
+    }
+    for (ii, acc_row) in acc.iter().enumerate() {
+        out[(i0 + ii) * n + j0..(i0 + ii) * n + j0 + W].copy_from_slice(acc_row);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -491,11 +491,7 @@ impl Tensor {
         }
         let (m, n) = (self.shape[0], self.shape[1]);
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
+        kernels::transpose_into(&self.data, &mut out, m, n);
         Self::from_vec(out, &[n, m])
     }
 

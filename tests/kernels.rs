@@ -2,11 +2,24 @@
 //! same history under the scalar reference kernels and the tiled/parallel
 //! fast kernels.
 //!
-//! This test lives in its own integration binary so nothing else runs
-//! concurrently while the scoped kernel-mode override is held.
+//! These tests live in their own integration binary, and take
+//! [`MODE_LOCK`], so nothing else runs while a scoped kernel-mode override
+//! is held.
 
 use fedpkd::prelude::*;
-use fedpkd::tensor::KernelMode;
+use fedpkd::tensor::{KernelMode, Tensor};
+use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard};
+
+/// The kernel tier is a process-wide switch; every test here holds this
+/// lock so one test's override never leaks into another's products.
+static MODE_LOCK: Mutex<()> = Mutex::new(());
+
+fn lock_mode() -> MutexGuard<'static, ()> {
+    // A test that failed while holding the lock has already reported; the
+    // unit payload cannot be left inconsistent.
+    MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn scenario(seed: u64) -> fedpkd::data::FederatedScenario {
     ScenarioBuilder::new(SyntheticConfig::cifar10_like())
@@ -49,6 +62,7 @@ fn run_fedpkd(seed: u64) -> RunResult {
 /// drift in any forward or backward pass fails this test.
 #[test]
 fn scalar_and_fast_kernels_produce_identical_runs() {
+    let _serial = lock_mode();
     let scalar_run = {
         let _scalar = KernelMode::scoped(KernelMode::Scalar);
         run_fedpkd(77)
@@ -65,4 +79,79 @@ fn scalar_and_fast_kernels_produce_identical_runs() {
         scalar_run.ledger, fast_run.ledger,
         "kernel tiers diverged: communication ledgers differ"
     );
+}
+
+/// Strategy: a backward-pass layer width — the capacity-tier widths whole
+/// register tiles cover (`Aᵀ·B` reads its operand in place) and ragged
+/// ones that take the repack fallback.
+fn width() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        Just(48usize),
+        Just(64),
+        Just(80),
+        Just(128),
+        Just(1),
+        Just(10),
+        Just(17),
+        Just(50),
+        Just(127),
+    ]
+}
+
+/// Strategy: a batch size (the reduction length of `Aᵀ·B`).
+fn batch() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), Just(7), Just(32), Just(33)]
+}
+
+/// Strategy: an `[r, c]` tensor with about a quarter of its entries exact
+/// zeros, like a post-ReLU activation.
+fn activations(r: usize, c: usize) -> impl Strategy<Value = Tensor> {
+    prop::collection::vec((-4.0f32..4.0, 0u8..4), r * c).prop_map(move |cells| {
+        let data = cells
+            .into_iter()
+            .map(|(v, zero)| if zero == 0 { 0.0 } else { v })
+            .collect();
+        Tensor::from_vec(data, &[r, c]).expect("r·c values")
+    })
+}
+
+fn assert_same_bits(fast: &Tensor, scalar: &Tensor) -> Result<(), TestCaseError> {
+    prop_assert_eq!(fast.shape(), scalar.shape());
+    for (x, y) in fast.as_slice().iter().zip(scalar.as_slice()) {
+        prop_assert_eq!(x.to_bits(), y.to_bits());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `dW = xᵀ·g` at layer shapes: the in-place register tile (both widths
+    /// tile-aligned) and the repack fallback (either width ragged) equal
+    /// the scalar tier's materialize-then-multiply, bit for bit.
+    #[test]
+    fn tr_matmul_matches_scalar_at_layer_widths(
+        (x, g) in (batch(), width(), width())
+            .prop_flat_map(|(r, m, n)| (activations(r, m), activations(r, n))),
+    ) {
+        let _serial = lock_mode();
+        let _fast = KernelMode::scoped(KernelMode::Fast);
+        let fast = x.tr_matmul(&g).unwrap();
+        let scalar = x.transpose().unwrap().matmul_scalar(&g).unwrap();
+        assert_same_bits(&fast, &scalar)?;
+    }
+
+    /// `dx = g·Wᵀ` at layer shapes: the blocked `Wᵀ` repack, including
+    /// partial edge blocks, equals the scalar tier bit for bit.
+    #[test]
+    fn matmul_transposed_matches_scalar_at_layer_widths(
+        (g, w) in (batch(), width(), width())
+            .prop_flat_map(|(m, k, n)| (activations(m, k), activations(n, k))),
+    ) {
+        let _serial = lock_mode();
+        let _fast = KernelMode::scoped(KernelMode::Fast);
+        let fast = g.matmul_transposed(&w).unwrap();
+        let scalar = g.matmul_scalar(&w.transpose().unwrap()).unwrap();
+        assert_same_bits(&fast, &scalar)?;
+    }
 }
