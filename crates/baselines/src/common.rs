@@ -11,13 +11,13 @@ pub(crate) use fedpkd_core::clients::{
     build_clients, client_accuracies, for_each_active_client, validate_specs, ClientState as Client,
 };
 
-use fedpkd_core::train::{apply_proximal_term, TrainStats};
+use fedpkd_core::train::{add_proximal_term, TrainStats};
 use fedpkd_data::Dataset;
 use fedpkd_rng::Rng;
 use fedpkd_tensor::loss::CrossEntropy;
 use fedpkd_tensor::models::ClassifierModel;
 use fedpkd_tensor::nn::Layer;
-use fedpkd_tensor::optim::Optimizer;
+use fedpkd_tensor::optim::{step_and_zero, Optimizer};
 
 /// Supervised local training with the FedProx proximal term
 /// `μ/2 · ‖w − w_global‖²` added to every mini-batch objective.
@@ -35,6 +35,18 @@ pub(crate) fn train_supervised_prox(
     optimizer: &mut dyn Optimizer,
     rng: &mut Rng,
 ) -> TrainStats {
+    assert_eq!(
+        reference.len(),
+        model.param_count(),
+        "reference does not match the model's parameters"
+    );
+    // Where each parameter (by slot) starts in the flat reference vector.
+    let mut offsets = Vec::new();
+    let mut next = 0usize;
+    model.visit_params(&mut |p| {
+        offsets.push(next);
+        next += p.value.len();
+    });
     let ce = CrossEntropy::new();
     let mut total = 0.0f64;
     let mut batches = 0usize;
@@ -42,10 +54,15 @@ pub(crate) fn train_supervised_prox(
         for batch in dataset.batches(batch_size, rng) {
             let logits = model.forward_logits(&batch.features, true);
             let (loss, grad) = ce.loss_and_grad(&logits, &batch.labels);
-            model.backward(&grad);
-            apply_proximal_term(model, reference, mu);
-            optimizer.step(model);
-            model.zero_grad();
+            // The fused step with the proximal gradient `μ(w − w_ref)`
+            // folded into the per-parameter hook, ahead of the update.
+            optimizer.begin_step(model);
+            model.backward_dual_with(&grad, None, &mut |slot, param| {
+                let start = offsets[slot];
+                let reference = &reference[start..start + param.value.len()];
+                add_proximal_term(param, reference, mu);
+                step_and_zero(optimizer, slot, param);
+            });
             total += f64::from(loss);
             batches += 1;
         }

@@ -41,26 +41,47 @@ use crate::snapshot::{self, SnapshotError, StateSink, StateSource};
 use fedpkd_data::{ClientData, FederatedScenario};
 use fedpkd_rng::Rng;
 use fedpkd_tensor::models::ModelSpec;
-use fedpkd_tensor::optim::Adam;
+use fedpkd_tensor::optim::{param_shapes, Adam};
 use fedpkd_tensor::parallel::{dispatch_chunked, dispatch_stealing_scheduled, StealStats};
 use fedpkd_tensor::serialize::{load_state_vector, state_vector};
 use std::sync::OnceLock;
 
 /// One immutable model blueprint shared by every client of a capacity
 /// tier. Holds the spec plus lazily computed metadata (the state-vector
-/// length), never any weights.
+/// length and the parameter shapes), never any weights.
 #[derive(Debug)]
 pub struct Template {
     spec: ModelSpec,
-    state_len: OnceLock<usize>,
+    layout: OnceLock<Layout>,
+}
+
+/// What a snapshot's client must match to be a client of this template.
+#[derive(Debug)]
+struct Layout {
+    state_len: usize,
+    param_shapes: Vec<Vec<usize>>,
 }
 
 impl Template {
     fn new(spec: ModelSpec) -> Self {
         Self {
             spec,
-            state_len: OnceLock::new(),
+            layout: OnceLock::new(),
         }
+    }
+
+    /// Computed once per tier by building (and immediately dropping) a
+    /// throwaway model.
+    fn layout(&self) -> &Layout {
+        self.layout.get_or_init(|| {
+            // The weights are discarded, so any deterministic stream works.
+            let mut rng = Rng::stream(0, u64::MAX);
+            let model = self.spec.build(&mut rng);
+            Layout {
+                state_len: state_vector(&model).len(),
+                param_shapes: param_shapes(&model),
+            }
+        })
     }
 
     /// The architecture this template stamps out.
@@ -69,14 +90,9 @@ impl Template {
     }
 
     /// The length of the flat state vector of a model built from this
-    /// template. Computed once per tier by building (and immediately
-    /// dropping) a throwaway model.
+    /// template.
     pub fn state_len(&self) -> usize {
-        *self.state_len.get_or_init(|| {
-            // The weights are discarded, so any deterministic stream works.
-            let mut rng = Rng::stream(0, u64::MAX);
-            state_vector(&self.spec.build(&mut rng)).len()
-        })
+        self.layout().state_len
     }
 }
 
@@ -478,8 +494,9 @@ pub fn write_pool(w: &mut dyn StateSink, pool: &ClientPool) {
 /// # Errors
 ///
 /// [`SnapshotError::Malformed`] if the snapshot's client count or any
-/// client's state length disagrees with the pool, or on invalid
-/// optimizer/RNG payloads. The pool may be partially overwritten on
+/// client's state length disagrees with the pool, on optimizer state that
+/// does not fit the client's template (step count, moment count or
+/// shapes), or on invalid RNG payloads. The pool may be partially overwritten on
 /// error.
 pub fn read_pool(r: &mut dyn StateSource, pool: &mut ClientPool) -> Result<(), SnapshotError> {
     let count = r.take_usize()?;
@@ -498,26 +515,8 @@ pub fn read_pool(r: &mut dyn StateSource, pool: &mut ClientPool) -> Result<(), S
                 state.len()
             )));
         }
-        let opt_lr = r.take_f32()?;
-        if !(opt_lr.is_finite() && opt_lr > 0.0) {
-            return Err(SnapshotError::Malformed(format!(
-                "bad learning rate {opt_lr}"
-            )));
-        }
-        let opt_t = r.take_u64()?;
-        let moment_count = r.take_usize()?;
-        let read_moments = |r: &mut dyn StateSource| -> Result<Vec<_>, SnapshotError> {
-            (0..moment_count)
-                .map(|_| snapshot::read_tensor(r))
-                .collect()
-        };
-        let opt_m = read_moments(r)?;
-        let opt_v = read_moments(r)?;
-        for (m, v) in opt_m.iter().zip(&opt_v) {
-            if m.shape() != v.shape() {
-                return Err(SnapshotError::Malformed("moment shapes differ".into()));
-            }
-        }
+        let (opt_lr, opt_t, opt_m, opt_v) =
+            snapshot::read_adam_state(r, &pool.template_of(i).layout().param_shapes)?;
         let mut rng = [0u64; 4];
         for word in &mut rng {
             *word = r.take_u64()?;

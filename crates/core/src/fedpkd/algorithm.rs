@@ -1062,7 +1062,11 @@ impl Federation for FedPkd {
     fn read_state(&mut self, r: &mut dyn StateSource) -> Result<(), SnapshotError> {
         snapshot::read_pool(r, &mut self.state.clients)?;
         snapshot::read_model(r, &mut self.state.server_model)?;
-        snapshot::read_adam(r, &mut self.state.server_optimizer)?;
+        snapshot::read_adam(
+            r,
+            &mut self.state.server_optimizer,
+            &self.state.server_model,
+        )?;
         self.state.server_rng = snapshot::read_rng(r)?;
         let global_prototypes = snapshot::read_opt_tensors(r)?;
         if global_prototypes.len() != self.state.global_prototypes.len() {
@@ -1143,7 +1147,7 @@ impl Federation for FedPkd {
         }
         if let Some((bank, opt)) = self.state.margins.as_mut() {
             snapshot::read_model(r, bank)?;
-            snapshot::read_adam(r, opt)?;
+            snapshot::read_adam(r, opt, bank)?;
         }
         let has_generator = r.take_bool()?;
         if has_generator != self.state.generator.is_some() {
@@ -1159,7 +1163,7 @@ impl Federation for FedPkd {
         }
         if let Some(gs) = self.state.generator.as_mut() {
             snapshot::read_model(r, &mut gs.generator)?;
-            snapshot::read_adam(r, &mut gs.optimizer)?;
+            snapshot::read_adam(r, &mut gs.optimizer, &gs.generator)?;
             gs.rng = snapshot::read_rng(r)?;
         }
         snapshot::read_quarantine(r, &mut self.state.quarantine)?;

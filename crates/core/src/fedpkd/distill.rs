@@ -3,7 +3,6 @@
 use fedpkd_rng::Rng;
 use fedpkd_tensor::loss::{distill_kl_ce, DistillKl, Mse};
 use fedpkd_tensor::models::ClassifierModel;
-use fedpkd_tensor::nn::Layer;
 use fedpkd_tensor::optim::Optimizer;
 use fedpkd_tensor::Tensor;
 
@@ -64,13 +63,19 @@ pub fn train_server(
     let mut kd_total = 0.0f64;
     let mut proto_total = 0.0f64;
     let mut batches = 0usize;
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    let mut labels: Vec<usize> = Vec::with_capacity(batch_size.min(n));
+    // The Eq. 12 target, rebuilt in place per batch.
+    let mut target = Tensor::default();
     for _ in 0..epochs {
-        let mut order: Vec<usize> = (0..n).collect();
+        order.clear();
+        order.extend(0..n);
         rng.shuffle(&mut order);
         for chunk in order.chunks(batch_size) {
             let x = public_features.select_rows(chunk).expect("in range");
             let teacher = teacher_probs.select_rows(chunk).expect("in range");
-            let labels: Vec<usize> = chunk.iter().map(|&i| pseudo_labels[i]).collect();
+            labels.clear();
+            labels.extend(chunk.iter().map(|&i| pseudo_labels[i]));
 
             let (features, logits) = model.forward_full(&x, true);
 
@@ -86,7 +91,7 @@ pub fn train_server(
 
             // Prototype term (Eq. 12): pull features toward P^{ỹ}.
             let feature_grad = if delta < 1.0 {
-                let mut target = features.clone();
+                target.clone_from(&features);
                 let mut covered = 0usize;
                 for (row, &y) in labels.iter().enumerate() {
                     if let Some(proto) = global_prototypes.get(y).and_then(Option::as_ref) {
@@ -113,9 +118,7 @@ pub fn train_server(
                 None
             };
 
-            model.backward_dual(&logit_grad, feature_grad.as_ref());
-            optimizer.step(model);
-            model.zero_grad();
+            model.backward_step(&logit_grad, feature_grad.as_ref(), optimizer);
             batches += 1;
         }
     }

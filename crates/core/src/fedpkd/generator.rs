@@ -24,8 +24,8 @@
 use fedpkd_rng::Rng;
 use fedpkd_tensor::loss::{CrossEntropy, DistillKl, Mse};
 use fedpkd_tensor::models::ClassifierModel;
-use fedpkd_tensor::nn::{Layer, Linear, Param, Relu, Sequential};
-use fedpkd_tensor::optim::{Adam, Optimizer};
+use fedpkd_tensor::nn::{Layer, Linear, Param, ParamHook, Relu, Sequential};
+use fedpkd_tensor::optim::{step_and_zero, Adam, Optimizer};
 use fedpkd_tensor::Tensor;
 
 /// Hidden width of the generator MLP.
@@ -115,6 +115,19 @@ impl Layer for Generator {
         self.net.backward(grad_out)
     }
 
+    fn backward_with(
+        &mut self,
+        grad_out: &Tensor,
+        first_slot: usize,
+        hook: &mut ParamHook<'_>,
+    ) -> Tensor {
+        self.net.backward_with(grad_out, first_slot, hook)
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        self.net.backward_input(grad_out)
+    }
+
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.net.visit_params_mut(f);
     }
@@ -160,8 +173,9 @@ pub struct GeneratorStats {
 /// generated batch mean onto the aggregated input-space class mean in
 /// `class_moments` (per-batch-mean, so individual samples keep their
 /// latent-driven diversity instead of collapsing onto the mean). The
-/// server model's accumulated gradients are zeroed afterwards — it is a
-/// critic here, never a trainee.
+/// server model is a critic here, never a trainee: the pass through it
+/// computes input gradients only, so its parameters and their gradients are
+/// never touched.
 #[allow(clippy::too_many_arguments)]
 pub fn refine(
     generator: &mut Generator,
@@ -191,7 +205,6 @@ pub fn refine(
     let mut saved_buffers: Vec<Vec<f32>> = Vec::new();
     server.visit_buffers(&mut |b| saved_buffers.push(b.to_vec()));
     for _ in 0..epochs {
-        generator.zero_grad();
         let x = generator.net.forward(&input, true);
         let (features, logits) = server.forward_full(&x, true);
         // Logit-space pull: ensemble KL plus intended-label CE.
@@ -226,7 +239,7 @@ pub fn refine(
                 feature_grad.row_mut(i).copy_from_slice(grad.row(k));
             }
         }
-        let mut input_grad = server.backward_dual(&logit_grad, Some(&feature_grad));
+        let mut input_grad = server.backward_dual_input(&logit_grad, Some(&feature_grad));
         // Input-space grounding: match each class's generated batch mean
         // to the real class mean. Fixed class order + f64 accumulation
         // keep this bit-identical across tiers and worker counts.
@@ -265,9 +278,12 @@ pub fn refine(
         if engaged > 0 {
             moment_loss /= engaged as f64;
         }
-        generator.net.backward(&input_grad);
-        server.zero_grad();
-        optimizer.step(&mut generator.net);
+        optimizer.begin_step(&generator.net);
+        generator
+            .net
+            .backward_with(&input_grad, 0, &mut |slot, param| {
+                step_and_zero(optimizer, slot, param);
+            });
         stats = GeneratorStats {
             ensemble_loss: f64::from(ens_loss),
             ce_loss: f64::from(ce_loss),

@@ -25,7 +25,7 @@
 //! the streaming accumulators already produce bit-identically.
 
 use fedpkd_tensor::nn::{Layer, Param};
-use fedpkd_tensor::optim::{Adam, Optimizer};
+use fedpkd_tensor::optim::{step_and_zero, Adam, Optimizer};
 use fedpkd_tensor::Tensor;
 
 /// EMA smoothing factor for the per-class distance-scale buffer.
@@ -224,7 +224,6 @@ pub fn refine(
         ..MarginStats::default()
     };
     for _ in 0..epochs {
-        bank.zero_grad();
         // Prototype pull: mean squared error over covered rows.
         let mut proto_loss = 0.0f64;
         if covered > 0 {
@@ -257,7 +256,14 @@ pub fn refine(
             }
             margin_loss /= observed.len() as f64;
         }
-        optimizer.step(bank);
+        // The gradients were written directly (there is no backward pass to
+        // fuse into), so the fused step is one sweep over the two params.
+        optimizer.begin_step(bank);
+        let mut slot = 0;
+        bank.visit_params_mut(&mut |param| {
+            step_and_zero(optimizer, slot, param);
+            slot += 1;
+        });
         stats.proto_loss = proto_loss;
         stats.margin_loss = margin_loss;
     }

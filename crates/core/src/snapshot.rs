@@ -74,7 +74,7 @@ use crate::runtime::DriverState;
 use fedpkd_netsim::{CommLedger, Direction, TransferRecord};
 use fedpkd_rng::Rng;
 use fedpkd_tensor::nn::Layer;
-use fedpkd_tensor::optim::Adam;
+use fedpkd_tensor::optim::{param_shapes, Adam};
 use fedpkd_tensor::serialize::{load_state_vector, state_vector};
 use fedpkd_tensor::Tensor;
 
@@ -1011,14 +1011,38 @@ pub fn write_adam(w: &mut dyn StateSink, opt: &Adam) {
     }
 }
 
-/// Reads Adam state written by [`write_adam`] into `opt`.
+/// Reads Adam state written by [`write_adam`] into `opt`, the optimizer
+/// that drives `model`.
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Malformed`] on a non-positive learning rate or
-/// mismatched moment pairs.
-pub fn read_adam(r: &mut dyn StateSource, opt: &mut Adam) -> Result<(), SnapshotError> {
+/// [`SnapshotError::Malformed`] on a non-positive learning rate, or on a
+/// state that does not fit `model` — a step count out of range, or moments
+/// that are not one pair per parameter in the parameter's shape (another
+/// tier's optimizer, a crafted payload). `opt` is left untouched then.
+pub fn read_adam(
+    r: &mut dyn StateSource,
+    opt: &mut Adam,
+    model: &dyn Layer,
+) -> Result<(), SnapshotError> {
     use fedpkd_tensor::optim::Optimizer;
+    let (lr, t, m, v) = read_adam_state(r, &param_shapes(model))?;
+    opt.set_learning_rate(lr);
+    opt.restore_state(t, m, v);
+    Ok(())
+}
+
+/// Decodes and validates the fields [`write_adam`] wrote — `(learning
+/// rate, step count, first moments, second moments)` — against the
+/// parameter shapes of the model the optimizer will drive.
+///
+/// # Errors
+///
+/// As [`read_adam`].
+pub(crate) fn read_adam_state(
+    r: &mut dyn StateSource,
+    param_shapes: &[Vec<usize>],
+) -> Result<(f32, u64, Vec<Tensor>, Vec<Tensor>), SnapshotError> {
     let lr = r.take_f32()?;
     if !(lr.is_finite() && lr > 0.0) {
         return Err(SnapshotError::Malformed(format!("bad learning rate {lr}")));
@@ -1030,14 +1054,8 @@ pub fn read_adam(r: &mut dyn StateSource, opt: &mut Adam) -> Result<(), Snapshot
     };
     let m = read_moments(r)?;
     let v = read_moments(r)?;
-    for (m_i, v_i) in m.iter().zip(&v) {
-        if m_i.shape() != v_i.shape() {
-            return Err(SnapshotError::Malformed("moment shapes differ".into()));
-        }
-    }
-    opt.set_learning_rate(lr);
-    opt.restore_state(t, m, v);
-    Ok(())
+    Adam::check_state(t, &m, &v, param_shapes).map_err(SnapshotError::Malformed)?;
+    Ok((lr, t, m, v))
 }
 
 /// Writes one client's full state: model, optimizer, RNG stream.
@@ -1054,7 +1072,7 @@ pub fn write_client(w: &mut dyn StateSink, client: &ClientState) {
 /// Propagates the model/optimizer/RNG decoding errors.
 pub fn read_client(r: &mut dyn StateSource, client: &mut ClientState) -> Result<(), SnapshotError> {
     read_model(r, &mut client.model)?;
-    read_adam(r, &mut client.optimizer)?;
+    read_adam(r, &mut client.optimizer, &client.model)?;
     client.rng = read_rng(r)?;
     Ok(())
 }
@@ -1403,7 +1421,7 @@ mod tests {
         let bytes = w.into_bytes();
         let mut restored = Adam::new(0.5);
         let mut r = SnapshotReader::new(&bytes);
-        read_adam(&mut r, &mut restored).unwrap();
+        read_adam(&mut r, &mut restored, &layer).unwrap();
         assert_eq!(restored.learning_rate(), 0.01);
         assert_eq!(restored.step_count(), 1);
         let (m0, v0) = opt.moments();

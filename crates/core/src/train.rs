@@ -4,7 +4,7 @@ use fedpkd_data::Dataset;
 use fedpkd_rng::Rng;
 use fedpkd_tensor::loss::{distill_kl_ce, CrossEntropy, DistillKl, Mse};
 use fedpkd_tensor::models::ClassifierModel;
-use fedpkd_tensor::nn::Layer;
+use fedpkd_tensor::nn::{Layer, Param};
 use fedpkd_tensor::optim::Optimizer;
 use fedpkd_tensor::Tensor;
 
@@ -54,9 +54,7 @@ pub fn train_supervised(
         for batch in dataset.batches(batch_size, rng) {
             let logits = model.forward_logits(&batch.features, true);
             let (loss, grad) = ce.loss_and_grad(&logits, &batch.labels);
-            model.backward(&grad);
-            optimizer.step(model);
-            model.zero_grad();
+            model.backward_step(&grad, None, optimizer);
             total_loss += f64::from(loss);
             batches += 1;
         }
@@ -83,6 +81,8 @@ pub fn train_supervised_with_prototypes(
     let mse = Mse::new();
     let mut total_loss = 0.0f64;
     let mut batches = 0usize;
+    // The Eq. 16 target, rebuilt in place per batch.
+    let mut target = Tensor::default();
     for _ in 0..epochs {
         for batch in dataset.batches(batch_size, rng) {
             let (features, logits) = model.forward_full(&batch.features, true);
@@ -90,7 +90,7 @@ pub fn train_supervised_with_prototypes(
 
             // Prototype pull: rows whose class has a global prototype get an
             // MSE gradient on their feature embedding.
-            let mut target = features.clone();
+            target.clone_from(&features);
             let mut any = false;
             for (row, &y) in batch.labels.iter().enumerate() {
                 if let Some(proto) = global_prototypes.get(y).and_then(Option::as_ref) {
@@ -99,16 +99,15 @@ pub fn train_supervised_with_prototypes(
                 }
             }
             let mut objective = f64::from(ce_loss);
-            if any && epsilon != 0.0 {
+            let feature_grad = if any && epsilon != 0.0 {
                 let (mse_loss, mut fgrad) = mse.loss_and_grad(&features, &target);
                 fgrad.scale_in_place(epsilon);
-                model.backward_dual(&logit_grad, Some(&fgrad));
                 objective += f64::from(epsilon) * f64::from(mse_loss);
+                Some(fgrad)
             } else {
-                model.backward_dual(&logit_grad, None);
-            }
-            optimizer.step(model);
-            model.zero_grad();
+                None
+            };
+            model.backward_step(&logit_grad, feature_grad.as_ref(), optimizer);
             total_loss += objective;
             batches += 1;
         }
@@ -152,15 +151,19 @@ pub fn train_distill(
 
     let mut total_loss = 0.0f64;
     let mut batches = 0usize;
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    let mut labels: Vec<usize> = Vec::with_capacity(batch_size.min(n));
     for _ in 0..epochs {
-        let mut order: Vec<usize> = (0..n).collect();
+        order.clear();
+        order.extend(0..n);
         rng.shuffle(&mut order);
         for chunk in order.chunks(batch_size) {
             let x = public_features
                 .select_rows(chunk)
                 .expect("indices in range");
             let teacher = teacher_probs.select_rows(chunk).expect("indices in range");
-            let labels: Vec<usize> = chunk.iter().map(|&i| pseudo_labels[i]).collect();
+            labels.clear();
+            labels.extend(chunk.iter().map(|&i| pseudo_labels[i]));
             let logits = model.forward_logits(&x, true);
             // Both loss terms share the logits; the combined entry fuses
             // their softmax families in the fast tier.
@@ -168,9 +171,7 @@ pub fn train_distill(
                 distill_kl_ce(&kl, &logits, &teacher, &labels);
             let mut grad = kl_grad.scale(gamma);
             grad.axpy(1.0 - gamma, &ce_grad).expect("equal shapes");
-            model.backward(&grad);
-            optimizer.step(model);
-            model.zero_grad();
+            model.backward_step(&grad, None, optimizer);
             total_loss +=
                 f64::from(gamma) * f64::from(kl_loss) + f64::from(1.0 - gamma) * f64::from(ce_loss);
             batches += 1;
@@ -196,13 +197,29 @@ pub fn apply_proximal_term(model: &mut dyn Layer, reference: &[f32], mu: f32) {
     let mut offset = 0usize;
     model.visit_params_mut(&mut |p| {
         let len = p.value.len();
-        let values = p.value.as_slice();
-        let grads = p.grad.as_mut_slice();
-        for i in 0..len {
-            grads[i] += mu * (values[i] - reference[offset + i]);
-        }
+        add_proximal_term(p, &reference[offset..offset + len], mu);
         offset += len;
     });
+}
+
+/// The proximal term for one parameter: `grad += μ · (w − w_ref)`, with
+/// `reference` that parameter's slice of the reference vector.
+///
+/// # Panics
+///
+/// Panics if `reference` is not the parameter's length.
+pub fn add_proximal_term(param: &mut Param, reference: &[f32], mu: f32) {
+    let values = param.value.as_slice();
+    assert_eq!(reference.len(), values.len(), "reference slice mismatch");
+    for ((g, &w), &r) in param
+        .grad
+        .as_mut_slice()
+        .iter_mut()
+        .zip(values)
+        .zip(reference)
+    {
+        *g += mu * (w - r);
+    }
 }
 
 #[cfg(test)]

@@ -41,6 +41,11 @@
 //!     model.zero_grad();
 //! }
 //! ```
+//!
+//! The last three calls are the reference form of a training step. The
+//! training loops use the fused one,
+//! [`models::ClassifierModel::backward_step`] (built on
+//! [`nn::Layer::backward_with`]): same bits, one pass over each weight.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

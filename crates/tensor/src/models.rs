@@ -15,9 +15,10 @@
 //! ([`ModelSpec::ConvNet`]) for image-mode data.
 
 use crate::nn::{
-    AvgPool2d, BatchNorm1d, Conv2d, Flatten, GlobalAvgPool2d, Layer, Linear, Param, Relu, Residual,
-    Sequential,
+    AvgPool2d, BatchNorm1d, Conv2d, Flatten, GlobalAvgPool2d, Layer, Linear, Param, ParamHook,
+    Relu, Residual, Sequential,
 };
+use crate::optim::{step_and_zero, Optimizer};
 use crate::Tensor;
 use fedpkd_rng::Rng;
 
@@ -36,6 +37,9 @@ pub struct ClassifierModel {
     head: Linear,
     feature_dim: usize,
     num_classes: usize,
+    /// The head's first slot in `visit_params` order: the backbone's
+    /// parameter-tensor count (the backbone is fixed after construction).
+    head_slot: usize,
 }
 
 impl ClassifierModel {
@@ -47,11 +51,13 @@ impl ClassifierModel {
     pub fn new(backbone: Sequential, head: Linear, feature_dim: usize) -> Self {
         assert_eq!(head.in_features(), feature_dim, "head width mismatch");
         let num_classes = head.out_features();
+        let head_slot = backbone.slot_count();
         Self {
             backbone,
             head,
             feature_dim,
             num_classes,
+            head_slot,
         }
     }
 
@@ -96,13 +102,72 @@ impl ClassifierModel {
     /// Panics if called before a forward pass, or if `feature_grad` has a
     /// different shape than the cached features.
     pub fn backward_dual(&mut self, logit_grad: &Tensor, feature_grad: Option<&Tensor>) -> Tensor {
-        let mut g_features = self.head.backward(logit_grad);
+        self.backward_dual_via(logit_grad, feature_grad, |part, g, _| part.backward(g))
+    }
+
+    /// [`backward_dual`](Self::backward_dual) with a per-parameter hook:
+    /// `hook(slot, param)` runs the moment each parameter's gradient is
+    /// final, `slot` being its position in [`Layer::visit_params`] order
+    /// (see [`Layer::backward_with`]).
+    pub fn backward_dual_with(
+        &mut self,
+        logit_grad: &Tensor,
+        feature_grad: Option<&Tensor>,
+        hook: &mut ParamHook<'_>,
+    ) -> Tensor {
+        self.backward_dual_via(logit_grad, feature_grad, |part, g, first_slot| {
+            part.backward_with(g, first_slot, hook)
+        })
+    }
+
+    /// The fused training step: [`backward_dual`](Self::backward_dual),
+    /// `optimizer.step` and `zero_grad` in one pass — each parameter is
+    /// updated and its gradient zeroed inside the backward pass, as soon as
+    /// that gradient is final, while weight, gradient and optimizer state
+    /// are still in cache. Bit-identical to the three separate calls
+    /// (parameters, optimizer state, returned input gradient); gradients
+    /// are all zero afterwards, as they must be before.
+    pub fn backward_step(
+        &mut self,
+        logit_grad: &Tensor,
+        feature_grad: Option<&Tensor>,
+        optimizer: &mut dyn Optimizer,
+    ) -> Tensor {
+        optimizer.begin_step(self);
+        self.backward_dual_with(logit_grad, feature_grad, &mut |slot, param| {
+            step_and_zero(optimizer, slot, param);
+        })
+    }
+
+    /// Input-gradient-only [`backward_dual`](Self::backward_dual): the same
+    /// return value, no parameter gradient touched — for backpropagating
+    /// through the model as a frozen critic (see [`Layer::backward_input`]).
+    pub fn backward_dual_input(
+        &mut self,
+        logit_grad: &Tensor,
+        feature_grad: Option<&Tensor>,
+    ) -> Tensor {
+        self.backward_dual_via(logit_grad, feature_grad, |part, g, _| {
+            part.backward_input(g)
+        })
+    }
+
+    /// The dual backward's skeleton: `run(part, grad, first_slot)` is one
+    /// of the [`Layer`] backward flavours, applied to the head and then —
+    /// with the extra feature gradient added — to the backbone.
+    fn backward_dual_via(
+        &mut self,
+        logit_grad: &Tensor,
+        feature_grad: Option<&Tensor>,
+        mut run: impl FnMut(&mut dyn Layer, &Tensor, usize) -> Tensor,
+    ) -> Tensor {
+        let mut g_features = run(&mut self.head, logit_grad, self.head_slot);
         if let Some(extra) = feature_grad {
             g_features
                 .axpy(1.0, extra)
                 .expect("feature gradient shape mismatch");
         }
-        self.backbone.backward(&g_features)
+        run(&mut self.backbone, &g_features, 0)
     }
 }
 
@@ -123,6 +188,19 @@ impl Layer for ClassifierModel {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         self.backward_dual(grad_out, None)
+    }
+
+    fn backward_with(
+        &mut self,
+        grad_out: &Tensor,
+        first_slot: usize,
+        hook: &mut ParamHook<'_>,
+    ) -> Tensor {
+        self.backward_dual_with(grad_out, None, &mut |slot, p| hook(first_slot + slot, p))
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_dual_input(grad_out, None)
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {

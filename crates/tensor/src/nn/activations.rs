@@ -1,6 +1,6 @@
 //! Element-wise activation layers.
 
-use super::{Layer, Param};
+use super::{keep_for_backward, Layer, Param};
 use crate::Tensor;
 
 /// Rectified linear unit: `max(0, x)`.
@@ -17,8 +17,8 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        self.cached_input = Some(input.clone());
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        keep_for_backward(&mut self.cached_input, input, train);
         input.map(|x| x.max(0.0))
     }
 
@@ -61,8 +61,8 @@ impl LeakyRelu {
 }
 
 impl Layer for LeakyRelu {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        self.cached_input = Some(input.clone());
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        keep_for_backward(&mut self.cached_input, input, train);
         let s = self.slope;
         input.map(|x| if x > 0.0 { x } else { s * x })
     }
@@ -97,9 +97,9 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let out = input.map(f32::tanh);
-        self.cached_output = Some(out.clone());
+        keep_for_backward(&mut self.cached_output, &out, train);
         out
     }
 

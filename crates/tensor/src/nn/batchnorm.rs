@@ -104,11 +104,35 @@ impl Layer for BatchNorm1d {
         };
 
         let std_inv: Vec<f32> = var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()).collect();
-        let mut xhat = Tensor::zeros(&[n, d]);
         let mut out = Tensor::zeros(&[n, d]);
         // Zip-driven row sweeps (no per-element bounds checks); the
         // per-element arithmetic is unchanged, so outputs are bit-identical
         // to the indexed loops.
+        if !train {
+            // Eval keeps nothing for a backward: `xhat` lives only in a
+            // register, and the caches of an earlier training batch go.
+            for (xr, or) in input
+                .as_slice()
+                .chunks_exact(d)
+                .zip(out.as_mut_slice().chunks_exact_mut(d))
+            {
+                for (((((o, &x), &m), &si), &g), &b) in or
+                    .iter_mut()
+                    .zip(xr)
+                    .zip(&mean)
+                    .zip(&std_inv)
+                    .zip(gamma)
+                    .zip(beta)
+                {
+                    let h = (x - m) * si;
+                    *o = g * h + b;
+                }
+            }
+            self.cached_xhat = None;
+            self.cached_std_inv = None;
+            return out;
+        }
+        let mut xhat = Tensor::zeros(&[n, d]);
         for (xr, hr) in input
             .as_slice()
             .chunks_exact(d)
@@ -127,15 +151,45 @@ impl Layer for BatchNorm1d {
                 *o = g * h + b;
             }
         }
-        if train {
-            self.cached_xhat = Some(xhat);
-            self.cached_std_inv = Some(std_inv);
-            self.cached_batch_stats = use_batch_stats;
-        }
+        self.cached_xhat = Some(xhat);
+        self.cached_std_inv = Some(std_inv);
+        self.cached_batch_stats = use_batch_stats;
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_impl(grad_out, true)
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_impl(grad_out, false)
+    }
+
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.gamma);
+        f(&mut self.beta);
+    }
+
+    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
+        f(&self.gamma);
+        f(&self.beta);
+    }
+
+    fn visit_buffers(&self, f: &mut dyn FnMut(&[f32])) {
+        f(&self.running_mean);
+        f(&self.running_var);
+    }
+
+    fn visit_buffers_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        f(&mut self.running_mean);
+        f(&mut self.running_var);
+    }
+}
+
+impl BatchNorm1d {
+    /// The shared backward body: accumulates `dγ`/`dβ` when `param_grads`
+    /// is set and returns `dx`.
+    fn backward_impl(&mut self, grad_out: &Tensor, param_grads: bool) -> Tensor {
         let xhat = self
             .cached_xhat
             .as_ref()
@@ -148,30 +202,30 @@ impl Layer for BatchNorm1d {
         let d = self.features;
         let gamma = self.gamma.value.as_slice();
 
-        // Parameter gradients.
-        let mut dgamma = vec![0.0f32; d];
-        let mut dbeta = vec![0.0f32; d];
-        for (g, h) in grad_out
-            .as_slice()
-            .chunks_exact(d)
-            .zip(xhat.as_slice().chunks_exact(d))
-        {
-            for ((dg, db), (&g, &h)) in dgamma.iter_mut().zip(dbeta.iter_mut()).zip(g.iter().zip(h))
+        if param_grads {
+            let mut dgamma = Tensor::zeros(&[d]);
+            let mut dbeta = Tensor::zeros(&[d]);
+            for (g, h) in grad_out
+                .as_slice()
+                .chunks_exact(d)
+                .zip(xhat.as_slice().chunks_exact(d))
             {
-                *dg += g * h;
-                *db += g;
+                for ((dg, db), (&g, &h)) in dgamma
+                    .as_mut_slice()
+                    .iter_mut()
+                    .zip(dbeta.as_mut_slice())
+                    .zip(g.iter().zip(h))
+                {
+                    *dg += g * h;
+                    *db += g;
+                }
             }
+            self.gamma
+                .grad
+                .axpy(1.0, &dgamma)
+                .expect("accumulate dgamma");
+            self.beta.grad.axpy(1.0, &dbeta).expect("accumulate dbeta");
         }
-        let dgamma_t = Tensor::from_vec(dgamma.clone(), &[d]).expect("dgamma shape");
-        let dbeta_t = Tensor::from_vec(dbeta.clone(), &[d]).expect("dbeta shape");
-        self.gamma
-            .grad
-            .axpy(1.0, &dgamma_t)
-            .expect("accumulate dgamma");
-        self.beta
-            .grad
-            .axpy(1.0, &dbeta_t)
-            .expect("accumulate dbeta");
 
         // When the forward pass normalized with running statistics (a
         // single-row training batch), mean/var do not depend on the input
@@ -230,26 +284,6 @@ impl Layer for BatchNorm1d {
             }
         }
         dx
-    }
-
-    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.gamma);
-        f(&mut self.beta);
-    }
-
-    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
-        f(&self.gamma);
-        f(&self.beta);
-    }
-
-    fn visit_buffers(&self, f: &mut dyn FnMut(&[f32])) {
-        f(&self.running_mean);
-        f(&self.running_var);
-    }
-
-    fn visit_buffers_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
-        f(&mut self.running_mean);
-        f(&mut self.running_var);
     }
 }
 

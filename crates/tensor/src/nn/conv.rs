@@ -1,6 +1,6 @@
 //! 2-D convolution via im2col.
 
-use super::{Layer, Param};
+use super::{keep_for_backward, Layer, Param};
 use crate::Tensor;
 use fedpkd_rng::Rng;
 
@@ -148,7 +148,7 @@ impl std::fmt::Debug for Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "Conv2d expects [n, c, h, w] input");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
@@ -171,12 +171,34 @@ impl Layer for Conv2d {
             }
             cols.push(col);
         }
-        self.cached_input = Some(input.clone());
-        self.cached_cols = Some(cols);
+        keep_for_backward(&mut self.cached_input, input, train);
+        self.cached_cols = train.then_some(cols);
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_impl(grad_out, true)
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_impl(grad_out, false)
+    }
+
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
+    }
+
+    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
+        f(&self.weight);
+        f(&self.bias);
+    }
+}
+
+impl Conv2d {
+    /// The shared backward body: accumulates `dW`/`db` when `param_grads`
+    /// is set and returns `dx`.
+    fn backward_impl(&mut self, grad_out: &Tensor, param_grads: bool) -> Tensor {
         let input = self
             .cached_input
             .as_ref()
@@ -196,16 +218,18 @@ impl Layer for Conv2d {
         for (s, col) in cols.iter().enumerate() {
             let g = Tensor::from_vec(grad_out.row(s).to_vec(), &[self.out_channels, oh * ow])
                 .expect("grad reshape");
-            // dW += g · colᵀ
-            let col_t = col.transpose().expect("col transpose");
-            let dw = g.matmul(&col_t).expect("dW matmul");
-            self.weight.grad.axpy(1.0, &dw).expect("dW accumulate");
-            // db += row sums of g
-            let mut db = Tensor::zeros(&[self.out_channels]);
-            for oc in 0..self.out_channels {
-                db.as_mut_slice()[oc] = g.row(oc).iter().sum();
+            if param_grads {
+                // dW += g · colᵀ
+                let col_t = col.transpose().expect("col transpose");
+                let dw = g.matmul(&col_t).expect("dW matmul");
+                self.weight.grad.axpy(1.0, &dw).expect("dW accumulate");
+                // db += row sums of g
+                let mut db = Tensor::zeros(&[self.out_channels]);
+                for oc in 0..self.out_channels {
+                    db.as_mut_slice()[oc] = g.row(oc).iter().sum();
+                }
+                self.bias.grad.axpy(1.0, &db).expect("db accumulate");
             }
-            self.bias.grad.axpy(1.0, &db).expect("db accumulate");
             // dcol = Wᵀ · g, then scatter back to image space.
             let w_t = self.weight.value.transpose().expect("weight transpose");
             let dcol = w_t.matmul(&g).expect("dcol matmul");
@@ -214,16 +238,6 @@ impl Layer for Conv2d {
             dx.row_mut(s).copy_from_slice(&dxs);
         }
         dx
-    }
-
-    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.weight);
-        f(&mut self.bias);
-    }
-
-    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
-        f(&self.weight);
-        f(&self.bias);
     }
 }
 
@@ -301,6 +315,18 @@ mod tests {
         let mut conv = Conv2d::new(1, 2, 3, 2, 1, &mut rng);
         let x = Tensor::rand_uniform(&[1, 1, 5, 5], -1.0, 1.0, &mut rng);
         gradcheck::check_input_grad(&mut conv, &x, 2e-2);
+    }
+
+    #[test]
+    fn backward_input_matches_backward_and_leaves_gradients_alone() {
+        let mut rng = Rng::seed_from_u64(8);
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
+        let x = Tensor::rand_uniform(&[2, 2, 4, 4], -1.0, 1.0, &mut rng);
+        let g = Tensor::rand_uniform(&[2, 3, 4, 4], -1.0, 1.0, &mut rng);
+        conv.forward(&x, true);
+        let dx = conv.backward_input(&g);
+        conv.visit_params(&mut |p| assert!(p.grad.as_slice().iter().all(|&v| v == 0.0)));
+        assert_eq!(conv.backward(&g), dx);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use super::{Layer, Param};
+use super::{keep_for_backward, Layer, Param};
 use crate::Tensor;
 use fedpkd_rng::Rng;
 
@@ -92,21 +92,11 @@ impl std::fmt::Debug for Linear {
     }
 }
 
-impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        debug_assert_eq!(input.cols(), self.in_features, "input width mismatch");
-        let out = input
-            .matmul_bias(&self.weight.value, &self.bias.value, self.fuse_relu)
-            .expect("linear forward: shape mismatch");
-        self.cached_input = Some(input.clone());
-        if self.fuse_relu {
-            // The output doubles as the ReLU mask: `relu(z) > 0 ⇔ z > 0`.
-            self.cached_output = Some(out.clone());
-        }
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+impl Linear {
+    /// The shared backward body: masks the incoming gradient through a
+    /// fused ReLU, accumulates `dW`/`db` when `param_grads` is set, and
+    /// returns `dx`.
+    fn backward_impl(&mut self, grad_out: &Tensor, param_grads: bool) -> Tensor {
         let input = self
             .cached_input
             .as_ref()
@@ -128,15 +118,38 @@ impl Layer for Linear {
             grad_out
         };
         // dW = xᵀ · g ; db = column sums of g ; dx = g · Wᵀ. Both products
-        // use the transposed kernels, so no per-batch transpose of the
-        // input or the weight matrix is materialized.
-        let dw = input.tr_matmul(grad_out).expect("dW shape");
-        self.weight.grad.axpy(1.0, &dw).expect("dW accumulate");
-        let db = grad_out.sum_rows();
-        self.bias.grad.axpy(1.0, &db).expect("db accumulate");
+        // use the transposed kernels; `dW` lands in the gradient directly.
+        if param_grads {
+            input
+                .tr_matmul_acc(grad_out, &mut self.weight.grad)
+                .expect("dW shape");
+            let db = grad_out.sum_rows();
+            self.bias.grad.axpy(1.0, &db).expect("db accumulate");
+        }
         grad_out
             .matmul_transposed(&self.weight.value)
             .expect("dx shape")
+    }
+}
+
+impl Layer for Linear {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        debug_assert_eq!(input.cols(), self.in_features, "input width mismatch");
+        let out = input
+            .matmul_bias(&self.weight.value, &self.bias.value, self.fuse_relu)
+            .expect("linear forward: shape mismatch");
+        keep_for_backward(&mut self.cached_input, input, train);
+        // The output doubles as the ReLU mask: `relu(z) > 0 ⇔ z > 0`.
+        keep_for_backward(&mut self.cached_output, &out, train && self.fuse_relu);
+        out
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_impl(grad_out, true)
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_impl(grad_out, false)
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {

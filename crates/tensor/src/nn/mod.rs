@@ -38,11 +38,19 @@ impl Param {
         Self { value, grad }
     }
 
-    /// Resets the gradient to zero.
+    /// Resets the gradient to zero, in place.
     pub fn zero_grad(&mut self) {
-        self.grad = Tensor::zeros(self.value.shape());
+        self.grad.fill(0.0);
     }
 }
+
+/// The per-parameter callback of [`Layer::backward_with`]: called as
+/// `hook(slot, param)` once per parameter, the moment that parameter's
+/// gradient is final, where `slot` is the parameter's position in the
+/// root model's [`Layer::visit_params`] order. The fused training step
+/// passes a hook that applies the optimizer update and zeroes the
+/// gradient (see [`crate::optim::Optimizer::update_param`]).
+pub type ParamHook<'a> = dyn FnMut(usize, &mut Param) + 'a;
 
 /// A differentiable network layer.
 ///
@@ -51,7 +59,10 @@ impl Param {
 /// to the forward output. `backward` accumulates gradients into the layer's
 /// [`Param`]s (so multiple backward passes sum) and returns the gradient with
 /// respect to the forward input. Call [`zero_grad`](Layer::zero_grad)
-/// between optimizer steps.
+/// between optimizer steps — or use [`backward_with`](Layer::backward_with),
+/// which hands every parameter to a hook as soon as its gradient is final,
+/// so the optimizer update and the gradient reset happen inside the
+/// backward pass instead of as two more sweeps over the model.
 ///
 /// Layers are `Send` so simulated clients can train on worker threads.
 pub trait Layer: Send {
@@ -68,6 +79,52 @@ pub trait Layer: Send {
     /// Implementations may panic if called before `forward` or with a
     /// gradient whose shape does not match the last forward output.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// [`backward`](Layer::backward), then `hook(slot, param)` for each of
+    /// this layer's parameters, numbered from `first_slot` in
+    /// [`visit_params`](Layer::visit_params) order. Returns the same input
+    /// gradient, and leaves the same parameter gradients for the hook to
+    /// read, as `backward` does — the hook may then change the parameter.
+    ///
+    /// The default serves every leaf layer. Containers override it to pass
+    /// the hook down, so a child's parameters are handed over while the
+    /// backward pass is still at that child — before the layers below it
+    /// run — and a hook that updates weights must therefore only ever see a
+    /// parameter whose value no later part of the pass reads.
+    fn backward_with(
+        &mut self,
+        grad_out: &Tensor,
+        first_slot: usize,
+        hook: &mut ParamHook<'_>,
+    ) -> Tensor {
+        let grad_in = self.backward(grad_out);
+        let mut slot = first_slot;
+        self.visit_params_mut(&mut |p| {
+            hook(slot, p);
+            slot += 1;
+        });
+        grad_in
+    }
+
+    /// Input-gradient-only backward: returns exactly what
+    /// [`backward`](Layer::backward) returns but accumulates **no**
+    /// parameter gradients — for backpropagating *through* a frozen model
+    /// (a critic) to reach whatever produced its input.
+    ///
+    /// The default is right for layers without parameters; a layer that
+    /// owns parameters must override it.
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward(grad_out)
+    }
+
+    /// Number of parameter tensors ([`Param`]s, not scalars) this layer
+    /// visits — the number of slots it occupies in
+    /// [`backward_with`](Layer::backward_with) numbering.
+    fn slot_count(&self) -> usize {
+        let mut n = 0;
+        self.visit_params(&mut |_| n += 1);
+        n
+    }
 
     /// Visits every trainable parameter mutably, in a stable order.
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param));
@@ -104,6 +161,20 @@ pub trait Layer: Send {
     /// Zeroes all accumulated gradients.
     fn zero_grad(&mut self) {
         self.visit_params_mut(&mut |p| p.zero_grad());
+    }
+}
+
+/// Maintains one of a layer's backward caches across a forward pass. A
+/// training forward stores `value`, overwriting the previous batch's tensor
+/// in place (no allocation once the cache is warm). An eval forward keeps
+/// nothing and drops what was there, so a `backward` after it panics with
+/// "backward called before forward" instead of silently using the previous
+/// training batch.
+fn keep_for_backward(cache: &mut Option<Tensor>, value: &Tensor, train: bool) {
+    match cache {
+        _ if !train => *cache = None,
+        Some(cached) => cached.clone_from(value),
+        None => *cache = Some(value.clone()),
     }
 }
 
@@ -197,19 +268,38 @@ impl std::fmt::Debug for Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return input.clone();
+        };
+        let mut x = first.forward(input, train);
+        for layer in rest {
             x = layer.forward(&x, train);
         }
         x
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
+        chain_backward(&mut self.layers, grad_out, |layer, g| layer.backward(g))
+    }
+
+    fn backward_with(
+        &mut self,
+        grad_out: &Tensor,
+        first_slot: usize,
+        hook: &mut ParamHook<'_>,
+    ) -> Tensor {
+        // Children run last to first, so slots are handed out from the end.
+        let mut slot = first_slot + self.slot_count();
+        chain_backward(&mut self.layers, grad_out, |layer, g| {
+            slot -= layer.slot_count();
+            layer.backward_with(g, slot, hook)
+        })
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        chain_backward(&mut self.layers, grad_out, |layer, g| {
+            layer.backward_input(g)
+        })
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -237,6 +327,24 @@ impl Layer for Sequential {
     }
 }
 
+/// Runs `step` over `layers` last to first, feeding each the gradient the
+/// one after it returned — the three backward flavours of [`Sequential`]
+/// differ only in which child method `step` calls.
+fn chain_backward(
+    layers: &mut [Box<dyn Layer>],
+    grad_out: &Tensor,
+    mut step: impl FnMut(&mut dyn Layer, &Tensor) -> Tensor,
+) -> Tensor {
+    let Some((last, rest)) = layers.split_last_mut() else {
+        return grad_out.clone();
+    };
+    let mut g = step(last.as_mut(), grad_out);
+    for layer in rest.iter_mut().rev() {
+        g = step(layer.as_mut(), &g);
+    }
+    g
+}
+
 /// A residual block: `output = body(x) + skip(x)`.
 ///
 /// When the body preserves the feature width the skip path is the identity;
@@ -244,21 +352,31 @@ impl Layer for Sequential {
 /// [`Conv2d`]).
 pub struct Residual {
     body: Box<dyn Layer>,
-    skip: Box<dyn Layer>,
+    /// `None` is the identity skip: the input (gradient) is added as is,
+    /// with no pass-through copy.
+    skip: Option<Box<dyn Layer>>,
 }
 
 impl Residual {
     /// Creates a residual block with an identity skip connection.
     pub fn new(body: Box<dyn Layer>) -> Self {
-        Self {
-            body,
-            skip: Box::new(Identity::new()),
-        }
+        Self { body, skip: None }
     }
 
     /// Creates a residual block with an explicit projection on the skip path.
     pub fn with_projection(body: Box<dyn Layer>, skip: Box<dyn Layer>) -> Self {
-        Self { body, skip }
+        Self {
+            body,
+            skip: Some(skip),
+        }
+    }
+
+    /// `grad_body + grad_skip`, where an identity skip's gradient is
+    /// `grad_out` itself.
+    fn join_grads(grad_body: &Tensor, grad_skip: Option<&Tensor>, grad_out: &Tensor) -> Tensor {
+        grad_body
+            .add(grad_skip.unwrap_or(grad_out))
+            .expect("residual input gradients must agree in shape")
     }
 }
 
@@ -273,37 +391,64 @@ impl std::fmt::Debug for Residual {
 impl Layer for Residual {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let main = self.body.forward(input, train);
-        let shortcut = self.skip.forward(input, train);
-        main.add(&shortcut)
+        let shortcut = self.skip.as_mut().map(|skip| skip.forward(input, train));
+        main.add(shortcut.as_ref().unwrap_or(input))
             .expect("residual body and skip must produce equal shapes")
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let g_body = self.body.backward(grad_out);
-        let g_skip = self.skip.backward(grad_out);
-        g_body
-            .add(&g_skip)
-            .expect("residual input gradients must agree in shape")
+        let g_skip = self.skip.as_mut().map(|skip| skip.backward(grad_out));
+        Self::join_grads(&g_body, g_skip.as_ref(), grad_out)
+    }
+
+    fn backward_with(
+        &mut self,
+        grad_out: &Tensor,
+        first_slot: usize,
+        hook: &mut ParamHook<'_>,
+    ) -> Tensor {
+        let skip_slot = first_slot + self.body.slot_count();
+        let g_body = self.body.backward_with(grad_out, first_slot, hook);
+        let g_skip = self
+            .skip
+            .as_mut()
+            .map(|skip| skip.backward_with(grad_out, skip_slot, hook));
+        Self::join_grads(&g_body, g_skip.as_ref(), grad_out)
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        let g_body = self.body.backward_input(grad_out);
+        let g_skip = self.skip.as_mut().map(|skip| skip.backward_input(grad_out));
+        Self::join_grads(&g_body, g_skip.as_ref(), grad_out)
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.body.visit_params_mut(f);
-        self.skip.visit_params_mut(f);
+        if let Some(skip) = &mut self.skip {
+            skip.visit_params_mut(f);
+        }
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
         self.body.visit_params(f);
-        self.skip.visit_params(f);
+        if let Some(skip) = &self.skip {
+            skip.visit_params(f);
+        }
     }
 
     fn visit_buffers(&self, f: &mut dyn FnMut(&[f32])) {
         self.body.visit_buffers(f);
-        self.skip.visit_buffers(f);
+        if let Some(skip) = &self.skip {
+            skip.visit_buffers(f);
+        }
     }
 
     fn visit_buffers_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
         self.body.visit_buffers_mut(f);
-        self.skip.visit_buffers_mut(f);
+        if let Some(skip) = &mut self.skip {
+            skip.visit_buffers_mut(f);
+        }
     }
 }
 
@@ -516,5 +661,82 @@ mod tests {
         for (a, b) in first.iter().zip(&second) {
             assert!((2.0 * a - b).abs() < 1e-5, "grads must accumulate");
         }
+    }
+
+    /// A net with every container shape: nested `Sequential`s, an identity
+    /// `Residual`, a projected one, batch norm and a fused-ReLU `Linear`.
+    fn nested_net(seed: u64) -> Sequential {
+        let mut rng = Rng::seed_from_u64(seed);
+        let body = Sequential::new(vec![
+            Box::new(BatchNorm1d::new(5)) as Box<dyn Layer>,
+            Box::new(Linear::fused_relu(5, 5, &mut rng)),
+        ]);
+        let projected = Residual::with_projection(
+            Box::new(Linear::new(5, 3, &mut rng)),
+            Box::new(Linear::new(5, 3, &mut rng)),
+        );
+        Sequential::new(vec![
+            Box::new(Linear::new(4, 5, &mut rng)),
+            Box::new(Residual::new(Box::new(body))),
+            Box::new(Relu::new()),
+            Box::new(projected),
+        ])
+    }
+
+    fn grads_of(net: &dyn Layer) -> Vec<Vec<u32>> {
+        let mut grads = Vec::new();
+        net.visit_params(&mut |p| {
+            grads.push(p.grad.as_slice().iter().map(|g| g.to_bits()).collect());
+        });
+        grads
+    }
+
+    #[test]
+    fn backward_with_hands_over_every_param_once_at_its_visit_slot() {
+        let mut rng = Rng::seed_from_u64(8);
+        let x = Tensor::rand_uniform(&[6, 4], -1.0, 1.0, &mut rng);
+        let g = Tensor::rand_uniform(&[6, 3], -1.0, 1.0, &mut rng);
+        let (mut plain, mut hooked) = (nested_net(9), nested_net(9));
+        plain.forward(&x, true);
+        hooked.forward(&x, true);
+        let dx_plain = plain.backward(&g);
+        let expected = grads_of(&plain);
+        assert_eq!(plain.slot_count(), expected.len());
+
+        let mut seen: Vec<Option<Vec<u32>>> = vec![None; expected.len()];
+        let dx_hooked = hooked.backward_with(&g, 0, &mut |slot, p| {
+            assert!(seen[slot].is_none(), "slot {slot} handed over twice");
+            seen[slot] = Some(p.grad.as_slice().iter().map(|g| g.to_bits()).collect());
+            // What the fused step does: change the weight, clear the grad.
+            p.value.fill(0.0);
+            p.zero_grad();
+        });
+        assert_eq!(dx_hooked, dx_plain, "the hook must not reach the pass");
+        let seen: Vec<Vec<u32>> = seen.into_iter().map(Option::unwrap).collect();
+        assert_eq!(seen, expected, "final gradients, in visit order");
+    }
+
+    #[test]
+    fn backward_input_returns_the_same_gradient_and_touches_no_param() {
+        let mut rng = Rng::seed_from_u64(10);
+        let x = Tensor::rand_uniform(&[6, 4], -1.0, 1.0, &mut rng);
+        let g = Tensor::rand_uniform(&[6, 3], -1.0, 1.0, &mut rng);
+        let (mut full, mut frozen) = (nested_net(11), nested_net(11));
+        full.forward(&x, true);
+        frozen.forward(&x, true);
+        let untouched = grads_of(&frozen);
+        assert_eq!(frozen.backward_input(&g), full.backward(&g));
+        assert_eq!(grads_of(&frozen), untouched);
+        assert_ne!(grads_of(&full), untouched);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn eval_forward_drops_the_training_batch_caches() {
+        let mut net = nested_net(12);
+        let x = Tensor::full(&[2, 4], 0.5);
+        net.forward(&x, true);
+        net.forward(&x, false);
+        net.backward(&Tensor::full(&[2, 3], 1.0));
     }
 }

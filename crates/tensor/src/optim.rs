@@ -2,22 +2,85 @@
 //!
 //! Optimizers operate on any [`Layer`] through its stable parameter
 //! visitation order, keeping their per-parameter state (momentum, Adam
-//! moments) in positionally indexed buffers.
+//! moments) in buffers indexed by *slot* — a parameter's position in that
+//! order.
+//!
+//! An update step is [`Optimizer::begin_step`] once, then
+//! [`Optimizer::update_param`] once per parameter, in any order. Two
+//! drivers exist over that one per-parameter kernel:
+//!
+//! - [`Optimizer::step`] walks the model after a finished backward pass;
+//! - the fused step ([`step_and_zero`] as the hook of
+//!   [`Layer::backward_with`], packaged as
+//!   [`crate::models::ClassifierModel::backward_step`]) updates each
+//!   parameter and zeroes its gradient inside the backward pass, the
+//!   moment the gradient is final — one pass over each weight instead of
+//!   three.
+//!
+//! Both produce the same bits: parameters are updated independently, from
+//! the same gradient, with the same per-step scalars.
 
-use crate::nn::Layer;
+use crate::nn::{Layer, Param};
 use crate::Tensor;
 
 /// A gradient-based parameter update rule.
 pub trait Optimizer {
+    /// Opens an update step over `model`: advances the per-step state
+    /// (Adam's bias-correction counter) and, on the first step, sizes the
+    /// per-parameter state to the model.
+    fn begin_step(&mut self, model: &dyn Layer);
+
+    /// Applies the open step's update to the parameter at `slot` (its
+    /// position in the model's [`Layer::visit_params`] order) using the
+    /// gradient currently accumulated in it. Does not zero the gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the optimizer's state for `slot` is missing or does not
+    /// have the parameter's length — it was sized by, or restored for, a
+    /// different model.
+    fn update_param(&mut self, slot: usize, param: &mut Param);
+
     /// Applies one update step using the gradients currently accumulated in
     /// the model's parameters. Does not zero the gradients.
-    fn step(&mut self, model: &mut dyn Layer);
+    fn step(&mut self, model: &mut dyn Layer) {
+        self.begin_step(model);
+        let mut slot = 0usize;
+        model.visit_params_mut(&mut |p| {
+            self.update_param(slot, p);
+            slot += 1;
+        });
+    }
 
     /// The current learning rate.
     fn learning_rate(&self) -> f32;
 
     /// Sets the learning rate (for schedules).
     fn set_learning_rate(&mut self, lr: f32);
+}
+
+/// The fused step's per-parameter hook body: apply `optimizer`'s update to
+/// the parameter at `slot`, then zero its gradient while it is still in
+/// cache. Call [`Optimizer::begin_step`] first.
+pub fn step_and_zero(optimizer: &mut dyn Optimizer, slot: usize, param: &mut Param) {
+    optimizer.update_param(slot, param);
+    param.zero_grad();
+}
+
+/// The shape of every parameter of `model`, in slot order — what
+/// [`Adam::check_state`] holds a saved optimizer state against.
+pub fn param_shapes(model: &dyn Layer) -> Vec<Vec<usize>> {
+    let mut shapes = Vec::new();
+    model.visit_params(&mut |p| shapes.push(p.value.shape().to_vec()));
+    shapes
+}
+
+/// One zeroed state tensor per model parameter, in slot order.
+fn zeros_like_params(model: &dyn Layer) -> Vec<Tensor> {
+    param_shapes(model)
+        .iter()
+        .map(|shape| Tensor::zeros(shape))
+        .collect()
 }
 
 /// Stochastic gradient descent with optional momentum and weight decay.
@@ -79,32 +142,28 @@ impl Sgd {
 }
 
 impl Optimizer for Sgd {
-    fn step(&mut self, model: &mut dyn Layer) {
-        let lr = self.lr;
-        let momentum = self.momentum;
-        let wd = self.weight_decay;
-        let velocity = &mut self.velocity;
-        let mut idx = 0usize;
-        model.visit_params_mut(&mut |p| {
-            if velocity.len() <= idx {
-                velocity.push(Tensor::zeros(p.value.shape()));
+    fn begin_step(&mut self, model: &dyn Layer) {
+        if self.velocity.is_empty() {
+            self.velocity = zeros_like_params(model);
+        }
+    }
+
+    fn update_param(&mut self, slot: usize, param: &mut Param) {
+        let (lr, momentum, wd) = (self.lr, self.momentum, self.weight_decay);
+        let value = param.value.as_mut_slice();
+        let grad = param.grad.as_slice();
+        let vel = self.velocity[slot].as_mut_slice();
+        assert_eq!(value.len(), grad.len(), "parameter/gradient mismatch");
+        assert_eq!(value.len(), vel.len(), "optimizer/model mismatch");
+        for ((w, &g), vel_i) in value.iter_mut().zip(grad).zip(vel.iter_mut()) {
+            let g = g + wd * *w;
+            if momentum > 0.0 {
+                *vel_i = momentum * *vel_i + g;
+                *w -= lr * *vel_i;
+            } else {
+                *w -= lr * g;
             }
-            let v = &mut velocity[idx];
-            debug_assert_eq!(v.shape(), p.value.shape(), "optimizer/model mismatch");
-            let value = p.value.as_mut_slice();
-            let grad = p.grad.as_slice();
-            let vel = v.as_mut_slice();
-            for ((w, &g), vel_i) in value.iter_mut().zip(grad).zip(vel.iter_mut()) {
-                let g = g + wd * *w;
-                if momentum > 0.0 {
-                    *vel_i = momentum * *vel_i + g;
-                    *w -= lr * *vel_i;
-                } else {
-                    *w -= lr * g;
-                }
-            }
-            idx += 1;
-        });
+        }
     }
 
     fn learning_rate(&self) -> f32 {
@@ -127,6 +186,9 @@ pub struct Adam {
     eps: f32,
     weight_decay: f32,
     t: u64,
+    /// Bias corrections `1 − βᵗ` of the open step, set by `begin_step`.
+    bias1: f32,
+    bias2: f32,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
 }
@@ -147,6 +209,8 @@ impl Adam {
             eps: 1e-8,
             weight_decay: 0.0,
             t: 0,
+            bias1: 0.0,
+            bias2: 0.0,
             m: Vec::new(),
             v: Vec::new(),
         }
@@ -184,17 +248,77 @@ impl Adam {
     /// state; they come from the constructor of the instance being restored
     /// into.
     ///
+    /// State read from outside the program should pass
+    /// [`check_state`](Self::check_state) against the model first.
+    ///
     /// # Panics
     ///
-    /// Panics if `m` and `v` differ in length or any pair differs in shape.
+    /// Panics if `m` and `v` differ in length or any pair differs in shape,
+    /// or if `t` is beyond [`MAX_STEP_COUNT`](Self::MAX_STEP_COUNT).
     pub fn restore_state(&mut self, t: u64, m: Vec<Tensor>, v: Vec<Tensor>) {
         assert_eq!(m.len(), v.len(), "moment buffers must pair up");
         for (m_i, v_i) in m.iter().zip(&v) {
             assert_eq!(m_i.shape(), v_i.shape(), "moment shapes must pair up");
         }
+        assert!(t <= Self::MAX_STEP_COUNT, "step count {t} out of range");
         self.t = t;
         self.m = m;
         self.v = v;
+    }
+
+    /// The largest step count a restored optimizer may carry: the bias
+    /// correction raises β to the step count as an `i32` power, and one
+    /// more step must still fit.
+    pub const MAX_STEP_COUNT: u64 = i32::MAX as u64 - 1;
+
+    /// Checks that a saved `(step count, first moments, second moments)`
+    /// triple can drive a model whose parameters have `param_shapes` (in
+    /// visitation order): the count is in range, and the moments are either
+    /// absent (never stepped) or one pair per parameter with exactly the
+    /// parameter's shape. Returns what is wrong otherwise.
+    ///
+    /// A mismatched state must be refused, not repaired: applied to the
+    /// wrong model it would pair each weight with another weight's moments.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first mismatch found.
+    pub fn check_state(
+        t: u64,
+        m: &[Tensor],
+        v: &[Tensor],
+        param_shapes: &[Vec<usize>],
+    ) -> Result<(), String> {
+        if t > Self::MAX_STEP_COUNT {
+            return Err(format!("optimizer step count {t} out of range"));
+        }
+        if m.len() != v.len() {
+            return Err(format!(
+                "{} first moments but {} second moments",
+                m.len(),
+                v.len()
+            ));
+        }
+        if m.is_empty() {
+            return Ok(());
+        }
+        if m.len() != param_shapes.len() {
+            return Err(format!(
+                "{} moment pairs for a model with {} parameters",
+                m.len(),
+                param_shapes.len()
+            ));
+        }
+        for (slot, ((m_i, v_i), shape)) in m.iter().zip(v).zip(param_shapes).enumerate() {
+            if m_i.shape() != shape.as_slice() || v_i.shape() != shape.as_slice() {
+                return Err(format!(
+                    "moments at slot {slot} have shapes {:?}/{:?}, parameter has {shape:?}",
+                    m_i.shape(),
+                    v_i.shape()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Consumes the optimizer, moving out its complete mutable state
@@ -211,40 +335,45 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, model: &mut dyn Layer) {
+    fn begin_step(&mut self, model: &dyn Layer) {
+        if self.m.is_empty() {
+            self.m = zeros_like_params(model);
+            self.v = zeros_like_params(model);
+        }
         self.t += 1;
+        let t = i32::try_from(self.t).expect("step count checked on restore");
+        self.bias1 = 1.0 - self.beta1.powi(t);
+        self.bias2 = 1.0 - self.beta2.powi(t);
+    }
+
+    fn update_param(&mut self, slot: usize, param: &mut Param) {
         let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
-        let bias1 = 1.0 - b1.powi(self.t as i32);
-        let bias2 = 1.0 - b2.powi(self.t as i32);
-        let (m_buf, v_buf) = (&mut self.m, &mut self.v);
-        let mut idx = 0usize;
-        model.visit_params_mut(&mut |p| {
-            if m_buf.len() <= idx {
-                m_buf.push(Tensor::zeros(p.value.shape()));
-                v_buf.push(Tensor::zeros(p.value.shape()));
-            }
-            let m = m_buf[idx].as_mut_slice();
-            let v = v_buf[idx].as_mut_slice();
-            let value = p.value.as_mut_slice();
-            let grad = p.grad.as_slice();
-            // Zip-driven so the (value, grad, m, v) walk compiles without
-            // per-element bounds checks; the per-lane arithmetic is
-            // unchanged, so updates are bit-identical to the indexed loop.
-            for (((value, &grad), m), v) in value
-                .iter_mut()
-                .zip(grad)
-                .zip(m.iter_mut())
-                .zip(v.iter_mut())
-            {
-                let g = grad + wd * *value;
-                *m = b1 * *m + (1.0 - b1) * g;
-                *v = b2 * *v + (1.0 - b2) * g * g;
-                let m_hat = *m / bias1;
-                let v_hat = *v / bias2;
-                *value -= lr * m_hat / (v_hat.sqrt() + eps);
-            }
-            idx += 1;
-        });
+        let (bias1, bias2) = (self.bias1, self.bias2);
+        let m = self.m[slot].as_mut_slice();
+        let v = self.v[slot].as_mut_slice();
+        let value = param.value.as_mut_slice();
+        let grad = param.grad.as_slice();
+        // The zips below stop at the shortest slice; a state built for
+        // another model must fail here, not update a prefix of the weight.
+        assert_eq!(value.len(), grad.len(), "parameter/gradient mismatch");
+        assert_eq!(value.len(), m.len(), "optimizer/model mismatch");
+        assert_eq!(value.len(), v.len(), "optimizer/model mismatch");
+        // Zip-driven so the (value, grad, m, v) walk compiles without
+        // per-element bounds checks; the per-lane arithmetic is
+        // unchanged, so updates are bit-identical to the indexed loop.
+        for (((value, &grad), m), v) in value
+            .iter_mut()
+            .zip(grad)
+            .zip(m.iter_mut())
+            .zip(v.iter_mut())
+        {
+            let g = grad + wd * *value;
+            *m = b1 * *m + (1.0 - b1) * g;
+            *v = b2 * *v + (1.0 - b2) * g * g;
+            let m_hat = *m / bias1;
+            let v_hat = *v / bias2;
+            *value -= lr * m_hat / (v_hat.sqrt() + eps);
+        }
     }
 
     fn learning_rate(&self) -> f32 {

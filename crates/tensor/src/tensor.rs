@@ -20,10 +20,26 @@ use fedpkd_rng::Rng;
 /// assert_eq!(t.row(1), &[3.0, 4.0]);
 /// # Ok::<(), fedpkd_tensor::TensorError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Vec<usize>,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        Self {
+            data: self.data.clone(),
+            shape: self.shape.clone(),
+        }
+    }
+
+    /// Overwrites `self` with `source`, reusing both allocations when they
+    /// are large enough — what the layers' per-batch activation caches use.
+    fn clone_from(&mut self, source: &Self) {
+        self.data.clone_from(&source.data);
+        self.shape.clone_from(&source.shape);
+    }
 }
 
 impl Tensor {
@@ -240,6 +256,11 @@ impl Tensor {
         Ok(())
     }
 
+    /// Sets every element to `value`, in place.
+    pub fn fill(&mut self, value: f32) {
+        self.data.fill(value);
+    }
+
     /// Returns `self * scalar` as a new tensor.
     pub fn scale(&self, scalar: f32) -> Self {
         self.map(|x| x * scalar)
@@ -397,10 +418,11 @@ impl Tensor {
     /// Matrix product against a pre-transposed right operand:
     /// `self × otherᵀ`, with `self: [m, k]` and `other: [n, k] → [m, n]`.
     ///
-    /// `other`'s rows are exactly the columns the product needs, so the
-    /// fast tier reads both operands contiguously (a packed dot-product
-    /// kernel) and no transpose is ever materialized — this is what the
-    /// Dense backward uses for `dx = g·Wᵀ`.
+    /// This is what the Dense backward uses for `dx = g·Wᵀ`. The scalar
+    /// tier materializes `otherᵀ` and multiplies; the fast tier repacks
+    /// `other` into pooled scratch on every call (a blocked transpose,
+    /// O(k·n) against the product's O(m·k·n)) and runs the tiled kernel —
+    /// same bits either way (see [`crate::kernels`]).
     ///
     /// # Errors
     ///
@@ -436,19 +458,9 @@ impl Tensor {
         }
     }
 
-    /// Matrix product with a transposed left operand: `selfᵀ × other`, with
-    /// `self: [r, m]` and `other: [r, n] → [m, n]`.
-    ///
-    /// The reduction runs over the shared row count `r`, so both operands
-    /// are read in their natural row-major layout — this is what the Dense
-    /// backward uses for `dW = xᵀ·g`, eliminating the per-batch
-    /// `transpose()` allocation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] unless both operands are rank
-    /// 2, or [`TensorError::MatmulDimMismatch`] if the row counts differ.
-    pub fn tr_matmul(&self, other: &Self) -> Result<Self, TensorError> {
+    /// Checks both operands of `selfᵀ × other` are rank 2 with matching row
+    /// counts and returns `(r, m, n)`.
+    fn tr_matmul_dims(&self, other: &Self) -> Result<(usize, usize, usize), TensorError> {
         if self.shape.len() != 2 || other.shape.len() != 2 {
             return Err(TensorError::RankMismatch {
                 expected: 2,
@@ -467,14 +479,55 @@ impl Tensor {
                 right_rows: r2,
             });
         }
+        Ok((r, m, n))
+    }
+
+    /// Matrix product with a transposed left operand: `selfᵀ × other`, with
+    /// `self: [r, m]` and `other: [r, n] → [m, n]`.
+    ///
+    /// The reduction runs over the shared row count `r`, so both operands
+    /// are read in their natural row-major layout.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::RankMismatch`] unless both operands are rank
+    /// 2, or [`TensorError::MatmulDimMismatch`] if the row counts differ.
+    pub fn tr_matmul(&self, other: &Self) -> Result<Self, TensorError> {
+        let (_, m, n) = self.tr_matmul_dims(other)?;
+        let mut out = Self::zeros(&[m, n]);
+        self.tr_matmul_acc(other, &mut out)?;
+        Ok(out)
+    }
+
+    /// Accumulating form of [`tr_matmul`](Self::tr_matmul):
+    /// `acc += selfᵀ × other` — what the Dense backward uses for
+    /// `dW = xᵀ·g`, summed straight into the weight gradient. Bit-identical
+    /// to `acc.axpy(1.0, &self.tr_matmul(other)?)`; the fast tier adds each
+    /// finished sum in the kernel's store epilogue, so no `[m, n]`
+    /// temporary exists.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`tr_matmul`](Self::tr_matmul), plus
+    /// [`TensorError::ShapeMismatch`] unless `acc` is `[m, n]`.
+    pub fn tr_matmul_acc(&self, other: &Self, acc: &mut Self) -> Result<(), TensorError> {
+        let (r, m, n) = self.tr_matmul_dims(other)?;
+        if acc.shape != [m, n] {
+            return Err(TensorError::ShapeMismatch {
+                left: vec![m, n],
+                right: acc.shape.clone(),
+            });
+        }
         match kernels::kernel_mode() {
-            kernels::KernelMode::Scalar => self.transpose()?.matmul_scalar(other),
+            kernels::KernelMode::Scalar => {
+                let product = self.transpose()?.matmul_scalar(other)?;
+                acc.axpy(1.0, &product)?;
+            }
             kernels::KernelMode::Fast => {
-                let mut out = vec![0.0f32; m * n];
-                kernels::tr_matmul_fast_into(&self.data, &other.data, &mut out, r, m, n);
-                Self::from_vec(out, &[m, n])
+                kernels::tr_matmul_fast_into(&self.data, &other.data, &mut acc.data, r, m, n);
             }
         }
+        Ok(())
     }
 
     /// Transpose of a rank-2 tensor.
@@ -844,6 +897,22 @@ mod tests {
         assert_eq!(at.shape(), &[3, 2]);
         assert_eq!(at.as_slice(), &[1., 4., 2., 5., 3., 6.]);
         assert_eq!(at.transpose().unwrap(), a);
+    }
+
+    #[test]
+    fn transpose_places_every_element_at_whole_and_partial_blocks() {
+        // Whole 16×16 blocks take the shuffle path, ragged edges the element
+        // loop; hold both to the definition, not to each other.
+        for (rows, cols) in [(16, 16), (32, 128), (128, 32), (17, 33), (48, 80), (1, 5)] {
+            let data: Vec<f32> = (0..rows * cols).map(|i| i as f32).collect();
+            let at = t(&data, &[rows, cols]).transpose().unwrap();
+            assert_eq!(at.shape(), &[cols, rows]);
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(at.as_slice()[c * rows + r], data[r * cols + c]);
+                }
+            }
+        }
     }
 
     #[test]

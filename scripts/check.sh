@@ -72,3 +72,8 @@ if [ "$(json_bool target/bench_pr10_smoke.json margins_mode)" != "true" ] ||
     echo "FAIL: pr10 smoke — a scenario-diversity mode diverged across the determinism matrix" >&2
     exit 1
 fi
+# Benchmark smoke: `benchmark/` is its own workspace, so nothing above
+# compiles it — a changed `pub` signature it calls would break the repo's
+# benchmark silently. Builds it and runs every workload (timed and traced,
+# ~5 s after the build) through every in-run correctness gate.
+bash benchmark/run.sh all --smoke > /dev/null

@@ -15,8 +15,14 @@
 //! [`SnapshotError`]s — never a panic, never a silent half-restore that
 //! runs anyway.
 
-use fedpkd::core::snapshot::{AlgorithmState, SnapshotError};
+use fedpkd::core::clients::{build_clients, ClientState};
+use fedpkd::core::snapshot::{
+    self, AlgorithmState, SnapshotError, SnapshotReader, SnapshotWriter, StateSink,
+};
+use fedpkd::core::train::train_supervised;
 use fedpkd::prelude::*;
+use fedpkd::tensor::nn::Layer;
+use fedpkd::tensor::optim::Adam;
 
 /// Rounds before the interruption; the full run drives `2 * R`.
 const R: usize = 2;
@@ -551,4 +557,119 @@ fn wrong_fleet_size_is_rejected_as_malformed() {
         victim.restore_state(&state),
         Err(SnapshotError::Malformed(_))
     ));
+}
+
+// ---- Optimizer state is checked against the model it drives. -----------
+//
+// A checksum-valid snapshot whose Adam moments were taken for another
+// architecture (another tier's client, a crafted payload) must fail the
+// restore with a typed error. Before the check it restored fine and then
+// trained a prefix of each weight against misaligned moments.
+
+/// One client of `tier`, trained for an epoch so its optimizer carries
+/// moments and a step count.
+fn trained_client(tier: DepthTier) -> ClientState {
+    let spec = ModelSpec::ResMlp {
+        input_dim: 32,
+        num_classes: 10,
+        tier,
+    };
+    let mut client = build_clients(&[spec], 0.003, 5).remove(0);
+    let data = &scenario().clients[0].train;
+    train_supervised(
+        &mut client.model,
+        data,
+        1,
+        32,
+        &mut client.optimizer,
+        &mut client.rng,
+    );
+    assert!(client.optimizer.step_count() > 0);
+    client
+}
+
+fn read_client_from(bytes: &[u8], into: &mut ClientState) -> Result<(), SnapshotError> {
+    snapshot::read_client(&mut SnapshotReader::new(bytes), into)
+}
+
+#[test]
+fn another_tiers_optimizer_state_is_malformed_for_an_owned_client() {
+    let mut chimera = trained_client(DepthTier::T11);
+    chimera.optimizer = trained_client(DepthTier::T20).optimizer;
+    let mut w = SnapshotWriter::new();
+    snapshot::write_client(&mut w, &chimera);
+    let mut victim = trained_client(DepthTier::T11);
+    let before = victim.optimizer.step_count();
+    assert!(matches!(
+        read_client_from(&w.into_bytes(), &mut victim),
+        Err(SnapshotError::Malformed(_))
+    ));
+    assert_eq!(victim.optimizer.step_count(), before, "optimizer untouched");
+    // The same bytes with the client's own optimizer restore.
+    let good = trained_client(DepthTier::T11);
+    let mut w = SnapshotWriter::new();
+    snapshot::write_client(&mut w, &good);
+    read_client_from(&w.into_bytes(), &mut victim).unwrap();
+}
+
+#[test]
+fn another_tiers_optimizer_state_is_malformed_for_a_pooled_fleet() {
+    // FedPKD's payload opens with its copy-on-write fleet, in the owned
+    // fleet's byte layout; client 1 carries a T20 client's moments.
+    let mut fleet = build_clients(&vec![client_spec(); 3], 0.001, 23);
+    fleet[1].optimizer = trained_client(DepthTier::T20).optimizer;
+    let mut w = SnapshotWriter::new();
+    snapshot::write_clients(&mut w, &fleet);
+    let state = AlgorithmState::new("FedPKD", w.into_bytes());
+    assert!(matches!(
+        fedpkd().restore_state(&state),
+        Err(SnapshotError::Malformed(_))
+    ));
+}
+
+#[test]
+fn miscounted_moments_and_wrapping_step_counts_are_malformed() {
+    let client = trained_client(DepthTier::T11);
+    let (m, v) = client.optimizer.moments();
+    // `write_adam`'s layout, with the fields under test substituted.
+    let adam_bytes = |t: u64, m: &[Tensor], v: &[Tensor]| {
+        let mut w = SnapshotWriter::new();
+        w.put_f32(0.003);
+        w.put_u64(t);
+        w.put_usize(m.len());
+        for tensor in m.iter().chain(v) {
+            snapshot::write_tensor(&mut w, tensor);
+        }
+        w.into_bytes()
+    };
+    let read = |bytes: &[u8]| {
+        let mut opt = Adam::new(0.5);
+        snapshot::read_adam(&mut SnapshotReader::new(bytes), &mut opt, &client.model)
+    };
+    let t = client.optimizer.step_count();
+    read(&adam_bytes(t, m, v)).unwrap();
+    // A never-stepped optimizer has no moments at all.
+    read(&adam_bytes(0, &[], &[])).unwrap();
+    // One pair short: every later slot would meet the wrong moments.
+    let short = m.len() - 1;
+    assert!(matches!(
+        read(&adam_bytes(t, &m[..short], &v[..short])),
+        Err(SnapshotError::Malformed(_))
+    ));
+    // Right count, one pair in another parameter's shape.
+    let mut swapped = m.to_vec();
+    swapped.swap(0, 1);
+    assert_ne!(swapped[0].shape(), m[0].shape());
+    assert!(matches!(
+        read(&adam_bytes(t, &swapped, v)),
+        Err(SnapshotError::Malformed(_))
+    ));
+    // A step count the bias correction's `i32` power would wrap.
+    for t in [i32::MAX as u64, 1 << 40, u64::MAX] {
+        assert!(matches!(
+            read(&adam_bytes(t, m, v)),
+            Err(SnapshotError::Malformed(_))
+        ));
+    }
+    assert_eq!(client.model.slot_count(), m.len());
 }

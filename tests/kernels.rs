@@ -98,9 +98,19 @@ fn width() -> impl Strategy<Value = usize> {
     ]
 }
 
-/// Strategy: a batch size (the reduction length of `Aᵀ·B`).
+/// Strategy: a batch size — the reduction length of `Aᵀ·B` and the row
+/// count of `g` in `g·Wᵀ`: a 4-row tail batch, whole and ragged multiples
+/// of the tile height, and sizes either side of a transpose block.
 fn batch() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(1usize), Just(7), Just(32), Just(33)]
+    prop_oneof![
+        Just(1usize),
+        Just(4),
+        Just(7),
+        Just(16),
+        Just(32),
+        Just(33),
+        Just(48)
+    ]
 }
 
 /// Strategy: an `[r, c]` tensor with about a quarter of its entries exact
@@ -110,6 +120,23 @@ fn activations(r: usize, c: usize) -> impl Strategy<Value = Tensor> {
         let data = cells
             .into_iter()
             .map(|(v, zero)| if zero == 0 { 0.0 } else { v })
+            .collect();
+        Tensor::from_vec(data, &[r, c]).expect("r·c values")
+    })
+}
+
+/// Strategy: an `[r, c]` gradient accumulator — non-zero values, `+0.0`
+/// (a freshly zeroed gradient) and `-0.0` (which `+0.0` sums must turn
+/// into `+0.0`, exactly as `axpy` does).
+fn accumulator(r: usize, c: usize) -> impl Strategy<Value = Tensor> {
+    prop::collection::vec((-4.0f32..4.0, 0u8..3), r * c).prop_map(move |cells| {
+        let data = cells
+            .into_iter()
+            .map(|(v, kind)| match kind {
+                0 => 0.0,
+                1 => -0.0,
+                _ => v,
+            })
             .collect();
         Tensor::from_vec(data, &[r, c]).expect("r·c values")
     })
@@ -141,8 +168,31 @@ proptest! {
         assert_same_bits(&fast, &scalar)?;
     }
 
-    /// `dx = g·Wᵀ` at layer shapes: the blocked `Wᵀ` repack, including
-    /// partial edge blocks, equals the scalar tier bit for bit.
+    /// `dW += xᵀ·g` at layer shapes: the tile's accumulate epilogue and the
+    /// repack fallback equal the scalar tier's materialize, multiply, then
+    /// `axpy(1.0, ·)` into the same starting gradient, bit for bit — and
+    /// the scalar tier's own `tr_matmul_acc` is that reference.
+    #[test]
+    fn tr_matmul_acc_matches_scalar_axpy_at_layer_widths(
+        (x, g, grad) in (batch(), width(), width()).prop_flat_map(|(r, m, n)| {
+            (activations(r, m), activations(r, n), accumulator(m, n))
+        }),
+    ) {
+        let _serial = lock_mode();
+        let mut reference = grad.clone();
+        let product = x.transpose().unwrap().matmul_scalar(&g).unwrap();
+        reference.axpy(1.0, &product).unwrap();
+        for mode in [KernelMode::Fast, KernelMode::Scalar] {
+            let _mode = KernelMode::scoped(mode);
+            let mut acc = grad.clone();
+            x.tr_matmul_acc(&g, &mut acc).unwrap();
+            assert_same_bits(&acc, &reference)?;
+        }
+    }
+
+    /// `dx = g·Wᵀ` at layer shapes: the blocked `Wᵀ` repack — whole blocks
+    /// through the shuffle transpose, partial edge blocks element by
+    /// element — equals the scalar tier bit for bit.
     #[test]
     fn matmul_transposed_matches_scalar_at_layer_widths(
         (g, w) in (batch(), width(), width())
