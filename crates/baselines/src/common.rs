@@ -1,23 +1,247 @@
-//! Shared client plumbing for the baseline algorithms.
-//!
-//! The generic pieces — client construction, spec validation, the threaded
-//! per-client driver, and local-test evaluation — live in
-//! [`fedpkd_core::clients`] so FedPKD and the baselines share one
-//! implementation; this module re-exports them under the names the baseline
-//! sources use and keeps only what is baseline-specific (the FedProx local
-//! objective).
+//! What the baseline algorithms share on top of the client-side phase
+//! functions of [`fedpkd_core::clients`]: the owned state every baseline
+//! snapshots, the two local-training flavours, and the server steps more
+//! than one of them runs.
+
+use std::time::Instant;
 
 pub(crate) use fedpkd_core::clients::{
-    build_clients, client_accuracies, for_each_active_client, validate_specs, ClientState as Client,
+    digest, local_update, public_upload, ClientState as Client, RoundIo,
 };
 
-use fedpkd_core::train::{add_proximal_term, TrainStats};
-use fedpkd_data::Dataset;
+use crate::BaselineConfig;
+use fedpkd_core::clients::{build_clients, client_accuracies, validate_specs};
+use fedpkd_core::eval;
+use fedpkd_core::fedpkd::logits::aggregation_stats;
+use fedpkd_core::fedpkd::CoreError;
+use fedpkd_core::runtime::DriverState;
+use fedpkd_core::snapshot::{self, SnapshotError, StateSink, StateSource};
+use fedpkd_core::telemetry::{emit_phase_timing, Phase, TelemetryEvent};
+use fedpkd_core::train::{add_proximal_term, train_distill, train_supervised, TrainStats};
+use fedpkd_data::{ClientData, Dataset, FederatedScenario};
 use fedpkd_rng::Rng;
 use fedpkd_tensor::loss::CrossEntropy;
-use fedpkd_tensor::models::ClassifierModel;
+use fedpkd_tensor::models::{ClassifierModel, ModelSpec};
 use fedpkd_tensor::nn::Layer;
-use fedpkd_tensor::optim::{step_and_zero, Optimizer};
+use fedpkd_tensor::optim::{step_and_zero, Adam, Optimizer};
+use fedpkd_tensor::Tensor;
+
+/// The owned, snapshotable half of a baseline: everything that changes
+/// from round to round. The scenario and config are the static half.
+pub(crate) struct Fleet {
+    pub clients: Vec<Client>,
+    /// The server-side model, for the algorithms that keep one.
+    pub server: Option<ClassifierModel>,
+    /// The server's RNG stream, for the algorithms whose server step draws
+    /// from it.
+    pub server_rng: Option<Rng>,
+    pub driver: DriverState,
+}
+
+impl Fleet {
+    /// Validates the wiring, then builds one client per spec and — given a
+    /// `server_spec` — the server model from stream 0. The stream is handed
+    /// back: an algorithm whose server step draws from it stores it in
+    /// `server_rng`, which also puts it in the snapshot.
+    pub fn new(
+        scenario: &FederatedScenario,
+        config: &BaselineConfig,
+        client_specs: &[ModelSpec],
+        server_spec: Option<&ModelSpec>,
+        homogeneous: bool,
+        seed: u64,
+    ) -> Result<(Self, Rng), CoreError> {
+        config.validate()?;
+        validate_specs(scenario, client_specs, server_spec, homogeneous)?;
+        let mut server_rng = Rng::stream(seed, 0);
+        let fleet = Self {
+            clients: build_clients(client_specs, config.learning_rate, seed),
+            server: server_spec.map(|spec| spec.build(&mut server_rng)),
+            server_rng: None,
+            driver: DriverState::new(),
+        };
+        Ok((fleet, server_rng))
+    }
+
+    /// Server accuracy on the global test set, if there is a server model.
+    pub fn server_accuracy(&mut self, scenario: &FederatedScenario) -> Option<f64> {
+        let server = self.server.as_mut()?;
+        Some(eval::accuracy(server, &scenario.global_test))
+    }
+
+    /// Per-client accuracy on the clients' local test sets.
+    pub fn client_accuracies(&mut self, scenario: &FederatedScenario) -> Vec<f64> {
+        client_accuracies(&mut self.clients, scenario)
+    }
+
+    /// Clients, then whichever of server model and server stream exist,
+    /// then the driver book-keeping.
+    pub fn write(&self, w: &mut dyn StateSink) {
+        snapshot::write_clients(w, &self.clients);
+        if let Some(server) = &self.server {
+            snapshot::write_model(w, server);
+        }
+        if let Some(rng) = &self.server_rng {
+            snapshot::write_rng(w, rng);
+        }
+        snapshot::write_driver(w, &self.driver);
+    }
+
+    /// The inverse of [`write`](Self::write).
+    pub fn read(&mut self, r: &mut dyn StateSource) -> Result<(), SnapshotError> {
+        snapshot::read_clients(r, &mut self.clients)?;
+        if let Some(server) = &mut self.server {
+            snapshot::read_model(r, server)?;
+        }
+        if let Some(rng) = &mut self.server_rng {
+            *rng = snapshot::read_rng(r)?;
+        }
+        self.driver = snapshot::read_driver(r)?;
+        Ok(())
+    }
+}
+
+/// The [`Federation`](fedpkd_core::Federation) methods every baseline
+/// forwards to its [`Fleet`] (`self.state`) and `self.scenario` — all but
+/// `name` and `run_round`.
+macro_rules! forward_to_fleet {
+    () => {
+        fn num_clients(&self) -> usize {
+            self.state.clients.len()
+        }
+
+        fn driver(&self) -> &fedpkd_core::runtime::DriverState {
+            &self.state.driver
+        }
+
+        fn driver_mut(&mut self) -> &mut fedpkd_core::runtime::DriverState {
+            &mut self.state.driver
+        }
+
+        fn server_accuracy(&mut self) -> Option<f64> {
+            self.state.server_accuracy(&self.scenario)
+        }
+
+        fn client_accuracies(&mut self) -> Vec<f64> {
+            self.state.client_accuracies(&self.scenario)
+        }
+
+        fn write_state(&self, w: &mut dyn fedpkd_core::snapshot::StateSink) {
+            self.state.write(w);
+        }
+
+        fn read_state(
+            &mut self,
+            r: &mut dyn fedpkd_core::snapshot::StateSource,
+        ) -> Result<(), fedpkd_core::snapshot::SnapshotError> {
+            self.state.read(r)
+        }
+    };
+}
+pub(crate) use forward_to_fleet;
+
+/// One private-data pass (Eq. 4) on the client's own persistent optimizer.
+pub(crate) fn train_local(
+    config: &BaselineConfig,
+    client: &mut Client,
+    data: &ClientData,
+) -> TrainStats {
+    train_supervised(
+        &mut client.model,
+        &data.train,
+        config.local_epochs,
+        config.batch_size,
+        &mut client.optimizer,
+        &mut client.rng,
+    )
+}
+
+/// [`train_local`] from a fresh optimizer: the parameter-averaging methods
+/// start every round from the freshly loaded global state, so the
+/// optimizer starts fresh too.
+pub(crate) fn train_fresh(
+    config: &BaselineConfig,
+    client: &mut Client,
+    data: &ClientData,
+) -> TrainStats {
+    train_supervised(
+        &mut client.model,
+        &data.train,
+        config.local_epochs,
+        config.batch_size,
+        &mut Adam::new(config.learning_rate),
+        &mut client.rng,
+    )
+}
+
+/// Each sender's private-set size: the FedAvg weights (Eq. 1).
+pub(crate) fn train_sizes(scenario: &FederatedScenario, senders: &[usize]) -> Vec<f64> {
+    senders
+        .iter()
+        .map(|&client| scenario.clients[client].train.len() as f64)
+        .collect()
+}
+
+/// The plain mean of the admitted uploads, reported as a
+/// `LogitAggregation` event; `None` when nothing was admitted.
+pub(crate) fn mean_upload(uploads: &[Tensor], io: &mut RoundIo<'_>) -> Option<Tensor> {
+    let mut mean = Tensor::zeros(uploads.first()?.shape());
+    let w = 1.0 / uploads.len() as f32;
+    for upload in uploads {
+        mean.axpy(w, upload).expect("admission checked the shapes");
+    }
+    report_ensemble(uploads, io);
+    Some(mean)
+}
+
+/// Reports how much the ensemble members disagree (uniform weights; the
+/// softmax inside the helper is monotone per row, so probabilities and
+/// logits measure alike).
+pub(crate) fn report_ensemble(members: &[Tensor], io: &mut RoundIo<'_>) {
+    if io.obs.enabled() {
+        let stats = aggregation_stats(members, false);
+        io.obs.record(&TelemetryEvent::LogitAggregation {
+            round: io.round,
+            clients: members.len(),
+            variance_weighting: false,
+            mean_client_weight: stats.mean_client_weight,
+            disagreement: stats.disagreement,
+        });
+    }
+}
+
+/// The server step of the distilling baselines: trains `server` toward
+/// `teacher` on the public set from a fresh optimizer, and reports it.
+pub(crate) fn distill_server(
+    server: &mut ClassifierModel,
+    public: &Dataset,
+    teacher: &Tensor,
+    temperature: f32,
+    config: &BaselineConfig,
+    rng: &mut Rng,
+    io: &mut RoundIo<'_>,
+) {
+    let started = Instant::now();
+    let stats = train_distill(
+        server,
+        public.features(),
+        teacher,
+        config.gamma,
+        temperature,
+        config.server_epochs,
+        config.batch_size,
+        &mut Adam::new(config.learning_rate),
+        rng,
+    );
+    io.obs.record(&TelemetryEvent::ServerDistill {
+        round: io.round,
+        kd_loss: stats.mean_loss,
+        proto_loss: 0.0,
+        combined_loss: stats.mean_loss,
+        batches: stats.batches,
+    });
+    emit_phase_timing(io.obs, io.round, Phase::ServerDistill, started);
+}
 
 /// Supervised local training with the FedProx proximal term
 /// `μ/2 · ‖w − w_global‖²` added to every mini-batch objective.

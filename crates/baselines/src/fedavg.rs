@@ -3,21 +3,17 @@
 use std::time::Instant;
 
 use crate::common::{
-    build_clients, client_accuracies, for_each_active_client, validate_specs, Client,
+    forward_to_fleet, local_update, train_fresh, train_sizes, Client, Fleet, RoundIo,
 };
 use crate::BaselineConfig;
-use fedpkd_core::admission::{AdmissionPolicy, PayloadKind};
-use fedpkd_core::eval;
 use fedpkd_core::fedpkd::CoreError;
 use fedpkd_core::robust::clipped_weighted_average;
-use fedpkd_core::runtime::{DriverState, Federation};
-use fedpkd_core::snapshot::{self, SnapshotError, StateSink, StateSource};
-use fedpkd_core::telemetry::{emit_phase_timing, Phase, RoundObserver, TelemetryEvent};
-use fedpkd_core::train::{train_supervised, TrainStats};
-use fedpkd_data::FederatedScenario;
-use fedpkd_netsim::{CommLedger, Direction, Message, RoundContext};
-use fedpkd_rng::Rng;
-use fedpkd_tensor::models::{ClassifierModel, ModelSpec};
+use fedpkd_core::runtime::Federation;
+use fedpkd_core::telemetry::{emit_phase_timing, Phase, RoundObserver};
+use fedpkd_core::train::TrainStats;
+use fedpkd_data::{ClientData, FederatedScenario};
+use fedpkd_netsim::{CommLedger, RoundContext};
+use fedpkd_tensor::models::ModelSpec;
 use fedpkd_tensor::serialize::{load_state_vector, state_vector, weighted_average};
 
 /// The classic parameter-averaging algorithm (Eq. 1 of the paper).
@@ -28,15 +24,7 @@ use fedpkd_tensor::serialize::{load_state_vector, state_vector, weighted_average
 pub struct FedAvg {
     scenario: FederatedScenario,
     config: BaselineConfig,
-    state: FedAvgState,
-}
-
-/// The owned, snapshotable half of [`FedAvg`]: everything that changes
-/// from round to round. `scenario` + `config` are the static half.
-struct FedAvgState {
-    clients: Vec<Client>,
-    global_model: ClassifierModel,
-    driver: DriverState,
+    state: Fleet,
 }
 
 impl FedAvg {
@@ -52,31 +40,54 @@ impl FedAvg {
         config: BaselineConfig,
         seed: u64,
     ) -> Result<Self, CoreError> {
-        config.validate()?;
-        let client_specs = vec![spec.clone(); scenario.num_clients()];
-        validate_specs(&scenario, &client_specs, Some(&spec), true)?;
-        let clients = build_clients(&client_specs, config.learning_rate, seed);
-        let mut server_rng = Rng::stream(seed, 0);
-        let global_model = spec.build(&mut server_rng);
+        let specs = vec![spec.clone(); scenario.num_clients()];
+        let (state, _) = Fleet::new(&scenario, &config, &specs, Some(&spec), true, seed)?;
         Ok(Self {
             scenario,
             config,
-            state: FedAvgState {
-                clients,
-                global_model,
-                driver: DriverState::new(),
-            },
+            state,
         })
     }
+}
+
+/// One parameter-averaging round over `train`, the local objective run
+/// from the broadcast global state (its third argument): FedAvg's own
+/// round, and FedProx's with the proximal term added.
+///
+/// The average is renormalized over whoever reported back clean; when
+/// nobody did, the global model carries over.
+pub(crate) fn averaging_round(
+    fleet: &mut Fleet,
+    scenario: &FederatedScenario,
+    config: &BaselineConfig,
+    io: &mut RoundIo<'_>,
+    train: impl Fn(&mut Client, &ClientData, &[f32]) -> TrainStats + Sync,
+) {
+    let server = fleet.server.as_mut().expect("built with a server spec");
+    let global = state_vector(server);
+    let train = |client: &mut Client, data: &ClientData| train(client, data, &global);
+    let Some((senders, updates)) =
+        local_update(&mut fleet.clients, scenario, io, Some(&global), train)
+    else {
+        return;
+    };
+    let started = Instant::now();
+    if !updates.is_empty() {
+        let weights = train_sizes(scenario, &senders);
+        let averaged = if config.clip_updates {
+            clipped_weighted_average(&updates, &weights, &global)
+                .expect("admitted updates are non-empty and equal-length")
+        } else {
+            weighted_average(&updates, &weights).expect("equal-length updates")
+        };
+        load_state_vector(server, &averaged).expect("layout is fixed");
+    }
+    emit_phase_timing(io.obs, io.round, Phase::Aggregation, started);
 }
 
 impl Federation for FedAvg {
     fn name(&self) -> &'static str {
         "FedAvg"
-    }
-
-    fn num_clients(&self) -> usize {
-        self.state.clients.len()
     }
 
     fn run_round(
@@ -86,149 +97,22 @@ impl Federation for FedAvg {
         ledger: &mut CommLedger,
         obs: &mut dyn RoundObserver,
     ) {
-        let cohort = ctx.cohort();
-        // With no survivors there is nothing to broadcast, train, or
-        // average; the global model simply carries over.
-        if cohort.num_active() == 0 {
-            return;
-        }
-        let global = state_vector(&self.state.global_model);
-        let config = &self.config;
-
-        // Broadcast + local training + upload, survivors only. Each round
-        // starts from the freshly loaded global state, so the optimizer
-        // starts fresh too. Dropped clients keep their previous parameters.
-        let training_started = Instant::now();
-        let mut updates: Vec<(usize, (Vec<f32>, TrainStats))> = for_each_active_client(
-            &mut self.state.clients,
-            &self.scenario.clients,
-            cohort,
-            |_, client, data| {
-                load_state_vector(&mut client.model, &global)
-                    .expect("homogeneous models share the layout");
-                let mut optimizer = fedpkd_tensor::optim::Adam::new(config.learning_rate);
-                let stats = train_supervised(
-                    &mut client.model,
-                    &data.train,
-                    config.local_epochs,
-                    config.batch_size,
-                    &mut optimizer,
-                    &mut client.rng,
-                );
-                (state_vector(&client.model), stats)
-            },
-        );
-        for &(client, (_, ref stats)) in &updates {
-            obs.record(&TelemetryEvent::ClientTrained {
-                round,
-                client,
-                samples: self.scenario.clients[client].train.len(),
-                mean_loss: stats.mean_loss,
-            });
-        }
-        emit_phase_timing(obs, round, Phase::ClientTraining, training_started);
-
-        // Byzantine clients tamper with their upload after honest local
-        // training, before it crosses the wire — the ledger below bills the
-        // corrupted payload.
-        for (client, (params, _)) in &mut updates {
-            if let Some(attack) = ctx.attack(*client) {
-                let mut rng = ctx.attack_rng(round, *client);
-                attack.corrupt_update(&mut rng, params);
-            }
-        }
-
-        let aggregation_started = Instant::now();
-        for &(client, (ref params, _)) in &updates {
-            ledger.record(
-                round,
-                client,
-                Direction::Downlink,
-                &Message::ModelUpdate {
-                    params: global.clone(),
-                },
-            );
-            ledger.record(
-                round,
-                client,
-                Direction::Uplink,
-                &Message::ModelUpdate {
-                    params: params.clone(),
-                },
-            );
-        }
-        // Admission: drop non-finite or wrong-length uploads outright, with
-        // a data-size weight for everything that passes — the average is
-        // renormalized over whoever actually reported back clean.
-        let admission = AdmissionPolicy::default();
-        let mut admitted: Vec<Vec<f32>> = Vec::with_capacity(updates.len());
-        let mut weights: Vec<f64> = Vec::with_capacity(updates.len());
-        for (client, (params, _)) in updates {
-            match admission.check_update(&params, global.len()) {
-                Ok(()) => {
-                    weights.push(self.scenario.clients[client].train.len() as f64);
-                    admitted.push(params);
-                }
-                Err(reason) => obs.record(&TelemetryEvent::PayloadRejected {
-                    round,
-                    client,
-                    payload: PayloadKind::ModelUpdate,
-                    reason,
-                }),
-            }
-        }
-        if admitted.is_empty() {
-            emit_phase_timing(obs, round, Phase::Aggregation, aggregation_started);
-            return;
-        }
-        let averaged = if config.clip_updates {
-            clipped_weighted_average(&admitted, &weights, &global)
-                .expect("admitted updates are non-empty and equal-length")
-        } else {
-            weighted_average(&admitted, &weights).expect("equal-length updates")
-        };
-        load_state_vector(&mut self.state.global_model, &averaged).expect("layout is fixed");
-        emit_phase_timing(obs, round, Phase::Aggregation, aggregation_started);
+        let (config, io) = (&self.config, &mut RoundIo::new(round, ctx, ledger, obs));
+        averaging_round(&mut self.state, &self.scenario, config, io, |c, d, _| {
+            train_fresh(config, c, d)
+        });
     }
 
-    fn driver(&self) -> &DriverState {
-        &self.state.driver
-    }
-
-    fn driver_mut(&mut self) -> &mut DriverState {
-        &mut self.state.driver
-    }
-
-    fn server_accuracy(&mut self) -> Option<f64> {
-        Some(eval::accuracy(
-            &mut self.state.global_model,
-            &self.scenario.global_test,
-        ))
-    }
-
-    fn client_accuracies(&mut self) -> Vec<f64> {
-        client_accuracies(&mut self.state.clients, &self.scenario)
-    }
-
-    fn write_state(&self, w: &mut dyn StateSink) {
-        snapshot::write_clients(w, &self.state.clients);
-        snapshot::write_model(w, &self.state.global_model);
-        snapshot::write_driver(w, &self.state.driver);
-    }
-
-    fn read_state(&mut self, r: &mut dyn StateSource) -> Result<(), SnapshotError> {
-        snapshot::read_clients(r, &mut self.state.clients)?;
-        snapshot::read_model(r, &mut self.state.global_model)?;
-        self.state.driver = snapshot::read_driver(r)?;
-        Ok(())
-    }
+    forward_to_fleet!();
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fedpkd_core::telemetry::NullObserver;
     use fedpkd_data::{Partition, ScenarioBuilder, SyntheticConfig};
     use fedpkd_netsim::Cohort;
+    use fedpkd_netsim::Direction;
     use fedpkd_tensor::models::DepthTier;
 
     fn scenario(seed: u64) -> FederatedScenario {
@@ -280,7 +164,7 @@ mod tests {
     #[test]
     fn aggregation_moves_global_model() {
         let mut algo = FedAvg::new(scenario(3), spec(), config(), 7).unwrap();
-        let before = state_vector(&algo.state.global_model);
+        let before = state_vector(algo.state.server.as_ref().unwrap());
         let mut ledger = CommLedger::new();
         algo.run_round(
             0,
@@ -288,7 +172,7 @@ mod tests {
             &mut ledger,
             &mut NullObserver,
         );
-        let after = state_vector(&algo.state.global_model);
+        let after = state_vector(algo.state.server.as_ref().unwrap());
         assert_ne!(before, after);
     }
 
@@ -320,7 +204,7 @@ mod tests {
         use fedpkd_netsim::DropCause;
 
         let mut algo = FedAvg::new(scenario(6), spec(), config(), 13).unwrap();
-        let before = state_vector(&algo.state.global_model);
+        let before = state_vector(algo.state.server.as_ref().unwrap());
         let cohort = Cohort::from_causes(vec![Some(DropCause::Dropout); 3]);
         let mut ledger = CommLedger::new();
         algo.run_round(
@@ -329,7 +213,7 @@ mod tests {
             &mut ledger,
             &mut NullObserver,
         );
-        assert_eq!(state_vector(&algo.state.global_model), before);
+        assert_eq!(state_vector(algo.state.server.as_ref().unwrap()), before);
         assert_eq!(ledger.total_bytes(), 0);
     }
 

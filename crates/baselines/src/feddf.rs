@@ -3,19 +3,16 @@
 use std::time::Instant;
 
 use crate::common::{
-    build_clients, client_accuracies, for_each_active_client, validate_specs, Client,
+    distill_server, forward_to_fleet, local_update, report_ensemble, train_fresh, train_sizes,
+    Fleet, RoundIo,
 };
 use crate::BaselineConfig;
 use fedpkd_core::eval;
-use fedpkd_core::fedpkd::logits::aggregation_stats;
 use fedpkd_core::fedpkd::CoreError;
-use fedpkd_core::runtime::{DriverState, Federation};
-use fedpkd_core::snapshot::{self, SnapshotError, StateSink, StateSource};
-use fedpkd_core::telemetry::{emit_phase_timing, Phase, RoundObserver, TelemetryEvent};
-use fedpkd_core::train::{train_distill, train_supervised, TrainStats};
+use fedpkd_core::runtime::Federation;
+use fedpkd_core::telemetry::{emit_phase_timing, Phase, RoundObserver};
 use fedpkd_data::FederatedScenario;
-use fedpkd_netsim::{CommLedger, Direction, Message, RoundContext};
-use fedpkd_rng::Rng;
+use fedpkd_netsim::{CommLedger, RoundContext};
 use fedpkd_tensor::models::{ClassifierModel, ModelSpec};
 use fedpkd_tensor::ops::softmax;
 use fedpkd_tensor::serialize::{load_state_vector, state_vector, weighted_average};
@@ -34,19 +31,10 @@ use fedpkd_tensor::Tensor;
 pub struct FedDf {
     scenario: FederatedScenario,
     config: BaselineConfig,
-    state: FedDfState,
-}
-
-/// The owned, snapshotable half of [`FedDf`]: everything that changes
-/// from round to round. `scenario` + `config` are the static half. The
-/// `scratch` model is mutable but excluded from snapshots — every use
-/// fully overwrites it with an uploaded parameter vector first.
-struct FedDfState {
-    clients: Vec<Client>,
-    global_model: ClassifierModel,
+    state: Fleet,
+    /// Mutable but excluded from snapshots — every use fully overwrites it
+    /// with an uploaded parameter vector first.
     scratch: ClassifierModel,
-    server_rng: Rng,
-    driver: DriverState,
 }
 
 impl FedDf {
@@ -62,23 +50,16 @@ impl FedDf {
         config: BaselineConfig,
         seed: u64,
     ) -> Result<Self, CoreError> {
-        config.validate()?;
-        let client_specs = vec![spec.clone(); scenario.num_clients()];
-        validate_specs(&scenario, &client_specs, Some(&spec), true)?;
-        let clients = build_clients(&client_specs, config.learning_rate, seed);
-        let mut server_rng = Rng::stream(seed, 0);
-        let global_model = spec.build(&mut server_rng);
+        let specs = vec![spec.clone(); scenario.num_clients()];
+        let (mut state, mut server_rng) =
+            Fleet::new(&scenario, &config, &specs, Some(&spec), true, seed)?;
         let scratch = spec.build(&mut server_rng);
+        state.server_rng = Some(server_rng);
         Ok(Self {
             scenario,
             config,
-            state: FedDfState {
-                clients,
-                global_model,
-                scratch,
-                server_rng,
-                driver: DriverState::new(),
-            },
+            state,
+            scratch,
         })
     }
 }
@@ -88,10 +69,6 @@ impl Federation for FedDf {
         "FedDF"
     }
 
-    fn num_clients(&self) -> usize {
-        self.state.clients.len()
-    }
-
     fn run_round(
         &mut self,
         round: usize,
@@ -99,159 +76,56 @@ impl Federation for FedDf {
         ledger: &mut CommLedger,
         obs: &mut dyn RoundObserver,
     ) {
-        let cohort = ctx.cohort();
-        // No survivors: nothing to average or distill from; the fused model
-        // carries over unchanged.
-        if cohort.num_active() == 0 {
-            return;
-        }
-        let global = state_vector(&self.state.global_model);
-        let config = &self.config;
-        let global_ref = &global;
+        let (config, scenario) = (&self.config, &self.scenario);
+        let io = &mut RoundIo::new(round, ctx, ledger, obs);
+        let fused = self.state.server.as_mut().expect("built with a server");
+        let rng = self.state.server_rng.as_mut().expect("stored at build");
+        let global = state_vector(fused);
 
         // FedAvg-style local phase over the survivors.
-        let training_started = Instant::now();
-        let updates: Vec<(usize, (Vec<f32>, TrainStats))> = for_each_active_client(
-            &mut self.state.clients,
-            &self.scenario.clients,
-            cohort,
-            |_, client, data| {
-                load_state_vector(&mut client.model, global_ref)
-                    .expect("homogeneous models share the layout");
-                let mut optimizer = fedpkd_tensor::optim::Adam::new(config.learning_rate);
-                let stats = train_supervised(
-                    &mut client.model,
-                    &data.train,
-                    config.local_epochs,
-                    config.batch_size,
-                    &mut optimizer,
-                    &mut client.rng,
-                );
-                (state_vector(&client.model), stats)
-            },
-        );
-        for &(client, (_, ref stats)) in &updates {
-            obs.record(&TelemetryEvent::ClientTrained {
-                round,
-                client,
-                samples: self.scenario.clients[client].train.len(),
-                mean_loss: stats.mean_loss,
-            });
+        let clients = &mut self.state.clients;
+        let Some((senders, updates)) =
+            local_update(clients, scenario, io, Some(&global), |client, data| {
+                train_fresh(config, client, data)
+            })
+        else {
+            return;
+        };
+        let started = Instant::now();
+        if updates.is_empty() {
+            emit_phase_timing(io.obs, round, Phase::Aggregation, started);
+            return;
         }
-        emit_phase_timing(obs, round, Phase::ClientTraining, training_started);
-        let weights: Vec<f64> = updates
-            .iter()
-            .map(|&(client, _)| self.scenario.clients[client].train.len() as f64)
-            .collect();
-        for &(client, (ref params, _)) in &updates {
-            ledger.record(
-                round,
-                client,
-                Direction::Downlink,
-                &Message::ModelUpdate {
-                    params: global.clone(),
-                },
-            );
-            ledger.record(
-                round,
-                client,
-                Direction::Uplink,
-                &Message::ModelUpdate {
-                    params: params.clone(),
-                },
-            );
-        }
-        let updates: Vec<Vec<f32>> = updates.into_iter().map(|(_, (params, _))| params).collect();
 
-        // Fusion init: weighted parameter average over the survivors.
-        let aggregation_started = Instant::now();
+        // Fusion init: weighted parameter average over the admitted updates.
+        let weights = train_sizes(scenario, &senders);
         let averaged = weighted_average(&updates, &weights).expect("equal-length updates");
-        load_state_vector(&mut self.state.global_model, &averaged).expect("layout is fixed");
+        load_state_vector(fused, &averaged).expect("layout is fixed");
 
-        // Ensemble distillation: the server holds the surviving clients'
+        // Ensemble distillation: the server holds the admitted clients'
         // parameters, so no extra traffic is needed to compute the ensemble.
-        let public = &self.scenario.public;
-        let mut ensemble = Tensor::zeros(&[public.len(), self.scenario.num_classes]);
+        let public = &scenario.public;
+        let mut ensemble = Tensor::zeros(&[public.len(), scenario.num_classes]);
         let w = 1.0 / updates.len() as f32;
-        let mut member_probs: Vec<Tensor> = Vec::new();
+        let mut members: Vec<Tensor> = Vec::new();
         for params in &updates {
-            load_state_vector(&mut self.state.scratch, params).expect("layout is fixed");
-            let probs = softmax(&eval::logits_on(&mut self.state.scratch, public), 1.0);
+            load_state_vector(&mut self.scratch, params).expect("layout is fixed");
+            let probs = softmax(&eval::logits_on(&mut self.scratch, public), 1.0);
             ensemble.axpy(w, &probs).expect("aligned outputs");
-            if obs.enabled() {
-                member_probs.push(probs);
+            if io.obs.enabled() {
+                members.push(probs);
             }
         }
-        if obs.enabled() {
-            let stats = aggregation_stats(&member_probs, false);
-            obs.record(&TelemetryEvent::LogitAggregation {
-                round,
-                clients: cohort.num_active(),
-                variance_weighting: false,
-                mean_client_weight: stats.mean_client_weight,
-                disagreement: stats.disagreement,
-            });
-        }
-        emit_phase_timing(obs, round, Phase::Aggregation, aggregation_started);
+        report_ensemble(&members, io);
+        emit_phase_timing(io.obs, round, Phase::Aggregation, started);
 
-        let distill_started = Instant::now();
-        let distill_stats = train_distill(
-            &mut self.state.global_model,
-            public.features(),
-            &ensemble,
-            config.gamma,
-            1.0, // ensemble is already a T = 1 probability average
-            config.server_epochs,
-            config.batch_size,
-            &mut fedpkd_tensor::optim::Adam::new(config.learning_rate),
-            &mut self.state.server_rng,
-        );
-        obs.record(&TelemetryEvent::ServerDistill {
-            round,
-            kd_loss: distill_stats.mean_loss,
-            proto_loss: 0.0,
-            combined_loss: distill_stats.mean_loss,
-            batches: distill_stats.batches,
-        });
-        emit_phase_timing(obs, round, Phase::ServerDistill, distill_started);
+        // The ensemble is already a T = 1 probability average.
+        distill_server(fused, public, &ensemble, 1.0, config, rng, io);
     }
 
-    fn driver(&self) -> &DriverState {
-        &self.state.driver
-    }
-
-    fn driver_mut(&mut self) -> &mut DriverState {
-        &mut self.state.driver
-    }
-
-    fn server_accuracy(&mut self) -> Option<f64> {
-        Some(eval::accuracy(
-            &mut self.state.global_model,
-            &self.scenario.global_test,
-        ))
-    }
-
-    fn client_accuracies(&mut self) -> Vec<f64> {
-        // FedDF is not focused on client personalization (Fig. 5 caption),
-        // but the client models exist, so their local accuracy is reported.
-        client_accuracies(&mut self.state.clients, &self.scenario)
-    }
-
-    fn write_state(&self, w: &mut dyn StateSink) {
-        snapshot::write_clients(w, &self.state.clients);
-        snapshot::write_model(w, &self.state.global_model);
-        snapshot::write_rng(w, &self.state.server_rng);
-        snapshot::write_driver(w, &self.state.driver);
-    }
-
-    fn read_state(&mut self, r: &mut dyn StateSource) -> Result<(), SnapshotError> {
-        snapshot::read_clients(r, &mut self.state.clients)?;
-        snapshot::read_model(r, &mut self.state.global_model)?;
-        self.state.server_rng = snapshot::read_rng(r)?;
-        self.state.driver = snapshot::read_driver(r)?;
-        Ok(())
-    }
+    forward_to_fleet!();
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,22 +3,20 @@
 use std::time::Instant;
 
 use crate::common::{
-    build_clients, client_accuracies, for_each_active_client, validate_specs, Client,
+    digest, distill_server, forward_to_fleet, local_update, report_ensemble, train_local, Fleet,
+    RoundIo,
 };
 use crate::BaselineConfig;
 use fedpkd_core::eval;
-use fedpkd_core::fedpkd::logits::aggregation_stats;
 use fedpkd_core::fedpkd::CoreError;
-use fedpkd_core::runtime::{DriverState, Federation};
-use fedpkd_core::snapshot::{self, SnapshotError, StateSink, StateSource};
-use fedpkd_core::telemetry::{emit_phase_timing, Phase, RoundObserver, TelemetryEvent};
-use fedpkd_core::train::{train_distill, train_supervised, TrainStats};
+use fedpkd_core::runtime::Federation;
+use fedpkd_core::telemetry::{emit_phase_timing, Phase, RoundObserver};
 use fedpkd_data::FederatedScenario;
-use fedpkd_netsim::{CommLedger, Direction, Message, RoundContext};
+use fedpkd_netsim::{CommLedger, RoundContext};
 use fedpkd_rng::Rng;
-use fedpkd_tensor::models::{ClassifierModel, ModelSpec};
+use fedpkd_tensor::models::ModelSpec;
 use fedpkd_tensor::ops::{row_entropy, softmax};
-use fedpkd_tensor::serialize::{load_state_vector, state_vector};
+use fedpkd_tensor::serialize::load_state_vector;
 use fedpkd_tensor::Tensor;
 
 /// Heterogeneous **e**nsemble knowledge **t**ransfer: small (possibly
@@ -33,21 +31,12 @@ use fedpkd_tensor::Tensor;
 /// public set travel back and clients distill from them.
 pub struct FedEt {
     scenario: FederatedScenario,
+    /// With `seed`, what the per-round scratch models are rebuilt from, so
+    /// they never enter a snapshot.
     client_specs: Vec<ModelSpec>,
     config: BaselineConfig,
     seed: u64,
-    state: FedEtState,
-}
-
-/// The owned, snapshotable half of [`FedEt`]: everything that changes
-/// from round to round. `scenario`, `client_specs`, `config`, and `seed`
-/// are the static half — the per-round scratch models are rebuilt from
-/// them, so they never enter a snapshot.
-struct FedEtState {
-    clients: Vec<Client>,
-    server_model: ClassifierModel,
-    server_rng: Rng,
-    driver: DriverState,
+    state: Fleet,
 }
 
 impl FedEt {
@@ -65,22 +54,21 @@ impl FedEt {
         config: BaselineConfig,
         seed: u64,
     ) -> Result<Self, CoreError> {
-        config.validate()?;
-        validate_specs(&scenario, &client_specs, Some(&server_spec), false)?;
-        let clients = build_clients(&client_specs, config.learning_rate, seed);
-        let mut server_rng = Rng::stream(seed, 0);
-        let server_model = server_spec.build(&mut server_rng);
+        let (mut state, server_rng) = Fleet::new(
+            &scenario,
+            &config,
+            &client_specs,
+            Some(&server_spec),
+            false,
+            seed,
+        )?;
+        state.server_rng = Some(server_rng);
         Ok(Self {
             scenario,
             client_specs,
             config,
             seed,
-            state: FedEtState {
-                clients,
-                server_model,
-                server_rng,
-                driver: DriverState::new(),
-            },
+            state,
         })
     }
 }
@@ -90,10 +78,6 @@ impl Federation for FedEt {
         "FedET"
     }
 
-    fn num_clients(&self) -> usize {
-        self.state.clients.len()
-    }
-
     fn run_round(
         &mut self,
         round: usize,
@@ -101,84 +85,46 @@ impl Federation for FedEt {
         ledger: &mut CommLedger,
         obs: &mut dyn RoundObserver,
     ) {
-        let cohort = ctx.cohort();
-        // No survivors: no uploads, so the ensemble is empty and the server
-        // model carries over.
-        if cohort.num_active() == 0 {
-            return;
-        }
-        let config = &self.config;
-        let public = &self.scenario.public;
-        let k = self.scenario.num_classes;
+        let (config, scenario) = (&self.config, &self.scenario);
+        let io = &mut RoundIo::new(round, ctx, ledger, obs);
+        let public = &scenario.public;
+        let k = scenario.num_classes;
 
-        // Local training; parameters travel up (FedET's costly uplink) from
-        // the survivors.
-        let training_started = Instant::now();
-        let updates: Vec<(usize, (Vec<f32>, TrainStats))> = for_each_active_client(
-            &mut self.state.clients,
-            &self.scenario.clients,
-            cohort,
-            |_, client, data| {
-                let stats = train_supervised(
-                    &mut client.model,
-                    &data.train,
-                    config.local_epochs,
-                    config.batch_size,
-                    &mut client.optimizer,
-                    &mut client.rng,
-                );
-                (state_vector(&client.model), stats)
-            },
-        );
-        for &(client, (_, ref stats)) in &updates {
-            obs.record(&TelemetryEvent::ClientTrained {
-                round,
-                client,
-                samples: self.scenario.clients[client].train.len(),
-                mean_loss: stats.mean_loss,
-            });
-        }
-        emit_phase_timing(obs, round, Phase::ClientTraining, training_started);
-        let updates: Vec<(usize, Vec<f32>)> = updates
-            .into_iter()
-            .map(|(client, (params, _))| (client, params))
-            .collect();
-        for (client, params) in &updates {
-            ledger.record(
-                round,
-                *client,
-                Direction::Uplink,
-                &Message::ModelUpdate {
-                    params: params.clone(),
-                },
-            );
+        // Local training; parameters travel up (FedET's costly uplink) and
+        // nothing is broadcast — clients keep their own heterogeneous state.
+        let clients = &mut self.state.clients;
+        let Some((senders, updates)) = local_update(clients, scenario, io, None, |client, data| {
+            train_local(config, client, data)
+        }) else {
+            return;
+        };
+        let started = Instant::now();
+        if updates.is_empty() {
+            emit_phase_timing(io.obs, round, Phase::Aggregation, started);
+            return;
         }
 
         // Server-side confidence-weighted ensemble over the public set.
-        let aggregation_started = Instant::now();
         let ln_k = (k as f32).ln();
         let mut weighted_sum = Tensor::zeros(&[public.len(), k]);
         let mut weight_total = vec![0.0f32; public.len()];
-        let mut member_probs: Vec<Tensor> = Vec::new();
-        for (i, params) in &updates {
-            let i = *i;
+        let mut members: Vec<Tensor> = Vec::new();
+        for (&i, params) in senders.iter().zip(&updates) {
             let mut scratch_rng = Rng::stream(self.seed, 1000 + i as u64);
             let mut scratch = self.client_specs[i].build(&mut scratch_rng);
             load_state_vector(&mut scratch, params).expect("spec matches upload");
             let probs = softmax(&eval::logits_on(&mut scratch, public), 1.0);
-            let certainty: Vec<f32> = row_entropy(&probs)
+            let certainty = row_entropy(&probs)
                 .into_iter()
-                .map(|h| (1.0 - h / ln_k).max(1e-3))
-                .collect();
-            for r in 0..public.len() {
-                let w = certainty[r];
+                .map(|h| (1.0 - h / ln_k).max(1e-3));
+            for (r, w) in certainty.enumerate() {
                 weight_total[r] += w;
                 for (o, &p) in weighted_sum.row_mut(r).iter_mut().zip(probs.row(r)) {
                     *o += w * p;
                 }
             }
-            if obs.enabled() {
-                member_probs.push(probs);
+            if io.obs.enabled() {
+                members.push(probs);
             }
         }
         for (r, total) in weight_total.iter().enumerate() {
@@ -187,119 +133,38 @@ impl Federation for FedEt {
                 *v /= norm;
             }
         }
-        if obs.enabled() {
-            // The entropy-based per-sample weights are FedET-specific; the
-            // shared stats helper still measures ensemble disagreement.
-            let stats = aggregation_stats(&member_probs, false);
-            obs.record(&TelemetryEvent::LogitAggregation {
-                round,
-                clients: cohort.num_active(),
-                variance_weighting: false,
-                mean_client_weight: stats.mean_client_weight,
-                disagreement: stats.disagreement,
-            });
-        }
-        emit_phase_timing(obs, round, Phase::Aggregation, aggregation_started);
+        // The entropy-based per-sample weights are FedET-specific; the
+        // shared report still measures ensemble disagreement.
+        report_ensemble(&members, io);
+        emit_phase_timing(io.obs, round, Phase::Aggregation, started);
 
         // Distill ensemble → (larger) server model.
-        let server_started = Instant::now();
-        let server_stats = train_distill(
-            &mut self.state.server_model,
-            public.features(),
-            &weighted_sum,
+        let server = self.state.server.as_mut().expect("built with a server");
+        let rng = self.state.server_rng.as_mut().expect("stored at build");
+        distill_server(server, public, &weighted_sum, 1.0, config, rng, io);
+
+        // Server probabilities travel down; surviving clients distill.
+        let server_probs = softmax(&eval::logits_on(server, public), 1.0);
+        digest(
+            &mut self.state.clients,
+            scenario,
+            io,
+            &server_probs,
             config.gamma,
             1.0,
-            config.server_epochs,
+            config.digest_epochs,
             config.batch_size,
-            &mut fedpkd_tensor::optim::Adam::new(config.learning_rate),
-            &mut self.state.server_rng,
         );
-        obs.record(&TelemetryEvent::ServerDistill {
-            round,
-            kd_loss: server_stats.mean_loss,
-            proto_loss: 0.0,
-            combined_loss: server_stats.mean_loss,
-            batches: server_stats.batches,
-        });
-        emit_phase_timing(obs, round, Phase::ServerDistill, server_started);
-
-        // Server logits travel down; surviving clients distill.
-        let distill_started = Instant::now();
-        let server_probs = softmax(&eval::logits_on(&mut self.state.server_model, public), 1.0);
-        let downlink_bytes =
-            Message::logits_encoded_len(public.len(), server_probs.as_slice().len());
-        for client in cohort.survivors() {
-            ledger.record_bytes(round, client, Direction::Downlink, downlink_bytes);
-        }
-        let target = &server_probs;
-        let distill_stats: Vec<(usize, TrainStats)> = for_each_active_client(
-            &mut self.state.clients,
-            &self.scenario.clients,
-            cohort,
-            |_, client, _| {
-                train_distill(
-                    &mut client.model,
-                    public.features(),
-                    target,
-                    config.gamma,
-                    1.0,
-                    config.digest_epochs,
-                    config.batch_size,
-                    &mut client.optimizer,
-                    &mut client.rng,
-                )
-            },
-        );
-        for &(client, ref stats) in &distill_stats {
-            obs.record(&TelemetryEvent::ClientDistilled {
-                round,
-                client,
-                mean_loss: stats.mean_loss,
-            });
-        }
-        emit_phase_timing(obs, round, Phase::ClientDistill, distill_started);
     }
 
-    fn driver(&self) -> &DriverState {
-        &self.state.driver
-    }
-
-    fn driver_mut(&mut self) -> &mut DriverState {
-        &mut self.state.driver
-    }
-
-    fn server_accuracy(&mut self) -> Option<f64> {
-        Some(eval::accuracy(
-            &mut self.state.server_model,
-            &self.scenario.global_test,
-        ))
-    }
-
-    fn client_accuracies(&mut self) -> Vec<f64> {
-        // FedET is not focused on client personalization (Fig. 5 caption),
-        // but the client models exist, so their local accuracy is reported.
-        client_accuracies(&mut self.state.clients, &self.scenario)
-    }
-
-    fn write_state(&self, w: &mut dyn StateSink) {
-        snapshot::write_clients(w, &self.state.clients);
-        snapshot::write_model(w, &self.state.server_model);
-        snapshot::write_rng(w, &self.state.server_rng);
-        snapshot::write_driver(w, &self.state.driver);
-    }
-
-    fn read_state(&mut self, r: &mut dyn StateSource) -> Result<(), SnapshotError> {
-        snapshot::read_clients(r, &mut self.state.clients)?;
-        snapshot::read_model(r, &mut self.state.server_model)?;
-        self.state.server_rng = snapshot::read_rng(r)?;
-        self.state.driver = snapshot::read_driver(r)?;
-        Ok(())
-    }
+    forward_to_fleet!();
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fedpkd_data::{Partition, ScenarioBuilder, SyntheticConfig};
+    use fedpkd_netsim::Direction;
     use fedpkd_tensor::models::DepthTier;
 
     fn scenario(seed: u64) -> FederatedScenario {

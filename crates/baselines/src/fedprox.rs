@@ -1,26 +1,16 @@
 //! FedProx (Li et al., 2020).
 
-use std::time::Instant;
-
-use crate::common::{
-    build_clients, client_accuracies, for_each_active_client, train_supervised_prox,
-    validate_specs, Client,
-};
+use crate::common::{forward_to_fleet, train_supervised_prox, Fleet, RoundIo};
+use crate::fedavg::averaging_round;
 use crate::BaselineConfig;
-use fedpkd_core::admission::{AdmissionPolicy, PayloadKind};
-use fedpkd_core::eval;
 use fedpkd_core::fedpkd::CoreError;
-use fedpkd_core::robust::clipped_weighted_average;
-use fedpkd_core::runtime::{DriverState, Federation};
-use fedpkd_core::snapshot::{self, SnapshotError, StateSink, StateSource};
-use fedpkd_core::telemetry::{emit_phase_timing, Phase, RoundObserver, TelemetryEvent};
-use fedpkd_core::train::TrainStats;
+use fedpkd_core::runtime::Federation;
+use fedpkd_core::telemetry::RoundObserver;
 use fedpkd_data::FederatedScenario;
-use fedpkd_netsim::{CommLedger, Direction, Message, RoundContext};
-use fedpkd_rng::Rng;
-use fedpkd_tensor::models::{ClassifierModel, ModelSpec};
+use fedpkd_netsim::{CommLedger, RoundContext};
+use fedpkd_tensor::models::ModelSpec;
 use fedpkd_tensor::nn::Layer;
-use fedpkd_tensor::serialize::{load_state_vector, state_vector, weighted_average};
+use fedpkd_tensor::optim::Adam;
 
 /// FedAvg with a proximal local objective: each client minimizes
 /// `CE + μ/2 · ‖w − w_global‖²`, which limits client drift under non-IID
@@ -28,15 +18,7 @@ use fedpkd_tensor::serialize::{load_state_vector, state_vector, weighted_average
 pub struct FedProx {
     scenario: FederatedScenario,
     config: BaselineConfig,
-    state: FedProxState,
-}
-
-/// The owned, snapshotable half of [`FedProx`]: everything that changes
-/// from round to round. `scenario` + `config` are the static half.
-struct FedProxState {
-    clients: Vec<Client>,
-    global_model: ClassifierModel,
-    driver: DriverState,
+    state: Fleet,
 }
 
 impl FedProx {
@@ -52,20 +34,12 @@ impl FedProx {
         config: BaselineConfig,
         seed: u64,
     ) -> Result<Self, CoreError> {
-        config.validate()?;
-        let client_specs = vec![spec.clone(); scenario.num_clients()];
-        validate_specs(&scenario, &client_specs, Some(&spec), true)?;
-        let clients = build_clients(&client_specs, config.learning_rate, seed);
-        let mut server_rng = Rng::stream(seed, 0);
-        let global_model = spec.build(&mut server_rng);
+        let specs = vec![spec.clone(); scenario.num_clients()];
+        let (state, _) = Fleet::new(&scenario, &config, &specs, Some(&spec), true, seed)?;
         Ok(Self {
             scenario,
             config,
-            state: FedProxState {
-                clients,
-                global_model,
-                driver: DriverState::new(),
-            },
+            state,
         })
     }
 }
@@ -75,10 +49,6 @@ impl Federation for FedProx {
         "FedProx"
     }
 
-    fn num_clients(&self) -> usize {
-        self.state.clients.len()
-    }
-
     fn run_round(
         &mut self,
         round: usize,
@@ -86,145 +56,34 @@ impl Federation for FedProx {
         ledger: &mut CommLedger,
         obs: &mut dyn RoundObserver,
     ) {
-        let cohort = ctx.cohort();
-        if cohort.num_active() == 0 {
-            return;
-        }
-        let global = state_vector(&self.state.global_model);
-        let n_params = self.state.global_model.param_count();
-        let config = &self.config;
-        let global_ref = &global;
-
-        let training_started = Instant::now();
-        let mut updates: Vec<(usize, (Vec<f32>, TrainStats))> = for_each_active_client(
-            &mut self.state.clients,
-            &self.scenario.clients,
-            cohort,
-            |_, client, data| {
-                load_state_vector(&mut client.model, global_ref)
-                    .expect("homogeneous models share the layout");
-                let mut optimizer = fedpkd_tensor::optim::Adam::new(config.learning_rate);
+        let (config, io) = (&self.config, &mut RoundIo::new(round, ctx, ledger, obs));
+        averaging_round(
+            &mut self.state,
+            &self.scenario,
+            config,
+            io,
+            |c, d, global| {
                 // The proximal anchor covers the trainable parameters (the
                 // leading section of the state vector); buffers are not
                 // optimized and need no anchor.
-                let stats = train_supervised_prox(
-                    &mut client.model,
-                    &data.train,
-                    &global_ref[..n_params],
+                let anchor = &global[..c.model.param_count()];
+                train_supervised_prox(
+                    &mut c.model,
+                    &d.train,
+                    anchor,
                     config.mu,
                     config.local_epochs,
                     config.batch_size,
-                    &mut optimizer,
-                    &mut client.rng,
-                );
-                (state_vector(&client.model), stats)
+                    &mut Adam::new(config.learning_rate),
+                    &mut c.rng,
+                )
             },
         );
-        for &(client, (_, ref stats)) in &updates {
-            obs.record(&TelemetryEvent::ClientTrained {
-                round,
-                client,
-                samples: self.scenario.clients[client].train.len(),
-                mean_loss: stats.mean_loss,
-            });
-        }
-        emit_phase_timing(obs, round, Phase::ClientTraining, training_started);
-
-        // Byzantine clients tamper with their upload after honest local
-        // training, before it crosses the wire — the ledger below bills the
-        // corrupted payload.
-        for (client, (params, _)) in &mut updates {
-            if let Some(attack) = ctx.attack(*client) {
-                let mut rng = ctx.attack_rng(round, *client);
-                attack.corrupt_update(&mut rng, params);
-            }
-        }
-
-        let aggregation_started = Instant::now();
-        for &(client, (ref params, _)) in &updates {
-            ledger.record(
-                round,
-                client,
-                Direction::Downlink,
-                &Message::ModelUpdate {
-                    params: global.clone(),
-                },
-            );
-            ledger.record(
-                round,
-                client,
-                Direction::Uplink,
-                &Message::ModelUpdate {
-                    params: params.clone(),
-                },
-            );
-        }
-        // Admission: drop non-finite or wrong-length uploads outright, with
-        // a data-size weight for everything that passes — the average is
-        // renormalized over whoever actually reported back clean.
-        let admission = AdmissionPolicy::default();
-        let mut admitted: Vec<Vec<f32>> = Vec::with_capacity(updates.len());
-        let mut weights: Vec<f64> = Vec::with_capacity(updates.len());
-        for (client, (params, _)) in updates {
-            match admission.check_update(&params, global.len()) {
-                Ok(()) => {
-                    weights.push(self.scenario.clients[client].train.len() as f64);
-                    admitted.push(params);
-                }
-                Err(reason) => obs.record(&TelemetryEvent::PayloadRejected {
-                    round,
-                    client,
-                    payload: PayloadKind::ModelUpdate,
-                    reason,
-                }),
-            }
-        }
-        if admitted.is_empty() {
-            emit_phase_timing(obs, round, Phase::Aggregation, aggregation_started);
-            return;
-        }
-        let averaged = if config.clip_updates {
-            clipped_weighted_average(&admitted, &weights, &global)
-                .expect("admitted updates are non-empty and equal-length")
-        } else {
-            weighted_average(&admitted, &weights).expect("equal-length updates")
-        };
-        load_state_vector(&mut self.state.global_model, &averaged).expect("layout is fixed");
-        emit_phase_timing(obs, round, Phase::Aggregation, aggregation_started);
     }
 
-    fn driver(&self) -> &DriverState {
-        &self.state.driver
-    }
-
-    fn driver_mut(&mut self) -> &mut DriverState {
-        &mut self.state.driver
-    }
-
-    fn server_accuracy(&mut self) -> Option<f64> {
-        Some(eval::accuracy(
-            &mut self.state.global_model,
-            &self.scenario.global_test,
-        ))
-    }
-
-    fn client_accuracies(&mut self) -> Vec<f64> {
-        client_accuracies(&mut self.state.clients, &self.scenario)
-    }
-
-    fn write_state(&self, w: &mut dyn StateSink) {
-        snapshot::write_clients(w, &self.state.clients);
-        snapshot::write_model(w, &self.state.global_model);
-        snapshot::write_driver(w, &self.state.driver);
-    }
-
-    fn read_state(&mut self, r: &mut dyn StateSource) -> Result<(), SnapshotError> {
-        snapshot::read_clients(r, &mut self.state.clients)?;
-        snapshot::read_model(r, &mut self.state.global_model)?;
-        self.state.driver = snapshot::read_driver(r)?;
-        Ok(())
-    }
+    forward_to_fleet!();
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,20 +3,16 @@
 use std::time::Instant;
 
 use crate::common::{
-    build_clients, client_accuracies, for_each_active_client, validate_specs, Client,
+    distill_server, forward_to_fleet, mean_upload, public_upload, train_local, Fleet, RoundIo,
 };
 use crate::BaselineConfig;
 use fedpkd_core::eval;
-use fedpkd_core::fedpkd::logits::aggregation_stats;
 use fedpkd_core::fedpkd::CoreError;
-use fedpkd_core::runtime::{DriverState, Federation};
-use fedpkd_core::snapshot::{self, SnapshotError, StateSink, StateSource};
-use fedpkd_core::telemetry::{emit_phase_timing, Phase, RoundObserver, TelemetryEvent};
-use fedpkd_core::train::{train_distill, train_supervised, TrainStats};
+use fedpkd_core::runtime::Federation;
+use fedpkd_core::telemetry::{emit_phase_timing, Phase, RoundObserver};
 use fedpkd_data::FederatedScenario;
-use fedpkd_netsim::{CommLedger, Direction, Message, RoundContext};
-use fedpkd_rng::Rng;
-use fedpkd_tensor::models::{ClassifierModel, ModelSpec};
+use fedpkd_netsim::{CommLedger, RoundContext};
+use fedpkd_tensor::models::ModelSpec;
 use fedpkd_tensor::ops::softmax;
 use fedpkd_tensor::Tensor;
 
@@ -30,16 +26,7 @@ use fedpkd_tensor::Tensor;
 pub struct NaiveKd {
     scenario: FederatedScenario,
     config: BaselineConfig,
-    state: NaiveKdState,
-}
-
-/// The owned, snapshotable half of [`NaiveKd`]: everything that changes
-/// from round to round. `scenario` + `config` are the static half.
-struct NaiveKdState {
-    clients: Vec<Client>,
-    server_model: ClassifierModel,
-    server_rng: Rng,
-    driver: DriverState,
+    state: Fleet,
 }
 
 impl NaiveKd {
@@ -57,20 +44,19 @@ impl NaiveKd {
         config: BaselineConfig,
         seed: u64,
     ) -> Result<Self, CoreError> {
-        config.validate()?;
-        validate_specs(&scenario, &client_specs, Some(&server_spec), false)?;
-        let clients = build_clients(&client_specs, config.learning_rate, seed);
-        let mut server_rng = Rng::stream(seed, 0);
-        let server_model = server_spec.build(&mut server_rng);
+        let (mut state, server_rng) = Fleet::new(
+            &scenario,
+            &config,
+            &client_specs,
+            Some(&server_spec),
+            false,
+            seed,
+        )?;
+        state.server_rng = Some(server_rng);
         Ok(Self {
             scenario,
             config,
-            state: NaiveKdState {
-                clients,
-                server_model,
-                server_rng,
-                driver: DriverState::new(),
-            },
+            state,
         })
     }
 
@@ -98,10 +84,6 @@ impl Federation for NaiveKd {
         "NaiveKD"
     }
 
-    fn num_clients(&self) -> usize {
-        self.state.clients.len()
-    }
-
     fn run_round(
         &mut self,
         round: usize,
@@ -109,136 +91,38 @@ impl Federation for NaiveKd {
         ledger: &mut CommLedger,
         obs: &mut dyn RoundObserver,
     ) {
-        let cohort = ctx.cohort();
-        // No survivors: no logits arrive, so the server has nothing to
-        // distill from this round.
-        if cohort.num_active() == 0 {
+        let (config, scenario) = (&self.config, &self.scenario);
+        let io = &mut RoundIo::new(round, ctx, ledger, obs);
+        let clients = &mut self.state.clients;
+        let Some((_, logits)) = public_upload(clients, scenario, io, |client, data| {
+            let stats = train_local(config, client, data);
+            (eval::logits_on(&mut client.model, &scenario.public), stats)
+        }) else {
             return;
+        };
+
+        // Uniform average over the admitted uploads → server distillation
+        // (Eq. 3).
+        let started = Instant::now();
+        let teacher = mean_upload(&logits, io).map(|mean| softmax(&mean, config.temperature));
+        emit_phase_timing(io.obs, round, Phase::Aggregation, started);
+        if let Some(teacher) = teacher {
+            let server = self.state.server.as_mut().expect("built with a server");
+            let rng = self.state.server_rng.as_mut().expect("stored at build");
+            let (public, t) = (&scenario.public, config.temperature);
+            distill_server(server, public, &teacher, t, config, rng, io);
         }
-        let config = &self.config;
-        let public = &self.scenario.public;
-
-        let training_started = Instant::now();
-        let client_logits: Vec<(usize, (Tensor, TrainStats))> = for_each_active_client(
-            &mut self.state.clients,
-            &self.scenario.clients,
-            cohort,
-            |_, client, data| {
-                let stats = train_supervised(
-                    &mut client.model,
-                    &data.train,
-                    config.local_epochs,
-                    config.batch_size,
-                    &mut client.optimizer,
-                    &mut client.rng,
-                );
-                (eval::logits_on(&mut client.model, public), stats)
-            },
-        );
-        for &(client, (_, ref stats)) in &client_logits {
-            obs.record(&TelemetryEvent::ClientTrained {
-                round,
-                client,
-                samples: self.scenario.clients[client].train.len(),
-                mean_loss: stats.mean_loss,
-            });
-        }
-        emit_phase_timing(obs, round, Phase::ClientTraining, training_started);
-        let client_logits: Vec<(usize, Tensor)> = client_logits
-            .into_iter()
-            .map(|(client, (l, _))| (client, l))
-            .collect();
-        for (client, logits) in &client_logits {
-            ledger.record_bytes(
-                round,
-                *client,
-                Direction::Uplink,
-                Message::logits_encoded_len(public.len(), logits.as_slice().len()),
-            );
-        }
-
-        // Uniform average over the survivors → server distillation (Eq. 3).
-        let aggregation_started = Instant::now();
-        let mut mean = Tensor::zeros(client_logits[0].1.shape());
-        let w = 1.0 / client_logits.len() as f32;
-        for (_, l) in &client_logits {
-            mean.axpy(w, l).expect("aligned logits");
-        }
-        if obs.enabled() {
-            let logits_only: Vec<Tensor> = client_logits.iter().map(|(_, l)| l.clone()).collect();
-            let stats = aggregation_stats(&logits_only, false);
-            obs.record(&TelemetryEvent::LogitAggregation {
-                round,
-                clients: cohort.num_active(),
-                variance_weighting: false,
-                mean_client_weight: stats.mean_client_weight,
-                disagreement: stats.disagreement,
-            });
-        }
-        let teacher = softmax(&mean, config.temperature);
-        emit_phase_timing(obs, round, Phase::Aggregation, aggregation_started);
-
-        let server_started = Instant::now();
-        let server_stats = train_distill(
-            &mut self.state.server_model,
-            public.features(),
-            &teacher,
-            config.gamma,
-            config.temperature,
-            config.server_epochs,
-            config.batch_size,
-            &mut fedpkd_tensor::optim::Adam::new(config.learning_rate),
-            &mut self.state.server_rng,
-        );
-        obs.record(&TelemetryEvent::ServerDistill {
-            round,
-            kd_loss: server_stats.mean_loss,
-            proto_loss: 0.0,
-            combined_loss: server_stats.mean_loss,
-            batches: server_stats.batches,
-        });
-        emit_phase_timing(obs, round, Phase::ServerDistill, server_started);
     }
 
-    fn driver(&self) -> &DriverState {
-        &self.state.driver
-    }
-
-    fn driver_mut(&mut self) -> &mut DriverState {
-        &mut self.state.driver
-    }
-
-    fn server_accuracy(&mut self) -> Option<f64> {
-        Some(eval::accuracy(
-            &mut self.state.server_model,
-            &self.scenario.global_test,
-        ))
-    }
-
-    fn client_accuracies(&mut self) -> Vec<f64> {
-        client_accuracies(&mut self.state.clients, &self.scenario)
-    }
-
-    fn write_state(&self, w: &mut dyn StateSink) {
-        snapshot::write_clients(w, &self.state.clients);
-        snapshot::write_model(w, &self.state.server_model);
-        snapshot::write_rng(w, &self.state.server_rng);
-        snapshot::write_driver(w, &self.state.driver);
-    }
-
-    fn read_state(&mut self, r: &mut dyn StateSource) -> Result<(), SnapshotError> {
-        snapshot::read_clients(r, &mut self.state.clients)?;
-        snapshot::read_model(r, &mut self.state.server_model)?;
-        self.state.server_rng = snapshot::read_rng(r)?;
-        self.state.driver = snapshot::read_driver(r)?;
-        Ok(())
-    }
+    forward_to_fleet!();
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fedpkd_core::telemetry::NullObserver;
     use fedpkd_data::{Partition, ScenarioBuilder, SyntheticConfig};
+    use fedpkd_netsim::Direction;
     use fedpkd_tensor::models::DepthTier;
 
     fn scenario(alpha: f64, seed: u64) -> FederatedScenario {

@@ -38,7 +38,7 @@ fn bench_matmul(c: &mut Criterion) {
     //   the 2–3× per-product speedup comes from.
     //
     // This bench runs whichever tier is active (the default is Fast); flip
-    // with `fedpkd_tensor::set_kernel_mode` and re-measure both before
+    // with a `KernelMode::scoped` guard and re-measure both before
     // touching either inner loop. `cargo run --release -p fedpkd-bench
     // --bin perf` gives the end-to-end phase view (BENCH_pr5.json).
     let mut a = Tensor::rand_uniform(&[32, 256], -1.0, 1.0, &mut rng);

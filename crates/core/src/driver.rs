@@ -1,16 +1,10 @@
 //! The redesigned driver entry point: one builder for every way to run a
 //! federation.
 //!
-//! Historically the run surface sprawled across free-standing trait
-//! methods — `run`, `run_silent`, `run_with_faults`,
-//! `run_silent_with_faults`, `run_resumed`, `take_snapshot` — each hard
-//! to extend without another combinatorial method. [`DriverBuilder`]
-//! subsumes them: faults, adversaries (via the [`FaultPlan`]), cohort
-//! sampling over a fleet, the worker budget, the bounded-staleness
-//! window, and the snapshot policy are all orthogonal knobs on one
-//! builder, and [`Driver::run`]/[`Driver::resume`] are the only verbs.
-//! The old entry points survive as thin `#[deprecated]` shims over this
-//! type.
+//! Faults, adversaries (via the [`FaultPlan`]), cohort sampling over a
+//! fleet, the worker budget, the bounded-staleness window, and the
+//! snapshot policy are all orthogonal knobs on one [`DriverBuilder`], and
+//! [`Driver::run`]/[`Driver::resume`] are the only verbs.
 //!
 //! # The event-driven round loop
 //!
@@ -38,7 +32,7 @@
 
 use fedpkd_netsim::{sample_cohort, Cohort, CohortPolicy, DropCause, FaultPlan, RoundContext};
 
-use crate::runtime::{Federation, FlAlgorithm, RunResult};
+use crate::runtime::{Federation, RunResult};
 use crate::snapshot::{AlgorithmState, SnapshotError};
 use crate::telemetry::{NullObserver, RoundObserver, TelemetryEvent};
 
@@ -205,8 +199,7 @@ impl DriverBuilder {
 /// configuration (see [`DriverBuilder`]).
 ///
 /// A driver is reusable: successive [`run`](Self::run) calls on the same
-/// algorithm continue its round numbering and ledger, exactly like the
-/// deprecated `run` entry points did.
+/// algorithm continue its round numbering and ledger.
 #[derive(Debug, Clone)]
 pub struct Driver {
     config: DriverBuilder,

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use crate::admission::{PayloadKind, QuarantineTracker, RejectReason};
-use crate::clients::validate_specs;
+use crate::clients::{corrupt_logits, validate_specs, RoundIo};
 use crate::cow::{for_each_pooled_client_streaming, pooled_client_accuracies, ClientPool};
 use crate::eval;
 use crate::fedpkd::config::{CoreError, DistillSource, FedPkdConfig};
@@ -243,10 +243,7 @@ fn corrupt_upload(
     logits: &mut Tensor,
     prototypes: &mut [Option<Prototype>],
 ) {
-    let (rows, cols) = (logits.rows(), logits.cols());
-    let mut values = logits.as_slice().to_vec();
-    let new_cols = attack.corrupt_logits(rng, &mut values, rows, cols);
-    *logits = Tensor::from_vec(values, &[rows, new_cols]).expect("corruption preserves row count");
+    corrupt_logits(attack, rng, logits);
     for proto in prototypes.iter_mut().flatten() {
         let mut vector = proto.vector.as_slice().to_vec();
         attack.corrupt_prototype(rng, &mut vector);
@@ -255,71 +252,57 @@ fn corrupt_upload(
     }
 }
 
-impl Federation for FedPkd {
-    fn name(&self) -> &'static str {
-        "FedPKD"
-    }
+/// What every phase of one round reads but never writes: the
+/// configuration, the scenario and this round's transfer set (the public
+/// set, or the batch the generator synthesized).
+struct RoundEnv<'a> {
+    config: &'a FedPkdConfig,
+    scenario: &'a FederatedScenario,
+    transfer: &'a Dataset,
+}
 
-    fn num_clients(&self) -> usize {
-        self.state.clients.len()
-    }
+/// Phase 1's output: the admitted on-time uploads — folded into `acc`, or
+/// kept whole in `buffered` when `buffer_logits` (a cross-client estimator
+/// or the diagnostics need the full set).
+struct Uplink {
+    acc: LogitAccumulator,
+    buffered: Vec<Tensor>,
+    buffer_logits: bool,
+    fold_failed: bool,
+    admitted: usize,
+}
 
-    fn run_round(
+impl FedPkdState {
+    /// Phase 1: client private training + dual knowledge uplink on the
+    /// bounded work-stealing pool, for the cohort's survivors and the
+    /// `late` roster; `synthetic` says the transfer set was generated and
+    /// must be broadcast first. Returns the admitted on-time uploads and
+    /// the aggregated data-free input moments.
+    ///
+    /// Survivors and late-roster stragglers train concurrently; every
+    /// upload is *committed* in ascending client order — telemetry,
+    /// Byzantine corruption, ledger accounting, admission, and the
+    /// streaming Eq. 6–7 fold all happen per client at the commit point.
+    /// No O(cohort) payload buffer exists unless the trimmed estimator
+    /// (cross-client by definition) or the aggregation diagnostics require
+    /// one.
+    fn client_phase(
         &mut self,
-        round: usize,
-        ctx: &RoundContext,
-        ledger: &mut CommLedger,
-        obs: &mut dyn RoundObserver,
-    ) {
+        env: &RoundEnv<'_>,
+        io: &mut RoundIo<'_>,
+        late: &[(usize, usize)],
+        synthetic: bool,
+    ) -> (Uplink, Vec<Option<Tensor>>) {
+        let RoundEnv {
+            config,
+            scenario,
+            transfer,
+        } = *env;
+        let (round, ctx) = (io.round, io.ctx);
         let cohort = ctx.cohort();
-        let public_len = self.scenario.public.len();
-        let num_classes = self.scenario.num_classes;
+        let public_len = scenario.public.len();
+        let num_classes = scenario.num_classes;
         let num_classes_u32 = num_classes as u32;
-        // Late uploads queued in earlier rounds whose simulated transfer
-        // completes now — they arrive whether or not anyone trains today.
-        let arrivals = self.state.pending_late.remove(&round).unwrap_or_default();
-        // Stragglers the driver promoted onto the late roster train this
-        // round; only their prototypes survive the delay, so without
-        // prototypes the late path carries nothing and is skipped.
-        let late: Vec<(usize, usize)> = if self.config.use_prototypes {
-            ctx.late_arrivals().to_vec()
-        } else {
-            Vec::new()
-        };
-        if cohort.num_active() == 0 && late.is_empty() && arrivals.is_empty() {
-            // Zero survivors and nothing in flight: nobody trains, nothing
-            // travels, no model or prototype changes. The driver still
-            // frames the round with telemetry and evaluation.
-            return;
-        }
-
-        // Data-free mode: the server synthesizes this round's transfer set
-        // up front from the dedicated latent stream; everything below that
-        // would consume `scenario.public` consumes the generated batch
-        // instead. The batch matches the public set's size so uplink logit
-        // traffic (and thus comm-budget comparisons) stay identical.
-        // Zero-survivor rounds returned above without drawing, so the
-        // latent stream advances only on rounds that actually run.
-        let mut synth_batch: Option<(Tensor, Vec<usize>)> = None;
-        let synth_dataset: Option<Dataset> = self.state.generator.as_mut().map(|gs| {
-            let (latents, labels) = gs.generator.draw_batch(public_len, &mut gs.rng);
-            let features = gs.generator.synthesize(&latents, &labels);
-            let dataset = Dataset::new(features, labels.clone(), num_classes)
-                .expect("generator conditions on in-range labels");
-            synth_batch = Some((latents, labels));
-            dataset
-        });
-        let transfer: &Dataset = synth_dataset.as_ref().unwrap_or(&self.scenario.public);
-
-        // ---- Phase 1: client private training + dual knowledge uplink on
-        //      the bounded work-stealing pool. Survivors and late-roster
-        //      stragglers train concurrently; every upload is *committed*
-        //      in ascending client order — telemetry, Byzantine corruption,
-        //      ledger accounting, admission, and the streaming Eq. 6–7
-        //      fold all happen per client at the commit point. No
-        //      O(cohort) payload buffer exists unless the trimmed
-        //      estimator (cross-client by definition) or the aggregation
-        //      diagnostics require one.
         let phase_started = Instant::now();
         let workers = ctx.worker_budget().unwrap_or_else(max_workers);
         let mut roster = cohort.survivors();
@@ -329,44 +312,39 @@ impl Federation for FedPkd {
         // before they can score it: broadcast it to everyone on the roster
         // and charge the downlink (the public-dataset mode ships nothing
         // here because the public set is pre-shared).
-        if let Some((_, labels)) = &synth_batch {
+        if synthetic {
             let batch_bytes = Message::synthetic_batch_encoded_len(
-                labels.len(),
+                transfer.len(),
                 transfer.features().as_slice().len(),
             );
             for &client in &roster {
-                ledger.record_bytes(round, client, Direction::Downlink, batch_bytes);
+                io.ledger
+                    .record_bytes(round, client, Direction::Downlink, batch_bytes);
             }
         }
 
-        let trim = self.config.robust.trim_fraction();
-        let buffer_logits = trim.is_some() || obs.enabled();
-        let mut acc = LogitAccumulator::new(self.config.variance_weighting);
+        let buffer_logits = config.robust.trim_fraction().is_some() || io.obs.enabled();
+        let mut acc = LogitAccumulator::new(config.variance_weighting);
         let mut buffered: Vec<Tensor> = Vec::new();
         let mut moment_uploads: Vec<Vec<Option<Prototype>>> = Vec::new();
         let sample_dim = transfer.sample_dim();
         let mut admitted = 0usize;
         let mut fold_failed = false;
 
-        let policy = self.config.admission;
+        let policy = config.admission;
         let all_ids: Vec<u32> = (0..public_len as u32).collect();
-        let config = &self.config;
-        let scenario = &self.scenario;
         // Destructure for disjoint borrows: the fleet mutates on the
         // worker pool while the commit pipeline updates server-side state.
         let FedPkdState {
             clients,
             server_model,
-            server_optimizer,
-            server_rng,
             global_prototypes,
             cached_prototypes,
             pending_late,
-            margins,
-            generator,
             quarantine,
-            driver: _,
-        } = &mut self.state;
+            ..
+        } = self;
+        let (ledger, obs) = (&mut *io.ledger, &mut *io.obs);
         let proto_dim = server_model.feature_dim();
         {
             let global_prototypes = &*global_prototypes;
@@ -589,10 +567,47 @@ impl Federation for FedPkd {
         } else {
             aggregate_prototypes(&moment_uploads).unwrap_or_else(|_| vec![None; num_classes])
         };
+        let uplink = Uplink {
+            acc,
+            buffered,
+            buffer_logits,
+            fold_failed,
+            admitted,
+        };
+        (uplink, input_moments)
+    }
 
-        // ---- Phase 2: late arrivals land, then server-side aggregation
-        //      (Eqs. 6–8, or their trimmed variants) over the admitted
-        //      uploads.
+    /// Phase 2: the late `arrivals` land, then server-side aggregation
+    /// (Eqs. 6–8, or their trimmed variants) over the admitted uploads.
+    /// Returns the aggregated probabilities and their pseudo-labels, or
+    /// `None` when the round degrades to a no-op.
+    fn aggregate(
+        &mut self,
+        env: &RoundEnv<'_>,
+        io: &mut RoundIo<'_>,
+        arrivals: Vec<LateUpload>,
+        uplink: Uplink,
+    ) -> Option<(Tensor, Vec<usize>)> {
+        let (config, round) = (env.config, io.round);
+        let num_classes = env.scenario.num_classes;
+        let policy = config.admission;
+        let trim = config.robust.trim_fraction();
+        let proto_dim = self.server_model.feature_dim();
+        let Uplink {
+            acc,
+            buffered,
+            buffer_logits,
+            fold_failed,
+            admitted,
+        } = uplink;
+        let FedPkdState {
+            global_prototypes,
+            cached_prototypes,
+            margins,
+            quarantine,
+            ..
+        } = self;
+        let (ledger, obs) = (&mut *io.ledger, &mut *io.obs);
         let phase_started = Instant::now();
         for (client, origin, protos) in arrivals {
             // The delayed transfer completes now: charge its bytes, then
@@ -641,7 +656,7 @@ impl Federation for FedPkd {
             // prototypes stay as they were, late arrivals only refreshed
             // the cache.
             emit_phase_timing(obs, round, Phase::Aggregation, phase_started);
-            return;
+            return None;
         }
         // The shared softmax pass: on buffering rounds the trimmed/plain
         // aggregation and the telemetry stats below all consume per-client
@@ -659,7 +674,7 @@ impl Federation for FedPkd {
             match trim {
                 Some(t) => aggregate_logits_trimmed_from_probs(&probs, t).ok(),
                 None if buffer_logits => {
-                    aggregate_logits_from_probs(&probs, self.config.variance_weighting).ok()
+                    aggregate_logits_from_probs(&probs, config.variance_weighting).ok()
                 }
                 None => acc.finish().ok(),
             }
@@ -669,31 +684,31 @@ impl Federation for FedPkd {
             // payloads were let through): degrade to a no-op round rather
             // than panicking.
             emit_phase_timing(obs, round, Phase::Aggregation, phase_started);
-            return;
+            return None;
         };
         let pseudo = pseudo_labels(&aggregated);
         if obs.enabled() {
             // `obs.enabled()` implies `buffer_logits`, so `probs` holds the
             // shared softmax outputs from the aggregation above.
-            let stats = aggregation_stats_from_probs(&probs, self.config.variance_weighting);
+            let stats = aggregation_stats_from_probs(&probs, config.variance_weighting);
             obs.record(&TelemetryEvent::LogitAggregation {
                 round,
                 clients: buffered.len(),
-                variance_weighting: self.config.variance_weighting,
+                variance_weighting: config.variance_weighting,
                 mean_client_weight: stats.mean_client_weight,
                 disagreement: stats.disagreement,
             });
         }
         let mut proto_outliers = 0usize;
         let mut proto_contributions = 0usize;
-        if self.config.use_prototypes {
+        if config.use_prototypes {
             // Eq. 8 over the admitted survivors' fresh prototypes plus any
             // absent client's cached upload that is recent enough
             // (`prototype_staleness` bounds the age of reuse).
             let client_protos: Vec<Vec<Option<Prototype>>> = cached_prototypes
                 .iter()
                 .flatten()
-                .filter(|&&(uploaded, _)| round - uploaded <= self.config.prototype_staleness)
+                .filter(|&&(uploaded, _)| round - uploaded <= config.prototype_staleness)
                 .map(|(_, p)| p.clone())
                 .collect();
             proto_contributions = client_protos
@@ -712,8 +727,7 @@ impl Federation for FedPkd {
                 // distillation, the downlink, and next round's Eq. 16
                 // pull — sees as the global prototypes.
                 let effective = if let Some((bank, opt)) = margins.as_mut() {
-                    let stats =
-                        margins::refine(bank, opt, &new_prototypes, self.config.margin_epochs);
+                    let stats = margins::refine(bank, opt, &new_prototypes, config.margin_epochs);
                     obs.record(&TelemetryEvent::MarginRefined {
                         round,
                         covered: stats.covered,
@@ -726,7 +740,7 @@ impl Federation for FedPkd {
                     new_prototypes
                 };
                 if obs.enabled() {
-                    let (mean_l2, max_l2) = Self::prototype_drift(global_prototypes, &effective);
+                    let (mean_l2, max_l2) = FedPkd::prototype_drift(global_prototypes, &effective);
                     obs.record(&TelemetryEvent::PrototypeDrift {
                         round,
                         classes_present: effective.iter().filter(|p| p.is_some()).count(),
@@ -751,9 +765,38 @@ impl Federation for FedPkd {
             }
         }
         emit_phase_timing(obs, round, Phase::Aggregation, phase_started);
+        Some((aggregated, pseudo))
+    }
 
-        // ---- Phase 3: data filtering (Alg. 1) + server distillation
-        //      (Eqs. 11–13).
+    /// Phase 3: data filtering (Alg. 1), the data-free generator's
+    /// refinement, and server distillation (Eqs. 11–13) toward
+    /// `aggregated`. Returns the selected transfer indices and their
+    /// feature rows, or `None` when the filter kept nothing.
+    fn filter_and_distill(
+        &mut self,
+        env: &RoundEnv<'_>,
+        io: &mut RoundIo<'_>,
+        aggregated: &Tensor,
+        pseudo: &[usize],
+        input_moments: &[Option<Tensor>],
+        synth_batch: Option<&(Tensor, Vec<usize>)>,
+    ) -> Option<(Vec<usize>, Tensor)> {
+        let RoundEnv {
+            config,
+            scenario,
+            transfer,
+        } = *env;
+        let (round, obs) = (io.round, &mut *io.obs);
+        let public_len = scenario.public.len();
+        let FedPkdState {
+            server_model,
+            server_optimizer,
+            server_rng,
+            global_prototypes,
+            margins,
+            generator,
+            ..
+        } = self;
         let phase_started = Instant::now();
         // Radii are only armed for classes whose distance scale has been
         // observed (INFINITY otherwise), so margins never gate round 0.
@@ -762,15 +805,15 @@ impl Federation for FedPkd {
         // Generated samples of a class no client has seen carry no
         // teachable signal (Eq. 10 has no target): drop them outright
         // instead of keeping an index-order θ fraction.
-        let drop_uncovered = self.config.distill_source == DistillSource::Generated;
-        let selected: Vec<usize> = if self.config.use_filter && self.config.use_prototypes {
+        let drop_uncovered = config.distill_source == DistillSource::Generated;
+        let selected: Vec<usize> = if config.use_filter && config.use_prototypes {
             let server_features = eval::features_on(server_model, transfer);
             if margin_radii.is_some() || drop_uncovered {
                 let (selected, stats) = filter_public_opts(
                     &server_features,
-                    &pseudo,
+                    pseudo,
                     global_prototypes,
-                    self.config.theta,
+                    config.theta,
                     FilterOptions {
                         margins: margin_radii.as_deref(),
                         drop_uncovered,
@@ -796,9 +839,9 @@ impl Federation for FedPkd {
             } else if obs.enabled() {
                 let (selected, stats) = filter_public_with_stats(
                     &server_features,
-                    &pseudo,
+                    pseudo,
                     global_prototypes,
-                    self.config.theta,
+                    config.theta,
                 );
                 obs.record(&TelemetryEvent::FilterOutcome {
                     round,
@@ -812,12 +855,7 @@ impl Federation for FedPkd {
                 });
                 selected
             } else {
-                filter_public(
-                    &server_features,
-                    &pseudo,
-                    global_prototypes,
-                    self.config.theta,
-                )
+                filter_public(&server_features, pseudo, global_prototypes, config.theta)
             }
         } else {
             (0..public_len).collect()
@@ -828,18 +866,18 @@ impl Federation for FedPkd {
         // alternation. The critic (server model) comes out bit-identical
         // (params never stepped, buffers restored, gradients zeroed), so
         // the distillation below starts from a clean slate.
-        if let (Some(gs), Some((latents, labels))) = (generator.as_mut(), synth_batch.as_ref()) {
+        if let (Some(gs), Some((latents, labels))) = (generator.as_mut(), synth_batch) {
             let gstats = generator::refine(
                 &mut gs.generator,
                 &mut gs.optimizer,
                 server_model,
                 latents,
                 labels,
-                Some(&aggregated),
+                Some(aggregated),
                 global_prototypes,
-                &input_moments,
-                self.config.temperature,
-                self.config.generator_epochs,
+                input_moments,
+                config.temperature,
+                config.generator_epochs,
             );
             obs.record(&TelemetryEvent::GeneratorRefined {
                 round,
@@ -854,7 +892,7 @@ impl Federation for FedPkd {
             // no generated class had a covered prototype. Nothing to
             // distill on or downlink; the generator refinement above still
             // happened, so later rounds produce usable batches.
-            return;
+            return None;
         }
         let subset_features = transfer
             .features()
@@ -866,8 +904,8 @@ impl Federation for FedPkd {
             .select_rows(&selected)
             .expect("filter indices are in range");
         let subset_pseudo: Vec<usize> = selected.iter().map(|&i| pseudo[i]).collect();
-        let delta = if self.config.use_prototypes {
-            self.config.delta
+        let delta = if config.use_prototypes {
+            config.delta
         } else {
             1.0 // the prototype loss term is removed (ablation w/o Pro)
         };
@@ -879,9 +917,9 @@ impl Federation for FedPkd {
             &subset_pseudo,
             global_prototypes,
             delta,
-            self.config.temperature,
-            self.config.server_epochs,
-            self.config.batch_size,
+            config.temperature,
+            config.server_epochs,
+            config.batch_size,
             server_optimizer,
             server_rng,
         );
@@ -893,18 +931,42 @@ impl Federation for FedPkd {
             batches: distill_stats.batches,
         });
         emit_phase_timing(obs, round, Phase::ServerDistill, phase_started);
+        Some((selected, subset_features))
+    }
 
-        // ---- Phase 4: server knowledge downlink + client public training
-        //      (Eqs. 14–15). Only the subset's logits travel (θ% of the
-        //      public set), which is FedPKD's downlink saving.
+    /// Phase 4: server knowledge downlink + client public training
+    /// (Eqs. 14–15), survivors only. Only the `selected` subset's logits
+    /// travel (θ% of the public set), which is FedPKD's downlink saving.
+    fn downlink(
+        &mut self,
+        env: &RoundEnv<'_>,
+        io: &mut RoundIo<'_>,
+        selected: &[usize],
+        subset_features: &Tensor,
+    ) {
+        let RoundEnv {
+            config,
+            scenario,
+            transfer,
+        } = *env;
+        let (round, cohort) = (io.round, io.ctx.cohort());
+        let workers = io.ctx.worker_budget().unwrap_or_else(max_workers);
+        let num_classes_u32 = scenario.num_classes as u32;
+        let FedPkdState {
+            clients,
+            server_model,
+            global_prototypes,
+            ..
+        } = self;
+        let (ledger, obs) = (&mut *io.ledger, &mut *io.obs);
         let phase_started = Instant::now();
-        let subset_dataset = transfer.subset(&selected);
+        let subset_dataset = transfer.subset(selected);
         let mut server_logits = eval::logits_on(server_model, &subset_dataset);
         let selected_ids: Vec<u32> = selected.iter().map(|&i| i as u32).collect();
         // A diverged server (e.g. under an unfiltered Byzantine attack) can
         // emit non-finite logits; those cannot ride the lossy 8-bit channel,
         // so they fall back to the raw f32 message instead of panicking.
-        let downlink_quantized = if self.config.quantize_knowledge {
+        let downlink_quantized = if config.quantize_knowledge {
             match QuantizedLogits::from_values(
                 &selected_ids,
                 num_classes_u32,
@@ -920,12 +982,12 @@ impl Federation for FedPkd {
         } else {
             None
         };
-        let server_probs = softmax(&server_logits, self.config.temperature);
+        let server_probs = softmax(&server_logits, config.temperature);
         // Every survivor receives the same three messages; size them once.
         let logits_bytes = downlink_quantized.unwrap_or_else(|| {
             Message::logits_encoded_len(selected_ids.len(), server_logits.as_slice().len())
         });
-        let proto_bytes = self.config.use_prototypes.then(|| {
+        let proto_bytes = config.use_prototypes.then(|| {
             Message::Prototypes {
                 entries: global_to_wire_entries(global_prototypes),
             }
@@ -949,7 +1011,7 @@ impl Federation for FedPkd {
             |_, state, _| {
                 train_distill(
                     &mut state.model,
-                    &subset_features,
+                    subset_features,
                     &server_probs,
                     config.gamma,
                     config.temperature,
@@ -968,6 +1030,85 @@ impl Federation for FedPkd {
             },
         );
         emit_phase_timing(obs, round, Phase::ClientDistill, phase_started);
+    }
+}
+
+impl Federation for FedPkd {
+    fn name(&self) -> &'static str {
+        "FedPKD"
+    }
+
+    fn num_clients(&self) -> usize {
+        self.state.clients.len()
+    }
+
+    fn run_round(
+        &mut self,
+        round: usize,
+        ctx: &RoundContext,
+        ledger: &mut CommLedger,
+        obs: &mut dyn RoundObserver,
+    ) {
+        let cohort = ctx.cohort();
+        let public_len = self.scenario.public.len();
+        let num_classes = self.scenario.num_classes;
+        // Late uploads queued in earlier rounds whose simulated transfer
+        // completes now — they arrive whether or not anyone trains today.
+        let arrivals = self.state.pending_late.remove(&round).unwrap_or_default();
+        // Stragglers the driver promoted onto the late roster train this
+        // round; only their prototypes survive the delay, so without
+        // prototypes the late path carries nothing and is skipped.
+        let late: Vec<(usize, usize)> = if self.config.use_prototypes {
+            ctx.late_arrivals().to_vec()
+        } else {
+            Vec::new()
+        };
+        if cohort.num_active() == 0 && late.is_empty() && arrivals.is_empty() {
+            // Zero survivors and nothing in flight: nobody trains, nothing
+            // travels, no model or prototype changes. The driver still
+            // frames the round with telemetry and evaluation.
+            return;
+        }
+
+        // Data-free mode: the server synthesizes this round's transfer set
+        // up front from the dedicated latent stream; everything below that
+        // would consume `scenario.public` consumes the generated batch
+        // instead. The batch matches the public set's size so uplink logit
+        // traffic (and thus comm-budget comparisons) stay identical.
+        // Zero-survivor rounds returned above without drawing, so the
+        // latent stream advances only on rounds that actually run.
+        let mut synth_batch: Option<(Tensor, Vec<usize>)> = None;
+        let synth_dataset: Option<Dataset> = self.state.generator.as_mut().map(|gs| {
+            let (latents, labels) = gs.generator.draw_batch(public_len, &mut gs.rng);
+            let features = gs.generator.synthesize(&latents, &labels);
+            let dataset = Dataset::new(features, labels.clone(), num_classes)
+                .expect("generator conditions on in-range labels");
+            synth_batch = Some((latents, labels));
+            dataset
+        });
+        let env = RoundEnv {
+            config: &self.config,
+            scenario: &self.scenario,
+            transfer: synth_dataset.as_ref().unwrap_or(&self.scenario.public),
+        };
+        let io = &mut RoundIo::new(round, ctx, ledger, obs);
+        let state = &mut self.state;
+
+        let (uplink, input_moments) = state.client_phase(&env, io, &late, synth_batch.is_some());
+        let Some((aggregated, pseudo)) = state.aggregate(&env, io, arrivals, uplink) else {
+            return;
+        };
+        let Some((selected, subset_features)) = state.filter_and_distill(
+            &env,
+            io,
+            &aggregated,
+            &pseudo,
+            &input_moments,
+            synth_batch.as_ref(),
+        ) else {
+            return;
+        };
+        state.downlink(&env, io, &selected, &subset_features);
     }
 
     fn server_accuracy(&mut self) -> Option<f64> {

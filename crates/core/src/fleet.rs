@@ -451,7 +451,7 @@ mod tests {
                     .stage_upload(round, client, payload, 0)
                     .expect("own payload is admissible");
             }
-            history.push(crate::runtime::FlAlgorithm::round(
+            history.push(Federation::round(
                 &mut served,
                 round,
                 &ctx,

@@ -73,7 +73,7 @@ pub use driver::{Driver, DriverBuilder};
 pub use fleet::FleetSim;
 pub use remote::{RemoteFederation, StageError};
 pub use robust::{AggregationError, RobustAggregation};
-pub use runtime::{Federation, FlAlgorithm, RoundMetrics, RunResult};
+pub use runtime::{Federation, RoundMetrics, RunResult};
 pub use snapshot::{AlgorithmState, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use streaming::{LogitAccumulator, PrototypeAccumulator};
 pub use telemetry::{

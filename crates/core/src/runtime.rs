@@ -1,38 +1,36 @@
 //! The synchronous federated round engine.
 //!
-//! Two traits split the work:
-//!
-//! - [`Federation`] is the low-level SPI an algorithm implements: execute
-//!   one round's phases — for the clients the round's
-//!   [`Cohort`](fedpkd_netsim::Cohort) says are
-//!   present — against the communication ledger and report accuracies on
-//!   demand.
-//! - [`FlAlgorithm`] is the uniform driver interface callers consume. A
-//!   blanket impl turns any [`Federation`] into an [`FlAlgorithm`], so the
-//!   round loop — wall-clock timing, fault-plan evaluation, evaluation,
-//!   ledger accounting, and telemetry bookkeeping — exists exactly once,
-//!   shared by FedPKD and all seven baselines.
+//! [`Federation`] is the one trait an algorithm implements and the one
+//! callers drive. The required methods are the algorithm's own: execute
+//! one round's phases — for the clients the round's
+//! [`Cohort`](fedpkd_netsim::Cohort) says are present — against the
+//! communication ledger, report accuracies on demand, and encode/decode
+//! the owned state. The provided methods are what every algorithm shares:
+//! [`round`](Federation::round) frames one round with cohort telemetry,
+//! evaluation and ledger accounting, and the snapshot envelopes wrap
+//! `write_state`/`read_state`. The loop over rounds lives in
+//! [`crate::driver::Driver`], so it exists exactly once for FedPKD and all
+//! seven baselines.
 //!
 //! Fault injection is entirely a driver concern: the driver evaluates an
-//! optional [`FaultPlan`] each round (feeding it each client's last
-//! observed uplink size for the straggler-deadline check), emits
-//! [`TelemetryEvent::ClientDropped`] for the casualties, and hands the
-//! algorithm a [`RoundContext`] — the surviving cohort plus the Byzantine
-//! attack roster. Algorithms never see the plan itself, so the same
-//! degradation path covers every fault mechanism; they apply the roster's
-//! corruption to survivor uploads before any server-side processing, which
-//! is what makes admission control and robust aggregation testable
-//! end to end.
+//! optional [`FaultPlan`](fedpkd_netsim::FaultPlan) each round (feeding it
+//! each client's last observed uplink size for the straggler-deadline
+//! check), and hands the algorithm a [`RoundContext`] — the surviving
+//! cohort plus the Byzantine attack roster. Algorithms never see the plan
+//! itself, so the same degradation path covers every fault mechanism; they
+//! apply the roster's corruption to survivor uploads before any
+//! server-side processing, which is what makes admission control and
+//! robust aggregation testable end to end.
 
 use std::time::Instant;
 
-use fedpkd_netsim::{CommLedger, DropCause, FaultPlan, RoundContext};
+use fedpkd_netsim::{CommLedger, DropCause, RoundContext};
 
 use crate::snapshot::{
     check_algorithm, AlgorithmState, SnapshotError, SnapshotReader, SnapshotStreamReader,
     SnapshotStreamWriter, SnapshotWriter, StateSink, StateSource,
 };
-use crate::telemetry::{emit_phase_timing, NullObserver, Phase, RoundObserver, TelemetryEvent};
+use crate::telemetry::{emit_phase_timing, Phase, RoundObserver, TelemetryEvent};
 
 /// Metrics captured after one communication round.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,14 +172,14 @@ impl DriverState {
     }
 }
 
-/// The low-level SPI a federated learning algorithm implements.
+/// A federated learning algorithm: what it implements and how it is driven.
 ///
 /// Implementations own their scenario, client models, and (optionally)
-/// server model. The shared [`FlAlgorithm`] driver guarantees `run_round`
-/// is called with strictly increasing round indices starting at 0, and
-/// handles cohort selection, evaluation, ledger accounting, and
-/// round-boundary telemetry itself — implementations only emit the events
-/// for what happens *inside* a round (client training, aggregation,
+/// server model. [`crate::driver::Driver`] guarantees `run_round` is
+/// called with strictly increasing round indices starting at 0, and the
+/// provided [`round`](Self::round) handles evaluation, ledger accounting,
+/// and round-boundary telemetry itself — implementations only emit the
+/// events for what happens *inside* a round (client training, aggregation,
 /// filtering, distillation).
 ///
 /// # Partial participation
@@ -300,73 +298,25 @@ pub trait Federation {
         w.finish()
     }
 
-    /// Restores a snapshot from `source` — either envelope version: v2
-    /// streams chunk by chunk, v1 (the [`AlgorithmState::to_bytes`] format)
-    /// is buffered for compatibility with snapshots written before the
-    /// streaming codec existed.
+    /// Restores a snapshot streamed by [`snapshot_to`](Self::snapshot_to)
+    /// from `source`, chunk by chunk.
     ///
     /// # Errors
     ///
     /// See [`restore`](Self::restore), plus [`SnapshotError::Io`] if
-    /// `source` fails.
+    /// `source` fails and [`SnapshotError::UnsupportedVersion`] for any
+    /// envelope version but the streaming one.
     fn restore_from(&mut self, source: &mut dyn std::io::Read) -> Result<(), SnapshotError> {
-        let mut header = [0u8; 8];
-        source.read_exact(&mut header).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                SnapshotError::Truncated
-            } else {
-                SnapshotError::from(e)
-            }
-        })?;
-        if header[..4] != crate::snapshot::SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
+        let (mut r, name) = SnapshotStreamReader::open(source)?;
+        if name != self.name() {
+            return Err(SnapshotError::AlgorithmMismatch {
+                expected: self.name().to_string(),
+                found: name,
+            });
         }
-        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        match version {
-            crate::snapshot::SNAPSHOT_VERSION => {
-                // v1 has no chunk framing, so it cannot be decoded
-                // incrementally; buffer it whole, as its writer did.
-                let mut bytes = header.to_vec();
-                source.read_to_end(&mut bytes)?;
-                self.restore(&AlgorithmState::from_bytes(&bytes)?)
-            }
-            crate::snapshot::SNAPSHOT_STREAM_VERSION => {
-                let (mut r, name) = SnapshotStreamReader::after_header(source)?;
-                if name != self.name() {
-                    return Err(SnapshotError::AlgorithmMismatch {
-                        expected: self.name().to_string(),
-                        found: name,
-                    });
-                }
-                self.read_state(&mut r)?;
-                r.finish()
-            }
-            other => Err(SnapshotError::UnsupportedVersion {
-                found: other,
-                supported: crate::snapshot::SNAPSHOT_STREAM_VERSION,
-            }),
-        }
+        self.read_state(&mut r)?;
+        r.finish()
     }
-}
-
-/// The uniform interface every federated algorithm is driven through.
-///
-/// Callers never loop over rounds themselves: [`run`](Self::run) (or the
-/// observer-less [`run_silent`](Self::run_silent), or the fault-injecting
-/// [`run_with_faults`](Self::run_with_faults)) is the single driver for
-/// FedPKD and all baselines, courtesy of the blanket impl over
-/// [`Federation`].
-///
-/// # Examples
-///
-/// See the crate-level example.
-pub trait FlAlgorithm {
-    /// A short display name (`"FedPKD"`, `"FedAvg"`, …).
-    fn name(&self) -> &str;
-
-    /// Rounds already driven on this instance; the next `run` continues
-    /// numbering from here.
-    fn rounds_driven(&self) -> usize;
 
     /// Executes one communication round end to end — cohort telemetry,
     /// training phases, evaluation, ledger accounting — and returns its
@@ -382,168 +332,11 @@ pub trait FlAlgorithm {
         ctx: &RoundContext,
         ledger: &mut CommLedger,
         obs: &mut dyn RoundObserver,
-    ) -> RoundMetrics;
-
-    /// Runs `rounds` rounds under an optional fault plan, streaming
-    /// telemetry to `obs`.
-    ///
-    /// Each round the plan (if any) is evaluated into a [`RoundContext`] —
-    /// surviving cohort plus Byzantine attack roster; the
-    /// straggler-deadline check is fed each client's most recent observed
-    /// uplink size (zero before a client's first upload, so round-0
-    /// deadline drops can only come from latency and slowdown factors).
-    /// Fault and adversary evaluation is deterministic: the same algorithm
-    /// seedings plus the same plan produce a bit-identical [`RunResult`].
-    ///
-    /// Round numbering and the ledger continue from any previous `run` on
-    /// this instance (see [`DriverState`]); the returned history covers
-    /// only the newly driven rounds, while the returned ledger spans the
-    /// instance's lifetime.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds == 0`.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use fedpkd_core::driver::DriverBuilder (`.rounds(n).faults(plan)`) instead"
-    )]
-    fn run_with_faults(
-        &mut self,
-        rounds: usize,
-        plan: Option<&FaultPlan>,
-        obs: &mut dyn RoundObserver,
-    ) -> RunResult;
-
-    /// Runs the algorithm fault-free for `rounds` rounds, streaming
-    /// telemetry to `obs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds == 0`.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use fedpkd_core::driver::Driver (`Driver::rounds(n).run(algo, obs)`) instead"
-    )]
-    #[allow(deprecated)]
-    fn run(&mut self, rounds: usize, obs: &mut dyn RoundObserver) -> RunResult {
-        self.run_with_faults(rounds, None, obs)
-    }
-
-    /// Runs the algorithm with telemetry disabled (a [`NullObserver`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds == 0`.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use fedpkd_core::driver::Driver (`Driver::rounds(n).run_silent(algo)`) instead"
-    )]
-    #[allow(deprecated)]
-    fn run_silent(&mut self, rounds: usize) -> RunResult {
-        self.run(rounds, &mut NullObserver)
-    }
-
-    /// Runs under a fault plan with telemetry disabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds == 0`.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use fedpkd_core::driver::DriverBuilder (`.rounds(n).faults(plan)`) with \
-                `run_silent` instead"
-    )]
-    #[allow(deprecated)]
-    fn run_silent_with_faults(&mut self, rounds: usize, plan: &FaultPlan) -> RunResult {
-        self.run_with_faults(rounds, Some(plan), &mut NullObserver)
-    }
-
-    /// Captures the algorithm's complete owned state at the current round
-    /// boundary (the silent form of [`take_snapshot`](Self::take_snapshot);
-    /// see [`Federation::snapshot`]).
-    fn snapshot_state(&self) -> AlgorithmState;
-
-    /// Restores state captured by [`snapshot_state`](Self::snapshot_state)
-    /// into this same-config instance.
-    ///
-    /// # Errors
-    ///
-    /// See [`Federation::restore`]. On error the instance may be partially
-    /// overwritten and should be discarded.
-    fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), SnapshotError>;
-
-    /// Captures a snapshot and announces it on the telemetry stream as
-    /// [`TelemetryEvent::SnapshotTaken`].
-    #[deprecated(
-        since = "0.6.0",
-        note = "use fedpkd_core::driver::Driver::snapshot(algo, obs) instead"
-    )]
-    fn take_snapshot(&self, obs: &mut dyn RoundObserver) -> AlgorithmState {
-        let state = self.snapshot_state();
-        obs.record(&TelemetryEvent::SnapshotTaken {
-            round: self.rounds_driven(),
-            bytes: state.encoded_len(),
-        });
-        state
-    }
-
-    /// Restores `state` and continues the run for `rounds` more rounds
-    /// under an optional fault plan.
-    ///
-    /// Emits [`TelemetryEvent::SnapshotRestored`] before the first resumed
-    /// round. Round numbering, the ledger, and fault-plan evaluation
-    /// continue exactly where the snapshot left off, so — the stack being
-    /// fully deterministic — the resumed rounds are bit-identical to the
-    /// rounds an uninterrupted run would have produced.
-    ///
-    /// # Errors
-    ///
-    /// See [`Federation::restore`]; nothing runs if the restore fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rounds == 0`.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use fedpkd_core::driver::Driver::resume(algo, state, obs) instead"
-    )]
-    #[allow(deprecated)]
-    fn run_resumed(
-        &mut self,
-        state: &AlgorithmState,
-        rounds: usize,
-        plan: Option<&FaultPlan>,
-        obs: &mut dyn RoundObserver,
-    ) -> Result<RunResult, SnapshotError> {
-        self.restore_state(state)?;
-        obs.record(&TelemetryEvent::SnapshotRestored {
-            round: self.rounds_driven(),
-            bytes: state.encoded_len(),
-        });
-        Ok(self.run_with_faults(rounds, plan, obs))
-    }
-}
-
-impl<F: Federation> FlAlgorithm for F {
-    fn name(&self) -> &str {
-        Federation::name(self)
-    }
-
-    fn rounds_driven(&self) -> usize {
-        self.driver().rounds_driven
-    }
-
-    fn round(
-        &mut self,
-        round: usize,
-        ctx: &RoundContext,
-        ledger: &mut CommLedger,
-        obs: &mut dyn RoundObserver,
     ) -> RoundMetrics {
         let round_started = Instant::now();
         let cohort = ctx.cohort();
         obs.record(&TelemetryEvent::RoundStart {
-            algorithm: Federation::name(self).to_string(),
+            algorithm: self.name().to_string(),
             round,
             clients: self.num_clients(),
         });
@@ -592,38 +385,14 @@ impl<F: Federation> FlAlgorithm for F {
         driver.rounds_driven = driver.rounds_driven.max(round + 1);
         metrics
     }
-
-    #[allow(deprecated)]
-    fn run_with_faults(
-        &mut self,
-        rounds: usize,
-        plan: Option<&FaultPlan>,
-        obs: &mut dyn RoundObserver,
-    ) -> RunResult {
-        // Thin compatibility shim: the round loop itself lives in
-        // `crate::driver::Driver` now.
-        let mut builder = crate::driver::DriverBuilder::new().rounds(rounds);
-        if let Some(plan) = plan {
-            builder = builder.faults(plan.clone());
-        }
-        builder.build().run(self, obs)
-    }
-
-    fn snapshot_state(&self) -> AlgorithmState {
-        Federation::snapshot(self)
-    }
-
-    fn restore_state(&mut self, state: &AlgorithmState) -> Result<(), SnapshotError> {
-        Federation::restore(self, state)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::{Driver, DriverBuilder};
-    use crate::telemetry::EventLog;
-    use fedpkd_netsim::{CohortPolicy, Direction, Message};
+    use crate::telemetry::{EventLog, NullObserver};
+    use fedpkd_netsim::{CohortPolicy, Direction, FaultPlan, Message};
 
     /// A fake federation whose accuracy rises linearly and in which every
     /// surviving client sends a fixed-size message per round.
@@ -755,9 +524,9 @@ mod tests {
         // round 0 with a fresh ledger while model state persisted.
         let mut fed = FakeFed::new();
         let first = Driver::rounds(3).run_silent(&mut fed);
-        assert_eq!(fed.rounds_driven(), 3);
+        assert_eq!(fed.driver().rounds_driven(), 3);
         let second = Driver::rounds(2).run_silent(&mut fed);
-        assert_eq!(fed.rounds_driven(), 5);
+        assert_eq!(fed.driver().rounds_driven(), 5);
         assert_eq!(second.history[0].round, 3);
         assert_eq!(second.last().round, 4);
         // The continued ledger spans both runs, so cumulative bytes keep
@@ -905,14 +674,15 @@ mod tests {
     fn snapshot_survives_the_byte_codec() {
         let mut fed = FakeFed::new();
         let _ = Driver::rounds(2).run_silent(&mut fed);
-        let state = fed.snapshot_state();
-        let bytes = state.to_bytes();
-        let decoded = AlgorithmState::from_bytes(&bytes).unwrap();
+        let mut bytes = Vec::new();
+        fed.snapshot_to(&mut bytes).unwrap();
         let mut restored = FakeFed::new();
-        restored.restore_state(&decoded).unwrap();
-        assert_eq!(restored.rounds_driven(), 2);
+        restored.restore_from(&mut bytes.as_slice()).unwrap();
+        assert_eq!(restored.driver().rounds_driven(), 2);
         assert_eq!(restored.acc, fed.acc);
         assert_eq!(restored.driver, fed.driver);
+        // The streamed bytes carry exactly the in-memory snapshot.
+        assert_eq!(restored.snapshot(), fed.snapshot());
     }
 
     #[test]
@@ -950,7 +720,7 @@ mod tests {
     #[test]
     fn restore_rejects_foreign_snapshots() {
         let state = AlgorithmState::new("NotFake", Vec::new());
-        let err = FakeFed::new().restore_state(&state).unwrap_err();
+        let err = FakeFed::new().restore(&state).unwrap_err();
         assert_eq!(
             err,
             SnapshotError::AlgorithmMismatch {
@@ -978,25 +748,6 @@ mod tests {
             }
             other => panic!("unexpected event {other:?}"),
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_entry_points_match_driver() {
-        // The deprecated FlAlgorithm verbs are shims over the Driver; they
-        // must keep producing bit-identical results until removed.
-        let legacy = FakeFed::new().run_silent(4);
-        let driven = Driver::rounds(4).run_silent(&mut FakeFed::new());
-        assert_eq!(legacy, driven);
-
-        let plan = FaultPlan::new(9).with_dropout(0.4);
-        let legacy = FakeFed::new().run_silent_with_faults(4, &plan);
-        let driven = DriverBuilder::new()
-            .rounds(4)
-            .faults(plan)
-            .build()
-            .run_silent(&mut FakeFed::new());
-        assert_eq!(legacy, driven);
     }
 
     #[test]

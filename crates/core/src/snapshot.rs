@@ -3,30 +3,22 @@
 //! Every algorithm in this workspace is split into a *config* half (static,
 //! rebuilt from code) and a *state* half (models, optimizer moments, RNG
 //! positions, caches, driver book-keeping). This module gives the state
-//! half a byte representation: [`Federation::snapshot`] packs it into an
-//! [`AlgorithmState`], [`AlgorithmState::to_bytes`] frames it with a magic
-//! number, format version, and checksum, and
-//! [`Federation::restore`] rebuilds a fresh same-config instance into the
-//! exact saved state. Because the whole stack is deterministic (seeded
-//! xoshiro streams, ordered reductions, pure fault plans), a restored run
-//! is **bit-identical** to one that never stopped — which makes the codec
-//! double as a correctness oracle for the rest of the codebase.
+//! half a byte representation: [`Federation::snapshot_to`] streams it into
+//! any [`std::io::Write`] behind a magic number, format version, and
+//! checksum, and [`Federation::restore_from`] rebuilds a fresh same-config
+//! instance into the exact saved state. Because the whole stack is
+//! deterministic (seeded xoshiro streams, ordered reductions, pure fault
+//! plans), a restored run is **bit-identical** to one that never stopped —
+//! which makes the codec double as a correctness oracle for the rest of
+//! the codebase.
 //!
-//! [`Federation::snapshot`]: crate::runtime::Federation::snapshot
-//! [`Federation::restore`]: crate::runtime::Federation::restore
+//! [`Federation::snapshot_to`]: crate::runtime::Federation::snapshot_to
+//! [`Federation::restore_from`]: crate::runtime::Federation::restore_from
 //!
 //! # Wire format
 //!
-//! All integers are little-endian; lengths are `u64`. The buffered (v1)
-//! envelope is
-//!
-//! ```text
-//! magic "FPKD" (4) · version u32 = 1 · algorithm name (len + utf8)
-//! · payload (len + bytes) · FNV-1a64 checksum of everything before it (8)
-//! ```
-//!
-//! The streaming (v2) envelope replaces the single length-prefixed payload
-//! with a chunk sequence, so neither writer nor reader ever holds the whole
+//! All integers are little-endian; lengths are `u64`. The envelope is a
+//! chunk sequence, so neither writer nor reader ever holds the whole
 //! payload in memory:
 //!
 //! ```text
@@ -35,36 +27,45 @@
 //! · FNV-1a64 checksum of everything before it (8)
 //! ```
 //!
-//! [`SnapshotStreamWriter`] produces v2 directly into any
+//! [`SnapshotStreamWriter`] produces it directly into any
 //! [`std::io::Write`]; [`SnapshotStreamReader`] consumes it from any
-//! [`std::io::Read`]. [`AlgorithmState::from_bytes`] decodes both versions,
-//! so v1 snapshots on disk stay restorable forever.
+//! [`std::io::Read`]. Any other version — including the buffered version 1
+//! this one replaced — is [`SnapshotError::UnsupportedVersion`].
 //!
 //! The payload layout is private to each algorithm, assembled from the
 //! primitives of [`StateSink`]/[`StateSource`] and the typed helpers below
 //! ([`write_model`], [`write_adam`], [`write_clients`], [`write_driver`],
-//! …). The same payload bytes flow through either envelope. Truncated,
-//! corrupted, or mismatched bytes surface as typed [`SnapshotError`]s —
-//! decoding never panics.
+//! …). [`AlgorithmState`] is the same payload held in memory, for
+//! [`Driver::snapshot`](crate::driver::Driver::snapshot) and
+//! [`Driver::resume`](crate::driver::Driver::resume) inside one process.
+//! Truncated, corrupted, or mismatched bytes surface as typed
+//! [`SnapshotError`]s — decoding never panics.
 //!
 //! # Examples
 //!
 //! ```
-//! use fedpkd_core::snapshot::{AlgorithmState, SnapshotError};
+//! use fedpkd_core::snapshot::{
+//!     SnapshotError, SnapshotStreamReader, SnapshotStreamWriter, StateSink, StateSource,
+//! };
 //!
-//! let state = AlgorithmState::new("FedAvg", vec![1, 2, 3]);
-//! let bytes = state.to_bytes();
-//! assert_eq!(bytes.len(), state.encoded_len());
-//! assert_eq!(AlgorithmState::from_bytes(&bytes)?, state);
+//! let mut bytes = Vec::new();
+//! let mut w = SnapshotStreamWriter::new(&mut bytes, "FedAvg");
+//! w.put_u32(7);
+//! w.finish()?;
 //!
-//! // A flipped payload bit is caught by the checksum.
+//! let mut source = bytes.as_slice();
+//! let (mut r, name) = SnapshotStreamReader::open(&mut source)?;
+//! assert_eq!((name.as_str(), r.take_u32()?), ("FedAvg", 7));
+//! r.finish()?;
+//!
+//! // A flipped payload bit (the `7`, ahead of the sentinel and checksum)
+//! // is caught by the checksum.
 //! let mut corrupt = bytes.clone();
-//! let mid = corrupt.len() / 2;
-//! corrupt[mid] ^= 0x40;
-//! assert_eq!(
-//!     AlgorithmState::from_bytes(&corrupt),
-//!     Err(SnapshotError::ChecksumMismatch)
-//! );
+//! corrupt[bytes.len() - 8 - 4 - 4] ^= 0x40;
+//! let mut source = corrupt.as_slice();
+//! let (mut r, _) = SnapshotStreamReader::open(&mut source)?;
+//! r.take_u32()?;
+//! assert_eq!(r.finish(), Err(SnapshotError::ChecksumMismatch));
 //! # Ok::<(), SnapshotError>(())
 //! ```
 
@@ -81,13 +82,10 @@ use fedpkd_tensor::Tensor;
 /// The 4-byte magic number opening every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FPKD";
 
-/// The buffered snapshot format version ([`AlgorithmState::to_bytes`]).
-///
-/// Bump on any layout change; decoding rejects unknown versions with
-/// [`SnapshotError::UnsupportedVersion`] rather than misinterpreting bytes.
-pub const SNAPSHOT_VERSION: u32 = 1;
-
 /// The chunked streaming envelope version ([`SnapshotStreamWriter`]).
+///
+/// Bump on any layout change; decoding rejects other versions with
+/// [`SnapshotError::UnsupportedVersion`] rather than misinterpreting bytes.
 pub const SNAPSHOT_STREAM_VERSION: u32 = 2;
 
 /// Payload bytes per streaming chunk. Chunks the writer emits are at most
@@ -159,18 +157,8 @@ impl From<std::io::Error> for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// 64-bit FNV-1a over `bytes`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// FNV-1a64 continuation: folds `bytes` into an in-progress hash — the
-/// streaming envelope's running-checksum form of [`fnv1a`].
+/// streaming envelope's running checksum.
 fn fnv1a_seeded(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
@@ -179,12 +167,13 @@ fn fnv1a_seeded(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// An algorithm's complete owned state, captured at a round boundary.
-///
-/// The payload is an opaque algorithm-specific byte layout; the envelope
-/// ([`to_bytes`](Self::to_bytes)/[`from_bytes`](Self::from_bytes)) adds
-/// framing, versioning, and corruption detection so snapshots can safely
-/// travel through files, sockets, or object stores.
+/// An algorithm's complete owned state, captured at a round boundary and
+/// held in memory: the `(name, payload)` value
+/// [`Driver::snapshot`](crate::driver::Driver::snapshot) hands to
+/// [`Driver::resume`](crate::driver::Driver::resume). The payload is an
+/// opaque algorithm-specific byte layout; to move a snapshot through a
+/// file or socket, stream it with
+/// [`Federation::snapshot_to`](crate::runtime::Federation::snapshot_to).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlgorithmState {
     algorithm: String,
@@ -210,90 +199,10 @@ impl AlgorithmState {
         &self.payload
     }
 
-    /// Serializes the full envelope: magic, version, algorithm name,
-    /// payload, checksum.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.algorithm.len() as u64).to_le_bytes());
-        out.extend_from_slice(self.algorithm.as_bytes());
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
-    }
-
-    /// Exact length of [`to_bytes`](Self::to_bytes)' output, without
-    /// encoding.
+    /// The size the snapshot telemetry events report: name and payload,
+    /// each `u64`-length-prefixed, plus magic, version and checksum.
     pub fn encoded_len(&self) -> usize {
         4 + 4 + 8 + self.algorithm.len() + 8 + self.payload.len() + 8
-    }
-
-    /// Decodes and validates an envelope produced by
-    /// [`to_bytes`](Self::to_bytes) (v1) or a [`SnapshotStreamWriter`]
-    /// (v2).
-    ///
-    /// The name and payload are borrowed straight from `bytes` during
-    /// validation and copied exactly once, into the returned owner.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::BadMagic`] if the bytes are not a snapshot,
-    /// [`SnapshotError::UnsupportedVersion`] for other format versions,
-    /// [`SnapshotError::Truncated`] if the stream ends early,
-    /// [`SnapshotError::Malformed`] for trailing garbage or invalid UTF-8,
-    /// and [`SnapshotError::ChecksumMismatch`] if the content was
-    /// corrupted in transit.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        if bytes.len() < SNAPSHOT_MAGIC.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        if bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let mut r = SnapshotReader::new(&bytes[SNAPSHOT_MAGIC.len()..]);
-        let version = r.take_u32()?;
-        let state = match version {
-            SNAPSHOT_VERSION => {
-                let algorithm = r.take_str_ref()?;
-                let payload = r.take_blob_ref()?;
-                Self {
-                    algorithm: algorithm.to_string(),
-                    payload: payload.to_vec(),
-                }
-            }
-            SNAPSHOT_STREAM_VERSION => {
-                let algorithm = r.take_str_ref()?.to_string();
-                let mut payload = Vec::new();
-                loop {
-                    let len = r.take_u32()? as usize;
-                    if len == 0 {
-                        break;
-                    }
-                    if len > STREAM_CHUNK {
-                        return Err(SnapshotError::Malformed(format!(
-                            "stream chunk of {len} bytes exceeds the {STREAM_CHUNK} cap"
-                        )));
-                    }
-                    payload.extend_from_slice(r.take_ref(len)?);
-                }
-                Self { algorithm, payload }
-            }
-            other => {
-                return Err(SnapshotError::UnsupportedVersion {
-                    found: other,
-                    supported: SNAPSHOT_STREAM_VERSION,
-                })
-            }
-        };
-        let stored = r.take_u64()?;
-        r.finish()?;
-        if fnv1a(&bytes[..bytes.len() - 8]) != stored {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        Ok(state)
     }
 }
 
@@ -542,15 +451,6 @@ impl<'a> SnapshotReader<'a> {
         Ok(head)
     }
 
-    /// Borrows the next `n` bytes from the underlying buffer.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] if fewer than `n` bytes remain.
-    pub fn take_ref(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        self.take(n)
-    }
-
     /// Reads a length-prefixed UTF-8 string as a borrow of the buffer —
     /// no intermediate copy; the caller decides if and where to own it.
     ///
@@ -760,24 +660,9 @@ impl<'r> SnapshotStreamReader<'r> {
                 supported: SNAPSHOT_STREAM_VERSION,
             });
         }
-        Self::after_header(source)
-    }
-
-    /// As [`open`](Self::open), but for a source whose 8 header bytes
-    /// (magic + version, already validated as v2) were consumed by the
-    /// caller — the version-sniffing entry point
-    /// [`Federation::restore_from`](crate::runtime::Federation::restore_from)
-    /// needs this to fall back to the v1 decoder without rewinding.
-    pub fn after_header(
-        source: &'r mut dyn std::io::Read,
-    ) -> Result<(Self, String), SnapshotError> {
         let mut r = Self {
             source,
-            // The running hash over the constant 8-byte header prefix.
-            hash: fnv1a_seeded(
-                fnv1a_seeded(0xcbf2_9ce4_8422_2325, &SNAPSHOT_MAGIC),
-                &SNAPSHOT_STREAM_VERSION.to_le_bytes(),
-            ),
+            hash: fnv1a_seeded(0xcbf2_9ce4_8422_2325, &header),
             chunk: Vec::new(),
             pos: 0,
             done: false,
@@ -1242,44 +1127,54 @@ pub fn read_opt_tensors(r: &mut dyn StateSource) -> Result<Vec<Option<Tensor>>, 
 mod tests {
     use super::*;
 
-    fn sample_state() -> AlgorithmState {
-        AlgorithmState::new("FedPKD", vec![0xAB; 100])
+    /// `payload` framed for "FedPKD" by the stream writer.
+    fn stream_of(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let mut w = SnapshotStreamWriter::new(&mut bytes, "FedPKD");
+        w.put_raw(payload);
+        w.finish().unwrap();
+        bytes
+    }
+
+    /// Decodes an envelope expected to carry exactly 100 payload bytes.
+    fn read_stream(mut bytes: &[u8]) -> Result<(String, Vec<u8>), SnapshotError> {
+        let (mut r, name) = SnapshotStreamReader::open(&mut bytes)?;
+        let mut payload = vec![0u8; 100];
+        r.take_into(&mut payload)?;
+        r.finish()?;
+        Ok((name, payload))
     }
 
     #[test]
     fn envelope_round_trips() {
-        let state = sample_state();
-        let bytes = state.to_bytes();
-        assert_eq!(bytes.len(), state.encoded_len());
-        assert_eq!(AlgorithmState::from_bytes(&bytes).unwrap(), state);
-        assert_eq!(state.algorithm(), "FedPKD");
-        assert_eq!(state.payload().len(), 100);
+        let (name, payload) = read_stream(&stream_of(&[0xAB; 100])).unwrap();
+        assert_eq!(name, "FedPKD");
+        assert_eq!(payload, vec![0xAB; 100]);
+        // The telemetry size of the same state held in memory.
+        let state = AlgorithmState::new(name, payload);
+        assert_eq!(state.encoded_len(), 4 + 4 + 8 + 6 + 8 + 100 + 8);
     }
 
     #[test]
     fn every_truncation_is_a_typed_error() {
-        let bytes = sample_state().to_bytes();
+        let bytes = stream_of(&[0xAB; 100]);
         for len in 0..bytes.len() {
-            let err = AlgorithmState::from_bytes(&bytes[..len])
-                .expect_err("truncated snapshot must not decode");
-            assert!(
-                matches!(
-                    err,
-                    SnapshotError::Truncated | SnapshotError::ChecksumMismatch
-                ),
-                "unexpected error at length {len}: {err:?}"
+            assert_eq!(
+                read_stream(&bytes[..len]),
+                Err(SnapshotError::Truncated),
+                "prefix of {len} bytes"
             );
         }
     }
 
     #[test]
     fn every_single_bit_flip_is_detected() {
-        let bytes = sample_state().to_bytes();
+        let bytes = stream_of(&[0xAB; 100]);
         for i in 0..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[i] ^= 0x01;
             assert!(
-                AlgorithmState::from_bytes(&corrupt).is_err(),
+                read_stream(&corrupt).is_err(),
                 "bit flip at byte {i} went undetected"
             );
         }
@@ -1287,32 +1182,33 @@ mod tests {
 
     #[test]
     fn bad_magic_is_reported_first() {
-        let mut bytes = sample_state().to_bytes();
+        let mut bytes = stream_of(&[0xAB; 100]);
         bytes[0] = b'X';
-        assert_eq!(
-            AlgorithmState::from_bytes(&bytes),
-            Err(SnapshotError::BadMagic)
-        );
+        assert_eq!(read_stream(&bytes), Err(SnapshotError::BadMagic));
     }
 
     #[test]
-    fn future_versions_are_rejected() {
-        let mut bytes = sample_state().to_bytes();
-        bytes[4..8].copy_from_slice(&(SNAPSHOT_STREAM_VERSION + 1).to_le_bytes());
-        assert_eq!(
-            AlgorithmState::from_bytes(&bytes),
-            Err(SnapshotError::UnsupportedVersion {
-                found: SNAPSHOT_STREAM_VERSION + 1,
-                supported: SNAPSHOT_STREAM_VERSION,
-            })
-        );
+    fn other_versions_are_rejected() {
+        // Version 1 was the buffered envelope; 3 does not exist yet.
+        for version in [1, SNAPSHOT_STREAM_VERSION + 1] {
+            let mut bytes = stream_of(&[0xAB; 100]);
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                read_stream(&bytes),
+                Err(SnapshotError::UnsupportedVersion {
+                    found: version,
+                    supported: SNAPSHOT_STREAM_VERSION,
+                })
+            );
+        }
     }
 
     #[test]
-    fn trailing_garbage_is_rejected() {
-        let mut bytes = sample_state().to_bytes();
-        bytes.push(0);
-        assert!(AlgorithmState::from_bytes(&bytes).is_err());
+    fn trailing_payload_is_rejected() {
+        assert!(matches!(
+            read_stream(&stream_of(&[0xAB; 101])),
+            Err(SnapshotError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! prototype drift, wall-clock phase timings, and ledger deltas — through a
 //! single [`RoundObserver`] threaded into
 //! [`Federation::run_round`](crate::runtime::Federation::run_round) by the
-//! shared [`FlAlgorithm`](crate::runtime::FlAlgorithm) driver.
+//! shared [`Driver`](crate::driver::Driver).
 //!
 //! Three observers cover the common cases:
 //!
@@ -307,7 +307,7 @@ pub enum TelemetryEvent {
         participation_rate: f64,
     },
     /// A state snapshot was captured at a round boundary
-    /// (see [`FlAlgorithm::take_snapshot`](crate::runtime::FlAlgorithm::take_snapshot)).
+    /// (see [`Driver::snapshot`](crate::driver::Driver::snapshot)).
     SnapshotTaken {
         /// Rounds driven when the snapshot was taken — the round a resumed
         /// run will start from.
@@ -316,7 +316,7 @@ pub enum TelemetryEvent {
         bytes: usize,
     },
     /// A state snapshot was restored into a fresh instance
-    /// (see [`FlAlgorithm::run_resumed`](crate::runtime::FlAlgorithm::run_resumed)).
+    /// (see [`Driver::resume`](crate::driver::Driver::resume)).
     SnapshotRestored {
         /// Rounds driven recorded in the snapshot — the next round to run.
         round: usize,

@@ -116,8 +116,14 @@ impl Message {
         }
     }
 
+    /// Encoded size of a [`Message::ModelUpdate`] of `params` parameters,
+    /// for billing a transfer without materialising it.
+    pub fn model_update_encoded_len(params: usize) -> usize {
+        1 + 4 + 4 * params
+    }
+
     /// Encoded size of a [`Message::Logits`] carrying `samples` ids and
-    /// `values` logits, for billing a transfer without materialising it.
+    /// `values` logits.
     pub fn logits_encoded_len(samples: usize, values: usize) -> usize {
         1 + 4 + 4 * samples + 4 + 4 + 4 * values
     }
@@ -232,7 +238,7 @@ impl Wire for Message {
 
     fn encoded_len(&self) -> usize {
         match self {
-            Self::ModelUpdate { params } => 1 + 4 + 4 * params.len(),
+            Self::ModelUpdate { params } => Self::model_update_encoded_len(params.len()),
             Self::Logits {
                 sample_ids, values, ..
             } => Self::logits_encoded_len(sample_ids.len(), values.len()),
@@ -321,6 +327,14 @@ mod tests {
         for (n, k) in [(0usize, 0usize), (1, 1), (3, 4), (120, 10), (7, 100)] {
             let ids: Vec<u32> = (0..n as u32).collect();
             let values = vec![0.5f32; n * k];
+            assert_eq!(
+                Message::model_update_encoded_len(n * k),
+                Message::ModelUpdate {
+                    params: values.clone()
+                }
+                .to_bytes()
+                .len()
+            );
             assert_eq!(
                 Message::logits_encoded_len(n, n * k),
                 Message::Logits {

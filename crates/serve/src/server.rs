@@ -22,7 +22,7 @@
 //!   machine. It answers [`Request::Hello`] with the authoritative round
 //!   and invitation, admits or rejects uploads at the front door (decode →
 //!   validate → [`RemoteFederation::stage_upload`]), and commits a round
-//!   through the same [`FlAlgorithm::round`] path — and the same
+//!   through the same `Federation::round` path — and the same
 //!   [`DriverBuilder::context_for`] participation decisions — as the
 //!   in-process driver. Uploads rejected at admission are never billed.
 //!
@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use fedpkd_core::driver::DriverBuilder;
 use fedpkd_core::remote::RemoteFederation;
-use fedpkd_core::runtime::{DriverState, FlAlgorithm, RoundMetrics};
+use fedpkd_core::runtime::{DriverState, RoundMetrics};
 use fedpkd_core::snapshot::SnapshotError;
 use fedpkd_core::telemetry::{FrameRejectCause, RoundObserver, TelemetryEvent};
 use fedpkd_netsim::{
@@ -325,7 +325,7 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
         } else {
             ctx
         };
-        let metrics = FlAlgorithm::round(self.fed, round, &ctx, &mut self.ledger, obs);
+        let metrics = self.fed.round(round, &ctx, &mut self.ledger, obs);
         let billed = self.ledger.round_traffic(round).uplink;
         let observed: usize = self.arrived.values().sum();
         if billed != observed {

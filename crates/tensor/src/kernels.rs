@@ -132,19 +132,6 @@ impl Drop for KernelModeGuard {
     }
 }
 
-/// Selects the kernel tier process-wide.
-///
-/// Safe to flip at any time — tiers are bit-identical, so concurrent
-/// readers only ever observe a speed difference, never a value difference.
-#[deprecated(
-    since = "0.6.0",
-    note = "use the scoped RAII guard `KernelMode::scoped(mode)` so the \
-            process-wide tier cannot leak past the caller"
-)]
-pub fn set_kernel_mode(mode: KernelMode) {
-    MODE.store(mode_to_raw(mode), Ordering::Relaxed);
-}
-
 /// The currently selected kernel tier.
 ///
 /// On first call this resolves the default from the `FEDPKD_KERNELS`

@@ -65,7 +65,5 @@ pub mod plan;
 pub mod serialize;
 
 pub use error::TensorError;
-#[allow(deprecated)]
-pub use kernels::set_kernel_mode;
 pub use kernels::{kernel_mode, KernelMode, KernelModeGuard};
 pub use tensor::Tensor;

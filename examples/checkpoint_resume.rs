@@ -2,7 +2,7 @@
 //! resume it from a serialized snapshot — bit-identically.
 //!
 //! The "reference" run drives all 10 rounds in one go. The "interrupted"
-//! run drives 5 rounds, snapshots its complete state through the versioned
+//! run drives 5 rounds, streams its complete state through the versioned
 //! byte codec (exactly what `ckpt.bin` on disk would hold), and is then
 //! dropped — the process crash. A fresh same-config instance restores the
 //! bytes and drives the remaining 5 rounds. Because the whole stack is
@@ -17,7 +17,6 @@
 //! cargo run --release --example checkpoint_resume
 //! ```
 
-use fedpkd::core::snapshot::AlgorithmState;
 use fedpkd::prelude::*;
 
 const ROUNDS: usize = 10;
@@ -87,18 +86,16 @@ fn main() {
 
     println!("\n=== interrupted: {INTERRUPT_AT} rounds, then snapshot + kill ===");
     let mut first_half = federation();
-    // `snapshot_every` captures the checkpoint automatically at the round
-    // boundary; `last_snapshot` hands back the newest one.
-    let mut interrupted_driver = DriverBuilder::new()
+    let _ = DriverBuilder::new()
         .rounds(INTERRUPT_AT)
         .faults(plan.clone())
-        .snapshot_every(INTERRUPT_AT)
-        .build();
-    let _ = interrupted_driver.run_silent(&mut first_half);
-    let checkpoint = interrupted_driver
-        .last_snapshot()
-        .expect("snapshot_every captured a checkpoint")
-        .to_bytes();
+        .build()
+        .run_silent(&mut first_half);
+    // `snapshot_to` streams into any `io::Write` — a `File`, in production.
+    let mut checkpoint = Vec::new();
+    first_half
+        .snapshot_to(&mut checkpoint)
+        .expect("snapshot streams out");
     println!(
         "  snapshot after round {}: {} bytes (versioned, checksummed)",
         INTERRUPT_AT,
@@ -107,14 +104,17 @@ fn main() {
     drop(first_half); // the crash — only the bytes survive
 
     println!("\n=== resume: fresh instance restores the bytes ===");
-    let state = AlgorithmState::from_bytes(&checkpoint).expect("snapshot decodes");
     let mut resumed_algo = federation();
+    resumed_algo
+        .restore_from(&mut checkpoint.as_slice())
+        .expect("restore succeeds");
+    // Round numbering and the ledger came back with the state, so a plain
+    // `run` continues at round 5.
     let resumed = DriverBuilder::new()
         .rounds(ROUNDS - INTERRUPT_AT)
         .faults(plan)
         .build()
-        .resume(&mut resumed_algo, &state, &mut NullObserver)
-        .expect("restore succeeds");
+        .run_silent(&mut resumed_algo);
     for m in &resumed.history {
         println!(
             "  round {:>2}  server acc {:.3}",

@@ -1,6 +1,11 @@
 #!/usr/bin/env bash
-# The full local gate: formatting, lints as errors, and every test.
-# CI runs exactly this; run it before pushing.
+# The full local gate: formatting, lints as errors, docs, every test, and
+# the release-mode smokes. CI runs exactly this; run it before pushing.
+#
+# The tier-1 command (`cargo build --release && cargo test -q`) is a subset:
+# the root manifest's `default-members` make it cover the umbrella crate and
+# every crate under crates/, i.e. everything `cargo test --workspace` below
+# runs except the vendored criterion/proptest stand-ins' own 12 tests.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

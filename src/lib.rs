@@ -78,7 +78,7 @@ pub mod prelude {
     pub use fedpkd_core::fedpkd::{DistillSource, FedPkd, FedPkdConfig};
     pub use fedpkd_core::fleet::FleetSim;
     pub use fedpkd_core::robust::RobustAggregation;
-    pub use fedpkd_core::runtime::{Federation, FlAlgorithm, RoundMetrics, RunResult};
+    pub use fedpkd_core::runtime::{Federation, RoundMetrics, RunResult};
     pub use fedpkd_core::snapshot::{AlgorithmState, SnapshotError};
     pub use fedpkd_core::telemetry::{
         EventLog, FrameRejectCause, JsonlSink, NullObserver, RoundObserver, TelemetryError,

@@ -260,3 +260,124 @@ fn defended_clean_run_matches_paper_faithful_within_noise() {
         "defended clean accuracy must stay well above chance: {defended_acc}"
     );
 }
+
+// ---- The seven baselines honour the roster through the shared phases. ----
+
+fn baseline_config() -> BaselineConfig {
+    BaselineConfig {
+        local_epochs: 1,
+        server_epochs: 1,
+        digest_epochs: 1,
+        learning_rate: 0.003,
+        ..BaselineConfig::default()
+    }
+}
+
+fn spec(tier: DepthTier) -> ModelSpec {
+    ModelSpec::ResMlp {
+        input_dim: 32,
+        num_classes: 10,
+        tier,
+    }
+}
+
+/// Drives `algo` for `rounds` rounds under `plan`, returning the final
+/// metrics and, per round, the clients whose payloads were rejected.
+fn rejections<F: Federation>(
+    mut algo: F,
+    plan: FaultPlan,
+    rounds: usize,
+) -> (RoundMetrics, Vec<Vec<usize>>, EventLog) {
+    let mut log = EventLog::new();
+    let result = DriverBuilder::new()
+        .rounds(rounds)
+        .faults(plan)
+        .build()
+        .run(&mut algo, &mut log);
+    let mut rejected = vec![Vec::new(); rounds];
+    for event in log.events() {
+        if let TelemetryEvent::PayloadRejected { round, client, .. } = event {
+            rejected[*round].push(*client);
+        }
+    }
+    (result.last().clone(), rejected, log)
+}
+
+/// FedDF, FedET, FedMD, DS-FL and NaiveKD used to ignore the adversary
+/// roster. With a garbage-sending client 0 every round must now reject
+/// exactly its payload, finish, and report finite accuracies.
+#[test]
+fn every_baseline_rejects_garbage_payloads() {
+    type Run = fn(FaultPlan) -> (RoundMetrics, Vec<Vec<usize>>, EventLog);
+    fn homogeneous() -> ModelSpec {
+        spec(DepthTier::T11)
+    }
+    fn clients() -> Vec<ModelSpec> {
+        vec![spec(DepthTier::T11); CLIENTS]
+    }
+    fn server() -> ModelSpec {
+        spec(DepthTier::T20)
+    }
+    let table: [(&str, Run); 5] = [
+        ("FedDF", |plan| {
+            let algo = FedDf::new(scenario(), homogeneous(), baseline_config(), SEED);
+            rejections(algo.unwrap(), plan, 3)
+        }),
+        ("FedET", |plan| {
+            let algo = FedEt::new(scenario(), clients(), server(), baseline_config(), SEED);
+            rejections(algo.unwrap(), plan, 3)
+        }),
+        ("FedMD", |plan| {
+            let algo = FedMd::new(scenario(), clients(), baseline_config(), SEED);
+            rejections(algo.unwrap(), plan, 3)
+        }),
+        ("DS-FL", |plan| {
+            let algo = DsFl::new(scenario(), clients(), baseline_config(), SEED);
+            rejections(algo.unwrap(), plan, 3)
+        }),
+        ("NaiveKD", |plan| {
+            let algo = NaiveKd::new(scenario(), clients(), server(), baseline_config(), SEED);
+            rejections(algo.unwrap(), plan, 3)
+        }),
+    ];
+    for (name, run) in table {
+        for attack in [Attack::NonFinitePayload, Attack::WrongShapePayload] {
+            let (last, rejected, _) = run(FaultPlan::new(7).with_adversary(0, attack));
+            assert_eq!(rejected, vec![vec![0]; 3], "{name} under {attack:?}");
+            let accuracies = last.client_accuracies.iter().chain(&last.server_accuracy);
+            assert!(
+                accuracies.clone().all(|a| a.is_finite()),
+                "{name}: {last:?}"
+            );
+        }
+    }
+}
+
+/// When admission refuses every upload there is nothing to aggregate: the
+/// round is still framed by the driver, every payload is billed, but no
+/// server step runs and no consensus travels down.
+#[test]
+fn a_round_with_every_upload_rejected_is_a_framed_noop() {
+    let everyone = (0..CLIENTS).fold(FaultPlan::new(3), |plan, client| {
+        plan.with_adversary(client, Attack::WrongShapePayload)
+    });
+    let clients = vec![spec(DepthTier::T11); CLIENTS];
+    let fedmd = FedMd::new(scenario(), clients, baseline_config(), SEED).unwrap();
+    let mut fedavg =
+        FedAvg::new(scenario(), spec(DepthTier::T11), baseline_config(), SEED).unwrap();
+    let untrained = fedavg.server_accuracy();
+    let runs = [
+        rejections(fedmd, everyone.clone(), 2),
+        rejections(fedavg, everyone, 2),
+    ];
+    for (last, rejected, log) in runs {
+        assert_eq!(rejected, vec![(0..CLIENTS).collect::<Vec<_>>(); 2]);
+        let kinds: Vec<&str> = log.events().iter().map(TelemetryEvent::kind).collect();
+        assert_eq!(kinds.iter().filter(|&&k| k == "round_end").count(), 2);
+        for skipped in ["logit_aggregation", "server_distill", "client_distilled"] {
+            assert!(!kinds.contains(&skipped), "{skipped} ran on no uploads");
+        }
+        // FedAvg's global model carries over; FedMD has none.
+        assert!(last.server_accuracy.is_none() || last.server_accuracy == untrained);
+    }
+}

@@ -2,8 +2,8 @@
 //!
 //! For FedPKD and all seven baselines: running `2R` rounds straight must be
 //! bit-identical to running `R` rounds, snapshotting *through the byte
-//! codec* (encode → decode, as a checkpoint file would travel), restoring
-//! into a fresh same-config instance, and running `R` more — identical
+//! codec* (`snapshot_to` → `restore_from`, as a checkpoint file would
+//! travel) into a fresh same-config instance, and running `R` more — identical
 //! round history, identical lifetime ledger, and an identical telemetry
 //! event stream for the resumed rounds. The oracle runs under an active
 //! fault plan with dropout, an outage, and Byzantine adversaries, so the
@@ -111,16 +111,21 @@ fn assert_resumes_bit_identically<A: Federation>(make: impl Fn() -> A, plan: Opt
     let mut first_half = make();
     let _ = driver(R, plan).run(&mut first_half, &mut interrupted_log);
     let state = Driver::snapshot(&first_half, &mut interrupted_log);
+    let mut bytes = Vec::new();
+    first_half.snapshot_to(&mut bytes).expect("stream out");
     drop(first_half); // the "kill" — only the serialized bytes survive
-
-    let bytes = state.to_bytes();
-    let state = AlgorithmState::from_bytes(&bytes).expect("codec round-trip");
 
     let mut resumed_log = EventLog::new();
     let mut resumed_algo = make();
-    let resumed = driver(R, plan)
-        .resume(&mut resumed_algo, &state, &mut resumed_log)
+    resumed_algo
+        .restore_from(&mut bytes.as_slice())
         .expect("restore into a same-config instance succeeds");
+    assert_eq!(
+        resumed_algo.snapshot(),
+        state,
+        "the bytes carry exactly the in-memory snapshot"
+    );
+    let resumed = driver(R, plan).run(&mut resumed_algo, &mut resumed_log);
 
     assert_eq!(
         resumed.history,
@@ -298,10 +303,7 @@ fn streaming_snapshot_round_trips_bit_identically() {
         .expect("stream back");
     // The revived instance must be bit-identical: its buffered snapshot
     // matches the donor's.
-    assert_eq!(
-        revived.snapshot_state().to_bytes(),
-        algo.snapshot_state().to_bytes()
-    );
+    assert_eq!(revived.snapshot(), algo.snapshot());
     // And both entry points must agree on the payload they carry on.
     let full = Driver::rounds(1).run_silent(&mut algo);
     let resumed = Driver::rounds(1).run_silent(&mut revived);
@@ -309,19 +311,24 @@ fn streaming_snapshot_round_trips_bit_identically() {
 }
 
 #[test]
-fn v1_snapshot_bytes_restore_through_the_streaming_reader() {
+fn v1_snapshot_bytes_are_an_unsupported_version() {
     let mut algo = fedpkd();
     let _ = Driver::rounds(1).run_silent(&mut algo);
-    // Bytes written by the buffered (v1) envelope — the format existing
-    // checkpoint files on disk carry.
-    let v1_bytes = algo.snapshot_state().to_bytes();
-    let mut revived = fedpkd();
-    revived
-        .restore_from(&mut v1_bytes.as_slice())
-        .expect("v1 bytes stay restorable");
+    // The buffered envelope this codebase once wrote: magic, version 1,
+    // name, one length-prefixed payload (the checksum is never reached).
+    let state = algo.snapshot();
+    let mut v1_bytes = b"FPKD".to_vec();
+    v1_bytes.extend_from_slice(&1u32.to_le_bytes());
+    for field in [state.algorithm().as_bytes(), state.payload()] {
+        v1_bytes.extend_from_slice(&(field.len() as u64).to_le_bytes());
+        v1_bytes.extend_from_slice(field);
+    }
     assert_eq!(
-        revived.snapshot_state().to_bytes(),
-        algo.snapshot_state().to_bytes()
+        fedpkd().restore_from(&mut v1_bytes.as_slice()),
+        Err(SnapshotError::UnsupportedVersion {
+            found: 1,
+            supported: 2,
+        })
     );
 }
 
@@ -376,17 +383,18 @@ fn streamed_foreign_snapshot_is_rejected_by_name() {
 fn every_truncation_of_a_real_snapshot_is_a_typed_error() {
     let mut algo = fedpkd();
     let _ = Driver::rounds(1).run_silent(&mut algo);
-    let bytes = algo.snapshot_state().to_bytes();
+    let mut bytes = Vec::new();
+    algo.snapshot_to(&mut bytes).expect("stream out");
     // Stride through prefixes (byte-by-byte would be slow on a model-sized
-    // payload); every one must fail cleanly.
-    for len in (0..bytes.len()).step_by(257) {
-        let err = AlgorithmState::from_bytes(&bytes[..len]).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                SnapshotError::Truncated | SnapshotError::ChecksumMismatch
-            ),
-            "prefix of {len} bytes gave {err:?}"
+    // payload), then every cut inside the sentinel and checksum. Whatever
+    // precedes a cut is valid, so the reader must run dry — never find
+    // something malformed, never panic.
+    let tail = bytes.len() - 16;
+    for len in (0..tail).step_by(257).chain(tail..bytes.len()) {
+        assert_eq!(
+            fedpkd().restore_from(&mut bytes[..len].as_ref()),
+            Err(SnapshotError::Truncated),
+            "prefix of {len} bytes"
         );
     }
 }
@@ -395,24 +403,19 @@ fn every_truncation_of_a_real_snapshot_is_a_typed_error() {
 fn bit_flips_in_a_real_snapshot_are_detected() {
     let mut algo = fedpkd();
     let _ = Driver::rounds(1).run_silent(&mut algo);
-    let bytes = algo.snapshot_state().to_bytes();
-    for pos in [4, bytes.len() / 2, bytes.len() - 1] {
+    let mut bytes = Vec::new();
+    algo.snapshot_to(&mut bytes).expect("stream out");
+    // The version, the name length, a payload byte, the checksum itself.
+    for pos in [4, 8, bytes.len() / 2, bytes.len() - 1] {
         let mut corrupt = bytes.clone();
         corrupt[pos] ^= 0x40;
-        match AlgorithmState::from_bytes(&corrupt) {
-            // Most flips land in the payload and surface at the checksum;
-            // flips inside the length fields can also surface as Truncated
-            // or Malformed. All are typed; none may panic.
-            Err(_) => {}
-            Ok(state) => {
-                // A flip confined to the payload bytes cannot decode
-                // cleanly — the FNV checksum covers them all.
-                panic!(
-                    "corrupted snapshot decoded: {} bytes",
-                    state.payload().len()
-                );
-            }
-        }
+        // Most flips land in the payload and surface at the checksum;
+        // flips inside the length fields can also surface as Truncated
+        // or Malformed. All are typed; none may panic or restore.
+        assert!(
+            fedpkd().restore_from(&mut corrupt.as_slice()).is_err(),
+            "flip at byte {pos} restored"
+        );
     }
 }
 
@@ -420,13 +423,13 @@ fn bit_flips_in_a_real_snapshot_are_detected() {
 fn corrupt_payload_restores_as_typed_error_not_panic() {
     let mut algo = fedpkd();
     let _ = Driver::rounds(1).run_silent(&mut algo);
-    let good = algo.snapshot_state();
+    let good = algo.snapshot();
     // Truncate the *payload* (then re-frame it correctly), so the envelope
     // decodes fine and the per-field readers must catch the damage.
     let cut = good.payload().len() / 2;
     let clipped = AlgorithmState::new(good.algorithm(), good.payload()[..cut].to_vec());
     let mut victim = fedpkd();
-    let err = victim.restore_state(&clipped).unwrap_err();
+    let err = victim.restore(&clipped).unwrap_err();
     assert!(
         matches!(err, SnapshotError::Truncated | SnapshotError::Malformed(_)),
         "got {err:?}"
@@ -437,9 +440,9 @@ fn corrupt_payload_restores_as_typed_error_not_panic() {
 fn foreign_snapshot_is_rejected_by_name() {
     let mut donor = FedAvg::new(scenario(), client_spec(), baseline_config(), 61).unwrap();
     let _ = Driver::rounds(1).run_silent(&mut donor);
-    let state = donor.snapshot_state();
+    let state = donor.snapshot();
     let mut victim = fedpkd();
-    match victim.restore_state(&state) {
+    match victim.restore(&state) {
         Err(SnapshotError::AlgorithmMismatch { expected, found }) => {
             assert_eq!(expected, "FedPKD");
             assert_eq!(found, "FedAvg");
@@ -535,7 +538,7 @@ fn truncations_of_a_new_mode_snapshot_are_typed_errors() {
 fn wrong_fleet_size_is_rejected_as_malformed() {
     let mut donor = fedpkd();
     let _ = Driver::rounds(1).run_silent(&mut donor);
-    let state = donor.snapshot_state();
+    let state = donor.snapshot();
     // Same algorithm, different client count.
     let small = ScenarioBuilder::new(SyntheticConfig::cifar10_like())
         .clients(2)
@@ -554,7 +557,7 @@ fn wrong_fleet_size_is_rejected_as_malformed() {
     };
     let mut victim = FedPkd::new(small, vec![client_spec(); 2], server_spec(), config, 23).unwrap();
     assert!(matches!(
-        victim.restore_state(&state),
+        victim.restore(&state),
         Err(SnapshotError::Malformed(_))
     ));
 }
@@ -622,7 +625,7 @@ fn another_tiers_optimizer_state_is_malformed_for_a_pooled_fleet() {
     snapshot::write_clients(&mut w, &fleet);
     let state = AlgorithmState::new("FedPKD", w.into_bytes());
     assert!(matches!(
-        fedpkd().restore_state(&state),
+        fedpkd().restore(&state),
         Err(SnapshotError::Malformed(_))
     ));
 }

@@ -3,8 +3,8 @@
 //! Covers the two determinism contracts the event-driven scheduler makes:
 //! seeded cohort sampling is a pure, replayable function of
 //! `(seed, round, fleet, size)`, and streaming aggregation at the ordered
-//! commit point is bit-identical to the legacy buffered round loop for
-//! every algorithm, at any worker budget.
+//! commit point is bit-identical to the legacy one-client-at-a-time round
+//! loop for every algorithm, at any worker budget.
 
 use fedpkd::prelude::*;
 use proptest::prelude::*;
@@ -103,7 +103,7 @@ fn fleet_resume_draws_identical_cohorts() {
     assert_eq!(tail.history, full.history[2..], "resumed metrics match");
 }
 
-// --- streaming ≡ buffered, across every algorithm ------------------------
+// --- streaming ≡ serial, across every algorithm --------------------------
 
 fn scenario(seed: u64) -> fedpkd::data::FederatedScenario {
     ScenarioBuilder::new(SyntheticConfig::cifar10_like())
@@ -151,20 +151,16 @@ fn fast_pkd() -> FedPkdConfig {
     }
 }
 
-/// The redesigned driver (streaming aggregation, work-stealing pool) must
-/// reproduce the legacy buffered entry point bit-for-bit: once via the
-/// deprecated shim, once at the default worker budget, once fully serial.
+/// The driver at the default worker budget (streaming aggregation on the
+/// work-stealing pool) must reproduce the legacy schedule — one worker,
+/// one client at a time — bit for bit.
 fn assert_streaming_matches_legacy<A: Federation>(name: &str, make: &dyn Fn() -> A) {
-    let mut legacy_algo = make();
-    #[allow(deprecated)]
-    let legacy = legacy_algo.run_silent(ROUNDS);
     let driven = Driver::rounds(ROUNDS).run_silent(&mut make());
     let serial = DriverBuilder::new()
         .rounds(ROUNDS)
         .workers(1)
         .build()
         .run_silent(&mut make());
-    assert_eq!(legacy, driven, "{name}: legacy shim vs driver");
     assert_eq!(driven, serial, "{name}: default workers vs serial");
 }
 
