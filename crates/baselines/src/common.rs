@@ -22,7 +22,7 @@ use fedpkd_data::{ClientData, Dataset, FederatedScenario};
 use fedpkd_rng::Rng;
 use fedpkd_tensor::loss::CrossEntropy;
 use fedpkd_tensor::models::{ClassifierModel, ModelSpec};
-use fedpkd_tensor::nn::Layer;
+use fedpkd_tensor::nn::{Layer, Param};
 use fedpkd_tensor::optim::{step_and_zero, Adam, Optimizer};
 use fedpkd_tensor::Tensor;
 
@@ -281,7 +281,7 @@ pub(crate) fn train_supervised_prox(
             // The fused step with the proximal gradient `μ(w − w_ref)`
             // folded into the per-parameter hook, ahead of the update.
             optimizer.begin_step(model);
-            model.backward_dual_with(&grad, None, &mut |slot, param| {
+            model.backward_dual_with(&grad, None, &mut |slot: usize, param: &mut Param| {
                 let start = offsets[slot];
                 let reference = &reference[start..start + param.value.len()];
                 add_proximal_term(param, reference, mu);

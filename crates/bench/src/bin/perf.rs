@@ -773,14 +773,22 @@ fn gate_run(
 }
 
 /// The determinism-gate matrix: every variant must reproduce the
-/// scalar/sequential reference bit for bit.
-const GATE_VARIANTS: [(&str, KernelMode, PlanMode, Option<usize>); 4] = [
+/// scalar/sequential reference bit for bit. Budget 1 vs budget 2 is also
+/// FedPKD's server step inline vs on its step worker (the default budget is
+/// the core count, so only an explicit 2 engages the worker everywhere).
+const GATE_VARIANTS: [(&str, KernelMode, PlanMode, Option<usize>); 5] = [
     ("fast/grouped", KernelMode::Fast, PlanMode::Grouped, None),
     (
-        "fast/grouped/w1",
+        "fast/grouped/w1-inline-step",
         KernelMode::Fast,
         PlanMode::Grouped,
         Some(1),
+    ),
+    (
+        "fast/grouped/w2-step-worker",
+        KernelMode::Fast,
+        PlanMode::Grouped,
+        Some(2),
     ),
     (
         "fast/sequential",
@@ -881,7 +889,7 @@ fn pr9_main(smoke: bool) {
     );
     let (rk_scalar, rk_fast, rk_identical) = pr9_robust_kernel_leg(smoke, reps);
 
-    eprintln!("perf: {profile} determinism gate — 8 methods x 5 configs at smoke scale");
+    eprintln!("perf: {profile} determinism gate — 8 methods x 6 configs at smoke scale");
     let gate_identical = pr9_gate(&smoke_scale());
 
     let speedup = |s: f64, f: f64| if f > 0.0 { s / f } else { 0.0 };
@@ -1092,7 +1100,7 @@ fn pr10_main(smoke: bool) {
 
     // Leg 3: determinism gates for both new modes, always at smoke scale
     // (the gate prices reproducibility, not throughput).
-    eprintln!("perf: {profile} determinism gate — margins + generated modes x 5 configs");
+    eprintln!("perf: {profile} determinism gate — margins + generated modes x 6 configs");
     let gate_margins_scale = Scale {
         pkd: FedPkdConfig {
             adaptive_margins: true,

@@ -8,7 +8,7 @@ use crate::clients::{corrupt_logits, validate_specs, RoundIo};
 use crate::cow::{for_each_pooled_client_streaming, pooled_client_accuracies, ClientPool};
 use crate::eval;
 use crate::fedpkd::config::{CoreError, DistillSource, FedPkdConfig};
-use crate::fedpkd::distill::train_server;
+use crate::fedpkd::distill::train_server_with_workers;
 use crate::fedpkd::filter::{
     filter_public, filter_public_opts, filter_public_with_stats, FilterOptions,
 };
@@ -910,7 +910,7 @@ impl FedPkdState {
             1.0 // the prototype loss term is removed (ablation w/o Pro)
         };
         let phase_started = Instant::now();
-        let distill_stats = train_server(
+        let distill_stats = train_server_with_workers(
             server_model,
             &subset_features,
             &teacher_probs,
@@ -922,6 +922,7 @@ impl FedPkdState {
             config.batch_size,
             server_optimizer,
             server_rng,
+            io.ctx.worker_budget().unwrap_or_else(max_workers),
         );
         obs.record(&TelemetryEvent::ServerDistill {
             round,

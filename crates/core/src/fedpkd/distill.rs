@@ -4,6 +4,8 @@ use fedpkd_rng::Rng;
 use fedpkd_tensor::loss::{distill_kl_ce, DistillKl, Mse};
 use fedpkd_tensor::models::ClassifierModel;
 use fedpkd_tensor::optim::Optimizer;
+use fedpkd_tensor::parallel::max_workers;
+use fedpkd_tensor::step_worker::StepWorker;
 use fedpkd_tensor::Tensor;
 
 /// Loss components of one [`train_server`] call, averaged per mini-batch:
@@ -33,6 +35,9 @@ pub struct ServerDistillStats {
 /// (the already-filtered subset). Rows whose pseudo-class has no global
 /// prototype (or when `delta == 1`) skip the prototype term.
 ///
+/// This is [`train_server_with_workers`] at the machine's
+/// [`max_workers`].
+///
 /// # Panics
 ///
 /// Panics if row counts disagree or `delta` is outside `[0, 1]`.
@@ -50,91 +55,155 @@ pub fn train_server(
     optimizer: &mut dyn Optimizer,
     rng: &mut Rng,
 ) -> ServerDistillStats {
+    train_server_with_workers(
+        model,
+        public_features,
+        teacher_probs,
+        pseudo_labels,
+        global_prototypes,
+        delta,
+        temperature,
+        epochs,
+        batch_size,
+        optimizer,
+        rng,
+        max_workers(),
+    )
+}
+
+/// [`train_server`] under a worker budget. Mini-batch SGD is sequential, so
+/// the server trains on the calling thread whatever the budget; with
+/// `workers >= 2` one more thread, scoped to this call, takes the
+/// parameter-gradient products and optimizer updates off the backward
+/// pass's critical path (see [`StepWorker`]). Same bits either way;
+/// `workers <= 1` is the plain inline step, and a call with nothing to
+/// train spawns nothing.
+///
+/// # Panics
+///
+/// Panics if row counts disagree or `delta` is outside `[0, 1]`.
+#[allow(clippy::too_many_arguments)]
+pub fn train_server_with_workers(
+    model: &mut ClassifierModel,
+    public_features: &Tensor,
+    teacher_probs: &Tensor,
+    pseudo_labels: &[usize],
+    global_prototypes: &[Option<Tensor>],
+    delta: f32,
+    temperature: f32,
+    epochs: usize,
+    batch_size: usize,
+    optimizer: &mut dyn Optimizer,
+    rng: &mut Rng,
+    workers: usize,
+) -> ServerDistillStats {
     assert!((0.0..=1.0).contains(&delta), "delta must be in [0, 1]");
     let n = public_features.rows();
     assert_eq!(teacher_probs.rows(), n, "teacher rows mismatch");
     assert_eq!(pseudo_labels.len(), n, "pseudo-label count mismatch");
-    if n == 0 {
+    if n == 0 || epochs == 0 {
+        // Nothing runs; dividing by zero batches below would poison the
+        // stats (and JSONL telemetry) with NaN.
         return ServerDistillStats::default();
     }
     let kl = DistillKl::new(temperature);
     let mse = Mse::new();
 
-    let mut kd_total = 0.0f64;
-    let mut proto_total = 0.0f64;
-    let mut batches = 0usize;
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut labels: Vec<usize> = Vec::with_capacity(batch_size.min(n));
-    // The Eq. 12 target, rebuilt in place per batch.
-    let mut target = Tensor::default();
-    for _ in 0..epochs {
-        order.clear();
-        order.extend(0..n);
-        rng.shuffle(&mut order);
-        for chunk in order.chunks(batch_size) {
-            let x = public_features.select_rows(chunk).expect("in range");
-            let teacher = teacher_probs.select_rows(chunk).expect("in range");
-            labels.clear();
-            labels.extend(chunk.iter().map(|&i| pseudo_labels[i]));
+    // The epochs, over whichever fused step `step` is.
+    let mut epochs_with =
+        |model: &mut ClassifierModel,
+         step: &mut dyn FnMut(&mut ClassifierModel, &Tensor, Option<&Tensor>)| {
+            let mut kd_total = 0.0f64;
+            let mut proto_total = 0.0f64;
+            let mut batches = 0usize;
+            let mut order: Vec<usize> = Vec::with_capacity(n);
+            let mut labels: Vec<usize> = Vec::with_capacity(batch_size.min(n));
+            // The batch, its teacher rows and the Eq. 12 target, rebuilt in
+            // place per batch.
+            let (mut x, mut teacher) = (Tensor::default(), Tensor::default());
+            let mut target = Tensor::default();
+            for _ in 0..epochs {
+                order.clear();
+                order.extend(0..n);
+                rng.shuffle(&mut order);
+                for chunk in order.chunks(batch_size) {
+                    public_features
+                        .select_rows_into(chunk, &mut x)
+                        .expect("in range");
+                    teacher_probs
+                        .select_rows_into(chunk, &mut teacher)
+                        .expect("in range");
+                    labels.clear();
+                    labels.extend(chunk.iter().map(|&i| pseudo_labels[i]));
 
-            let (features, logits) = model.forward_full(&x, true);
+                    let (features, logits) = model.forward_full(&x, true);
 
-            // Distillation term (Eq. 11): both losses share the logits, so
-            // the combined entry fuses their softmax families in the fast
-            // tier.
-            let ((kl_loss, kl_grad), (ce_loss, ce_grad)) =
-                distill_kl_ce(&kl, &logits, &teacher, &labels);
-            let mut logit_grad = kl_grad;
-            logit_grad.axpy(1.0, &ce_grad).expect("equal shapes");
-            logit_grad.scale_in_place(delta);
-            kd_total += f64::from(kl_loss) + f64::from(ce_loss);
+                    // Distillation term (Eq. 11): both losses share the logits,
+                    // so the combined entry fuses their softmax families in the
+                    // fast tier.
+                    let ((kl_loss, kl_grad), (ce_loss, ce_grad)) =
+                        distill_kl_ce(&kl, &logits, &teacher, &labels);
+                    let mut logit_grad = kl_grad;
+                    logit_grad.axpy(1.0, &ce_grad).expect("equal shapes");
+                    logit_grad.scale_in_place(delta);
+                    kd_total += f64::from(kl_loss) + f64::from(ce_loss);
 
-            // Prototype term (Eq. 12): pull features toward P^{ỹ}.
-            let feature_grad = if delta < 1.0 {
-                target.clone_from(&features);
-                let mut covered = 0usize;
-                for (row, &y) in labels.iter().enumerate() {
-                    if let Some(proto) = global_prototypes.get(y).and_then(Option::as_ref) {
-                        target.row_mut(row).copy_from_slice(proto.as_slice());
-                        covered += 1;
-                    }
+                    // Prototype term (Eq. 12): pull features toward P^{ỹ}.
+                    let feature_grad = if delta < 1.0 {
+                        target.clone_from(&features);
+                        let mut covered = 0usize;
+                        for (row, &y) in labels.iter().enumerate() {
+                            if let Some(proto) = global_prototypes.get(y).and_then(Option::as_ref) {
+                                target.row_mut(row).copy_from_slice(proto.as_slice());
+                                covered += 1;
+                            }
+                        }
+                        if covered > 0 {
+                            // The MSE averages over every batch row, but rows
+                            // whose pseudo-class has no prototype have target ==
+                            // features and contribute exactly zero, so Eq. 12's
+                            // mean must be over covered rows only — without the
+                            // rescale, partial coverage dilutes both the
+                            // reported L_p and its gradient.
+                            let (mse_loss, mut g) = mse.loss_and_grad(&features, &target);
+                            let rescale = chunk.len() as f32 / covered as f32;
+                            g.scale_in_place((1.0 - delta) * rescale);
+                            proto_total += f64::from(mse_loss) * f64::from(rescale);
+                            Some(g)
+                        } else {
+                            None
+                        }
+                    } else {
+                        None
+                    };
+
+                    step(model, &logit_grad, feature_grad.as_ref());
+                    batches += 1;
                 }
-                if covered > 0 {
-                    // The MSE averages over every batch row, but rows whose
-                    // pseudo-class has no prototype have target == features
-                    // and contribute exactly zero, so Eq. 12's mean must be
-                    // over covered rows only — without the rescale, partial
-                    // coverage dilutes both the reported L_p and its
-                    // gradient.
-                    let (mse_loss, mut g) = mse.loss_and_grad(&features, &target);
-                    let rescale = chunk.len() as f32 / covered as f32;
-                    g.scale_in_place((1.0 - delta) * rescale);
-                    proto_total += f64::from(mse_loss) * f64::from(rescale);
-                    Some(g)
-                } else {
-                    None
-                }
-            } else {
-                None
-            };
+            }
+            let kd_loss = kd_total / batches as f64;
+            let proto_loss = proto_total / batches as f64;
+            ServerDistillStats {
+                kd_loss,
+                proto_loss,
+                combined_loss: f64::from(delta) * kd_loss + f64::from(1.0 - delta) * proto_loss,
+                batches,
+            }
+        };
 
-            model.backward_step(&logit_grad, feature_grad.as_ref(), optimizer);
-            batches += 1;
-        }
+    if workers < 2 {
+        return epochs_with(model, &mut |model, logit_grad, feature_grad| {
+            model.backward_step(logit_grad, feature_grad, optimizer);
+        });
     }
-    if batches == 0 {
-        // epochs == 0: nothing ran; dividing by `batches` would poison the
-        // stats (and JSONL telemetry) with NaN.
-        return ServerDistillStats::default();
-    }
-    let kd_loss = kd_total / batches as f64;
-    let proto_loss = proto_total / batches as f64;
-    ServerDistillStats {
-        kd_loss,
-        proto_loss,
-        combined_loss: f64::from(delta) * kd_loss + f64::from(1.0 - delta) * proto_loss,
-        batches,
-    }
+    let worker = StepWorker::new(optimizer);
+    std::thread::scope(|scope| {
+        scope.spawn(|| worker.serve());
+        let _close = worker.close_on_drop();
+        epochs_with(model, &mut |model, logit_grad, feature_grad| {
+            model.backward_step_on(logit_grad, feature_grad, &worker);
+        })
+    })
 }
 
 #[cfg(test)]

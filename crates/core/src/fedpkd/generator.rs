@@ -119,7 +119,7 @@ impl Layer for Generator {
         &mut self,
         grad_out: &Tensor,
         first_slot: usize,
-        hook: &mut ParamHook<'_>,
+        hook: &mut dyn ParamHook,
     ) -> Tensor {
         self.net.backward_with(grad_out, first_slot, hook)
     }
@@ -204,6 +204,26 @@ pub fn refine(
     // out bit-identical to how it went in.
     let mut saved_buffers: Vec<Vec<f32>> = Vec::new();
     server.visit_buffers(&mut |b| saved_buffers.push(b.to_vec()));
+    // Labels, prototypes and moments do not change between epochs, so
+    // neither do the covered rows, their targets or the per-class row
+    // lists; the per-epoch tensors are rebuilt in place.
+    let dim = server.feature_dim();
+    let covered_rows: Vec<usize> = (0..n)
+        .filter(|&i| global_prototypes[labels[i]].is_some())
+        .collect();
+    let mut target = Tensor::zeros(&[covered_rows.len(), dim]);
+    for (k, &i) in covered_rows.iter().enumerate() {
+        let proto = global_prototypes[labels[i]].as_ref().expect("covered row");
+        target.row_mut(k).copy_from_slice(proto.as_slice());
+    }
+    let mut pred = Tensor::zeros(&[covered_rows.len(), dim]);
+    // Only covered rows are ever written, so the rest stay zero.
+    let mut feature_grad = Tensor::zeros(&[n, dim]);
+    // Rows grouped by class, ascending within each (the sort is stable).
+    let mut by_class: Vec<usize> = (0..n).collect();
+    by_class.sort_by_key(|&i| labels[i]);
+    let dim_in = generator.sample_dim;
+    let mut mean = vec![0.0f64; dim_in];
     for _ in 0..epochs {
         let x = generator.net.forward(&input, true);
         let (features, logits) = server.forward_full(&x, true);
@@ -217,20 +237,11 @@ pub fn refine(
             *g += c;
         }
         // Feature-space pull toward the class prototypes (covered rows).
-        let dim = features.shape()[1];
-        let covered_rows: Vec<usize> = (0..n)
-            .filter(|&i| global_prototypes[labels[i]].is_some())
-            .collect();
-        let mut feature_grad = Tensor::zeros(features.shape());
         let mut proto_loss = 0.0f64;
         if !covered_rows.is_empty() {
-            // Build the per-row targets and reuse the shared MSE loss so
-            // gradient conventions stay uniform with the server path.
-            let mut target = Tensor::zeros(&[covered_rows.len(), dim]);
-            let mut pred = Tensor::zeros(&[covered_rows.len(), dim]);
+            // Reuse the shared MSE loss on the per-row targets so gradient
+            // conventions stay uniform with the server path.
             for (k, &i) in covered_rows.iter().enumerate() {
-                let proto = global_prototypes[labels[i]].as_ref().expect("covered row");
-                target.row_mut(k).copy_from_slice(proto.as_slice());
                 pred.row_mut(k).copy_from_slice(features.row(i));
             }
             let (loss, grad) = mse.loss_and_grad(&pred, &target);
@@ -243,17 +254,14 @@ pub fn refine(
         // Input-space grounding: match each class's generated batch mean
         // to the real class mean. Fixed class order + f64 accumulation
         // keep this bit-identical across tiers and worker counts.
-        let dim_in = x.shape()[1];
         let mut moment_loss = 0.0f64;
         let mut engaged = 0usize;
-        for (y, target) in class_moments.iter().enumerate() {
-            let Some(target) = target else { continue };
-            let rows: Vec<usize> = (0..n).filter(|&i| labels[i] == y).collect();
-            if rows.is_empty() {
+        for rows in by_class.chunk_by(|&a, &b| labels[a] == labels[b]) {
+            let Some(target) = class_moments.get(labels[rows[0]]).and_then(Option::as_ref) else {
                 continue;
-            }
-            let mut mean = vec![0.0f64; dim_in];
-            for &i in &rows {
+            };
+            mean.fill(0.0);
+            for &i in rows {
                 for (m, &v) in mean.iter_mut().zip(x.row(i)) {
                     *m += f64::from(v);
                 }
@@ -268,7 +276,7 @@ pub fn refine(
                 let d = m - f64::from(t[j]);
                 cls_loss += d * d;
                 let g = (scale * d) as f32;
-                for &i in &rows {
+                for &i in rows {
                     input_grad.row_mut(i)[j] += g;
                 }
             }
@@ -281,7 +289,7 @@ pub fn refine(
         optimizer.begin_step(&generator.net);
         generator
             .net
-            .backward_with(&input_grad, 0, &mut |slot, param| {
+            .backward_with(&input_grad, 0, &mut |slot: usize, param: &mut Param| {
                 step_and_zero(optimizer, slot, param);
             });
         stats = GeneratorStats {

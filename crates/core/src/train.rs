@@ -153,15 +153,19 @@ pub fn train_distill(
     let mut batches = 0usize;
     let mut order: Vec<usize> = Vec::with_capacity(n);
     let mut labels: Vec<usize> = Vec::with_capacity(batch_size.min(n));
+    // The batch and its teacher rows, gathered in place per batch.
+    let (mut x, mut teacher) = (Tensor::default(), Tensor::default());
     for _ in 0..epochs {
         order.clear();
         order.extend(0..n);
         rng.shuffle(&mut order);
         for chunk in order.chunks(batch_size) {
-            let x = public_features
-                .select_rows(chunk)
+            public_features
+                .select_rows_into(chunk, &mut x)
                 .expect("indices in range");
-            let teacher = teacher_probs.select_rows(chunk).expect("indices in range");
+            teacher_probs
+                .select_rows_into(chunk, &mut teacher)
+                .expect("indices in range");
             labels.clear();
             labels.extend(chunk.iter().map(|&i| pseudo_labels[i]));
             let logits = model.forward_logits(&x, true);

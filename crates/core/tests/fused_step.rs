@@ -8,41 +8,65 @@
 //! prototype feature gradient, across consecutive steps (so optimizer state
 //! carried between steps is covered) including a 4-row tail batch, in both
 //! kernel tiers.
+//!
+//! The same goes for *where* the step's second half runs:
+//! `backward_step_on` a [`StepWorker`] (the update, and the gradient
+//! products the layers offer unapplied, on another thread) against the
+//! inline `backward_step`, and `train_server_with_workers` at budget 1
+//! (inline) against budgets 2 and 8 (worker).
 
+use fedpkd_core::fedpkd::distill::{train_server_with_workers, ServerDistillStats};
 use fedpkd_core::train::{add_proximal_term, apply_proximal_term};
 use fedpkd_rng::Rng;
 use fedpkd_tensor::models::{ClassifierModel, DepthTier, ModelSpec};
-use fedpkd_tensor::nn::Layer;
+use fedpkd_tensor::nn::{Layer, Param};
 use fedpkd_tensor::optim::{step_and_zero, Adam, Optimizer, Sgd};
 use fedpkd_tensor::serialize::{param_vector, state_vector};
+use fedpkd_tensor::step_worker::StepWorker;
 use fedpkd_tensor::{KernelMode, Tensor};
 use proptest::prelude::*;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// The kernel tier is process-wide and the tests of this binary run in
+/// parallel: whoever selects a tier holds this for as long as it matters.
+static TIER: Mutex<()> = Mutex::new(());
+
+fn both_tiers() -> (MutexGuard<'static, ()>, [KernelMode; 2]) {
+    let held = TIER.lock().unwrap_or_else(PoisonError::into_inner);
+    (held, [KernelMode::Fast, KernelMode::Scalar])
+}
 
 /// Rows per step: two full batches and a tail.
 const BATCHES: [usize; 3] = [32, 32, 4];
 
-fn model_spec() -> impl Strategy<Value = ModelSpec> {
+/// Every model family: a plain MLP, the four residual tiers, a conv net.
+fn all_specs() -> Vec<ModelSpec> {
     let res_mlp = |tier| ModelSpec::ResMlp {
         input_dim: 12,
         num_classes: 5,
         tier,
     };
-    prop_oneof![
-        Just(ModelSpec::Mlp {
+    vec![
+        ModelSpec::Mlp {
             dims: vec![12, 20, 16],
             num_classes: 5,
-        }),
-        Just(res_mlp(DepthTier::T11)),
-        Just(res_mlp(DepthTier::T20)),
-        Just(res_mlp(DepthTier::T29)),
-        Just(res_mlp(DepthTier::T56)),
-        Just(ModelSpec::ConvNet {
+        },
+        res_mlp(DepthTier::T11),
+        res_mlp(DepthTier::T20),
+        res_mlp(DepthTier::T29),
+        res_mlp(DepthTier::T56),
+        ModelSpec::ConvNet {
             in_channels: 2,
             image_size: 6,
             num_classes: 4,
             tier: DepthTier::T11,
-        }),
+        },
     ]
+}
+
+fn model_spec() -> impl Strategy<Value = ModelSpec> {
+    let specs = all_specs();
+    (0..specs.len()).prop_map(move |i| specs[i].clone())
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -100,15 +124,7 @@ impl Opt {
     /// in the next step's parameters.
     fn state_bits(&self) -> (u64, Vec<u32>) {
         match self {
-            Self::Adam(adam) => {
-                let (m, v) = adam.moments();
-                let bits = m
-                    .iter()
-                    .chain(v)
-                    .flat_map(|t| t.as_slice().iter().map(|x| x.to_bits()))
-                    .collect();
-                (adam.step_count(), bits)
-            }
+            Self::Adam(adam) => adam_bits(adam),
             Self::Sgd(_) => (0, Vec::new()),
         }
     }
@@ -187,7 +203,7 @@ fn check(
                 fused_model.backward_dual_with(
                     &logit_grad,
                     feature_grad.as_ref(),
-                    &mut |slot, param| {
+                    &mut |slot: usize, param: &mut Param| {
                         let start = offsets[slot];
                         add_proximal_term(param, &reference[start..start + param.value.len()], mu);
                         step_and_zero(optimizer, slot, param);
@@ -210,6 +226,177 @@ fn check(
     Ok(())
 }
 
+/// Runs the three steps inline and on a step worker — one worker for all
+/// three, as a training call has — and holds the returned input gradient,
+/// the model (every parameter back in place, none left a placeholder) and
+/// its gradients equal after each, and the optimizers equal at the end.
+fn check_worker(
+    spec: &ModelSpec,
+    opt: OptSpec,
+    with_feature_grad: bool,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut inline_model = spec.build(&mut Rng::seed_from_u64(seed));
+    let mut worker_model = spec.build(&mut Rng::seed_from_u64(seed));
+    let (mut inline_opt, mut worker_opt) = (Opt::new(opt), Opt::new(opt));
+    let param_count = inline_model.param_count();
+    let mut rng = Rng::seed_from_u64(seed ^ 0x5eed);
+
+    let worker = StepWorker::new(worker_opt.as_dyn());
+    std::thread::scope(|scope| {
+        scope.spawn(|| worker.serve());
+        let _close = worker.close_on_drop();
+        for rows in BATCHES {
+            let x = input_batch(spec, rows, &mut rng);
+            let (features, logits) = inline_model.forward_full(&x, true);
+            worker_model.forward_full(&x, true);
+            let logit_grad = Tensor::randn(logits.shape(), 0.5, &mut rng);
+            let feature_grad =
+                with_feature_grad.then(|| Tensor::randn(features.shape(), 0.5, &mut rng));
+
+            let inline_dx =
+                inline_model.backward_step(&logit_grad, feature_grad.as_ref(), inline_opt.as_dyn());
+            let worker_dx =
+                worker_model.backward_step_on(&logit_grad, feature_grad.as_ref(), &worker);
+
+            prop_assert_eq!(bits(worker_dx.as_slice()), bits(inline_dx.as_slice()));
+            prop_assert_eq!(param_vector(&worker_model).len(), param_count);
+            prop_assert_eq!(
+                bits(&state_vector(&worker_model)),
+                bits(&state_vector(&inline_model))
+            );
+            let grads = grad_bits(&worker_model);
+            prop_assert_eq!(grads.len(), param_count);
+            prop_assert!(grads.iter().all(|&g| g == 0), "worker step left a gradient");
+        }
+        Ok(())
+    })?;
+    prop_assert_eq!(worker_opt.state_bits(), inline_opt.state_bits());
+    Ok(())
+}
+
+/// A server-distillation problem over `spec`'s input shape: 40 rows (so
+/// batches of 16, 16 and 8), a soft teacher, and prototypes for every class
+/// but the last.
+struct DistillCase {
+    features: Tensor,
+    teacher: Tensor,
+    pseudo: Vec<usize>,
+    prototypes: Vec<Option<Tensor>>,
+}
+
+impl DistillCase {
+    fn new(spec: &ModelSpec, seed: u64) -> Self {
+        let mut rng = Rng::seed_from_u64(seed);
+        let classes = spec.num_classes();
+        let features = input_batch(spec, 40, &mut rng);
+        let teacher =
+            fedpkd_tensor::ops::softmax(&Tensor::randn(&[40, classes], 1.0, &mut rng), 1.0);
+        let pseudo = teacher.argmax_rows();
+        let feature_dim = spec.build(&mut rng).feature_dim();
+        let prototypes = (0..classes)
+            .map(|c| (c + 1 < classes).then(|| Tensor::randn(&[feature_dim], 1.0, &mut rng)))
+            .collect();
+        Self {
+            features,
+            teacher,
+            pseudo,
+            prototypes,
+        }
+    }
+
+    /// `train_server_with_workers` from a fixed start: everything the call
+    /// leaves behind.
+    fn run(
+        &self,
+        spec: &ModelSpec,
+        optimizer: &mut Adam,
+        epochs: usize,
+        workers: usize,
+    ) -> (ServerDistillStats, Vec<u32>, u64) {
+        let mut model = spec.build(&mut Rng::seed_from_u64(11));
+        let mut rng = Rng::seed_from_u64(12);
+        let stats = train_server_with_workers(
+            &mut model,
+            &self.features,
+            &self.teacher,
+            &self.pseudo,
+            &self.prototypes,
+            0.6,
+            2.0,
+            epochs,
+            16,
+            optimizer,
+            &mut rng,
+            workers,
+        );
+        (stats, bits(&state_vector(&model)), rng.next_u64())
+    }
+}
+
+fn adam_bits(adam: &Adam) -> (u64, Vec<u32>) {
+    let (m, v) = adam.moments();
+    let moments = m.iter().chain(v).flat_map(|t| bits(t.as_slice())).collect();
+    (adam.step_count(), moments)
+}
+
+#[test]
+fn train_server_budget_1_inline_equals_budgets_2_and_8_on_a_worker() {
+    let (_tier, modes) = both_tiers();
+    for mode in modes {
+        let _mode = KernelMode::scoped(mode);
+        for spec in all_specs() {
+            let case = DistillCase::new(&spec, 7);
+            let mut inline_opt = Adam::new(0.01);
+            let inline = case.run(&spec, &mut inline_opt, 2, 1);
+            assert_eq!(inline.0.batches, 6);
+            for workers in [2, 8] {
+                let mut worker_opt = Adam::new(0.01);
+                let on_worker = case.run(&spec, &mut worker_opt, 2, workers);
+                assert_eq!(on_worker, inline, "{} at budget {workers}", spec.describe());
+                assert_eq!(adam_bits(&worker_opt), adam_bits(&inline_opt));
+            }
+        }
+    }
+}
+
+#[test]
+fn train_server_with_nothing_to_train_is_a_noop_at_any_budget() {
+    let spec = all_specs().remove(0);
+    let case = DistillCase::new(&spec, 8);
+    let untouched = bits(&state_vector(&spec.build(&mut Rng::seed_from_u64(11))));
+    let empty = DistillCase {
+        features: case.features.select_rows(&[]).unwrap(),
+        teacher: case.teacher.select_rows(&[]).unwrap(),
+        pseudo: Vec::new(),
+        prototypes: case.prototypes.clone(),
+    };
+    for workers in [1, 2, 8] {
+        for (case, epochs) in [(&case, 0), (&empty, 3)] {
+            let mut optimizer = Adam::new(0.01);
+            let (stats, state, _) = case.run(&spec, &mut optimizer, epochs, workers);
+            assert_eq!(stats, ServerDistillStats::default());
+            assert_eq!(state, untouched);
+            assert_eq!(optimizer.step_count(), 0);
+        }
+    }
+}
+
+/// An optimizer state sized for another model trips the update's
+/// `optimizer/model mismatch` assert — on the worker's thread at budget 2.
+/// The training thread must get that panic, not wait for ever.
+#[test]
+#[should_panic(expected = "optimizer/model mismatch")]
+fn a_panic_on_the_step_worker_resurfaces_on_the_training_thread() {
+    let spec = all_specs().remove(0);
+    let case = DistillCase::new(&spec, 9);
+    let slots = spec.build(&mut Rng::seed_from_u64(11)).slot_count();
+    let wrong = || vec![Tensor::zeros(&[1]); slots];
+    let mut optimizer = Adam::new(0.01);
+    optimizer.restore_state(3, wrong(), wrong());
+    case.run(&spec, &mut optimizer, 1, 2);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -221,10 +408,24 @@ proptest! {
         mu in prop_oneof![Just(None), Just(Some(0.1f32))],
         seed in any::<u64>(),
     ) {
-        // One test in this binary, so the process-wide tier is ours.
-        for mode in [KernelMode::Fast, KernelMode::Scalar] {
+        let (_tier, modes) = both_tiers();
+        for mode in modes {
             let _mode = KernelMode::scoped(mode);
             check(&spec, opt, with_feature_grad, mu, seed)?;
+        }
+    }
+
+    #[test]
+    fn step_on_a_worker_equals_the_inline_fused_step(
+        spec in model_spec(),
+        opt in opt_spec(),
+        with_feature_grad in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let (_tier, modes) = both_tiers();
+        for mode in modes {
+            let _mode = KernelMode::scoped(mode);
+            check_worker(&spec, opt, with_feature_grad, seed)?;
         }
     }
 }

@@ -63,6 +63,7 @@ pub mod optim;
 pub mod parallel;
 pub mod plan;
 pub mod serialize;
+pub mod step_worker;
 
 pub use error::TensorError;
 pub use kernels::{kernel_mode, KernelMode, KernelModeGuard};

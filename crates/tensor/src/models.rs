@@ -19,6 +19,7 @@ use crate::nn::{
     Relu, Residual, Sequential,
 };
 use crate::optim::{step_and_zero, Optimizer};
+use crate::step_worker::StepWorker;
 use crate::Tensor;
 use fedpkd_rng::Rng;
 
@@ -113,10 +114,22 @@ impl ClassifierModel {
         &mut self,
         logit_grad: &Tensor,
         feature_grad: Option<&Tensor>,
-        hook: &mut ParamHook<'_>,
+        hook: &mut dyn ParamHook,
     ) -> Tensor {
-        self.backward_dual_via(logit_grad, feature_grad, |part, g, first_slot| {
-            part.backward_with(g, first_slot, hook)
+        self.backward_dual_from(0, logit_grad, feature_grad, hook)
+    }
+
+    /// [`backward_dual_with`](Self::backward_dual_with), slots numbered
+    /// from `first_slot`.
+    fn backward_dual_from(
+        &mut self,
+        first_slot: usize,
+        logit_grad: &Tensor,
+        feature_grad: Option<&Tensor>,
+        hook: &mut dyn ParamHook,
+    ) -> Tensor {
+        self.backward_dual_via(logit_grad, feature_grad, |part, g, slot| {
+            part.backward_with(g, first_slot + slot, hook)
         })
     }
 
@@ -134,9 +147,35 @@ impl ClassifierModel {
         optimizer: &mut dyn Optimizer,
     ) -> Tensor {
         optimizer.begin_step(self);
-        self.backward_dual_with(logit_grad, feature_grad, &mut |slot, param| {
-            step_and_zero(optimizer, slot, param);
-        })
+        self.backward_dual_with(
+            logit_grad,
+            feature_grad,
+            &mut |slot: usize, param: &mut Param| step_and_zero(optimizer, slot, param),
+        )
+    }
+
+    /// [`backward_step`](Self::backward_step) with the optimizer update —
+    /// and the parameter-gradient products the layers offer unapplied —
+    /// done by `worker`'s thread while this one carries on with the input
+    /// gradients: same kernels, same operands, same bits. Every parameter
+    /// leaves the model by value during the pass and is back in place when
+    /// this returns.
+    ///
+    /// # Panics
+    ///
+    /// Resumes a panic raised on the worker's thread; the model is then
+    /// missing the parameters that thread held.
+    pub fn backward_step_on(
+        &mut self,
+        logit_grad: &Tensor,
+        feature_grad: Option<&Tensor>,
+        worker: &StepWorker<'_>,
+    ) -> Tensor {
+        worker.begin_step(self);
+        let mut hook = worker;
+        let input_grad = self.backward_dual_with(logit_grad, feature_grad, &mut hook);
+        worker.finish_step(self);
+        input_grad
     }
 
     /// Input-gradient-only [`backward_dual`](Self::backward_dual): the same
@@ -194,9 +233,9 @@ impl Layer for ClassifierModel {
         &mut self,
         grad_out: &Tensor,
         first_slot: usize,
-        hook: &mut ParamHook<'_>,
+        hook: &mut dyn ParamHook,
     ) -> Tensor {
-        self.backward_dual_with(grad_out, None, &mut |slot, p| hook(first_slot + slot, p))
+        self.backward_dual_from(first_slot, grad_out, None, hook)
     }
 
     fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {

@@ -1,8 +1,9 @@
 //! Fully connected layer.
 
-use super::{keep_for_backward, Layer, Param};
+use super::{keep_for_backward, Layer, Param, ParamHook};
 use crate::Tensor;
 use fedpkd_rng::Rng;
+use std::sync::Arc;
 
 /// A fully connected (affine) layer: `y = x W + b`.
 ///
@@ -29,8 +30,52 @@ pub struct Linear {
     in_features: usize,
     out_features: usize,
     fuse_relu: bool,
-    cached_input: Option<Tensor>,
+    /// Shared, not owned outright: a [`PendingGrads`] reads it from
+    /// wherever the hook carried it while the layer keeps the buffer for
+    /// the next batch.
+    cached_input: Option<Arc<Tensor>>,
     cached_output: Option<Tensor>,
+}
+
+/// `dW += xᵀ · g`, through the transposed kernel, straight into the
+/// weight gradient.
+fn accumulate_weight_grad(x: &Tensor, g: &Tensor, weight: &mut Param) {
+    x.tr_matmul_acc(g, &mut weight.grad).expect("dW shape");
+}
+
+/// `db += column sums of g`.
+fn accumulate_bias_grad(g: &Tensor, bias: &mut Param) {
+    let db = g.sum_rows();
+    bias.grad.axpy(1.0, &db).expect("db accumulate");
+}
+
+/// The parameter-gradient products of one [`Linear`] backward pass, not yet
+/// applied: `dW += xᵀ·g` and `db += column sums of g`. It carries its own
+/// operands — the layer's ReLU-masked output gradient `g` by value, the
+/// forward input `x` as a read-only share of the layer's cache — so a
+/// [`ParamHook::linear`] may apply it anywhere, on any thread: the same two
+/// kernels on the same operands as the layer's own backward.
+#[derive(Debug)]
+pub struct PendingGrads {
+    /// `None` once `dW` is in the weight gradient.
+    x: Option<Arc<Tensor>>,
+    g: Tensor,
+}
+
+impl PendingGrads {
+    /// Applies the `dW` product now, leaving only `db` pending. A second
+    /// call does nothing.
+    pub fn apply_weight(&mut self, weight: &mut Param) {
+        if let Some(x) = self.x.take() {
+            accumulate_weight_grad(&x, &self.g, weight);
+        }
+    }
+
+    /// Applies whatever is still pending to the two gradients.
+    pub fn apply(mut self, weight: &mut Param, bias: &mut Param) {
+        self.apply_weight(weight);
+        accumulate_bias_grad(&self.g, bias);
+    }
 }
 
 impl Linear {
@@ -93,6 +138,24 @@ impl std::fmt::Debug for Linear {
 }
 
 impl Linear {
+    /// With a fused ReLU, masks the incoming gradient exactly as a
+    /// standalone Relu layer would (its predicate `z > 0` on the
+    /// pre-activation equals `relu(z) > 0` on the cached output).
+    fn masked(&self, grad_out: &Tensor) -> Tensor {
+        let out = self
+            .cached_output
+            .as_ref()
+            .expect("backward called before forward");
+        grad_out
+            .zip_with(out, |g, y| if y > 0.0 { g } else { 0.0 })
+            .expect("relu mask shape")
+    }
+
+    /// `dx = g · Wᵀ`, through the transposed kernel.
+    fn input_grad(&self, g: &Tensor) -> Tensor {
+        g.matmul_transposed(&self.weight.value).expect("dx shape")
+    }
+
     /// The shared backward body: masks the incoming gradient through a
     /// fused ReLU, accumulates `dW`/`db` when `param_grads` is set, and
     /// returns `dx`.
@@ -101,34 +164,18 @@ impl Linear {
             .cached_input
             .as_ref()
             .expect("backward called before forward");
-        // With a fused ReLU, mask the incoming gradient exactly as a
-        // standalone Relu layer would (its predicate `z > 0` on the
-        // pre-activation equals `relu(z) > 0` on the cached output).
         let masked;
         let grad_out = if self.fuse_relu {
-            let out = self
-                .cached_output
-                .as_ref()
-                .expect("backward called before forward");
-            masked = grad_out
-                .zip_with(out, |g, y| if y > 0.0 { g } else { 0.0 })
-                .expect("relu mask shape");
+            masked = self.masked(grad_out);
             &masked
         } else {
             grad_out
         };
-        // dW = xᵀ · g ; db = column sums of g ; dx = g · Wᵀ. Both products
-        // use the transposed kernels; `dW` lands in the gradient directly.
         if param_grads {
-            input
-                .tr_matmul_acc(grad_out, &mut self.weight.grad)
-                .expect("dW shape");
-            let db = grad_out.sum_rows();
-            self.bias.grad.axpy(1.0, &db).expect("db accumulate");
+            accumulate_weight_grad(input, grad_out, &mut self.weight);
+            accumulate_bias_grad(grad_out, &mut self.bias);
         }
-        grad_out
-            .matmul_transposed(&self.weight.value)
-            .expect("dx shape")
+        self.input_grad(grad_out)
     }
 }
 
@@ -138,7 +185,15 @@ impl Layer for Linear {
         let out = input
             .matmul_bias(&self.weight.value, &self.bias.value, self.fuse_relu)
             .expect("linear forward: shape mismatch");
-        keep_for_backward(&mut self.cached_input, input, train);
+        // `keep_for_backward` for a shared buffer: sole owner again by the
+        // time a step has finished, so the buffer is overwritten in place.
+        if !train {
+            self.cached_input = None;
+        } else if let Some(cached) = self.cached_input.as_mut().and_then(Arc::get_mut) {
+            cached.clone_from(input);
+        } else {
+            self.cached_input = Some(Arc::new(input.clone()));
+        }
         // The output doubles as the ReLU mask: `relu(z) > 0 ⇔ z > 0`.
         keep_for_backward(&mut self.cached_output, &out, train && self.fuse_relu);
         out
@@ -146,6 +201,34 @@ impl Layer for Linear {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         self.backward_impl(grad_out, true)
+    }
+
+    /// A plain layer's `grad_out` belongs to the layer above (a residual
+    /// block reads it again for its skip path), so its products are applied
+    /// here and only the finished parameters are handed over. A fused-ReLU
+    /// layer owns its masked gradient: it computes `dx`, the one result the
+    /// rest of the pass waits for, and offers the products unapplied.
+    fn backward_with(
+        &mut self,
+        grad_out: &Tensor,
+        first_slot: usize,
+        hook: &mut dyn ParamHook,
+    ) -> Tensor {
+        if !self.fuse_relu {
+            let grad_in = self.backward_impl(grad_out, true);
+            hook.param(first_slot, &mut self.weight);
+            hook.param(first_slot + 1, &mut self.bias);
+            return grad_in;
+        }
+        let x = self
+            .cached_input
+            .clone()
+            .expect("backward called before forward");
+        let g = self.masked(grad_out);
+        let grad_in = self.input_grad(&g);
+        let pending = PendingGrads { x: Some(x), g };
+        hook.linear(first_slot, &mut self.weight, &mut self.bias, pending);
+        grad_in
     }
 
     fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {

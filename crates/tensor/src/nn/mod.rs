@@ -17,7 +17,7 @@ pub use activations::{LeakyRelu, Relu, Tanh};
 pub use batchnorm::BatchNorm1d;
 pub use conv::Conv2d;
 pub use dropout::Dropout;
-pub use linear::Linear;
+pub use linear::{Linear, PendingGrads};
 pub use pool::{AvgPool2d, Flatten, GlobalAvgPool2d};
 
 use crate::Tensor;
@@ -42,15 +42,53 @@ impl Param {
     pub fn zero_grad(&mut self) {
         self.grad.fill(0.0);
     }
+
+    /// What a [`ParamHook`] that takes a parameter by value leaves in the
+    /// model until it puts the parameter back: owns nothing, costs nothing.
+    pub(crate) const fn placeholder() -> Self {
+        Self {
+            value: Tensor::placeholder(),
+            grad: Tensor::placeholder(),
+        }
+    }
 }
 
-/// The per-parameter callback of [`Layer::backward_with`]: called as
-/// `hook(slot, param)` once per parameter, the moment that parameter's
-/// gradient is final, where `slot` is the parameter's position in the
-/// root model's [`Layer::visit_params`] order. The fused training step
-/// passes a hook that applies the optimizer update and zeroes the
-/// gradient (see [`crate::optim::Optimizer::update_param`]).
-pub type ParamHook<'a> = dyn FnMut(usize, &mut Param) + 'a;
+/// The hand-over point of [`Layer::backward_with`]: what receives each
+/// parameter the moment the backward pass is done with it.
+///
+/// Any `FnMut(usize, &mut Param)` closure is a hook (its body is
+/// [`param`](ParamHook::param)); the fused training step passes one that
+/// applies the optimizer update and zeroes the gradient (see
+/// [`crate::optim::step_and_zero`]). A hook may also take a parameter out
+/// of the model by value, leaving an empty one behind, provided it puts it
+/// back before anything reads the model again — how
+/// [`crate::step_worker::StepWorker`] moves the update to another thread.
+pub trait ParamHook {
+    /// Called once per parameter, the moment that parameter's gradient is
+    /// final; `slot` is the parameter's position in the root model's
+    /// [`Layer::visit_params`] order.
+    fn param(&mut self, slot: usize, param: &mut Param);
+
+    /// Called by a [`Linear`] that owns both operands of its
+    /// parameter-gradient products and has *not* applied them: `weight`
+    /// (at `slot`) and `bias` (at `slot + 1`) still lack what `pending`
+    /// holds, and nothing else in the backward pass waits for it. The
+    /// default applies the products on the spot and hands both parameters
+    /// to [`param`](ParamHook::param) — exactly what the layer would have
+    /// done itself; an override may carry `pending` elsewhere as long as
+    /// it is applied before the parameter's update.
+    fn linear(&mut self, slot: usize, weight: &mut Param, bias: &mut Param, pending: PendingGrads) {
+        pending.apply(weight, bias);
+        self.param(slot, weight);
+        self.param(slot + 1, bias);
+    }
+}
+
+impl<F: FnMut(usize, &mut Param)> ParamHook for F {
+    fn param(&mut self, slot: usize, param: &mut Param) {
+        self(slot, param);
+    }
+}
 
 /// A differentiable network layer.
 ///
@@ -80,8 +118,8 @@ pub trait Layer: Send {
     /// gradient whose shape does not match the last forward output.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
-    /// [`backward`](Layer::backward), then `hook(slot, param)` for each of
-    /// this layer's parameters, numbered from `first_slot` in
+    /// [`backward`](Layer::backward), then `hook.param(slot, param)` for
+    /// each of this layer's parameters, numbered from `first_slot` in
     /// [`visit_params`](Layer::visit_params) order. Returns the same input
     /// gradient, and leaves the same parameter gradients for the hook to
     /// read, as `backward` does — the hook may then change the parameter.
@@ -90,17 +128,19 @@ pub trait Layer: Send {
     /// the hook down, so a child's parameters are handed over while the
     /// backward pass is still at that child — before the layers below it
     /// run — and a hook that updates weights must therefore only ever see a
-    /// parameter whose value no later part of the pass reads.
+    /// parameter whose value no later part of the pass reads. A fused-ReLU
+    /// [`Linear`] overrides it to offer its not-yet-applied gradient
+    /// products through [`ParamHook::linear`].
     fn backward_with(
         &mut self,
         grad_out: &Tensor,
         first_slot: usize,
-        hook: &mut ParamHook<'_>,
+        hook: &mut dyn ParamHook,
     ) -> Tensor {
         let grad_in = self.backward(grad_out);
         let mut slot = first_slot;
         self.visit_params_mut(&mut |p| {
-            hook(slot, p);
+            hook.param(slot, p);
             slot += 1;
         });
         grad_in
@@ -286,7 +326,7 @@ impl Layer for Sequential {
         &mut self,
         grad_out: &Tensor,
         first_slot: usize,
-        hook: &mut ParamHook<'_>,
+        hook: &mut dyn ParamHook,
     ) -> Tensor {
         // Children run last to first, so slots are handed out from the end.
         let mut slot = first_slot + self.slot_count();
@@ -406,7 +446,7 @@ impl Layer for Residual {
         &mut self,
         grad_out: &Tensor,
         first_slot: usize,
-        hook: &mut ParamHook<'_>,
+        hook: &mut dyn ParamHook,
     ) -> Tensor {
         let skip_slot = first_slot + self.body.slot_count();
         let g_body = self.body.backward_with(grad_out, first_slot, hook);
@@ -704,7 +744,7 @@ mod tests {
         assert_eq!(plain.slot_count(), expected.len());
 
         let mut seen: Vec<Option<Vec<u32>>> = vec![None; expected.len()];
-        let dx_hooked = hooked.backward_with(&g, 0, &mut |slot, p| {
+        let dx_hooked = hooked.backward_with(&g, 0, &mut |slot: usize, p: &mut Param| {
             assert!(seen[slot].is_none(), "slot {slot} handed over twice");
             seen[slot] = Some(p.grad.as_slice().iter().map(|g| g.to_bits()).collect());
             // What the fused step does: change the weight, clear the grad.

@@ -24,7 +24,10 @@ use crate::nn::{Layer, Param};
 use crate::Tensor;
 
 /// A gradient-based parameter update rule.
-pub trait Optimizer {
+///
+/// `Send`, so a training step can run its updates on another thread (see
+/// [`crate::step_worker`]).
+pub trait Optimizer: Send {
     /// Opens an update step over `model`: advances the per-step state
     /// (Adam's bias-correction counter) and, on the first step, sizes the
     /// per-parameter state to the model.

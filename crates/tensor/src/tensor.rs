@@ -43,6 +43,15 @@ impl Clone for Tensor {
 }
 
 impl Tensor {
+    /// A tensor that owns no memory yet (unlike [`Tensor::default`], whose
+    /// shape allocates): something to be overwritten, not read.
+    pub(crate) const fn placeholder() -> Self {
+        Self {
+            data: Vec::new(),
+            shape: Vec::new(),
+        }
+    }
+
     /// Creates a tensor from raw data and a shape.
     ///
     /// # Errors
@@ -170,9 +179,30 @@ impl Tensor {
     /// Returns [`TensorError::IndexOutOfBounds`] if any index exceeds the row
     /// count.
     pub fn select_rows(&self, indices: &[usize]) -> Result<Self, TensorError> {
+        let mut out = Self::placeholder();
+        self.select_rows_into(indices, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`select_rows`](Self::select_rows) into `out`, overwriting it and
+    /// reusing both of its allocations when they are large enough — what a
+    /// mini-batch loop gathers its batches with.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::IndexOutOfBounds`] if any index exceeds the row
+    /// count; `out` then holds the rows before it and must not be read.
+    pub fn select_rows_into(&self, indices: &[usize], out: &mut Self) -> Result<(), TensorError> {
         let stride = self.cols();
         let rows = self.rows();
-        let mut data = Vec::with_capacity(indices.len() * stride);
+        out.data.clear();
+        out.data.reserve_exact(indices.len() * stride);
+        // Exactly as large as a fresh clone would be: a batch buffer built
+        // here allocates byte for byte what `select_rows` always has.
+        out.shape.clear();
+        out.shape.reserve_exact(self.shape.len().max(1));
+        out.shape.push(indices.len());
+        out.shape.extend(self.shape.iter().skip(1));
         for &i in indices {
             if i >= rows {
                 return Err(TensorError::IndexOutOfBounds {
@@ -180,15 +210,9 @@ impl Tensor {
                     bound: rows,
                 });
             }
-            data.extend_from_slice(self.row(i));
+            out.data.extend_from_slice(self.row(i));
         }
-        let mut shape = self.shape.clone();
-        if shape.is_empty() {
-            shape = vec![indices.len()];
-        } else {
-            shape[0] = indices.len();
-        }
-        Self::from_vec(data, &shape)
+        Ok(())
     }
 
     /// Reinterprets the tensor with a new shape of equal element count.
@@ -715,6 +739,19 @@ mod tests {
         assert_eq!(y.shape(), &[2, 2]);
         assert_eq!(y.row(0), &[5., 6.]);
         assert_eq!(y.row(1), &[1., 2.]);
+    }
+
+    #[test]
+    fn select_rows_into_overwrites_and_reuses_the_buffer() {
+        let x = t(&[1., 2., 3., 4., 5., 6.], &[3, 2]);
+        let mut out = t(&[9.; 8], &[2, 2, 2]);
+        let buffer = out.as_slice().as_ptr();
+        for rows in [&[2usize, 0, 1][..], &[1], &[]] {
+            x.select_rows_into(rows, &mut out).unwrap();
+            assert_eq!(out, x.select_rows(rows).unwrap());
+            assert_eq!(out.as_slice().as_ptr(), buffer, "no reallocation");
+        }
+        assert!(x.select_rows_into(&[0, 3], &mut out).is_err());
     }
 
     #[test]

@@ -15,6 +15,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q \
     --exclude proptest --exclude criterion
 cargo test --workspace -q
+# Step-worker liveness: the training thread and its step worker wait on
+# each other (bounded spin, then block), which must also finish when both
+# share one core. Re-runs the inline-vs-worker tests pinned to CPU 0; a
+# wait that can hang dies on the timeout instead of stalling the gate.
+if command -v taskset > /dev/null && command -v timeout > /dev/null; then
+    taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --test fused_step worker
+else
+    echo "skip: step-worker one-core run (needs taskset and timeout)" >&2
+fi
 # Release-mode smoke: a 10-round run interrupted at round 5 must resume
 # bit-identically from its serialized snapshot (asserts internally).
 cargo run --release -q --example checkpoint_resume > /dev/null

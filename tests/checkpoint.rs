@@ -92,9 +92,11 @@ fn normalized(events: &[TelemetryEvent], from_round: usize) -> Vec<TelemetryEven
         .collect()
 }
 
-/// A driver for `rounds` rounds under an optional fault plan.
+/// A driver for `rounds` rounds under an optional fault plan, at a worker
+/// budget of 2 so that FedPKD's server step runs on its step worker
+/// whatever the machine's core count.
 fn driver(rounds: usize, plan: Option<&FaultPlan>) -> Driver {
-    let mut builder = DriverBuilder::new().rounds(rounds);
+    let mut builder = DriverBuilder::new().rounds(rounds).workers(2);
     if let Some(plan) = plan {
         builder = builder.faults(plan.clone());
     }

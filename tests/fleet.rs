@@ -178,6 +178,34 @@ fn streaming_matches_legacy_for_fedpkd() {
     });
 }
 
+/// Budget 1 vs budget ≥ 2 is also inline vs worker for FedPKD's server
+/// step: at 1 the distillation step runs whole on the training thread, at
+/// 2 and above its updates run on the scoped step worker — pinned here
+/// explicitly, because the default budget is 1 on a one-core machine.
+#[test]
+fn fedpkd_inline_server_step_at_budget_1_matches_step_worker_at_budgets_2_and_8() {
+    let run = |workers: usize| {
+        let mut algo = FedPkd::new(
+            scenario(21),
+            vec![client_spec(); 3],
+            server_spec(),
+            fast_pkd(),
+            9,
+        )
+        .unwrap();
+        let result = DriverBuilder::new()
+            .rounds(ROUNDS)
+            .workers(workers)
+            .build()
+            .run_silent(&mut algo);
+        (result, algo.snapshot())
+    };
+    let inline = run(1);
+    for workers in [2, 8] {
+        assert_eq!(run(workers), inline, "budget {workers} vs budget 1");
+    }
+}
+
 #[test]
 fn streaming_matches_legacy_for_fedavg() {
     assert_streaming_matches_legacy("FedAvg", &|| {
