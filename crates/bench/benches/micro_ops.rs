@@ -39,8 +39,8 @@ fn bench_matmul(c: &mut Criterion) {
     //
     // This bench runs whichever tier is active (the default is Fast); flip
     // with a `KernelMode::scoped` guard and re-measure both before
-    // touching either inner loop. `cargo run --release -p fedpkd-bench
-    // --bin perf` gives the end-to-end phase view (BENCH_pr5.json).
+    // touching either inner loop. `bash benchmark/run.sh trace pkd_hetero`
+    // gives the end-to-end phase view.
     let mut a = Tensor::rand_uniform(&[32, 256], -1.0, 1.0, &mut rng);
     for x in a.as_mut_slice() {
         if *x < 0.0 {

@@ -17,7 +17,6 @@ use fedpkd_baselines::{BaselineConfig, DsFl, FedAvg, FedDf, FedEt, FedMd, FedPro
 use fedpkd_core::driver::Driver;
 use fedpkd_core::fedpkd::{FedPkd, FedPkdConfig};
 use fedpkd_core::runtime::RunResult;
-use fedpkd_core::telemetry::{NullObserver, RoundObserver};
 use fedpkd_data::{FederatedScenario, Partition, ScenarioBuilder, SyntheticConfig};
 use fedpkd_tensor::models::{DepthTier, ModelSpec};
 
@@ -216,11 +215,13 @@ impl Scale {
         }
     }
 
-    /// Reads `FEDPKD_SCALE` from the environment (`quick` or `paper`).
+    /// The profile `FEDPKD_SCALE` selects: `quick` (also when unset) or
+    /// `paper`. Any other value exits the process with a message rather
+    /// than silently running the quick profile.
     pub fn from_env() -> Self {
-        match std::env::var("FEDPKD_SCALE").as_deref() {
-            Ok("paper") => Self::paper(),
-            _ => Self::quick(),
+        match Profile::from_env() {
+            Profile::Quick => Self::quick(),
+            Profile::Paper => Self::paper(),
         }
     }
 
@@ -293,6 +294,41 @@ impl Scale {
     }
 }
 
+/// What `FEDPKD_SCALE` can name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Profile {
+    Quick,
+    Paper,
+}
+
+impl Profile {
+    fn parse(value: Option<&str>) -> Result<Self, String> {
+        match value {
+            None | Some("quick") => Ok(Self::Quick),
+            Some("paper") => Ok(Self::Paper),
+            Some(other) => Err(format!(
+                "FEDPKD_SCALE={other:?} is not a scale profile: use `quick` or `paper`, or leave it unset for quick"
+            )),
+        }
+    }
+
+    /// Parses `FEDPKD_SCALE`; the one reader of that variable.
+    fn from_env() -> Self {
+        let value = std::env::var_os("FEDPKD_SCALE").map(|v| v.to_string_lossy().into_owned());
+        Self::parse(value.as_deref()).unwrap_or_else(|message| {
+            eprintln!("{message}");
+            std::process::exit(2);
+        })
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Self::Quick => "quick",
+            Self::Paper => "paper",
+        }
+    }
+}
+
 /// The methods the harness can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
@@ -330,21 +366,6 @@ impl Method {
     pub const HETERO_ROSTER: [Method; 4] =
         [Method::FedPkd, Method::FedMd, Method::DsFl, Method::FedEt];
 
-    /// Every algorithm the harness knows — the Fig. 5 roster plus the
-    /// NaiveKD motivation arm. Determinism gates sweep this list: all
-    /// eight must replay bit-identically across kernel tiers, worker
-    /// counts, and execution-plan schedules.
-    pub const ALL: [Method; 8] = [
-        Method::FedPkd,
-        Method::FedMd,
-        Method::DsFl,
-        Method::FedEt,
-        Method::FedDf,
-        Method::FedAvg,
-        Method::FedProx,
-        Method::NaiveKd,
-    ];
-
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -380,56 +401,7 @@ pub fn run_method(
     hetero: bool,
     seed: u64,
 ) -> RunResult {
-    run_method_observed(
-        method,
-        scale,
-        task,
-        setting,
-        hetero,
-        seed,
-        &mut NullObserver,
-    )
-}
-
-/// [`run_method`] with a telemetry observer attached — every method runs
-/// through the same [`fedpkd_core::Driver`], so the event stream has the
-/// same framing regardless of algorithm.
-///
-/// # Panics
-///
-/// Panics if the method/scenario wiring is invalid (a harness bug).
-pub fn run_method_observed(
-    method: Method,
-    scale: &Scale,
-    task: Task,
-    setting: Setting,
-    hetero: bool,
-    seed: u64,
-    obs: &mut dyn RoundObserver,
-) -> RunResult {
     let mut driver = Driver::rounds(scale.rounds);
-    run_method_with_driver(method, scale, task, setting, hetero, seed, &mut driver, obs)
-}
-
-/// [`run_method_observed`] on a caller-configured [`Driver`] — the entry
-/// point for harnesses that sweep driver knobs (worker budget, faults)
-/// while holding the method and scenario fixed. The driver's own round
-/// count is used; `scale.rounds` is ignored.
-///
-/// # Panics
-///
-/// Panics if the method/scenario wiring is invalid (a harness bug).
-#[allow(clippy::too_many_arguments)]
-pub fn run_method_with_driver(
-    method: Method,
-    scale: &Scale,
-    task: Task,
-    setting: Setting,
-    hetero: bool,
-    seed: u64,
-    driver: &mut Driver,
-    obs: &mut dyn RoundObserver,
-) -> RunResult {
     let scenario = scale.scenario(task, setting, seed);
     let client_specs = if hetero {
         scale.heterogeneous_specs(task)
@@ -439,36 +411,30 @@ pub fn run_method_with_driver(
     let homo_spec = scale.client_spec(task);
     let server_spec = scale.server_spec(task);
     match method {
-        Method::FedPkd => driver.run(
+        Method::FedPkd => driver.run_silent(
             &mut FedPkd::new(scenario, client_specs, server_spec, scale.pkd.clone(), seed)
                 .expect("harness wiring"),
-            obs,
         ),
-        Method::FedAvg => driver.run(
+        Method::FedAvg => driver.run_silent(
             &mut FedAvg::new(scenario, homo_spec, scale.base.clone(), seed)
                 .expect("harness wiring"),
-            obs,
         ),
-        Method::FedProx => driver.run(
+        Method::FedProx => driver.run_silent(
             &mut FedProx::new(scenario, homo_spec, scale.base.clone(), seed)
                 .expect("harness wiring"),
-            obs,
         ),
-        Method::FedMd => driver.run(
+        Method::FedMd => driver.run_silent(
             &mut FedMd::new(scenario, client_specs, scale.base.clone(), seed)
                 .expect("harness wiring"),
-            obs,
         ),
-        Method::DsFl => driver.run(
+        Method::DsFl => driver.run_silent(
             &mut DsFl::new(scenario, client_specs, scale.base.clone(), seed)
                 .expect("harness wiring"),
-            obs,
         ),
-        Method::FedDf => driver.run(
+        Method::FedDf => driver.run_silent(
             &mut FedDf::new(scenario, homo_spec, scale.base.clone(), seed).expect("harness wiring"),
-            obs,
         ),
-        Method::FedEt => driver.run(
+        Method::FedEt => driver.run_silent(
             &mut FedEt::new(
                 scenario,
                 client_specs,
@@ -477,9 +443,8 @@ pub fn run_method_with_driver(
                 seed,
             )
             .expect("harness wiring"),
-            obs,
         ),
-        Method::NaiveKd => driver.run(
+        Method::NaiveKd => driver.run_silent(
             &mut NaiveKd::new(
                 scenario,
                 client_specs,
@@ -488,7 +453,6 @@ pub fn run_method_with_driver(
                 seed,
             )
             .expect("harness wiring"),
-            obs,
         ),
     }
 }
@@ -558,12 +522,10 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 pub fn banner(id: &str, paper_claim: &str) {
     println!("\n=== {id} ===");
     println!("paper: {paper_claim}");
-    let scale = if std::env::var("FEDPKD_SCALE").as_deref() == Ok("paper") {
-        "paper"
-    } else {
-        "quick"
-    };
-    println!("scale profile: {scale} (set FEDPKD_SCALE=paper for the full budget)");
+    println!(
+        "scale profile: {} (set FEDPKD_SCALE=paper for the full budget)",
+        Profile::from_env().name()
+    );
 }
 
 #[cfg(test)]
@@ -579,6 +541,17 @@ mod tests {
         assert!(q.pkd.validate().is_ok());
         assert!(p.pkd.validate().is_ok());
         assert!(q.base.validate().is_ok());
+    }
+
+    #[test]
+    fn scale_variable_is_quick_paper_or_an_error() {
+        assert_eq!(Profile::parse(None), Ok(Profile::Quick));
+        assert_eq!(Profile::parse(Some("quick")), Ok(Profile::Quick));
+        assert_eq!(Profile::parse(Some("paper")), Ok(Profile::Paper));
+        for typo in ["Paper", "full", ""] {
+            let message = Profile::parse(Some(typo)).unwrap_err();
+            assert!(message.contains(&format!("{typo:?}")), "{message}");
+        }
     }
 
     #[test]

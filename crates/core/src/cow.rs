@@ -611,6 +611,33 @@ mod tests {
         assert_eq!(pool.resident_bytes(), 0);
     }
 
+    /// A pooled fleet keeps only the active cohort's deltas resident: at the
+    /// 1000-client / 64-cohort fleet shape it costs exactly the cohort's
+    /// dense price, at least 4× below every client owning dense state.
+    #[test]
+    fn pooled_fleet_residency_is_the_cohort_not_the_fleet() {
+        const FLEET: usize = 1_000;
+        const COHORT: usize = 64;
+        let tiers = [DepthTier::T11, DepthTier::T20, DepthTier::T29];
+        let dense: Vec<usize> = tiers
+            .iter()
+            .map(|&tier| {
+                let mut one = build_clients(&[spec(tier)], 0.003, 707);
+                ParkedClient::park(one.pop().expect("one client")).resident_bytes()
+            })
+            .collect();
+        let priced = |clients: usize| -> usize { (0..clients).map(|i| dense[i % 3]).sum() };
+
+        let specs: Vec<ModelSpec> = (0..FLEET).map(|i| spec(tiers[i % 3])).collect();
+        let mut pool = ClientPool::new(&specs, 0.003, 707);
+        for i in 0..COHORT {
+            let client = pool.materialize(i);
+            pool.park(i, client);
+        }
+        assert_eq!(pool.resident_bytes(), priced(COHORT));
+        assert!(pool.resident_bytes() * 4 <= priced(FLEET));
+    }
+
     #[test]
     fn fresh_materialization_matches_build_clients() {
         let specs = hetero_specs();

@@ -72,7 +72,7 @@
 use crate::admission::QuarantineTracker;
 use crate::clients::ClientState;
 use crate::runtime::DriverState;
-use fedpkd_netsim::{CommLedger, Direction, TransferRecord};
+use fedpkd_netsim::{CommLedger, Direction, Fnv1a, TransferRecord};
 use fedpkd_rng::Rng;
 use fedpkd_tensor::nn::Layer;
 use fedpkd_tensor::optim::{param_shapes, Adam};
@@ -156,16 +156,6 @@ impl From<std::io::Error> for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
-
-/// FNV-1a64 continuation: folds `bytes` into an in-progress hash — the
-/// streaming envelope's running checksum.
-fn fnv1a_seeded(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// An algorithm's complete owned state, captured at a round boundary and
 /// held in memory: the `(name, payload)` value
@@ -532,7 +522,7 @@ impl StateSource for SnapshotReader<'_> {
 /// envelope to be complete.
 pub struct SnapshotStreamWriter<'w> {
     sink: &'w mut dyn std::io::Write,
-    hash: u64,
+    hash: Fnv1a,
     chunk: Vec<u8>,
     error: Option<SnapshotError>,
 }
@@ -543,7 +533,7 @@ impl<'w> SnapshotStreamWriter<'w> {
     pub fn new(sink: &'w mut dyn std::io::Write, name: &str) -> Self {
         let mut w = Self {
             sink,
-            hash: 0xcbf2_9ce4_8422_2325,
+            hash: Fnv1a::new(),
             chunk: Vec::with_capacity(STREAM_CHUNK),
             error: None,
         };
@@ -559,7 +549,7 @@ impl<'w> SnapshotStreamWriter<'w> {
         if self.error.is_some() {
             return;
         }
-        self.hash = fnv1a_seeded(self.hash, bytes);
+        self.hash.update(bytes);
         if let Err(e) = self.sink.write_all(bytes) {
             self.error = Some(e.into());
         }
@@ -586,7 +576,7 @@ impl<'w> SnapshotStreamWriter<'w> {
     pub fn finish(mut self) -> Result<(), SnapshotError> {
         self.flush_chunk();
         self.emit(&0u32.to_le_bytes());
-        let checksum = self.hash;
+        let checksum = self.hash.finish();
         if self.error.is_none() {
             if let Err(e) = self.sink.write_all(&checksum.to_le_bytes()) {
                 self.error = Some(e.into());
@@ -630,7 +620,7 @@ impl std::fmt::Debug for SnapshotStreamWriter<'_> {
 /// whole fleet never materializes the payload.
 pub struct SnapshotStreamReader<'r> {
     source: &'r mut dyn std::io::Read,
-    hash: u64,
+    hash: Fnv1a,
     chunk: Vec<u8>,
     pos: usize,
     /// The zero-length sentinel chunk has been consumed.
@@ -660,9 +650,11 @@ impl<'r> SnapshotStreamReader<'r> {
                 supported: SNAPSHOT_STREAM_VERSION,
             });
         }
+        let mut hash = Fnv1a::new();
+        hash.update(&header);
         let mut r = Self {
             source,
-            hash: fnv1a_seeded(0xcbf2_9ce4_8422_2325, &header),
+            hash,
             chunk: Vec::new(),
             pos: 0,
             done: false,
@@ -686,7 +678,7 @@ impl<'r> SnapshotStreamReader<'r> {
     /// Reads raw header/framing bytes (not chunk payload), hashing them.
     fn pull(&mut self, out: &mut [u8]) -> Result<(), SnapshotError> {
         read_exact(self.source, out)?;
-        self.hash = fnv1a_seeded(self.hash, out);
+        self.hash.update(out);
         Ok(())
     }
 
@@ -738,7 +730,7 @@ impl<'r> SnapshotStreamReader<'r> {
                 )));
             }
         }
-        let expected = self.hash;
+        let expected = self.hash.finish();
         let mut stored = [0u8; 8];
         read_exact(self.source, &mut stored)?;
         if u64::from_le_bytes(stored) != expected {

@@ -25,16 +25,8 @@ use fedpkd_tensor::serialize::{param_vector, state_vector};
 use fedpkd_tensor::step_worker::StepWorker;
 use fedpkd_tensor::{KernelMode, Tensor};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// The kernel tier is process-wide and the tests of this binary run in
-/// parallel: whoever selects a tier holds this for as long as it matters.
-static TIER: Mutex<()> = Mutex::new(());
-
-fn both_tiers() -> (MutexGuard<'static, ()>, [KernelMode; 2]) {
-    let held = TIER.lock().unwrap_or_else(PoisonError::into_inner);
-    (held, [KernelMode::Fast, KernelMode::Scalar])
-}
+const BOTH_TIERS: [KernelMode; 2] = [KernelMode::Fast, KernelMode::Scalar];
 
 /// Rows per step: two full batches and a tail.
 const BATCHES: [usize; 3] = [32, 32, 4];
@@ -342,8 +334,7 @@ fn adam_bits(adam: &Adam) -> (u64, Vec<u32>) {
 
 #[test]
 fn train_server_budget_1_inline_equals_budgets_2_and_8_on_a_worker() {
-    let (_tier, modes) = both_tiers();
-    for mode in modes {
+    for mode in BOTH_TIERS {
         let _mode = KernelMode::scoped(mode);
         for spec in all_specs() {
             let case = DistillCase::new(&spec, 7);
@@ -408,8 +399,7 @@ proptest! {
         mu in prop_oneof![Just(None), Just(Some(0.1f32))],
         seed in any::<u64>(),
     ) {
-        let (_tier, modes) = both_tiers();
-        for mode in modes {
+        for mode in BOTH_TIERS {
             let _mode = KernelMode::scoped(mode);
             check(&spec, opt, with_feature_grad, mu, seed)?;
         }
@@ -422,8 +412,7 @@ proptest! {
         with_feature_grad in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let (_tier, modes) = both_tiers();
-        for mode in modes {
+        for mode in BOTH_TIERS {
             let _mode = KernelMode::scoped(mode);
             check_worker(&spec, opt, with_feature_grad, seed)?;
         }

@@ -29,6 +29,7 @@
 
 mod adversary;
 mod fault;
+mod fnv;
 mod ledger;
 mod link;
 mod message;
@@ -37,6 +38,7 @@ mod wire;
 
 pub use adversary::{Attack, RoundContext};
 pub use fault::{sample_cohort, Cohort, CohortPolicy, Deadline, DropCause, FaultPlan};
+pub use fnv::Fnv1a;
 pub use ledger::{bytes_to_mb, CommLedger, Direction, RoundTraffic, TransferRecord};
 pub use link::LinkModel;
 pub use message::{Message, PrototypeEntry};

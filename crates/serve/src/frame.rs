@@ -17,6 +17,7 @@
 //! anywhere in transit surfaces as [`FrameError::ChecksumMismatch`]
 //! instead of a plausible-but-wrong payload.
 
+use fedpkd_netsim::Fnv1a;
 use std::io::{Read, Write};
 
 /// Maximum bytes per chunk — the v2 snapshot envelope's stream chunk size.
@@ -26,30 +27,6 @@ pub const FRAME_CHUNK: usize = 64 * 1024;
 /// the protocol produces but low enough that a hostile peer cannot balloon
 /// server memory.
 pub const DEFAULT_MAX_PAYLOAD: usize = 16 * 1024 * 1024;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Running FNV-1a64, shared by the frame writer and reader.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Self(FNV_OFFSET)
-    }
-
-    pub(crate) fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    pub(crate) fn finish(self) -> u64 {
-        self.0
-    }
-}
 
 /// Why a frame could not be read.
 #[derive(Debug)]
@@ -115,7 +92,7 @@ impl From<std::io::Error> for FrameError {
 ///
 /// Any underlying I/O failure.
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::io::Result<()> {
-    let mut fnv = Fnv::new();
+    let mut fnv = Fnv1a::new();
     let mut put = |w: &mut dyn Write, bytes: &[u8]| -> std::io::Result<()> {
         fnv.update(bytes);
         w.write_all(bytes)
@@ -172,7 +149,7 @@ pub fn read_frame_after_kind(
     kind: u8,
     max_payload: usize,
 ) -> Result<Vec<u8>, FrameError> {
-    let mut fnv = Fnv::new();
+    let mut fnv = Fnv1a::new();
     fnv.update(&[kind]);
 
     let mut payload = Vec::new();

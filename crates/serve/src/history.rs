@@ -20,9 +20,7 @@
 use std::path::Path;
 
 use fedpkd_core::runtime::RoundMetrics;
-use fedpkd_netsim::CommLedger;
-
-use crate::frame::Fnv;
+use fedpkd_netsim::{CommLedger, Fnv1a};
 
 /// Why a history file could not be interpreted.
 #[derive(Debug)]
@@ -110,7 +108,7 @@ pub fn metrics_line(m: &RoundMetrics) -> String {
 /// runs with equal fingerprints moved the same bytes for the same clients
 /// in the same rounds, in the same order.
 pub fn ledger_fingerprint(ledger: &CommLedger) -> u64 {
-    let mut fnv = Fnv::new();
+    let mut fnv = Fnv1a::new();
     for t in ledger.transfers() {
         fnv.update(&(t.round as u64).to_le_bytes());
         fnv.update(&(t.client as u64).to_le_bytes());

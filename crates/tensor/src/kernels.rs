@@ -49,8 +49,7 @@
 //! vector and never stalls. Dropping the skip also drops the fast tier's
 //! per-call finiteness scan, and `0·NaN = NaN` propagates naturally.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
+use crate::mode_switch::{ModeSwitch, Override};
 use crate::parallel;
 
 /// Which kernel tier [`crate::Tensor::matmul`] and friends dispatch to.
@@ -68,87 +67,41 @@ pub enum KernelMode {
     Fast,
 }
 
-/// Sentinel: the mode has not been resolved from the environment yet.
-const MODE_UNSET: u8 = u8::MAX;
-
-static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
-
-fn mode_to_raw(mode: KernelMode) -> u8 {
-    match mode {
-        KernelMode::Scalar => 0,
-        KernelMode::Fast => 1,
-    }
-}
-
-fn raw_to_mode(raw: u8) -> KernelMode {
-    if raw == 0 {
-        KernelMode::Scalar
-    } else {
-        KernelMode::Fast
-    }
-}
-
-/// The process-wide default tier, read once from `FEDPKD_KERNELS`
-/// (`scalar` selects the reference tier; anything else — including the
-/// variable being unset — selects the fast tier).
-fn env_default() -> u8 {
-    match std::env::var("FEDPKD_KERNELS") {
-        Ok(v) if v.eq_ignore_ascii_case("scalar") => 0,
-        _ => 1,
-    }
-}
+static TIER: ModeSwitch = ModeSwitch::new(KernelMode::Fast as u8);
 
 impl KernelMode {
     /// Selects this kernel tier for the lifetime of the returned guard and
-    /// restores the previous tier when the guard drops (including on
-    /// panic-unwind, so a failing test can no longer leak its tier into
-    /// later tests).
+    /// restores the default ([`KernelMode::Fast`]) when the guard drops
+    /// (including on panic-unwind).
     ///
-    /// The underlying switch is still process-wide — worker threads spawned
-    /// by [`crate::parallel`] consult the same switch, which is exactly why
-    /// it cannot be thread-local — so overlapping guards on different
-    /// threads share it: the last guard to drop wins. That is safe (tiers
-    /// are bit-identical; see the module docs) but makes concurrent timing
-    /// comparisons meaningless, so benchmarks serialize their guarded
-    /// sections.
+    /// The switch is process-wide — worker threads spawned by
+    /// [`crate::parallel`] consult it, which is why it cannot be
+    /// thread-local — so the override is exclusive: the guard holds a
+    /// process-wide lock, and a second `scoped` call on any thread blocks
+    /// until the first guard drops. Two tests comparing the tiers on
+    /// parallel threads therefore each see their own tier for as long as
+    /// they hold the guard. Never nest two of these guards on one thread
+    /// (the inner call would wait on the outer guard for ever); code that
+    /// also takes a [`crate::plan::PlanMode::scoped`] guard takes this one
+    /// first.
     #[must_use = "the tier reverts as soon as the guard drops"]
     pub fn scoped(self) -> KernelModeGuard {
-        let prev = kernel_mode();
-        MODE.store(mode_to_raw(self), Ordering::Relaxed);
-        KernelModeGuard { prev }
+        KernelModeGuard(TIER.override_with(self as u8))
     }
 }
 
-/// RAII guard from [`KernelMode::scoped`]: restores the previously selected
-/// tier on drop.
+/// RAII guard from [`KernelMode::scoped`]: restores the default tier on
+/// drop, then lets the next override in.
 #[derive(Debug)]
-pub struct KernelModeGuard {
-    prev: KernelMode,
-}
+pub struct KernelModeGuard(#[allow(dead_code)] Override);
 
-impl Drop for KernelModeGuard {
-    fn drop(&mut self) {
-        MODE.store(mode_to_raw(self.prev), Ordering::Relaxed);
-    }
-}
-
-/// The currently selected kernel tier.
-///
-/// On first call this resolves the default from the `FEDPKD_KERNELS`
-/// environment variable (`scalar` → [`KernelMode::Scalar`], anything else
-/// → [`KernelMode::Fast`]); afterwards it reflects the innermost live
-/// [`KernelMode::scoped`] guard.
+/// The currently selected kernel tier: [`KernelMode::Fast`] unless a
+/// [`KernelMode::scoped`] guard is live.
 pub fn kernel_mode() -> KernelMode {
-    let raw = MODE.load(Ordering::Relaxed);
-    if raw != MODE_UNSET {
-        return raw_to_mode(raw);
-    }
-    let resolved = env_default();
-    // A concurrent first call may have resolved (or a guard may have set)
-    // the mode in the meantime; the first store wins.
-    match MODE.compare_exchange(MODE_UNSET, resolved, Ordering::Relaxed, Ordering::Relaxed) {
-        Ok(_) => raw_to_mode(resolved),
-        Err(current) => raw_to_mode(current),
+    if TIER.get() == KernelMode::Scalar as u8 {
+        KernelMode::Scalar
+    } else {
+        KernelMode::Fast
     }
 }
 

@@ -51,6 +51,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod mode_switch;
 mod tensor;
 
 pub mod kernels;

@@ -24,17 +24,17 @@
 //! workers executed them in. Permuting the seeding order therefore changes
 //! only *when* each result becomes available, never its value or the order
 //! server-side folds observe it — so any schedule, any worker count, and
-//! any steal interleaving replay bit-identically. The perf binary's gate
-//! checks exactly this: grouped vs sequential schedules must produce
-//! identical run histories for all algorithms.
+//! any steal interleaving replay bit-identically. The gate matrix in
+//! `tests/fleet.rs` checks exactly this: grouped vs sequential schedules
+//! must produce identical run results for all eight algorithms.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use crate::mode_switch::{ModeSwitch, Override};
 
 /// Which seeding schedule the execution-plan dispatchers build.
 ///
 /// Both modes produce bit-identical results (see the module docs); the
-/// switch exists so benchmarks and the bit-identity gate can compare the
-/// schedules on identical workloads.
+/// switch exists so the bit-identity gate can compare the schedules on
+/// identical workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanMode {
     /// Seed worker queues in input order (the pre-plan behavior).
@@ -43,77 +43,33 @@ pub enum PlanMode {
     Grouped,
 }
 
-/// Sentinel: the mode has not been resolved from the environment yet.
-const MODE_UNSET: u8 = u8::MAX;
-
-static MODE: AtomicU8 = AtomicU8::new(MODE_UNSET);
-
-fn mode_to_raw(mode: PlanMode) -> u8 {
-    match mode {
-        PlanMode::Sequential => 0,
-        PlanMode::Grouped => 1,
-    }
-}
-
-fn raw_to_mode(raw: u8) -> PlanMode {
-    if raw == 0 {
-        PlanMode::Sequential
-    } else {
-        PlanMode::Grouped
-    }
-}
-
-/// The process-wide default plan, read once from `FEDPKD_PLAN`
-/// (`sequential` selects input-order seeding; anything else — including
-/// the variable being unset — selects grouped seeding).
-fn env_default() -> u8 {
-    match std::env::var("FEDPKD_PLAN") {
-        Ok(v) if v.eq_ignore_ascii_case("sequential") => 0,
-        _ => 1,
-    }
-}
+static PLAN: ModeSwitch = ModeSwitch::new(PlanMode::Grouped as u8);
 
 impl PlanMode {
     /// Selects this plan mode for the lifetime of the returned guard and
-    /// restores the previous mode when the guard drops (including on
-    /// panic-unwind). The switch is process-wide, mirroring
-    /// [`crate::KernelMode::scoped`] — overlapping guards on different
-    /// threads share it, which is safe (modes are bit-identical) but makes
-    /// concurrent timing comparisons meaningless.
+    /// restores the default ([`PlanMode::Grouped`]) when the guard drops
+    /// (including on panic-unwind). The switch is process-wide and the
+    /// override exclusive, exactly like [`crate::KernelMode::scoped`]: a
+    /// second call blocks until the first guard drops, so never nest two on
+    /// one thread, and take the kernel-tier guard first when holding both.
     #[must_use = "the plan mode reverts as soon as the guard drops"]
     pub fn scoped(self) -> PlanModeGuard {
-        let prev = plan_mode();
-        MODE.store(mode_to_raw(self), Ordering::Relaxed);
-        PlanModeGuard { prev }
+        PlanModeGuard(PLAN.override_with(self as u8))
     }
 }
 
-/// RAII guard from [`PlanMode::scoped`]: restores the previously selected
-/// plan mode on drop.
+/// RAII guard from [`PlanMode::scoped`]: restores the default plan mode on
+/// drop, then lets the next override in.
 #[derive(Debug)]
-pub struct PlanModeGuard {
-    prev: PlanMode,
-}
+pub struct PlanModeGuard(#[allow(dead_code)] Override);
 
-impl Drop for PlanModeGuard {
-    fn drop(&mut self) {
-        MODE.store(mode_to_raw(self.prev), Ordering::Relaxed);
-    }
-}
-
-/// The currently selected plan mode. On first call this resolves the
-/// default from the `FEDPKD_PLAN` environment variable (`sequential` →
-/// [`PlanMode::Sequential`], anything else → [`PlanMode::Grouped`]);
-/// afterwards it reflects the innermost live [`PlanMode::scoped`] guard.
+/// The currently selected plan mode: [`PlanMode::Grouped`] unless a
+/// [`PlanMode::scoped`] guard is live.
 pub fn plan_mode() -> PlanMode {
-    let raw = MODE.load(Ordering::Relaxed);
-    if raw != MODE_UNSET {
-        return raw_to_mode(raw);
-    }
-    let resolved = env_default();
-    match MODE.compare_exchange(MODE_UNSET, resolved, Ordering::Relaxed, Ordering::Relaxed) {
-        Ok(_) => raw_to_mode(resolved),
-        Err(current) => raw_to_mode(current),
+    if PLAN.get() == PlanMode::Sequential as u8 {
+        PlanMode::Sequential
+    } else {
+        PlanMode::Grouped
     }
 }
 
@@ -173,17 +129,13 @@ mod tests {
 
     #[test]
     fn scoped_guard_restores_previous_mode() {
-        let initial = plan_mode();
         {
             let _g = PlanMode::Sequential.scoped();
             assert_eq!(plan_mode(), PlanMode::Sequential);
-            {
-                let _inner = PlanMode::Grouped.scoped();
-                assert_eq!(plan_mode(), PlanMode::Grouped);
-            }
-            assert_eq!(plan_mode(), PlanMode::Sequential);
         }
-        assert_eq!(plan_mode(), initial);
+        // Not a nested override: the first guard is gone.
+        let _g = PlanMode::Grouped.scoped();
+        assert_eq!(plan_mode(), PlanMode::Grouped);
     }
 
     #[test]

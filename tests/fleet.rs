@@ -2,11 +2,13 @@
 //!
 //! Covers the two determinism contracts the event-driven scheduler makes:
 //! seeded cohort sampling is a pure, replayable function of
-//! `(seed, round, fleet, size)`, and streaming aggregation at the ordered
-//! commit point is bit-identical to the legacy one-client-at-a-time round
-//! loop for every algorithm, at any worker budget.
+//! `(seed, round, fleet, size)`, and a run's result does not depend on how
+//! it was executed — the bit-identity gate matrix replays every algorithm
+//! across kernel tier × execution-plan schedule × worker budget.
 
 use fedpkd::prelude::*;
+use fedpkd::tensor::plan::PlanMode;
+use fedpkd::tensor::KernelMode;
 use proptest::prelude::*;
 
 const FLEET: usize = 10_000;
@@ -61,16 +63,25 @@ proptest! {
     /// A 10k-fleet run under a sampled cohort policy is bit-identical on
     /// replay — same `RunResult`, same server state — regardless of the
     /// worker budget, because uploads fold at the canonical commit point.
+    /// In bounded-staleness mode too: a link slow enough that every invited
+    /// client misses the 1 s deadline, its upload landing in a later round.
     #[test]
-    fn fleet_run_replays_identically(seed in any::<u64>(), cohort_seed in any::<u64>()) {
+    fn fleet_run_replays_identically(
+        seed in any::<u64>(),
+        cohort_seed in any::<u64>(),
+        staleness in prop_oneof![Just(0usize), Just(2)],
+    ) {
         let run = |workers: usize| {
             let mut fleet = FleetSim::new(FLEET, 6, 8, seed);
-            let result = DriverBuilder::new()
-                .rounds(ROUNDS)
+            let mut builder = DriverBuilder::new()
+                .rounds(ROUNDS + staleness)
                 .cohort(CohortPolicy::Sample { size: 64, seed: cohort_seed })
-                .workers(workers)
-                .build()
-                .run_silent(&mut fleet);
+                .workers(workers);
+            if staleness > 0 {
+                let slow = FaultPlan::new(seed).with_deadline(LinkModel::new(100.0, 0.0), 1.0);
+                builder = builder.faults(slow).staleness(staleness);
+            }
+            let result = builder.build().run_silent(&mut fleet);
             (result, fleet)
         };
         prop_assert_eq!(run(1), run(4));
@@ -103,13 +114,19 @@ fn fleet_resume_draws_identical_cohorts() {
     assert_eq!(tail.history, full.history[2..], "resumed metrics match");
 }
 
-// --- streaming ≡ serial, across every algorithm --------------------------
+// --- the bit-identity gate matrix, across every algorithm ----------------
+//
+// One `streaming_matches_legacy_for_*` test per algorithm: the names date
+// from a two-configuration comparison and are what the test-floor list
+// keys on; each now runs the whole matrix.
+
+const CLIENTS: usize = 5;
 
 fn scenario(seed: u64) -> fedpkd::data::FederatedScenario {
     ScenarioBuilder::new(SyntheticConfig::cifar10_like())
-        .clients(3)
+        .clients(CLIENTS)
         .partition(Partition::Dirichlet { alpha: 0.5 })
-        .samples(240)
+        .samples(300)
         .public_size(90)
         .global_test_size(90)
         .seed(seed)
@@ -117,20 +134,29 @@ fn scenario(seed: u64) -> fedpkd::data::FederatedScenario {
         .expect("valid scenario")
 }
 
-fn client_spec() -> ModelSpec {
+fn res_mlp(tier: DepthTier) -> ModelSpec {
     ModelSpec::ResMlp {
         input_dim: 32,
         num_classes: 10,
-        tier: DepthTier::T11,
+        tier,
     }
 }
 
+fn client_spec() -> ModelSpec {
+    res_mlp(DepthTier::T11)
+}
+
+/// T11/T20/T29 round-robin: two architectures repeat with others in
+/// between, so the grouped plan seeds workers in a different order than the
+/// sequential one (all-distinct or all-equal specs would group to the
+/// identity).
+fn mixed_specs() -> Vec<ModelSpec> {
+    let tiers = [DepthTier::T11, DepthTier::T20, DepthTier::T29];
+    (0..CLIENTS).map(|i| res_mlp(tiers[i % 3])).collect()
+}
+
 fn server_spec() -> ModelSpec {
-    ModelSpec::ResMlp {
-        input_dim: 32,
-        num_classes: 10,
-        tier: DepthTier::T20,
-    }
+    res_mlp(DepthTier::T20)
 }
 
 fn fast_baseline() -> BaselineConfig {
@@ -151,31 +177,114 @@ fn fast_pkd() -> FedPkdConfig {
     }
 }
 
-/// The driver at the default worker budget (streaming aggregation on the
-/// work-stealing pool) must reproduce the legacy schedule — one worker,
-/// one client at a time — bit for bit.
-fn assert_streaming_matches_legacy<A: Federation>(name: &str, make: &dyn Fn() -> A) {
-    let driven = Driver::rounds(ROUNDS).run_silent(&mut make());
-    let serial = DriverBuilder::new()
-        .rounds(ROUNDS)
-        .workers(1)
-        .build()
-        .run_silent(&mut make());
-    assert_eq!(driven, serial, "{name}: default workers vs serial");
+/// The gate matrix: `(label, kernel tier, plan schedule, worker budget)`,
+/// the scalar/sequential reference first. Budget 1 vs 2 is also FedPKD's
+/// server step inline vs on its step worker (the default budget is the core
+/// count, so only an explicit 2 engages the worker on every machine).
+const GATE: [(&str, KernelMode, PlanMode, Option<usize>); 6] = [
+    (
+        "scalar/sequential",
+        KernelMode::Scalar,
+        PlanMode::Sequential,
+        None,
+    ),
+    ("fast/grouped", KernelMode::Fast, PlanMode::Grouped, None),
+    (
+        "fast/grouped/w1-inline-step",
+        KernelMode::Fast,
+        PlanMode::Grouped,
+        Some(1),
+    ),
+    (
+        "fast/grouped/w2-step-worker",
+        KernelMode::Fast,
+        PlanMode::Grouped,
+        Some(2),
+    ),
+    (
+        "fast/sequential",
+        KernelMode::Fast,
+        PlanMode::Sequential,
+        None,
+    ),
+    (
+        "scalar/grouped",
+        KernelMode::Scalar,
+        PlanMode::Grouped,
+        None,
+    ),
+];
+
+/// Every configuration of [`GATE`] must reproduce the reference
+/// configuration bit for bit — the `RunResult` (history and ledger) and the
+/// final snapshot (every model, optimizer and RNG state; accuracies alone
+/// would let a one-ulp drift through): the kernel tiers, the plan schedules
+/// and the worker budgets change when work happens, never what it computes.
+fn assert_gate_matrix<A: Federation>(name: &str, make: impl Fn() -> A) {
+    let run = |tier: KernelMode, plan: PlanMode, workers: Option<usize>| {
+        // Tier guard before plan guard, here and everywhere both are held.
+        let _tier = tier.scoped();
+        let _plan = plan.scoped();
+        let builder = DriverBuilder::new().rounds(ROUNDS);
+        let builder = match workers {
+            Some(workers) => builder.workers(workers),
+            None => builder,
+        };
+        let mut algo = make();
+        let result = builder.build().run_silent(&mut algo);
+        (result, algo.snapshot())
+    };
+    let (reference_label, tier, plan, workers) = GATE[0];
+    let reference = run(tier, plan, workers);
+    for (label, tier, plan, workers) in &GATE[1..] {
+        assert!(
+            run(*tier, *plan, *workers) == reference,
+            "{name}: {label} diverged from {reference_label}"
+        );
+    }
 }
 
+/// FedPKD under its default configuration and the three feature modes whose
+/// server math has tier-specific kernels or an extra model in the loop.
 #[test]
 fn streaming_matches_legacy_for_fedpkd() {
-    assert_streaming_matches_legacy("FedPKD", &|| {
-        FedPkd::new(
-            scenario(21),
-            vec![client_spec(); 3],
-            server_spec(),
-            fast_pkd(),
-            9,
-        )
-        .unwrap()
-    });
+    let rows = [
+        ("FedPKD", fast_pkd()),
+        (
+            "FedPKD/trimmed",
+            FedPkdConfig {
+                robust: RobustAggregation::Trimmed { trim_fraction: 0.2 },
+                ..fast_pkd()
+            },
+        ),
+        (
+            "FedPKD/margins",
+            FedPkdConfig {
+                adaptive_margins: true,
+                ..fast_pkd()
+            },
+        ),
+        (
+            "FedPKD/margins+generated",
+            FedPkdConfig {
+                adaptive_margins: true,
+                distill_source: DistillSource::Generated,
+                ..fast_pkd()
+            },
+        ),
+    ];
+    for (name, config) in rows {
+        assert_gate_matrix(name, || {
+            FedPkd::new(
+                scenario(21),
+                mixed_specs(),
+                server_spec(),
+                config.clone(),
+                9,
+            )
+            .unwrap()
+        });
+    }
 }
 
 /// Budget 1 vs budget ≥ 2 is also inline vs worker for FedPKD's server
@@ -187,7 +296,7 @@ fn fedpkd_inline_server_step_at_budget_1_matches_step_worker_at_budgets_2_and_8(
     let run = |workers: usize| {
         let mut algo = FedPkd::new(
             scenario(21),
-            vec![client_spec(); 3],
+            vec![client_spec(); CLIENTS],
             server_spec(),
             fast_pkd(),
             9,
@@ -208,45 +317,45 @@ fn fedpkd_inline_server_step_at_budget_1_matches_step_worker_at_budgets_2_and_8(
 
 #[test]
 fn streaming_matches_legacy_for_fedavg() {
-    assert_streaming_matches_legacy("FedAvg", &|| {
+    assert_gate_matrix("FedAvg", || {
         FedAvg::new(scenario(22), server_spec(), fast_baseline(), 9).unwrap()
     });
 }
 
 #[test]
 fn streaming_matches_legacy_for_fedprox() {
-    assert_streaming_matches_legacy("FedProx", &|| {
+    assert_gate_matrix("FedProx", || {
         FedProx::new(scenario(23), server_spec(), fast_baseline(), 9).unwrap()
     });
 }
 
 #[test]
 fn streaming_matches_legacy_for_fedmd() {
-    assert_streaming_matches_legacy("FedMD", &|| {
-        FedMd::new(scenario(24), vec![client_spec(); 3], fast_baseline(), 9).unwrap()
+    assert_gate_matrix("FedMD", || {
+        FedMd::new(scenario(24), mixed_specs(), fast_baseline(), 9).unwrap()
     });
 }
 
 #[test]
 fn streaming_matches_legacy_for_dsfl() {
-    assert_streaming_matches_legacy("DS-FL", &|| {
-        DsFl::new(scenario(25), vec![client_spec(); 3], fast_baseline(), 9).unwrap()
+    assert_gate_matrix("DS-FL", || {
+        DsFl::new(scenario(25), mixed_specs(), fast_baseline(), 9).unwrap()
     });
 }
 
 #[test]
 fn streaming_matches_legacy_for_feddf() {
-    assert_streaming_matches_legacy("FedDF", &|| {
+    assert_gate_matrix("FedDF", || {
         FedDf::new(scenario(26), server_spec(), fast_baseline(), 9).unwrap()
     });
 }
 
 #[test]
 fn streaming_matches_legacy_for_fedet() {
-    assert_streaming_matches_legacy("FedET", &|| {
+    assert_gate_matrix("FedET", || {
         FedEt::new(
             scenario(27),
-            vec![client_spec(); 3],
+            mixed_specs(),
             server_spec(),
             fast_baseline(),
             9,
@@ -257,10 +366,10 @@ fn streaming_matches_legacy_for_fedet() {
 
 #[test]
 fn streaming_matches_legacy_for_naive_kd() {
-    assert_streaming_matches_legacy("NaiveKD", &|| {
+    assert_gate_matrix("NaiveKD", || {
         NaiveKd::new(
             scenario(28),
-            vec![client_spec(); 3],
+            mixed_specs(),
             server_spec(),
             fast_baseline(),
             9,
@@ -277,7 +386,7 @@ fn observed_buffered_run_matches_silent_streaming_run() {
     let make = || {
         FedPkd::new(
             scenario(29),
-            vec![client_spec(); 3],
+            vec![client_spec(); CLIENTS],
             server_spec(),
             fast_pkd(),
             13,
