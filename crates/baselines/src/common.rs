@@ -1,16 +1,17 @@
 //! What the baseline algorithms share on top of the client-side phase
-//! functions of [`fedpkd_core::clients`]: the owned state every baseline
-//! snapshots, the two local-training flavours, and the server steps more
-//! than one of them runs.
+//! functions of [`fedpkd_core::clients`]: the state every baseline
+//! snapshots, the local-training and digest flavours, and the server steps
+//! more than one of them runs.
 
 use std::time::Instant;
 
 pub(crate) use fedpkd_core::clients::{
-    digest, local_update, public_upload, ClientState as Client, RoundIo,
+    local_update, public_upload, ClientState as Client, RoundIo,
 };
 
 use crate::BaselineConfig;
-use fedpkd_core::clients::{build_clients, client_accuracies, validate_specs};
+use fedpkd_core::clients::{digest, validate_specs};
+use fedpkd_core::cow::{pooled_client_accuracies, ClientPool};
 use fedpkd_core::eval;
 use fedpkd_core::fedpkd::logits::aggregation_stats;
 use fedpkd_core::fedpkd::CoreError;
@@ -19,6 +20,7 @@ use fedpkd_core::snapshot::{self, SnapshotError, StateSink, StateSource};
 use fedpkd_core::telemetry::{emit_phase_timing, Phase, TelemetryEvent};
 use fedpkd_core::train::{add_proximal_term, train_distill, train_supervised, TrainStats};
 use fedpkd_data::{ClientData, Dataset, FederatedScenario};
+use fedpkd_netsim::Message;
 use fedpkd_rng::Rng;
 use fedpkd_tensor::loss::CrossEntropy;
 use fedpkd_tensor::models::{ClassifierModel, ModelSpec};
@@ -26,10 +28,10 @@ use fedpkd_tensor::nn::{Layer, Param};
 use fedpkd_tensor::optim::{step_and_zero, Adam, Optimizer};
 use fedpkd_tensor::Tensor;
 
-/// The owned, snapshotable half of a baseline: everything that changes
-/// from round to round. The scenario and config are the static half.
+/// The snapshotable half of a baseline: everything that changes from
+/// round to round. The scenario and config are the static half.
 pub(crate) struct Fleet {
-    pub clients: Vec<Client>,
+    pub clients: ClientPool,
     /// The server-side model, for the algorithms that keep one.
     pub server: Option<ClassifierModel>,
     /// The server's RNG stream, for the algorithms whose server step draws
@@ -55,7 +57,7 @@ impl Fleet {
         validate_specs(scenario, client_specs, server_spec, homogeneous)?;
         let mut server_rng = Rng::stream(seed, 0);
         let fleet = Self {
-            clients: build_clients(client_specs, config.learning_rate, seed),
+            clients: ClientPool::new(client_specs, config.learning_rate, seed),
             server: server_spec.map(|spec| spec.build(&mut server_rng)),
             server_rng: None,
             driver: DriverState::new(),
@@ -71,13 +73,13 @@ impl Fleet {
 
     /// Per-client accuracy on the clients' local test sets.
     pub fn client_accuracies(&mut self, scenario: &FederatedScenario) -> Vec<f64> {
-        client_accuracies(&mut self.clients, scenario)
+        pooled_client_accuracies(&mut self.clients, scenario)
     }
 
     /// Clients, then whichever of server model and server stream exist,
     /// then the driver book-keeping.
     pub fn write(&self, w: &mut dyn StateSink) {
-        snapshot::write_clients(w, &self.clients);
+        snapshot::write_pool(w, &self.clients);
         if let Some(server) = &self.server {
             snapshot::write_model(w, server);
         }
@@ -89,7 +91,7 @@ impl Fleet {
 
     /// The inverse of [`write`](Self::write).
     pub fn read(&mut self, r: &mut dyn StateSource) -> Result<(), SnapshotError> {
-        snapshot::read_clients(r, &mut self.clients)?;
+        snapshot::read_pool(r, &mut self.clients)?;
         if let Some(server) = &mut self.server {
             snapshot::read_model(r, server)?;
         }
@@ -180,6 +182,34 @@ pub(crate) fn train_sizes(scenario: &FederatedScenario, senders: &[usize]) -> Ve
         .iter()
         .map(|&client| scenario.clients[client].train.len() as f64)
         .collect()
+}
+
+/// The distilling baselines' downlink: every survivor is billed one logits
+/// message the size of `target` and digests it — distills toward it on the
+/// whole public set, on its own persistent optimizer.
+pub(crate) fn digest_public(
+    clients: &mut ClientPool,
+    scenario: &FederatedScenario,
+    config: &BaselineConfig,
+    io: &mut RoundIo<'_>,
+    target: &Tensor,
+    temperature: f32,
+) {
+    let public = &scenario.public;
+    let bytes = Message::logits_encoded_len(public.len(), target.as_slice().len());
+    digest(clients, scenario, io, &[bytes], |client| {
+        train_distill(
+            &mut client.model,
+            public.features(),
+            target,
+            config.gamma,
+            temperature,
+            config.digest_epochs,
+            config.batch_size,
+            &mut client.optimizer,
+            &mut client.rng,
+        )
+    });
 }
 
 /// The plain mean of the admitted uploads, reported as a
@@ -324,10 +354,10 @@ mod tests {
     #[test]
     fn prox_training_stays_near_reference_for_large_mu() {
         let scenario = tiny_scenario(4);
-        let mut clients = build_clients(&vec![spec(DepthTier::T11); 3], 0.001, 9);
-        let reference = param_vector(&clients[0].model);
+        let clients = ClientPool::new(&[spec(DepthTier::T11)], 0.001, 9);
+        let c = &mut clients.materialize(0);
+        let reference = param_vector(&c.model);
         // Huge mu: weights should barely move.
-        let c = &mut clients[0];
         let stats = train_supervised_prox(
             &mut c.model,
             &scenario.clients[0].train,
@@ -339,15 +369,14 @@ mod tests {
             &mut c.rng,
         );
         assert!(stats.batches > 0 && stats.mean_loss > 0.0);
-        let after = param_vector(&clients[0].model);
+        let after = param_vector(&c.model);
         let drift: f32 = reference
             .iter()
             .zip(&after)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max);
         // Compare against an unconstrained run from the same start.
-        let mut free = build_clients(&vec![spec(DepthTier::T11); 3], 0.001, 9);
-        let f = &mut free[0];
+        let f = &mut clients.materialize(0);
         fedpkd_core::train::train_supervised(
             &mut f.model,
             &scenario.clients[0].train,
@@ -356,7 +385,7 @@ mod tests {
             &mut f.optimizer,
             &mut f.rng,
         );
-        let free_after = param_vector(&free[0].model);
+        let free_after = param_vector(&f.model);
         let free_drift: f32 = reference
             .iter()
             .zip(&free_after)

@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use crate::common::{
-    digest, forward_to_fleet, mean_upload, public_upload, train_local, Fleet, RoundIo,
+    digest_public, forward_to_fleet, mean_upload, public_upload, train_local, Fleet, RoundIo,
 };
 use crate::BaselineConfig;
 use fedpkd_core::eval;
@@ -88,16 +88,7 @@ impl Federation for DsFl {
         // Distribute + distill, survivors only; the targets are already
         // probabilities at T = 1.
         if let Some(sharpened) = sharpened {
-            digest(
-                clients,
-                scenario,
-                io,
-                &sharpened,
-                config.gamma,
-                1.0,
-                config.digest_epochs,
-                config.batch_size,
-            );
+            digest_public(clients, scenario, config, io, &sharpened, 1.0);
         }
     }
 

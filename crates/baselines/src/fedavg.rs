@@ -181,7 +181,7 @@ mod tests {
         use fedpkd_netsim::DropCause;
 
         let mut algo = FedAvg::new(scenario(5), spec(), config(), 11).unwrap();
-        let dropped_before = state_vector(&algo.state.clients[1].model);
+        let dropped_before = state_vector(&algo.state.clients.materialize(1).model);
         let cohort = Cohort::from_causes(vec![None, Some(DropCause::Crash), None]);
         let mut ledger = CommLedger::new();
         algo.run_round(
@@ -193,7 +193,7 @@ mod tests {
         assert_eq!(ledger.client_bytes(1), 0, "dropped client billed nothing");
         assert!(ledger.client_bytes(0) > 0);
         assert_eq!(
-            state_vector(&algo.state.clients[1].model),
+            state_vector(&algo.state.clients.materialize(1).model),
             dropped_before,
             "dropped client's local state is untouched"
         );

@@ -3,8 +3,8 @@
 use std::time::Instant;
 
 use crate::common::{
-    digest, distill_server, forward_to_fleet, local_update, report_ensemble, train_local, Fleet,
-    RoundIo,
+    digest_public, distill_server, forward_to_fleet, local_update, report_ensemble, train_local,
+    Fleet, RoundIo,
 };
 use crate::BaselineConfig;
 use fedpkd_core::eval;
@@ -145,16 +145,8 @@ impl Federation for FedEt {
 
         // Server probabilities travel down; surviving clients distill.
         let server_probs = softmax(&eval::logits_on(server, public), 1.0);
-        digest(
-            &mut self.state.clients,
-            scenario,
-            io,
-            &server_probs,
-            config.gamma,
-            1.0,
-            config.digest_epochs,
-            config.batch_size,
-        );
+        let clients = &mut self.state.clients;
+        digest_public(clients, scenario, config, io, &server_probs, 1.0);
     }
 
     forward_to_fleet!();

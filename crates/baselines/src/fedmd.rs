@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use crate::common::{
-    digest, forward_to_fleet, mean_upload, public_upload, train_local, Fleet, RoundIo,
+    digest_public, forward_to_fleet, mean_upload, public_upload, train_local, Fleet, RoundIo,
 };
 use crate::BaselineConfig;
 use fedpkd_core::eval;
@@ -83,15 +83,13 @@ impl Federation for FedMd {
         // Distribute + digest: every surviving client distills toward the
         // consensus; dropped clients never see it.
         if let Some(consensus) = consensus {
-            digest(
+            digest_public(
                 clients,
                 scenario,
+                config,
                 io,
                 &consensus,
-                config.gamma,
                 config.temperature,
-                config.digest_epochs,
-                config.batch_size,
             );
         }
     }

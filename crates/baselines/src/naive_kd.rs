@@ -64,11 +64,9 @@ impl NaiveKd {
     /// most recent round — exposed for the Fig. 2 logit-quality analysis.
     pub fn aggregated_public_logits(&mut self) -> Tensor {
         let public = &self.scenario.public;
-        let logits: Vec<Tensor> = self
-            .state
-            .clients
-            .iter_mut()
-            .map(|c| eval::logits_on(&mut c.model, public))
+        let clients = &self.state.clients;
+        let logits: Vec<Tensor> = (0..clients.len())
+            .map(|i| eval::logits_on(&mut clients.materialize(i).model, public))
             .collect();
         let mut mean = Tensor::zeros(logits[0].shape());
         let w = 1.0 / logits.len() as f32;

@@ -1,40 +1,45 @@
-//! Shared client plumbing: construction, spec validation, parallel
-//! dispatch, evaluation, and the client-side phases of a round.
+//! Shared client plumbing: the live client, spec validation, and the
+//! client-side phases of a round.
 //!
-//! FedPKD and every baseline build their client fleets the same way — one
-//! model per spec, each on its own deterministic RNG stream — so the logic
-//! lives here once. The RNG stream convention is load-bearing for
-//! reproducibility: client `i` draws from `Rng::stream(seed, 1 + i)` and the
-//! server (when present) from `Rng::stream(seed, 0)`.
+//! Every algorithm keeps its clients in a [`ClientPool`] — one slot per
+//! client, built on the repo-wide RNG stream convention (client `i` draws
+//! from `Rng::stream(seed, 1 + i)`, the server from `Rng::stream(seed, 0)`)
+//! — and runs them through the pool's ordered-commit work-stealing
+//! dispatch, sized by the round's worker budget.
 //!
 //! The paper's round (§IV) is client training → uplink → server step →
-//! downlink → client distillation, and the seven baselines are subsets of
-//! it. The three client-side pieces are plain functions here —
-//! [`local_update`] (parameters up), [`public_upload`] (public-set logits
-//! up) and [`digest`] (consensus down) — and each owns, once, what every
-//! algorithm must do the same way: the empty-cohort guard, the
-//! `ClientTrained`/`ClientDistilled` events and phase timing, Byzantine
-//! corruption on the `(seed, round, client)` stream, size-only ledger
-//! billing, and admission. A baseline's `run_round` is these calls plus
-//! its own aggregation rule and server step.
+//! downlink → client distillation; FedPKD runs all of it and the seven
+//! baselines are subsets. The client-side pieces are plain functions here:
+//! `train_cohort` runs a roster and hands each result to the caller's
+//! commit in ascending client order, [`local_update`] (parameters up) and
+//! [`public_upload`] (public-set logits up) are the baselines' buffered
+//! uses of it, and [`digest`] is the downlink. Together they own, once,
+//! what every algorithm must do the same way: the `ClientTrained` /
+//! `ClientDistilled` events and phase timing, the worker budget, and — for
+//! the baselines — the empty-cohort guard, Byzantine corruption on the
+//! `(seed, round, client)` stream, size-only ledger billing, and admission.
+//! A `run_round` is these calls plus the algorithm's own aggregation rule
+//! and server step.
 
 use std::time::Instant;
 
 use crate::admission::{AdmissionPolicy, PayloadKind, RejectReason};
-use crate::eval;
+use crate::cow::{for_each_pooled_client_streaming, ClientPool};
 use crate::fedpkd::CoreError;
 use crate::telemetry::{emit_phase_timing, Phase, RoundObserver, TelemetryEvent};
-use crate::train::{train_distill, TrainStats};
+use crate::train::TrainStats;
 use fedpkd_data::{ClientData, FederatedScenario};
-use fedpkd_netsim::{Attack, Cohort, CommLedger, Direction, Message, RoundContext};
+use fedpkd_netsim::{Attack, CommLedger, Direction, Message, RoundContext};
 use fedpkd_rng::Rng;
 use fedpkd_tensor::models::{ClassifierModel, ModelSpec};
-use fedpkd_tensor::nn::Layer;
 use fedpkd_tensor::optim::Adam;
+use fedpkd_tensor::parallel::max_workers;
 use fedpkd_tensor::serialize::{load_state_vector, state_vector};
 use fedpkd_tensor::Tensor;
 
-/// One simulated client: model, optimizer, private RNG stream.
+/// One live client: model, optimizer, private RNG stream. Exists only
+/// while the client is on a worker (or under inspection); between phases
+/// it is a [`ClientPool`] slot.
 pub struct ClientState {
     /// The client's local model.
     pub model: ClassifierModel,
@@ -42,23 +47,6 @@ pub struct ClientState {
     pub optimizer: Adam,
     /// The client's private RNG stream (batch shuffling, dropout).
     pub rng: Rng,
-}
-
-/// Builds one client per spec, each on its own deterministic RNG stream
-/// (`Rng::stream(seed, 1 + i)`; stream 0 is reserved for the server).
-pub fn build_clients(specs: &[ModelSpec], learning_rate: f32, seed: u64) -> Vec<ClientState> {
-    specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let mut rng = Rng::stream(seed, 1 + i as u64);
-            ClientState {
-                model: spec.build(&mut rng),
-                optimizer: Adam::new(learning_rate),
-                rng,
-            }
-        })
-        .collect()
 }
 
 /// Validates spec wiring against a scenario; `homogeneous` additionally
@@ -103,55 +91,12 @@ pub fn validate_specs(
     Ok(())
 }
 
-// The chunked dispatch idiom itself now lives in `fedpkd_tensor::parallel`
-// (it is shared with the row-parallel matmul kernels); re-export it so
-// existing users of this module keep working. Clients never share mutable
-// state — each mutates only its own model, optimizer, and RNG stream — so
-// dispatching them this way is bit-identical to a sequential loop.
-pub use fedpkd_tensor::parallel::{
-    dispatch_chunked, dispatch_stealing, dispatch_stealing_scheduled, StealStats,
-};
-
-/// Runs `f` for every `(client, client_data)` pair in parallel — capped at
-/// the machine's available parallelism so large fleets don't oversubscribe
-/// — and collects the results in client order.
-pub fn for_each_client<T: Send>(
-    clients: &mut [ClientState],
-    data: &[ClientData],
-    f: impl Fn(&mut ClientState, &ClientData) -> T + Sync,
-) -> Vec<T> {
-    let items: Vec<_> = clients.iter_mut().zip(data).collect();
-    dispatch_chunked(items, |(client, data)| f(client, data))
-}
-
-/// Runs `f` for every *surviving* `(client, client_data)` pair — per the
-/// round's [`Cohort`] — in parallel (capped at the machine's available
-/// parallelism), returning `(client_index, result)` pairs in ascending
-/// client order. Dropped clients are not touched: their models, optimizers,
-/// and RNG streams stay exactly as the previous round left them, so fault
-/// injection cannot perturb their state.
-pub fn for_each_active_client<T: Send>(
-    clients: &mut [ClientState],
-    data: &[ClientData],
-    cohort: &Cohort,
-    f: impl Fn(usize, &mut ClientState, &ClientData) -> T + Sync,
-) -> Vec<(usize, T)> {
-    let items: Vec<_> = clients
-        .iter_mut()
-        .zip(data)
-        .enumerate()
-        .filter(|&(i, _)| cohort.is_active(i))
-        .map(|(i, (client, data))| (i, client, data))
-        .collect();
-    dispatch_chunked(items, |(i, client, data)| (i, f(i, client, data)))
-}
-
 /// What every phase of one round shares: which round it is, who is present
 /// and who lies ([`RoundContext`]), where bytes are billed, where events go.
 pub struct RoundIo<'a> {
     /// The round being executed.
     pub round: usize,
-    /// The surviving cohort and the attack roster.
+    /// The surviving cohort, the attack roster and the worker budget.
     pub ctx: &'a RoundContext,
     /// The communication ledger.
     pub ledger: &'a mut CommLedger,
@@ -176,15 +121,95 @@ impl<'a> RoundIo<'a> {
     }
 
     /// Bills one transfer of `bytes` to or from `client`.
-    fn bill(&mut self, client: usize, direction: Direction, bytes: usize) {
+    pub(crate) fn bill(&mut self, client: usize, direction: Direction, bytes: usize) {
         self.ledger
             .record_bytes(self.round, client, direction, bytes);
     }
+
+    /// Reports that `client`'s `payload` was refused: it was billed but is
+    /// not used.
+    pub(crate) fn reject(&mut self, client: usize, payload: PayloadKind, reason: RejectReason) {
+        self.obs.record(&TelemetryEvent::PayloadRejected {
+            round: self.round,
+            client,
+            payload,
+            reason,
+        });
+    }
+
+    /// How many threads a phase of this round may use: the driver's worker
+    /// budget, or every core.
+    pub(crate) fn workers(&self) -> usize {
+        self.ctx.worker_budget().unwrap_or_else(max_workers)
+    }
+}
+
+/// The training phase: runs `work` on every client named in `roster` (the
+/// survivors, plus whoever else the algorithm lets train) on the pool's
+/// dispatch, and per client **in ascending client order** records
+/// `ClientTrained` and hands the payload to `commit`; then the
+/// `ClientTraining` phase timing. Unrostered clients are not touched.
+///
+/// `commit` is where an algorithm that streams (FedPKD) corrupts, bills,
+/// admits and folds one upload while later clients are still training.
+pub(crate) fn train_cohort<P: Send>(
+    clients: &mut ClientPool,
+    scenario: &FederatedScenario,
+    io: &mut RoundIo<'_>,
+    roster: &[usize],
+    work: impl Fn(&mut ClientState, &ClientData) -> (P, TrainStats) + Sync,
+    mut commit: impl FnMut(&mut RoundIo<'_>, usize, P),
+) {
+    let started = Instant::now();
+    for_each_pooled_client_streaming(
+        clients,
+        &scenario.clients,
+        roster,
+        io.workers(),
+        |_, client, data| work(client, data),
+        |client, (payload, stats)| {
+            io.obs.record(&TelemetryEvent::ClientTrained {
+                round: io.round,
+                client,
+                samples: scenario.clients[client].train.len(),
+                mean_loss: stats.mean_loss,
+            });
+            commit(io, client, payload);
+        },
+    );
+    emit_phase_timing(io.obs, io.round, Phase::ClientTraining, started);
+}
+
+/// [`train_cohort`] over the survivors, buffered: all uploads in client
+/// order, or `None` when nobody survived — nothing ran and nothing was
+/// emitted.
+fn train_survivors<P: Send>(
+    clients: &mut ClientPool,
+    scenario: &FederatedScenario,
+    io: &mut RoundIo<'_>,
+    work: impl Fn(&mut ClientState, &ClientData) -> (P, TrainStats) + Sync,
+) -> Option<Vec<(usize, P)>> {
+    let roster = io.ctx.cohort().survivors();
+    if roster.is_empty() {
+        return None;
+    }
+    let mut uploads = Vec::with_capacity(roster.len());
+    train_cohort(
+        clients,
+        scenario,
+        io,
+        &roster,
+        work,
+        |_, client, payload| {
+            uploads.push((client, payload));
+        },
+    );
+    Some(uploads)
 }
 
 /// Passes each upload, in client order, through `inspect` — corruption,
 /// billing, then the admission verdict — and splits off the refused ones
-/// as `PayloadRejected` events: they were billed but are not used.
+/// as `PayloadRejected` events.
 fn admit<P>(
     uploads: Vec<(usize, P)>,
     io: &mut RoundIo<'_>,
@@ -198,47 +223,10 @@ fn admit<P>(
                 admitted.0.push(client);
                 admitted.1.push(upload);
             }
-            Err(reason) => io.obs.record(&TelemetryEvent::PayloadRejected {
-                round: io.round,
-                client,
-                payload,
-                reason,
-            }),
+            Err(reason) => io.reject(client, payload, reason),
         }
     }
     admitted
-}
-
-/// Runs `work` on every surviving client and reports it: one
-/// `ClientTrained` event per client in client order, then the
-/// `ClientTraining` phase timing. `None` when nobody survived — nothing ran
-/// and nothing was emitted.
-fn train_cohort<P: Send>(
-    clients: &mut [ClientState],
-    scenario: &FederatedScenario,
-    io: &mut RoundIo<'_>,
-    work: impl Fn(&mut ClientState, &ClientData) -> (P, TrainStats) + Sync,
-) -> Option<Vec<(usize, P)>> {
-    let cohort = io.ctx.cohort();
-    if cohort.num_active() == 0 {
-        return None;
-    }
-    let started = Instant::now();
-    let trained = for_each_active_client(clients, &scenario.clients, cohort, |_, client, data| {
-        work(client, data)
-    });
-    let mut uploads = Vec::with_capacity(trained.len());
-    for (client, (payload, stats)) in trained {
-        io.obs.record(&TelemetryEvent::ClientTrained {
-            round: io.round,
-            client,
-            samples: scenario.clients[client].train.len(),
-            mean_loss: stats.mean_loss,
-        });
-        uploads.push((client, payload));
-    }
-    emit_phase_timing(io.obs, io.round, Phase::ClientTraining, started);
-    Some(uploads)
 }
 
 /// The parameter-upload client phase: every survivor loads `global` (when
@@ -252,13 +240,13 @@ fn train_cohort<P: Send>(
 /// ascending client order — both empty when every upload was refused — or
 /// `None` when the cohort was empty and nothing happened at all.
 pub fn local_update(
-    clients: &mut [ClientState],
+    clients: &mut ClientPool,
     scenario: &FederatedScenario,
     io: &mut RoundIo<'_>,
     global: Option<&[f32]>,
     train: impl Fn(&mut ClientState, &ClientData) -> TrainStats + Sync,
 ) -> Option<(Vec<usize>, Vec<Vec<f32>>)> {
-    let uploads = train_cohort(clients, scenario, io, |client, data| {
+    let uploads = train_survivors(clients, scenario, io, |client, data| {
         if let Some(global) = global {
             load_state_vector(&mut client.model, global)
                 .expect("homogeneous models share the layout");
@@ -289,12 +277,12 @@ pub fn local_update(
 /// `public × classes` shape) follow per client as in [`local_update`], and
 /// the return value has the same meaning.
 pub fn public_upload(
-    clients: &mut [ClientState],
+    clients: &mut ClientPool,
     scenario: &FederatedScenario,
     io: &mut RoundIo<'_>,
     upload: impl Fn(&mut ClientState, &ClientData) -> (Tensor, TrainStats) + Sync,
 ) -> Option<(Vec<usize>, Vec<Tensor>)> {
-    let uploads = train_cohort(clients, scenario, io, upload)?;
+    let uploads = train_survivors(clients, scenario, io, upload)?;
     let (rows, cols) = (scenario.public.len(), scenario.num_classes);
     let policy = AdmissionPolicy::default();
     let inspect = |io: &mut RoundIo<'_>, client, logits: &mut Tensor| {
@@ -317,118 +305,53 @@ pub(crate) fn corrupt_logits(attack: Attack, rng: &mut Rng, logits: &mut Tensor)
     *logits = Tensor::from_vec(values, &[rows, cols]).expect("corruption preserves row count");
 }
 
-/// The downlink client phase: every survivor is billed one logits message
-/// the size of `target`, then distills toward it on the public set
-/// (`train_distill`); one `ClientDistilled` event per client in client
-/// order, then the `ClientDistill` phase timing.
-#[allow(clippy::too_many_arguments)]
+/// The downlink client phase: every survivor is billed one downlink
+/// message per entry of `bills` (the encoded sizes, in billing order), then
+/// runs `distill` — its public-set training toward whatever the server
+/// sent; one `ClientDistilled` event per client in client order, then the
+/// `ClientDistill` phase timing.
 pub fn digest(
-    clients: &mut [ClientState],
+    clients: &mut ClientPool,
     scenario: &FederatedScenario,
     io: &mut RoundIo<'_>,
-    target: &Tensor,
-    gamma: f32,
-    temperature: f32,
-    epochs: usize,
-    batch_size: usize,
+    bills: &[usize],
+    distill: impl Fn(&mut ClientState) -> TrainStats + Sync,
 ) {
     let started = Instant::now();
-    let cohort = io.ctx.cohort();
-    let public = &scenario.public;
-    let bytes = Message::logits_encoded_len(public.len(), target.as_slice().len());
-    for client in cohort.survivors() {
-        io.bill(client, Direction::Downlink, bytes);
-    }
-    let distilled = for_each_active_client(clients, &scenario.clients, cohort, |_, client, _| {
-        train_distill(
-            &mut client.model,
-            public.features(),
-            target,
-            gamma,
-            temperature,
-            epochs,
-            batch_size,
-            &mut client.optimizer,
-            &mut client.rng,
-        )
-    });
-    for (client, stats) in distilled {
-        io.obs.record(&TelemetryEvent::ClientDistilled {
-            round: io.round,
-            client,
-            mean_loss: stats.mean_loss,
-        });
-    }
-    emit_phase_timing(io.obs, io.round, Phase::ClientDistill, started);
-}
-
-/// Streams `task` over the rostered `(client, client_data)` pairs on a
-/// bounded work-stealing pool of `workers` threads, delivering each result
-/// to `commit` **in ascending client order** as soon as its turn is
-/// reached — the caller folds uploads into streaming accumulators instead
-/// of buffering the whole cohort.
-///
-/// `roster` names the client indices to run (out-of-range entries are
-/// ignored); unrostered clients are not touched. The ordered commit point
-/// is the determinism mechanism: workers may finish in any interleaving,
-/// but server-side folds always observe client `i` before client `j > i`,
-/// so results are bit-identical to a sequential loop regardless of
-/// `workers`.
-pub fn for_each_active_client_streaming<T: Send>(
-    clients: &mut [ClientState],
-    data: &[ClientData],
-    roster: &[usize],
-    workers: usize,
-    task: impl Fn(usize, &mut ClientState, &ClientData) -> T + Sync,
-    mut commit: impl FnMut(usize, T),
-) -> StealStats {
-    let mut member = vec![false; clients.len()];
-    for &client in roster {
-        if let Some(slot) = member.get_mut(client) {
-            *slot = true;
+    let roster = io.ctx.cohort().survivors();
+    for &client in &roster {
+        for &bytes in bills {
+            io.bill(client, Direction::Downlink, bytes);
         }
     }
-    let items: Vec<_> = clients
-        .iter_mut()
-        .zip(data)
-        .enumerate()
-        .filter(|&(i, _)| member[i])
-        .map(|(i, (client, data))| (i, client, data))
-        .collect();
-    // Execution plan: group same-architecture clients onto the same worker
-    // queue so a worker drains a run of identically-shaped models back to
-    // back — its layer GEMMs reuse one tile geometry and its pooled scratch
-    // arenas rotate through one size class. Only the queue *seeding* order
-    // changes; the ordered commit point above still applies, so the plan is
-    // bit-identical to the sequential schedule (DESIGN.md §5j).
-    let keys: Vec<u64> = items
-        .iter()
-        .map(|(_, client, _)| client.model.param_count() as u64)
-        .collect();
-    let schedule = fedpkd_tensor::plan::schedule(&keys);
-    dispatch_stealing_scheduled(
-        items,
-        &schedule,
-        workers,
-        |_, (i, client, data)| (i, task(i, client, data)),
-        |_, (i, out)| commit(i, out),
-    )
-}
-
-/// Per-client local-test accuracies.
-pub fn client_accuracies(clients: &mut [ClientState], scenario: &FederatedScenario) -> Vec<f64> {
-    clients
-        .iter_mut()
-        .zip(&scenario.clients)
-        .map(|(c, d)| eval::accuracy(&mut c.model, &d.test))
-        .collect()
+    for_each_pooled_client_streaming(
+        clients,
+        &scenario.clients,
+        &roster,
+        io.workers(),
+        |_, client, _| distill(client),
+        |client, stats| {
+            io.obs.record(&TelemetryEvent::ClientDistilled {
+                round: io.round,
+                client,
+                mean_loss: stats.mean_loss,
+            });
+        },
+    );
+    emit_phase_timing(io.obs, io.round, Phase::ClientDistill, started);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cow::ClientSlot;
+    use crate::eval;
+    use crate::telemetry::EventLog;
+    use crate::train::{train_distill, train_supervised};
     use fedpkd_data::{Partition, ScenarioBuilder, SyntheticConfig};
+    use fedpkd_netsim::{Cohort, DropCause};
     use fedpkd_tensor::models::DepthTier;
+    use fedpkd_tensor::parallel::dispatch_chunked;
     use fedpkd_tensor::serialize::param_vector;
 
     fn tiny_scenario(seed: u64) -> FederatedScenario {
@@ -451,13 +374,52 @@ mod tests {
         }
     }
 
+    fn pool(seed: u64) -> ClientPool {
+        ClientPool::new(&vec![spec(DepthTier::T11); 3], 0.001, seed)
+    }
+
+    fn train(client: &mut ClientState, data: &ClientData) -> TrainStats {
+        let (model, opt, rng) = (&mut client.model, &mut client.optimizer, &mut client.rng);
+        train_supervised(model, &data.train, 1, 32, opt, rng)
+    }
+
+    /// A digest step: one distillation epoch toward `target` on `features`.
+    fn toward<'a>(
+        features: &'a Tensor,
+        target: &'a Tensor,
+    ) -> impl Fn(&mut ClientState) -> TrainStats + Sync + 'a {
+        move |c: &mut ClientState| {
+            let (model, opt, rng) = (&mut c.model, &mut c.optimizer, &mut c.rng);
+            train_distill(model, features, target, 0.5, 1.0, 1, 32, opt, rng)
+        }
+    }
+
+    /// One `train_cohort` over `roster`: the `(client, shard size)` pairs
+    /// in the order they were committed.
+    fn committed(
+        clients: &mut ClientPool,
+        scenario: &FederatedScenario,
+        ctx: &RoundContext,
+        roster: &[usize],
+    ) -> Vec<(usize, usize)> {
+        let (mut log, mut ledger) = (EventLog::new(), CommLedger::new());
+        let io = &mut RoundIo::new(0, ctx, &mut ledger, &mut log);
+        let mut out = Vec::new();
+        let work =
+            |client: &mut ClientState, data: &ClientData| (data.train.len(), train(client, data));
+        train_cohort(clients, scenario, io, roster, work, |_, client, len| {
+            out.push((client, len));
+        });
+        out
+    }
+
     #[test]
     fn build_clients_gives_distinct_models() {
-        let clients = build_clients(&[spec(DepthTier::T11), spec(DepthTier::T11)], 0.001, 5);
-        assert_eq!(clients.len(), 2);
+        let clients = pool(5);
+        assert_eq!(clients.len(), 3);
         assert_ne!(
-            param_vector(&clients[0].model),
-            param_vector(&clients[1].model),
+            param_vector(&clients.materialize(0).model),
+            param_vector(&clients.materialize(1).model),
             "clients must have independent initializations"
         );
     }
@@ -467,8 +429,8 @@ mod tests {
         // Stream 0 is the server's; client 0 must not collide with it.
         let mut server_rng = Rng::stream(42, 0);
         let server_model = spec(DepthTier::T11).build(&mut server_rng);
-        let clients = build_clients(&[spec(DepthTier::T11)], 0.001, 42);
-        assert_ne!(param_vector(&server_model), param_vector(&clients[0].model));
+        let client = pool(42).materialize(0);
+        assert_ne!(param_vector(&server_model), param_vector(&client.model));
     }
 
     #[test]
@@ -512,92 +474,109 @@ mod tests {
     #[test]
     fn for_each_client_preserves_order() {
         let scenario = tiny_scenario(3);
-        let mut clients = build_clients(&vec![spec(DepthTier::T11); 3], 0.001, 7);
-        let sizes = for_each_client(&mut clients, &scenario.clients, |_, data| data.train.len());
-        let expected: Vec<usize> = scenario.clients.iter().map(|c| c.train.len()).collect();
-        assert_eq!(sizes, expected);
+        let ctx = RoundContext::benign(Cohort::full(3));
+        let expected: Vec<(usize, usize)> = (0..3)
+            .map(|i| (i, scenario.clients[i].train.len()))
+            .collect();
+        assert_eq!(
+            committed(&mut pool(7), &scenario, &ctx, &[0, 1, 2]),
+            expected
+        );
     }
 
     #[test]
     fn for_each_active_client_skips_dropped_clients() {
-        use fedpkd_netsim::DropCause;
-
         let scenario = tiny_scenario(5);
-        let mut clients = build_clients(&vec![spec(DepthTier::T11); 3], 0.001, 7);
+        let mut clients = pool(7);
         let cohort = Cohort::from_causes(vec![None, Some(DropCause::Dropout), None]);
-        let out = for_each_active_client(&mut clients, &scenario.clients, &cohort, |i, _, data| {
-            (i, data.train.len())
-        });
+        let ctx = RoundContext::benign(cohort);
+        let out = committed(&mut clients, &scenario, &ctx, &ctx.cohort().survivors());
         let indices: Vec<usize> = out.iter().map(|&(i, _)| i).collect();
         assert_eq!(indices, vec![0, 2]);
-        for &(i, (fi, len)) in &out {
-            assert_eq!(i, fi);
+        for &(i, len) in &out {
             assert_eq!(len, scenario.clients[i].train.len());
+            assert!(matches!(clients.slot(i), ClientSlot::Parked(_)));
         }
+        // The dropped client was never materialized, let alone trained.
+        assert!(matches!(clients.slot(1), ClientSlot::Fresh));
     }
 
     #[test]
     fn streaming_dispatch_commits_in_client_order_for_any_worker_count() {
         let scenario = tiny_scenario(8);
-        let mut clients = build_clients(&vec![spec(DepthTier::T11); 3], 0.001, 4);
-        let buffered = for_each_active_client(
-            &mut clients,
-            &scenario.clients,
-            &Cohort::full(3),
-            |i, _, data| (i, data.train.len()),
-        );
+        let sizes = |roster: &[usize]| -> Vec<(usize, usize)> {
+            let mut roster = roster.to_vec();
+            roster.sort_unstable();
+            roster
+                .iter()
+                .map(|&i| (i, scenario.clients[i].train.len()))
+                .collect()
+        };
         for workers in [1, 2, 8] {
-            let mut streamed = Vec::new();
-            for_each_active_client_streaming(
-                &mut clients,
-                &scenario.clients,
-                &[0, 1, 2],
-                workers,
-                |i, _, data| (i, data.train.len()),
-                |i, out| streamed.push((i, out)),
+            let ctx = RoundContext::benign(Cohort::full(3)).with_worker_budget(Some(workers));
+            let mut clients = pool(4);
+            assert_eq!(
+                committed(&mut clients, &scenario, &ctx, &[0, 1, 2]),
+                sizes(&[0, 1, 2])
             );
-            assert_eq!(streamed, buffered);
+            // A partial roster (late clients, samples) runs exactly its
+            // members, in client order however it was listed.
+            assert_eq!(
+                committed(&mut clients, &scenario, &ctx, &[2, 0]),
+                sizes(&[2, 0])
+            );
         }
-        // A partial roster (late clients, samples) runs exactly its members.
-        let mut roster_hits = Vec::new();
-        for_each_active_client_streaming(
-            &mut clients,
-            &scenario.clients,
-            &[2, 0],
-            2,
-            |i, _, _| i,
-            |i, out| {
-                assert_eq!(i, out);
-                roster_hits.push(i);
-            },
-        );
-        assert_eq!(roster_hits, vec![0, 2]);
     }
 
+    /// `DriverBuilder::workers(1)` must bound every algorithm's client
+    /// phases: at a worker budget of 1 each phase function runs all of its
+    /// client closures on a single thread.
     #[test]
-    fn for_each_active_client_full_cohort_matches_for_each_client() {
-        let scenario = tiny_scenario(6);
-        let mut clients = build_clients(&vec![spec(DepthTier::T11); 3], 0.001, 9);
-        let all = for_each_client(&mut clients, &scenario.clients, |_, data| data.train.len());
-        let active = for_each_active_client(
-            &mut clients,
-            &scenario.clients,
-            &Cohort::full(3),
-            |_, _, data| data.train.len(),
-        );
-        let active_values: Vec<usize> = active.into_iter().map(|(_, v)| v).collect();
-        assert_eq!(all, active_values);
+    fn phase_functions_run_on_one_thread_at_worker_budget_1() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+
+        let scenario = tiny_scenario(13);
+        let ctx = RoundContext::benign(Cohort::full(3)).with_worker_budget(Some(1));
+        let mut clients = pool(3);
+        let threads = Mutex::new(HashSet::new());
+        let spy = || {
+            let mut threads = threads.lock().unwrap();
+            threads.insert(std::thread::current().id());
+        };
+        // Distinct threads the closures of the last phase call ran on.
+        let seen = || std::mem::take(&mut *threads.lock().unwrap()).len();
+        let (mut log, mut ledger) = (EventLog::new(), CommLedger::new());
+        let io = &mut RoundIo::new(0, &ctx, &mut ledger, &mut log);
+
+        local_update(&mut clients, &scenario, io, None, |client, data| {
+            spy();
+            train(client, data)
+        })
+        .unwrap();
+        assert_eq!(seen(), 1, "local_update");
+        public_upload(&mut clients, &scenario, io, |client, data| {
+            spy();
+            let stats = train(client, data);
+            (eval::logits_on(&mut client.model, &scenario.public), stats)
+        })
+        .unwrap();
+        assert_eq!(seen(), 1, "public_upload");
+        digest(&mut clients, &scenario, io, &[], |_| {
+            spy();
+            TrainStats::default()
+        });
+        assert_eq!(seen(), 1, "digest");
+        assert_eq!(log.events().len(), 3 * (3 + 1), "every client ran");
     }
 
-    /// The skeleton every baseline round is built from, pinned once: on a
-    /// 3-client round where client 1 dropped and client 0 sends a
-    /// wrong-shape payload, each phase function emits exactly these events
-    /// and bills exactly these transfers, in this order.
+    /// The skeleton every round is built from, pinned once: on a 3-client
+    /// round where client 1 dropped and client 0 sends a wrong-shape
+    /// payload, each phase function emits exactly these events and bills
+    /// exactly these transfers, in this order.
     #[test]
     fn phase_functions_emit_and_bill_in_a_fixed_order() {
-        use crate::telemetry::EventLog;
-        use crate::train::train_supervised;
-        use fedpkd_netsim::{Direction::*, DropCause};
+        use fedpkd_netsim::Direction::*;
 
         let scenario = tiny_scenario(12);
         let (public_len, classes) = (scenario.public.len(), scenario.num_classes);
@@ -607,10 +586,6 @@ mod tests {
             vec![Some(Attack::WrongShapePayload), None, None],
             77,
         );
-        let train = |client: &mut ClientState, data: &ClientData| {
-            let (model, opt, rng) = (&mut client.model, &mut client.optimizer, &mut client.rng);
-            train_supervised(model, &data.train, 1, 32, opt, rng)
-        };
         // What one call left behind: (event kind, client) and (client,
         // direction, bytes), each in recording order.
         let trace = |log: &EventLog, ledger: &CommLedger| {
@@ -637,8 +612,8 @@ mod tests {
             ("payload_rejected", Some(0)),
         ];
 
-        let mut clients = build_clients(&vec![spec(DepthTier::T11); 3], 0.001, 7);
-        let global = state_vector(&clients[1].model);
+        let mut clients = pool(7);
+        let global = state_vector(&clients.materialize(1).model);
         let update = Message::model_update_encoded_len;
         for broadcast in [Some(global.as_slice()), None] {
             let (mut log, mut ledger) = (EventLog::new(), CommLedger::new());
@@ -676,24 +651,81 @@ mod tests {
             [(0, Uplink, sized(classes + 1)), (2, Uplink, sized(classes))]
         );
 
+        let distilled = [
+            ("client_distilled", Some(0)),
+            ("client_distilled", Some(2)),
+            ("phase_timing", None),
+        ];
         let (mut log, mut ledger) = (EventLog::new(), CommLedger::new());
         let io = &mut RoundIo::new(4, &ctx, &mut ledger, &mut log);
         let target = fedpkd_tensor::ops::softmax(&logits[0], 1.0);
-        digest(&mut clients, &scenario, io, &target, 0.5, 1.0, 1, 32);
-        let (events, bills) = trace(&log, &ledger);
-        assert_eq!(
-            events,
-            [
-                ("client_distilled", Some(0)),
-                ("client_distilled", Some(2)),
-                ("phase_timing", None),
-            ]
+        let features = scenario.public.features();
+        digest(
+            &mut clients,
+            &scenario,
+            io,
+            &[sized(classes)],
+            toward(features, &target),
         );
+        let (events, bills) = trace(&log, &ledger);
+        assert_eq!(events, distilled);
         assert_eq!(
             bills,
             [(0, Downlink, sized(classes)), (2, Downlink, sized(classes))]
         );
         assert!(log.events().iter().all(|e| e.round() == 4));
+
+        // The FedPKD shape: the roster is wider than the survivors (client
+        // 1 is a late straggler, training although it dropped), every
+        // commit follows its own `ClientTrained`, and the downlink is a
+        // row subset billed as two messages per survivor.
+        let (mut log, mut ledger) = (EventLog::new(), CommLedger::new());
+        let io = &mut RoundIo::new(4, &ctx, &mut ledger, &mut log);
+        let work = |client: &mut ClientState, data: &ClientData| ((), train(client, data));
+        train_cohort(
+            &mut clients,
+            &scenario,
+            io,
+            &[0, 1, 2],
+            work,
+            |io, c, ()| {
+                if io.ctx.cohort().is_active(c) {
+                    io.bill(c, Uplink, 10 + c);
+                }
+            },
+        );
+        let (events, bills) = trace(&log, &ledger);
+        let trained = |c| ("client_trained", Some(c));
+        assert_eq!(
+            events,
+            [trained(0), trained(1), trained(2), ("phase_timing", None)]
+        );
+        assert_eq!(bills, [(0, Uplink, 10), (2, Uplink, 12)]);
+        let rows: Vec<usize> = (0..40).collect();
+        let (features, target) = (
+            features.select_rows(&rows).unwrap(),
+            target.select_rows(&rows).unwrap(),
+        );
+        let (mut log, mut ledger) = (EventLog::new(), CommLedger::new());
+        let io = &mut RoundIo::new(4, &ctx, &mut ledger, &mut log);
+        digest(
+            &mut clients,
+            &scenario,
+            io,
+            &[7, 9],
+            toward(&features, &target),
+        );
+        let (events, bills) = trace(&log, &ledger);
+        assert_eq!(events, distilled);
+        assert_eq!(
+            bills,
+            [
+                (0, Downlink, 7),
+                (0, Downlink, 9),
+                (2, Downlink, 7),
+                (2, Downlink, 9)
+            ]
+        );
 
         // Nobody present: nothing runs, nothing is emitted or billed.
         let nobody = RoundContext::benign(Cohort::from_causes(vec![Some(DropCause::Crash); 3]));

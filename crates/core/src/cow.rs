@@ -1,8 +1,9 @@
-//! Copy-on-write client storage for fleet-scale federations.
+//! Copy-on-write client storage: the one client store of every algorithm.
 //!
-//! A 10k-client fleet holds 10k models in [`Vec<ClientState>`] form even
-//! though a sampled cohort only ever trains a few hundred of them. This
-//! module replaces that eager fleet with a [`ClientPool`]:
+//! A federation's clients live in a [`ClientPool`], never as a vector of
+//! live models — a 10k-client fleet only ever trains a few hundred of them
+//! per round, and a 5-client run pays microseconds per round for the same
+//! machinery (DESIGN.md §5h):
 //!
 //! - **Templates.** Client architectures collapse to one immutable
 //!   [`Template`] per distinct [`ModelSpec`] (capacity tier). A template
@@ -16,24 +17,26 @@
 //!   state vector, Adam step count and moments, and the RNG position —
 //!   no layer activations, gradients, or scratch.
 //! - **Materialize → train → park.** [`for_each_pooled_client_streaming`]
-//!   materializes a live [`ClientState`] inside the worker task, runs the
-//!   caller's training closure, and parks the delta before the ordered
-//!   commit — so full models exist only for clients that are actually on
-//!   a worker, and resident state is O(clients ever trained), not
-//!   O(fleet), with the per-client footprint shrunk to the delta.
+//!   — the one client dispatcher — materializes a live [`ClientState`]
+//!   inside the worker task, runs the caller's closure, and parks the
+//!   delta before the ordered commit — so full models exist only for
+//!   clients that are actually on a worker, and resident state is
+//!   O(clients ever trained), not O(fleet), with the per-client footprint
+//!   shrunk to the delta.
 //! - **Incremental evaluation.** A client's local-test accuracy is a pure
 //!   function of its slot, so the pool caches it per slot and every slot
 //!   write drops it: [`pooled_client_accuracies`] re-evaluates only the
 //!   clients written since the last call — O(cohort) per round under a
 //!   sampled cohort, not O(fleet).
 //!
-//! The pool is bit-compatible with the owned path: materializing a fresh
-//! slot replays `build_clients`' construction exactly, and park/unpark
-//! round-trips parameters, optimizer moments, and RNG words without any
-//! re-encoding. [`write_pool`] emits the same
-//! bytes as [`write_clients`](crate::snapshot::write_clients) would for
-//! the equivalent owned fleet, so pooled and owned snapshots are
-//! interchangeable.
+//! The pool is bit-transparent: materializing a fresh slot is
+//! `spec.build(&mut Rng::stream(seed, 1 + i))` with a fresh `Adam`, and
+//! park/unpark round-trips parameters, buffers, optimizer moments, and RNG
+//! words without any re-encoding — a pooled run equals the single-threaded
+//! loop `materialize(i)` → task → `park(i)` in ascending client order.
+//! [`write_pool`] is the client count followed by
+//! [`write_client`](crate::snapshot::write_client) of every materialized
+//! client, whatever mix of fresh and parked slots holds them.
 
 use crate::clients::ClientState;
 use crate::eval;
@@ -42,7 +45,7 @@ use fedpkd_data::{ClientData, FederatedScenario};
 use fedpkd_rng::Rng;
 use fedpkd_tensor::models::ModelSpec;
 use fedpkd_tensor::optim::{param_shapes, Adam};
-use fedpkd_tensor::parallel::{dispatch_chunked, dispatch_stealing_scheduled, StealStats};
+use fedpkd_tensor::parallel::{dispatch_chunked, dispatch_stealing_scheduled};
 use fedpkd_tensor::serialize::{load_state_vector, state_vector};
 use std::sync::OnceLock;
 
@@ -183,11 +186,8 @@ pub enum ClientSlot {
 }
 
 /// A copy-on-write client fleet: shared templates, per-client slots.
-///
-/// Drop-in replacement for the `Vec<ClientState>` built by
-/// [`build_clients`](crate::clients::build_clients) — same construction
-/// convention, same determinism — but clients that never train cost
-/// nothing and clients that did cost only their flat delta.
+/// Clients that never train cost nothing and clients that did cost only
+/// their flat delta.
 #[derive(Debug)]
 pub struct ClientPool {
     templates: Vec<Template>,
@@ -205,10 +205,9 @@ pub struct ClientPool {
 }
 
 impl ClientPool {
-    /// Builds a pool over `specs` with every slot fresh. Mirrors
-    /// [`build_clients`](crate::clients::build_clients): client `i`
-    /// materializes from `Rng::stream(seed, 1 + i)` with a fresh
-    /// `Adam::new(learning_rate)`.
+    /// Builds a pool over `specs` with every slot fresh: client `i`
+    /// materializes from `Rng::stream(seed, 1 + i)` (stream 0 is reserved
+    /// for the server) with a fresh `Adam::new(learning_rate)`.
     pub fn new(specs: &[ModelSpec], learning_rate: f32, seed: u64) -> Self {
         let mut templates: Vec<Template> = Vec::new();
         let assignment = specs
@@ -352,11 +351,13 @@ impl ClientPool {
 
 /// Streams `task` over the rostered clients of a [`ClientPool`] on a
 /// bounded work-stealing pool of `workers` threads, committing results
-/// **in ascending client order** — the pooled twin of
-/// [`for_each_active_client_streaming`](crate::clients::for_each_active_client_streaming),
-/// with the same task/commit signatures so call sites swap over verbatim.
+/// **in ascending client order** as soon as each one's turn is reached —
+/// the caller folds uploads into streaming accumulators instead of
+/// buffering the whole cohort. The phase functions of
+/// [`clients`](crate::clients) are its production callers.
 ///
-/// Each worker materializes its client from the slot (template replay for
+/// `roster` names the client indices to run (out-of-range entries are
+/// ignored, order and duplicates do not matter). Each worker materializes its client from the slot (template replay for
 /// fresh, unpark for parked), runs `task`, and flattens the client back
 /// into a delta *on the worker* — serialization cost rides the parallel
 /// pool, and a full model is live only while its client occupies a
@@ -370,7 +371,7 @@ pub fn for_each_pooled_client_streaming<T: Send>(
     workers: usize,
     task: impl Fn(usize, &mut ClientState, &ClientData) -> T + Sync,
     mut commit: impl FnMut(usize, T),
-) -> StealStats {
+) {
     let mut member = vec![false; pool.len()];
     for &client in roster {
         if let Some(slot) = member.get_mut(client) {
@@ -396,7 +397,7 @@ pub fn for_each_pooled_client_streaming<T: Send>(
         .map(|&(i, _, _)| u64::from(pool.assignment[i]))
         .collect();
     let schedule = fedpkd_tensor::plan::schedule(&keys);
-    let stats = dispatch_stealing_scheduled(
+    dispatch_stealing_scheduled(
         items,
         &schedule,
         workers,
@@ -413,12 +414,9 @@ pub fn for_each_pooled_client_streaming<T: Send>(
     for (i, delta) in parked {
         pool.put(i, ClientSlot::Parked(Box::new(delta)));
     }
-    stats
 }
 
-/// Per-client local-test accuracies for a pooled fleet, in client order —
-/// the pooled twin of
-/// [`client_accuracies`](crate::clients::client_accuracies).
+/// Per-client local-test accuracies, in client order.
 ///
 /// Only clients whose slot was written since their last evaluation are
 /// materialized, evaluated, and dropped (evaluation only touches forward
@@ -453,11 +451,11 @@ pub fn pooled_client_accuracies(pool: &mut ClientPool, scenario: &FederatedScena
         .collect()
 }
 
-/// Writes a pooled fleet in the exact byte layout of
-/// [`write_clients`](crate::snapshot::write_clients): count-prefixed, then
-/// per client model state, Adam state, RNG words. Fresh slots materialize
-/// ephemerally (one at a time) to produce their template-initialization
-/// bytes; snapshots of pooled and owned fleets are interchangeable.
+/// Writes the fleet: count-prefixed, then per client model state, Adam
+/// state, RNG words — [`write_client`](snapshot::write_client)'s layout
+/// for every client. Parked slots are written from their delta; fresh
+/// slots materialize ephemerally (one at a time) to produce their
+/// template-initialization bytes.
 pub fn write_pool(w: &mut dyn StateSink, pool: &ClientPool) {
     w.put_usize(pool.len());
     for (i, slot) in pool.slots.iter().enumerate() {
@@ -482,9 +480,7 @@ pub fn write_pool(w: &mut dyn StateSink, pool: &ClientPool) {
     }
 }
 
-/// Reads a fleet written by [`write_pool`] (or by
-/// [`write_clients`](crate::snapshot::write_clients) — the layouts are
-/// identical) into `pool`.
+/// Reads a fleet written by [`write_pool`] into `pool`.
 ///
 /// A client whose decoded state is exactly its template initialization —
 /// zero optimizer steps and the untouched `(seed, client)` init — is
@@ -566,8 +562,7 @@ impl ClientPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clients::{build_clients, for_each_active_client_streaming};
-    use crate::snapshot::{write_clients, SnapshotWriter};
+    use crate::snapshot::{write_client, SnapshotWriter};
     use crate::train::train_supervised;
     use fedpkd_data::{Partition, ScenarioBuilder, SyntheticConfig};
     use fedpkd_tensor::models::DepthTier;
@@ -601,6 +596,36 @@ mod tests {
         ]
     }
 
+    /// One epoch of local training; returns the mean loss.
+    fn train(i: usize, client: &mut ClientState, data: &ClientData) -> (usize, f64) {
+        let (model, opt, rng) = (&mut client.model, &mut client.optimizer, &mut client.rng);
+        (
+            i,
+            train_supervised(model, &data.train, 1, 32, opt, rng).mean_loss,
+        )
+    }
+
+    /// The reference the dispatch is held to, needing no second store: one
+    /// thread, ascending client order, `materialize(i)` → `task` →
+    /// `park(i)`.
+    fn reference_loop<T>(
+        pool: &mut ClientPool,
+        data: &[ClientData],
+        roster: &[usize],
+        task: impl Fn(usize, &mut ClientState, &ClientData) -> T,
+    ) -> Vec<(usize, T)> {
+        let mut roster = roster.to_vec();
+        roster.sort_unstable();
+        roster.dedup();
+        let run = |i: usize| {
+            let mut client = pool.materialize(i);
+            let out = task(i, &mut client, &data[i]);
+            pool.park(i, client);
+            (i, out)
+        };
+        roster.into_iter().map(run).collect()
+    }
+
     #[test]
     fn specs_collapse_to_one_template_per_tier() {
         let pool = ClientPool::new(&hetero_specs(), 0.001, 7);
@@ -622,8 +647,8 @@ mod tests {
         let dense: Vec<usize> = tiers
             .iter()
             .map(|&tier| {
-                let mut one = build_clients(&[spec(tier)], 0.003, 707);
-                ParkedClient::park(one.pop().expect("one client")).resident_bytes()
+                let one = ClientPool::new(&[spec(tier)], 0.003, 707).materialize(0);
+                ParkedClient::park(one).resident_bytes()
             })
             .collect();
         let priced = |clients: usize| -> usize { (0..clients).map(|i| dense[i % 3]).sum() };
@@ -640,13 +665,16 @@ mod tests {
 
     #[test]
     fn fresh_materialization_matches_build_clients() {
+        // The repo-wide construction convention, spelled out: client `i`
+        // is its spec built on stream `1 + i`, and keeps that stream.
         let specs = hetero_specs();
-        let owned = build_clients(&specs, 0.001, 42);
         let pool = ClientPool::new(&specs, 0.001, 42);
-        for (i, own) in owned.iter().enumerate() {
+        for (i, spec) in specs.iter().enumerate() {
+            let mut rng = Rng::stream(42, 1 + i as u64);
+            let model = spec.build(&mut rng);
             let mat = pool.materialize(i);
-            assert_eq!(state_vector(&mat.model), state_vector(&own.model));
-            assert_eq!(mat.rng.state(), own.rng.state());
+            assert_eq!(state_vector(&mat.model), state_vector(&model));
+            assert_eq!(mat.rng.state(), rng.state());
             assert_eq!(mat.optimizer.step_count(), 0);
         }
     }
@@ -657,14 +685,7 @@ mod tests {
         let specs = hetero_specs();
         let pool = ClientPool::new(&specs, 0.003, 9);
         let mut client = pool.materialize(1);
-        train_supervised(
-            &mut client.model,
-            &scenario.clients[1].train,
-            1,
-            32,
-            &mut client.optimizer,
-            &mut client.rng,
-        );
+        train(1, &mut client, &scenario.clients[1]);
         let state_before = state_vector(&client.model);
         let steps_before = client.optimizer.step_count();
         let rng_before = client.rng.state();
@@ -686,28 +707,9 @@ mod tests {
     fn pooled_streaming_matches_owned_streaming_bitwise() {
         let scenario = tiny_scenario(11);
         let specs = hetero_specs();
-        let train = |i: usize, client: &mut ClientState, data: &ClientData| {
-            let stats = train_supervised(
-                &mut client.model,
-                &data.train,
-                1,
-                32,
-                &mut client.optimizer,
-                &mut client.rng,
-            );
-            (i, stats.mean_loss)
-        };
+        let mut reference = ClientPool::new(&specs, 0.003, 21);
+        let expected = reference_loop(&mut reference, &scenario.clients, &[0, 2], train);
         for workers in [1, 4] {
-            let mut owned = build_clients(&specs, 0.003, 21);
-            let mut owned_out = Vec::new();
-            for_each_active_client_streaming(
-                &mut owned,
-                &scenario.clients,
-                &[0, 2],
-                workers,
-                train,
-                |i, out| owned_out.push((i, out)),
-            );
             let mut pool = ClientPool::new(&specs, 0.003, 21);
             let mut pooled_out = Vec::new();
             for_each_pooled_client_streaming(
@@ -718,17 +720,15 @@ mod tests {
                 train,
                 |i, out| pooled_out.push((i, out)),
             );
-            assert_eq!(pooled_out, owned_out);
+            assert_eq!(pooled_out, expected);
             // Only the rostered clients became resident.
             assert_eq!(pool.resident_clients(), 2);
             assert!(matches!(pool.slot(1), ClientSlot::Fresh));
-            // And the resident deltas equal the owned clients bit-for-bit.
+            // And their deltas equal the reference loop's bit for bit.
             for i in [0usize, 2] {
-                assert_eq!(
-                    state_vector(&pool.materialize(i).model),
-                    state_vector(&owned[i].model)
-                );
-                assert_eq!(pool.materialize(i).rng.state(), owned[i].rng.state());
+                let (ours, theirs) = (pool.materialize(i), reference.materialize(i));
+                assert_eq!(state_vector(&ours.model), state_vector(&theirs.model));
+                assert_eq!(ours.rng.state(), theirs.rng.state());
             }
         }
     }
@@ -736,37 +736,33 @@ mod tests {
     #[test]
     fn pooled_accuracies_match_owned_and_leave_residency_unchanged() {
         let scenario = tiny_scenario(5);
-        let specs = hetero_specs();
-        let mut owned = build_clients(&specs, 0.001, 13);
-        let mut pool = ClientPool::new(&specs, 0.001, 13);
-        let expected = crate::clients::client_accuracies(&mut owned, &scenario);
+        let mut pool = ClientPool::new(&hetero_specs(), 0.001, 13);
+        let expected: Vec<f64> = (0..pool.len())
+            .map(|i| {
+                let mut client = pool.materialize(i);
+                eval::accuracy(&mut client.model, &scenario.clients[i].test)
+            })
+            .collect();
         assert_eq!(pooled_client_accuracies(&mut pool, &scenario), expected);
         assert_eq!(pool.resident_clients(), 0);
     }
 
     #[test]
     fn pool_snapshot_bytes_match_owned_fleet_bytes() {
+        // The byte layout every snapshot ever written relies on: the
+        // count, then `write_client` of each client — parked (client 1) or
+        // fresh alike.
         let scenario = tiny_scenario(17);
-        let specs = hetero_specs();
-        let train = |_: usize, client: &mut ClientState, data: &ClientData| {
-            train_supervised(
-                &mut client.model,
-                &data.train,
-                1,
-                32,
-                &mut client.optimizer,
-                &mut client.rng,
-            );
-        };
-        let mut owned = build_clients(&specs, 0.003, 31);
-        for_each_active_client_streaming(&mut owned, &scenario.clients, &[1], 2, train, |_, ()| {});
-        let mut pool = ClientPool::new(&specs, 0.003, 31);
-        for_each_pooled_client_streaming(&mut pool, &scenario.clients, &[1], 2, train, |_, ()| {});
-        let mut w_owned = SnapshotWriter::new();
-        write_clients(&mut w_owned, &owned);
-        let mut w_pool = SnapshotWriter::new();
-        write_pool(&mut w_pool, &pool);
-        assert_eq!(w_pool.into_bytes(), w_owned.into_bytes());
+        let mut pool = ClientPool::new(&hetero_specs(), 0.003, 31);
+        for_each_pooled_client_streaming(&mut pool, &scenario.clients, &[1], 2, train, |_, _| {});
+        let mut expected = SnapshotWriter::new();
+        expected.put_usize(pool.len());
+        for i in 0..pool.len() {
+            write_client(&mut expected, &pool.materialize(i));
+        }
+        let mut written = SnapshotWriter::new();
+        write_pool(&mut written, &pool);
+        assert_eq!(written.into_bytes(), expected.into_bytes());
     }
 
     #[test]
@@ -774,23 +770,7 @@ mod tests {
         let scenario = tiny_scenario(23);
         let specs = hetero_specs();
         let mut pool = ClientPool::new(&specs, 0.003, 37);
-        for_each_pooled_client_streaming(
-            &mut pool,
-            &scenario.clients,
-            &[2],
-            2,
-            |_, client, data| {
-                train_supervised(
-                    &mut client.model,
-                    &data.train,
-                    1,
-                    32,
-                    &mut client.optimizer,
-                    &mut client.rng,
-                );
-            },
-            |_, ()| {},
-        );
+        for_each_pooled_client_streaming(&mut pool, &scenario.clients, &[2], 2, train, |_, _| {});
         let mut w = SnapshotWriter::new();
         write_pool(&mut w, &pool);
         let bytes = w.into_bytes();
@@ -829,31 +809,15 @@ mod tests {
         let scenario = tiny_scenario(29);
         let specs = hetero_specs();
         let mut pool = ClientPool::new(&specs, 0.003, 41);
-        for_each_pooled_client_streaming(
-            &mut pool,
-            &scenario.clients,
-            &[0],
-            1,
-            |_, client, data| {
-                train_supervised(
-                    &mut client.model,
-                    &data.train,
-                    1,
-                    32,
-                    &mut client.optimizer,
-                    &mut client.rng,
-                );
-            },
-            |_, ()| {},
-        );
+        for_each_pooled_client_streaming(&mut pool, &scenario.clients, &[0], 1, train, |_, _| {});
         assert!(pool.resident_bytes() > 0);
         pool.release(0);
         assert_eq!(pool.resident_bytes(), 0);
         // Back to the deterministic init.
-        let fresh = build_clients(&specs, 0.003, 41);
+        let fresh = ClientPool::new(&specs, 0.003, 41);
         assert_eq!(
             state_vector(&pool.materialize(0).model),
-            state_vector(&fresh[0].model)
+            state_vector(&fresh.materialize(0).model)
         );
     }
 }

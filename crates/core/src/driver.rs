@@ -106,9 +106,12 @@ impl DriverBuilder {
         self
     }
 
-    /// Caps the client-phase worker pool at `workers` threads (default:
-    /// the machine's available parallelism). Worker count never affects
-    /// results — only wall-clock time.
+    /// Caps the client-phase worker pool of every algorithm — FedPKD and
+    /// the seven baselines alike run their client phases through
+    /// [`clients`](crate::clients), which reads this budget — at `workers`
+    /// threads (default: the machine's available parallelism); at 2 or
+    /// more FedPKD's server step also takes its one step-worker thread.
+    /// Worker count never affects results — only wall-clock time.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self

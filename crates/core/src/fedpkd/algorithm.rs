@@ -4,14 +4,12 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use crate::admission::{PayloadKind, QuarantineTracker, RejectReason};
-use crate::clients::{corrupt_logits, validate_specs, RoundIo};
-use crate::cow::{for_each_pooled_client_streaming, pooled_client_accuracies, ClientPool};
+use crate::clients::{corrupt_logits, digest, train_cohort, validate_specs, ClientState, RoundIo};
+use crate::cow::{pooled_client_accuracies, ClientPool};
 use crate::eval;
 use crate::fedpkd::config::{CoreError, DistillSource, FedPkdConfig};
 use crate::fedpkd::distill::train_server_with_workers;
-use crate::fedpkd::filter::{
-    filter_public, filter_public_opts, filter_public_with_stats, FilterOptions,
-};
+use crate::fedpkd::filter::{filter_public, filter_public_opts, FilterOptions};
 use crate::fedpkd::generator::{self, Generator};
 use crate::fedpkd::logits::{
     aggregate_logits_from_probs, aggregate_logits_trimmed_from_probs, aggregation_stats_from_probs,
@@ -27,14 +25,13 @@ use crate::snapshot::{self, SnapshotError, StateSink, StateSource};
 use crate::streaming::LogitAccumulator;
 use crate::telemetry::{emit_phase_timing, Phase, RoundObserver, TelemetryEvent};
 use crate::train::{train_distill, train_supervised, train_supervised_with_prototypes};
-use fedpkd_data::{Dataset, FederatedScenario};
+use fedpkd_data::{ClientData, Dataset, FederatedScenario};
 use fedpkd_netsim::{Attack, CommLedger, Direction, Message, QuantizedLogits, RoundContext, Wire};
 use fedpkd_rng::Rng;
 use fedpkd_tensor::models::ClassifierModel;
 use fedpkd_tensor::models::ModelSpec;
 use fedpkd_tensor::ops::softmax;
 use fedpkd_tensor::optim::Adam;
-use fedpkd_tensor::parallel::max_workers;
 use fedpkd_tensor::Tensor;
 
 /// The complete FedPKD algorithm over a federated scenario.
@@ -273,19 +270,18 @@ struct Uplink {
 }
 
 impl FedPkdState {
-    /// Phase 1: client private training + dual knowledge uplink on the
-    /// bounded work-stealing pool, for the cohort's survivors and the
-    /// `late` roster; `synthetic` says the transfer set was generated and
-    /// must be broadcast first. Returns the admitted on-time uploads and
-    /// the aggregated data-free input moments.
+    /// Phase 1: client private training + dual knowledge uplink
+    /// ([`train_cohort`]) for the cohort's survivors and the `late` roster;
+    /// `synthetic` says the transfer set was generated and must be
+    /// broadcast first. Returns the admitted on-time uploads and the
+    /// aggregated data-free input moments.
     ///
     /// Survivors and late-roster stragglers train concurrently; every
-    /// upload is *committed* in ascending client order — telemetry,
-    /// Byzantine corruption, ledger accounting, admission, and the
-    /// streaming Eq. 6–7 fold all happen per client at the commit point.
-    /// No O(cohort) payload buffer exists unless the trimmed estimator
-    /// (cross-client by definition) or the aggregation diagnostics require
-    /// one.
+    /// upload is *committed* in ascending client order — Byzantine
+    /// corruption, ledger accounting, admission, and the streaming Eq. 6–7
+    /// fold all happen per client at the commit point. No O(cohort)
+    /// payload buffer exists unless the trimmed estimator (cross-client by
+    /// definition) or the aggregation diagnostics require one.
     fn client_phase(
         &mut self,
         env: &RoundEnv<'_>,
@@ -302,9 +298,6 @@ impl FedPkdState {
         let cohort = ctx.cohort();
         let public_len = scenario.public.len();
         let num_classes = scenario.num_classes;
-        let num_classes_u32 = num_classes as u32;
-        let phase_started = Instant::now();
-        let workers = ctx.worker_budget().unwrap_or_else(max_workers);
         let mut roster = cohort.survivors();
         roster.extend(late.iter().map(|&(client, _)| client));
         roster.sort_unstable();
@@ -318,8 +311,7 @@ impl FedPkdState {
                 transfer.features().as_slice().len(),
             );
             for &client in &roster {
-                io.ledger
-                    .record_bytes(round, client, Direction::Downlink, batch_bytes);
+                io.bill(client, Direction::Downlink, batch_bytes);
             }
         }
 
@@ -344,219 +336,169 @@ impl FedPkdState {
             quarantine,
             ..
         } = self;
-        let (ledger, obs) = (&mut *io.ledger, &mut *io.obs);
         let proto_dim = server_model.feature_dim();
-        {
-            let global_prototypes = &*global_prototypes;
-            for_each_pooled_client_streaming(
-                clients,
-                &scenario.clients,
-                &roster,
-                workers,
-                |_, state, data| {
-                    // Round 0 trains with Eq. 4; later rounds add the
-                    // prototype pull of Eq. 16 (when prototypes are on).
-                    let stats = if round == 0 || !config.use_prototypes {
-                        train_supervised(
-                            &mut state.model,
-                            &data.train,
-                            config.client_private_epochs,
-                            config.batch_size,
-                            &mut state.optimizer,
-                            &mut state.rng,
-                        )
-                    } else {
-                        train_supervised_with_prototypes(
-                            &mut state.model,
-                            &data.train,
-                            global_prototypes,
-                            config.epsilon,
-                            config.client_private_epochs,
-                            config.batch_size,
-                            &mut state.optimizer,
-                            &mut state.rng,
-                        )
-                    };
-                    let logits = eval::logits_on(&mut state.model, transfer);
-                    let prototypes = compute_prototypes(&mut state.model, &data.train);
-                    // Data-free mode: the input-space class means that
-                    // ground the server's generator in the real data
-                    // distribution ride along with the dual uplink.
-                    let moments = (config.distill_source == DistillSource::Generated)
-                        .then(|| compute_input_moments(&data.train));
-                    (logits, prototypes, moments, stats)
-                },
-                |client, (mut logits, mut prototypes, moments, stats)| {
-                    obs.record(&TelemetryEvent::ClientTrained {
-                        round,
-                        client,
-                        samples: scenario.clients[client].train.len(),
-                        mean_loss: stats.mean_loss,
-                    });
-                    // Byzantine clients corrupt their uploads here — before
-                    // the ledger charge, because the corrupted bytes are
-                    // what actually cross the wire, and before admission,
-                    // which is the server's view of them.
-                    if let Some(attack) = ctx.attack(client) {
-                        let mut rng = ctx.attack_rng(round, client);
-                        corrupt_upload(attack, &mut rng, &mut logits, &mut prototypes);
-                    }
-                    if !cohort.is_active(client) {
-                        // A late-roster straggler: its transfer is still in
-                        // flight. The logits will be a round stale on
-                        // arrival and are discarded; the slow-moving
-                        // prototypes queue for the arrival round, when
-                        // their bytes are charged and admission inspects
-                        // them.
-                        let lag = late
-                            .iter()
-                            .find(|&&(c, _)| c == client)
-                            .map(|&(_, lag)| lag)
-                            .expect("late roster put this client on the roster");
-                        pending_late
-                            .entry(round + lag)
-                            .or_default()
-                            .push((client, round, prototypes));
-                        return;
-                    }
-                    // The lossy 8-bit channel cannot represent garbage
-                    // payloads (non-finite or misshapen); those travel raw
-                    // instead — an adversary does not get to crash the
-                    // codec.
-                    let quantizable = config.quantize_knowledge
-                        && logits.cols() == num_classes
-                        && logits.all_finite();
-                    if quantizable {
-                        // Charge the quantized size and replace the logits
-                        // with what actually survives the wire. The guard
-                        // checked finiteness, so this cannot fail.
-                        let quantized = QuantizedLogits::from_values(
-                            &all_ids,
-                            num_classes_u32,
-                            logits.as_slice(),
-                        )
-                        .expect("finiteness checked by the quantizable guard");
-                        ledger.record_bytes(
-                            round,
-                            client,
-                            Direction::Uplink,
-                            quantized.encoded_len(),
-                        );
-                        logits = Tensor::from_vec(quantized.dequantize(), logits.shape())
-                            .expect("dequantization preserves the shape");
-                    } else {
-                        ledger.record_bytes(
-                            round,
-                            client,
-                            Direction::Uplink,
-                            Message::logits_encoded_len(all_ids.len(), logits.as_slice().len()),
-                        );
-                    }
+        let global_prototypes = &*global_prototypes;
+        let work = |state: &mut ClientState, data: &ClientData| {
+            // Round 0 trains with Eq. 4; later rounds add the prototype
+            // pull of Eq. 16 (when prototypes are on).
+            let stats = if round == 0 || !config.use_prototypes {
+                train_supervised(
+                    &mut state.model,
+                    &data.train,
+                    config.client_private_epochs,
+                    config.batch_size,
+                    &mut state.optimizer,
+                    &mut state.rng,
+                )
+            } else {
+                train_supervised_with_prototypes(
+                    &mut state.model,
+                    &data.train,
+                    global_prototypes,
+                    config.epsilon,
+                    config.client_private_epochs,
+                    config.batch_size,
+                    &mut state.optimizer,
+                    &mut state.rng,
+                )
+            };
+            let logits = eval::logits_on(&mut state.model, transfer);
+            let prototypes = compute_prototypes(&mut state.model, &data.train);
+            // Data-free mode: the input-space class means that ground the
+            // server's generator in the real data distribution ride along
+            // with the dual uplink.
+            let moments = (config.distill_source == DistillSource::Generated)
+                .then(|| compute_input_moments(&data.train));
+            ((logits, prototypes, moments), stats)
+        };
+        train_cohort(
+            clients,
+            scenario,
+            io,
+            &roster,
+            work,
+            |io, client, (mut logits, mut prototypes, moments)| {
+                // Byzantine clients corrupt their uploads here — before the
+                // ledger charge, because the corrupted bytes are what actually
+                // cross the wire, and before admission, which is the server's
+                // view of them.
+                if let Some(attack) = ctx.attack(client) {
+                    let mut rng = ctx.attack_rng(round, client);
+                    corrupt_upload(attack, &mut rng, &mut logits, &mut prototypes);
+                }
+                if !cohort.is_active(client) {
+                    // A late-roster straggler: its transfer is still in flight.
+                    // The logits will be a round stale on arrival and are
+                    // discarded; the slow-moving prototypes queue for the
+                    // arrival round, when their bytes are charged and admission
+                    // inspects them.
+                    let lag = late
+                        .iter()
+                        .find(|&&(c, _)| c == client)
+                        .map(|&(_, lag)| lag)
+                        .expect("late roster put this client on the roster");
+                    pending_late
+                        .entry(round + lag)
+                        .or_default()
+                        .push((client, round, prototypes));
+                    return;
+                }
+                // The lossy 8-bit channel cannot represent garbage payloads
+                // (non-finite or misshapen); those travel raw instead — an
+                // adversary does not get to crash the codec.
+                let quantizable = config.quantize_knowledge
+                    && logits.cols() == num_classes
+                    && logits.all_finite();
+                if quantizable {
+                    // Charge the quantized size and replace the logits with
+                    // what actually survives the wire. The guard checked
+                    // finiteness, so this cannot fail.
+                    let quantized = QuantizedLogits::from_values(
+                        &all_ids,
+                        num_classes as u32,
+                        logits.as_slice(),
+                    )
+                    .expect("finiteness checked by the quantizable guard");
+                    io.bill(client, Direction::Uplink, quantized.encoded_len());
+                    logits = Tensor::from_vec(quantized.dequantize(), logits.shape())
+                        .expect("dequantization preserves the shape");
+                } else {
+                    let raw = Message::logits_encoded_len(public_len, logits.as_slice().len());
+                    io.bill(client, Direction::Uplink, raw);
+                }
+                if config.use_prototypes {
+                    let entries = to_wire_entries(&prototypes);
+                    let bytes = Message::Prototypes { entries }.encoded_len();
+                    io.bill(client, Direction::Uplink, bytes);
+                }
+                if let Some(m) = &moments {
+                    let entries = to_wire_entries(m);
+                    let bytes = Message::DataMoments { entries }.encoded_len();
+                    io.bill(client, Direction::Uplink, bytes);
+                }
+                // Admission control: the upload was charged — the bytes crossed
+                // the wire — but only validated payloads may touch server
+                // state.
+                if quarantine.is_quarantined(client) {
+                    io.reject(client, PayloadKind::Logits, RejectReason::Quarantined);
                     if config.use_prototypes {
-                        ledger.record(
-                            round,
-                            client,
-                            Direction::Uplink,
-                            &Message::Prototypes {
-                                entries: to_wire_entries(&prototypes),
-                            },
-                        );
+                        io.reject(client, PayloadKind::Prototypes, RejectReason::Quarantined);
                     }
-                    if let Some(m) = &moments {
-                        ledger.record(
-                            round,
-                            client,
-                            Direction::Uplink,
-                            &Message::DataMoments {
-                                entries: to_wire_entries(m),
-                            },
-                        );
-                    }
-                    // Admission control: the upload was charged — the bytes
-                    // crossed the wire — but only validated payloads may
-                    // touch server state.
-                    if quarantine.is_quarantined(client) {
-                        obs.record(&TelemetryEvent::PayloadRejected {
-                            round,
-                            client,
-                            payload: PayloadKind::Logits,
-                            reason: RejectReason::Quarantined,
-                        });
-                        if config.use_prototypes {
-                            obs.record(&TelemetryEvent::PayloadRejected {
-                                round,
-                                client,
-                                payload: PayloadKind::Prototypes,
-                                reason: RejectReason::Quarantined,
-                            });
-                        }
-                        return;
-                    }
-                    let mut rejected = false;
-                    if let Err(reason) = policy.check_logits(&logits, public_len, num_classes) {
-                        obs.record(&TelemetryEvent::PayloadRejected {
-                            round,
-                            client,
-                            payload: PayloadKind::Logits,
-                            reason,
-                        });
+                    return;
+                }
+                let mut rejected = false;
+                if let Err(reason) = policy.check_logits(&logits, public_len, num_classes) {
+                    io.reject(client, PayloadKind::Logits, reason);
+                    rejected = true;
+                }
+                if config.use_prototypes {
+                    if let Err(reason) =
+                        policy.check_prototypes(&prototypes, num_classes, proto_dim)
+                    {
+                        io.reject(client, PayloadKind::Prototypes, reason);
                         rejected = true;
                     }
-                    if config.use_prototypes {
-                        if let Err(reason) =
-                            policy.check_prototypes(&prototypes, num_classes, proto_dim)
-                        {
-                            obs.record(&TelemetryEvent::PayloadRejected {
-                                round,
-                                client,
-                                payload: PayloadKind::Prototypes,
-                                reason,
-                            });
-                            rejected = true;
-                        }
+                }
+                if rejected {
+                    if quarantine.record_rejection(client) {
+                        io.obs.record(&TelemetryEvent::ClientQuarantined {
+                            round,
+                            client,
+                            consecutive: quarantine.streak(client),
+                        });
                     }
-                    if rejected {
-                        if quarantine.record_rejection(client) {
-                            obs.record(&TelemetryEvent::ClientQuarantined {
-                                round,
-                                client,
-                                consecutive: quarantine.streak(client),
-                            });
-                        }
-                        return;
+                    return;
+                }
+                quarantine.record_accepted(client);
+                if config.use_prototypes {
+                    cached_prototypes[client] = Some((round, prototypes));
+                }
+                // Moments only feed the generator: a malformed vector is simply
+                // not folded — the logit/prototype checks above are what gate
+                // the client's standing.
+                if let Some(m) = moments {
+                    let well_formed = m.len() == num_classes
+                        && m.iter()
+                            .flatten()
+                            .all(|p| p.vector.shape() == [sample_dim] && p.vector.all_finite());
+                    if well_formed {
+                        moment_uploads.push(m);
                     }
-                    quarantine.record_accepted(client);
-                    if config.use_prototypes {
-                        cached_prototypes[client] = Some((round, prototypes));
-                    }
-                    // Moments only feed the generator: a malformed vector is
-                    // simply not folded — the logit/prototype checks above
-                    // are what gate the client's standing.
-                    if let Some(m) = moments {
-                        let well_formed = m.len() == num_classes
-                            && m.iter()
-                                .flatten()
-                                .all(|p| p.vector.shape() == [sample_dim] && p.vector.all_finite());
-                        if well_formed {
-                            moment_uploads.push(m);
-                        }
-                    }
-                    // The streaming Eq. 6–7 fold: the admitted upload is
-                    // consumed here and freed — unless a cross-client
-                    // estimator or diagnostics need the full set.
-                    if buffer_logits {
-                        buffered.push(logits);
-                    } else if acc.fold(&logits).is_err() {
-                        // Only reachable with admission disabled
-                        // (shape-divergent payloads were let through); the
-                        // round will degrade to a no-op below.
-                        fold_failed = true;
-                    }
-                    admitted += 1;
-                },
-            );
-        }
-        emit_phase_timing(obs, round, Phase::ClientTraining, phase_started);
+                }
+                // The streaming Eq. 6–7 fold: the admitted upload is consumed
+                // here and freed — unless a cross-client estimator or
+                // diagnostics need the full set.
+                if buffer_logits {
+                    buffered.push(logits);
+                } else if acc.fold(&logits).is_err() {
+                    // Only reachable with admission disabled (shape-divergent
+                    // payloads were let through); the round will degrade to a
+                    // no-op below.
+                    fold_failed = true;
+                }
+                admitted += 1;
+            },
+        );
 
         // Data-free mode: size-weight the admitted input-moment uploads into
         // the global per-class input means the generator will match. The
@@ -607,36 +549,21 @@ impl FedPkdState {
             quarantine,
             ..
         } = self;
-        let (ledger, obs) = (&mut *io.ledger, &mut *io.obs);
         let phase_started = Instant::now();
         for (client, origin, protos) in arrivals {
             // The delayed transfer completes now: charge its bytes, then
             // let admission gate the aged prototypes into the stale-reuse
             // cache. Quarantine streaks track only the synchronous path.
-            ledger.record(
-                round,
-                client,
-                Direction::Uplink,
-                &Message::Prototypes {
-                    entries: to_wire_entries(&protos),
-                },
-            );
-            if quarantine.is_quarantined(client) {
-                obs.record(&TelemetryEvent::PayloadRejected {
-                    round,
-                    client,
-                    payload: PayloadKind::Prototypes,
-                    reason: RejectReason::Quarantined,
-                });
-                continue;
-            }
-            if let Err(reason) = policy.check_prototypes(&protos, num_classes, proto_dim) {
-                obs.record(&TelemetryEvent::PayloadRejected {
-                    round,
-                    client,
-                    payload: PayloadKind::Prototypes,
-                    reason,
-                });
+            let entries = to_wire_entries(&protos);
+            let bytes = Message::Prototypes { entries }.encoded_len();
+            io.bill(client, Direction::Uplink, bytes);
+            let verdict = if quarantine.is_quarantined(client) {
+                Err(RejectReason::Quarantined)
+            } else {
+                policy.check_prototypes(&protos, num_classes, proto_dim)
+            };
+            if let Err(reason) = verdict {
+                io.reject(client, PayloadKind::Prototypes, reason);
                 continue;
             }
             // Stamped with the origin round so `prototype_staleness` ages
@@ -649,6 +576,7 @@ impl FedPkdState {
                 cached_prototypes[client] = Some((origin, protos));
             }
         }
+        let obs = &mut *io.obs;
         if admitted == 0 {
             // Every on-time upload was rejected (or everyone was late):
             // with no trustworthy knowledge there is nothing to aggregate
@@ -786,7 +714,7 @@ impl FedPkdState {
             scenario,
             transfer,
         } = *env;
-        let (round, obs) = (io.round, &mut *io.obs);
+        let (round, workers, obs) = (io.round, io.workers(), &mut *io.obs);
         let public_len = scenario.public.len();
         let FedPkdState {
             server_model,
@@ -808,7 +736,10 @@ impl FedPkdState {
         let drop_uncovered = config.distill_source == DistillSource::Generated;
         let selected: Vec<usize> = if config.use_filter && config.use_prototypes {
             let server_features = eval::features_on(server_model, transfer);
-            if margin_radii.is_some() || drop_uncovered {
+            // The statistics cost a global sort of the distances: only
+            // when the bank, the uncovered-class accounting or an observer
+            // consumes them.
+            if margin_radii.is_some() || drop_uncovered || obs.enabled() {
                 let (selected, stats) = filter_public_opts(
                     &server_features,
                     pseudo,
@@ -834,24 +765,6 @@ impl FedPkdState {
                     distance_quantiles: stats.distance_quantiles,
                     dropped_uncovered: stats.dropped_uncovered,
                     dropped_by_margin: stats.dropped_by_margin,
-                });
-                selected
-            } else if obs.enabled() {
-                let (selected, stats) = filter_public_with_stats(
-                    &server_features,
-                    pseudo,
-                    global_prototypes,
-                    config.theta,
-                );
-                obs.record(&TelemetryEvent::FilterOutcome {
-                    round,
-                    kept: stats.kept(),
-                    dropped: stats.dropped(),
-                    kept_per_class: stats.kept_per_class,
-                    total_per_class: stats.total_per_class,
-                    distance_quantiles: stats.distance_quantiles,
-                    dropped_uncovered: 0,
-                    dropped_by_margin: 0,
                 });
                 selected
             } else {
@@ -922,7 +835,7 @@ impl FedPkdState {
             config.batch_size,
             server_optimizer,
             server_rng,
-            io.ctx.worker_budget().unwrap_or_else(max_workers),
+            workers,
         );
         obs.record(&TelemetryEvent::ServerDistill {
             round,
@@ -936,8 +849,9 @@ impl FedPkdState {
     }
 
     /// Phase 4: server knowledge downlink + client public training
-    /// (Eqs. 14–15), survivors only. Only the `selected` subset's logits
-    /// travel (θ% of the public set), which is FedPKD's downlink saving.
+    /// (Eqs. 14–15, [`digest`]), survivors only. Only the `selected`
+    /// subset's logits travel (θ% of the public set), which is FedPKD's
+    /// downlink saving.
     fn downlink(
         &mut self,
         env: &RoundEnv<'_>,
@@ -950,87 +864,47 @@ impl FedPkdState {
             scenario,
             transfer,
         } = *env;
-        let (round, cohort) = (io.round, io.ctx.cohort());
-        let workers = io.ctx.worker_budget().unwrap_or_else(max_workers);
-        let num_classes_u32 = scenario.num_classes as u32;
-        let FedPkdState {
-            clients,
-            server_model,
-            global_prototypes,
-            ..
-        } = self;
-        let (ledger, obs) = (&mut *io.ledger, &mut *io.obs);
-        let phase_started = Instant::now();
         let subset_dataset = transfer.subset(selected);
-        let mut server_logits = eval::logits_on(server_model, &subset_dataset);
+        let mut server_logits = eval::logits_on(&mut self.server_model, &subset_dataset);
         let selected_ids: Vec<u32> = selected.iter().map(|&i| i as u32).collect();
-        // A diverged server (e.g. under an unfiltered Byzantine attack) can
-        // emit non-finite logits; those cannot ride the lossy 8-bit channel,
-        // so they fall back to the raw f32 message instead of panicking.
-        let downlink_quantized = if config.quantize_knowledge {
-            match QuantizedLogits::from_values(
-                &selected_ids,
-                num_classes_u32,
-                server_logits.as_slice(),
-            ) {
-                Ok(quantized) => {
-                    server_logits = Tensor::from_vec(quantized.dequantize(), server_logits.shape())
-                        .expect("dequantization preserves the shape");
-                    Some(quantized.encoded_len())
-                }
-                Err(_) => None,
+        // Every survivor receives the same three messages: the subset's
+        // logits, the global prototypes, the selection. A diverged server
+        // (e.g. under an unfiltered Byzantine attack) can emit non-finite
+        // logits; those cannot ride the lossy 8-bit channel, so they fall
+        // back to the raw f32 message instead of panicking.
+        let mut logits_bytes =
+            Message::logits_encoded_len(selected_ids.len(), server_logits.as_slice().len());
+        if config.quantize_knowledge {
+            let classes = scenario.num_classes as u32;
+            if let Ok(quantized) =
+                QuantizedLogits::from_values(&selected_ids, classes, server_logits.as_slice())
+            {
+                server_logits = Tensor::from_vec(quantized.dequantize(), server_logits.shape())
+                    .expect("dequantization preserves the shape");
+                logits_bytes = quantized.encoded_len();
             }
-        } else {
-            None
-        };
-        let server_probs = softmax(&server_logits, config.temperature);
-        // Every survivor receives the same three messages; size them once.
-        let logits_bytes = downlink_quantized.unwrap_or_else(|| {
-            Message::logits_encoded_len(selected_ids.len(), server_logits.as_slice().len())
-        });
-        let proto_bytes = config.use_prototypes.then(|| {
-            Message::Prototypes {
-                entries: global_to_wire_entries(global_prototypes),
-            }
-            .encoded_len()
-        });
-        let selection_bytes = Message::sample_selection_encoded_len(selected_ids.len());
-        for client in cohort.survivors() {
-            ledger.record_bytes(round, client, Direction::Downlink, logits_bytes);
-            if let Some(bytes) = proto_bytes {
-                ledger.record_bytes(round, client, Direction::Downlink, bytes);
-            }
-            ledger.record_bytes(round, client, Direction::Downlink, selection_bytes);
         }
-        // Public-phase distillation (Eq. 15) rides the same work-stealing
-        // pool; losses are committed (and logged) in client order.
-        for_each_pooled_client_streaming(
-            clients,
-            &scenario.clients,
-            &cohort.survivors(),
-            workers,
-            |_, state, _| {
-                train_distill(
-                    &mut state.model,
-                    subset_features,
-                    &server_probs,
-                    config.gamma,
-                    config.temperature,
-                    config.client_public_epochs,
-                    config.batch_size,
-                    &mut state.optimizer,
-                    &mut state.rng,
-                )
-            },
-            |client, stats| {
-                obs.record(&TelemetryEvent::ClientDistilled {
-                    round,
-                    client,
-                    mean_loss: stats.mean_loss,
-                });
-            },
-        );
-        emit_phase_timing(obs, round, Phase::ClientDistill, phase_started);
+        let mut bills = vec![logits_bytes];
+        if config.use_prototypes {
+            let entries = global_to_wire_entries(&self.global_prototypes);
+            bills.push(Message::Prototypes { entries }.encoded_len());
+        }
+        bills.push(Message::sample_selection_encoded_len(selected_ids.len()));
+        let server_probs = softmax(&server_logits, config.temperature);
+        // Public-phase distillation (Eq. 15).
+        digest(&mut self.clients, scenario, io, &bills, |state| {
+            train_distill(
+                &mut state.model,
+                subset_features,
+                &server_probs,
+                config.gamma,
+                config.temperature,
+                config.client_public_epochs,
+                config.batch_size,
+                &mut state.optimizer,
+                &mut state.rng,
+            )
+        });
     }
 }
 
@@ -1141,23 +1015,10 @@ impl Federation for FedPkd {
         // (upload round, per-class optional prototype) entry.
         w.put_usize(self.state.cached_prototypes.len());
         for entry in &self.state.cached_prototypes {
-            match entry {
-                Some((round, protos)) => {
-                    w.put_bool(true);
-                    w.put_usize(*round);
-                    w.put_usize(protos.len());
-                    for proto in protos {
-                        match proto {
-                            Some(p) => {
-                                w.put_bool(true);
-                                w.put_usize(p.count);
-                                snapshot::write_tensor(w, &p.vector);
-                            }
-                            None => w.put_bool(false),
-                        }
-                    }
-                }
-                None => w.put_bool(false),
+            w.put_bool(entry.is_some());
+            if let Some((round, protos)) = entry {
+                w.put_usize(*round);
+                snapshot::write_prototypes(w, protos);
             }
         }
         // In-flight late uploads (bounded-staleness mode): per arrival
@@ -1170,17 +1031,7 @@ impl Federation for FedPkd {
             for (client, origin, protos) in uploads {
                 w.put_usize(*client);
                 w.put_usize(*origin);
-                w.put_usize(protos.len());
-                for proto in protos {
-                    match proto {
-                        Some(p) => {
-                            w.put_bool(true);
-                            w.put_usize(p.count);
-                            snapshot::write_tensor(w, &p.vector);
-                        }
-                        None => w.put_bool(false),
-                    }
-                }
+                snapshot::write_prototypes(w, protos);
             }
         }
         // Scenario-diversity extensions: presence-tagged so a restore into
@@ -1210,12 +1061,23 @@ impl Federation for FedPkd {
             &self.state.server_model,
         )?;
         self.state.server_rng = snapshot::read_rng(r)?;
+        let num_classes = self.state.global_prototypes.len();
+        let proto_dim = self.state.server_model.feature_dim();
         let global_prototypes = snapshot::read_opt_tensors(r)?;
-        if global_prototypes.len() != self.state.global_prototypes.len() {
+        if global_prototypes.len() != num_classes {
             return Err(SnapshotError::Malformed(format!(
-                "snapshot has {} classes of global prototypes, instance has {}",
+                "snapshot has {} classes of global prototypes, instance has {num_classes}",
                 global_prototypes.len(),
-                self.state.global_prototypes.len()
+            )));
+        }
+        if let Some(p) = global_prototypes
+            .iter()
+            .flatten()
+            .find(|p| p.shape() != [proto_dim])
+        {
+            return Err(SnapshotError::Malformed(format!(
+                "snapshot has a global prototype of shape {:?}, server features are {proto_dim} wide",
+                p.shape()
             )));
         }
         let cache_len = r.take_usize()?;
@@ -1225,26 +1087,31 @@ impl Federation for FedPkd {
                 self.state.cached_prototypes.len()
             )));
         }
+        // The cache holds admitted uploads only, and feeds Eq. 8 without
+        // another look: a restored entry must pass the gate a live one
+        // passed.
+        let policy = self.config.admission;
         let mut cached_prototypes = Vec::with_capacity(cache_len);
-        for _ in 0..cache_len {
+        for client in 0..cache_len {
             cached_prototypes.push(if r.take_bool()? {
                 let round = r.take_usize()?;
-                let num_protos = r.take_usize()?;
-                let mut protos = Vec::with_capacity(num_protos.min(1 << 20));
-                for _ in 0..num_protos {
-                    protos.push(if r.take_bool()? {
-                        let count = r.take_usize()?;
-                        let vector = snapshot::read_tensor(r)?;
-                        Some(Prototype { count, vector })
-                    } else {
-                        None
-                    });
-                }
+                let protos = snapshot::read_prototypes(r)?;
+                policy
+                    .check_prototypes(&protos, num_classes, proto_dim)
+                    .map_err(|reason| {
+                        SnapshotError::Malformed(format!(
+                            "cached prototypes of client {client} fail admission: {}",
+                            reason.name()
+                        ))
+                    })?;
                 Some((round, protos))
             } else {
                 None
             });
         }
+        // Late uploads queue before admission (a Byzantine straggler's
+        // payload is legitimately in flight) and meet it on arrival, so
+        // only their framing is checked here.
         let num_buckets = r.take_usize()?;
         let mut pending_late = BTreeMap::new();
         for _ in 0..num_buckets {
@@ -1260,18 +1127,7 @@ impl Federation for FedPkd {
                     )));
                 }
                 let origin = r.take_usize()?;
-                let num_protos = r.take_usize()?;
-                let mut protos = Vec::with_capacity(num_protos.min(1 << 20));
-                for _ in 0..num_protos {
-                    protos.push(if r.take_bool()? {
-                        let count = r.take_usize()?;
-                        let vector = snapshot::read_tensor(r)?;
-                        Some(Prototype { count, vector })
-                    } else {
-                        None
-                    });
-                }
-                uploads.push((client, origin, protos));
+                uploads.push((client, origin, snapshot::read_prototypes(r)?));
             }
             pending_late.insert(arrival, uploads);
         }

@@ -84,8 +84,11 @@ pub fn filter_public(
     )
 }
 
-/// [`filter_public`] with the scenario-diversity extensions: adaptive
-/// per-class margins and uncovered-class dropping (see [`FilterOptions`]).
+/// [`filter_public`] with the scenario-diversity extensions — adaptive
+/// per-class margins and uncovered-class dropping (see [`FilterOptions`])
+/// — plus a [`FilterStats`] diagnostic summary. Under default options the
+/// kept set is [`filter_public`]'s; the summary costs a global sort of the
+/// distances, so paths that drop it should call [`filter_public`].
 ///
 /// # Panics
 ///
@@ -105,34 +108,6 @@ pub fn filter_public_opts(
         global_prototypes,
         theta,
         options,
-        Some(&mut stats),
-    );
-    (selected, stats)
-}
-
-/// [`filter_public`] plus a [`FilterStats`] diagnostic summary: kept/total
-/// per class and a five-number summary of the Eq. 10 distances.
-///
-/// The kept set is identical to [`filter_public`]'s; the extra work is a
-/// single global sort of the distances, so disabled-telemetry paths should
-/// call [`filter_public`] instead.
-///
-/// # Panics
-///
-/// Same conditions as [`filter_public`].
-pub fn filter_public_with_stats(
-    server_features: &Tensor,
-    pseudo_labels: &[usize],
-    global_prototypes: &[Option<Tensor>],
-    theta: f32,
-) -> (Vec<usize>, FilterStats) {
-    let mut stats = FilterStats::default();
-    let selected = filter_impl(
-        server_features,
-        pseudo_labels,
-        global_prototypes,
-        theta,
-        FilterOptions::default(),
         Some(&mut stats),
     );
     (selected, stats)
@@ -367,7 +342,7 @@ mod tests {
         let labels = vec![0, 0, 1, 1, 0];
         let protos = vec![proto(&[0.0]), proto(&[0.0])];
         let plain = filter_public(&f, &labels, &protos, 0.5);
-        let (kept, stats) = filter_public_with_stats(&f, &labels, &protos, 0.5);
+        let (kept, stats) = filter_public_opts(&f, &labels, &protos, 0.5, FilterOptions::default());
         assert_eq!(kept, plain);
         assert_eq!(stats.total_per_class, vec![3, 2]);
         assert_eq!(stats.kept_per_class, vec![2, 1]);
@@ -384,7 +359,7 @@ mod tests {
         let f = features(&[&[1.0], &[2.0]]);
         let labels = vec![0, 0];
         let protos: Vec<Option<Tensor>> = vec![None];
-        let (kept, stats) = filter_public_with_stats(&f, &labels, &protos, 1.0);
+        let (kept, stats) = filter_public_opts(&f, &labels, &protos, 1.0, FilterOptions::default());
         assert_eq!(kept, vec![0, 1]);
         assert!(stats.distance_quantiles.is_empty());
         assert_eq!(stats.kept_per_class, vec![2]);

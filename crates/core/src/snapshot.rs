@@ -34,7 +34,7 @@
 //!
 //! The payload layout is private to each algorithm, assembled from the
 //! primitives of [`StateSink`]/[`StateSource`] and the typed helpers below
-//! ([`write_model`], [`write_adam`], [`write_clients`], [`write_driver`],
+//! ([`write_model`], [`write_adam`], [`write_pool`], [`write_driver`],
 //! …). [`AlgorithmState`] is the same payload held in memory, for
 //! [`Driver::snapshot`](crate::driver::Driver::snapshot) and
 //! [`Driver::resume`](crate::driver::Driver::resume) inside one process.
@@ -71,6 +71,7 @@
 
 use crate::admission::QuarantineTracker;
 use crate::clients::ClientState;
+use crate::fedpkd::prototypes::Prototype;
 use crate::runtime::DriverState;
 use fedpkd_netsim::{CommLedger, Direction, Fnv1a, TransferRecord};
 use fedpkd_rng::Rng;
@@ -935,59 +936,17 @@ pub(crate) fn read_adam_state(
     Ok((lr, t, m, v))
 }
 
-/// Writes one client's full state: model, optimizer, RNG stream.
+/// Writes one client's full state: model, optimizer, RNG stream — the
+/// per-client layout of [`write_pool`]; [`read_pool`] reads it back.
 pub fn write_client(w: &mut dyn StateSink, client: &ClientState) {
     write_model(w, &client.model);
     write_adam(w, &client.optimizer);
     write_rng(w, &client.rng);
 }
 
-/// Reads one client state written by [`write_client`].
-///
-/// # Errors
-///
-/// Propagates the model/optimizer/RNG decoding errors.
-pub fn read_client(r: &mut dyn StateSource, client: &mut ClientState) -> Result<(), SnapshotError> {
-    read_model(r, &mut client.model)?;
-    read_adam(r, &mut client.optimizer, &client.model)?;
-    client.rng = read_rng(r)?;
-    Ok(())
-}
-
-/// Writes a whole client fleet, count-prefixed.
-pub fn write_clients(w: &mut dyn StateSink, clients: &[ClientState]) {
-    w.put_usize(clients.len());
-    for client in clients {
-        write_client(w, client);
-    }
-}
-
-/// Reads a fleet written by [`write_clients`] into `clients`.
-///
-/// # Errors
-///
-/// [`SnapshotError::Malformed`] if the snapshot's client count differs
-/// from `clients.len()`.
-pub fn read_clients(
-    r: &mut dyn StateSource,
-    clients: &mut [ClientState],
-) -> Result<(), SnapshotError> {
-    let count = r.take_usize()?;
-    if count != clients.len() {
-        return Err(SnapshotError::Malformed(format!(
-            "snapshot has {count} clients, instance has {}",
-            clients.len()
-        )));
-    }
-    for client in clients {
-        read_client(r, client)?;
-    }
-    Ok(())
-}
-
-// The copy-on-write fleet serializes through the same layout as
-// `write_clients`, so its codec lives beside the pool; re-exported here
-// to keep all state codecs reachable from one module.
+// The fleet's codec lives beside the pool (it writes parked deltas without
+// materializing them); re-exported here to keep all state codecs reachable
+// from one module.
 pub use crate::cow::{read_pool, write_pool};
 
 /// Writes the shared driver's book-keeping: rounds driven plus the full
@@ -1108,6 +1067,42 @@ pub fn read_opt_tensors(r: &mut dyn StateSource) -> Result<Vec<Option<Tensor>>, 
     for _ in 0..count {
         out.push(if r.take_bool()? {
             Some(read_tensor(r)?)
+        } else {
+            None
+        });
+    }
+    Ok(out)
+}
+
+/// Writes one client's per-class prototype list (Eq. 5): per class an
+/// optional `(sample count, vector)`.
+pub fn write_prototypes(w: &mut dyn StateSink, prototypes: &[Option<Prototype>]) {
+    w.put_usize(prototypes.len());
+    for proto in prototypes {
+        w.put_bool(proto.is_some());
+        if let Some(p) = proto {
+            w.put_usize(p.count);
+            write_tensor(w, &p.vector);
+        }
+    }
+}
+
+/// Reads a list written by [`write_prototypes`]. Only the framing is
+/// checked here; whether the list may touch server state is for the
+/// caller's [`AdmissionPolicy`](crate::admission::AdmissionPolicy) to say,
+/// as it is for a list arriving over the wire.
+///
+/// # Errors
+///
+/// Propagates tensor decoding errors.
+pub fn read_prototypes(r: &mut dyn StateSource) -> Result<Vec<Option<Prototype>>, SnapshotError> {
+    let count = r.take_usize()?;
+    let mut out = Vec::with_capacity(count.min(1 << 20));
+    for _ in 0..count {
+        out.push(if r.take_bool()? {
+            let count = r.take_usize()?;
+            let vector = read_tensor(r)?;
+            Some(Prototype { count, vector })
         } else {
             None
         });

@@ -1,7 +1,7 @@
 //! Property-based tests for FedPKD's aggregation and filtering invariants,
 //! and for the copy-on-write client pool's bit-exactness contract.
 
-use fedpkd_core::clients::{build_clients, for_each_active_client_streaming, ClientState};
+use fedpkd_core::clients::ClientState;
 use fedpkd_core::cow::{
     for_each_pooled_client_streaming, pooled_client_accuracies, ClientPool, ClientSlot,
 };
@@ -14,7 +14,9 @@ use fedpkd_core::fedpkd::logits::{
 };
 use fedpkd_core::fedpkd::prototypes::{aggregate_prototypes, Prototype};
 use fedpkd_core::robust::{median, trimmed_mean, trimmed_mean_lanes};
-use fedpkd_core::snapshot::{read_pool, write_clients, write_pool, SnapshotReader, SnapshotWriter};
+use fedpkd_core::snapshot::{
+    read_pool, write_client, write_pool, SnapshotReader, SnapshotWriter, StateSink,
+};
 use fedpkd_core::train::train_supervised;
 use fedpkd_data::{ClientData, FederatedScenario, Partition, ScenarioBuilder, SyntheticConfig};
 use fedpkd_tensor::models::{DepthTier, ModelSpec};
@@ -392,7 +394,7 @@ fn trimmed_aggregation_tiers_match_at_parallel_scale() {
     }
 }
 
-// ---- Copy-on-write pool vs. the owned fleet --------------------------
+// ---- Copy-on-write pool vs. the single-threaded reference loop ------
 
 /// The shared training scenario for the pool properties, built once (the
 /// property inputs vary seeds and rosters, never the data).
@@ -424,7 +426,7 @@ fn pool_specs() -> Vec<ModelSpec> {
     ]
 }
 
-/// One local-training pass, the workload both fleets run.
+/// One local-training pass, the workload every dispatch below runs.
 fn train_once(_: usize, client: &mut ClientState, data: &ClientData) -> u64 {
     train_supervised(
         &mut client.model,
@@ -437,7 +439,27 @@ fn train_once(_: usize, client: &mut ClientState, data: &ClientData) -> u64 {
     client.optimizer.step_count()
 }
 
-/// Full bit-level fingerprint of an owned client: model state, optimizer
+/// The reference the pool's dispatch is held to, needing no second store:
+/// one thread, ascending client order, `materialize(i)` → `train_once` →
+/// `park(i)`.
+fn reference_loop(
+    pool: &mut ClientPool,
+    data: &[ClientData],
+    roster: &[usize],
+) -> Vec<(usize, u64)> {
+    let mut roster = roster.to_vec();
+    roster.sort_unstable();
+    roster.dedup();
+    let run = |i: usize| {
+        let mut client = pool.materialize(i);
+        let out = train_once(i, &mut client, &data[i]);
+        pool.park(i, client);
+        (i, out)
+    };
+    roster.into_iter().map(run).collect()
+}
+
+/// Full bit-level fingerprint of a live client: model state, optimizer
 /// step/moments, RNG words.
 fn fingerprint(client: &ClientState) -> (Vec<u32>, u64, Vec<Vec<u32>>, [u64; 4]) {
     let (m, v) = client.optimizer.moments();
@@ -458,10 +480,10 @@ fn fingerprint(client: &ClientState) -> (Vec<u32>, u64, Vec<Vec<u32>>, [u64; 4])
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The full CoW lifecycle — materialize → train → park at commit →
-    /// (maybe) release — leaves every client bit-identical to the owned
-    /// `Vec<ClientState>` path at the same seed, for any roster, worker
-    /// count, and number of rounds.
+    /// The full CoW lifecycle on the work-stealing dispatch — take →
+    /// materialize → train → park at commit → (maybe) release — leaves
+    /// every client bit-identical to the single-threaded reference loop at
+    /// the same seed, for any roster, worker count, and number of rounds.
     #[test]
     fn pooled_lifecycle_is_bit_identical_to_owned_path(
         seed in any::<u64>(),
@@ -470,42 +492,39 @@ proptest! {
     ) {
         let scenario = pool_scenario();
         let specs = pool_specs();
-        let mut owned = build_clients(&specs, 0.003, seed);
+        let mut reference = ClientPool::new(&specs, 0.003, seed);
         let mut pool = ClientPool::new(&specs, 0.003, seed);
         for roster in &rosters {
-            let mut owned_out = Vec::new();
-            for_each_active_client_streaming(
-                &mut owned, &scenario.clients, roster, workers, train_once,
-                |i, out| owned_out.push((i, out)),
-            );
+            let expected = reference_loop(&mut reference, &scenario.clients, roster);
             let mut pooled_out = Vec::new();
             for_each_pooled_client_streaming(
                 &mut pool, &scenario.clients, roster, workers, train_once,
                 |i, out| pooled_out.push((i, out)),
             );
-            prop_assert_eq!(&pooled_out, &owned_out);
+            prop_assert_eq!(&pooled_out, &expected);
         }
         // Clients never rostered must still be fresh (zero resident bytes).
-        let trained: Vec<bool> = (0..3)
-            .map(|i| rosters.iter().any(|r| r.contains(&i)))
-            .collect();
-        for (i, owned_client) in owned.iter().enumerate() {
+        for i in 0..3 {
             prop_assert_eq!(
                 matches!(pool.slot(i), ClientSlot::Parked(_)),
-                trained[i],
+                rosters.iter().any(|r| r.contains(&i)),
                 "client {} residency", i
             );
-            prop_assert_eq!(fingerprint(&pool.materialize(i)), fingerprint(owned_client));
+            prop_assert_eq!(
+                fingerprint(&pool.materialize(i)),
+                fingerprint(&reference.materialize(i))
+            );
         }
         // Releasing a delta returns the client to its deterministic init.
         pool.release(0);
-        let rebuilt = build_clients(&specs, 0.003, seed);
-        prop_assert_eq!(fingerprint(&pool.materialize(0)), fingerprint(&rebuilt[0]));
+        let rebuilt = ClientPool::new(&specs, 0.003, seed);
+        prop_assert_eq!(fingerprint(&pool.materialize(0)), fingerprint(&rebuilt.materialize(0)));
     }
 
     /// Snapshotting a pool mid-sequence — deltas in flight for the trained
-    /// clients, fresh slots for the rest — emits exactly the owned fleet's
-    /// bytes, and restoring + continuing matches never having stopped.
+    /// clients, fresh slots for the rest — emits exactly the count plus
+    /// `write_client` of every client, and restoring + continuing matches
+    /// never having stopped.
     #[test]
     fn pool_snapshot_resume_with_deltas_in_flight_is_exact(
         seed in any::<u64>(),
@@ -515,11 +534,9 @@ proptest! {
     ) {
         let scenario = pool_scenario();
         let specs = pool_specs();
-        // Owned reference: train, keep going, never interrupted.
-        let mut owned = build_clients(&specs, 0.003, seed);
-        for_each_active_client_streaming(
-            &mut owned, &scenario.clients, &first, workers, train_once, |_, _| {},
-        );
+        // Reference: train, keep going, never interrupted.
+        let mut reference = ClientPool::new(&specs, 0.003, seed);
+        reference_loop(&mut reference, &scenario.clients, &first);
         // Pool under test: train the first roster, snapshot, restore into
         // a fresh pool.
         let mut pool = ClientPool::new(&specs, 0.003, seed);
@@ -528,10 +545,13 @@ proptest! {
         );
         let mut w_pool = SnapshotWriter::new();
         write_pool(&mut w_pool, &pool);
-        let mut w_owned = SnapshotWriter::new();
-        write_clients(&mut w_owned, &owned);
+        let mut w_clients = SnapshotWriter::new();
+        w_clients.put_usize(3);
+        for i in 0..3 {
+            write_client(&mut w_clients, &reference.materialize(i));
+        }
         let bytes = w_pool.into_bytes();
-        prop_assert_eq!(&bytes, &w_owned.into_bytes());
+        prop_assert_eq!(&bytes, &w_clients.into_bytes());
         let mut revived = ClientPool::new(&specs, 0.003, seed);
         let mut r = SnapshotReader::new(&bytes);
         read_pool(&mut r, &mut revived).unwrap();
@@ -544,15 +564,16 @@ proptest! {
                 "client {} residency after restore", i
             );
         }
-        // Continue both; the restored pool must track the owned fleet.
-        for_each_active_client_streaming(
-            &mut owned, &scenario.clients, &second, workers, train_once, |_, _| {},
-        );
+        // Continue both; the restored pool must track the reference.
+        reference_loop(&mut reference, &scenario.clients, &second);
         for_each_pooled_client_streaming(
             &mut revived, &scenario.clients, &second, workers, train_once, |_, _| {},
         );
-        for (i, owned_client) in owned.iter().enumerate() {
-            prop_assert_eq!(fingerprint(&revived.materialize(i)), fingerprint(owned_client));
+        for i in 0..3 {
+            prop_assert_eq!(
+                fingerprint(&revived.materialize(i)),
+                fingerprint(&reference.materialize(i))
+            );
         }
     }
 }

@@ -1,9 +1,8 @@
 //! Order-preserving chunked thread dispatch.
 //!
 //! This is the workspace's one parallelism idiom, shared by the per-client
-//! round driver in `fedpkd-core::clients` (which re-exports
-//! [`dispatch_chunked`]) and the row-parallel matmul path in
-//! [`crate::kernels`]: split the work into contiguous chunks, run one
+//! evaluation sweep in `fedpkd-core::cow` ([`dispatch_chunked`]) and the
+//! row-parallel matmul path in [`crate::kernels`]: split the work into contiguous chunks, run one
 //! scoped thread per chunk capped at the machine's available parallelism,
 //! and reassemble results in input order. Items (or output rows) never
 //! share mutable state, so the result is bit-identical to the sequential

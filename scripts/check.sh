@@ -15,14 +15,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q \
     --exclude proptest --exclude criterion
 cargo test --workspace -q
-# Step-worker liveness: the training thread and its step worker wait on
-# each other (bounded spin, then block), which must also finish when both
-# share one core. Re-runs the inline-vs-worker tests pinned to CPU 0; a
-# wait that can hang dies on the timeout instead of stalling the gate.
+# One-core liveness: the training thread and its step worker wait on each
+# other (bounded spin, then block), and every algorithm's client phases run
+# on the work-stealing pool, whose ordered commit waits on a reorder buffer
+# the workers fill. Both must also finish when all threads share one core.
+# Re-runs the inline-vs-worker tests and the phase kit's unit tests pinned
+# to CPU 0; a wait that can hang dies on the timeout instead of stalling
+# the gate.
 if command -v taskset > /dev/null && command -v timeout > /dev/null; then
     taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --test fused_step worker
+    taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --lib clients::
 else
-    echo "skip: step-worker one-core run (needs taskset and timeout)" >&2
+    echo "skip: one-core runs (need taskset and timeout)" >&2
 fi
 # Release-mode smoke: a 10-round run interrupted at round 5 must resume
 # bit-identically from its serialized snapshot (asserts internally).

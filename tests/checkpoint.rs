@@ -15,7 +15,8 @@
 //! [`SnapshotError`]s — never a panic, never a silent half-restore that
 //! runs anyway.
 
-use fedpkd::core::clients::{build_clients, ClientState};
+use fedpkd::core::clients::ClientState;
+use fedpkd::core::cow::ClientPool;
 use fedpkd::core::snapshot::{
     self, AlgorithmState, SnapshotError, SnapshotReader, SnapshotWriter, StateSink,
 };
@@ -571,15 +572,18 @@ fn wrong_fleet_size_is_rejected_as_malformed() {
 // restore with a typed error. Before the check it restored fine and then
 // trained a prefix of each weight against misaligned moments.
 
-/// One client of `tier`, trained for an epoch so its optimizer carries
-/// moments and a step count.
-fn trained_client(tier: DepthTier) -> ClientState {
-    let spec = ModelSpec::ResMlp {
+fn tier_spec(tier: DepthTier) -> ModelSpec {
+    ModelSpec::ResMlp {
         input_dim: 32,
         num_classes: 10,
         tier,
-    };
-    let mut client = build_clients(&[spec], 0.003, 5).remove(0);
+    }
+}
+
+/// One client of `tier`, trained for an epoch so its optimizer carries
+/// moments and a step count.
+fn trained_client(tier: DepthTier) -> ClientState {
+    let mut client = ClientPool::new(&[tier_spec(tier)], 0.003, 5).materialize(0);
     let data = &scenario().clients[0].train;
     train_supervised(
         &mut client.model,
@@ -593,43 +597,136 @@ fn trained_client(tier: DepthTier) -> ClientState {
     client
 }
 
-fn read_client_from(bytes: &[u8], into: &mut ClientState) -> Result<(), SnapshotError> {
-    snapshot::read_client(&mut SnapshotReader::new(bytes), into)
+/// A fleet payload in `write_pool`'s layout: the count, then each client.
+fn fleet_bytes(clients: &[ClientState]) -> Vec<u8> {
+    let mut w = SnapshotWriter::new();
+    w.put_usize(clients.len());
+    for client in clients {
+        snapshot::write_client(&mut w, client);
+    }
+    w.into_bytes()
 }
 
 #[test]
 fn another_tiers_optimizer_state_is_malformed_for_an_owned_client() {
     let mut chimera = trained_client(DepthTier::T11);
     chimera.optimizer = trained_client(DepthTier::T20).optimizer;
-    let mut w = SnapshotWriter::new();
-    snapshot::write_client(&mut w, &chimera);
-    let mut victim = trained_client(DepthTier::T11);
-    let before = victim.optimizer.step_count();
+    let mut pool = ClientPool::new(&[tier_spec(DepthTier::T11)], 0.003, 5);
+    let read = |bytes: &[u8], pool: &mut ClientPool| {
+        snapshot::read_pool(&mut SnapshotReader::new(bytes), pool)
+    };
     assert!(matches!(
-        read_client_from(&w.into_bytes(), &mut victim),
+        read(&fleet_bytes(&[chimera]), &mut pool),
         Err(SnapshotError::Malformed(_))
     ));
-    assert_eq!(victim.optimizer.step_count(), before, "optimizer untouched");
+    assert_eq!(pool.resident_clients(), 0, "slot untouched");
     // The same bytes with the client's own optimizer restore.
-    let good = trained_client(DepthTier::T11);
-    let mut w = SnapshotWriter::new();
-    snapshot::write_client(&mut w, &good);
-    read_client_from(&w.into_bytes(), &mut victim).unwrap();
+    read(&fleet_bytes(&[trained_client(DepthTier::T11)]), &mut pool).unwrap();
+    assert_eq!(pool.resident_clients(), 1);
 }
 
 #[test]
 fn another_tiers_optimizer_state_is_malformed_for_a_pooled_fleet() {
-    // FedPKD's payload opens with its copy-on-write fleet, in the owned
-    // fleet's byte layout; client 1 carries a T20 client's moments.
-    let mut fleet = build_clients(&vec![client_spec(); 3], 0.001, 23);
+    // FedPKD's payload, and every baseline's, opens with its fleet; client
+    // 1 carries a T20 client's moments.
+    let pool = ClientPool::new(&vec![client_spec(); 3], 0.001, 23);
+    let mut fleet: Vec<_> = (0..3).map(|i| pool.materialize(i)).collect();
     fleet[1].optimizer = trained_client(DepthTier::T20).optimizer;
-    let mut w = SnapshotWriter::new();
-    snapshot::write_clients(&mut w, &fleet);
-    let state = AlgorithmState::new("FedPKD", w.into_bytes());
+    let bytes = fleet_bytes(&fleet);
+    let state = AlgorithmState::new("FedPKD", bytes.clone());
     assert!(matches!(
         fedpkd().restore(&state),
         Err(SnapshotError::Malformed(_))
     ));
+    let mut fedmd = FedMd::new(scenario(), vec![client_spec(); 3], baseline_config(), 23).unwrap();
+    assert!(matches!(
+        fedmd.restore(&AlgorithmState::new("FedMD", bytes)),
+        Err(SnapshotError::Malformed(_))
+    ));
+}
+
+// ---- Restored prototypes pass the gate live uploads pass. --------------
+
+/// Forwards to a [`SnapshotWriter`], except that the first counted
+/// prototype vector it sees — `true, count, rank 1, dim, values`, the
+/// entry layout of the stale-prototype cache; a global prototype has no
+/// count — loses its last coordinate, in shape and data alike, so the
+/// tensor itself still decodes.
+#[derive(Default)]
+struct ShortenOnePrototype {
+    out: SnapshotWriter,
+    /// `put_usize` calls since the last other call, held back so the
+    /// dimension can still be rewritten when the values arrive.
+    held: Vec<usize>,
+    after_true: bool,
+    shortened: bool,
+}
+
+impl ShortenOnePrototype {
+    fn flush(&mut self) {
+        for v in self.held.drain(..) {
+            self.out.put_usize(v);
+        }
+    }
+
+    fn into_bytes(mut self) -> Vec<u8> {
+        self.flush();
+        self.out.into_bytes()
+    }
+}
+
+impl StateSink for ShortenOnePrototype {
+    fn put_raw(&mut self, bytes: &[u8]) {
+        self.flush();
+        self.after_true = false;
+        self.out.put_raw(bytes);
+    }
+
+    fn put_usize(&mut self, v: usize) {
+        self.held.push(v);
+    }
+
+    fn put_bool(&mut self, v: bool) {
+        self.flush();
+        self.after_true = v;
+        self.out.put_bool(v);
+    }
+
+    fn put_f32s(&mut self, mut vs: &[f32]) {
+        let counted_vector = self.after_true
+            && self.held.len() == 3
+            && self.held[1] == 1
+            && self.held[2] == vs.len();
+        if counted_vector && !self.shortened {
+            self.shortened = true;
+            self.held[2] -= 1;
+            vs = &vs[..vs.len() - 1];
+        }
+        self.flush();
+        self.after_true = false;
+        self.out.put_f32s(vs);
+    }
+}
+
+#[test]
+fn a_cached_prototype_of_the_wrong_width_is_malformed() {
+    let mut algo = fedpkd();
+    let _ = Driver::rounds(1).run_silent(&mut algo);
+    // The sink forwards faithfully when it has nothing to shorten...
+    let mut faithful = ShortenOnePrototype {
+        shortened: true,
+        ..Default::default()
+    };
+    algo.write_state(&mut faithful);
+    assert_eq!(faithful.into_bytes(), algo.snapshot().payload());
+    // ...and one short vector in the cache fails the restore: it would
+    // otherwise enter Eq. 8 without meeting admission.
+    let mut sink = ShortenOnePrototype::default();
+    algo.write_state(&mut sink);
+    assert!(sink.shortened, "round 0 cached somebody's prototypes");
+    let crafted = AlgorithmState::new("FedPKD", sink.into_bytes());
+    let err = fedpkd().restore(&crafted).unwrap_err();
+    assert!(matches!(err, SnapshotError::Malformed(_)), "got {err:?}");
 }
 
 #[test]
