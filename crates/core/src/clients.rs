@@ -351,7 +351,6 @@ mod tests {
     use fedpkd_data::{Partition, ScenarioBuilder, SyntheticConfig};
     use fedpkd_netsim::{Cohort, DropCause};
     use fedpkd_tensor::models::DepthTier;
-    use fedpkd_tensor::parallel::dispatch_chunked;
     use fedpkd_tensor::serialize::param_vector;
 
     fn tiny_scenario(seed: u64) -> FederatedScenario {
@@ -458,17 +457,6 @@ mod tests {
             tier: DepthTier::T11,
         };
         assert!(validate_specs(&scenario, &vec![bad_classes; 3], None, false).is_err());
-    }
-
-    #[test]
-    fn dispatch_chunked_preserves_order_past_the_thread_cap() {
-        // 100 items is far more than any container's core count, so this
-        // exercises multi-item chunks; the output must still be the
-        // sequential map.
-        let items: Vec<usize> = (0..100).collect();
-        let expected: Vec<usize> = items.iter().map(|i| i * 2).collect();
-        assert_eq!(dispatch_chunked(items, |i| i * 2), expected);
-        assert!(dispatch_chunked(Vec::new(), |i: usize| i).is_empty());
     }
 
     #[test]

@@ -45,7 +45,7 @@ use fedpkd_data::{ClientData, FederatedScenario};
 use fedpkd_rng::Rng;
 use fedpkd_tensor::models::ModelSpec;
 use fedpkd_tensor::optim::{param_shapes, Adam};
-use fedpkd_tensor::parallel::{dispatch_chunked, dispatch_stealing_scheduled};
+use fedpkd_tensor::parallel::{dispatch_stealing, dispatch_stealing_scheduled, max_workers};
 use fedpkd_tensor::serialize::{load_state_vector, state_vector};
 use std::sync::OnceLock;
 
@@ -433,15 +433,21 @@ pub fn pooled_client_accuracies(pool: &mut ClientPool, scenario: &FederatedScena
     let stale: Vec<usize> = (0..pool.len())
         .filter(|&i| pool.accuracy[i].is_none())
         .collect();
+    pool.evaluations += stale.len() as u64;
     let shared: &ClientPool = pool;
-    let fresh = dispatch_chunked(stale, |i| {
-        let mut client = shared.materialize(i);
-        (
-            i,
-            eval::accuracy(&mut client.model, &scenario.clients[i].test),
-        )
-    });
-    pool.evaluations += fresh.len() as u64;
+    let mut fresh = Vec::with_capacity(stale.len());
+    // Evaluation runs outside any round, so there is no `RoundContext`
+    // budget to read: the machine's.
+    dispatch_stealing(
+        stale,
+        max_workers(),
+        |_, i| {
+            let mut client = shared.materialize(i);
+            let accuracy = eval::accuracy(&mut client.model, &scenario.clients[i].test);
+            (i, accuracy)
+        },
+        |_, evaluated| fresh.push(evaluated),
+    );
     for (i, accuracy) in fresh {
         pool.accuracy[i] = Some(accuracy);
     }
@@ -562,7 +568,7 @@ impl ClientPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{write_client, SnapshotWriter};
+    use crate::snapshot::write_client;
     use crate::train::train_supervised;
     use fedpkd_data::{Partition, ScenarioBuilder, SyntheticConfig};
     use fedpkd_tensor::models::DepthTier;
@@ -755,14 +761,14 @@ mod tests {
         let scenario = tiny_scenario(17);
         let mut pool = ClientPool::new(&hetero_specs(), 0.003, 31);
         for_each_pooled_client_streaming(&mut pool, &scenario.clients, &[1], 2, train, |_, _| {});
-        let mut expected = SnapshotWriter::new();
+        let mut expected: Vec<u8> = Vec::new();
         expected.put_usize(pool.len());
         for i in 0..pool.len() {
             write_client(&mut expected, &pool.materialize(i));
         }
-        let mut written = SnapshotWriter::new();
+        let mut written: Vec<u8> = Vec::new();
         write_pool(&mut written, &pool);
-        assert_eq!(written.into_bytes(), expected.into_bytes());
+        assert_eq!(written, expected);
     }
 
     #[test]
@@ -771,13 +777,12 @@ mod tests {
         let specs = hetero_specs();
         let mut pool = ClientPool::new(&specs, 0.003, 37);
         for_each_pooled_client_streaming(&mut pool, &scenario.clients, &[2], 2, train, |_, _| {});
-        let mut w = SnapshotWriter::new();
-        write_pool(&mut w, &pool);
-        let bytes = w.into_bytes();
+        let mut bytes: Vec<u8> = Vec::new();
+        write_pool(&mut bytes, &pool);
         let mut restored = ClientPool::new(&specs, 0.003, 37);
-        let mut r = crate::snapshot::SnapshotReader::new(&bytes);
+        let mut r = bytes.as_slice();
         read_pool(&mut r, &mut restored).unwrap();
-        r.finish().unwrap();
+        assert!(r.is_empty());
         // Untrained clients come back fresh, the trained one parked.
         assert_eq!(restored.resident_clients(), 1);
         assert!(matches!(restored.slot(2), ClientSlot::Parked(_)));
@@ -793,11 +798,10 @@ mod tests {
     fn read_pool_rejects_wrong_state_length() {
         let specs = vec![spec(DepthTier::T11)];
         let pool = ClientPool::new(&specs, 0.001, 1);
-        let mut w = SnapshotWriter::new();
-        write_pool(&mut w, &pool);
-        let bytes = w.into_bytes();
+        let mut bytes: Vec<u8> = Vec::new();
+        write_pool(&mut bytes, &pool);
         let mut other = ClientPool::new(&[spec(DepthTier::T20)], 0.001, 1);
-        let mut r = crate::snapshot::SnapshotReader::new(&bytes);
+        let mut r = bytes.as_slice();
         assert!(matches!(
             read_pool(&mut r, &mut other),
             Err(SnapshotError::Malformed(_))

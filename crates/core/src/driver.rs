@@ -2,9 +2,13 @@
 //! federation.
 //!
 //! Faults, adversaries (via the [`FaultPlan`]), cohort sampling over a
-//! fleet, the worker budget, the bounded-staleness window, and the
-//! snapshot policy are all orthogonal knobs on one [`DriverBuilder`], and
-//! [`Driver::run`]/[`Driver::resume`] are the only verbs.
+//! fleet, the worker budget and the bounded-staleness window are all
+//! orthogonal knobs on one [`DriverBuilder`], and
+//! [`Driver::run`]/[`Driver::resume`] are the only verbs. The round loop
+//! itself — the ledger taken out of the algorithm's [`DriverState`], each
+//! client's last uplink size, the round counter — is [`RoundLoop`], which
+//! `Driver::run` and the `fedpkd-serve` engine both step, so a served
+//! round and a simulated one are the same code.
 //!
 //! # The event-driven round loop
 //!
@@ -30,10 +34,12 @@
 //! replay to a bit-identical [`RunResult`] regardless of worker count or
 //! completion interleaving.
 
-use fedpkd_netsim::{sample_cohort, Cohort, CohortPolicy, DropCause, FaultPlan, RoundContext};
+use fedpkd_netsim::{
+    sample_cohort, Cohort, CohortPolicy, CommLedger, DropCause, FaultPlan, RoundContext,
+};
 
-use crate::runtime::{Federation, RunResult};
-use crate::snapshot::{AlgorithmState, SnapshotError};
+use crate::runtime::{DriverState, Federation, RoundMetrics, RunResult};
+use crate::snapshot::SnapshotError;
 use crate::telemetry::{NullObserver, RoundObserver, TelemetryEvent};
 
 /// Builds a [`Driver`]: the single, composable entry point for running a
@@ -72,13 +78,11 @@ pub struct DriverBuilder {
     cohort: CohortPolicy,
     workers: Option<usize>,
     staleness: usize,
-    snapshot_every: Option<usize>,
 }
 
 impl DriverBuilder {
     /// A builder with defaults: 1 round, no faults, full cohort, the
-    /// machine's worker budget, synchronous (no staleness), no automatic
-    /// snapshots.
+    /// machine's worker budget, synchronous (no staleness).
     pub fn new() -> Self {
         Self {
             rounds: 1,
@@ -129,29 +133,16 @@ impl DriverBuilder {
         self
     }
 
-    /// Automatically captures a snapshot (announced as
-    /// [`TelemetryEvent::SnapshotTaken`]) after every `every`-th driven
-    /// round; retrieve the newest via [`Driver::last_snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0`.
-    pub fn snapshot_every(mut self, every: usize) -> Self {
-        assert!(every > 0, "snapshot interval must be at least 1 round");
-        self.snapshot_every = Some(every);
-        self
-    }
-
     /// Evaluates this configuration's per-round participation decision —
     /// fault plan, cohort sampling, staleness promotion, worker budget —
     /// into the [`RoundContext`] that round `round` runs under, given each
     /// client's most recent observed uplink bytes.
     ///
-    /// This is the hook a transport-backed driver (the `fedpkd-serve`
-    /// engine) shares with [`Driver::run`]: both call this exact function,
-    /// so a served round and a simulated round make provably the same
-    /// invitation/drop decisions at the same seed. Pure per-round
-    /// computation — no driver state is consulted or mutated.
+    /// [`RoundLoop::context`] is its one caller in a run, for
+    /// [`Driver::run`] and the `fedpkd-serve` engine alike, so a served
+    /// round and a simulated round make the same invitation/drop decisions
+    /// at the same seed. Pure per-round computation — no driver state is
+    /// consulted or mutated.
     pub fn context_for(
         &self,
         round: usize,
@@ -191,10 +182,102 @@ impl DriverBuilder {
 
     /// Finalizes the configuration.
     pub fn build(self) -> Driver {
-        Driver {
-            config: self,
-            last_snapshot: None,
+        Driver { config: self }
+    }
+}
+
+/// One algorithm's round loop, a step at a time: what [`Driver::run`] and
+/// the `fedpkd-serve` engine both own while rounds are being driven.
+///
+/// [`begin`](Self::begin) takes the lifetime ledger out of the algorithm's
+/// [`DriverState`] and seeds each client's last observed uplink size from
+/// the previous round; [`context`](Self::context) and
+/// [`commit`](Self::commit) run one round; [`park`](Self::park) copies the
+/// round counter and ledger back so that a snapshot captures them, and
+/// [`finish`](Self::finish) moves them back for good.
+#[derive(Debug)]
+pub struct RoundLoop<'a> {
+    config: &'a DriverBuilder,
+    round: usize,
+    ledger: CommLedger,
+    /// Each client's most recent observed uplink bytes, feeding the
+    /// straggler-deadline estimate.
+    last_uplink: Vec<usize>,
+}
+
+impl<'a> RoundLoop<'a> {
+    /// Starts (or, after a restore or an earlier run, continues) `algo`'s
+    /// round loop under `config`.
+    pub fn begin<F: Federation>(config: &'a DriverBuilder, algo: &mut F) -> Self {
+        let round = algo.driver().rounds_driven;
+        let mut steps = Self {
+            config,
+            round,
+            ledger: std::mem::take(&mut algo.driver_mut().ledger),
+            last_uplink: vec![0; algo.num_clients()],
+        };
+        if let Some(previous) = round.checked_sub(1) {
+            steps.observe_uplinks(previous);
         }
+        steps
+    }
+
+    /// Folds the uplinks the ledger holds for `round` into the per-client
+    /// sizes the next context reads; a client that sent nothing keeps its
+    /// last size.
+    fn observe_uplinks(&mut self, round: usize) {
+        let uplinks = self
+            .ledger
+            .round_client_uplinks(round, self.last_uplink.len());
+        for (slot, bytes) in self.last_uplink.iter_mut().zip(uplinks) {
+            if bytes > 0 {
+                *slot = bytes;
+            }
+        }
+    }
+
+    /// The round the next [`commit`](Self::commit) runs.
+    pub fn round(&self) -> usize {
+        self.round
+    }
+
+    /// The lifetime ledger through the last committed round.
+    pub fn ledger(&self) -> &CommLedger {
+        &self.ledger
+    }
+
+    /// The participation decision the next round runs under (see
+    /// [`DriverBuilder::context_for`]).
+    pub fn context<F: Federation>(&self, algo: &F) -> RoundContext {
+        self.config
+            .context_for(self.round, algo.num_clients(), &self.last_uplink)
+    }
+
+    /// Runs the next round under `ctx` — [`context`](Self::context)'s
+    /// answer, or a caller's narrowing of it — folds the uplinks it billed
+    /// into the per-client sizes the next context reads, and advances.
+    pub fn commit<F: Federation>(
+        &mut self,
+        algo: &mut F,
+        ctx: &RoundContext,
+        obs: &mut dyn RoundObserver,
+    ) -> RoundMetrics {
+        let metrics = algo.round(self.round, ctx, &mut self.ledger, obs);
+        self.observe_uplinks(self.round);
+        self.round += 1;
+        metrics
+    }
+
+    /// Copies the round counter and the ledger into `algo`'s
+    /// [`DriverState`], where a snapshot looks for them; the loop goes on.
+    pub fn park<F: Federation>(&self, algo: &mut F) {
+        *algo.driver_mut() = DriverState::from_parts(self.round, self.ledger.clone());
+    }
+
+    /// Ends the loop: the round counter and the ledger go back into
+    /// `algo`'s [`DriverState`].
+    pub fn finish<F: Federation>(self, algo: &mut F) {
+        *algo.driver_mut() = DriverState::from_parts(self.round, self.ledger);
     }
 }
 
@@ -206,7 +289,6 @@ impl DriverBuilder {
 #[derive(Debug, Clone)]
 pub struct Driver {
     config: DriverBuilder,
-    last_snapshot: Option<AlgorithmState>,
 }
 
 impl Driver {
@@ -228,47 +310,19 @@ impl Driver {
     ///
     /// Panics if the builder was configured with zero rounds.
     pub fn run<F: Federation>(&mut self, algo: &mut F, obs: &mut dyn RoundObserver) -> RunResult {
-        let cfg = &self.config;
-        assert!(cfg.rounds > 0, "need at least one round");
-        let num_clients = algo.num_clients();
-        let start = algo.driver().rounds_driven;
-        // Take the persistent ledger out for the duration of the loop; it
-        // goes back into the driver state before returning.
-        let mut ledger = std::mem::take(&mut algo.driver_mut().ledger);
-        // Each client's most recent observed uplink bytes, feeding the
-        // straggler-deadline estimate. Seeded from the previous round when
-        // continuing an earlier run.
-        let mut last_uplink = if start > 0 {
-            ledger.round_client_uplinks(start - 1, num_clients)
-        } else {
-            vec![0usize; num_clients]
-        };
-        let mut history = Vec::with_capacity(cfg.rounds);
-        for round in start..start + cfg.rounds {
-            let ctx = cfg.context_for(round, num_clients, &last_uplink);
-            history.push(algo.round(round, &ctx, &mut ledger, obs));
-            for (client, bytes) in ledger
-                .round_client_uplinks(round, num_clients)
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, bytes)| bytes > 0)
-            {
-                if let Some(slot) = last_uplink.get_mut(client) {
-                    *slot = bytes;
-                }
-            }
-            if cfg
-                .snapshot_every
-                .is_some_and(|every| (round + 1 - start).is_multiple_of(every))
-            {
-                // The ledger must be back in the driver state for the
-                // snapshot to capture it.
-                algo.driver_mut().ledger = ledger.clone();
-                self.last_snapshot = Some(Self::snapshot(algo, obs));
-            }
+        assert!(self.config.rounds > 0, "need at least one round");
+        let mut steps = RoundLoop::begin(&self.config, algo);
+        let history = (0..self.config.rounds)
+            .map(|_| {
+                let ctx = steps.context(algo);
+                steps.commit(algo, &ctx, obs)
+            })
+            .collect();
+        steps.finish(algo);
+        RunResult {
+            history,
+            ledger: algo.driver().ledger.clone(),
         }
-        algo.driver_mut().ledger = ledger.clone();
-        RunResult { history, ledger }
     }
 
     /// [`run`](Self::run) with telemetry disabled.
@@ -280,14 +334,15 @@ impl Driver {
         self.run(algo, &mut NullObserver)
     }
 
-    /// Restores `state` into `algo` (announcing
-    /// [`TelemetryEvent::SnapshotRestored`]) and continues the run from
+    /// Restores the snapshot `bytes` (as [`Federation::snapshot_to`] or
+    /// [`Driver::snapshot`] wrote them) into `algo`, announcing
+    /// [`TelemetryEvent::SnapshotRestored`], and continues the run from
     /// the captured round boundary. The fully deterministic stack makes
     /// the resumed rounds bit-identical to an uninterrupted run.
     ///
     /// # Errors
     ///
-    /// See [`Federation::restore`]; nothing runs if the restore fails.
+    /// See [`Federation::restore_from`]; nothing runs if the restore fails.
     ///
     /// # Panics
     ///
@@ -295,31 +350,29 @@ impl Driver {
     pub fn resume<F: Federation>(
         &mut self,
         algo: &mut F,
-        state: &AlgorithmState,
+        mut bytes: &[u8],
         obs: &mut dyn RoundObserver,
     ) -> Result<RunResult, SnapshotError> {
-        algo.restore(state)?;
+        let len = bytes.len();
+        algo.restore_from(&mut bytes)?;
         obs.record(&TelemetryEvent::SnapshotRestored {
             round: algo.driver().rounds_driven,
-            bytes: state.encoded_len(),
+            bytes: len - bytes.len(),
         });
         Ok(self.run(algo, obs))
     }
 
-    /// Captures a snapshot of `algo` and announces it as
+    /// Captures a snapshot of `algo` in memory — the bytes
+    /// [`Federation::snapshot_to`] streams — and announces it as
     /// [`TelemetryEvent::SnapshotTaken`].
-    pub fn snapshot<F: Federation>(algo: &F, obs: &mut dyn RoundObserver) -> AlgorithmState {
-        let state = algo.snapshot();
+    pub fn snapshot<F: Federation>(algo: &F, obs: &mut dyn RoundObserver) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        algo.snapshot_to(&mut bytes)
+            .expect("writing to a Vec cannot fail");
         obs.record(&TelemetryEvent::SnapshotTaken {
             round: algo.driver().rounds_driven,
-            bytes: state.encoded_len(),
+            bytes: bytes.len(),
         });
-        state
-    }
-
-    /// The newest automatic snapshot captured under
-    /// [`DriverBuilder::snapshot_every`], if any.
-    pub fn last_snapshot(&self) -> Option<&AlgorithmState> {
-        self.last_snapshot.as_ref()
+        bytes
     }
 }

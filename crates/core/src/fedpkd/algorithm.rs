@@ -61,9 +61,9 @@ use fedpkd_tensor::Tensor;
 /// The struct is explicitly two halves: `scenario` + `config` are static
 /// configuration (rebuilt from code and seeds), while the private
 /// `FedPkdState` half is every mutable word the algorithm owns.
-/// [`Federation::snapshot`] and
-/// [`Federation::restore`] serialize exactly the state half, which is what
-/// makes checkpoint/resume bit-identical.
+/// [`Federation::snapshot_to`] and
+/// [`Federation::restore_from`] serialize exactly the state half, which is
+/// what makes checkpoint/resume bit-identical.
 pub struct FedPkd {
     scenario: FederatedScenario,
     config: FedPkdConfig,
@@ -1117,7 +1117,7 @@ impl Federation for FedPkd {
         for _ in 0..num_buckets {
             let arrival = r.take_usize()?;
             let num_uploads = r.take_usize()?;
-            let mut uploads = Vec::with_capacity(num_uploads.min(1 << 20));
+            let mut uploads = Vec::new();
             for _ in 0..num_uploads {
                 let client = r.take_usize()?;
                 if client >= cache_len {

@@ -360,7 +360,7 @@ impl RemoteFederation for FleetSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{Driver, DriverBuilder};
+    use crate::driver::{Driver, DriverBuilder, RoundLoop};
     use fedpkd_netsim::{CohortPolicy, FaultPlan, LinkModel, PrototypeEntry};
 
     fn sampled_builder(rounds: usize) -> DriverBuilder {
@@ -440,35 +440,21 @@ mod tests {
 
         let mut served = FleetSim::new(64, 6, 8, 17);
         let builder = DriverBuilder::new().cohort(CohortPolicy::Sample { size: 64, seed: 3 });
-        let mut ledger = std::mem::take(&mut served.driver_mut().ledger);
-        let mut last_uplink = vec![0usize; served.num_clients()];
+        let mut steps = RoundLoop::begin(&builder, &mut served);
         let mut history = Vec::new();
         for round in 0..rounds {
-            let ctx = builder.context_for(round, served.num_clients(), &last_uplink);
+            let ctx = steps.context(&served);
             for client in ctx.cohort().survivors() {
                 let payload = served.client_payload(round, client);
                 served
                     .stage_upload(round, client, payload, 0)
                     .expect("own payload is admissible");
             }
-            history.push(Federation::round(
-                &mut served,
-                round,
-                &ctx,
-                &mut ledger,
-                &mut crate::telemetry::NullObserver,
-            ));
-            for (client, bytes) in ledger
-                .round_client_uplinks(round, served.num_clients())
-                .into_iter()
-                .enumerate()
-                .filter(|&(_, bytes)| bytes > 0)
-            {
-                last_uplink[client] = bytes;
-            }
+            history.push(steps.commit(&mut served, &ctx, &mut crate::telemetry::NullObserver));
         }
+        steps.finish(&mut served);
         assert_eq!(history, reference.history);
-        assert_eq!(ledger, reference.ledger);
+        assert_eq!(served.driver().ledger(), &reference.ledger);
         assert_eq!(served.centroids(), plain.centroids());
     }
 

@@ -69,12 +69,12 @@ pub mod train;
 
 pub use admission::{AdmissionPolicy, PayloadKind, QuarantineTracker, RejectReason};
 pub use cow::{ClientPool, ClientSlot, ParkedClient};
-pub use driver::{Driver, DriverBuilder};
+pub use driver::{Driver, DriverBuilder, RoundLoop};
 pub use fleet::FleetSim;
 pub use remote::{RemoteFederation, StageError};
 pub use robust::{AggregationError, RobustAggregation};
 pub use runtime::{Federation, RoundMetrics, RunResult};
-pub use snapshot::{AlgorithmState, SnapshotError, SnapshotReader, SnapshotWriter};
+pub use snapshot::SnapshotError;
 pub use streaming::{LogitAccumulator, PrototypeAccumulator};
 pub use telemetry::{
     EventLog, FrameRejectCause, JsonlSink, NullObserver, RoundObserver, TelemetryError,

@@ -7,10 +7,12 @@
 //! communication ledger, report accuracies on demand, and encode/decode
 //! the owned state. The provided methods are what every algorithm shares:
 //! [`round`](Federation::round) frames one round with cohort telemetry,
-//! evaluation and ledger accounting, and the snapshot envelopes wrap
-//! `write_state`/`read_state`. The loop over rounds lives in
-//! [`crate::driver::Driver`], so it exists exactly once for FedPKD and all
-//! seven baselines.
+//! evaluation and ledger accounting, and
+//! [`snapshot_to`](Federation::snapshot_to) /
+//! [`restore_from`](Federation::restore_from) wrap
+//! `write_state`/`read_state` in the one snapshot stream. The loop over
+//! rounds lives in [`crate::driver`], so it exists exactly once for FedPKD
+//! and all seven baselines, in process or behind a socket.
 //!
 //! Fault injection is entirely a driver concern: the driver evaluates an
 //! optional [`FaultPlan`](fedpkd_netsim::FaultPlan) each round (feeding it
@@ -27,8 +29,7 @@ use std::time::Instant;
 use fedpkd_netsim::{CommLedger, DropCause, RoundContext};
 
 use crate::snapshot::{
-    check_algorithm, AlgorithmState, SnapshotError, SnapshotReader, SnapshotStreamReader,
-    SnapshotStreamWriter, SnapshotWriter, StateSink, StateSource,
+    SnapshotError, SnapshotStreamReader, SnapshotStreamWriter, StateSink, StateSource,
 };
 use crate::telemetry::{emit_phase_timing, Phase, RoundObserver, TelemetryEvent};
 
@@ -162,14 +163,6 @@ impl DriverState {
             ledger,
         }
     }
-
-    /// Decomposes into `(rounds_driven, ledger)` — the inverse of
-    /// [`from_parts`](Self::from_parts). External round loops (the serving
-    /// engine) use this to take the persistent ledger out for the duration
-    /// of a run, exactly as the in-process driver does.
-    pub fn into_parts(self) -> (usize, CommLedger) {
-        (self.rounds_driven, self.ledger)
-    }
 }
 
 /// A federated learning algorithm: what it implements and how it is driven.
@@ -233,10 +226,8 @@ pub trait Federation {
     /// moments, RNG positions, caches, driver book-keeping — into `w`, at
     /// the current round boundary.
     ///
-    /// This is the one serialization an algorithm writes; the provided
-    /// [`snapshot`](Self::snapshot) (buffered) and
-    /// [`snapshot_to`](Self::snapshot_to) (streaming) envelopes both drive
-    /// it, so the payload bytes are identical either way.
+    /// This is the one serialization an algorithm writes;
+    /// [`snapshot_to`](Self::snapshot_to) drives it.
     fn write_state(&self, w: &mut dyn StateSink);
 
     /// Decodes state written by [`write_state`](Self::write_state) from `r`
@@ -254,40 +245,16 @@ pub trait Federation {
     /// or mismatched payloads.
     fn read_state(&mut self, r: &mut dyn StateSource) -> Result<(), SnapshotError>;
 
-    /// Captures the algorithm's complete owned state at the current round
-    /// boundary as an in-memory [`AlgorithmState`].
+    /// Streams a complete snapshot of the current round boundary straight
+    /// into `sink` (see [`crate::snapshot`] for the format) — the state is
+    /// encoded through a 64 KiB staging buffer, so checkpointing a
+    /// 10k-client fleet never materializes a whole-fleet byte vector. To
+    /// hold a snapshot in memory, pass a `&mut Vec<u8>`.
     ///
     /// The contract (verified end to end by `tests/checkpoint.rs`) is that
-    /// [`restore`](Self::restore)-ing the snapshot into a freshly
+    /// [`restore_from`](Self::restore_from)-ing the bytes into a freshly
     /// constructed same-config instance and continuing yields bit-identical
     /// results to never having stopped.
-    fn snapshot(&self) -> AlgorithmState {
-        let mut w = SnapshotWriter::new();
-        self.write_state(&mut w);
-        AlgorithmState::new(self.name(), w.into_bytes())
-    }
-
-    /// Restores state captured by [`snapshot`](Self::snapshot) into this
-    /// instance.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::AlgorithmMismatch`] when the snapshot belongs to a
-    /// different algorithm, and the decoding errors of
-    /// [`crate::snapshot`] for truncated/corrupt/mismatched payloads. On
-    /// error the instance may have been partially overwritten and should
-    /// be discarded, not reused.
-    fn restore(&mut self, state: &AlgorithmState) -> Result<(), SnapshotError> {
-        check_algorithm(state, self.name())?;
-        let mut r = SnapshotReader::new(state.payload());
-        self.read_state(&mut r)?;
-        r.finish()
-    }
-
-    /// Streams a complete snapshot straight into `sink` as a v2 chunked
-    /// envelope (see [`crate::snapshot`]) — the state is encoded through a
-    /// fixed 64 KiB staging buffer, so checkpointing a 10k-client fleet
-    /// never materializes a whole-fleet byte vector.
     ///
     /// # Errors
     ///
@@ -303,9 +270,12 @@ pub trait Federation {
     ///
     /// # Errors
     ///
-    /// See [`restore`](Self::restore), plus [`SnapshotError::Io`] if
-    /// `source` fails and [`SnapshotError::UnsupportedVersion`] for any
-    /// envelope version but the streaming one.
+    /// [`SnapshotError::AlgorithmMismatch`] when the snapshot belongs to a
+    /// different algorithm, [`SnapshotError::UnsupportedVersion`] for any
+    /// format version but the current one, [`SnapshotError::Io`] if
+    /// `source` fails, and the decoding errors of [`crate::snapshot`] for
+    /// truncated/corrupt/mismatched bytes. On error the instance may have
+    /// been partially overwritten and should be discarded, not reused.
     fn restore_from(&mut self, source: &mut dyn std::io::Read) -> Result<(), SnapshotError> {
         let (mut r, name) = SnapshotStreamReader::open(source)?;
         if name != self.name() {
@@ -681,8 +651,8 @@ mod tests {
         assert_eq!(restored.driver().rounds_driven(), 2);
         assert_eq!(restored.acc, fed.acc);
         assert_eq!(restored.driver, fed.driver);
-        // The streamed bytes carry exactly the in-memory snapshot.
-        assert_eq!(restored.snapshot(), fed.snapshot());
+        // And the restored instance writes the bytes it was restored from.
+        assert_eq!(Driver::snapshot(&restored, &mut NullObserver), bytes);
     }
 
     #[test]
@@ -710,8 +680,8 @@ mod tests {
                 },
             ) => {
                 assert_eq!((*r0, *r1), (1, 1));
-                assert_eq!(*b0, state.encoded_len());
-                assert_eq!(*b1, state.encoded_len());
+                // The size of the stream, not of the payload inside it.
+                assert_eq!((*b0, *b1), (state.len(), state.len()));
             }
             other => panic!("unexpected events {other:?}"),
         }
@@ -719,8 +689,13 @@ mod tests {
 
     #[test]
     fn restore_rejects_foreign_snapshots() {
-        let state = AlgorithmState::new("NotFake", Vec::new());
-        let err = FakeFed::new().restore(&state).unwrap_err();
+        let mut bytes = Vec::new();
+        SnapshotStreamWriter::new(&mut bytes, "NotFake")
+            .finish()
+            .unwrap();
+        let err = FakeFed::new()
+            .restore_from(&mut bytes.as_slice())
+            .unwrap_err();
         assert_eq!(
             err,
             SnapshotError::AlgorithmMismatch {
@@ -790,21 +765,5 @@ mod tests {
             .build()
             .run_silent(&mut FakeFed::new());
         assert_eq!(narrow, wide);
-    }
-
-    #[test]
-    fn snapshot_every_captures_resumable_state() {
-        let mut driver = DriverBuilder::new().rounds(5).snapshot_every(2).build();
-        let mut log = EventLog::new();
-        let full = driver.run(&mut FakeFed::new(), &mut log);
-        // Snapshots after rounds 2 and 4; the newest is retrievable.
-        assert_eq!(log.of_kind("snapshot_taken").count(), 2);
-        let state = driver.last_snapshot().expect("snapshot captured").clone();
-        let mut resumed = FakeFed::new();
-        let tail = Driver::rounds(1)
-            .resume(&mut resumed, &state, &mut NullObserver)
-            .unwrap();
-        assert_eq!(tail.history, full.history[4..].to_vec());
-        assert_eq!(tail.ledger, full.ledger);
     }
 }

@@ -17,9 +17,10 @@
 //!
 //! # Wire format
 //!
-//! All integers are little-endian; lengths are `u64`. The envelope is a
-//! chunk sequence, so neither writer nor reader ever holds the whole
-//! payload in memory:
+//! All integers are little-endian; lengths are `u64`. A snapshot is a
+//! header followed by the chunk envelope of [`fedpkd_netsim::chunk`] (the
+//! one the serve frame uses too), so neither writer nor reader ever holds
+//! the whole payload in memory:
 //!
 //! ```text
 //! magic "FPKD" (4) · version u32 = 2 · algorithm name (len + utf8)
@@ -30,15 +31,14 @@
 //! [`SnapshotStreamWriter`] produces it directly into any
 //! [`std::io::Write`]; [`SnapshotStreamReader`] consumes it from any
 //! [`std::io::Read`]. Any other version — including the buffered version 1
-//! this one replaced — is [`SnapshotError::UnsupportedVersion`].
+//! this one replaced — is [`SnapshotError::UnsupportedVersion`]. This is
+//! the only representation of a snapshot: one held in memory is these
+//! bytes in a `Vec<u8>`.
 //!
 //! The payload layout is private to each algorithm, assembled from the
 //! primitives of [`StateSink`]/[`StateSource`] and the typed helpers below
 //! ([`write_model`], [`write_adam`], [`write_pool`], [`write_driver`],
-//! …). [`AlgorithmState`] is the same payload held in memory, for
-//! [`Driver::snapshot`](crate::driver::Driver::snapshot) and
-//! [`Driver::resume`](crate::driver::Driver::resume) inside one process.
-//! Truncated, corrupted, or mismatched bytes surface as typed
+//! …). Truncated, corrupted, or mismatched bytes surface as typed
 //! [`SnapshotError`]s — decoding never panics.
 //!
 //! # Examples
@@ -73,7 +73,8 @@ use crate::admission::QuarantineTracker;
 use crate::clients::ClientState;
 use crate::fedpkd::prototypes::Prototype;
 use crate::runtime::DriverState;
-use fedpkd_netsim::{CommLedger, Direction, Fnv1a, TransferRecord};
+use fedpkd_netsim::chunk::{ChunkError, ChunkReader, ChunkWriter, CHUNK};
+use fedpkd_netsim::{CommLedger, Direction, TransferRecord};
 use fedpkd_rng::Rng;
 use fedpkd_tensor::nn::Layer;
 use fedpkd_tensor::optim::{param_shapes, Adam};
@@ -88,11 +89,6 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FPKD";
 /// Bump on any layout change; decoding rejects other versions with
 /// [`SnapshotError::UnsupportedVersion`] rather than misinterpreting bytes.
 pub const SNAPSHOT_STREAM_VERSION: u32 = 2;
-
-/// Payload bytes per streaming chunk. Chunks the writer emits are at most
-/// this large, and the reader rejects larger claims, which bounds the
-/// decoder's allocation no matter what the length fields say.
-const STREAM_CHUNK: usize = 64 * 1024;
 
 /// Why a snapshot could not be decoded or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,56 +152,32 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-impl std::error::Error for SnapshotError {}
-
-/// An algorithm's complete owned state, captured at a round boundary and
-/// held in memory: the `(name, payload)` value
-/// [`Driver::snapshot`](crate::driver::Driver::snapshot) hands to
-/// [`Driver::resume`](crate::driver::Driver::resume). The payload is an
-/// opaque algorithm-specific byte layout; to move a snapshot through a
-/// file or socket, stream it with
-/// [`Federation::snapshot_to`](crate::runtime::Federation::snapshot_to).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AlgorithmState {
-    algorithm: String,
-    payload: Vec<u8>,
-}
-
-impl AlgorithmState {
-    /// Wraps an algorithm's serialized state.
-    pub fn new(algorithm: impl Into<String>, payload: Vec<u8>) -> Self {
-        Self {
-            algorithm: algorithm.into(),
-            payload,
+impl From<ChunkError> for SnapshotError {
+    fn from(e: ChunkError) -> Self {
+        match e {
+            ChunkError::ChunkTooLarge { len } => Self::Malformed(format!(
+                "stream chunk of {len} bytes exceeds the {CHUNK} cap"
+            )),
+            ChunkError::ChecksumMismatch => Self::ChecksumMismatch,
+            ChunkError::Io(e) => e.into(),
+            // `Truncated`, and whatever a later `netsim` adds.
+            _ => Self::Truncated,
         }
     }
-
-    /// The display name of the algorithm that produced this state.
-    pub fn algorithm(&self) -> &str {
-        &self.algorithm
-    }
-
-    /// The algorithm-specific state bytes.
-    pub fn payload(&self) -> &[u8] {
-        &self.payload
-    }
-
-    /// The size the snapshot telemetry events report: name and payload,
-    /// each `u64`-length-prefixed, plus magic, version and checksum.
-    pub fn encoded_len(&self) -> usize {
-        4 + 4 + 8 + self.algorithm.len() + 8 + self.payload.len() + 8
-    }
 }
+
+impl std::error::Error for SnapshotError {}
 
 /// A little-endian binary sink snapshot payloads are encoded into.
 ///
 /// The one required method is [`put_raw`](Self::put_raw); every typed
 /// `put_*` is layered on it, so a payload layout written against this
-/// trait produces identical bytes whether the sink is the in-memory
-/// [`SnapshotWriter`] or the chunked [`SnapshotStreamWriter`]. Sinks never
-/// fail at the encoding layer; streaming sinks defer I/O errors to their
-/// `finish` call, and the matching [`StateSource`] carries all the decode
-/// error handling.
+/// trait produces identical bytes whether the sink is the chunked
+/// [`SnapshotStreamWriter`] or a bare `Vec<u8>` (the payload alone, which
+/// is what the unit tests of the typed helpers decode from a `&[u8]`).
+/// Sinks never fail at the encoding layer; the streaming sink defers I/O
+/// errors to its `finish` call, and the matching [`StateSource`] carries
+/// all the decode error handling.
 pub trait StateSink {
     /// Appends raw bytes.
     fn put_raw(&mut self, bytes: &[u8]);
@@ -245,12 +217,6 @@ pub trait StateSink {
         self.put_u8(u8::from(v));
     }
 
-    /// Appends a length-prefixed UTF-8 string.
-    fn put_str(&mut self, v: &str) {
-        self.put_usize(v.len());
-        self.put_raw(v.as_bytes());
-    }
-
     /// Appends a length-prefixed `f32` slice.
     ///
     /// Values pass through a fixed stack buffer, so encoding a
@@ -267,29 +233,9 @@ pub trait StateSink {
     }
 }
 
-/// Little-endian in-memory encoder for snapshot payloads — the buffered
-/// [`StateSink`], used when the whole payload is wanted as one `Vec<u8>`
-/// (the v1 envelope and tests).
-#[derive(Debug, Default)]
-pub struct SnapshotWriter {
-    buf: Vec<u8>,
-}
-
-impl SnapshotWriter {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Consumes the writer, returning the encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-impl StateSink for SnapshotWriter {
+impl StateSink for Vec<u8> {
     fn put_raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.extend_from_slice(bytes);
     }
 }
 
@@ -368,31 +314,6 @@ pub trait StateSource {
         }
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] on invalid UTF-8.
-    fn take_str(&mut self) -> Result<String, SnapshotError> {
-        let raw = self.take_blob()?;
-        String::from_utf8(raw).map_err(|_| SnapshotError::Malformed("string is not UTF-8".into()))
-    }
-
-    /// Reads a length-prefixed raw byte blob.
-    fn take_blob(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        let len = self.take_usize()?;
-        let mut out = Vec::new();
-        let mut staged = [0u8; 4096];
-        let mut remaining = len;
-        while remaining > 0 {
-            let n = remaining.min(staged.len());
-            self.take_into(&mut staged[..n])?;
-            out.extend_from_slice(&staged[..n]);
-            remaining -= n;
-        }
-        Ok(out)
-    }
-
     /// Reads a length-prefixed `f32` slice.
     fn take_f32s(&mut self) -> Result<Vec<f32>, SnapshotError> {
         let len = self.take_usize()?;
@@ -413,225 +334,86 @@ pub trait StateSource {
     }
 }
 
-/// Little-endian zero-copy decoder over an in-memory snapshot payload —
-/// the buffered [`StateSource`].
-///
-/// Beyond the trait, the slice-backed reader offers borrowing accessors
-/// ([`take_str_ref`](Self::take_str_ref),
-/// [`take_blob_ref`](Self::take_blob_ref)) that hand out sub-slices of the
-/// envelope buffer instead of copying, plus
-/// [`finish`](Self::finish)/[`remaining`](Self::remaining) for
-/// trailing-byte checks.
-#[derive(Debug)]
-pub struct SnapshotReader<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> SnapshotReader<'a> {
-    /// Wraps a byte slice for decoding.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.bytes.len() < n {
+impl StateSource for &[u8] {
+    fn take_into(&mut self, out: &mut [u8]) -> Result<(), SnapshotError> {
+        if self.len() < out.len() {
             return Err(SnapshotError::Truncated);
         }
-        let (head, rest) = self.bytes.split_at(n);
-        self.bytes = rest;
-        Ok(head)
-    }
-
-    /// Reads a length-prefixed UTF-8 string as a borrow of the buffer —
-    /// no intermediate copy; the caller decides if and where to own it.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] on invalid UTF-8.
-    pub fn take_str_ref(&mut self) -> Result<&'a str, SnapshotError> {
-        let len = self.take_usize()?;
-        let raw = self.take(len)?;
-        std::str::from_utf8(raw).map_err(|_| SnapshotError::Malformed("string is not UTF-8".into()))
-    }
-
-    /// Reads a length-prefixed byte blob as a borrow of the buffer.
-    pub fn take_blob_ref(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let len = self.take_usize()?;
-        self.take(len)
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Asserts the stream was fully consumed.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Malformed`] if bytes remain.
-    pub fn finish(&self) -> Result<(), SnapshotError> {
-        if self.bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(SnapshotError::Malformed(format!(
-                "{} trailing bytes",
-                self.bytes.len()
-            )))
-        }
-    }
-}
-
-impl StateSource for SnapshotReader<'_> {
-    fn take_into(&mut self, out: &mut [u8]) -> Result<(), SnapshotError> {
-        out.copy_from_slice(self.take(out.len())?);
+        let (head, rest) = self.split_at(out.len());
+        out.copy_from_slice(head);
+        *self = rest;
         Ok(())
     }
-
-    // Slice-backed overrides: decode in one pass over a direct borrow
-    // instead of staging through the generic fixed-size buffer.
-
-    fn take_str(&mut self) -> Result<String, SnapshotError> {
-        self.take_str_ref().map(str::to_string)
-    }
-
-    fn take_blob(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        self.take_blob_ref().map(<[u8]>::to_vec)
-    }
-
-    fn take_f32s(&mut self) -> Result<Vec<f32>, SnapshotError> {
-        let len = self.take_usize()?;
-        let raw = self.take(
-            len.checked_mul(4)
-                .ok_or_else(|| SnapshotError::Malformed("f32 slice length overflows".into()))?,
-        )?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
 }
 
-/// A [`StateSink`] that streams the v2 chunked envelope straight into any
-/// [`std::io::Write`], keeping a running FNV-1a64 checksum.
+/// A [`StateSink`] that streams a snapshot straight into any
+/// [`std::io::Write`]: the header, then the payload through a
+/// [`ChunkWriter`].
 ///
-/// Payload bytes are staged in a single `STREAM_CHUNK`-sized buffer and
-/// flushed as length-prefixed chunks, so snapshotting a whole fleet holds
-/// 64 KiB regardless of model count. `put_*` cannot fail; the first I/O
-/// error is remembered, subsequent writes become no-ops, and the error
-/// surfaces from [`finish`](Self::finish) — which must be called for the
-/// envelope to be complete.
+/// At most one chunk (64 KiB) of payload is staged, so snapshotting a
+/// whole fleet holds that much regardless of model count. `put_*` cannot
+/// fail; the first I/O error is remembered, subsequent writes become
+/// no-ops, and the error surfaces from [`finish`](Self::finish) — which
+/// must be called for the envelope to be complete.
 pub struct SnapshotStreamWriter<'w> {
-    sink: &'w mut dyn std::io::Write,
-    hash: Fnv1a,
-    chunk: Vec<u8>,
+    chunks: ChunkWriter<&'w mut dyn std::io::Write>,
     error: Option<SnapshotError>,
 }
 
 impl<'w> SnapshotStreamWriter<'w> {
-    /// Opens a v2 envelope on `sink` for algorithm `name`, emitting the
+    /// Opens a snapshot on `sink` for algorithm `name`, emitting the
     /// header (magic, version, name) immediately.
     pub fn new(sink: &'w mut dyn std::io::Write, name: &str) -> Self {
-        let mut w = Self {
-            sink,
-            hash: Fnv1a::new(),
-            chunk: Vec::with_capacity(STREAM_CHUNK),
-            error: None,
-        };
-        w.emit(&SNAPSHOT_MAGIC);
-        w.emit(&SNAPSHOT_STREAM_VERSION.to_le_bytes());
-        w.emit(&(name.len() as u64).to_le_bytes());
-        w.emit(name.as_bytes());
-        w
+        let header = [
+            &SNAPSHOT_MAGIC[..],
+            &SNAPSHOT_STREAM_VERSION.to_le_bytes(),
+            &(name.len() as u64).to_le_bytes(),
+            name.as_bytes(),
+        ]
+        .concat();
+        let mut chunks = ChunkWriter::new(sink);
+        let error = chunks.header(&header).err().map(Into::into);
+        Self { chunks, error }
     }
 
-    /// Hashes `bytes` into the running checksum and writes them through.
-    fn emit(&mut self, bytes: &[u8]) {
-        if self.error.is_some() {
-            return;
-        }
-        self.hash.update(bytes);
-        if let Err(e) = self.sink.write_all(bytes) {
-            self.error = Some(e.into());
-        }
-    }
-
-    fn flush_chunk(&mut self) {
-        if self.chunk.is_empty() {
-            return;
-        }
-        let len = self.chunk.len() as u32;
-        let staged = std::mem::take(&mut self.chunk);
-        self.emit(&len.to_le_bytes());
-        self.emit(&staged);
-        self.chunk = staged;
-        self.chunk.clear();
-    }
-
-    /// Terminates the envelope: flushes the pending chunk, writes the
-    /// zero-length sentinel and the checksum.
+    /// Terminates the envelope: the pending chunk, the zero-length
+    /// sentinel and the checksum.
     ///
     /// # Errors
     ///
     /// The first [`SnapshotError::Io`] the sink raised, if any.
-    pub fn finish(mut self) -> Result<(), SnapshotError> {
-        self.flush_chunk();
-        self.emit(&0u32.to_le_bytes());
-        let checksum = self.hash.finish();
-        if self.error.is_none() {
-            if let Err(e) = self.sink.write_all(&checksum.to_le_bytes()) {
-                self.error = Some(e.into());
-            }
-        }
+    pub fn finish(self) -> Result<(), SnapshotError> {
         match self.error {
             Some(e) => Err(e),
-            None => Ok(()),
+            None => Ok(self.chunks.finish()?),
         }
     }
 }
 
 impl StateSink for SnapshotStreamWriter<'_> {
-    fn put_raw(&mut self, mut bytes: &[u8]) {
-        while !bytes.is_empty() {
-            let room = STREAM_CHUNK - self.chunk.len();
-            let n = room.min(bytes.len());
-            self.chunk.extend_from_slice(&bytes[..n]);
-            bytes = &bytes[n..];
-            if self.chunk.len() == STREAM_CHUNK {
-                self.flush_chunk();
-            }
+    fn put_raw(&mut self, bytes: &[u8]) {
+        if self.error.is_none() {
+            self.error = self.chunks.write(bytes).err().map(Into::into);
         }
     }
 }
 
-impl std::fmt::Debug for SnapshotStreamWriter<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotStreamWriter")
-            .field("pending", &self.chunk.len())
-            .field("error", &self.error)
-            .finish()
-    }
-}
-
-/// A [`StateSource`] that decodes the v2 chunked envelope from any
-/// [`std::io::Read`], verifying the running checksum at
-/// [`finish`](Self::finish).
+/// A [`StateSource`] that decodes a snapshot from any [`std::io::Read`]:
+/// the header, then the payload through a [`ChunkReader`], whose checksum
+/// is verified at [`finish`](Self::finish).
 ///
-/// Holds one chunk (≤ `STREAM_CHUNK` bytes) at a time, so restoring a
-/// whole fleet never materializes the payload.
+/// Holds one chunk (≤ 64 KiB) at a time, so restoring a whole fleet never
+/// materializes the payload.
 pub struct SnapshotStreamReader<'r> {
-    source: &'r mut dyn std::io::Read,
-    hash: Fnv1a,
-    chunk: Vec<u8>,
+    chunks: ChunkReader<&'r mut dyn std::io::Read>,
+    /// Bytes of the current chunk already handed out.
     pos: usize,
-    /// The zero-length sentinel chunk has been consumed.
-    done: bool,
 }
 
 impl<'r> SnapshotStreamReader<'r> {
-    /// Opens a v2 envelope, consuming and validating the header; returns
-    /// the reader positioned at the first payload byte plus the algorithm
-    /// name from the header.
+    /// Opens a snapshot, consuming and validating the header; returns the
+    /// reader positioned at the first payload byte plus the algorithm name
+    /// from the header.
     ///
     /// # Errors
     ///
@@ -639,8 +421,9 @@ impl<'r> SnapshotStreamReader<'r> {
     /// [`SnapshotError::Io`]/[`SnapshotError::Truncated`] on source
     /// failure, or [`SnapshotError::Malformed`] on a bad name field.
     pub fn open(source: &'r mut dyn std::io::Read) -> Result<(Self, String), SnapshotError> {
+        let mut chunks = ChunkReader::new(source, &[]);
         let mut header = [0u8; 8];
-        read_exact(source, &mut header)?;
+        chunks.header(&mut header)?;
         if header[..4] != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
@@ -651,17 +434,8 @@ impl<'r> SnapshotStreamReader<'r> {
                 supported: SNAPSHOT_STREAM_VERSION,
             });
         }
-        let mut hash = Fnv1a::new();
-        hash.update(&header);
-        let mut r = Self {
-            source,
-            hash,
-            chunk: Vec::new(),
-            pos: 0,
-            done: false,
-        };
         let mut len = [0u8; 8];
-        r.pull(&mut len)?;
+        chunks.header(&mut len)?;
         let len = usize::try_from(u64::from_le_bytes(len))
             .map_err(|_| SnapshotError::Malformed("name length overflows usize".into()))?;
         if len > 4096 {
@@ -670,40 +444,10 @@ impl<'r> SnapshotStreamReader<'r> {
             )));
         }
         let mut name = vec![0u8; len];
-        r.pull(&mut name)?;
+        chunks.header(&mut name)?;
         let name = String::from_utf8(name)
             .map_err(|_| SnapshotError::Malformed("algorithm name is not UTF-8".into()))?;
-        Ok((r, name))
-    }
-
-    /// Reads raw header/framing bytes (not chunk payload), hashing them.
-    fn pull(&mut self, out: &mut [u8]) -> Result<(), SnapshotError> {
-        read_exact(self.source, out)?;
-        self.hash.update(out);
-        Ok(())
-    }
-
-    /// Advances to the next chunk; sets [`done`](Self::done) on the
-    /// sentinel.
-    fn next_chunk(&mut self) -> Result<(), SnapshotError> {
-        let mut len = [0u8; 4];
-        self.pull(&mut len)?;
-        let len = u32::from_le_bytes(len) as usize;
-        if len == 0 {
-            self.done = true;
-            return Ok(());
-        }
-        if len > STREAM_CHUNK {
-            return Err(SnapshotError::Malformed(format!(
-                "stream chunk of {len} bytes exceeds the {STREAM_CHUNK} cap"
-            )));
-        }
-        self.chunk.resize(len, 0);
-        self.pos = 0;
-        let mut chunk = std::mem::take(&mut self.chunk);
-        let result = self.pull(&mut chunk);
-        self.chunk = chunk;
-        result
+        Ok((Self { chunks, pos: 0 }, name))
     }
 
     /// Verifies the end of the envelope: the payload must be exactly
@@ -716,28 +460,14 @@ impl<'r> SnapshotStreamReader<'r> {
     /// [`SnapshotError::Io`]/[`SnapshotError::Truncated`] on source
     /// failure.
     pub fn finish(mut self) -> Result<(), SnapshotError> {
-        if self.pos != self.chunk.len() {
-            return Err(SnapshotError::Malformed(format!(
-                "{} trailing bytes",
-                self.chunk.len() - self.pos
-            )));
+        let mut unread = self.chunks.current().len() - self.pos;
+        if unread == 0 && self.chunks.advance()? {
+            unread = self.chunks.current().len();
         }
-        if !self.done {
-            self.next_chunk()?;
-            if !self.done {
-                return Err(SnapshotError::Malformed(format!(
-                    "{} trailing bytes",
-                    self.chunk.len()
-                )));
-            }
+        if unread > 0 {
+            return Err(SnapshotError::Malformed(format!("{unread} trailing bytes")));
         }
-        let expected = self.hash.finish();
-        let mut stored = [0u8; 8];
-        read_exact(self.source, &mut stored)?;
-        if u64::from_le_bytes(stored) != expected {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        Ok(())
+        Ok(self.chunks.finish()?)
     }
 }
 
@@ -745,17 +475,15 @@ impl StateSource for SnapshotStreamReader<'_> {
     fn take_into(&mut self, out: &mut [u8]) -> Result<(), SnapshotError> {
         let mut written = 0;
         while written < out.len() {
-            if self.pos == self.chunk.len() {
-                if self.done {
+            if self.pos == self.chunks.current().len() {
+                if !self.chunks.advance()? {
                     return Err(SnapshotError::Truncated);
                 }
-                self.next_chunk()?;
-                if self.done {
-                    return Err(SnapshotError::Truncated);
-                }
+                self.pos = 0;
             }
-            let n = (out.len() - written).min(self.chunk.len() - self.pos);
-            out[written..written + n].copy_from_slice(&self.chunk[self.pos..self.pos + n]);
+            let chunk = &self.chunks.current()[self.pos..];
+            let n = (out.len() - written).min(chunk.len());
+            out[written..written + n].copy_from_slice(&chunk[..n]);
             self.pos += n;
             written += n;
         }
@@ -763,47 +491,9 @@ impl StateSource for SnapshotStreamReader<'_> {
     }
 }
 
-impl std::fmt::Debug for SnapshotStreamReader<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotStreamReader")
-            .field("chunk_len", &self.chunk.len())
-            .field("pos", &self.pos)
-            .field("done", &self.done)
-            .finish()
-    }
-}
-
-/// `read_exact` with EOF mapped to [`SnapshotError::Truncated`] and other
-/// failures to [`SnapshotError::Io`].
-fn read_exact(source: &mut dyn std::io::Read, out: &mut [u8]) -> Result<(), SnapshotError> {
-    source.read_exact(out).map_err(|e| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            SnapshotError::Truncated
-        } else {
-            e.into()
-        }
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Typed helpers for the state shared by FedPKD and the baselines.
 // ---------------------------------------------------------------------------
-
-/// Guards a restore: the snapshot must name the restoring algorithm.
-///
-/// # Errors
-///
-/// [`SnapshotError::AlgorithmMismatch`] otherwise.
-pub fn check_algorithm(state: &AlgorithmState, expected: &str) -> Result<(), SnapshotError> {
-    if state.algorithm() == expected {
-        Ok(())
-    } else {
-        Err(SnapshotError::AlgorithmMismatch {
-            expected: expected.to_string(),
-            found: state.algorithm().to_string(),
-        })
-    }
-}
 
 /// Writes an RNG's raw xoshiro state (4 × u64).
 pub fn write_rng(w: &mut dyn StateSink, rng: &Rng) {
@@ -854,6 +544,15 @@ pub fn read_tensor(r: &mut dyn StateSource) -> Result<Tensor, SnapshotError> {
         shape.push(r.take_usize()?);
     }
     let data = r.take_f32s()?;
+    // Checked here: `from_vec` multiplies the dimensions unchecked, and a
+    // product that wraps round to the data length would pass it.
+    let elements = shape.iter().try_fold(1usize, |n, &dim| n.checked_mul(dim));
+    if elements != Some(data.len()) {
+        return Err(SnapshotError::Malformed(format!(
+            "tensor of shape {shape:?} with {} values",
+            data.len()
+        )));
+    }
     Tensor::from_vec(data, &shape).map_err(|e| SnapshotError::Malformed(format!("bad tensor: {e}")))
 }
 
@@ -974,7 +673,8 @@ pub fn write_driver(w: &mut dyn StateSink, driver: &DriverState) {
 pub fn read_driver(r: &mut dyn StateSource) -> Result<DriverState, SnapshotError> {
     let rounds_driven = r.take_usize()?;
     let count = r.take_usize()?;
-    let mut records = Vec::with_capacity(count.min(1 << 20));
+    // Grown as records arrive: a corrupted count sizes no allocation.
+    let mut records = Vec::new();
     for _ in 0..count {
         let round = r.take_usize()?;
         let client = r.take_usize()?;
@@ -1063,7 +763,7 @@ pub fn write_opt_tensors(w: &mut dyn StateSink, tensors: &[Option<Tensor>]) {
 /// Propagates tensor decoding errors.
 pub fn read_opt_tensors(r: &mut dyn StateSource) -> Result<Vec<Option<Tensor>>, SnapshotError> {
     let count = r.take_usize()?;
-    let mut out = Vec::with_capacity(count.min(1 << 20));
+    let mut out = Vec::new();
     for _ in 0..count {
         out.push(if r.take_bool()? {
             Some(read_tensor(r)?)
@@ -1097,7 +797,7 @@ pub fn write_prototypes(w: &mut dyn StateSink, prototypes: &[Option<Prototype>])
 /// Propagates tensor decoding errors.
 pub fn read_prototypes(r: &mut dyn StateSource) -> Result<Vec<Option<Prototype>>, SnapshotError> {
     let count = r.take_usize()?;
-    let mut out = Vec::with_capacity(count.min(1 << 20));
+    let mut out = Vec::new();
     for _ in 0..count {
         out.push(if r.take_bool()? {
             let count = r.take_usize()?;
@@ -1137,9 +837,27 @@ mod tests {
         let (name, payload) = read_stream(&stream_of(&[0xAB; 100])).unwrap();
         assert_eq!(name, "FedPKD");
         assert_eq!(payload, vec![0xAB; 100]);
-        // The telemetry size of the same state held in memory.
-        let state = AlgorithmState::new(name, payload);
-        assert_eq!(state.encoded_len(), 4 + 4 + 8 + 6 + 8 + 100 + 8);
+    }
+
+    #[test]
+    fn stream_bytes_are_pinned() {
+        // The fingerprint of this stream as written before the chunk codec
+        // moved to `netsim` (PR 17): header, three full chunks whatever the
+        // size of the pieces pushed in, a 17-byte remainder, sentinel,
+        // trailer. A snapshot file from any commit since reads back.
+        let payload: Vec<u8> = (0..3 * CHUNK + 17).map(|i| i as u8).collect();
+        let mut bytes = Vec::new();
+        let mut w = SnapshotStreamWriter::new(&mut bytes, "FedPKD");
+        for piece in payload.chunks(1000) {
+            w.put_raw(piece);
+        }
+        w.finish().unwrap();
+        let mut fnv = fedpkd_netsim::Fnv1a::new();
+        fnv.update(&bytes);
+        assert_eq!(
+            (bytes.len(), fnv.finish()),
+            (196_675, 0x2012_8e5a_37cf_0641)
+        );
     }
 
     #[test]
@@ -1200,18 +918,16 @@ mod tests {
 
     #[test]
     fn primitives_round_trip() {
-        let mut w = SnapshotWriter::new();
-        w.put_u8(7);
-        w.put_u32(u32::MAX);
-        w.put_u64(u64::MAX - 1);
-        w.put_usize(42);
-        w.put_f32(-0.0);
-        w.put_f64(std::f64::consts::PI);
-        w.put_bool(true);
-        w.put_str("héllo");
-        w.put_f32s(&[1.0, f32::NAN, -3.5]);
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
+        let mut bytes: Vec<u8> = Vec::new();
+        bytes.put_u8(7);
+        bytes.put_u32(u32::MAX);
+        bytes.put_u64(u64::MAX - 1);
+        bytes.put_usize(42);
+        bytes.put_f32(-0.0);
+        bytes.put_f64(std::f64::consts::PI);
+        bytes.put_bool(true);
+        bytes.put_f32s(&[1.0, f32::NAN, -3.5]);
+        let mut r = bytes.as_slice();
         assert_eq!(r.take_u8().unwrap(), 7);
         assert_eq!(r.take_u32().unwrap(), u32::MAX);
         assert_eq!(r.take_u64().unwrap(), u64::MAX - 1);
@@ -1219,35 +935,31 @@ mod tests {
         assert_eq!(r.take_f32().unwrap().to_bits(), (-0.0f32).to_bits());
         assert_eq!(r.take_f64().unwrap(), std::f64::consts::PI);
         assert!(r.take_bool().unwrap());
-        assert_eq!(r.take_str().unwrap(), "héllo");
         let fs = r.take_f32s().unwrap();
         assert_eq!(fs.len(), 3);
         assert_eq!(fs[0], 1.0);
         assert!(fs[1].is_nan());
         assert_eq!(fs[2], -3.5);
-        r.finish().unwrap();
-        assert_eq!(r.remaining(), 0);
+        assert!(r.is_empty());
     }
 
     #[test]
     fn reader_rejects_bad_bool_and_truncation() {
-        let mut r = SnapshotReader::new(&[2]);
+        let mut r: &[u8] = &[2];
         assert!(matches!(r.take_bool(), Err(SnapshotError::Malformed(_))));
-        let mut r = SnapshotReader::new(&[1, 2, 3]);
+        let mut r: &[u8] = &[1, 2, 3];
         assert_eq!(r.take_u64(), Err(SnapshotError::Truncated));
-        let r = SnapshotReader::new(&[0]);
-        assert!(r.finish().is_err());
+        assert_eq!(r.len(), 3, "a failed read consumes nothing");
     }
 
     #[test]
     fn rng_round_trips_mid_stream() {
         let mut rng = Rng::seed_from_u64(9);
         let _ = rng.next_u64();
-        let mut w = SnapshotWriter::new();
-        write_rng(&mut w, &rng);
+        let mut bytes: Vec<u8> = Vec::new();
+        write_rng(&mut bytes, &rng);
         let expected = rng.next_u64();
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
+        let mut r = bytes.as_slice();
         let mut restored = read_rng(&mut r).unwrap();
         assert_eq!(restored.next_u64(), expected);
     }
@@ -1255,17 +967,16 @@ mod tests {
     #[test]
     fn all_zero_rng_state_is_malformed() {
         let bytes = [0u8; 32];
-        let mut r = SnapshotReader::new(&bytes);
+        let mut r = bytes.as_slice();
         assert!(matches!(read_rng(&mut r), Err(SnapshotError::Malformed(_))));
     }
 
     #[test]
     fn tensor_round_trips_bitwise() {
         let t = Tensor::from_vec(vec![1.5, -0.0, f32::NAN, 7.25, 0.1, -9.0], &[2, 3]).unwrap();
-        let mut w = SnapshotWriter::new();
-        write_tensor(&mut w, &t);
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
+        let mut bytes: Vec<u8> = Vec::new();
+        write_tensor(&mut bytes, &t);
+        let mut r = bytes.as_slice();
         let back = read_tensor(&mut r).unwrap();
         assert_eq!(back.shape(), t.shape());
         for (a, b) in back.as_slice().iter().zip(t.as_slice()) {
@@ -1275,12 +986,23 @@ mod tests {
 
     #[test]
     fn tensor_shape_data_mismatch_is_malformed() {
-        let mut w = SnapshotWriter::new();
-        w.put_usize(1); // rank
-        w.put_usize(4); // dim 4 …
-        w.put_f32s(&[1.0, 2.0]); // … but only 2 values
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
+        let mut bytes: Vec<u8> = Vec::new();
+        bytes.put_usize(1); // rank
+        bytes.put_usize(4); // dim 4 …
+        bytes.put_f32s(&[1.0, 2.0]); // … but only 2 values
+        let mut r = bytes.as_slice();
+        assert!(matches!(
+            read_tensor(&mut r),
+            Err(SnapshotError::Malformed(_))
+        ));
+        // Dimensions whose product wraps round to the value count (found by
+        // `tests/snapshot_fuzz.rs`): 2^32 · 2^32 ≡ 0 values.
+        let mut bytes: Vec<u8> = Vec::new();
+        bytes.put_usize(2);
+        bytes.put_u64(1 << 32);
+        bytes.put_u64(1 << 32);
+        bytes.put_f32s(&[]);
+        let mut r = bytes.as_slice();
         assert!(matches!(
             read_tensor(&mut r),
             Err(SnapshotError::Malformed(_))
@@ -1299,11 +1021,10 @@ mod tests {
         layer.forward(&Tensor::zeros(&[1, 3]), true);
         layer.backward(&Tensor::from_vec(vec![0.5, -0.5], &[1, 2]).unwrap());
         opt.step(&mut layer);
-        let mut w = SnapshotWriter::new();
-        write_adam(&mut w, &opt);
-        let bytes = w.into_bytes();
+        let mut bytes: Vec<u8> = Vec::new();
+        write_adam(&mut bytes, &opt);
         let mut restored = Adam::new(0.5);
-        let mut r = SnapshotReader::new(&bytes);
+        let mut r = bytes.as_slice();
         read_adam(&mut r, &mut restored, &layer).unwrap();
         assert_eq!(restored.learning_rate(), 0.01);
         assert_eq!(restored.step_count(), 1);
@@ -1321,12 +1042,11 @@ mod tests {
         ledger.record_bytes(0, 1, Direction::Uplink, 120);
         ledger.record_bytes(2, 0, Direction::Downlink, 44);
         let driver = DriverState::from_parts(3, ledger);
-        let mut w = SnapshotWriter::new();
-        write_driver(&mut w, &driver);
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
+        let mut bytes: Vec<u8> = Vec::new();
+        write_driver(&mut bytes, &driver);
+        let mut r = bytes.as_slice();
         assert_eq!(read_driver(&mut r).unwrap(), driver);
-        r.finish().unwrap();
+        assert!(r.is_empty());
     }
 
     #[test]
@@ -1335,16 +1055,15 @@ mod tests {
         tracker.record_rejection(1);
         tracker.record_rejection(1);
         assert!(tracker.is_quarantined(1));
-        let mut w = SnapshotWriter::new();
-        write_quarantine(&mut w, &tracker);
-        let bytes = w.into_bytes();
+        let mut bytes: Vec<u8> = Vec::new();
+        write_quarantine(&mut bytes, &tracker);
         let mut restored = QuarantineTracker::new(3, 2);
-        let mut r = SnapshotReader::new(&bytes);
+        let mut r = bytes.as_slice();
         read_quarantine(&mut r, &mut restored).unwrap();
         assert_eq!(restored, tracker);
         // Wrong client count must be a typed error, not a panic.
         let mut wrong = QuarantineTracker::new(5, 2);
-        let mut r = SnapshotReader::new(&bytes);
+        let mut r = bytes.as_slice();
         assert!(matches!(
             read_quarantine(&mut r, &mut wrong),
             Err(SnapshotError::Malformed(_))
@@ -1358,10 +1077,9 @@ mod tests {
             None,
             Some(Tensor::from_vec(vec![-3.0], &[1]).unwrap()),
         ];
-        let mut w = SnapshotWriter::new();
-        write_opt_tensors(&mut w, &tensors);
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
+        let mut bytes: Vec<u8> = Vec::new();
+        write_opt_tensors(&mut bytes, &tensors);
+        let mut r = bytes.as_slice();
         let back = read_opt_tensors(&mut r).unwrap();
         assert_eq!(back.len(), 3);
         assert!(back[1].is_none());

@@ -312,7 +312,9 @@ pub enum TelemetryEvent {
         /// Rounds driven when the snapshot was taken — the round a resumed
         /// run will start from.
         round: usize,
-        /// Encoded snapshot size in bytes.
+        /// Length of the snapshot stream in bytes — what
+        /// [`Federation::snapshot_to`](crate::runtime::Federation::snapshot_to)
+        /// writes for this state.
         bytes: usize,
     },
     /// A state snapshot was restored into a fresh instance
@@ -320,7 +322,9 @@ pub enum TelemetryEvent {
     SnapshotRestored {
         /// Rounds driven recorded in the snapshot — the next round to run.
         round: usize,
-        /// Encoded snapshot size in bytes.
+        /// Length of the snapshot stream in bytes — what
+        /// [`Federation::snapshot_to`](crate::runtime::Federation::snapshot_to)
+        /// writes for this state.
         bytes: usize,
     },
     /// The serving layer accepted a client connection.

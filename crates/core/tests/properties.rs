@@ -14,9 +14,7 @@ use fedpkd_core::fedpkd::logits::{
 };
 use fedpkd_core::fedpkd::prototypes::{aggregate_prototypes, Prototype};
 use fedpkd_core::robust::{median, trimmed_mean, trimmed_mean_lanes};
-use fedpkd_core::snapshot::{
-    read_pool, write_client, write_pool, SnapshotReader, SnapshotWriter, StateSink,
-};
+use fedpkd_core::snapshot::{read_pool, write_client, write_pool, StateSink};
 use fedpkd_core::train::train_supervised;
 use fedpkd_data::{ClientData, FederatedScenario, Partition, ScenarioBuilder, SyntheticConfig};
 use fedpkd_tensor::models::{DepthTier, ModelSpec};
@@ -543,19 +541,18 @@ proptest! {
         for_each_pooled_client_streaming(
             &mut pool, &scenario.clients, &first, workers, train_once, |_, _| {},
         );
-        let mut w_pool = SnapshotWriter::new();
-        write_pool(&mut w_pool, &pool);
-        let mut w_clients = SnapshotWriter::new();
-        w_clients.put_usize(3);
+        let mut bytes: Vec<u8> = Vec::new();
+        write_pool(&mut bytes, &pool);
+        let mut per_client: Vec<u8> = Vec::new();
+        per_client.put_usize(3);
         for i in 0..3 {
-            write_client(&mut w_clients, &reference.materialize(i));
+            write_client(&mut per_client, &reference.materialize(i));
         }
-        let bytes = w_pool.into_bytes();
-        prop_assert_eq!(&bytes, &w_clients.into_bytes());
+        prop_assert_eq!(&bytes, &per_client);
         let mut revived = ClientPool::new(&specs, 0.003, seed);
-        let mut r = SnapshotReader::new(&bytes);
+        let mut r = bytes.as_slice();
         read_pool(&mut r, &mut revived).unwrap();
-        r.finish().unwrap();
+        prop_assert!(r.is_empty());
         // Freshness survives the round trip: only trained clients park.
         for i in 0..3 {
             prop_assert_eq!(
@@ -671,16 +668,16 @@ proptest! {
                     1
                 }
                 PoolOp::Snapshot => {
-                    let mut w = SnapshotWriter::new();
-                    write_pool(&mut w, &pool);
-                    saved = Some(w.into_bytes());
+                    let mut bytes: Vec<u8> = Vec::new();
+                    write_pool(&mut bytes, &pool);
+                    saved = Some(bytes);
                     0
                 }
                 PoolOp::Restore => match &saved {
                     Some(bytes) => {
-                        let mut r = SnapshotReader::new(bytes);
+                        let mut r = bytes.as_slice();
                         read_pool(&mut r, &mut pool).unwrap();
-                        r.finish().unwrap();
+                        assert!(r.is_empty());
                         3
                     }
                     None => 0,

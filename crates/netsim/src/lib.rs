@@ -28,13 +28,14 @@
 #![warn(missing_docs)]
 
 mod adversary;
+pub mod chunk;
 mod fault;
 mod fnv;
 mod ledger;
 mod link;
 mod message;
 mod quantize;
-mod wire;
+pub mod wire;
 
 pub use adversary::{Attack, RoundContext};
 pub use fault::{sample_cohort, Cohort, CohortPolicy, Deadline, DropCause, FaultPlan};

@@ -69,12 +69,23 @@ fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], WireError> {
     Ok(head.try_into().expect("split_at guarantees length"))
 }
 
-pub(crate) fn get_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
+/// Reads one byte off the front of `buf`.
+///
+/// # Errors
+///
+/// [`WireError::UnexpectedEof`] on a short buffer, as every `get_*` here.
+pub fn get_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
     Ok(take::<1>(buf)?[0])
 }
 
-pub(crate) fn get_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
+/// Reads a little-endian `u32` off the front of `buf`.
+pub fn get_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
     Ok(u32::from_le_bytes(take::<4>(buf)?))
+}
+
+/// Reads a little-endian `u64` off the front of `buf`.
+pub fn get_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
+    Ok(u64::from_le_bytes(take::<8>(buf)?))
 }
 
 pub(crate) fn get_f32(buf: &mut &[u8]) -> Result<f32, WireError> {
@@ -85,7 +96,13 @@ pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
     buf.push(v);
 }
 
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
+/// Appends a little-endian `u32`.
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a little-endian `u64`.
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 

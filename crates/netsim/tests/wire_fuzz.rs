@@ -15,8 +15,15 @@
 //!   fields, tags, and values all get hit across cases),
 //! - **garbage** — arbitrary byte soup, including buffers opening with
 //!   absurd length claims.
+//!
+//! The last section does the same to the chunk envelope of
+//! [`fedpkd_netsim::chunk`], which carries both the serve frame and the
+//! snapshot stream: this is the one place hostile bytes meet the length
+//! prefixes, the sentinel and the trailer; the frame's and the snapshot's
+//! own tests check only how each maps the errors.
 
-use fedpkd_netsim::{Message, PrototypeEntry, QuantizedLogits, Wire, WireError};
+use fedpkd_netsim::chunk::{ChunkError, ChunkReader, ChunkWriter, CHUNK};
+use fedpkd_netsim::{Fnv1a, Message, PrototypeEntry, QuantizedLogits, Wire, WireError};
 use proptest::prelude::*;
 
 fn arb_prototype_entry() -> impl Strategy<Value = PrototypeEntry> {
@@ -199,4 +206,160 @@ fn declared_length_beyond_buffer_is_eof_not_allocation() {
         decode_is_total::<Message>(&bytes),
         Err(WireError::UnexpectedEof)
     );
+}
+
+// ---- The chunk envelope. ------------------------------------------------
+
+const HEADER: &[u8] = b"hdr";
+
+fn envelope(payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut w = ChunkWriter::new(&mut bytes);
+    w.header(HEADER).unwrap();
+    w.write(payload).unwrap();
+    w.finish().unwrap();
+    bytes
+}
+
+/// Reads a whole envelope the way both users do: header, chunks up to the
+/// sentinel, trailer. The payload is only returned once the trailer has
+/// vouched for it.
+fn read_envelope(bytes: &[u8]) -> Result<Vec<u8>, ChunkError> {
+    let mut r = ChunkReader::new(bytes, &[]);
+    let mut header = [0u8; HEADER.len()];
+    r.header(&mut header)?;
+    let mut payload = Vec::new();
+    while r.advance()? {
+        assert!(!r.current().is_empty() && r.current().len() <= CHUNK);
+        payload.extend_from_slice(r.current());
+    }
+    r.finish()?;
+    Ok(payload)
+}
+
+fn pattern(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i * 7 + 3) as u8).collect()
+}
+
+#[test]
+fn chunk_envelopes_round_trip_at_every_boundary() {
+    for len in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 17] {
+        let payload = pattern(len);
+        let bytes = envelope(&payload);
+        // Full chunks, then the remainder; 4 bytes per prefix and sentinel.
+        let chunks = len.div_ceil(CHUNK);
+        assert_eq!(bytes.len(), HEADER.len() + len + 4 * chunks + 4 + 8);
+        assert_eq!(read_envelope(&bytes).unwrap(), payload, "{len} bytes");
+        // Many small writes stage into the same chunks as one large one.
+        let mut pieces = Vec::new();
+        let mut w = ChunkWriter::new(&mut pieces);
+        w.header(HEADER).unwrap();
+        for piece in payload.chunks(999) {
+            w.write(piece).unwrap();
+        }
+        w.finish().unwrap();
+        assert_eq!(pieces, bytes, "{len} bytes in pieces");
+    }
+}
+
+#[test]
+fn every_truncation_of_a_chunk_envelope_is_truncated() {
+    for len in [0, 300, CHUNK + 50] {
+        let bytes = envelope(&pattern(len));
+        // Every cut of the small envelopes; of the two-chunk one, a stride
+        // plus every cut around its prefixes, sentinel and trailer.
+        let second_prefix = HEADER.len() + 4 + CHUNK;
+        let cuts: Vec<usize> = if len <= 300 {
+            (0..bytes.len()).collect()
+        } else {
+            (0..bytes.len())
+                .step_by(509)
+                .chain(0..16)
+                .chain(second_prefix - 4..second_prefix + 8)
+                .chain(bytes.len() - 70..bytes.len())
+                .collect()
+        };
+        for cut in cuts {
+            assert!(
+                matches!(read_envelope(&bytes[..cut]), Err(ChunkError::Truncated)),
+                "{len}-byte payload cut at {cut}"
+            );
+        }
+    }
+}
+
+#[test]
+fn every_single_bit_flip_in_a_chunk_envelope_is_a_typed_error() {
+    // Exhaustive over a one-chunk envelope; over a two-chunk one, every
+    // bit of the framing (both prefixes, sentinel, trailer) and a stride
+    // of payload bytes.
+    let small = envelope(&pattern(300));
+    let large = envelope(&pattern(CHUNK + 50));
+    let second_prefix = HEADER.len() + 4 + CHUNK;
+    let large_positions = (0..HEADER.len() + 4)
+        .chain(second_prefix..second_prefix + 4)
+        .chain(large.len() - 12..large.len())
+        .chain((HEADER.len() + 4..large.len()).step_by(4099));
+    let cases = (0..small.len())
+        .map(|pos| (&small, pos))
+        .chain(large_positions.map(|pos| (&large, pos)));
+    for (bytes, pos) in cases {
+        for bit in 0..8 {
+            let mut corrupt = bytes.clone();
+            corrupt[pos] ^= 1 << bit;
+            // Payload and header flips fail the trailer; flips in a length
+            // prefix or the sentinel misframe the rest and surface as a
+            // size, truncation or trailer error. Never a payload.
+            assert!(
+                read_envelope(&corrupt).is_err(),
+                "flip of bit {bit} at byte {pos} of {} went undetected",
+                bytes.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn an_overlong_chunk_is_rejected_before_anything_is_read_for_it() {
+    // Nothing follows the prefix: had the reader sized a buffer from it and
+    // tried to fill it, the answer would be `Truncated`.
+    let mut bytes = HEADER.to_vec();
+    bytes.extend_from_slice(&(CHUNK as u32 + 1).to_le_bytes());
+    match read_envelope(&bytes) {
+        Err(ChunkError::ChunkTooLarge { len }) => assert_eq!(len, CHUNK + 1),
+        other => panic!("expected ChunkTooLarge, got {other:?}"),
+    }
+    bytes.truncate(HEADER.len());
+    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+    assert!(matches!(
+        read_envelope(&bytes),
+        Err(ChunkError::ChunkTooLarge { .. })
+    ));
+    // The bound itself is a legal length.
+    assert_eq!(
+        read_envelope(&envelope(&pattern(CHUNK))).unwrap().len(),
+        CHUNK
+    );
+}
+
+#[test]
+fn a_missing_sentinel_is_never_ok() {
+    let payload = pattern(100);
+    // The sentinel cut out of a good envelope...
+    let good = envelope(&payload);
+    let mut cut = good.clone();
+    cut.drain(good.len() - 12..good.len() - 8);
+    assert!(read_envelope(&cut).is_err());
+    // ...and an envelope from a writer that never wrote one, its trailer
+    // sealing exactly the bytes before it.
+    let mut unsealed = good[..good.len() - 12].to_vec();
+    let mut fnv = Fnv1a::new();
+    fnv.update(&unsealed);
+    unsealed.extend_from_slice(&fnv.finish().to_le_bytes());
+    assert!(read_envelope(&unsealed).is_err());
+    // A reader asked to finish before it has seen the sentinel refuses,
+    // even though what follows the chunk it stopped at is well-formed.
+    let mut r = ChunkReader::new(&good[HEADER.len()..], HEADER);
+    assert!(r.advance().unwrap());
+    assert!(matches!(r.finish(), Err(ChunkError::ChecksumMismatch)));
 }

@@ -1,8 +1,8 @@
 //! Length-prefixed streaming frames over a byte stream.
 //!
-//! A frame carries one protocol payload across a socket using the same
-//! chunk discipline as the v2 streaming snapshot envelope in
-//! `fedpkd-core::snapshot`:
+//! A frame carries one protocol payload across a socket: a kind byte, then
+//! the payload as the chunk envelope of [`fedpkd_netsim::chunk`] — the same
+//! one the snapshot stream of `fedpkd-core` uses:
 //!
 //! ```text
 //! kind: u8 · (len: u32 LE, len > 0 · chunk bytes)* · 0u32 · fnv: u64 LE
@@ -11,17 +11,21 @@
 //! Chunks are at most [`FRAME_CHUNK`] bytes; a zero length terminates the
 //! chunk list, and the trailer is the running FNV-1a64 over every byte
 //! before it (kind, length prefixes, chunk bytes, and the sentinel). The
-//! reader verifies sizes *before* allocating — a hostile length prefix
-//! costs a typed [`FrameError`], never memory — and verifies the trailer
-//! before the payload is handed to the protocol layer, so a flipped bit
-//! anywhere in transit surfaces as [`FrameError::ChecksumMismatch`]
-//! instead of a plausible-but-wrong payload.
+//! chunk reader rejects an over-long chunk before allocating for it and
+//! this module checks the payload cap before the payload grows — a hostile
+//! length prefix costs a typed [`FrameError`], never memory — and the
+//! trailer is verified before the payload is handed to the protocol layer,
+//! so a flipped bit anywhere in transit surfaces as
+//! [`FrameError::ChecksumMismatch`] instead of a plausible-but-wrong
+//! payload. What hostile bytes can do to the envelope itself is fuzzed
+//! once, in `crates/netsim/tests/wire_fuzz.rs`; the tests here check this
+//! module's error mapping, the cap and the clean-EOF rule.
 
-use fedpkd_netsim::Fnv1a;
+use fedpkd_netsim::chunk::{ChunkError, ChunkReader, ChunkWriter};
 use std::io::{Read, Write};
 
-/// Maximum bytes per chunk — the v2 snapshot envelope's stream chunk size.
-pub const FRAME_CHUNK: usize = 64 * 1024;
+/// Maximum bytes per chunk — the chunk envelope's own bound.
+pub use fedpkd_netsim::chunk::CHUNK as FRAME_CHUNK;
 
 /// Default cap on a frame's total payload (16 MiB), far above any payload
 /// the protocol produces but low enough that a hostile peer cannot balloon
@@ -86,25 +90,28 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
+impl From<ChunkError> for FrameError {
+    fn from(e: ChunkError) -> Self {
+        match e {
+            ChunkError::ChunkTooLarge { len } => Self::ChunkTooLarge { len },
+            ChunkError::ChecksumMismatch => Self::ChecksumMismatch,
+            ChunkError::Io(e) => Self::Io(e),
+            // `Truncated`, and whatever a later `netsim` adds.
+            _ => Self::Truncated,
+        }
+    }
+}
+
 /// Writes one frame: kind byte, 64 KiB chunks, sentinel, FNV trailer.
 ///
 /// # Errors
 ///
 /// Any underlying I/O failure.
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::io::Result<()> {
-    let mut fnv = Fnv1a::new();
-    let mut put = |w: &mut dyn Write, bytes: &[u8]| -> std::io::Result<()> {
-        fnv.update(bytes);
-        w.write_all(bytes)
-    };
-    put(w, &[kind])?;
-    for chunk in payload.chunks(FRAME_CHUNK) {
-        put(w, &(chunk.len() as u32).to_le_bytes())?;
-        put(w, chunk)?;
-    }
-    put(w, &0u32.to_le_bytes())?;
-    let trailer = fnv.finish();
-    w.write_all(&trailer.to_le_bytes())?;
+    let mut chunks = ChunkWriter::new(&mut *w);
+    chunks.header(&[kind])?;
+    chunks.write(payload)?;
+    chunks.finish()?;
     w.flush()
 }
 
@@ -149,38 +156,19 @@ pub fn read_frame_after_kind(
     kind: u8,
     max_payload: usize,
 ) -> Result<Vec<u8>, FrameError> {
-    let mut fnv = Fnv1a::new();
-    fnv.update(&[kind]);
-
+    let mut chunks = ChunkReader::new(r, &[kind]);
     let mut payload = Vec::new();
-    loop {
-        let mut len_bytes = [0u8; 4];
-        r.read_exact(&mut len_bytes)?;
-        fnv.update(&len_bytes);
-        let len = u32::from_le_bytes(len_bytes) as usize;
-        if len == 0 {
-            break;
-        }
-        if len > FRAME_CHUNK {
-            return Err(FrameError::ChunkTooLarge { len });
-        }
-        if payload.len() + len > max_payload {
+    while chunks.advance()? {
+        let chunk = chunks.current();
+        if payload.len() + chunk.len() > max_payload {
             return Err(FrameError::Oversized {
-                len: payload.len() + len,
+                len: payload.len() + chunk.len(),
                 cap: max_payload,
             });
         }
-        let start = payload.len();
-        payload.resize(start + len, 0);
-        r.read_exact(&mut payload[start..])?;
-        fnv.update(&payload[start..]);
+        payload.extend_from_slice(chunk);
     }
-
-    let mut trailer = [0u8; 8];
-    r.read_exact(&mut trailer)?;
-    if u64::from_le_bytes(trailer) != fnv.finish() {
-        return Err(FrameError::ChecksumMismatch);
-    }
+    chunks.finish()?;
     Ok(payload)
 }
 
@@ -209,6 +197,20 @@ mod tests {
             assert_eq!(kind, 5);
             assert_eq!(got, payload);
         }
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        // The fingerprint of this frame as written before the chunk codec
+        // moved to `netsim` (PR 17): kind, three full chunks, a 17-byte
+        // remainder, sentinel, trailer. A peer built from any commit since
+        // reads these bytes.
+        let payload: Vec<u8> = (0..3 * FRAME_CHUNK + 17).map(|i| i as u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, 5, &payload).unwrap();
+        let mut fnv = fedpkd_netsim::Fnv1a::new();
+        fnv.update(&buf);
+        assert_eq!((buf.len(), fnv.finish()), (196_654, 0x610a_3597_41f6_631f));
     }
 
     #[test]

@@ -14,15 +14,16 @@
 //! same ledger as
 //! `DriverBuilder::run` at the same seed, even across `kill -9` and
 //! restart — uploads are pure functions of `(seed, round, client)`,
-//! participation decisions come from the shared
-//! [`context_for`](fedpkd_core::driver::DriverBuilder::context_for) hook,
+//! the round loop is the in-process driver's own
+//! [`RoundLoop`](fedpkd_core::driver::RoundLoop), stepped from here,
 //! and periodic streaming snapshots let a restarted server re-drive the
 //! lost rounds to byte-identical history lines.
 //!
 //! Module map:
 //!
-//! - [`frame`] — length-prefixed 64 KiB-chunked frames with a running
-//!   FNV-1a trailer (the v2 snapshot envelope discipline, on a socket).
+//! - [`frame`] — a kind byte over the chunk envelope of
+//!   [`fedpkd_netsim::chunk`] (the one the snapshot stream uses), with the
+//!   payload cap and the clean-EOF rule a socket needs.
 //! - [`protocol`] — the lock-step Hello/Assignment, Upload/Ack request
 //!   grammar, including the quantized-upload codec byte.
 //! - [`transport`] — TCP and Unix-domain sockets behind one `Conn`.

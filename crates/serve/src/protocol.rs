@@ -18,6 +18,16 @@
 //! All integers are little-endian, matching the `netsim` wire codec.
 
 use crate::frame::FrameError;
+use fedpkd_netsim::wire::{get_u32, get_u64, get_u8, put_u32, put_u64};
+use fedpkd_netsim::WireError;
+
+/// A protocol body is fixed-width fields only, so the one way its decoding
+/// fails is by running out of bytes.
+impl From<WireError> for FrameError {
+    fn from(_: WireError) -> Self {
+        Self::Truncated
+    }
+}
 
 /// Frame kind bytes for requests (client → server).
 pub const KIND_HELLO: u8 = 1;
@@ -118,38 +128,6 @@ pub enum Response {
         /// The server's current round.
         round: u64,
     },
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u8(buf: &mut &[u8]) -> Result<u8, FrameError> {
-    let (&b, rest) = buf.split_first().ok_or(FrameError::Truncated)?;
-    *buf = rest;
-    Ok(b)
-}
-
-fn get_u32(buf: &mut &[u8]) -> Result<u32, FrameError> {
-    if buf.len() < 4 {
-        return Err(FrameError::Truncated);
-    }
-    let (head, rest) = buf.split_at(4);
-    *buf = rest;
-    Ok(u32::from_le_bytes(head.try_into().expect("4 bytes")))
-}
-
-fn get_u64(buf: &mut &[u8]) -> Result<u64, FrameError> {
-    if buf.len() < 8 {
-        return Err(FrameError::Truncated);
-    }
-    let (head, rest) = buf.split_at(8);
-    *buf = rest;
-    Ok(u64::from_le_bytes(head.try_into().expect("8 bytes")))
 }
 
 impl Request {

@@ -18,16 +18,17 @@
 //!   by construction; the bounded channel caps the whole server's queue,
 //!   and a handler blocked on a full channel simply stops reading its
 //!   socket — backpressure reaches the client as TCP/UDS flow control.
-//! - The **engine** owns the federation, the ledger, and the round state
-//!   machine. It answers [`Request::Hello`] with the authoritative round
-//!   and invitation, admits or rejects uploads at the front door (decode →
-//!   validate → [`RemoteFederation::stage_upload`]), and commits a round
-//!   through the same `Federation::round` path — and the same
-//!   [`DriverBuilder::context_for`] participation decisions — as the
-//!   in-process driver. Uploads rejected at admission are never billed.
+//! - The **engine** owns the federation and the round state machine. It
+//!   answers [`Request::Hello`] with the authoritative round and
+//!   invitation, admits or rejects uploads at the front door (decode →
+//!   validate → [`RemoteFederation::stage_upload`]), and commits a round by
+//!   stepping the same [`RoundLoop`] the in-process driver steps — one
+//!   ledger, one `last_uplink`, one round counter, one
+//!   [`DriverBuilder::context_for`], one `Federation::round`. Uploads
+//!   rejected at admission are never billed.
 //!
 //! Every commit appends a deterministic history line and, on the snapshot
-//! cadence, streams a v2 snapshot to a temp file renamed into place — so
+//! cadence, streams a snapshot to a temp file renamed into place — so
 //! a `kill -9` at any instant loses at most the rounds since the last
 //! snapshot, which a restarted server simply re-drives: clients recompute
 //! the same payloads (they are pure functions of `(seed, round, client)`),
@@ -42,14 +43,12 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendErr
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fedpkd_core::driver::DriverBuilder;
+use fedpkd_core::driver::{DriverBuilder, RoundLoop};
 use fedpkd_core::remote::RemoteFederation;
-use fedpkd_core::runtime::{DriverState, RoundMetrics};
+use fedpkd_core::runtime::RoundMetrics;
 use fedpkd_core::snapshot::SnapshotError;
 use fedpkd_core::telemetry::{FrameRejectCause, RoundObserver, TelemetryEvent};
-use fedpkd_netsim::{
-    Cohort, CommLedger, Deadline, DropCause, Message, QuantizedLogits, RoundContext, Wire,
-};
+use fedpkd_netsim::{Cohort, Deadline, DropCause, Message, QuantizedLogits, RoundContext, Wire};
 
 use crate::frame::{read_frame_after_kind, write_frame, FrameError, DEFAULT_MAX_PAYLOAD};
 use crate::history::{ledger_fingerprint, metrics_line, run_complete_line, HistoryError};
@@ -226,18 +225,14 @@ fn frame_cause(err: &FrameError) -> FrameRejectCause {
     }
 }
 
-/// The round state machine. Owns the federation, the ledger (taken out of
-/// the driver state for the duration, as `Driver::run` does), and the
-/// current round's expected/arrived bookkeeping.
+/// The round state machine: the federation, the [`RoundLoop`] stepping it,
+/// and the current round's expected/arrived bookkeeping.
 struct Engine<'a, F: RemoteFederation> {
     fed: &'a mut F,
-    builder: &'a DriverBuilder,
     cfg: &'a ServeConfig,
-    ledger: CommLedger,
-    last_uplink: Vec<usize>,
+    steps: RoundLoop<'a>,
     history: Vec<RoundMetrics>,
     history_file: Option<std::fs::File>,
-    round: usize,
     ctx: Option<RoundContext>,
     expected: BTreeSet<usize>,
     /// Observed socket payload bytes per arrived client this round.
@@ -251,13 +246,6 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
         builder: &'a DriverBuilder,
         cfg: &'a ServeConfig,
     ) -> Result<Self, ServeError> {
-        let num_clients = fed.num_clients();
-        let (start, ledger) = std::mem::take(fed.driver_mut()).into_parts();
-        let last_uplink = if start > 0 {
-            ledger.round_client_uplinks(start - 1, num_clients)
-        } else {
-            vec![0usize; num_clients]
-        };
         let history_file = match &cfg.history_path {
             Some(path) => Some(
                 std::fs::OpenOptions::new()
@@ -267,15 +255,13 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
             ),
             None => None,
         };
+        let steps = RoundLoop::begin(builder, fed);
         let mut engine = Self {
             fed,
-            builder,
             cfg,
-            ledger,
-            last_uplink,
+            steps,
             history: Vec::new(),
             history_file,
-            round: start,
             ctx: None,
             expected: BTreeSet::new(),
             arrived: BTreeMap::new(),
@@ -285,8 +271,12 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
         Ok(engine)
     }
 
+    fn round(&self) -> usize {
+        self.steps.round()
+    }
+
     fn done(&self) -> bool {
-        self.round >= self.cfg.rounds
+        self.round() >= self.cfg.rounds
     }
 
     fn begin_round(&mut self) {
@@ -297,9 +287,7 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
             self.expected.clear();
             return;
         }
-        let ctx = self
-            .builder
-            .context_for(self.round, self.fed.num_clients(), &self.last_uplink);
+        let ctx = self.steps.context(self.fed);
         self.expected = ctx.cohort().survivors().into_iter().collect();
         self.ctx = Some(ctx);
     }
@@ -308,7 +296,7 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
     /// who actually arrived (round-timeout mode); a full commit uses the
     /// context verbatim, which is the bit-identical-with-simulation path.
     fn commit(&mut self, degraded: bool, obs: &mut dyn RoundObserver) -> Result<(), ServeError> {
-        let round = self.round;
+        let round = self.round();
         let ctx = self.ctx.take().expect("commit only before done");
         let ctx = if degraded {
             let mut causes: Vec<Option<DropCause>> = vec![None; self.fed.num_clients()];
@@ -325,8 +313,8 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
         } else {
             ctx
         };
-        let metrics = self.fed.round(round, &ctx, &mut self.ledger, obs);
-        let billed = self.ledger.round_traffic(round).uplink;
+        let metrics = self.steps.commit(self.fed, &ctx, obs);
+        let billed = self.steps.ledger().round_traffic(round).uplink;
         let observed: usize = self.arrived.values().sum();
         if billed != observed {
             return Err(ServeError::LedgerMismatch {
@@ -337,20 +325,10 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
         }
         self.append_history(&metrics_line(&metrics))?;
         self.history.push(metrics);
-        for (client, bytes) in self
-            .ledger
-            .round_client_uplinks(round, self.fed.num_clients())
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, bytes)| bytes > 0)
-        {
-            self.last_uplink[client] = bytes;
-        }
-        self.round += 1;
         if self
             .cfg
             .snapshot_every
-            .is_some_and(|every| self.round.is_multiple_of(every))
+            .is_some_and(|every| self.round().is_multiple_of(every))
         {
             self.write_snapshot()?;
         }
@@ -377,14 +355,14 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
     }
 
     /// Streams a snapshot to a temp file and renames it into place, with
-    /// the ledger put back into the driver state first so the snapshot
+    /// the round loop parked in the driver state first so the snapshot
     /// captures it — a `kill -9` sees either the old snapshot or the new
     /// one, never a torn write.
     fn write_snapshot(&mut self) -> Result<(), ServeError> {
         let Some(path) = &self.cfg.snapshot_path else {
             return Ok(());
         };
-        *self.fed.driver_mut() = DriverState::from_parts(self.round, self.ledger.clone());
+        self.steps.park(self.fed);
         let tmp = path.with_extension("snap-tmp");
         let mut file = std::fs::File::create(&tmp)?;
         self.fed.snapshot_to(&mut file)?;
@@ -395,24 +373,25 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
 
     /// Returns the run report and puts the driver state (round counter +
     /// ledger) back into the federation.
-    fn finish(mut self) -> ServeReport {
+    fn finish(self) -> ServeReport {
+        let ledger = self.steps.ledger();
         let report = ServeReport {
-            rounds_driven: self.round,
-            history: std::mem::take(&mut self.history),
-            ledger_fnv: ledger_fingerprint(&self.ledger),
-            total_bytes: self.ledger.total_bytes(),
+            rounds_driven: self.steps.round(),
+            history: self.history,
+            ledger_fnv: ledger_fingerprint(ledger),
+            total_bytes: ledger.total_bytes(),
         };
-        let ledger = std::mem::take(&mut self.ledger);
-        *self.fed.driver_mut() = DriverState::from_parts(self.round, ledger);
+        self.steps.finish(self.fed);
         report
     }
 
     /// Appends the terminal `run_complete` history line.
     fn finish_history(&mut self) -> Result<(), ServeError> {
+        let ledger = self.steps.ledger();
         let line = run_complete_line(
-            self.round,
-            self.ledger.total_bytes(),
-            ledger_fingerprint(&self.ledger),
+            self.round(),
+            ledger.total_bytes(),
+            ledger_fingerprint(ledger),
         );
         self.append_history(&line)
     }
@@ -430,7 +409,7 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
                 invited: !self.done()
                     && self.expected.contains(&(client as usize))
                     && !self.arrived.contains_key(&(client as usize)),
-                round: self.round as u64,
+                round: self.round() as u64,
             }),
             Request::Upload {
                 round,
@@ -438,9 +417,9 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
                 codec,
                 payload,
             } => {
-                if self.done() || round != self.round as u64 {
+                if self.done() || round != self.round() as u64 {
                     return Ok(Response::Stale {
-                        round: self.round as u64,
+                        round: self.round() as u64,
                     });
                 }
                 let client = client as usize;
@@ -458,7 +437,7 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
                     Ok(message) => message,
                     Err((cause, reason)) => {
                         obs.record(&TelemetryEvent::FrameRejected {
-                            round: self.round,
+                            round: self.round(),
                             conn,
                             cause,
                         });
@@ -469,10 +448,10 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
                 };
                 if let Err(e) = self
                     .fed
-                    .stage_upload(self.round, client, message, payload.len())
+                    .stage_upload(self.round(), client, message, payload.len())
                 {
                     obs.record(&TelemetryEvent::FrameRejected {
-                        round: self.round,
+                        round: self.round(),
                         conn,
                         cause: FrameRejectCause::Inadmissible,
                     });
@@ -765,7 +744,7 @@ fn event_loop<F: RemoteFederation>(
                     *until = Instant::now() + engine.cfg.drain;
                 }
                 obs.record(&TelemetryEvent::ConnAccepted {
-                    round: engine.round,
+                    round: engine.round(),
                     conn,
                     transport: transport.to_string(),
                 });
@@ -777,7 +756,7 @@ fn event_loop<F: RemoteFederation>(
             }) => {
                 live_conns = live_conns.saturating_sub(1);
                 obs.record(&TelemetryEvent::ConnClosed {
-                    round: engine.round,
+                    round: engine.round(),
                     conn,
                     frames,
                     bytes,
@@ -785,14 +764,14 @@ fn event_loop<F: RemoteFederation>(
             }
             Ok(Event::BadFrame { conn, cause }) => {
                 obs.record(&TelemetryEvent::FrameRejected {
-                    round: engine.round,
+                    round: engine.round(),
                     conn,
                     cause,
                 });
             }
             Ok(Event::Shed) => {
                 obs.record(&TelemetryEvent::ServerOverloaded {
-                    round: engine.round,
+                    round: engine.round(),
                     inflight: active.load(Ordering::Relaxed),
                     limit: engine.cfg.max_conns,
                 });

@@ -1,12 +1,13 @@
-//! Order-preserving chunked thread dispatch.
+//! Order-preserving thread dispatch.
 //!
-//! This is the workspace's one parallelism idiom, shared by the per-client
-//! evaluation sweep in `fedpkd-core::cow` ([`dispatch_chunked`]) and the
-//! row-parallel matmul path in [`crate::kernels`]: split the work into contiguous chunks, run one
-//! scoped thread per chunk capped at the machine's available parallelism,
-//! and reassemble results in input order. Items (or output rows) never
-//! share mutable state, so the result is bit-identical to the sequential
-//! loop regardless of core count or scheduling.
+//! Two idioms, both on scoped threads. Tasks — a client's training, a
+//! client's evaluation — go through the one work-stealing dispatcher
+//! ([`dispatch_stealing`], or [`dispatch_stealing_scheduled`] with an
+//! execution plan), which commits results on the caller's thread in item
+//! order. Row-independent kernels split their output buffer into
+//! contiguous row chunks ([`for_each_row_chunk`]). Items (or output rows)
+//! never share mutable state, so the result is bit-identical to the
+//! sequential loop regardless of core count or scheduling.
 
 /// Per-thread reusable scratch buffers for transient `f32` workspaces.
 ///
@@ -70,35 +71,6 @@ pub fn max_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `f` over `items` on at most [`max_workers`] worker threads —
-/// contiguous chunks, one thread per chunk — and concatenates the
-/// per-chunk results, preserving item order.
-///
-/// Each item is processed exactly once and the output order is independent
-/// of scheduling, so results are bit-identical to a sequential map as long
-/// as items don't share mutable state.
-pub fn dispatch_chunked<I: Send, T: Send>(items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let workers = max_workers().min(items.len());
-    let chunk_size = items.len().div_ceil(workers);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        let mut remaining = items;
-        while !remaining.is_empty() {
-            let rest = remaining.split_off(chunk_size.min(remaining.len()));
-            let chunk = std::mem::replace(&mut remaining, rest);
-            handles.push(scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<T>>()));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    })
-}
-
 /// Load-balance counters reported by [`dispatch_stealing`].
 ///
 /// `peak_pending` is the scheduler's memory bound: the caller's commit
@@ -119,9 +91,8 @@ pub struct StealStats {
 /// work stealing, committing results on the *caller's* thread in ascending
 /// item order.
 ///
-/// This is the event-driven generalization of [`dispatch_chunked`]: each
-/// worker is seeded with a contiguous chunk of items and pops from its own
-/// deque front; a worker that runs dry steals from the back of another
+/// Each worker is seeded with a contiguous chunk of items and pops from its
+/// own deque front; a worker that runs dry steals from the back of another
 /// worker's deque, so stragglers cannot idle the pool. Results stream back
 /// to the caller as they complete and are handed to `commit(index, result)`
 /// strictly in item order via a reorder buffer — so any fold performed in
@@ -288,14 +259,6 @@ pub fn for_each_row_chunk(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dispatch_chunked_preserves_order_past_the_thread_cap() {
-        let items: Vec<usize> = (0..100).collect();
-        let expected: Vec<usize> = items.iter().map(|i| i * 2).collect();
-        assert_eq!(dispatch_chunked(items, |i| i * 2), expected);
-        assert!(dispatch_chunked(Vec::new(), |i: usize| i).is_empty());
-    }
 
     #[test]
     fn stealing_commits_in_canonical_order_for_any_worker_count() {

@@ -44,3 +44,5 @@ cargo run --release -q --example byzantine > /dev/null
 # benchmark silently. Builds it and runs every workload (timed and traced,
 # ~5 s after the build) through every in-run correctness gate.
 bash benchmark/run.sh all --smoke > /dev/null
+# The size every CHANGES.md entry quotes, measured one way.
+bash scripts/loc.sh

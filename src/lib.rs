@@ -79,7 +79,7 @@ pub mod prelude {
     pub use fedpkd_core::fleet::FleetSim;
     pub use fedpkd_core::robust::RobustAggregation;
     pub use fedpkd_core::runtime::{Federation, RoundMetrics, RunResult};
-    pub use fedpkd_core::snapshot::{AlgorithmState, SnapshotError};
+    pub use fedpkd_core::snapshot::SnapshotError;
     pub use fedpkd_core::telemetry::{
         EventLog, FrameRejectCause, JsonlSink, NullObserver, RoundObserver, TelemetryError,
         TelemetryEvent,

@@ -17,9 +17,7 @@
 
 use fedpkd::core::clients::ClientState;
 use fedpkd::core::cow::ClientPool;
-use fedpkd::core::snapshot::{
-    self, AlgorithmState, SnapshotError, SnapshotReader, SnapshotWriter, StateSink,
-};
+use fedpkd::core::snapshot::{self, SnapshotError, SnapshotStreamWriter, StateSink};
 use fedpkd::core::train::train_supervised;
 use fedpkd::prelude::*;
 use fedpkd::tensor::nn::Layer;
@@ -104,6 +102,30 @@ fn driver(rounds: usize, plan: Option<&FaultPlan>) -> Driver {
     builder.build()
 }
 
+/// `algo`'s snapshot, held in memory.
+fn snapshot_of<A: Federation>(algo: &A) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    algo.snapshot_to(&mut bytes).expect("stream out");
+    bytes
+}
+
+/// The bare payload inside `algo`'s snapshot.
+fn payload_of<A: Federation>(algo: &A) -> Vec<u8> {
+    let mut payload = Vec::new();
+    algo.write_state(&mut payload);
+    payload
+}
+
+/// A crafted `payload` framed as a well-formed snapshot of `name`, so that
+/// the envelope decodes and the payload readers must catch the damage.
+fn stream_of(name: &str, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut w = SnapshotStreamWriter::new(&mut bytes, name);
+    w.put_raw(payload);
+    w.finish().expect("a Vec sink cannot fail");
+    bytes
+}
+
 /// The oracle: straight `2R`-round run vs. `R` rounds + snapshot (through
 /// the byte codec) + fresh instance + `R` resumed rounds.
 fn assert_resumes_bit_identically<A: Federation>(make: impl Fn() -> A, plan: Option<&FaultPlan>) {
@@ -113,9 +135,7 @@ fn assert_resumes_bit_identically<A: Federation>(make: impl Fn() -> A, plan: Opt
     let mut interrupted_log = EventLog::new();
     let mut first_half = make();
     let _ = driver(R, plan).run(&mut first_half, &mut interrupted_log);
-    let state = Driver::snapshot(&first_half, &mut interrupted_log);
-    let mut bytes = Vec::new();
-    first_half.snapshot_to(&mut bytes).expect("stream out");
+    let bytes = Driver::snapshot(&first_half, &mut interrupted_log);
     drop(first_half); // the "kill" — only the serialized bytes survive
 
     let mut resumed_log = EventLog::new();
@@ -124,9 +144,9 @@ fn assert_resumes_bit_identically<A: Federation>(make: impl Fn() -> A, plan: Opt
         .restore_from(&mut bytes.as_slice())
         .expect("restore into a same-config instance succeeds");
     assert_eq!(
-        resumed_algo.snapshot(),
-        state,
-        "the bytes carry exactly the in-memory snapshot"
+        snapshot_of(&resumed_algo),
+        bytes,
+        "a restored instance writes the bytes it was restored from"
     );
     let resumed = driver(R, plan).run(&mut resumed_algo, &mut resumed_log);
 
@@ -290,6 +310,38 @@ fn fedet_resumes_bit_identically_under_hostile_faults() {
     );
 }
 
+#[test]
+fn snapshot_telemetry_reports_the_length_of_the_stream() {
+    // `SnapshotTaken.bytes` / `SnapshotRestored.bytes` are the size of the
+    // byte stream this build writes and reads — what a checkpoint file of
+    // the same state weighs — not of some other encoding of it.
+    fn check<A: Federation>(make: impl Fn() -> A) {
+        let mut algo = make();
+        let _ = Driver::rounds(1).run_silent(&mut algo);
+        let written = snapshot_of(&algo).len();
+        let mut log = EventLog::new();
+        let bytes = Driver::snapshot(&algo, &mut log);
+        let _ = Driver::rounds(1)
+            .resume(&mut make(), &bytes, &mut log)
+            .expect("restore succeeds");
+        assert_eq!(
+            log.events()[..2],
+            [
+                TelemetryEvent::SnapshotTaken {
+                    round: 1,
+                    bytes: written
+                },
+                TelemetryEvent::SnapshotRestored {
+                    round: 1,
+                    bytes: written
+                },
+            ]
+        );
+    }
+    check(fedpkd);
+    check(|| FedAvg::new(scenario(), client_spec(), baseline_config(), 29).unwrap());
+}
+
 // ---- Streaming envelope: snapshot_to / restore_from. -------------------
 
 #[test]
@@ -304,10 +356,9 @@ fn streaming_snapshot_round_trips_bit_identically() {
     revived
         .restore_from(&mut streamed.as_slice())
         .expect("stream back");
-    // The revived instance must be bit-identical: its buffered snapshot
-    // matches the donor's.
-    assert_eq!(revived.snapshot(), algo.snapshot());
-    // And both entry points must agree on the payload they carry on.
+    // The revived instance must be bit-identical: it writes the bytes it
+    // was restored from, and carries on as the donor does.
+    assert_eq!(snapshot_of(&revived), streamed);
     let full = Driver::rounds(1).run_silent(&mut algo);
     let resumed = Driver::rounds(1).run_silent(&mut revived);
     assert_eq!(resumed.history, full.history);
@@ -319,10 +370,9 @@ fn v1_snapshot_bytes_are_an_unsupported_version() {
     let _ = Driver::rounds(1).run_silent(&mut algo);
     // The buffered envelope this codebase once wrote: magic, version 1,
     // name, one length-prefixed payload (the checksum is never reached).
-    let state = algo.snapshot();
     let mut v1_bytes = b"FPKD".to_vec();
     v1_bytes.extend_from_slice(&1u32.to_le_bytes());
-    for field in [state.algorithm().as_bytes(), state.payload()] {
+    for field in [b"FedPKD".as_slice(), &payload_of(&algo)] {
         v1_bytes.extend_from_slice(&(field.len() as u64).to_le_bytes());
         v1_bytes.extend_from_slice(field);
     }
@@ -426,13 +476,12 @@ fn bit_flips_in_a_real_snapshot_are_detected() {
 fn corrupt_payload_restores_as_typed_error_not_panic() {
     let mut algo = fedpkd();
     let _ = Driver::rounds(1).run_silent(&mut algo);
-    let good = algo.snapshot();
+    let good = payload_of(&algo);
     // Truncate the *payload* (then re-frame it correctly), so the envelope
     // decodes fine and the per-field readers must catch the damage.
-    let cut = good.payload().len() / 2;
-    let clipped = AlgorithmState::new(good.algorithm(), good.payload()[..cut].to_vec());
+    let clipped = stream_of("FedPKD", &good[..good.len() / 2]);
     let mut victim = fedpkd();
-    let err = victim.restore(&clipped).unwrap_err();
+    let err = victim.restore_from(&mut clipped.as_slice()).unwrap_err();
     assert!(
         matches!(err, SnapshotError::Truncated | SnapshotError::Malformed(_)),
         "got {err:?}"
@@ -443,15 +492,17 @@ fn corrupt_payload_restores_as_typed_error_not_panic() {
 fn foreign_snapshot_is_rejected_by_name() {
     let mut donor = FedAvg::new(scenario(), client_spec(), baseline_config(), 61).unwrap();
     let _ = Driver::rounds(1).run_silent(&mut donor);
-    let state = donor.snapshot();
+    // Through the driver: the mismatch surfaces and nothing runs.
     let mut victim = fedpkd();
-    match victim.restore(&state) {
+    let mut log = EventLog::new();
+    match Driver::rounds(1).resume(&mut victim, &snapshot_of(&donor), &mut log) {
         Err(SnapshotError::AlgorithmMismatch { expected, found }) => {
             assert_eq!(expected, "FedPKD");
             assert_eq!(found, "FedAvg");
         }
         other => panic!("expected AlgorithmMismatch, got {other:?}"),
     }
+    assert!(log.events().is_empty());
 }
 
 // ---- Version sniff (PR 10): feature-mode state is presence-tagged. -----
@@ -541,7 +592,7 @@ fn truncations_of_a_new_mode_snapshot_are_typed_errors() {
 fn wrong_fleet_size_is_rejected_as_malformed() {
     let mut donor = fedpkd();
     let _ = Driver::rounds(1).run_silent(&mut donor);
-    let state = donor.snapshot();
+    let bytes = snapshot_of(&donor);
     // Same algorithm, different client count.
     let small = ScenarioBuilder::new(SyntheticConfig::cifar10_like())
         .clients(2)
@@ -560,7 +611,7 @@ fn wrong_fleet_size_is_rejected_as_malformed() {
     };
     let mut victim = FedPkd::new(small, vec![client_spec(); 2], server_spec(), config, 23).unwrap();
     assert!(matches!(
-        victim.restore(&state),
+        victim.restore_from(&mut bytes.as_slice()),
         Err(SnapshotError::Malformed(_))
     ));
 }
@@ -599,12 +650,12 @@ fn trained_client(tier: DepthTier) -> ClientState {
 
 /// A fleet payload in `write_pool`'s layout: the count, then each client.
 fn fleet_bytes(clients: &[ClientState]) -> Vec<u8> {
-    let mut w = SnapshotWriter::new();
-    w.put_usize(clients.len());
+    let mut bytes = Vec::new();
+    bytes.put_usize(clients.len());
     for client in clients {
-        snapshot::write_client(&mut w, client);
+        snapshot::write_client(&mut bytes, client);
     }
-    w.into_bytes()
+    bytes
 }
 
 #[test]
@@ -612,9 +663,7 @@ fn another_tiers_optimizer_state_is_malformed_for_an_owned_client() {
     let mut chimera = trained_client(DepthTier::T11);
     chimera.optimizer = trained_client(DepthTier::T20).optimizer;
     let mut pool = ClientPool::new(&[tier_spec(DepthTier::T11)], 0.003, 5);
-    let read = |bytes: &[u8], pool: &mut ClientPool| {
-        snapshot::read_pool(&mut SnapshotReader::new(bytes), pool)
-    };
+    let read = |mut bytes: &[u8], pool: &mut ClientPool| snapshot::read_pool(&mut bytes, pool);
     assert!(matches!(
         read(&fleet_bytes(&[chimera]), &mut pool),
         Err(SnapshotError::Malformed(_))
@@ -633,28 +682,27 @@ fn another_tiers_optimizer_state_is_malformed_for_a_pooled_fleet() {
     let mut fleet: Vec<_> = (0..3).map(|i| pool.materialize(i)).collect();
     fleet[1].optimizer = trained_client(DepthTier::T20).optimizer;
     let bytes = fleet_bytes(&fleet);
-    let state = AlgorithmState::new("FedPKD", bytes.clone());
     assert!(matches!(
-        fedpkd().restore(&state),
+        fedpkd().restore_from(&mut stream_of("FedPKD", &bytes).as_slice()),
         Err(SnapshotError::Malformed(_))
     ));
     let mut fedmd = FedMd::new(scenario(), vec![client_spec(); 3], baseline_config(), 23).unwrap();
     assert!(matches!(
-        fedmd.restore(&AlgorithmState::new("FedMD", bytes)),
+        fedmd.restore_from(&mut stream_of("FedMD", &bytes).as_slice()),
         Err(SnapshotError::Malformed(_))
     ));
 }
 
 // ---- Restored prototypes pass the gate live uploads pass. --------------
 
-/// Forwards to a [`SnapshotWriter`], except that the first counted
+/// Forwards to a payload buffer, except that the first counted
 /// prototype vector it sees — `true, count, rank 1, dim, values`, the
 /// entry layout of the stale-prototype cache; a global prototype has no
 /// count — loses its last coordinate, in shape and data alike, so the
 /// tensor itself still decodes.
 #[derive(Default)]
 struct ShortenOnePrototype {
-    out: SnapshotWriter,
+    out: Vec<u8>,
     /// `put_usize` calls since the last other call, held back so the
     /// dimension can still be rewritten when the values arrive.
     held: Vec<usize>,
@@ -671,7 +719,7 @@ impl ShortenOnePrototype {
 
     fn into_bytes(mut self) -> Vec<u8> {
         self.flush();
-        self.out.into_bytes()
+        self.out
     }
 }
 
@@ -718,14 +766,14 @@ fn a_cached_prototype_of_the_wrong_width_is_malformed() {
         ..Default::default()
     };
     algo.write_state(&mut faithful);
-    assert_eq!(faithful.into_bytes(), algo.snapshot().payload());
+    assert_eq!(faithful.into_bytes(), payload_of(&algo));
     // ...and one short vector in the cache fails the restore: it would
     // otherwise enter Eq. 8 without meeting admission.
     let mut sink = ShortenOnePrototype::default();
     algo.write_state(&mut sink);
     assert!(sink.shortened, "round 0 cached somebody's prototypes");
-    let crafted = AlgorithmState::new("FedPKD", sink.into_bytes());
-    let err = fedpkd().restore(&crafted).unwrap_err();
+    let crafted = stream_of("FedPKD", &sink.into_bytes());
+    let err = fedpkd().restore_from(&mut crafted.as_slice()).unwrap_err();
     assert!(matches!(err, SnapshotError::Malformed(_)), "got {err:?}");
 }
 
@@ -735,18 +783,18 @@ fn miscounted_moments_and_wrapping_step_counts_are_malformed() {
     let (m, v) = client.optimizer.moments();
     // `write_adam`'s layout, with the fields under test substituted.
     let adam_bytes = |t: u64, m: &[Tensor], v: &[Tensor]| {
-        let mut w = SnapshotWriter::new();
-        w.put_f32(0.003);
-        w.put_u64(t);
-        w.put_usize(m.len());
+        let mut bytes = Vec::new();
+        bytes.put_f32(0.003);
+        bytes.put_u64(t);
+        bytes.put_usize(m.len());
         for tensor in m.iter().chain(v) {
-            snapshot::write_tensor(&mut w, tensor);
+            snapshot::write_tensor(&mut bytes, tensor);
         }
-        w.into_bytes()
+        bytes
     };
-    let read = |bytes: &[u8]| {
+    let read = |mut bytes: &[u8]| {
         let mut opt = Adam::new(0.5);
-        snapshot::read_adam(&mut SnapshotReader::new(bytes), &mut opt, &client.model)
+        snapshot::read_adam(&mut bytes, &mut opt, &client.model)
     };
     let t = client.optimizer.step_count();
     read(&adam_bytes(t, m, v)).unwrap();

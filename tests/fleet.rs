@@ -232,7 +232,7 @@ fn assert_gate_matrix<A: Federation>(name: &str, make: impl Fn() -> A) {
         };
         let mut algo = make();
         let result = builder.build().run_silent(&mut algo);
-        (result, algo.snapshot())
+        (result, Driver::snapshot(&algo, &mut NullObserver))
     };
     let (reference_label, tier, plan, workers) = GATE[0];
     let reference = run(tier, plan, workers);
@@ -307,7 +307,7 @@ fn fedpkd_inline_server_step_at_budget_1_matches_step_worker_at_budgets_2_and_8(
             .workers(workers)
             .build()
             .run_silent(&mut algo);
-        (result, algo.snapshot())
+        (result, Driver::snapshot(&algo, &mut NullObserver))
     };
     let inline = run(1);
     for workers in [2, 8] {

@@ -1,0 +1,243 @@
+//! Fuzzing *past* the checksum: hostile snapshot payloads under a valid
+//! envelope.
+//!
+//! The bit-flip and truncation tests of `tests/checkpoint.rs` never reach
+//! the payload decoders — the trailer catches the damage first. Here a
+//! seeded mutator corrupts the payload of a real snapshot field by field
+//! (a recording [`StateSink`] learns where every scalar sits: lengths,
+//! counts, tags, flags, step counts, learning rates) and frames the result
+//! as a well-formed stream again, so `restore_from` gets all the way into
+//! `read_state`. Whatever the payload says, a restore must end in `Ok` or
+//! a typed [`SnapshotError`] — reaching the end of the loop *is* the
+//! assertion that nothing panicked — and must not size an allocation from
+//! a length field: the largest single request stays within twice the
+//! stream's own length (a `Vec` that grows as bytes arrive doubles).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use fedpkd::core::snapshot::{SnapshotStreamWriter, StateSink};
+use fedpkd::prelude::*;
+
+thread_local! {
+    /// The largest single allocation this thread has requested since the
+    /// last reset. Per thread, so tests running beside this one on the
+    /// harness's other threads do not show up.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The system allocator, noting the size of every request (`realloc` and
+/// `alloc_zeroed` default to `alloc`).
+struct Noting;
+
+// SAFETY: both methods forward their arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the note touches a `Cell<usize>` with
+// no destructor and never allocates.
+unsafe impl GlobalAlloc for Noting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: a thread may allocate while its locals are torn down.
+        let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(layout.size())));
+        // SAFETY: the caller's `layout`, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's block and layout, passed through.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Noting = Noting;
+
+/// A payload sink that remembers where every scalar field landed, as
+/// `(offset, width)`. Bulk data (`put_raw`: tensor values, string bytes)
+/// is kept but not recorded.
+#[derive(Default)]
+struct FieldMap {
+    payload: Vec<u8>,
+    scalars: Vec<(usize, usize)>,
+}
+
+impl FieldMap {
+    fn scalar(&mut self, bytes: &[u8]) {
+        self.scalars.push((self.payload.len(), bytes.len()));
+        self.payload.extend_from_slice(bytes);
+    }
+}
+
+impl StateSink for FieldMap {
+    fn put_raw(&mut self, bytes: &[u8]) {
+        self.payload.extend_from_slice(bytes);
+    }
+    fn put_u8(&mut self, v: u8) {
+        self.scalar(&[v]);
+    }
+    fn put_u32(&mut self, v: u32) {
+        self.scalar(&v.to_le_bytes());
+    }
+    fn put_u64(&mut self, v: u64) {
+        self.scalar(&v.to_le_bytes());
+    }
+    fn put_f32(&mut self, v: f32) {
+        self.scalar(&v.to_le_bytes());
+    }
+    fn put_f64(&mut self, v: f64) {
+        self.scalar(&v.to_le_bytes());
+    }
+}
+
+fn stream_of(name: &str, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut w = SnapshotStreamWriter::new(&mut bytes, name);
+    w.put_raw(payload);
+    w.finish().expect("a Vec sink cannot fail");
+    bytes
+}
+
+/// One hostile value for a field that held `original`: the edges of every
+/// width, the lengths an allocation must not be sized from, the bit
+/// patterns of NaN, infinity and -1 as `f32`, a near miss, or noise.
+fn hostile(original: u64, rng: &mut Rng) -> u64 {
+    const EDGES: [u64; 15] = [
+        0,
+        1,
+        2,
+        0xFF,
+        1 << 16,
+        1 << 20,
+        1 << 28,
+        1 << 32,
+        1 << 40,
+        i32::MAX as u64,
+        u64::MAX >> 1,
+        u64::MAX,
+        0x7FC0_0000,
+        0x7F80_0000,
+        0xBF80_0000,
+    ];
+    match rng.next_u64() % 18 {
+        15 => original.wrapping_add(1),
+        16 => original.wrapping_sub(1),
+        17 => rng.next_u64(),
+        edge => EDGES[edge as usize],
+    }
+}
+
+fn scenario() -> fedpkd::data::FederatedScenario {
+    ScenarioBuilder::new(SyntheticConfig::cifar10_like())
+        .clients(3)
+        .partition(Partition::Dirichlet { alpha: 0.5 })
+        .samples(240)
+        .public_size(80)
+        .global_test_size(80)
+        .seed(19)
+        .build()
+        .expect("valid scenario")
+}
+
+fn spec(tier: DepthTier) -> ModelSpec {
+    ModelSpec::ResMlp {
+        input_dim: 32,
+        num_classes: 10,
+        tier,
+    }
+}
+
+const MUTATIONS: usize = 2_000;
+
+/// Drives `make()` for two rounds under faults and an adversary (so the
+/// caches, the quarantine tracker and a multi-round ledger are all in the
+/// payload), then restores `MUTATIONS` corrupted copies of its snapshot.
+fn fuzz_restores<A: Federation>(seed: u64, make: impl Fn() -> A) {
+    let mut donor = make();
+    let plan = FaultPlan::new(41)
+        .with_dropout(0.3)
+        .with_adversary(2, Attack::PrototypeNoise(0.4));
+    let _ = DriverBuilder::new()
+        .rounds(2)
+        .faults(plan)
+        .build()
+        .run_silent(&mut donor);
+    let mut map = FieldMap::default();
+    donor.write_state(&mut map);
+    let name = donor.name();
+    let pristine = stream_of(name, &map.payload);
+    make()
+        .restore_from(&mut pristine.as_slice())
+        .expect("the field map forwards the payload faithfully");
+
+    let mut rng = Rng::seed_from_u64(seed);
+    let (mut restored, mut rejected) = (0usize, 0usize);
+    for case in 0..MUTATIONS {
+        let mut payload = map.payload.clone();
+        if case % 4 == 3 {
+            // Bulk data: one flipped bit anywhere.
+            let at = (rng.next_u64() % payload.len() as u64) as usize;
+            payload[at] ^= 1 << (rng.next_u64() % 8);
+        } else {
+            let (at, width) = map.scalars[(rng.next_u64() % map.scalars.len() as u64) as usize];
+            let mut original = [0u8; 8];
+            original[..width].copy_from_slice(&payload[at..at + width]);
+            let value = hostile(u64::from_le_bytes(original), &mut rng);
+            payload[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+        }
+        let stream = stream_of(name, &payload);
+        let mut victim = make();
+        LARGEST.with(|largest| largest.set(0));
+        let outcome = victim.restore_from(&mut stream.as_slice());
+        let largest = LARGEST.with(Cell::get);
+        assert!(
+            largest <= 2 * stream.len(),
+            "case {case}: one allocation of {largest} bytes restoring a {}-byte stream ({outcome:?})",
+            stream.len()
+        );
+        match outcome {
+            Ok(()) => restored += 1,
+            Err(_) => rejected += 1,
+        }
+    }
+    // Both outcomes occur: a changed weight or ledger record restores, a
+    // changed count or tag does not. All of one kind would mean the
+    // mutator is not reaching the fields.
+    assert!(
+        restored > 0 && rejected >= MUTATIONS / 10,
+        "{restored} Ok, {rejected} Err"
+    );
+}
+
+#[test]
+fn corrupted_fedpkd_payloads_restore_or_fail_typed() {
+    fuzz_restores(0xF3D9, || {
+        let config = FedPkdConfig {
+            client_private_epochs: 1,
+            client_public_epochs: 1,
+            server_epochs: 1,
+            learning_rate: 0.003,
+            adaptive_margins: true,
+            ..FedPkdConfig::default()
+        };
+        FedPkd::new(
+            scenario(),
+            vec![spec(DepthTier::T11); 3],
+            spec(DepthTier::T20),
+            config,
+            23,
+        )
+        .expect("valid federation")
+    });
+}
+
+#[test]
+fn corrupted_fedavg_payloads_restore_or_fail_typed() {
+    fuzz_restores(0xA7C1, || {
+        let config = BaselineConfig {
+            local_epochs: 1,
+            digest_epochs: 1,
+            server_epochs: 1,
+            learning_rate: 0.003,
+            ..BaselineConfig::default()
+        };
+        FedAvg::new(scenario(), spec(DepthTier::T11), config, 29).expect("valid federation")
+    });
+}
