@@ -6,9 +6,11 @@
 //! orthogonal knobs on one [`DriverBuilder`], and
 //! [`Driver::run`]/[`Driver::resume`] are the only verbs. The round loop
 //! itself — the ledger taken out of the algorithm's [`DriverState`], each
-//! client's last uplink size, the round counter — is [`RoundLoop`], which
-//! `Driver::run` and the `fedpkd-serve` engine both step, so a served
-//! round and a simulated one are the same code.
+//! client's last uplink size (one fold over the ledger's transfers, so a
+//! run resumed or continued at any round reads what an uninterrupted one
+//! does), the round counter — is [`RoundLoop`], which `Driver::run` and
+//! the `fedpkd-serve` engine both step, so a served round and a simulated
+//! one are the same code.
 //!
 //! # The event-driven round loop
 //!
@@ -35,7 +37,7 @@
 //! completion interleaving.
 
 use fedpkd_netsim::{
-    sample_cohort, Cohort, CohortPolicy, CommLedger, DropCause, FaultPlan, RoundContext,
+    sample_cohort, Cohort, CohortPolicy, CommLedger, Direction, DropCause, FaultPlan, RoundContext,
 };
 
 use crate::runtime::{DriverState, Federation, RoundMetrics, RunResult};
@@ -190,48 +192,60 @@ impl DriverBuilder {
 /// the `fedpkd-serve` engine both own while rounds are being driven.
 ///
 /// [`begin`](Self::begin) takes the lifetime ledger out of the algorithm's
-/// [`DriverState`] and seeds each client's last observed uplink size from
-/// the previous round; [`context`](Self::context) and
-/// [`commit`](Self::commit) run one round; [`park`](Self::park) copies the
-/// round counter and ledger back so that a snapshot captures them, and
+/// [`DriverState`] and folds every uplink it holds into each client's last
+/// observed uplink size; [`context`](Self::context) and
+/// [`commit`](Self::commit) run one round, `commit` folding in the
+/// transfers the round added; [`park`](Self::park) copies the round
+/// counter and ledger back so that a snapshot captures them, and
 /// [`finish`](Self::finish) moves them back for good.
 #[derive(Debug)]
 pub struct RoundLoop<'a> {
     config: &'a DriverBuilder,
     round: usize,
     ledger: CommLedger,
-    /// Each client's most recent observed uplink bytes, feeding the
-    /// straggler-deadline estimate.
+    /// Each client's uplink bytes in the latest round it sent any, feeding
+    /// the straggler-deadline estimate, and which round that was.
     last_uplink: Vec<usize>,
+    uplink_round: Vec<usize>,
 }
 
 impl<'a> RoundLoop<'a> {
     /// Starts (or, after a restore or an earlier run, continues) `algo`'s
     /// round loop under `config`.
     pub fn begin<F: Federation>(config: &'a DriverBuilder, algo: &mut F) -> Self {
-        let round = algo.driver().rounds_driven;
         let mut steps = Self {
             config,
-            round,
+            round: algo.driver().rounds_driven,
             ledger: std::mem::take(&mut algo.driver_mut().ledger),
             last_uplink: vec![0; algo.num_clients()],
+            uplink_round: vec![usize::MAX; algo.num_clients()],
         };
-        if let Some(previous) = round.checked_sub(1) {
-            steps.observe_uplinks(previous);
-        }
+        steps.observe_uplinks(0);
         steps
     }
 
-    /// Folds the uplinks the ledger holds for `round` into the per-client
-    /// sizes the next context reads; a client that sent nothing keeps its
-    /// last size.
-    fn observe_uplinks(&mut self, round: usize) {
-        let uplinks = self
-            .ledger
-            .round_client_uplinks(round, self.last_uplink.len());
-        for (slot, bytes) in self.last_uplink.iter_mut().zip(uplinks) {
-            if bytes > 0 {
-                *slot = bytes;
+    /// Folds the ledger's transfers from index `from` on into
+    /// `last_uplink`: a client's uplinks of one round add up, a later
+    /// round's replace them, and a client that sent nothing keeps its
+    /// last size. The whole ledger at [`begin`](Self::begin) and one
+    /// round's transfers at each [`commit`](Self::commit) are the same
+    /// fold, so a continued or resumed loop reads the sizes an
+    /// uninterrupted one does.
+    fn observe_uplinks(&mut self, from: usize) {
+        for t in self.ledger.transfers().skip(from) {
+            if t.direction != Direction::Uplink || t.bytes == 0 {
+                continue;
+            }
+            // A record naming a client outside the fleet (a hostile
+            // snapshot's) feeds no estimate.
+            let Some(bytes) = self.last_uplink.get_mut(t.client) else {
+                continue;
+            };
+            if self.uplink_round[t.client] == t.round {
+                *bytes += t.bytes;
+            } else {
+                *bytes = t.bytes;
+                self.uplink_round[t.client] = t.round;
             }
         }
     }
@@ -262,8 +276,9 @@ impl<'a> RoundLoop<'a> {
         ctx: &RoundContext,
         obs: &mut dyn RoundObserver,
     ) -> RoundMetrics {
+        let recorded = self.ledger.num_transfers();
         let metrics = algo.round(self.round, ctx, &mut self.ledger, obs);
-        self.observe_uplinks(self.round);
+        self.observe_uplinks(recorded);
         self.round += 1;
         metrics
     }

@@ -1,23 +1,15 @@
 //! Variance-weighted logit aggregation (Eqs. 6–7) and its Byzantine-robust
 //! trimmed variant.
 
-use crate::robust::{
-    trim_count, trimmed_mean, trimmed_mean_lanes, AggregationError, MAX_LANE_COHORT, TRIM_LANES,
-};
+use crate::robust::{trim_count, trimmed_mean, AggregationError};
 use fedpkd_tensor::ops::{row_variance, softmax};
-use fedpkd_tensor::{kernel_mode, parallel, KernelMode, Tensor};
+use fedpkd_tensor::Tensor;
 
 /// Total-variance floor below which Eq. 7 weighting falls back to the plain
 /// mean: variances this small are dominated by float rounding (and a
 /// non-finite total means a non-finite payload slipped in), so dividing by
 /// them would amplify noise rather than confidence.
 pub const MIN_TOTAL_VARIANCE: f32 = 1e-12;
-
-/// Minimum samples per chunk before the trimmed aggregation fans out
-/// across rows; each sample costs `classes` trimmed means, so the
-/// per-row work is heavy and the threshold can sit well below the
-/// softmax one. Samples are independent — the split is bit-identical.
-const PAR_MIN_TRIM_ROWS: usize = 64;
 
 fn check_alignment(client_logits: &[Tensor]) -> Result<&Tensor, AggregationError> {
     let first = client_logits.first().ok_or(AggregationError::Empty)?;
@@ -123,92 +115,13 @@ pub fn aggregate_logits_trimmed(
     aggregate_logits_trimmed_from_probs(&client_probs(client_logits), trim_fraction)
 }
 
-/// One output row of the trimmed aggregation: per class, gather the
-/// clients' probabilities for sample `i` into `column`, trim-average, then
-/// renormalize the row. Trimming each coordinate independently breaks the
-/// sum-to-one invariant; renormalizing keeps downstream KD losses on a
-/// distribution (an all-zero row falls back to uniform).
-fn trimmed_row(
-    row: &mut [f32],
-    i: usize,
-    probs: &[Tensor],
-    column: &mut [f32],
-    trim_fraction: f32,
-) {
-    for (j, o) in row.iter_mut().enumerate() {
-        for (slot, p) in column.iter_mut().zip(probs) {
-            *slot = p.row(i)[j];
-        }
-        *o = trimmed_mean(column, trim_fraction);
-    }
-    renormalize_row(row);
-}
-
-/// The renormalization half of [`trimmed_row`], shared with the
-/// lane-batched fast tier (same operations, same bits).
-fn renormalize_row(row: &mut [f32]) {
-    let k = row.len();
-    let sum: f32 = row.iter().sum();
-    if sum > 0.0 {
-        for o in row.iter_mut() {
-            *o /= sum;
-        }
-    } else {
-        for o in row.iter_mut() {
-            *o = 1.0 / k as f32;
-        }
-    }
-}
-
-/// The lane-batched fast tier for one row chunk: fill the chunk's
-/// `(sample, class)` coordinates [`TRIM_LANES`] at a time through the
-/// vectorized [`trimmed_mean_lanes`] network, finish the tail with the
-/// per-column [`trimmed_mean`] (bit-identical by the lanes contract),
-/// then renormalize each completed row. The probability tensors are
-/// row-major `[n, k]`, so a lane batch reads `TRIM_LANES` *contiguous*
-/// floats from every client — the gather is a straight memcpy-like sweep
-/// instead of a strided walk.
-fn trimmed_chunk_lanes(
-    chunk: &mut [f32],
-    row0: usize,
-    classes: usize,
-    probs: &[Tensor],
-    trim_fraction: f32,
-) {
-    let base = row0 * classes;
-    let mut columns = vec![[0.0f32; TRIM_LANES]; probs.len()];
-    let mut flat = 0;
-    while flat + TRIM_LANES <= chunk.len() {
-        for (col, p) in columns.iter_mut().zip(probs) {
-            col.copy_from_slice(&p.as_slice()[base + flat..base + flat + TRIM_LANES]);
-        }
-        let means = trimmed_mean_lanes(&columns, trim_fraction);
-        chunk[flat..flat + TRIM_LANES].copy_from_slice(&means);
-        flat += TRIM_LANES;
-    }
-    let mut column = vec![0.0f32; probs.len()];
-    while flat < chunk.len() {
-        for (slot, p) in column.iter_mut().zip(probs) {
-            *slot = p.as_slice()[base + flat];
-        }
-        chunk[flat] = trimmed_mean(&mut column, trim_fraction);
-        flat += 1;
-    }
-    for row in chunk.chunks_mut(classes) {
-        renormalize_row(row);
-    }
-}
-
-/// [`aggregate_logits_trimmed`] over pre-computed [`client_probs`].
-///
-/// Samples are mutually independent, so the fast tier fans the rows out
-/// across the worker pool (each worker with its own gather scratch) —
-/// bit-identical to the sequential sweep at any worker count. Within a
-/// chunk, cohorts of up to [`MAX_LANE_COHORT`] clients run through the
-/// lane-batched [`trimmed_mean_lanes`] sorting network ([`TRIM_LANES`]
-/// coordinates per pass); wider cohorts fall back to the per-column
-/// [`trimmed_mean`], whose own tier dispatch partitions instead of fully
-/// sorting.
+/// [`aggregate_logits_trimmed`] over pre-computed [`client_probs`]: one
+/// sequential sweep over the samples. Per class, the clients'
+/// probabilities for the sample are gathered into one column and
+/// trim-averaged; trimming each coordinate independently breaks the
+/// sum-to-one invariant, so the row is then renormalized to keep
+/// downstream KD losses on a distribution (an all-zero row falls back to
+/// uniform).
 ///
 /// # Errors
 ///
@@ -221,22 +134,24 @@ pub fn aggregate_logits_trimmed_from_probs(
     let first = check_alignment(probs)?;
     let (n, k) = (first.rows(), first.cols());
     let mut out = Tensor::zeros(&[n, k]);
-    if kernel_mode() == KernelMode::Fast && k > 0 && n >= 2 * PAR_MIN_TRIM_ROWS {
-        let batched = (1..=MAX_LANE_COHORT).contains(&probs.len());
-        parallel::for_each_row_chunk(out.as_mut_slice(), k, PAR_MIN_TRIM_ROWS, |row0, chunk| {
-            if batched {
-                trimmed_chunk_lanes(chunk, row0, k, probs, trim_fraction);
-            } else {
-                let mut column = vec![0.0f32; probs.len()];
-                for (r, row) in chunk.chunks_mut(k).enumerate() {
-                    trimmed_row(row, row0 + r, probs, &mut column, trim_fraction);
-                }
+    let mut column = vec![0.0f32; probs.len()];
+    for i in 0..n {
+        let row = out.row_mut(i);
+        for (j, o) in row.iter_mut().enumerate() {
+            for (slot, p) in column.iter_mut().zip(probs) {
+                *slot = p.row(i)[j];
             }
-        });
-    } else {
-        let mut column = vec![0.0f32; probs.len()];
-        for i in 0..n {
-            trimmed_row(out.row_mut(i), i, probs, &mut column, trim_fraction);
+            *o = trimmed_mean(&mut column, trim_fraction);
+        }
+        let sum: f32 = row.iter().sum();
+        if sum > 0.0 {
+            for o in row.iter_mut() {
+                *o /= sum;
+            }
+        } else {
+            for o in row.iter_mut() {
+                *o = 1.0 / k as f32;
+            }
         }
     }
     Ok(out)

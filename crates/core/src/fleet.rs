@@ -275,18 +275,38 @@ impl Federation for FleetSim {
     }
 
     fn read_state(&mut self, r: &mut dyn StateSource) -> Result<(), SnapshotError> {
-        self.fleet = r.take_usize()?;
-        self.classes = r.take_usize()?;
-        self.dims = r.take_usize()?;
-        self.seed = r.take_u64()?;
-        self.centroids = r.take_f32s()?;
+        // The shape and seed are configuration, not state: a snapshot of
+        // another fleet is refused, never adopted.
+        let written = (
+            r.take_usize()?,
+            r.take_usize()?,
+            r.take_usize()?,
+            r.take_u64()?,
+        );
+        let own = (self.fleet, self.classes, self.dims, self.seed);
+        if written != own {
+            return Err(SnapshotError::Malformed(format!(
+                "snapshot of fleet (clients, classes, dims, seed) {written:?}, this one is {own:?}"
+            )));
+        }
+        let centroids = r.take_f32s()?;
+        if centroids.len() != self.centroids.len() {
+            return Err(SnapshotError::Malformed(format!(
+                "{} centroid values for {} classes x {} dims",
+                centroids.len(),
+                self.classes,
+                self.dims
+            )));
+        }
+        self.centroids = centroids;
         self.aggregated_rounds = r.take_usize()?;
         let buckets = r.take_usize()?;
         self.pending_late = BTreeMap::new();
         for _ in 0..buckets {
             let arrival = r.take_usize()?;
             let len = r.take_usize()?;
-            let mut queued = Vec::with_capacity(len.min(4096));
+            // Grown as pairs arrive: a corrupted count sizes no allocation.
+            let mut queued = Vec::new();
             for _ in 0..len {
                 let client = r.take_usize()?;
                 let origin = r.take_usize()?;
@@ -298,6 +318,13 @@ impl Federation for FleetSim {
         // starts with nothing staged.
         self.staged = BTreeMap::new();
         self.driver = read_driver(r)?;
+        if self.aggregated_rounds > self.driver.rounds_driven() {
+            return Err(SnapshotError::Malformed(format!(
+                "{} aggregated rounds out of {} driven",
+                self.aggregated_rounds,
+                self.driver.rounds_driven()
+            )));
+        }
         Ok(())
     }
 }
@@ -564,5 +591,29 @@ mod tests {
             .unwrap();
         assert_eq!(second.history, full.history);
         assert_eq!(resumed, straight);
+    }
+
+    #[test]
+    fn snapshot_of_another_configuration_is_malformed() {
+        let mut donor = FleetSim::new(8, 4, 8, 1);
+        let _ = Driver::rounds(1).run_silent(&mut donor);
+        let state = Driver::snapshot(&donor, &mut crate::telemetry::NullObserver);
+        assert!(FleetSim::new(8, 4, 8, 1)
+            .restore_from(&mut state.as_slice())
+            .is_ok());
+        // (8, 8, 4) has as many centroid values as the donor's (8, 4, 8).
+        for mut other in [
+            FleetSim::new(9, 4, 8, 1),
+            FleetSim::new(8, 8, 4, 1),
+            FleetSim::new(8, 4, 9, 1),
+            FleetSim::new(8, 4, 8, 2),
+        ] {
+            let before = other.clone();
+            assert!(matches!(
+                other.restore_from(&mut state.as_slice()),
+                Err(SnapshotError::Malformed(_))
+            ));
+            assert_eq!(other, before, "a refused snapshot changes nothing");
+        }
     }
 }

@@ -12,68 +12,21 @@
 //! All functions are deterministic and allocation-light; ties broken by
 //! `f32::total_cmp` keep results bit-identical across platforms.
 //!
-//! Like the matmul kernels and softmax losses, the order statistics here
-//! are two-tiered: the scalar tier fully sorts (the obviously-correct
-//! reference), while the fast tier `select_nth`-partitions away the
-//! trimmed tails and sorts only the kept middle. `total_cmp` is a total
-//! order, so the rank-`k..n-k` order statistics form the same value
-//! sequence either way, and summing them in sorted order reproduces the
-//! reference's `f64` accumulation chain bit for bit — verified by the
-//! proptest suite against adversarial inputs (NaN, ±∞, duplicates).
+//! One implementation per order statistic: sort by `total_cmp`, read the
+//! kept ranks. A trimmed mean sums its kept ranks ascending in `f64`, so
+//! the accumulation chain — and with it every output bit — is a function
+//! of the input multiset alone; `tests::outputs_are_pinned` holds the
+//! bits.
 //!
 //! One carve-out: when ±∞ mixes into a kept range, the sum runs through
 //! `∞ − ∞` or `NaN + NaN`, and IEEE 754 pins neither the sign nor the
 //! payload of the resulting NaN — LLVM may commute the addend order
 //! between otherwise-identical compilations, flipping which source NaN
-//! propagates. The cross-tier contract is therefore "identical bits,
-//! except any NaN matches any NaN". Admission control rejects non-finite
-//! uploads, so the carve-out never applies on the training path.
+//! propagates. The contract is therefore "identical bits, except any NaN
+//! matches any NaN". Admission control rejects non-finite uploads, so the
+//! carve-out never applies on the training path.
 
-use fedpkd_tensor::{kernel_mode, KernelMode};
 use std::fmt;
-
-/// Maximum slice length served by the fast tier's stack-resident integer
-/// key sort. Comparison-sorting small slices of floats through
-/// `total_cmp` re-derives the sign-flip key on *every* comparison; doing
-/// the transform once per element and sorting plain integers wins by
-/// roughly the comparison count. 64 covers any realistic per-coordinate
-/// client cohort.
-const MAX_KEY_SORT_LEN: usize = 64;
-
-/// Minimum slice length before the fast tier's partition path engages;
-/// below this a full insertion-class sort is already cheaper than two
-/// `select_nth` passes. (Slices this small are served by the integer key
-/// sort instead; the partition path handles `MAX_KEY_SORT_LEN+` inputs.)
-const MIN_PARTITION_LEN: usize = 16;
-
-/// Monotone integer key for `f32::total_cmp` order: flips the low 31 bits
-/// of negative values so plain `i32` comparison ranks floats exactly like
-/// `total_cmp`. The transform is an involution, so applying it to a key
-/// recovers the original value's bits — see [`key_value`].
-#[inline]
-fn total_cmp_key(v: f32) -> i32 {
-    let b = v.to_bits() as i32;
-    b ^ (((b >> 31) as u32) >> 1) as i32
-}
-
-/// Inverse of [`total_cmp_key`] (the same involution).
-#[inline]
-fn key_value(k: i32) -> f32 {
-    f32::from_bits((k ^ (((k >> 31) as u32) >> 1) as i32) as u32)
-}
-
-/// [`total_cmp_key`] for `f64` / `i64`.
-#[inline]
-fn total_cmp_key64(v: f64) -> i64 {
-    let b = v.to_bits() as i64;
-    b ^ (((b >> 63) as u64) >> 1) as i64
-}
-
-/// Inverse of [`total_cmp_key64`].
-#[inline]
-fn key_value64(k: i64) -> f64 {
-    f64::from_bits((k ^ (((k >> 63) as u64) >> 1) as i64) as u64)
-}
 
 /// Aggregation failed in a way the caller must handle (never a panic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,202 +90,35 @@ pub fn trim_count(n: usize, trim_fraction: f32) -> usize {
     k.min((n - 1) / 2)
 }
 
-/// How many independent columns [`trimmed_mean_lanes`] processes at once.
-/// Eight `i32` lanes fill a 256-bit vector register; the lanewise
-/// min/max compare-exchanges below auto-vectorize to packed integer
-/// min/max, so one network pass prices eight columns.
-pub const TRIM_LANES: usize = 8;
-
-/// Largest cohort [`trimmed_mean_lanes`] accepts (the stack-resident
-/// network size); callers with more members per coordinate fall back to
-/// [`trimmed_mean`]'s partition path.
-pub const MAX_LANE_COHORT: usize = MAX_KEY_SORT_LEN;
-
-/// One lanewise compare-exchange: after the call, `keys[a]` holds the
-/// lane minima and `keys[b]` the lane maxima. Branchless in every lane.
-#[inline]
-fn lane_compare_exchange(keys: &mut [[i32; TRIM_LANES]], a: usize, b: usize) {
-    let (lo, hi) = keys.split_at_mut(b);
-    let (x, y) = (&mut lo[a], &mut hi[0]);
-    for lane in 0..TRIM_LANES {
-        let (p, q) = (x[lane], y[lane]);
-        x[lane] = p.min(q);
-        y[lane] = p.max(q);
-    }
-}
-
-/// Sorts each lane of `keys` ascending with Batcher's odd–even merge
-/// sort — a fixed, data-independent comparator network, so every lane is
-/// sorted by the same branchless compare-exchange sequence. `keys.len()`
-/// must be a power of two.
-fn batcher_sort_lanes(keys: &mut [[i32; TRIM_LANES]]) {
-    let n = keys.len();
-    debug_assert!(n.is_power_of_two());
-    let mut p = 1;
-    while p < n {
-        let mut k = p;
-        while k >= 1 {
-            let mut j = k % p;
-            while j + k < n {
-                for i in 0..k.min(n - j - k) {
-                    if (i + j) / (2 * p) == (i + j + k) / (2 * p) {
-                        lane_compare_exchange(keys, i + j, i + j + k);
-                    }
-                }
-                j += 2 * k;
-            }
-            k /= 2;
-        }
-        p *= 2;
-    }
-}
-
-/// Trimmed means of [`TRIM_LANES`] independent columns at once:
-/// `columns[c][lane]` is cohort member `c`'s value in that lane's
-/// coordinate. Returns the per-lane trimmed means — bit-identical to
-/// calling [`trimmed_mean`] on each lane's column separately, under
-/// either kernel tier, up to the module-level NaN carve-out (non-finite
-/// columns may yield NaNs whose sign/payload is compilation-dependent).
-///
-/// This is the vectorized heart of the fast tier's trimmed aggregation:
-/// the columns are transformed once to `total_cmp`-ordered integer keys,
-/// padded to the next power of two with `i32::MAX` sentinels (the
-/// maximum key, so the first `len` sorted slots always hold the real
-/// multiset — real keys equal to the sentinel are indistinguishable *by
-/// value*, which is all the sum reads), and pushed through one Batcher
-/// network whose lanewise min/max compare-exchanges vectorize. The kept
-/// ranks are then decoded and summed ascending in `f64`, the scalar
-/// tier's exact accumulation chain.
-///
-/// # Panics
-///
-/// Panics when the cohort is empty or larger than the stack-resident
-/// network (64 members); callers fall back to [`trimmed_mean`] per
-/// column outside that range.
-pub fn trimmed_mean_lanes(columns: &[[f32; TRIM_LANES]], trim_fraction: f32) -> [f32; TRIM_LANES] {
-    let len = columns.len();
-    assert!(
-        (1..=MAX_KEY_SORT_LEN).contains(&len),
-        "cohort size {len} outside the batched range 1..=64"
-    );
-    let k = trim_count(len, trim_fraction);
-    let n = len.next_power_of_two();
-    let mut keys = [[i32::MAX; TRIM_LANES]; MAX_KEY_SORT_LEN];
-    for (dst, col) in keys.iter_mut().zip(columns) {
-        for (slot, &v) in dst.iter_mut().zip(col) {
-            *slot = total_cmp_key(v);
-        }
-    }
-    batcher_sort_lanes(&mut keys[..n]);
-    let kept = (len - 2 * k) as f64;
-    let mut out = [0.0f32; TRIM_LANES];
-    for (lane, slot) in out.iter_mut().enumerate() {
-        let sum: f64 = keys[k..len - k]
-            .iter()
-            .map(|ranks| f64::from(key_value(ranks[lane])))
-            .sum();
-        *slot = (sum / kept) as f32;
-    }
-    out
-}
-
-/// Coordinate-wise trimmed mean over `values` (which may be reordered in
+/// Coordinate-wise trimmed mean over `values` (which are sorted in
 /// place): drops [`trim_count`] elements from each end and averages the
-/// rest. With `trim_fraction == 0` this is the plain mean.
-///
-/// The scalar tier fully sorts and sums the kept middle in sorted order.
-/// The fast tier sorts stack-resident integer `total_cmp` keys for small
-/// slices, and for large ones partitions the `k` smallest and `k` largest
-/// away with `select_nth_unstable_by` (linear expected time) and sorts
-/// only the `n - 2k` survivors. Either way the `f64` accumulation visits
-/// the identical value sequence, so the result is bit-identical.
+/// rest, summing them ascending in `f64`. With `trim_fraction == 0` this
+/// is the plain mean.
 ///
 /// Returns 0.0 for an empty slice.
 pub fn trimmed_mean(values: &mut [f32], trim_fraction: f32) -> f32 {
     if values.is_empty() {
         return 0.0;
     }
-    let len = values.len();
-    let k = trim_count(len, trim_fraction);
-    if kernel_mode() == KernelMode::Fast && len <= MAX_KEY_SORT_LEN {
-        // Small cohorts (the per-coordinate hot case): transform once to
-        // total_cmp-ordered integer keys on the stack and sort those. The
-        // ascending key order is exactly the ascending `total_cmp` value
-        // order, so summing the decoded rank-`k..len-k` values visits the
-        // identical `f64` accumulation chain as the sorted scalar path.
-        let mut keys = [0i32; MAX_KEY_SORT_LEN];
-        for (slot, &v) in keys.iter_mut().zip(values.iter()) {
-            *slot = total_cmp_key(v);
-        }
-        let keys = &mut keys[..len];
-        keys.sort_unstable();
-        let kept = &keys[k..len - k];
-        let sum: f64 = kept.iter().map(|&key| f64::from(key_value(key))).sum();
-        return (sum / kept.len() as f64) as f32;
-    }
-    let kept: &mut [f32] = if kernel_mode() == KernelMode::Fast && k > 0 && len >= MIN_PARTITION_LEN
-    {
-        // Index k-1 puts the k smallest in front; on the tail, index
-        // `tail_len - k` pushes the k largest (pivot included) behind.
-        let (_, _, tail) = values.select_nth_unstable_by(k - 1, f32::total_cmp);
-        let keep = tail.len() - k;
-        let (middle, _, _) = tail.select_nth_unstable_by(keep, f32::total_cmp);
-        middle
-    } else {
-        values.sort_unstable_by(f32::total_cmp);
-        &mut values[k..len - k]
-    };
-    kept.sort_unstable_by(f32::total_cmp);
+    let k = trim_count(values.len(), trim_fraction);
+    values.sort_unstable_by(f32::total_cmp);
+    let kept = &values[k..values.len() - k];
     let sum: f64 = kept.iter().map(|&v| f64::from(v)).sum();
     (sum / kept.len() as f64) as f32
 }
 
-/// Median of `values` (which may be reordered in place): midpoint of the
-/// two central elements for even lengths. Returns 0.0 for an empty slice.
-///
-/// The fast tier sorts stack-resident integer `total_cmp` keys for small
-/// slices and selects the central order statistic(s) directly for large
-/// ones; `total_cmp` ranks are unique, so both tiers read the same one or
-/// two values and combine them with the same arithmetic.
+/// Median of `values` (which are sorted in place): midpoint of the two
+/// central elements for even lengths. Returns 0.0 for an empty slice.
 pub fn median(values: &mut [f64]) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    let len = values.len();
-    let mid = len / 2;
-    if kernel_mode() == KernelMode::Fast && len <= MAX_KEY_SORT_LEN {
-        let mut keys = [0i64; MAX_KEY_SORT_LEN];
-        for (slot, &v) in keys.iter_mut().zip(values.iter()) {
-            *slot = total_cmp_key64(v);
-        }
-        let keys = &mut keys[..len];
-        keys.sort_unstable();
-        return if len % 2 == 1 {
-            key_value64(keys[mid])
-        } else {
-            0.5 * (key_value64(keys[mid - 1]) + key_value64(keys[mid]))
-        };
-    }
-    if kernel_mode() == KernelMode::Fast && len >= MIN_PARTITION_LEN {
-        let (left, &mut pivot, _) = values.select_nth_unstable_by(mid, f64::total_cmp);
-        if len % 2 == 1 {
-            pivot
-        } else {
-            // sorted[mid - 1] is the maximum of the left partition.
-            let below = left
-                .iter()
-                .copied()
-                .max_by(f64::total_cmp)
-                .expect("even length >= 2 leaves a non-empty left partition");
-            0.5 * (below + pivot)
-        }
+    values.sort_unstable_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
     } else {
-        values.sort_unstable_by(f64::total_cmp);
-        if len % 2 == 1 {
-            values[mid]
-        } else {
-            0.5 * (values[mid - 1] + values[mid])
-        }
+        0.5 * (values[mid - 1] + values[mid])
     }
 }
 
@@ -424,6 +210,10 @@ pub fn clipped_weighted_average(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fedpkd::logits::aggregate_logits_trimmed;
+    use fedpkd_netsim::Fnv1a;
+    use fedpkd_rng::Rng;
+    use fedpkd_tensor::Tensor;
 
     #[test]
     fn trim_count_respects_bounds() {
@@ -534,6 +324,100 @@ mod tests {
         assert_eq!(
             clipped_weighted_average(&[vec![1.0]], &[0.0], &[0.0]),
             Err(AggregationError::Empty)
+        );
+    }
+
+    /// One cell of a pinned input: uniform values salted with signed
+    /// zeros and a duplicated constant, plus — unless `finite` — NaN and
+    /// ±∞, in the proportions the deleted cross-tier proptests drew.
+    fn cell(rng: &mut Rng, finite: bool) -> f64 {
+        match rng.range_usize(if finite { 3 } else { 0 }, 9) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => 0.0,
+            4 => -0.0,
+            5 => 3.25,
+            _ => rng.range_f64(-50.0, 50.0),
+        }
+    }
+
+    fn cells32(rng: &mut Rng, len: usize, finite: bool) -> Vec<f32> {
+        (0..len).map(|_| cell(rng, finite) as f32).collect()
+    }
+
+    /// Folds one output into `hash`. Every NaN folds as the same bits: a
+    /// sum through `∞ − ∞` or `NaN + NaN` has no pinned sign or payload
+    /// (module docs), so those are outside the contract.
+    fn fold(hash: &mut Fnv1a, v: f64) {
+        let v = if v.is_nan() { f64::NAN } else { v };
+        hash.update(&v.to_bits().to_le_bytes());
+    }
+
+    /// The output bits of every order statistic here, and of the trimmed
+    /// logit aggregation built on them, on seeded adversarial inputs.
+    /// The literals were taken at PR 18's commit, the last that carried
+    /// four faster implementations next to this one, under the default
+    /// tier — what a run produced then is what it produces now. The
+    /// lengths straddle the sizes at which that commit switched between
+    /// them (16, 64).
+    #[test]
+    fn outputs_are_pinned() {
+        const LENS: [usize; 9] = [1, 2, 15, 16, 17, 63, 64, 65, 200];
+        const TRIMS: [f32; 3] = [0.0, 0.2, 0.49];
+        let mut rng = Rng::seed_from_u64(0x0b17_5eed);
+        let mut hashes = [Fnv1a::new(); 5];
+        let [trimmed, med, coord, clipped, logits] = &mut hashes;
+        for (len, finite) in LENS.into_iter().flat_map(|l| [(l, false), (l, true)]) {
+            for _ in 0..8 {
+                for trim in TRIMS {
+                    let mean = trimmed_mean(&mut cells32(&mut rng, len, finite), trim);
+                    fold(trimmed, f64::from(mean));
+                }
+                let mut values: Vec<f64> = (0..len).map(|_| cell(&mut rng, finite)).collect();
+                fold(med, median(&mut values));
+
+                let rows: Vec<Vec<f32>> = (0..len).map(|_| cells32(&mut rng, 3, finite)).collect();
+                let views: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
+                for v in coordinate_median(&views).unwrap() {
+                    fold(coord, f64::from(v));
+                }
+
+                let weights: Vec<f64> = (0..len).map(|_| rng.range_f64(0.5, 4.0)).collect();
+                let reference = cells32(&mut rng, 3, true);
+                for v in clipped_weighted_average(&rows, &weights, &reference).unwrap() {
+                    fold(clipped, f64::from(v));
+                }
+            }
+            // That commit swept 3 rows sequentially and fanned 130 out
+            // across workers, eight coordinates at a time.
+            for (n, k) in [(3, 10), (130, 10)] {
+                let clients: Vec<Tensor> = (0..len)
+                    .map(|_| {
+                        let logits = cells32(&mut rng, n * k, finite);
+                        let logits = logits.into_iter().map(|v| v * 0.125).collect();
+                        Tensor::from_vec(logits, &[n, k]).unwrap()
+                    })
+                    .collect();
+                for trim in TRIMS {
+                    let out = aggregate_logits_trimmed(&clients, trim).unwrap();
+                    for &v in out.as_slice() {
+                        fold(logits, f64::from(v));
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            hashes.map(Fnv1a::finish),
+            [
+                0x82fd_f820_d6b4_ac54,
+                0x8179_74d2_8e60_0db6,
+                0x223f_e0b3_ad5b_3bfc,
+                0x728f_1edf_eee2_c430,
+                0x321e_51f0_3432_7659,
+            ],
+            "trimmed_mean, median, coordinate_median, clipped_weighted_average, \
+             aggregate_logits_trimmed"
         );
     }
 }

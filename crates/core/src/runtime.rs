@@ -507,6 +507,25 @@ mod tests {
             second.ledger.cumulative_bytes_through_round(2),
             first.last().cumulative_bytes
         );
+
+        // Regression: under a deadline plan, the second run used to seed
+        // each client's uplink size from the round before it only, so a
+        // client dropped there came back on a 0-byte estimate. Both
+        // clients send in round 0 and are deadline-dropped ever after;
+        // 2 + 1 rounds must be the 3 rounds.
+        let link = fedpkd_netsim::LinkModel::new(10.0, 0.0);
+        let driver = |rounds| {
+            DriverBuilder::new()
+                .rounds(rounds)
+                .faults(FaultPlan::new(0).with_deadline(link, 1.0))
+                .build()
+        };
+        let straight = driver(3).run_silent(&mut FakeFed::new());
+        let mut fed = FakeFed::new();
+        let head = driver(2).run_silent(&mut fed);
+        let tail = driver(1).run_silent(&mut fed);
+        assert_eq!([head.history, tail.history].concat(), straight.history);
+        assert_eq!(tail.ledger, straight.ledger);
     }
 
     #[test]

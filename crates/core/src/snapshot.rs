@@ -669,12 +669,21 @@ pub fn write_driver(w: &mut dyn StateSink, driver: &DriverState) {
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Malformed`] on an unknown direction tag.
+/// [`SnapshotError::Malformed`] on an unknown direction tag, or on a round
+/// counter or a ledger byte total past `isize::MAX`: every later round
+/// adds to both, and half the range is headroom no run uses up.
 pub fn read_driver(r: &mut dyn StateSource) -> Result<DriverState, SnapshotError> {
+    const ROOM: usize = isize::MAX as usize;
     let rounds_driven = r.take_usize()?;
+    if rounds_driven > ROOM {
+        return Err(SnapshotError::Malformed(format!(
+            "round counter {rounds_driven} leaves no room to advance"
+        )));
+    }
     let count = r.take_usize()?;
     // Grown as records arrive: a corrupted count sizes no allocation.
     let mut records = Vec::new();
+    let mut total = 0usize;
     for _ in 0..count {
         let round = r.take_usize()?;
         let client = r.take_usize()?;
@@ -688,6 +697,10 @@ pub fn read_driver(r: &mut dyn StateSource) -> Result<DriverState, SnapshotError
             }
         };
         let bytes = r.take_usize()?;
+        total = total
+            .checked_add(bytes)
+            .filter(|&total| total <= ROOM)
+            .ok_or_else(|| SnapshotError::Malformed("ledger byte total overflows".into()))?;
         records.push(TransferRecord {
             round,
             client,

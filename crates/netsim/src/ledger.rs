@@ -12,15 +12,6 @@ pub enum Direction {
 }
 
 /// One recorded transfer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Transfer {
-    round: usize,
-    client: usize,
-    direction: Direction,
-    bytes: usize,
-}
-
-/// One transfer as an owned public record, for checkpointing.
 ///
 /// [`CommLedger::transfers`] exposes the full transfer log in recording
 /// order and [`CommLedger::from_transfers`] rebuilds an identical ledger
@@ -72,7 +63,7 @@ impl RoundTraffic {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommLedger {
-    transfers: Vec<Transfer>,
+    transfers: Vec<TransferRecord>,
 }
 
 impl CommLedger {
@@ -96,7 +87,7 @@ impl CommLedger {
         direction: Direction,
         bytes: usize,
     ) {
-        self.transfers.push(Transfer {
+        self.transfers.push(TransferRecord {
             round,
             client,
             direction,
@@ -183,14 +174,10 @@ impl CommLedger {
         self.transfers.is_empty()
     }
 
-    /// Every recorded transfer, in recording order.
+    /// Every recorded transfer, in recording order (skipping a prefix is
+    /// O(1)).
     pub fn transfers(&self) -> impl Iterator<Item = TransferRecord> + '_ {
-        self.transfers.iter().map(|t| TransferRecord {
-            round: t.round,
-            client: t.client,
-            direction: t.direction,
-            bytes: t.bytes,
-        })
+        self.transfers.iter().copied()
     }
 
     /// Number of recorded transfers.
@@ -202,11 +189,9 @@ impl CommLedger {
     /// [`transfers`](Self::transfers). Order is preserved, so the result
     /// compares equal to the original ledger.
     pub fn from_transfers(records: impl IntoIterator<Item = TransferRecord>) -> Self {
-        let mut ledger = Self::new();
-        for r in records {
-            ledger.record_bytes(r.round, r.client, r.direction, r.bytes);
+        Self {
+            transfers: records.into_iter().collect(),
         }
-        ledger
     }
 }
 

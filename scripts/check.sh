@@ -10,6 +10,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --all -- --check
+# The kernel tier and the plan schedule are fedpkd-tensor's to read.
+if grep -rnE 'kernel_mode|KernelMode|plan_mode|PlanMode' crates/{core,baselines,netsim,serve}/src; then
+    echo "error: the lines above read a fedpkd-tensor process global" >&2
+    exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings
 # Vendored third-party crates are exempt from the doc gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q \

@@ -54,14 +54,23 @@ fn server_spec() -> ModelSpec {
     }
 }
 
+/// The client [`hostile_plan`] turns into a permanent straggler.
+const STRAGGLER: usize = 0;
+
 /// An adversarial fault plan exercising every snapshot-sensitive feature:
 /// random dropout (advances the plan's round position), a scheduled outage
-/// spanning the snapshot boundary, and two Byzantine clients whose attacks
-/// cover both knowledge types and the parameter uplink.
+/// spanning the snapshot boundary, two Byzantine clients whose attacks
+/// cover both knowledge types and the parameter uplink, and a straggler
+/// that any upload at all (≥ 2 bytes) puts past the deadline: it sends in
+/// round 0 and is deadline-dropped from then on, so at the snapshot
+/// boundary its size estimate is older than the previous round. (The
+/// seed's dropout draws leave the straggler alone until the last round.)
 fn hostile_plan() -> FaultPlan {
-    FaultPlan::new(41)
+    FaultPlan::new(30)
         .with_dropout(0.3)
         .with_outage(1, R, 1)
+        .with_slowdown(STRAGGLER, 1e9)
+        .with_deadline(LinkModel::new(1e9, 0.0), 1.0)
         .with_adversary(0, Attack::LogitScale(-2.5))
         .with_adversary(2, Attack::PrototypeNoise(0.4))
 }
@@ -131,6 +140,16 @@ fn stream_of(name: &str, payload: &[u8]) -> Vec<u8> {
 fn assert_resumes_bit_identically<A: Federation>(make: impl Fn() -> A, plan: Option<&FaultPlan>) {
     let mut full_log = EventLog::new();
     let full = driver(2 * R, plan).run(&mut make(), &mut full_log);
+    if plan.is_some() {
+        let dropped_before_boundary = full_log.of_kind("client_dropped").any(|e| {
+            matches!(e, TelemetryEvent::ClientDropped { round, client, cause }
+                if (*round, *client, *cause) == (R - 1, STRAGGLER, DropCause::Deadline))
+        });
+        assert!(
+            dropped_before_boundary,
+            "the plan must deadline-drop the straggler in the round before the snapshot"
+        );
+    }
 
     let mut interrupted_log = EventLog::new();
     let mut first_half = make();

@@ -11,12 +11,14 @@
 //! a typed [`SnapshotError`] — reaching the end of the loop *is* the
 //! assertion that nothing panicked — and must not size an allocation from
 //! a length field: the largest single request stays within twice the
-//! stream's own length (a `Vec` that grows as bytes arrive doubles).
+//! stream's own length (a `Vec` that grows as bytes arrive doubles). For
+//! `FleetSim`, whose rounds cost microseconds, an `Ok` restore must also
+//! drive one more round: state that restores but cannot run is malformed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use fedpkd::core::snapshot::{SnapshotStreamWriter, StateSink};
+use fedpkd::core::snapshot::{SnapshotStreamWriter, StateSink, StateSource};
 use fedpkd::prelude::*;
 
 thread_local! {
@@ -146,19 +148,27 @@ fn spec(tier: DepthTier) -> ModelSpec {
 
 const MUTATIONS: usize = 2_000;
 
-/// Drives `make()` for two rounds under faults and an adversary (so the
-/// caches, the quarantine tracker and a multi-round ledger are all in the
-/// payload), then restores `MUTATIONS` corrupted copies of its snapshot.
-fn fuzz_restores<A: Federation>(seed: u64, make: impl Fn() -> A) {
-    let mut donor = make();
+/// Dropout and an adversary: with these the caches, the quarantine tracker
+/// and a multi-round ledger are all in a two-round donor's payload.
+fn faulty() -> DriverBuilder {
     let plan = FaultPlan::new(41)
         .with_dropout(0.3)
         .with_adversary(2, Attack::PrototypeNoise(0.4));
-    let _ = DriverBuilder::new()
-        .rounds(2)
-        .faults(plan)
-        .build()
-        .run_silent(&mut donor);
+    DriverBuilder::new().faults(plan)
+}
+
+/// Drives `make()` for two rounds under `builder`, then restores
+/// `MUTATIONS` corrupted copies of its snapshot; with `drive_on`, every
+/// copy that restores also runs one more round under `builder`. Returns
+/// the donor's pristine payload.
+fn fuzz_restores<A: Federation>(
+    seed: u64,
+    make: impl Fn() -> A,
+    builder: DriverBuilder,
+    drive_on: bool,
+) -> Vec<u8> {
+    let mut donor = make();
+    let _ = builder.clone().rounds(2).build().run_silent(&mut donor);
     let mut map = FieldMap::default();
     donor.write_state(&mut map);
     let name = donor.name();
@@ -193,7 +203,12 @@ fn fuzz_restores<A: Federation>(seed: u64, make: impl Fn() -> A) {
             stream.len()
         );
         match outcome {
-            Ok(()) => restored += 1,
+            Ok(()) => {
+                restored += 1;
+                if drive_on {
+                    let _ = builder.clone().rounds(1).build().run_silent(&mut victim);
+                }
+            }
             Err(_) => rejected += 1,
         }
     }
@@ -204,11 +219,12 @@ fn fuzz_restores<A: Federation>(seed: u64, make: impl Fn() -> A) {
         restored > 0 && rejected >= MUTATIONS / 10,
         "{restored} Ok, {rejected} Err"
     );
+    map.payload
 }
 
 #[test]
 fn corrupted_fedpkd_payloads_restore_or_fail_typed() {
-    fuzz_restores(0xF3D9, || {
+    let make = || {
         let config = FedPkdConfig {
             client_private_epochs: 1,
             client_public_epochs: 1,
@@ -225,19 +241,50 @@ fn corrupted_fedpkd_payloads_restore_or_fail_typed() {
             23,
         )
         .expect("valid federation")
-    });
+    };
+    fuzz_restores(0xF3D9, make, faulty(), false);
+}
+
+fn baseline_config() -> BaselineConfig {
+    BaselineConfig {
+        local_epochs: 1,
+        digest_epochs: 1,
+        server_epochs: 1,
+        learning_rate: 0.003,
+        ..BaselineConfig::default()
+    }
 }
 
 #[test]
 fn corrupted_fedavg_payloads_restore_or_fail_typed() {
-    fuzz_restores(0xA7C1, || {
-        let config = BaselineConfig {
-            local_epochs: 1,
-            digest_epochs: 1,
-            server_epochs: 1,
-            learning_rate: 0.003,
-            ..BaselineConfig::default()
-        };
-        FedAvg::new(scenario(), spec(DepthTier::T11), config, 29).expect("valid federation")
-    });
+    let make = || FedAvg::new(scenario(), spec(DepthTier::T11), baseline_config(), 29).unwrap();
+    fuzz_restores(0xA7C1, make, faulty(), false);
+}
+
+/// FedDF carries what FedAvg does not: a server-side RNG position.
+#[test]
+fn corrupted_feddf_payloads_restore_or_fail_typed() {
+    let make = || FedDf::new(scenario(), spec(DepthTier::T11), baseline_config(), 31).unwrap();
+    fuzz_restores(0xDF07, make, faulty(), false);
+}
+
+/// `FleetSim` snapshotted with late uploads in flight, under sampling, a
+/// deadline and a staleness window; every copy that restores runs on.
+#[test]
+fn corrupted_fleet_payloads_restore_or_fail_typed_and_run_on() {
+    let plan = FaultPlan::new(2).with_deadline(LinkModel::new(100.0, 0.0), 1.0);
+    let builder = DriverBuilder::new()
+        .cohort(CohortPolicy::Sample { size: 32, seed: 9 })
+        .faults(plan)
+        .staleness(2);
+    let payload = fuzz_restores(0xF1EE, || FleetSim::new(200, 6, 8, 33), builder, true);
+    // Fleet, classes, dims, seed, centroids, aggregated rounds — then the
+    // number of arrival rounds with uploads queued.
+    let mut r = payload.as_slice();
+    for _ in 0..4 {
+        r.take_u64().unwrap();
+    }
+    r.take_f32s().unwrap();
+    r.take_usize().unwrap();
+    assert!(r.take_usize().unwrap() > 0, "the staleness queue was empty");
 }
