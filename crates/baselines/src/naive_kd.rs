@@ -14,7 +14,6 @@ use fedpkd_data::FederatedScenario;
 use fedpkd_netsim::{CommLedger, RoundContext};
 use fedpkd_tensor::models::ModelSpec;
 use fedpkd_tensor::ops::softmax;
-use fedpkd_tensor::Tensor;
 
 /// Naive KD-based FL (Eq. 3): clients train locally and upload public-set
 /// logits; the server distills the *uniform average* of those logits into
@@ -59,22 +58,6 @@ impl NaiveKd {
             state,
         })
     }
-
-    /// The uniform-average logits of the clients on the public set after the
-    /// most recent round — exposed for the Fig. 2 logit-quality analysis.
-    pub fn aggregated_public_logits(&mut self) -> Tensor {
-        let public = &self.scenario.public;
-        let clients = &self.state.clients;
-        let logits: Vec<Tensor> = (0..clients.len())
-            .map(|i| eval::logits_on(&mut clients.materialize(i).model, public))
-            .collect();
-        let mut mean = Tensor::zeros(logits[0].shape());
-        let w = 1.0 / logits.len() as f32;
-        for l in &logits {
-            mean.axpy(w, l).expect("aligned logits");
-        }
-        mean
-    }
 }
 
 impl Federation for NaiveKd {
@@ -118,7 +101,6 @@ impl Federation for NaiveKd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedpkd_core::telemetry::NullObserver;
     use fedpkd_data::{Partition, ScenarioBuilder, SyntheticConfig};
     use fedpkd_netsim::Direction;
     use fedpkd_tensor::models::DepthTier;
@@ -169,20 +151,6 @@ mod tests {
         let result = fedpkd_core::Driver::rounds(3).run_silent(&mut algo);
         let acc = result.best_server_accuracy().unwrap();
         assert!(acc > 0.2, "NaiveKD server accuracy {acc}");
-    }
-
-    #[test]
-    fn aggregated_logits_accessor_matches_shape() {
-        let mut algo = NaiveKd::new(scenario(0.5, 2), specs(), server_spec(), config(), 5).unwrap();
-        let mut ledger = CommLedger::new();
-        algo.run_round(
-            0,
-            &RoundContext::benign(fedpkd_netsim::Cohort::full(3)),
-            &mut ledger,
-            &mut NullObserver,
-        );
-        let agg = algo.aggregated_public_logits();
-        assert_eq!(agg.shape(), &[120, 10]);
     }
 
     #[test]

@@ -278,11 +278,6 @@ impl QuarantineTracker {
         self.consecutive.get(client).copied().unwrap_or(0)
     }
 
-    /// Number of quarantined clients.
-    pub fn quarantined_count(&self) -> usize {
-        self.quarantined.iter().filter(|&&q| q).count()
-    }
-
     /// Per-client consecutive-rejection streaks, for checkpointing.
     pub fn streaks(&self) -> &[usize] {
         &self.consecutive
@@ -439,7 +434,6 @@ mod tests {
         assert!(q.is_quarantined(0));
         assert!(!q.record_rejection(0), "tripping is reported once");
         assert!(!q.is_quarantined(1));
-        assert_eq!(q.quarantined_count(), 1);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub struct ClientState {
     pub model: ClassifierModel,
     /// The client's optimizer state.
     pub optimizer: Adam,
-    /// The client's private RNG stream (batch shuffling, dropout).
+    /// The client's private RNG stream (batch shuffling).
     pub rng: Rng,
 }
 

@@ -246,11 +246,6 @@ impl ClientPool {
         self.slots.is_empty()
     }
 
-    /// Number of distinct capacity tiers the fleet collapsed to.
-    pub fn num_templates(&self) -> usize {
-        self.templates.len()
-    }
-
     /// The template client `i` materializes from.
     pub fn template_of(&self, i: usize) -> &Template {
         &self.templates[self.assignment[i] as usize]
@@ -636,7 +631,6 @@ mod tests {
     fn specs_collapse_to_one_template_per_tier() {
         let pool = ClientPool::new(&hetero_specs(), 0.001, 7);
         assert_eq!(pool.len(), 3);
-        assert_eq!(pool.num_templates(), 2);
         assert_eq!(pool.template_of(0).spec(), pool.template_of(2).spec());
         assert_eq!(pool.resident_clients(), 0);
         assert_eq!(pool.resident_bytes(), 0);

@@ -910,11 +910,6 @@ impl EventLog {
         &self.events
     }
 
-    /// Consumes the log, returning the events.
-    pub fn into_events(self) -> Vec<TelemetryEvent> {
-        self.events
-    }
-
     /// Events of one kind (as named by [`TelemetryEvent::kind`]).
     pub fn of_kind(&self, kind: &str) -> impl Iterator<Item = &TelemetryEvent> {
         let kind = kind.to_string();

@@ -107,16 +107,6 @@ impl Dataset {
         }
     }
 
-    /// Indices of all samples with the given label.
-    pub fn indices_of_class(&self, class: usize) -> Vec<usize> {
-        self.labels
-            .iter()
-            .enumerate()
-            .filter(|(_, &y)| y == class)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Iterates over shuffled mini-batches of at most `batch_size` samples.
     ///
     /// # Panics
@@ -224,13 +214,6 @@ mod tests {
         assert_eq!(sub.len(), 2);
         assert_eq!(sub.labels(), &[2, 0]);
         assert_eq!(sub.features().row(0), &[10.0, 11.0]);
-    }
-
-    #[test]
-    fn indices_of_class_filters() {
-        let ds = toy();
-        assert_eq!(ds.indices_of_class(1), vec![1, 4]);
-        assert_eq!(ds.indices_of_class(2), vec![2, 5]);
     }
 
     #[test]

@@ -47,5 +47,5 @@ pub use dataset::{Batch, BatchIter, Dataset};
 pub use error::DataError;
 pub use partition::{partition_indices, Partition};
 pub use scenario::{ClientData, FederatedScenario, ScenarioBuilder, ALPHA_SWEEP};
-pub use stats::{class_histogram, distribution_emd, label_distribution, partition_noniid_degree};
+pub use stats::{class_histogram, label_distribution};
 pub use synthetic::{DataMode, SyntheticConfig};

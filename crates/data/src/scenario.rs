@@ -210,28 +210,6 @@ impl ScenarioBuilder {
             num_classes: self.config.num_classes,
         })
     }
-
-    /// Builds one scenario per Dirichlet concentration, holding the seed —
-    /// and therefore the generated sample pool, the public set, and the
-    /// global test set — fixed. The sweep isolates the partition axis:
-    /// every point re-partitions the *same* data at a different `α`, so
-    /// accuracy differences across the grid are attributable to
-    /// heterogeneity alone.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`DataError`] any sweep point produces (e.g. a
-    /// non-positive `α`).
-    pub fn alpha_sweep(&self, alphas: &[f64]) -> Result<Vec<(f64, FederatedScenario)>, DataError> {
-        alphas
-            .iter()
-            .map(|&alpha| {
-                let mut point = self.clone();
-                point.partition = Partition::Dirichlet { alpha };
-                Ok((alpha, point.build()?))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -344,8 +322,15 @@ mod tests {
 
     #[test]
     fn alpha_sweep_varies_only_the_partition() {
-        let sweep = builder().samples(4_000).alpha_sweep(&ALPHA_SWEEP).unwrap();
-        assert_eq!(sweep.len(), ALPHA_SWEEP.len());
+        let sweep: Vec<(f64, FederatedScenario)> = ALPHA_SWEEP
+            .iter()
+            .map(|&alpha| {
+                let point = builder()
+                    .samples(4_000)
+                    .partition(Partition::Dirichlet { alpha });
+                (alpha, point.build().unwrap())
+            })
+            .collect();
         // Same seed, same pool: the shared sets are identical across α …
         let (_, first) = &sweep[0];
         for (alpha, s) in &sweep[1..] {
@@ -378,12 +363,6 @@ mod tests {
             concentration(first),
             concentration(mild)
         );
-    }
-
-    #[test]
-    fn alpha_sweep_rejects_bad_concentrations() {
-        assert!(builder().alpha_sweep(&[0.1, 0.0]).is_err());
-        assert!(builder().alpha_sweep(&[-1.0]).is_err());
     }
 
     #[test]

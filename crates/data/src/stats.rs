@@ -37,56 +37,9 @@ pub fn label_distribution(labels: &[usize], indices: &[usize], num_classes: usiz
     hist
 }
 
-/// Earth-mover's distance between two discrete distributions over the same
-/// ordered support (sum of absolute CDF differences).
-///
-/// # Panics
-///
-/// Panics if the distributions differ in length.
-pub fn distribution_emd(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len(), "distributions must share a support");
-    let mut cum = 0.0f64;
-    let mut total = 0.0f64;
-    for (a, b) in p.iter().zip(q) {
-        cum += a - b;
-        total += cum.abs();
-    }
-    total
-}
-
-/// A scalar non-IID degree for a partition: the average total-variation
-/// distance between each client's label distribution and the population
-/// label distribution. Zero for a perfectly IID split; approaches
-/// `1 − 1/num_classes` for fully specialized clients.
-///
-/// # Panics
-///
-/// Panics if an index or label is out of range.
-pub fn partition_noniid_degree(labels: &[usize], parts: &[Vec<usize>], num_classes: usize) -> f64 {
-    if parts.is_empty() {
-        return 0.0;
-    }
-    let all: Vec<usize> = (0..labels.len()).collect();
-    let global = label_distribution(labels, &all, num_classes);
-    let mut total = 0.0f64;
-    for part in parts {
-        let local = label_distribution(labels, part, num_classes);
-        let tv: f64 = local
-            .iter()
-            .zip(&global)
-            .map(|(a, b)| (a - b).abs())
-            .sum::<f64>()
-            / 2.0;
-        total += tv;
-    }
-    total / parts.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{partition_indices, Partition};
-    use fedpkd_rng::Rng;
 
     #[test]
     fn histogram_counts() {
@@ -107,44 +60,5 @@ mod tests {
     fn label_distribution_empty_is_zero() {
         let dist = label_distribution(&[0, 1], &[], 2);
         assert_eq!(dist, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn emd_identical_is_zero() {
-        let p = [0.2, 0.3, 0.5];
-        assert_eq!(distribution_emd(&p, &p), 0.0);
-    }
-
-    #[test]
-    fn emd_disjoint_masses() {
-        // All mass at 0 vs all mass at 2 → EMD = 2 (distance in bins).
-        let p = [1.0, 0.0, 0.0];
-        let q = [0.0, 0.0, 1.0];
-        assert!((distribution_emd(&p, &q) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn noniid_degree_orders_partitions() {
-        let mut rng = Rng::seed_from_u64(1);
-        let mut labels: Vec<usize> = (0..1000).map(|i| i % 10).collect();
-        rng.shuffle(&mut labels);
-        let iid = partition_indices(&labels, 10, 5, Partition::Iid, &mut rng).unwrap();
-        let skewed = partition_indices(
-            &labels,
-            10,
-            5,
-            Partition::Dirichlet { alpha: 0.1 },
-            &mut rng,
-        )
-        .unwrap();
-        let d_iid = partition_noniid_degree(&labels, &iid, 10);
-        let d_skew = partition_noniid_degree(&labels, &skewed, 10);
-        assert!(d_iid < 0.15, "IID degree {d_iid}");
-        assert!(d_skew > d_iid + 0.2, "skewed {d_skew} vs iid {d_iid}");
-    }
-
-    #[test]
-    fn noniid_degree_empty_partition_list() {
-        assert_eq!(partition_noniid_degree(&[0, 1], &[], 2), 0.0);
     }
 }

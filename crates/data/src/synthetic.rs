@@ -100,22 +100,6 @@ impl SyntheticConfig {
         }
     }
 
-    /// An image-mode preset for exercising the convolutional path.
-    pub fn image_like(num_classes: usize) -> Self {
-        Self {
-            num_classes,
-            modes_per_class: 1,
-            mode: DataMode::Image {
-                channels: 3,
-                size: 8,
-            },
-            class_separation: 2.0,
-            mode_spread: 0.5,
-            sample_noise: 0.8,
-            label_noise: 0.0,
-        }
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -240,7 +224,14 @@ mod tests {
     #[test]
     fn image_mode_shape() {
         let mut rng = Rng::seed_from_u64(3);
-        let cfg = SyntheticConfig::image_like(4);
+        let cfg = SyntheticConfig {
+            num_classes: 4,
+            mode: DataMode::Image {
+                channels: 3,
+                size: 8,
+            },
+            ..SyntheticConfig::cifar10_like()
+        };
         let ds = cfg.generate(8, &mut rng).unwrap();
         assert_eq!(ds.features().shape(), &[8, 3, 8, 8]);
     }

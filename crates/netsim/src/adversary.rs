@@ -248,15 +248,6 @@ impl RoundContext {
         &self.late
     }
 
-    /// The staleness lag for `client` if it is on this round's late-arrival
-    /// roster.
-    pub fn late_lag(&self, client: usize) -> Option<usize> {
-        self.late
-            .iter()
-            .find(|&&(c, _)| c == client)
-            .map(|&(_, lag)| lag)
-    }
-
     /// The driver's worker budget for this round, if it set one.
     pub fn worker_budget(&self) -> Option<usize> {
         self.worker_budget
@@ -271,11 +262,6 @@ impl RoundContext {
     /// (or out of range).
     pub fn attack(&self, client: usize) -> Option<Attack> {
         self.attacks.get(client).copied().flatten()
-    }
-
-    /// Whether any client in the roster is adversarial.
-    pub fn has_adversaries(&self) -> bool {
-        self.attacks.iter().any(Option::is_some)
     }
 
     /// The dedicated corruption RNG stream for `(round, client)`.
@@ -398,7 +384,6 @@ mod tests {
     #[test]
     fn context_accessors() {
         let ctx = RoundContext::benign(Cohort::full(2));
-        assert!(!ctx.has_adversaries());
         assert_eq!(ctx.attack(0), None);
         assert_eq!(ctx.attack(9), None, "out of range is honest");
         let ctx = RoundContext::with_attacks(
@@ -406,7 +391,6 @@ mod tests {
             vec![Some(Attack::LogitLabelFlip), None],
             1,
         );
-        assert!(ctx.has_adversaries());
         assert_eq!(ctx.attack(0), Some(Attack::LogitLabelFlip));
         assert_eq!(ctx.cohort().num_clients(), 2);
     }

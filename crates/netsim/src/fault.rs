@@ -433,11 +433,6 @@ impl FaultPlan {
             .map(|&(_, a)| a)
     }
 
-    /// Whether any client is marked Byzantine.
-    pub fn has_adversaries(&self) -> bool {
-        !self.adversaries.is_empty()
-    }
-
     /// The effective slowdown factor for `client` (1.0 unless configured).
     pub fn slowdown(&self, client: usize) -> f64 {
         self.slowdowns

@@ -51,7 +51,6 @@ impl std::error::Error for QuantizeError {}
 /// let q = QuantizedLogits::from_values(&[0, 1], 2, &[0.0, 3.0, -1.0, 2.0]).unwrap();
 /// let restored = q.dequantize();
 /// assert!(restored.iter().zip([0.0, 3.0, -1.0, 2.0]).all(|(a, b)| (a - b).abs() < 0.01));
-/// assert!(q.max_error() < 0.01);
 /// assert!(QuantizedLogits::from_values(&[0], 2, &[f32::NAN, 0.0]).is_err());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -121,11 +120,6 @@ impl QuantizedLogits {
             .map(|&q| self.min + self.scale * q as f32)
             .collect()
     }
-
-    /// Worst-case absolute reconstruction error of this payload.
-    pub fn max_error(&self) -> f32 {
-        self.scale / 2.0
-    }
 }
 
 impl Wire for QuantizedLogits {
@@ -169,7 +163,8 @@ mod tests {
         let ids: Vec<u32> = (0..10).collect();
         let q = QuantizedLogits::from_values(&ids, 4, &values).unwrap();
         let restored = q.dequantize();
-        let bound = q.max_error() + 1e-6;
+        // Worst case is half a quantization step.
+        let bound = q.scale / 2.0 + 1e-6;
         for (a, b) in restored.iter().zip(&values) {
             assert!((a - b).abs() <= bound, "{a} vs {b} (bound {bound})");
         }

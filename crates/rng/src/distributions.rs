@@ -2,79 +2,6 @@
 
 use crate::Rng;
 
-/// A Gaussian distribution with configurable mean and standard deviation.
-///
-/// # Examples
-///
-/// ```
-/// use fedpkd_rng::{Normal, Rng};
-///
-/// let mut rng = Rng::seed_from_u64(1);
-/// let n = Normal::new(5.0, 2.0).unwrap();
-/// let x = n.sample(&mut rng);
-/// assert!(x.is_finite());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Normal {
-    mean: f64,
-    std_dev: f64,
-}
-
-impl Normal {
-    /// Creates a normal distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error message if `std_dev` is negative or either parameter
-    /// is non-finite.
-    pub fn new(mean: f64, std_dev: f64) -> Result<Self, DistributionError> {
-        if !mean.is_finite() || !std_dev.is_finite() || std_dev < 0.0 {
-            return Err(DistributionError::InvalidParameter);
-        }
-        Ok(Self { mean, std_dev })
-    }
-
-    /// Draws one sample.
-    pub fn sample(&self, rng: &mut Rng) -> f64 {
-        self.mean + self.std_dev * rng.standard_normal()
-    }
-
-    /// The mean parameter.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// The standard-deviation parameter.
-    pub fn std_dev(&self) -> f64 {
-        self.std_dev
-    }
-}
-
-/// A Bernoulli distribution over `{true, false}`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Creates a Bernoulli distribution with success probability `p`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `p` is outside `[0, 1]`.
-    pub fn new(p: f64) -> Result<Self, DistributionError> {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(DistributionError::InvalidParameter);
-        }
-        Ok(Self { p })
-    }
-
-    /// Draws one sample.
-    pub fn sample(&self, rng: &mut Rng) -> bool {
-        rng.bernoulli(self.p)
-    }
-}
-
 /// A Gamma distribution, sampled with the Marsaglia–Tsang squeeze method.
 ///
 /// Supports all positive shapes; shapes below one use the boosting identity
@@ -198,74 +125,6 @@ impl Dirichlet {
     }
 }
 
-/// A categorical distribution over `0..k`, sampled in O(log k) by inverse
-/// CDF lookup.
-///
-/// # Examples
-///
-/// ```
-/// use fedpkd_rng::{Categorical, Rng};
-///
-/// let mut rng = Rng::seed_from_u64(4);
-/// let c = Categorical::new(&[0.1, 0.7, 0.2]).unwrap();
-/// assert!(c.sample(&mut rng) < 3);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Categorical {
-    cdf: Vec<f64>,
-}
-
-impl Categorical {
-    /// Creates a categorical distribution from unnormalized non-negative
-    /// weights.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `weights` is empty, contains a negative or
-    /// non-finite entry, or sums to zero.
-    pub fn new(weights: &[f64]) -> Result<Self, DistributionError> {
-        if weights.is_empty() || weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-            return Err(DistributionError::InvalidParameter);
-        }
-        let total: f64 = weights.iter().sum();
-        if total <= 0.0 {
-            return Err(DistributionError::InvalidParameter);
-        }
-        let mut cdf = Vec::with_capacity(weights.len());
-        let mut acc = 0.0;
-        for w in weights {
-            acc += w / total;
-            cdf.push(acc);
-        }
-        // Pin the final entry so a draw of ~1.0 cannot fall off the end.
-        *cdf.last_mut().expect("non-empty") = 1.0;
-        Ok(Self { cdf })
-    }
-
-    /// Draws one category index.
-    pub fn sample(&self, rng: &mut Rng) -> usize {
-        let u = rng.next_f64();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite"))
-        {
-            Ok(i) => (i + 1).min(self.cdf.len() - 1),
-            Err(i) => i,
-        }
-    }
-
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Whether the distribution has zero categories (never true for a
-    /// successfully constructed value).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-}
-
 /// Errors from distribution constructors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
@@ -287,26 +146,6 @@ impl std::error::Error for DistributionError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn normal_rejects_bad_params() {
-        assert!(Normal::new(f64::NAN, 1.0).is_err());
-        assert!(Normal::new(0.0, -1.0).is_err());
-        assert!(Normal::new(0.0, f64::INFINITY).is_err());
-        assert!(Normal::new(0.0, 0.0).is_ok());
-    }
-
-    #[test]
-    fn normal_moments() {
-        let mut rng = Rng::seed_from_u64(10);
-        let n = Normal::new(3.0, 0.5).unwrap();
-        let k = 40_000;
-        let xs: Vec<f64> = (0..k).map(|_| n.sample(&mut rng)).collect();
-        let mean = xs.iter().sum::<f64>() / k as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / k as f64;
-        assert!((mean - 3.0).abs() < 0.02, "mean {mean}");
-        assert!((var - 0.25).abs() < 0.02, "var {var}");
-    }
 
     #[test]
     fn gamma_rejects_bad_params() {
@@ -382,51 +221,6 @@ mod tests {
         assert!(Dirichlet::new(vec![1.0, 0.0]).is_err());
         assert!(Dirichlet::new(vec![1.0, -1.0]).is_err());
         assert!(Dirichlet::symmetric(0.5, 1).is_err());
-    }
-
-    #[test]
-    fn categorical_frequencies_match_weights() {
-        let mut rng = Rng::seed_from_u64(40);
-        let c = Categorical::new(&[1.0, 3.0, 6.0]).unwrap();
-        let mut counts = [0usize; 3];
-        let n = 30_000;
-        for _ in 0..n {
-            counts[c.sample(&mut rng)] += 1;
-        }
-        let freqs: Vec<f64> = counts.iter().map(|&c| c as f64 / n as f64).collect();
-        assert!((freqs[0] - 0.1).abs() < 0.01, "{freqs:?}");
-        assert!((freqs[1] - 0.3).abs() < 0.015, "{freqs:?}");
-        assert!((freqs[2] - 0.6).abs() < 0.015, "{freqs:?}");
-    }
-
-    #[test]
-    fn categorical_zero_weight_class_never_sampled() {
-        let mut rng = Rng::seed_from_u64(41);
-        let c = Categorical::new(&[0.0, 1.0, 0.0]).unwrap();
-        for _ in 0..1000 {
-            assert_eq!(c.sample(&mut rng), 1);
-        }
-    }
-
-    #[test]
-    fn categorical_rejects_bad_weights() {
-        assert!(Categorical::new(&[]).is_err());
-        assert!(Categorical::new(&[0.0, 0.0]).is_err());
-        assert!(Categorical::new(&[1.0, -0.5]).is_err());
-        assert!(Categorical::new(&[f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn bernoulli_bounds() {
-        assert!(Bernoulli::new(-0.1).is_err());
-        assert!(Bernoulli::new(1.1).is_err());
-        let mut rng = Rng::seed_from_u64(50);
-        let always = Bernoulli::new(1.0).unwrap();
-        let never = Bernoulli::new(0.0).unwrap();
-        for _ in 0..100 {
-            assert!(always.sample(&mut rng));
-            assert!(!never.sample(&mut rng));
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! SplitMix64 as its authors recommend. On top of it the crate provides the
 //! sampling routines the federated-learning simulation needs: uniform ranges,
 //! Gaussians (Box–Muller), Gamma (Marsaglia–Tsang), Dirichlet (normalized
-//! Gammas), categorical sampling, shuffling, and subset sampling.
+//! Gammas), shuffling, and subset sampling.
 //!
 //! # Examples
 //!
@@ -33,8 +33,8 @@ mod sampling;
 mod splitmix;
 mod xoshiro;
 
-pub use distributions::{Bernoulli, Categorical, Dirichlet, Gamma, Normal};
-pub use sampling::{reservoir_sample, sample_indices};
+pub use distributions::{Dirichlet, Gamma};
+pub use sampling::sample_indices;
 pub use splitmix::SplitMix64;
 pub use xoshiro::Rng;
 

@@ -1,4 +1,4 @@
-//! Subset-sampling helpers.
+//! Subset sampling.
 
 use crate::Rng;
 
@@ -29,41 +29,6 @@ pub fn sample_indices(rng: &mut Rng, n: usize, k: usize) -> Vec<usize> {
     }
     pool.truncate(k);
     pool
-}
-
-/// Reservoir-samples `k` items from an iterator of unknown length
-/// (Algorithm R).
-///
-/// Returns fewer than `k` items if the iterator is shorter than `k`.
-///
-/// # Examples
-///
-/// ```
-/// use fedpkd_rng::{reservoir_sample, Rng};
-///
-/// let mut rng = Rng::seed_from_u64(9);
-/// let picked = reservoir_sample(&mut rng, 0..1000, 10);
-/// assert_eq!(picked.len(), 10);
-/// ```
-pub fn reservoir_sample<I, T>(rng: &mut Rng, iter: I, k: usize) -> Vec<T>
-where
-    I: IntoIterator<Item = T>,
-{
-    let mut reservoir: Vec<T> = Vec::with_capacity(k);
-    if k == 0 {
-        return reservoir;
-    }
-    for (i, item) in iter.into_iter().enumerate() {
-        if i < k {
-            reservoir.push(item);
-        } else {
-            let j = rng.bounded_u64((i + 1) as u64) as usize;
-            if j < k {
-                reservoir[j] = item;
-            }
-        }
-    }
-    reservoir
 }
 
 #[cfg(test)]
@@ -115,34 +80,6 @@ mod tests {
         // Each index should be hit about 3000 times.
         for (i, &c) in counts.iter().enumerate() {
             assert!((2700..3300).contains(&c), "index {i}: {c}");
-        }
-    }
-
-    #[test]
-    fn reservoir_short_input_returns_all() {
-        let mut rng = Rng::seed_from_u64(6);
-        let got = reservoir_sample(&mut rng, 0..3, 10);
-        assert_eq!(got, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn reservoir_k_zero() {
-        let mut rng = Rng::seed_from_u64(6);
-        let got: Vec<i32> = reservoir_sample(&mut rng, 0..100, 0);
-        assert!(got.is_empty());
-    }
-
-    #[test]
-    fn reservoir_is_roughly_uniform() {
-        let mut rng = Rng::seed_from_u64(7);
-        let mut counts = [0usize; 20];
-        for _ in 0..20_000 {
-            for v in reservoir_sample(&mut rng, 0..20, 2) {
-                counts[v] += 1;
-            }
-        }
-        for (i, &c) in counts.iter().enumerate() {
-            assert!((1700..2300).contains(&c), "value {i}: {c}");
         }
     }
 }

@@ -5,10 +5,10 @@ use crate::splitmix::SplitMix64;
 /// A deterministic random number generator (Xoshiro256++).
 ///
 /// All stochastic behaviour in the FedPKD reproduction flows through this
-/// type. It is seeded from a single `u64` via SplitMix64, supports cheap
-/// forking into statistically independent substreams (so parallel clients
-/// stay deterministic regardless of scheduling), and offers the sampling
-/// helpers the simulation needs.
+/// type. It is seeded from a single `u64` via SplitMix64, derives
+/// statistically independent substreams by id ([`Rng::stream`], so parallel
+/// clients stay deterministic regardless of scheduling), and offers the
+/// sampling helpers the simulation needs.
 ///
 /// # Examples
 ///
@@ -18,11 +18,6 @@ use crate::splitmix::SplitMix64;
 /// let mut rng = Rng::seed_from_u64(99);
 /// let die = rng.range_usize(0, 6);
 /// assert!(die < 6);
-///
-/// // Fork substreams for parallel workers; each fork is independent but
-/// // reproducible from the parent seed.
-/// let mut worker = rng.fork();
-/// let _ = worker.next_f32();
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Rng {
@@ -68,14 +63,6 @@ impl Rng {
             sm2.next_u64(),
         ];
         Self { s }
-    }
-
-    /// Draws a fresh, independent generator from this one.
-    ///
-    /// The fork is seeded from the parent's output stream, so a sequence of
-    /// forks is itself deterministic.
-    pub fn fork(&mut self) -> Self {
-        Self::seed_from_u64(self.next_u64())
     }
 
     /// The raw 256-bit xoshiro state, for checkpointing.
@@ -131,11 +118,6 @@ impl Rng {
         self.s[2] ^= t;
         self.s[3] = self.s[3].rotate_left(45);
         result
-    }
-
-    /// Returns the next 32 random bits.
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
     }
 
     /// Returns a uniform `f64` in `[0, 1)` with 53 bits of precision.
@@ -329,15 +311,6 @@ mod tests {
         let s3: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
         assert_eq!(s1, s2);
         assert_ne!(s1, s3);
-    }
-
-    #[test]
-    fn forks_differ_from_parent_stream() {
-        let mut parent = Rng::seed_from_u64(77);
-        let mut fork = parent.fork();
-        let pv: Vec<u64> = (0..8).map(|_| parent.next_u64()).collect();
-        let fv: Vec<u64> = (0..8).map(|_| fork.next_u64()).collect();
-        assert_ne!(pv, fv);
     }
 
     #[test]

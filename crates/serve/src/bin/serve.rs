@@ -105,6 +105,17 @@ fn parse_args() -> Result<Args, String> {
     if args.uds.is_some() == args.tcp.is_some() {
         return Err(format!("pass exactly one of --uds / --tcp\nusage: {USAGE}"));
     }
+    // What `Deadline::from_secs` and the socket timeouts built from it
+    // would otherwise panic on: NaN, ≤ 0, beyond `Duration`'s range.
+    if !Duration::try_from_secs_f64(args.io_deadline_secs).is_ok_and(|d| !d.is_zero()) {
+        return Err(format!(
+            "--io-deadline must be a positive number of seconds\nusage: {USAGE}"
+        ));
+    }
+    // With no connection slot every client is shed and no round can commit.
+    if args.max_conns == 0 {
+        return Err(format!("--max-conns must be at least 1\nusage: {USAGE}"));
+    }
     Ok(args)
 }
 

@@ -204,6 +204,38 @@ fn killed_and_restarted_run_is_bit_identical_to_in_process() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A flag value the server cannot run with is a usage error (exit 1), not
+/// a panic deep in `Deadline::from_secs` (exit 101) — nor, for a zero
+/// connection cap, a server that sheds every client for ever.
+#[test]
+fn unusable_flag_values_get_the_usage_error() {
+    use std::io::Read;
+    let sock = std::env::temp_dir().join(format!("fedpkd-flags-{}.sock", std::process::id()));
+    for (flag, value) in [
+        ("--io-deadline", "nan"),
+        ("--io-deadline", "0"),
+        ("--io-deadline", "-1"),
+        ("--io-deadline", "1e30"),
+        ("--max-conns", "0"),
+    ] {
+        let mut server = Command::new(env!("CARGO_BIN_EXE_fedpkd-serve"))
+            .args(["--uds", &sock.display().to_string(), "--rounds", "1"])
+            .args([flag, value])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn fedpkd-serve");
+        let mut stderr = server.stderr.take().expect("piped stderr");
+        let status = wait_timeout(server, Duration::from_secs(10));
+        let mut said = String::new();
+        stderr.read_to_string(&mut said).expect("read stderr");
+        assert_eq!(status.code(), Some(1), "{flag} {value}: {said}");
+        assert!(said.contains("usage:"), "{flag} {value}: {said}");
+        assert!(!said.contains("panicked"), "{flag} {value}: {said}");
+    }
+    let _ = std::fs::remove_file(&sock);
+}
+
 fn wait_timeout(mut child: Child, timeout: Duration) -> std::process::ExitStatus {
     let deadline = Instant::now() + timeout;
     loop {

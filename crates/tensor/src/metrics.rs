@@ -59,68 +59,6 @@ pub fn per_class_accuracy(logits: &Tensor, labels: &[usize], num_classes: usize)
         .collect()
 }
 
-/// A confusion matrix over `num_classes` classes.
-///
-/// Entry `(i, j)` counts samples with true label `i` predicted as `j`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfusionMatrix {
-    counts: Vec<usize>,
-    num_classes: usize,
-}
-
-impl ConfusionMatrix {
-    /// Creates an empty matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_classes == 0`.
-    pub fn new(num_classes: usize) -> Self {
-        assert!(num_classes > 0, "need at least one class");
-        Self {
-            counts: vec![0; num_classes * num_classes],
-            num_classes,
-        }
-    }
-
-    /// Records a batch of predictions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if label counts mismatch or a label/prediction is out of range.
-    pub fn record(&mut self, logits: &Tensor, labels: &[usize]) {
-        assert_eq!(logits.rows(), labels.len(), "one label per row required");
-        for (p, &y) in logits.argmax_rows().into_iter().zip(labels) {
-            assert!(y < self.num_classes && p < self.num_classes, "out of range");
-            self.counts[y * self.num_classes + p] += 1;
-        }
-    }
-
-    /// Count of samples with true label `actual` predicted as `predicted`.
-    pub fn count(&self, actual: usize, predicted: usize) -> usize {
-        self.counts[actual * self.num_classes + predicted]
-    }
-
-    /// Total samples recorded.
-    pub fn total(&self) -> usize {
-        self.counts.iter().sum()
-    }
-
-    /// Overall accuracy (diagonal mass). Zero if nothing was recorded.
-    pub fn accuracy(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let diag: usize = (0..self.num_classes).map(|i| self.count(i, i)).sum();
-        diag as f64 / total as f64
-    }
-
-    /// Number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,24 +93,6 @@ mod tests {
         let logits = t(&[1., 0.], &[1, 2]);
         let pca = per_class_accuracy(&logits, &[0], 2);
         assert!(pca[1].is_nan());
-    }
-
-    #[test]
-    fn confusion_matrix_records_and_scores() {
-        let mut cm = ConfusionMatrix::new(2);
-        let logits = t(&[1., 0., 0., 1., 1., 0.], &[3, 2]);
-        cm.record(&logits, &[0, 1, 1]);
-        assert_eq!(cm.count(0, 0), 1);
-        assert_eq!(cm.count(1, 1), 1);
-        assert_eq!(cm.count(1, 0), 1);
-        assert_eq!(cm.total(), 3);
-        assert!((cm.accuracy() - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(cm.num_classes(), 2);
-    }
-
-    #[test]
-    fn empty_confusion_matrix_accuracy_is_zero() {
-        assert_eq!(ConfusionMatrix::new(3).accuracy(), 0.0);
     }
 
     #[test]

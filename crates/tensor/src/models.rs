@@ -435,7 +435,12 @@ pub fn build_res_mlp(
 ) -> ClassifierModel {
     assert!(input_dim > 0 && num_classes > 0, "degenerate ResMlp spec");
     let width = tier.width();
-    let mut layers: Vec<Box<dyn Layer>> = vec![Box::new(Linear::fused_relu(input_dim, width, rng))];
+    // Stem, blocks and the three tail layers, sized once: the buffers a
+    // growing `Vec` would leave behind land among the model's small
+    // allocations and decide whether glibc trims the heap between two builds
+    // (EXPERIMENTS.md, "Performance record").
+    let mut layers: Vec<Box<dyn Layer>> = Vec::with_capacity(tier.blocks() + 4);
+    layers.push(Box::new(Linear::fused_relu(input_dim, width, rng)));
     for _ in 0..tier.blocks() {
         let body = Sequential::new(vec![
             Box::new(BatchNorm1d::new(width)) as Box<dyn Layer>,

@@ -9,14 +9,12 @@
 mod activations;
 mod batchnorm;
 mod conv;
-mod dropout;
 mod linear;
 mod pool;
 
-pub use activations::{LeakyRelu, Relu, Tanh};
+pub use activations::Relu;
 pub use batchnorm::BatchNorm1d;
 pub use conv::Conv2d;
-pub use dropout::Dropout;
 pub use linear::{Linear, PendingGrads};
 pub use pool::{AvgPool2d, Flatten, GlobalAvgPool2d};
 
@@ -105,7 +103,7 @@ impl<F: FnMut(usize, &mut Param)> ParamHook for F {
 /// Layers are `Send` so simulated clients can train on worker threads.
 pub trait Layer: Send {
     /// Runs the layer on `input`. `train` selects training-time behaviour
-    /// (dropout active, batch-norm batch statistics).
+    /// (batch-norm batch statistics, caches kept for `backward`).
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
     /// Backpropagates `grad_out` (gradient w.r.t. the last forward output),
@@ -216,34 +214,6 @@ fn keep_for_backward(cache: &mut Option<Tensor>, value: &Tensor, train: bool) {
         Some(cached) => cached.clone_from(value),
         None => *cache = Some(value.clone()),
     }
-}
-
-/// A layer that passes its input through unchanged.
-///
-/// Useful as the skip path of a [`Residual`] block when no projection is
-/// needed.
-#[derive(Debug, Default)]
-pub struct Identity;
-
-impl Identity {
-    /// Creates an identity layer.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl Layer for Identity {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        input.clone()
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        grad_out.clone()
-    }
-
-    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
-
-    fn visit_params(&self, _f: &mut dyn FnMut(&Param)) {}
 }
 
 /// A container that applies layers in order.
@@ -385,37 +355,22 @@ fn chain_backward(
     g
 }
 
-/// A residual block: `output = body(x) + skip(x)`.
-///
-/// When the body preserves the feature width the skip path is the identity;
-/// otherwise pass a projection layer (typically [`Linear`] or 1×1
-/// [`Conv2d`]).
+/// A residual block: `output = body(x) + x`. The body must preserve the
+/// input's shape.
 pub struct Residual {
     body: Box<dyn Layer>,
-    /// `None` is the identity skip: the input (gradient) is added as is,
-    /// with no pass-through copy.
-    skip: Option<Box<dyn Layer>>,
 }
 
 impl Residual {
-    /// Creates a residual block with an identity skip connection.
+    /// Creates a residual block around `body`.
     pub fn new(body: Box<dyn Layer>) -> Self {
-        Self { body, skip: None }
+        Self { body }
     }
 
-    /// Creates a residual block with an explicit projection on the skip path.
-    pub fn with_projection(body: Box<dyn Layer>, skip: Box<dyn Layer>) -> Self {
-        Self {
-            body,
-            skip: Some(skip),
-        }
-    }
-
-    /// `grad_body + grad_skip`, where an identity skip's gradient is
-    /// `grad_out` itself.
-    fn join_grads(grad_body: &Tensor, grad_skip: Option<&Tensor>, grad_out: &Tensor) -> Tensor {
+    /// `grad_body + grad_out`: the skip path's gradient is `grad_out` itself.
+    fn join_grads(grad_body: &Tensor, grad_out: &Tensor) -> Tensor {
         grad_body
-            .add(grad_skip.unwrap_or(grad_out))
+            .add(grad_out)
             .expect("residual input gradients must agree in shape")
     }
 }
@@ -431,15 +386,12 @@ impl std::fmt::Debug for Residual {
 impl Layer for Residual {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let main = self.body.forward(input, train);
-        let shortcut = self.skip.as_mut().map(|skip| skip.forward(input, train));
-        main.add(shortcut.as_ref().unwrap_or(input))
-            .expect("residual body and skip must produce equal shapes")
+        main.add(input)
+            .expect("residual body must preserve the input shape")
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let g_body = self.body.backward(grad_out);
-        let g_skip = self.skip.as_mut().map(|skip| skip.backward(grad_out));
-        Self::join_grads(&g_body, g_skip.as_ref(), grad_out)
+        Self::join_grads(&self.body.backward(grad_out), grad_out)
     }
 
     fn backward_with(
@@ -448,47 +400,28 @@ impl Layer for Residual {
         first_slot: usize,
         hook: &mut dyn ParamHook,
     ) -> Tensor {
-        let skip_slot = first_slot + self.body.slot_count();
         let g_body = self.body.backward_with(grad_out, first_slot, hook);
-        let g_skip = self
-            .skip
-            .as_mut()
-            .map(|skip| skip.backward_with(grad_out, skip_slot, hook));
-        Self::join_grads(&g_body, g_skip.as_ref(), grad_out)
+        Self::join_grads(&g_body, grad_out)
     }
 
     fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
-        let g_body = self.body.backward_input(grad_out);
-        let g_skip = self.skip.as_mut().map(|skip| skip.backward_input(grad_out));
-        Self::join_grads(&g_body, g_skip.as_ref(), grad_out)
+        Self::join_grads(&self.body.backward_input(grad_out), grad_out)
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.body.visit_params_mut(f);
-        if let Some(skip) = &mut self.skip {
-            skip.visit_params_mut(f);
-        }
     }
 
     fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
         self.body.visit_params(f);
-        if let Some(skip) = &self.skip {
-            skip.visit_params(f);
-        }
     }
 
     fn visit_buffers(&self, f: &mut dyn FnMut(&[f32])) {
         self.body.visit_buffers(f);
-        if let Some(skip) = &self.skip {
-            skip.visit_buffers(f);
-        }
     }
 
     fn visit_buffers_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
         self.body.visit_buffers_mut(f);
-        if let Some(skip) = &mut self.skip {
-            skip.visit_buffers_mut(f);
-        }
     }
 }
 
@@ -576,15 +509,6 @@ mod tests {
     use fedpkd_rng::Rng;
 
     #[test]
-    fn identity_round_trip() {
-        let mut id = Identity::new();
-        let x = Tensor::from_vec(vec![1.0, -2.0], &[1, 2]).unwrap();
-        assert_eq!(id.forward(&x, true), x);
-        assert_eq!(id.backward(&x), x);
-        assert_eq!(id.param_count(), 0);
-    }
-
-    #[test]
     fn sequential_composes_shapes() {
         let mut rng = Rng::seed_from_u64(2);
         let mut net = Sequential::new(vec![
@@ -646,27 +570,12 @@ mod tests {
         let mut rng = Rng::seed_from_u64(4);
         let body = Sequential::new(vec![
             Box::new(Linear::new(3, 3, &mut rng)),
-            Box::new(Tanh::new()),
+            Box::new(Relu::new()),
         ]);
         let mut block = Residual::new(Box::new(body));
         let x = Tensor::rand_uniform(&[2, 3], -1.0, 1.0, &mut rng);
         gradcheck::check_input_grad(&mut block, &x, 1e-2);
         gradcheck::check_param_grad(&mut block, &x, 1e-2);
-    }
-
-    #[test]
-    fn residual_with_projection_changes_width() {
-        let mut rng = Rng::seed_from_u64(5);
-        let body = Sequential::new(vec![Box::new(Linear::new(3, 6, &mut rng)) as Box<dyn Layer>]);
-        let proj = Linear::new(3, 6, &mut rng);
-        let mut block = Residual::with_projection(Box::new(body), Box::new(proj));
-        let x = Tensor::zeros(&[2, 3]);
-        assert_eq!(block.forward(&x, true).shape(), &[2, 6]);
-        gradcheck::check_input_grad(
-            &mut block,
-            &Tensor::rand_uniform(&[2, 3], -1.0, 1.0, &mut rng),
-            1e-2,
-        );
     }
 
     #[test]
@@ -703,23 +612,21 @@ mod tests {
         }
     }
 
-    /// A net with every container shape: nested `Sequential`s, an identity
-    /// `Residual`, a projected one, batch norm and a fused-ReLU `Linear`.
+    /// A net with every container shape: nested `Sequential`s, a `Residual`
+    /// around one and around a bare layer, batch norm and a fused-ReLU
+    /// `Linear`.
     fn nested_net(seed: u64) -> Sequential {
         let mut rng = Rng::seed_from_u64(seed);
         let body = Sequential::new(vec![
             Box::new(BatchNorm1d::new(5)) as Box<dyn Layer>,
             Box::new(Linear::fused_relu(5, 5, &mut rng)),
         ]);
-        let projected = Residual::with_projection(
-            Box::new(Linear::new(5, 3, &mut rng)),
-            Box::new(Linear::new(5, 3, &mut rng)),
-        );
         Sequential::new(vec![
             Box::new(Linear::new(4, 5, &mut rng)),
             Box::new(Residual::new(Box::new(body))),
             Box::new(Relu::new()),
-            Box::new(projected),
+            Box::new(Residual::new(Box::new(Linear::new(5, 5, &mut rng)))),
+            Box::new(Linear::new(5, 3, &mut rng)),
         ])
     }
 

@@ -204,16 +204,6 @@ pub fn sharpen(probs: &Tensor, temperature: f32) -> Tensor {
     out
 }
 
-/// Clips the global L2 norm of a gradient tensor to `max_norm`, in place.
-/// Returns the pre-clip norm.
-pub fn clip_grad_norm(grad: &mut Tensor, max_norm: f32) -> f32 {
-    let norm = grad.l2_norm();
-    if norm > max_norm && norm > 0.0 {
-        grad.scale_in_place(max_norm / norm);
-    }
-    norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,19 +308,6 @@ mod tests {
         for (a, b) in p.as_slice().iter().zip(s.as_slice()) {
             assert!((a - b).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn clip_grad_norm_caps_and_reports() {
-        let mut g = t(&[3.0, 4.0], &[2]);
-        let pre = clip_grad_norm(&mut g, 1.0);
-        assert!((pre - 5.0).abs() < 1e-6);
-        assert!((g.l2_norm() - 1.0).abs() < 1e-5);
-        // Already small: untouched.
-        let mut g2 = t(&[0.1, 0.1], &[2]);
-        let n2 = g2.l2_norm();
-        clip_grad_norm(&mut g2, 1.0);
-        assert!((g2.l2_norm() - n2).abs() < 1e-7);
     }
 
     #[test]

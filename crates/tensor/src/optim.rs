@@ -58,7 +58,7 @@ pub trait Optimizer: Send {
     /// The current learning rate.
     fn learning_rate(&self) -> f32;
 
-    /// Sets the learning rate (for schedules).
+    /// Sets the learning rate (a restored snapshot carries its own).
     fn set_learning_rate(&mut self, lr: f32);
 }
 
@@ -389,60 +389,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// A step-decay learning-rate schedule: every `period` steps the learning
-/// rate is multiplied by `factor`.
-///
-/// # Examples
-///
-/// ```
-/// use fedpkd_tensor::optim::{Optimizer, Sgd, StepDecay};
-///
-/// let mut opt = Sgd::new(0.1);
-/// let mut schedule = StepDecay::new(2, 0.5);
-/// for _ in 0..4 {
-///     schedule.step(&mut opt);
-/// }
-/// assert!((opt.learning_rate() - 0.025).abs() < 1e-7);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct StepDecay {
-    period: usize,
-    factor: f32,
-    steps: usize,
-}
-
-impl StepDecay {
-    /// Creates a schedule that decays the learning rate by `factor` every
-    /// `period` steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0` or `factor` is not in `(0, 1]`.
-    pub fn new(period: usize, factor: f32) -> Self {
-        assert!(period > 0, "period must be positive");
-        assert!(factor > 0.0 && factor <= 1.0, "factor must be in (0, 1]");
-        Self {
-            period,
-            factor,
-            steps: 0,
-        }
-    }
-
-    /// Advances the schedule by one step, decaying the optimizer's learning
-    /// rate at period boundaries.
-    pub fn step(&mut self, optimizer: &mut dyn Optimizer) {
-        self.steps += 1;
-        if self.steps.is_multiple_of(self.period) {
-            optimizer.set_learning_rate(optimizer.learning_rate() * self.factor);
-        }
-    }
-
-    /// Number of steps taken so far.
-    pub fn steps(&self) -> usize {
-        self.steps
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,34 +558,5 @@ mod tests {
     #[should_panic(expected = "momentum must be in")]
     fn rejects_momentum_of_one() {
         let _ = Sgd::new(0.1).with_momentum(1.0);
-    }
-
-    #[test]
-    fn step_decay_halves_on_schedule() {
-        let mut opt = Adam::new(0.008);
-        let mut schedule = StepDecay::new(3, 0.5);
-        for _ in 0..3 {
-            schedule.step(&mut opt);
-        }
-        assert!((opt.learning_rate() - 0.004).abs() < 1e-9);
-        for _ in 0..2 {
-            schedule.step(&mut opt);
-        }
-        assert!((opt.learning_rate() - 0.004).abs() < 1e-9, "not yet");
-        schedule.step(&mut opt);
-        assert!((opt.learning_rate() - 0.002).abs() < 1e-9);
-        assert_eq!(schedule.steps(), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "period must be positive")]
-    fn step_decay_rejects_zero_period() {
-        let _ = StepDecay::new(0, 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be in")]
-    fn step_decay_rejects_amplifying_factor() {
-        let _ = StepDecay::new(2, 1.5);
     }
 }

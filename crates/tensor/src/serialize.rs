@@ -32,13 +32,6 @@ pub fn param_vector(model: &dyn Layer) -> Vec<f32> {
     out
 }
 
-/// Flattens all parameter *gradients* of `model` into a single vector.
-pub fn grad_vector(model: &dyn Layer) -> Vec<f32> {
-    let mut out = Vec::with_capacity(model.param_count());
-    model.visit_params(&mut |p| out.extend_from_slice(p.grad.as_slice()));
-    out
-}
-
 /// Loads a flat parameter vector (as produced by [`param_vector`]) back into
 /// `model`.
 ///
@@ -199,17 +192,6 @@ mod tests {
         let m = model(1);
         assert_eq!(param_byte_len(&m), m.param_count() * 4);
         assert_eq!(m.param_count(), 3 * 4 + 4 + 4 * 2 + 2);
-    }
-
-    #[test]
-    fn grad_vector_matches_param_layout() {
-        let mut m = model(1);
-        let x = Tensor::full(&[1, 3], 1.0);
-        m.forward(&x, true);
-        m.backward(&Tensor::full(&[1, 2], 1.0));
-        let g = grad_vector(&m);
-        assert_eq!(g.len(), m.param_count());
-        assert!(g.iter().any(|&v| v != 0.0));
     }
 
     #[test]

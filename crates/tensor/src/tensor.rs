@@ -630,26 +630,6 @@ impl Tensor {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
-    /// Squared L2 distance to another tensor of equal shape.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the shapes differ.
-    pub fn squared_distance(&self, other: &Self) -> Result<f32, TensorError> {
-        if self.shape != other.shape {
-            return Err(TensorError::ShapeMismatch {
-                left: self.shape.clone(),
-                right: other.shape.clone(),
-            });
-        }
-        Ok(self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum())
-    }
-
     /// Stacks rank-1 tensors (or equal-width rows) into a rank-2 tensor.
     ///
     /// # Errors
@@ -778,7 +758,6 @@ mod tests {
         let a = t(&[1., 2.], &[2]);
         let b = t(&[1., 2.], &[1, 2]);
         assert!(a.add(&b).is_err());
-        assert!(a.squared_distance(&b).is_err());
     }
 
     #[test]
@@ -979,8 +958,6 @@ mod tests {
     fn norms_and_distances() {
         let a = t(&[3., 4.], &[2]);
         assert!((a.l2_norm() - 5.0).abs() < 1e-6);
-        let b = t(&[0., 0.], &[2]);
-        assert!((a.squared_distance(&b).unwrap() - 25.0).abs() < 1e-6);
     }
 
     #[test]

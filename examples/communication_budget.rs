@@ -36,7 +36,9 @@ fn spec() -> ModelSpec {
     }
 }
 
-fn describe(name: &str, result: &RunResult, client_target: bool) {
+/// Prints one table row and returns the bytes `result` spent to reach
+/// [`TARGET`], if it did.
+fn describe(name: &str, result: &RunResult, client_target: bool) -> Option<usize> {
     let bytes = if client_target {
         result.bytes_to_client_accuracy(TARGET)
     } else {
@@ -50,6 +52,7 @@ fn describe(name: &str, result: &RunResult, client_target: bool) {
     let wifi = LinkModel::wifi().round_time(&uplinks);
     let lte = LinkModel::cellular().round_time(&uplinks);
     println!(" {name:<8} | {cost} | {:>9.3} s | {:>9.3} s", wifi, lte);
+    bytes
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -77,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         SEED,
     )?;
-    describe(
+    let pkd_cost = describe(
         "FedPKD",
         &Driver::rounds(ROUNDS).run_silent(&mut pkd),
         false,
@@ -91,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..BaselineConfig::default()
     };
     let mut avg = FedAvg::new(scenario(), spec(), base.clone(), SEED)?;
-    describe(
+    let avg_cost = describe(
         "FedAvg",
         &Driver::rounds(ROUNDS).run_silent(&mut avg),
         false,
@@ -102,5 +105,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nFedPKD ships logits + prototypes (KB); FedAvg ships parameters (100s of KB).");
     println!("FedMD has no server model, so its target is mean client accuracy.");
+    // Table I's ordering (`scripts/check.sh` runs every example as a smoke).
+    let pkd_cost = pkd_cost.expect("FedPKD reaches the target");
+    let avg_cost = avg_cost.expect("FedAvg reaches the target");
+    assert!(
+        pkd_cost < avg_cost,
+        "FedPKD spent {pkd_cost} B to the target, FedAvg {avg_cost} B"
+    );
     Ok(())
 }

@@ -72,10 +72,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             m.mean_client_accuracy() * 100.0,
         );
     }
+    let best = result.best_server_accuracy().unwrap_or(0.0);
+    let chance = 1.0 / classes as f64;
     println!(
         "\nconv-path FedPKD reaches {:.1}% (chance {:.1}%)",
-        result.best_server_accuracy().unwrap_or(0.0) * 100.0,
-        100.0 / classes as f64
+        best * 100.0,
+        chance * 100.0
+    );
+    // The conv family's gate: `scripts/check.sh` runs this as a smoke.
+    assert!(
+        best >= 2.0 * chance,
+        "conv path stuck at {best:.3}, chance is {chance:.3}"
     );
     Ok(())
 }

@@ -80,7 +80,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..FedPkdConfig::default()
     };
     let mut fedpkd = FedPkd::new(scenario(), client_specs(), server_spec(), pkd_config, SEED)?;
-    report("FedPKD", &Driver::rounds(ROUNDS).run_silent(&mut fedpkd));
+    let pkd_result = Driver::rounds(ROUNDS).run_silent(&mut fedpkd);
+    report("FedPKD", &pkd_result);
 
     let base_config = BaselineConfig {
         local_epochs: 3,
@@ -96,8 +97,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     report("DS-FL", &Driver::rounds(ROUNDS).run_silent(&mut dsfl));
 
     let mut fedet = FedEt::new(scenario(), client_specs(), server_spec(), base_config, SEED)?;
-    report("FedET", &Driver::rounds(ROUNDS).run_silent(&mut fedet));
+    let et_result = Driver::rounds(ROUNDS).run_silent(&mut fedet);
+    report("FedET", &et_result);
 
     println!("\nFedMD/DS-FL train no server model; FedET pays parameter-sized uplink.");
+    // `scripts/check.sh` runs every example as a smoke.
+    let (pkd_bytes, et_bytes) = (
+        pkd_result.ledger.total_bytes(),
+        et_result.ledger.total_bytes(),
+    );
+    assert!(
+        et_bytes > pkd_bytes,
+        "FedET moved {et_bytes} B, FedPKD {pkd_bytes} B"
+    );
     Ok(())
 }

@@ -64,11 +64,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )?;
         let pkd_result = Driver::rounds(ROUNDS).run_silent(&mut pkd);
 
+        let avg_best = avg_result.best_server_accuracy().unwrap_or(0.0);
+        let pkd_best = pkd_result.best_server_accuracy().unwrap_or(0.0);
         println!(
             " {alpha:>5.2} |       {:>6.2}% |       {:>6.2}% |        {:>6.2}%",
-            avg_result.best_server_accuracy().unwrap_or(0.0) * 100.0,
-            pkd_result.best_server_accuracy().unwrap_or(0.0) * 100.0,
+            avg_best * 100.0,
+            pkd_best * 100.0,
             pkd_result.best_client_accuracy() * 100.0,
+        );
+        // The headline, checked where it is widest (`scripts/check.sh`
+        // runs every example as a smoke).
+        assert!(
+            alpha > 0.1 || pkd_best > avg_best,
+            "at α = {alpha} FedPKD ({pkd_best:.3}) must beat FedAvg ({avg_best:.3})"
         );
     }
 

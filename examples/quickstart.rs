@@ -66,9 +66,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             bytes_to_mb(m.cumulative_bytes),
         );
     }
+    let best = result.best_server_accuracy().unwrap_or(0.0);
     println!(
         "\nbest server accuracy: {:.2}%  (chance is 10%)",
-        result.best_server_accuracy().unwrap_or(0.0) * 100.0
+        best * 100.0
     );
+    // `scripts/check.sh` runs every example as a smoke.
+    assert!(best >= 0.5, "server stuck at {best:.3}, chance is 0.10");
     Ok(())
 }

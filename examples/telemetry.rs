@@ -53,6 +53,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sink.record(event);
     }
     sink.into_inner()?;
+    // The trace is one JSON object per event, in order (`scripts/check.sh`
+    // runs every example as a smoke).
+    let trace = std::fs::read_to_string(trace_path)?;
+    assert_eq!(trace.lines().count(), log.events().len());
+    for (line, event) in trace.lines().zip(log.events()) {
+        let kind = format!("\"event\":\"{}\"", event.kind());
+        assert!(
+            line.starts_with('{') && line.ends_with('}') && line.contains(&kind),
+            "not a {} line: {line}",
+            event.kind()
+        );
+    }
     println!(
         "wrote {} events ({} rounds) to {trace_path}\n",
         log.events().len(),
@@ -109,7 +121,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "client_distill",
         "evaluation",
     ] {
-        let total: f64 = log
+        let timings: Vec<f64> = log
             .events()
             .iter()
             .filter_map(|e| match e {
@@ -118,8 +130,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 } if p.name() == phase => Some(*seconds),
                 _ => None,
             })
-            .sum();
-        println!("  {phase:<16} {total:>7.3} s");
+            .collect();
+        assert_eq!(timings.len(), ROUNDS, "{phase} is timed once a round");
+        println!("  {phase:<16} {:>7.3} s", timings.iter().sum::<f64>());
     }
     println!(
         "\nbest server accuracy: {:.2}%  |  total traffic: {:.3} MB",

@@ -19,6 +19,7 @@ use fedpkd::core::clients::ClientState;
 use fedpkd::core::cow::ClientPool;
 use fedpkd::core::snapshot::{self, SnapshotError, SnapshotStreamWriter, StateSink};
 use fedpkd::core::train::train_supervised;
+use fedpkd::data::DataMode;
 use fedpkd::prelude::*;
 use fedpkd::tensor::nn::Layer;
 use fedpkd::tensor::optim::Adam;
@@ -185,14 +186,18 @@ fn assert_resumes_bit_identically<A: Federation>(make: impl Fn() -> A, plan: Opt
     );
 }
 
-fn fedpkd_with(mutate: impl FnOnce(&mut FedPkdConfig)) -> FedPkd {
-    let mut config = FedPkdConfig {
+fn fedpkd_config() -> FedPkdConfig {
+    FedPkdConfig {
         client_private_epochs: 1,
         client_public_epochs: 1,
         server_epochs: 1,
         learning_rate: 0.003,
         ..FedPkdConfig::default()
-    };
+    }
+}
+
+fn fedpkd_with(mutate: impl FnOnce(&mut FedPkdConfig)) -> FedPkd {
+    let mut config = fedpkd_config();
     mutate(&mut config);
     FedPkd::new(
         scenario(),
@@ -219,6 +224,45 @@ fn fedpkd_data_free() -> FedPkd {
     })
 }
 
+/// FedPKD on the conv family (`examples/conv_vision`'s shapes: 3 × 8 × 8
+/// images, T11 clients, a T20 server): its parked deltas are conv kernels,
+/// which no other resume test sends through `write_pool` / `read_pool`.
+fn fedpkd_conv() -> FedPkd {
+    let classes = 6;
+    let data = SyntheticConfig {
+        num_classes: classes,
+        modes_per_class: 1,
+        mode: DataMode::Image {
+            channels: 3,
+            size: 8,
+        },
+        ..SyntheticConfig::cifar10_like()
+    };
+    let scenario = ScenarioBuilder::new(data)
+        .clients(3)
+        .partition(Partition::Dirichlet { alpha: 0.5 })
+        .samples(240)
+        .public_size(80)
+        .global_test_size(60)
+        .seed(5)
+        .build()
+        .expect("valid scenario");
+    let spec = |tier| ModelSpec::ConvNet {
+        in_channels: 3,
+        image_size: 8,
+        num_classes: classes,
+        tier,
+    };
+    FedPkd::new(
+        scenario,
+        vec![spec(DepthTier::T11); 3],
+        spec(DepthTier::T20),
+        fedpkd_config(),
+        11,
+    )
+    .expect("valid federation")
+}
+
 fn baseline_config() -> BaselineConfig {
     BaselineConfig {
         local_epochs: 1,
@@ -232,6 +276,7 @@ fn baseline_config() -> BaselineConfig {
 #[test]
 fn fedpkd_resumes_bit_identically() {
     assert_resumes_bit_identically(fedpkd, None);
+    assert_resumes_bit_identically(fedpkd_conv, None);
 }
 
 #[test]
