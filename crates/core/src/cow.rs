@@ -391,7 +391,7 @@ pub fn for_each_pooled_client_streaming<T: Send>(
         .iter()
         .map(|&(i, _, _)| u64::from(pool.assignment[i]))
         .collect();
-    let schedule = fedpkd_tensor::plan::schedule(&keys);
+    let schedule = fedpkd_tensor::plan::grouped_schedule(&keys);
     dispatch_stealing_scheduled(
         items,
         &schedule,

@@ -12,8 +12,8 @@ use crate::fedpkd::distill::train_server_with_workers;
 use crate::fedpkd::filter::{filter_public, filter_public_opts, FilterOptions};
 use crate::fedpkd::generator::{self, Generator};
 use crate::fedpkd::logits::{
-    aggregate_logits_from_probs, aggregate_logits_trimmed_from_probs, aggregation_stats_from_probs,
-    client_probs, effective_trim, pseudo_labels,
+    aggregate_logits_trimmed_from_probs, aggregation_stats_from_probs, effective_trim,
+    pseudo_labels,
 };
 use crate::fedpkd::margins::{self, MarginBank};
 use crate::fedpkd::prototypes::{
@@ -258,13 +258,13 @@ struct RoundEnv<'a> {
     transfer: &'a Dataset,
 }
 
-/// Phase 1's output: the admitted on-time uploads — folded into `acc`, or
-/// kept whole in `buffered` when `buffer_logits` (a cross-client estimator
-/// or the diagnostics need the full set).
+/// Phase 1's output: the admitted on-time uploads' softmax probabilities —
+/// folded into `acc` (unless the trimmed estimator replaces the fold), and
+/// kept whole in `kept` when a cross-client estimator or the diagnostics
+/// need the full set.
 struct Uplink {
     acc: LogitAccumulator,
-    buffered: Vec<Tensor>,
-    buffer_logits: bool,
+    kept: Vec<Tensor>,
     fold_failed: bool,
     admitted: usize,
 }
@@ -315,9 +315,10 @@ impl FedPkdState {
             }
         }
 
-        let buffer_logits = config.robust.trim_fraction().is_some() || io.obs.enabled();
+        let trimmed = config.robust.trim_fraction().is_some();
+        let keep_probs = trimmed || io.obs.enabled();
         let mut acc = LogitAccumulator::new(config.variance_weighting);
-        let mut buffered: Vec<Tensor> = Vec::new();
+        let mut kept: Vec<Tensor> = Vec::new();
         let mut moment_uploads: Vec<Vec<Option<Prototype>>> = Vec::new();
         let sample_dim = transfer.sample_dim();
         let mut admitted = 0usize;
@@ -485,16 +486,18 @@ impl FedPkdState {
                         moment_uploads.push(m);
                     }
                 }
-                // The streaming Eq. 6–7 fold: the admitted upload is consumed
-                // here and freed — unless a cross-client estimator or
-                // diagnostics need the full set.
-                if buffer_logits {
-                    buffered.push(logits);
-                } else if acc.fold(&logits).is_err() {
+                // The streaming Eq. 6–7 fold: the admitted upload's one
+                // softmax pass is consumed here and freed — unless a
+                // cross-client estimator or diagnostics need the full set.
+                let probs = softmax(&logits, 1.0);
+                if !trimmed && acc.fold_probs(&probs).is_err() {
                     // Only reachable with admission disabled (shape-divergent
                     // payloads were let through); the round will degrade to a
                     // no-op below.
                     fold_failed = true;
+                }
+                if keep_probs {
+                    kept.push(probs);
                 }
                 admitted += 1;
             },
@@ -511,8 +514,7 @@ impl FedPkdState {
         };
         let uplink = Uplink {
             acc,
-            buffered,
-            buffer_logits,
+            kept,
             fold_failed,
             admitted,
         };
@@ -537,8 +539,7 @@ impl FedPkdState {
         let proto_dim = self.server_model.feature_dim();
         let Uplink {
             acc,
-            buffered,
-            buffer_logits,
+            kept,
             fold_failed,
             admitted,
         } = uplink;
@@ -586,26 +587,10 @@ impl FedPkdState {
             emit_phase_timing(obs, round, Phase::Aggregation, phase_started);
             return None;
         }
-        // The shared softmax pass: on buffering rounds the trimmed/plain
-        // aggregation and the telemetry stats below all consume per-client
-        // probabilities, so softmax runs once per admitted upload instead
-        // of once per consumer. Softmax is a pure per-tensor map, so the
-        // sharing is bit-identical to each consumer recomputing it.
-        let probs = if buffer_logits && !fold_failed {
-            client_probs(&buffered)
-        } else {
-            Vec::new()
-        };
-        let aggregated = if fold_failed {
-            None
-        } else {
-            match trim {
-                Some(t) => aggregate_logits_trimmed_from_probs(&probs, t).ok(),
-                None if buffer_logits => {
-                    aggregate_logits_from_probs(&probs, config.variance_weighting).ok()
-                }
-                None => acc.finish().ok(),
-            }
+        let aggregated = match trim {
+            Some(t) => aggregate_logits_trimmed_from_probs(&kept, t).ok(),
+            None if fold_failed => None,
+            None => acc.finish().ok(),
         };
         let Some(aggregated) = aggregated else {
             // Only reachable with admission disabled (shape-divergent
@@ -616,12 +601,12 @@ impl FedPkdState {
         };
         let pseudo = pseudo_labels(&aggregated);
         if obs.enabled() {
-            // `obs.enabled()` implies `buffer_logits`, so `probs` holds the
-            // shared softmax outputs from the aggregation above.
-            let stats = aggregation_stats_from_probs(&probs, config.variance_weighting);
+            // `obs.enabled()` implies the commit point kept every admitted
+            // upload's probabilities.
+            let stats = aggregation_stats_from_probs(&kept, config.variance_weighting);
             obs.record(&TelemetryEvent::LogitAggregation {
                 round,
-                clients: buffered.len(),
+                clients: kept.len(),
                 variance_weighting: config.variance_weighting,
                 mean_client_weight: stats.mean_client_weight,
                 disagreement: stats.disagreement,
@@ -686,7 +671,7 @@ impl FedPkdState {
             if let Some(t) = trim {
                 obs.record(&TelemetryEvent::AggregationTrim {
                     round,
-                    logit_trim: effective_trim(buffered.len(), t),
+                    logit_trim: effective_trim(kept.len(), t),
                     prototype_outliers: proto_outliers,
                     prototype_contributions: proto_contributions,
                 });

@@ -139,8 +139,7 @@ pub fn train_server_with_workers(
                     let (features, logits) = model.forward_full(&x, true);
 
                     // Distillation term (Eq. 11): both losses share the logits,
-                    // so the combined entry fuses their softmax families in the
-                    // fast tier.
+                    // so the combined entry fuses their softmax families.
                     let ((kl_loss, kl_grad), (ce_loss, ce_grad)) =
                         distill_kl_ce(&kl, &logits, &teacher, &labels);
                     let mut logit_grad = kl_grad;

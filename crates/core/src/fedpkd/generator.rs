@@ -18,8 +18,8 @@
 //! accumulation, and the critic (the server model) forwards in train mode
 //! only so its normalization layers can backpropagate — its parameters are
 //! never stepped and its buffers are restored afterwards — so generated
-//! batches and generator updates replay bit-identically across kernel
-//! tiers, plan schedules, and worker counts.
+//! batches and generator updates replay bit-identically across worker
+//! counts.
 
 use fedpkd_rng::Rng;
 use fedpkd_tensor::loss::{CrossEntropy, DistillKl, Mse};

@@ -19,9 +19,8 @@
 //!
 //! Determinism: the bank is refined by plain per-class scalar loops in
 //! ascending class order with `f64` accumulation, then stepped through the
-//! shared [`Adam`] machinery. No kernel dispatch is involved, so the
-//! result is bit-identical across kernel tiers, plan schedules, and worker
-//! counts by construction; the only inputs are the aggregated means, which
+//! shared [`Adam`] machinery. No kernel or thread is involved, so the
+//! result is bit-identical across worker counts by construction; the only inputs are the aggregated means, which
 //! the streaming accumulators already produce bit-identically.
 
 use fedpkd_tensor::nn::{Layer, Param};

@@ -170,7 +170,7 @@ pub fn train_distill(
             labels.extend(chunk.iter().map(|&i| pseudo_labels[i]));
             let logits = model.forward_logits(&x, true);
             // Both loss terms share the logits; the combined entry fuses
-            // their softmax families in the fast tier.
+            // their softmax families.
             let ((kl_loss, kl_grad), (ce_loss, ce_grad)) =
                 distill_kl_ce(&kl, &logits, &teacher, &labels);
             let mut grad = kl_grad.scale(gamma);

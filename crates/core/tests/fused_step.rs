@@ -6,8 +6,7 @@
 //! [`apply_proximal_term`] → `Optimizer::step` → `zero_grad` leaves them —
 //! on every model family, under both optimizers, with and without the
 //! prototype feature gradient, across consecutive steps (so optimizer state
-//! carried between steps is covered) including a 4-row tail batch, in both
-//! kernel tiers.
+//! carried between steps is covered) including a 4-row tail batch.
 //!
 //! The same goes for *where* the step's second half runs:
 //! `backward_step_on` a [`StepWorker`] (the update, and the gradient
@@ -23,10 +22,8 @@ use fedpkd_tensor::nn::{Layer, Param};
 use fedpkd_tensor::optim::{step_and_zero, Adam, Optimizer, Sgd};
 use fedpkd_tensor::serialize::{param_vector, state_vector};
 use fedpkd_tensor::step_worker::StepWorker;
-use fedpkd_tensor::{KernelMode, Tensor};
+use fedpkd_tensor::Tensor;
 use proptest::prelude::*;
-
-const BOTH_TIERS: [KernelMode; 2] = [KernelMode::Fast, KernelMode::Scalar];
 
 /// Rows per step: two full batches and a tail.
 const BATCHES: [usize; 3] = [32, 32, 4];
@@ -334,19 +331,16 @@ fn adam_bits(adam: &Adam) -> (u64, Vec<u32>) {
 
 #[test]
 fn train_server_budget_1_inline_equals_budgets_2_and_8_on_a_worker() {
-    for mode in BOTH_TIERS {
-        let _mode = KernelMode::scoped(mode);
-        for spec in all_specs() {
-            let case = DistillCase::new(&spec, 7);
-            let mut inline_opt = Adam::new(0.01);
-            let inline = case.run(&spec, &mut inline_opt, 2, 1);
-            assert_eq!(inline.0.batches, 6);
-            for workers in [2, 8] {
-                let mut worker_opt = Adam::new(0.01);
-                let on_worker = case.run(&spec, &mut worker_opt, 2, workers);
-                assert_eq!(on_worker, inline, "{} at budget {workers}", spec.describe());
-                assert_eq!(adam_bits(&worker_opt), adam_bits(&inline_opt));
-            }
+    for spec in all_specs() {
+        let case = DistillCase::new(&spec, 7);
+        let mut inline_opt = Adam::new(0.01);
+        let inline = case.run(&spec, &mut inline_opt, 2, 1);
+        assert_eq!(inline.0.batches, 6);
+        for workers in [2, 8] {
+            let mut worker_opt = Adam::new(0.01);
+            let on_worker = case.run(&spec, &mut worker_opt, 2, workers);
+            assert_eq!(on_worker, inline, "{} at budget {workers}", spec.describe());
+            assert_eq!(adam_bits(&worker_opt), adam_bits(&inline_opt));
         }
     }
 }
@@ -399,10 +393,7 @@ proptest! {
         mu in prop_oneof![Just(None), Just(Some(0.1f32))],
         seed in any::<u64>(),
     ) {
-        for mode in BOTH_TIERS {
-            let _mode = KernelMode::scoped(mode);
-            check(&spec, opt, with_feature_grad, mu, seed)?;
-        }
+        check(&spec, opt, with_feature_grad, mu, seed)?;
     }
 
     #[test]
@@ -412,9 +403,6 @@ proptest! {
         with_feature_grad in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        for mode in BOTH_TIERS {
-            let _mode = KernelMode::scoped(mode);
-            check_worker(&spec, opt, with_feature_grad, seed)?;
-        }
+        check_worker(&spec, opt, with_feature_grad, seed)?;
     }
 }

@@ -18,7 +18,7 @@ use fedpkd_core::train::train_supervised;
 use fedpkd_data::{ClientData, FederatedScenario, Partition, ScenarioBuilder, SyntheticConfig};
 use fedpkd_tensor::models::{DepthTier, ModelSpec};
 use fedpkd_tensor::serialize::state_vector;
-use fedpkd_tensor::{KernelMode, Tensor};
+use fedpkd_tensor::Tensor;
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -204,7 +204,7 @@ proptest! {
     /// Computing client probabilities once ([`client_probs`]) and feeding
     /// the shared buffers to aggregation, trimmed aggregation, and
     /// telemetry stats yields the exact bits of the original entry points
-    /// that each ran their own softmax — under both kernel tiers. This is
+    /// that each ran their own softmax. This is
     /// the contract that lets the round loop drop its redundant softmax
     /// recompute in the telemetry path.
     #[test]
@@ -214,46 +214,20 @@ proptest! {
         weighting in any::<bool>(),
         trim in 0.0f32..0.49,
     ) {
-        for mode in [KernelMode::Scalar, KernelMode::Fast] {
-            let _tier = mode.scoped();
-            let probs = client_probs(&logits);
-            let shared = aggregate_logits_from_probs(&probs, weighting).unwrap();
-            let direct = aggregate_logits(&logits, weighting).unwrap();
-            for (a, b) in shared.as_slice().iter().zip(direct.as_slice()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-            let shared_trim = aggregate_logits_trimmed_from_probs(&probs, trim).unwrap();
-            let direct_trim = aggregate_logits_trimmed(&logits, trim).unwrap();
-            for (a, b) in shared_trim.as_slice().iter().zip(direct_trim.as_slice()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-            let shared_stats = aggregation_stats_from_probs(&probs, weighting);
-            let direct_stats = aggregation_stats(&logits, weighting);
-            prop_assert_eq!(shared_stats, direct_stats);
+        let probs = client_probs(&logits);
+        let shared = aggregate_logits_from_probs(&probs, weighting).unwrap();
+        let direct = aggregate_logits(&logits, weighting).unwrap();
+        for (a, b) in shared.as_slice().iter().zip(direct.as_slice()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-}
-
-/// The trimmed aggregation has one implementation, but the softmax
-/// feeding it is still tiered: hold the two tiers to the same bits at a
-/// scale (16 clients × 300 rows) the proptest above cannot reach cheaply.
-#[test]
-fn trimmed_aggregation_tiers_match_at_parallel_scale() {
-    let mut rng = fedpkd_rng::Rng::seed_from_u64(9);
-    let logits: Vec<Tensor> = (0..16)
-        .map(|_| Tensor::rand_uniform(&[300, 10], -6.0, 6.0, &mut rng))
-        .collect();
-    let scalar = {
-        let _tier = KernelMode::Scalar.scoped();
-        aggregate_logits_trimmed(&logits, 0.2).unwrap()
-    };
-    let fast = {
-        let _tier = KernelMode::Fast.scoped();
-        aggregate_logits_trimmed(&logits, 0.2).unwrap()
-    };
-    assert_eq!(scalar.shape(), fast.shape());
-    for (a, b) in scalar.as_slice().iter().zip(fast.as_slice()) {
-        assert_eq!(a.to_bits(), b.to_bits());
+        let shared_trim = aggregate_logits_trimmed_from_probs(&probs, trim).unwrap();
+        let direct_trim = aggregate_logits_trimmed(&logits, trim).unwrap();
+        for (a, b) in shared_trim.as_slice().iter().zip(direct_trim.as_slice()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
+        }
+        let shared_stats = aggregation_stats_from_probs(&probs, weighting);
+        let direct_stats = aggregation_stats(&logits, weighting);
+        prop_assert_eq!(shared_stats, direct_stats);
     }
 }
 

@@ -206,7 +206,8 @@ fn killed_and_restarted_run_is_bit_identical_to_in_process() {
 
 /// A flag value the server cannot run with is a usage error (exit 1), not
 /// a panic deep in `Deadline::from_secs` (exit 101) — nor, for a zero
-/// connection cap, a server that sheds every client for ever.
+/// connection cap, a server that sheds every client for ever, or, for a
+/// snapshot cadence with no path, a run that persists nothing.
 #[test]
 fn unusable_flag_values_get_the_usage_error() {
     use std::io::Read;
@@ -217,6 +218,8 @@ fn unusable_flag_values_get_the_usage_error() {
         ("--io-deadline", "-1"),
         ("--io-deadline", "1e30"),
         ("--max-conns", "0"),
+        // A snapshot cadence with no `--snapshot PATH` to write to.
+        ("--snapshot-every", "1"),
     ] {
         let mut server = Command::new(env!("CARGO_BIN_EXE_fedpkd-serve"))
             .args(["--uds", &sock.display().to_string(), "--rounds", "1"])

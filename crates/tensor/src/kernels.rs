@@ -1,108 +1,77 @@
-//! Tiered matrix-multiply kernels.
+//! Matrix-multiply kernels and the scalar reference they are held to.
 //!
 //! Every FedPKD phase — private training, public-set logit uploads, the
 //! Eq. 10 filter's embedding pass, and server ensemble distillation —
-//! funnels through a handful of matrix products. This module provides them
-//! in two tiers that are **bit-identical** by construction:
+//! funnels through a handful of matrix products. This module provides
+//! them once, plus the specification they are tested against:
 //!
-//! - **Scalar** — the reference i-k-j triple loop (plus materialized
-//!   transposes and unfused bias/ReLU passes at the [`crate::Tensor`]
-//!   level). Slow but obviously correct; the baseline every other tier is
-//!   tested and benchmarked against.
-//! - **Fast** — register-tiled micro-kernels (`MI × NJ` = 4×64 accumulator
-//!   tiles held in registers across the whole reduction, with 32- and
-//!   16-wide mop-up tiles), an `A·Bᵀ` path that repacks the transposed
-//!   operand once and reuses the tiled kernel, a transposed-self kernel
-//!   for `Aᵀ·B` that accumulates into its output in the store epilogue,
-//!   fused bias+ReLU epilogues, and a row-parallel path for large products.
+//! - **The reference** — [`crate::Tensor::matmul_scalar`], the i-k-j
+//!   triple loop. Slow but obviously correct. No production path calls it;
+//!   the equivalence tests (`crates/tensor/tests/properties.rs`,
+//!   `tests/kernels.rs`) compose it with `transpose`, a bias/ReLU sweep and
+//!   `axpy` to spell out what each kernel must equal, bit for bit.
+//! - **The kernels** — register-tiled micro-kernels (`MI × NJ` = 4×64
+//!   accumulator tiles held in registers across the whole reduction, with
+//!   32- and 16-wide mop-up tiles), an `A·Bᵀ` path that repacks the
+//!   transposed operand once and reuses the tiled kernel, a
+//!   transposed-self kernel for `Aᵀ·B` that accumulates into its output in
+//!   the store epilogue, fused bias+ReLU epilogues, and a row-parallel
+//!   path for large products.
 //!
-//! # Why the tiers are bit-identical
+//! # Why the kernels match the reference bit for bit
 //!
 //! For every output element, every kernel accumulates the products
 //! `a[i][k]·b[k][j]` in the *same* order — reduction index strictly
 //! increasing, starting from `+0.0` (or from the bias epilogue applied
-//! *after* the full sum, matching the unfused bias pass). Tiling only
+//! *after* the full sum, matching an unfused bias pass). Tiling only
 //! reorders work *across* output elements, never within one, and IEEE 754
 //! addition is deterministic, so the bits match. The row-parallel path
 //! splits the *output rows* across threads; rows never share an
 //! accumulator, so the result is independent of thread count and schedule.
 //!
-//! The scalar tier's zero-skip (skip a whole `b` row when `a[i][k] == 0`)
+//! The reference's zero-skip (skip a whole `b` row when `a[i][k] == 0`)
 //! is exact by the same coin, read both ways: the accumulator starts at
 //! `+0.0` and IEEE addition only produces `-0.0` from two negative zeros,
 //! so the accumulator is never `-0.0` — which means adding a `±0.0`
 //! product is a bit-exact no-op, and *skipping* it changes nothing. That
 //! argument requires the skipped products to *be* `±0.0` — `0·NaN` and
-//! `0·∞` are NaN — so the scalar kernel gates the skip on the right-hand
+//! `0·∞` are NaN — so the reference gates the skip on the right-hand
 //! operand being entirely finite, checked once per call. A NaN planted in
 //! `b` therefore propagates to the output instead of being silently
-//! masked (the PR 5 NaN-masking fix).
+//! masked.
 //!
-//! The fast tier runs the same theorem in the other direction: it never
-//! skips anything. Computing every product unconditionally adds only
-//! `±0.0` terms the scalar tier would have skipped (the skip only fires
+//! The tiled kernels run the same theorem in the other direction: they
+//! never skip anything. Computing every product unconditionally adds only
+//! `±0.0` terms the reference would have skipped (the skip only fires
 //! for `a == 0` against finite `b`), so the bits still match — and the
 //! kernels become branch-free straight-line FMA code, which is where the
 //! speedup comes from. Post-ReLU activations are roughly half zeros with
 //! an unpredictable pattern; a per-element skip test mispredicts
 //! constantly, while the branchless tile pays two fused multiply-adds per
-//! vector and never stalls. Dropping the skip also drops the fast tier's
-//! per-call finiteness scan, and `0·NaN = NaN` propagates naturally.
+//! vector and never stalls. Skipping nothing also needs no per-call
+//! finiteness scan, and `0·NaN = NaN` propagates naturally.
+//!
+//! Whole-run equality follows from per-kernel equality: a kernel is a pure
+//! function of its operands, so a run whose every product equals the
+//! reference's is the run the reference would have produced.
 
-use crate::mode_switch::{ModeSwitch, Override};
 use crate::parallel;
 
-/// Which kernel tier [`crate::Tensor::matmul`] and friends dispatch to.
-///
-/// Both tiers produce bit-identical results (see the module docs); the
-/// switch exists so benchmarks and equivalence tests can time or compare
-/// the tiers on identical workloads.
+/// The one kernel tier there is, as `benchmark/src/provenance.rs` prints it.
+/// That file is the only caller of the function below; ROADMAP item 3
+/// step 0 deletes its line and then this enum and the function.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Reference scalar kernels: the i-k-j triple loop, materialized
-    /// transposes, and unfused bias/ReLU passes.
-    Scalar,
     /// Register-tiled kernels with fused epilogues and the row-parallel
-    /// large-matmul path (the default).
+    /// large-matmul path.
     Fast,
 }
 
-static TIER: ModeSwitch = ModeSwitch::new(KernelMode::Fast as u8);
-
-impl KernelMode {
-    /// Selects this kernel tier for the lifetime of the returned guard and
-    /// restores the default ([`KernelMode::Fast`]) when the guard drops
-    /// (including on panic-unwind).
-    ///
-    /// The switch is process-wide — worker threads spawned by
-    /// [`crate::parallel`] consult it, which is why it cannot be
-    /// thread-local — so the override is exclusive: the guard holds a
-    /// process-wide lock, and a second `scoped` call on any thread blocks
-    /// until the first guard drops. Two tests comparing the tiers on
-    /// parallel threads therefore each see their own tier for as long as
-    /// they hold the guard. Never nest two of these guards on one thread
-    /// (the inner call would wait on the outer guard for ever); code that
-    /// also takes a [`crate::plan::PlanMode::scoped`] guard takes this one
-    /// first.
-    #[must_use = "the tier reverts as soon as the guard drops"]
-    pub fn scoped(self) -> KernelModeGuard {
-        KernelModeGuard(TIER.override_with(self as u8))
-    }
-}
-
-/// RAII guard from [`KernelMode::scoped`]: restores the default tier on
-/// drop, then lets the next override in.
-#[derive(Debug)]
-pub struct KernelModeGuard(#[allow(dead_code)] Override);
-
-/// The currently selected kernel tier: [`KernelMode::Fast`] unless a
-/// [`KernelMode::scoped`] guard is live.
+/// Always [`KernelMode::Fast`]; see [`KernelMode`].
+#[doc(hidden)]
 pub fn kernel_mode() -> KernelMode {
-    if TIER.get() == KernelMode::Scalar as u8 {
-        KernelMode::Scalar
-    } else {
-        KernelMode::Fast
-    }
+    KernelMode::Fast
 }
 
 /// Rows of the output computed per register tile.
@@ -146,8 +115,8 @@ fn finish(v: f32, j: usize, bias: Option<&[f32]>, relu: bool) -> f32 {
 }
 
 /// Reference kernel: `out += A·B` in i-k-j order with the finite-gated
-/// zero-skip. `out` must be zeroed. No epilogue — the scalar tier applies
-/// bias and ReLU as separate passes, mirroring the historical layer code.
+/// zero-skip. `out` must be zeroed. No epilogue — a reference for a fused
+/// product applies bias and ReLU as separate passes.
 pub(crate) fn matmul_scalar_into(
     a: &[f32],
     b: &[f32],
@@ -174,25 +143,7 @@ pub(crate) fn matmul_scalar_into(
     }
 }
 
-/// Scalar-tier epilogue: a bias pass then a ReLU pass, each a separate
-/// sweep over `out` (bit-identical to the fused epilogue, which also adds
-/// bias before clamping, per element).
-pub(crate) fn epilogue_scalar_into(out: &mut [f32], n: usize, bias: Option<&[f32]>, relu: bool) {
-    if let Some(bias) = bias {
-        for row in out.chunks_mut(n) {
-            for (o, &bv) in row.iter_mut().zip(bias) {
-                *o += bv;
-            }
-        }
-    }
-    if relu {
-        for o in out.iter_mut() {
-            *o = o.max(0.0);
-        }
-    }
-}
-
-/// Fast tier: `out = epilogue(A·B)`, register-tiled, row-parallel when the
+/// `out = epilogue(A·B)`, register-tiled, row-parallel when the
 /// product is large. `out` must be zeroed.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul_fast_into(
@@ -393,7 +344,7 @@ fn transpose_block(src: &[f32], dst: &mut [f32], rows: usize, cols: usize, r0: u
     }
 }
 
-/// Fast tier: `out = A·Bᵀ` with `b` given in transposed layout `[n, k]`
+/// `out = A·Bᵀ` with `b` given in transposed layout `[n, k]`
 /// (the Dense backward's `dx = g·Wᵀ` shape). `out` must be zeroed.
 ///
 /// A direct dot-product kernel over the packed rows cannot vectorize: each
@@ -423,7 +374,7 @@ pub(crate) fn matmul_transposed_fast_into(
     });
 }
 
-/// Fast tier: `out += Aᵀ·B` with `a: [r, m]` and `b: [r, n]` — the Dense
+/// `out += Aᵀ·B` with `a: [r, m]` and `b: [r, n]` — the Dense
 /// backward's `dW = xᵀ·g` shape, reduction over the shared row index `r`,
 /// accumulated straight into the weight gradient.
 ///
@@ -439,7 +390,7 @@ pub(crate) fn matmul_transposed_fast_into(
 ///
 /// Either way the reduction runs over `r` strictly increasing from `+0.0`
 /// per output element and the finished sum `s` lands as `out + s` — the
-/// arithmetic of the scalar tier's materialize-then-multiply path followed
+/// arithmetic of the reference's materialize-then-multiply path followed
 /// by `out.axpy(1.0, s)` (`1.0·s` is `s` exactly). `s` is never `-0.0`
 /// (see the module docs), so onto a zeroed `out` this is `s` itself, and
 /// onto `-0.0` it is `+0.0` or `s`, as the `axpy` gives.

@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 mod error;
-mod mode_switch;
 mod tensor;
 
 pub mod kernels;
@@ -67,5 +66,5 @@ pub mod serialize;
 pub mod step_worker;
 
 pub use error::TensorError;
-pub use kernels::{kernel_mode, KernelMode, KernelModeGuard};
+pub use kernels::{kernel_mode, KernelMode};
 pub use tensor::Tensor;

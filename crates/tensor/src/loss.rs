@@ -5,17 +5,16 @@
 //! [`Layer::backward`](crate::nn::Layer::backward). All losses average over
 //! the batch dimension.
 //!
-//! The softmax-family losses ([`CrossEntropy`], [`DistillKl`]) are
-//! two-tiered like the matmul kernels: the scalar tier composes
-//! [`crate::ops::softmax`]/[`crate::ops::log_softmax`] as separate
-//! whole-tensor passes (the obviously-correct reference), while the fast
-//! tier runs the fused epilogue row kernels from [`crate::kernels`] — one
-//! pass per row, no intermediate tensors. The tiers are bit-identical by
-//! the epilogue fusion contract documented in [`crate::kernels`].
+//! The softmax-family losses ([`CrossEntropy`], [`DistillKl`],
+//! [`distill_kl_ce`]) run the fused epilogue row kernels from
+//! [`crate::kernels`] — one pass per row, no intermediate tensors. Their
+//! specification is the composition of [`crate::ops::softmax`] /
+//! [`crate::ops::log_softmax`] as separate whole-tensor passes, spelled out
+//! beside `loss_tiers_are_bit_identical` in `tests/properties.rs`, which
+//! holds each entry point to it bit for bit by the epilogue fusion contract
+//! documented in [`crate::kernels`].
 
-use crate::kernels::{
-    kernel_mode, softmax_kl_row, softmax_kl_xent_row, softmax_xent_row, KernelMode,
-};
+use crate::kernels::{softmax_kl_row, softmax_kl_xent_row, softmax_xent_row};
 use crate::ops::{log_softmax, softmax};
 use crate::Tensor;
 
@@ -56,27 +55,13 @@ impl CrossEntropy {
         let n = logits.rows();
         let k = logits.cols();
         assert_eq!(labels.len(), n, "one label per row required");
-        if kernel_mode() == KernelMode::Fast {
-            // Fused tier: one pass per row produces both the softmax
-            // gradient seed and the log-likelihood — bit-identical to the
-            // composed reference below by the epilogue fusion contract.
-            let mut grad = Tensor::zeros(logits.shape());
-            let mut loss = 0.0f32;
-            for (r, &y) in labels.iter().enumerate() {
-                assert!(y < k, "label {y} out of range for {k} classes");
-                loss -= softmax_xent_row(logits.row(r), 1.0, y, grad.row_mut(r));
-                grad.row_mut(r)[y] -= 1.0;
-            }
-            let inv_n = 1.0 / n.max(1) as f32;
-            grad.scale_in_place(inv_n);
-            return (loss * inv_n, grad);
-        }
-        let log_p = log_softmax(logits, 1.0);
+        // One pass per row produces both the softmax gradient seed and
+        // the log-likelihood.
+        let mut grad = Tensor::zeros(logits.shape());
         let mut loss = 0.0f32;
-        let mut grad = softmax(logits, 1.0);
         for (r, &y) in labels.iter().enumerate() {
             assert!(y < k, "label {y} out of range for {k} classes");
-            loss -= log_p.row(r)[y];
+            loss -= softmax_xent_row(logits.row(r), 1.0, y, grad.row_mut(r));
             grad.row_mut(r)[y] -= 1.0;
         }
         let inv_n = 1.0 / n.max(1) as f32;
@@ -173,51 +158,24 @@ impl DistillKl {
         );
         let t = self.temperature;
         let n = student_logits.rows().max(1) as f32;
-        if kernel_mode() == KernelMode::Fast {
-            // Fused tier: one pass per row produces the student
-            // probabilities and the row's KL contribution — bit-identical
-            // to the composed reference below by the epilogue fusion
-            // contract (both accumulate per-row sub-sums, then fold the
-            // rows in order).
-            let mut grad = Tensor::zeros(student_logits.shape());
-            let mut loss = 0.0f32;
-            for r in 0..teacher_probs.rows() {
-                loss += softmax_kl_row(
-                    student_logits.row(r),
-                    teacher_probs.row(r),
-                    t,
-                    grad.row_mut(r),
-                );
-            }
-            loss = loss * t * t / n;
-            for (g, &p) in grad.as_mut_slice().iter_mut().zip(teacher_probs.as_slice()) {
-                *g -= p;
-            }
-            grad.scale_in_place(t / n);
-            return (loss, grad);
-        }
-        let log_q = log_softmax(student_logits, t);
-        let q = softmax(student_logits, t);
-
-        // KL(p ‖ q) = Σ p (ln p − ln q); terms with p = 0 contribute 0.
-        // Accumulated as per-row sub-sums folded in row order — the same
-        // association the fused tier uses, so the tiers match bit for bit.
+        // One pass per row produces the student probabilities and the
+        // row's KL contribution (terms with p = 0 contribute 0); per-row
+        // sub-sums are folded in row order.
+        let mut grad = Tensor::zeros(student_logits.shape());
         let mut loss = 0.0f32;
         for r in 0..teacher_probs.rows() {
-            let p_row = teacher_probs.row(r);
-            let lq_row = log_q.row(r);
-            let mut row_loss = 0.0f32;
-            for (j, &p) in p_row.iter().enumerate() {
-                if p > 0.0 {
-                    row_loss += p * (p.ln() - lq_row[j]);
-                }
-            }
-            loss += row_loss;
+            loss += softmax_kl_row(
+                student_logits.row(r),
+                teacher_probs.row(r),
+                t,
+                grad.row_mut(r),
+            );
         }
         loss = loss * t * t / n;
-
         // d/dz [T²·KL] = T · (q − p), averaged over the batch.
-        let mut grad = q.sub(teacher_probs).expect("shapes checked above");
+        for (g, &p) in grad.as_mut_slice().iter_mut().zip(teacher_probs.as_slice()) {
+            *g -= p;
+        }
         grad.scale_in_place(t / n);
         (loss, grad)
     }
@@ -229,10 +187,10 @@ impl DistillKl {
 ///
 /// Returns `((kl_loss, kl_grad), (ce_loss, ce_grad))`, each exactly what
 /// [`DistillKl::loss_and_grad`] and [`CrossEntropy::loss_and_grad`] return
-/// for the same inputs — bit for bit, in both kernel tiers. The fast tier
-/// fuses the two softmax families through
-/// [`crate::kernels::softmax_kl_xent_row`], sharing the row-max reduction
-/// and skipping all four intermediate softmax/log-softmax tensors.
+/// for the same inputs — bit for bit. The two softmax families are fused
+/// through [`crate::kernels::softmax_kl_xent_row`], sharing the row-max
+/// reduction and skipping all four intermediate softmax/log-softmax
+/// tensors.
 ///
 /// # Panics
 ///
@@ -248,43 +206,38 @@ pub fn distill_kl_ce(
     let n = logits.rows();
     let k = logits.cols();
     assert_eq!(labels.len(), n, "one label per row required");
-    if kernel_mode() == KernelMode::Fast {
-        let t = kl.temperature();
-        let n_f = n.max(1) as f32;
-        let mut kl_grad = Tensor::zeros(logits.shape());
-        let mut ce_grad = Tensor::zeros(logits.shape());
-        let mut kl_loss = 0.0f32;
-        let mut ce_loss = 0.0f32;
-        for (r, &y) in labels.iter().enumerate() {
-            assert!(y < k, "label {y} out of range for {k} classes");
-            let (row_kl, log_p_label) = softmax_kl_xent_row(
-                logits.row(r),
-                teacher_probs.row(r),
-                t,
-                y,
-                kl_grad.row_mut(r),
-                ce_grad.row_mut(r),
-            );
-            kl_loss += row_kl;
-            ce_loss -= log_p_label;
-            ce_grad.row_mut(r)[y] -= 1.0;
-        }
-        kl_loss = kl_loss * t * t / n_f;
-        for (g, &p) in kl_grad
-            .as_mut_slice()
-            .iter_mut()
-            .zip(teacher_probs.as_slice())
-        {
-            *g -= p;
-        }
-        kl_grad.scale_in_place(t / n_f);
-        let inv_n = 1.0 / n.max(1) as f32;
-        ce_grad.scale_in_place(inv_n);
-        return ((kl_loss, kl_grad), (ce_loss * inv_n, ce_grad));
+    let t = kl.temperature();
+    let n_f = n.max(1) as f32;
+    let mut kl_grad = Tensor::zeros(logits.shape());
+    let mut ce_grad = Tensor::zeros(logits.shape());
+    let mut kl_loss = 0.0f32;
+    let mut ce_loss = 0.0f32;
+    for (r, &y) in labels.iter().enumerate() {
+        assert!(y < k, "label {y} out of range for {k} classes");
+        let (row_kl, log_p_label) = softmax_kl_xent_row(
+            logits.row(r),
+            teacher_probs.row(r),
+            t,
+            y,
+            kl_grad.row_mut(r),
+            ce_grad.row_mut(r),
+        );
+        kl_loss += row_kl;
+        ce_loss -= log_p_label;
+        ce_grad.row_mut(r)[y] -= 1.0;
     }
-    let kl_out = kl.loss_and_grad(logits, teacher_probs);
-    let ce_out = CrossEntropy::new().loss_and_grad(logits, labels);
-    (kl_out, ce_out)
+    kl_loss = kl_loss * t * t / n_f;
+    for (g, &p) in kl_grad
+        .as_mut_slice()
+        .iter_mut()
+        .zip(teacher_probs.as_slice())
+    {
+        *g -= p;
+    }
+    kl_grad.scale_in_place(t / n_f);
+    let inv_n = 1.0 / n.max(1) as f32;
+    ce_grad.scale_in_place(inv_n);
+    ((kl_loss, kl_grad), (ce_loss * inv_n, ce_grad))
 }
 
 /// Mean-squared error, averaged over every element.

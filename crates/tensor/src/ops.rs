@@ -3,16 +3,15 @@
 //! These operate row-wise on rank-2 tensors of logits `[batch, classes]` —
 //! the shape in which all knowledge transfer in FedPKD happens.
 
-use crate::kernels::{kernel_mode, KernelMode};
 use crate::{parallel, Tensor};
 
-/// Minimum rows per chunk before the softmax-family fast tier engages the
+/// Minimum rows per chunk before the softmax family engages the
 /// row-parallel path; below twice this, thread spawn cost outweighs the
 /// per-row exp work. Rows are independent, so the split is bit-identical
 /// to the sequential sweep at any worker count.
 const PAR_MIN_SOFTMAX_ROWS: usize = 256;
 
-/// One row of [`softmax`], in place — THE definition both tiers share.
+/// One row of [`softmax`], in place — THE definition both paths share.
 #[inline]
 fn softmax_row(row: &mut [f32], temperature: f32) {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -26,7 +25,7 @@ fn softmax_row(row: &mut [f32], temperature: f32) {
     }
 }
 
-/// One row of [`log_softmax`], in place — THE definition both tiers share.
+/// One row of [`log_softmax`], in place — THE definition both paths share.
 #[inline]
 fn log_softmax_row(row: &mut [f32], temperature: f32) {
     let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -40,19 +39,19 @@ fn log_softmax_row(row: &mut [f32], temperature: f32) {
     }
 }
 
-/// One row of [`row_variance`] — THE definition both tiers share.
+/// One row of [`row_variance`] — THE definition both paths share.
 #[inline]
 fn variance_row(row: &[f32], cols: f32) -> f32 {
     let mean: f32 = row.iter().sum::<f32>() / cols;
     row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols
 }
 
-/// Whether the fast tier should run a row-wise op of `rows` rows on the
-/// row-parallel path. Rows never share state, so this is purely a speed
+/// Whether a row-wise op of `rows` rows should run on the row-parallel
+/// path. Rows never share state, so this is purely a speed
 /// decision — bits are identical either way.
 #[inline]
 fn row_parallel(rows: usize) -> bool {
-    kernel_mode() == KernelMode::Fast && rows >= 2 * PAR_MIN_SOFTMAX_ROWS
+    rows >= 2 * PAR_MIN_SOFTMAX_ROWS
 }
 
 /// Row-wise softmax with temperature.

@@ -230,7 +230,7 @@ fn run_stealing<I: Send, T: Send>(
 /// Chunks are disjoint `&mut` slices, so no locking is needed and the
 /// written buffer is identical to a sequential pass no matter how the
 /// threads are scheduled. Shared by the row-parallel matmul path and the
-/// row-parallel softmax/variance/trimmed-aggregation fast tiers — any
+/// row-parallel softmax and variance paths — any
 /// row-independent kernel can dispatch through it without changing bits.
 pub fn for_each_row_chunk(
     out: &mut [f32],

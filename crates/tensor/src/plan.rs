@@ -8,8 +8,8 @@
 //! re-faults a different template into cache and regrows the thread-local
 //! repack arenas.
 //!
-//! This module plans the *seeding order* instead: [`schedule`] permutes the
-//! queue so same-group items (clients sharing a `ModelSpec` template) land
+//! This module plans the *seeding order* instead: [`grouped_schedule`]
+//! permutes the queue so same-group items (clients sharing a `ModelSpec` template) land
 //! contiguously on the same worker. Consecutive tasks then run batched
 //! per-layer GEMMs against the *same* resident template with same-sized
 //! pooled scratch arenas — the fleet-scale form of batching heterogeneous
@@ -24,53 +24,26 @@
 //! workers executed them in. Permuting the seeding order therefore changes
 //! only *when* each result becomes available, never its value or the order
 //! server-side folds observe it — so any schedule, any worker count, and
-//! any steal interleaving replay bit-identically. The gate matrix in
-//! `tests/fleet.rs` checks exactly this: grouped vs sequential schedules
-//! must produce identical run results for all eight algorithms.
+//! any steal interleaving replay bit-identically.
+//! `scheduled_dispatch_is_order_invariant` (`tests/properties.rs`) checks
+//! exactly this for random keys at 1–8 workers, and the gate matrix in
+//! `tests/fleet.rs` replays all eight algorithms at worker budgets 1, 2
+//! and the default.
 
-use crate::mode_switch::{ModeSwitch, Override};
-
-/// Which seeding schedule the execution-plan dispatchers build.
-///
-/// Both modes produce bit-identical results (see the module docs); the
-/// switch exists so the bit-identity gate can compare the schedules on
-/// identical workloads.
+/// The one seeding schedule there is, as `benchmark/src/provenance.rs`
+/// prints it. That file is the only caller of the function below; ROADMAP
+/// item 3 step 0 deletes its line and then this enum and the function.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanMode {
-    /// Seed worker queues in input order (the pre-plan behavior).
-    Sequential,
-    /// Group same-key items contiguously per worker (the default).
+    /// Group same-key items contiguously per worker.
     Grouped,
 }
 
-static PLAN: ModeSwitch = ModeSwitch::new(PlanMode::Grouped as u8);
-
-impl PlanMode {
-    /// Selects this plan mode for the lifetime of the returned guard and
-    /// restores the default ([`PlanMode::Grouped`]) when the guard drops
-    /// (including on panic-unwind). The switch is process-wide and the
-    /// override exclusive, exactly like [`crate::KernelMode::scoped`]: a
-    /// second call blocks until the first guard drops, so never nest two on
-    /// one thread, and take the kernel-tier guard first when holding both.
-    #[must_use = "the plan mode reverts as soon as the guard drops"]
-    pub fn scoped(self) -> PlanModeGuard {
-        PlanModeGuard(PLAN.override_with(self as u8))
-    }
-}
-
-/// RAII guard from [`PlanMode::scoped`]: restores the default plan mode on
-/// drop, then lets the next override in.
-#[derive(Debug)]
-pub struct PlanModeGuard(#[allow(dead_code)] Override);
-
-/// The currently selected plan mode: [`PlanMode::Grouped`] unless a
-/// [`PlanMode::scoped`] guard is live.
+/// Always [`PlanMode::Grouped`]; see [`PlanMode`].
+#[doc(hidden)]
 pub fn plan_mode() -> PlanMode {
-    if PLAN.get() == PlanMode::Sequential as u8 {
-        PlanMode::Sequential
-    } else {
-        PlanMode::Grouped
-    }
+    PlanMode::Grouped
 }
 
 /// Builds the grouped seeding schedule for items with the given group
@@ -91,16 +64,6 @@ pub fn grouped_schedule(keys: &[u64]) -> Vec<usize> {
         }
     }
     members.into_iter().flatten().collect()
-}
-
-/// The seeding schedule for the current [`plan_mode`]: grouped by `keys`
-/// under [`PlanMode::Grouped`], the identity permutation under
-/// [`PlanMode::Sequential`].
-pub fn schedule(keys: &[u64]) -> Vec<usize> {
-    match plan_mode() {
-        PlanMode::Sequential => (0..keys.len()).collect(),
-        PlanMode::Grouped => grouped_schedule(keys),
-    }
 }
 
 #[cfg(test)]
@@ -125,27 +88,5 @@ mod tests {
         // All-same and all-distinct keys are both the identity.
         assert_eq!(grouped_schedule(&[5, 5, 5]), vec![0, 1, 2]);
         assert_eq!(grouped_schedule(&[1, 2, 3]), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn scoped_guard_restores_previous_mode() {
-        {
-            let _g = PlanMode::Sequential.scoped();
-            assert_eq!(plan_mode(), PlanMode::Sequential);
-        }
-        // Not a nested override: the first guard is gone.
-        let _g = PlanMode::Grouped.scoped();
-        assert_eq!(plan_mode(), PlanMode::Grouped);
-    }
-
-    #[test]
-    fn schedule_respects_plan_mode() {
-        let keys = [9u64, 8, 9];
-        {
-            let _g = PlanMode::Sequential.scoped();
-            assert_eq!(schedule(&keys), vec![0, 1, 2]);
-        }
-        let _g = PlanMode::Grouped.scoped();
-        assert_eq!(schedule(&keys), vec![0, 2, 1]);
     }
 }

@@ -356,11 +356,10 @@ impl Tensor {
 
     /// Matrix product of two rank-2 tensors: `[m, k] × [k, n] → [m, n]`.
     ///
-    /// Dispatches to the tier selected by [`crate::kernels::kernel_mode`];
-    /// all tiers are bit-identical (see the [`crate::kernels`] docs for the
-    /// argument). The zero-skip optimization is gated on `other` being
-    /// entirely finite, so a NaN or infinity in `other` always propagates —
-    /// `0·NaN` is NaN, not 0.
+    /// Runs the register-tiled kernel, bit-identical to
+    /// [`Tensor::matmul_scalar`] (see the [`crate::kernels`] docs for the
+    /// argument). Nothing is skipped, so a NaN or infinity in `other` always
+    /// propagates — `0·NaN` is NaN, not 0.
     ///
     /// # Errors
     ///
@@ -369,23 +368,16 @@ impl Tensor {
     pub fn matmul(&self, other: &Self) -> Result<Self, TensorError> {
         let (m, k, n) = self.matmul_dims(other)?;
         let mut out = vec![0.0f32; m * n];
-        match kernels::kernel_mode() {
-            kernels::KernelMode::Scalar => {
-                kernels::matmul_scalar_into(&self.data, &other.data, &mut out, m, k, n);
-            }
-            kernels::KernelMode::Fast => {
-                kernels::matmul_fast_into(&self.data, &other.data, &mut out, m, k, n, None, false);
-            }
-        }
+        kernels::matmul_fast_into(&self.data, &other.data, &mut out, m, k, n, None, false);
         Self::from_vec(out, &[m, n])
     }
 
     /// Matrix product via the reference scalar kernel (the i-k-j triple
-    /// loop), regardless of the selected [`crate::kernels::KernelMode`].
+    /// loop).
     ///
-    /// This is the baseline the tiled, transposed-packed, and row-parallel
-    /// kernels are proven bit-identical to; benchmarks and equivalence
-    /// tests call it directly.
+    /// This is the specification the tiled, transposed-packed, and
+    /// row-parallel kernels are held bit-identical to; no production path
+    /// calls it, equivalence tests compose their references from it.
     ///
     /// # Errors
     ///
@@ -402,8 +394,8 @@ impl Tensor {
     ///
     /// The bias (and ReLU clamp) are applied per element *after* the full
     /// reduction, so the result is bit-identical to
-    /// `matmul` → bias pass → ReLU pass; the fast tier folds them into the
-    /// kernel epilogue to save the extra sweeps.
+    /// `matmul` → bias pass → ReLU pass; the kernel folds them into its
+    /// store epilogue to save the extra sweeps.
     ///
     /// # Errors
     ///
@@ -418,35 +410,27 @@ impl Tensor {
             });
         }
         let mut out = vec![0.0f32; m * n];
-        match kernels::kernel_mode() {
-            kernels::KernelMode::Scalar => {
-                kernels::matmul_scalar_into(&self.data, &other.data, &mut out, m, k, n);
-                kernels::epilogue_scalar_into(&mut out, n, Some(&bias.data), relu);
-            }
-            kernels::KernelMode::Fast => {
-                kernels::matmul_fast_into(
-                    &self.data,
-                    &other.data,
-                    &mut out,
-                    m,
-                    k,
-                    n,
-                    Some(&bias.data),
-                    relu,
-                );
-            }
-        }
+        kernels::matmul_fast_into(
+            &self.data,
+            &other.data,
+            &mut out,
+            m,
+            k,
+            n,
+            Some(&bias.data),
+            relu,
+        );
         Self::from_vec(out, &[m, n])
     }
 
     /// Matrix product against a pre-transposed right operand:
     /// `self × otherᵀ`, with `self: [m, k]` and `other: [n, k] → [m, n]`.
     ///
-    /// This is what the Dense backward uses for `dx = g·Wᵀ`. The scalar
-    /// tier materializes `otherᵀ` and multiplies; the fast tier repacks
+    /// This is what the Dense backward uses for `dx = g·Wᵀ`. It repacks
     /// `other` into pooled scratch on every call (a blocked transpose,
     /// O(k·n) against the product's O(m·k·n)) and runs the tiled kernel —
-    /// same bits either way (see [`crate::kernels`]).
+    /// the bits of `self.matmul_scalar(&other.transpose()?)` (see
+    /// [`crate::kernels`]).
     ///
     /// # Errors
     ///
@@ -472,14 +456,9 @@ impl Tensor {
                 right_rows: k2,
             });
         }
-        match kernels::kernel_mode() {
-            kernels::KernelMode::Scalar => self.matmul_scalar(&other.transpose()?),
-            kernels::KernelMode::Fast => {
-                let mut out = vec![0.0f32; m * n];
-                kernels::matmul_transposed_fast_into(&self.data, &other.data, &mut out, m, k, n);
-                Self::from_vec(out, &[m, n])
-            }
-        }
+        let mut out = vec![0.0f32; m * n];
+        kernels::matmul_transposed_fast_into(&self.data, &other.data, &mut out, m, k, n);
+        Self::from_vec(out, &[m, n])
     }
 
     /// Checks both operands of `selfᵀ × other` are rank 2 with matching row
@@ -526,8 +505,8 @@ impl Tensor {
     /// Accumulating form of [`tr_matmul`](Self::tr_matmul):
     /// `acc += selfᵀ × other` — what the Dense backward uses for
     /// `dW = xᵀ·g`, summed straight into the weight gradient. Bit-identical
-    /// to `acc.axpy(1.0, &self.tr_matmul(other)?)`; the fast tier adds each
-    /// finished sum in the kernel's store epilogue, so no `[m, n]`
+    /// to `acc.axpy(1.0, &self.transpose()?.matmul_scalar(other)?)`; each
+    /// finished sum is added in the kernel's store epilogue, so no `[m, n]`
     /// temporary exists.
     ///
     /// # Errors
@@ -542,15 +521,7 @@ impl Tensor {
                 right: acc.shape.clone(),
             });
         }
-        match kernels::kernel_mode() {
-            kernels::KernelMode::Scalar => {
-                let product = self.transpose()?.matmul_scalar(other)?;
-                acc.axpy(1.0, &product)?;
-            }
-            kernels::KernelMode::Fast => {
-                kernels::tr_matmul_fast_into(&self.data, &other.data, &mut acc.data, r, m, n);
-            }
-        }
+        kernels::tr_matmul_fast_into(&self.data, &other.data, &mut acc.data, r, m, n);
         Ok(())
     }
 

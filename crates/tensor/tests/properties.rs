@@ -6,11 +6,11 @@ use fedpkd_rng::Rng;
 use fedpkd_tensor::kernels::{softmax_kl_row, softmax_kl_xent_row, softmax_xent_row};
 use fedpkd_tensor::loss::{distill_kl_ce, CrossEntropy, DistillKl, Mse};
 use fedpkd_tensor::models::{DepthTier, ModelSpec};
-use fedpkd_tensor::ops::{log_softmax, row_entropy, sharpen, softmax};
+use fedpkd_tensor::ops::{log_softmax, row_entropy, row_variance, sharpen, softmax};
 use fedpkd_tensor::parallel::{dispatch_stealing, dispatch_stealing_scheduled};
 use fedpkd_tensor::plan::grouped_schedule;
 use fedpkd_tensor::serialize::{load_param_vector, param_vector};
-use fedpkd_tensor::{KernelMode, Tensor};
+use fedpkd_tensor::Tensor;
 use proptest::prelude::*;
 
 /// Strategy: an arbitrary small classifier architecture.
@@ -30,6 +30,51 @@ fn matrix(max_rows: usize, max_cols: usize) -> impl Strategy<Value = Tensor> {
         prop::collection::vec(-10.0f32..10.0, r * c)
             .prop_map(move |data| Tensor::from_vec(data, &[r, c]).unwrap())
     })
+}
+
+/// Reference for [`CrossEntropy::loss_and_grad`]: `softmax` and
+/// `log_softmax` composed as separate whole-tensor passes.
+fn composed_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor) {
+    let log_p = log_softmax(logits, 1.0);
+    let mut loss = 0.0f32;
+    let mut grad = softmax(logits, 1.0);
+    for (r, &y) in labels.iter().enumerate() {
+        loss -= log_p.row(r)[y];
+        grad.row_mut(r)[y] -= 1.0;
+    }
+    let inv_n = 1.0 / logits.rows().max(1) as f32;
+    grad.scale_in_place(inv_n);
+    (loss * inv_n, grad)
+}
+
+/// Reference for [`DistillKl::loss_and_grad`] at temperature `t`, composed
+/// from whole-tensor `softmax` / `log_softmax` passes.
+fn composed_distill_kl(t: f32, student_logits: &Tensor, teacher_probs: &Tensor) -> (f32, Tensor) {
+    let n = student_logits.rows().max(1) as f32;
+    let log_q = log_softmax(student_logits, t);
+    let q = softmax(student_logits, t);
+
+    // KL(p ‖ q) = Σ p (ln p − ln q); terms with p = 0 contribute 0.
+    // Accumulated as per-row sub-sums folded in row order — the same
+    // association the fused kernel uses, so the two match bit for bit.
+    let mut loss = 0.0f32;
+    for r in 0..teacher_probs.rows() {
+        let p_row = teacher_probs.row(r);
+        let lq_row = log_q.row(r);
+        let mut row_loss = 0.0f32;
+        for (j, &p) in p_row.iter().enumerate() {
+            if p > 0.0 {
+                row_loss += p * (p.ln() - lq_row[j]);
+            }
+        }
+        loss += row_loss;
+    }
+    loss = loss * t * t / n;
+
+    // d/dz [T²·KL] = T · (q − p), averaged over the batch.
+    let mut grad = q.sub(teacher_probs).expect("same shape");
+    grad.scale_in_place(t / n);
+    (loss, grad)
 }
 
 /// Strategy: a kernel-stressing dimension — 1, small, and the register-tile
@@ -443,10 +488,11 @@ proptest! {
         }
     }
 
-    /// The loss layer's two kernel tiers agree bit for bit — CrossEntropy,
-    /// DistillKl, and the combined `distill_kl_ce` entry all produce the
-    /// same losses and gradients under `Scalar` and `Fast`, and the
-    /// combined entry equals the two separate losses within each tier.
+    /// The loss layer's fused entry points agree bit for bit with the
+    /// composed references above — CrossEntropy, DistillKl, and the
+    /// combined `distill_kl_ce` entry all produce the composition's losses
+    /// and gradients, and the combined entry equals the two separate
+    /// losses.
     #[test]
     fn loss_tiers_are_bit_identical(
         student in matrix(6, 8),
@@ -458,38 +504,23 @@ proptest! {
             .map(|r| (label_seed as usize).wrapping_add(r * 13) % student.cols())
             .collect();
         let kl = DistillKl::new(temp);
-        let run = |mode: KernelMode| {
-            let _tier = mode.scoped();
-            let ce_out = CrossEntropy::new().loss_and_grad(&student, &labels);
-            let kl_out = kl.loss_and_grad(&student, &teacher);
-            let combined = distill_kl_ce(&kl, &student, &teacher, &labels);
-            (ce_out, kl_out, combined)
-        };
-        let s = run(KernelMode::Scalar);
-        let f = run(KernelMode::Fast);
-        let bits = |a: &Tensor, b: &Tensor| -> Result<(), TestCaseError> {
-            prop_assert_eq!(a.shape(), b.shape());
-            for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+        let ce_ref = composed_cross_entropy(&student, &labels);
+        let kl_ref = composed_distill_kl(temp, &student, &teacher);
+        let bits = |a: &(f32, Tensor), b: &(f32, Tensor)| -> Result<(), TestCaseError> {
+            prop_assert_eq!(a.0.to_bits(), b.0.to_bits());
+            prop_assert_eq!(a.1.shape(), b.1.shape());
+            for (x, y) in a.1.as_slice().iter().zip(b.1.as_slice()) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
             Ok(())
         };
-        // Tier equality per entry point.
-        prop_assert_eq!(s.0.0.to_bits(), f.0.0.to_bits());
-        bits(&s.0.1, &f.0.1)?;
-        prop_assert_eq!(s.1.0.to_bits(), f.1.0.to_bits());
-        bits(&s.1.1, &f.1.1)?;
-        prop_assert_eq!((s.2.0.0).to_bits(), (f.2.0.0).to_bits());
-        bits(&s.2.0.1, &f.2.0.1)?;
-        prop_assert_eq!((s.2.1.0).to_bits(), (f.2.1.0).to_bits());
-        bits(&s.2.1.1, &f.2.1.1)?;
-        // The combined entry is the two separate losses, within each tier.
-        for out in [&s, &f] {
-            prop_assert_eq!((out.2.1.0).to_bits(), (out.0.0).to_bits());
-            bits(&out.2.1.1, &out.0.1)?;
-            prop_assert_eq!((out.2.0.0).to_bits(), (out.1.0).to_bits());
-            bits(&out.2.0.1, &out.1.1)?;
-        }
+        // Each entry point against its composed reference.
+        bits(&CrossEntropy::new().loss_and_grad(&student, &labels), &ce_ref)?;
+        bits(&kl.loss_and_grad(&student, &teacher), &kl_ref)?;
+        // The combined entry is the two separate losses.
+        let (combined_kl, combined_ce) = distill_kl_ce(&kl, &student, &teacher, &labels);
+        bits(&combined_ce, &ce_ref)?;
+        bits(&combined_kl, &kl_ref)?;
     }
 
     /// Scheduled dispatch — worker queues seeded in grouped order — commits
@@ -511,6 +542,32 @@ proptest! {
         });
         prop_assert!(grouped.windows(2).all(|w| w[0].0 < w[1].0));
         prop_assert_eq!(plain, grouped);
+    }
+}
+
+/// The softmax family's row-parallel path (engaged from 512 rows) equals
+/// the row-at-a-time loop bit for bit: rows never share state, so how the
+/// row chunks land on threads cannot matter.
+#[test]
+fn row_parallel_softmax_family_is_bit_identical_to_row_at_a_time() {
+    let mut rng = Rng::seed_from_u64(43);
+    let (rows, cols) = (2 * 256 + 77, 10); // ≥ 2 × PAR_MIN_SOFTMAX_ROWS, ragged last chunk
+    let x = Tensor::rand_uniform(&[rows, cols], -6.0, 6.0, &mut rng);
+    let one_row = |r: usize| Tensor::from_vec(x.row(r).to_vec(), &[1, cols]).unwrap();
+    let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for temp in [1.0f32, 3.0] {
+        let p = softmax(&x, temp);
+        let log_p = log_softmax(&x, temp);
+        for r in 0..rows {
+            assert_eq!(bits(p.row(r)), bits(softmax(&one_row(r), temp).as_slice()));
+            assert_eq!(
+                bits(log_p.row(r)),
+                bits(log_softmax(&one_row(r), temp).as_slice())
+            );
+        }
+    }
+    for (r, v) in row_variance(&x).iter().enumerate() {
+        assert_eq!(v.to_bits(), row_variance(&one_row(r))[0].to_bits());
     }
 }
 

@@ -4,11 +4,9 @@
 //! seeded cohort sampling is a pure, replayable function of
 //! `(seed, round, fleet, size)`, and a run's result does not depend on how
 //! it was executed — the bit-identity gate matrix replays every algorithm
-//! across kernel tier × execution-plan schedule × worker budget.
+//! at worker budgets 1, 2 and the default.
 
 use fedpkd::prelude::*;
-use fedpkd::tensor::plan::PlanMode;
-use fedpkd::tensor::KernelMode;
 use proptest::prelude::*;
 
 const FLEET: usize = 10_000;
@@ -147,8 +145,8 @@ fn client_spec() -> ModelSpec {
 }
 
 /// T11/T20/T29 round-robin: two architectures repeat with others in
-/// between, so the grouped plan seeds workers in a different order than the
-/// sequential one (all-distinct or all-equal specs would group to the
+/// between, so the grouped plan seeds workers in an order other than the
+/// input order (all-distinct or all-equal specs would group to the
 /// identity).
 fn mixed_specs() -> Vec<ModelSpec> {
     let tiers = [DepthTier::T11, DepthTier::T20, DepthTier::T29];
@@ -177,54 +175,25 @@ fn fast_pkd() -> FedPkdConfig {
     }
 }
 
-/// The gate matrix: `(label, kernel tier, plan schedule, worker budget)`,
-/// the scalar/sequential reference first. Budget 1 vs 2 is also FedPKD's
-/// server step inline vs on its step worker (the default budget is the core
-/// count, so only an explicit 2 engages the worker on every machine).
-const GATE: [(&str, KernelMode, PlanMode, Option<usize>); 6] = [
-    (
-        "scalar/sequential",
-        KernelMode::Scalar,
-        PlanMode::Sequential,
-        None,
-    ),
-    ("fast/grouped", KernelMode::Fast, PlanMode::Grouped, None),
-    (
-        "fast/grouped/w1-inline-step",
-        KernelMode::Fast,
-        PlanMode::Grouped,
-        Some(1),
-    ),
-    (
-        "fast/grouped/w2-step-worker",
-        KernelMode::Fast,
-        PlanMode::Grouped,
-        Some(2),
-    ),
-    (
-        "fast/sequential",
-        KernelMode::Fast,
-        PlanMode::Sequential,
-        None,
-    ),
-    (
-        "scalar/grouped",
-        KernelMode::Scalar,
-        PlanMode::Grouped,
-        None,
-    ),
+/// The gate matrix: `(label, worker budget)`, the one-thread reference
+/// first. Budget 1 vs 2 is also FedPKD's server step inline vs on its step
+/// worker (the default budget is the core count, so only an explicit 2
+/// engages the worker on every machine).
+const GATE: [(&str, Option<usize>); 3] = [
+    ("w1-inline-step", Some(1)),
+    ("w2-step-worker", Some(2)),
+    ("default-budget", None),
 ];
 
 /// Every configuration of [`GATE`] must reproduce the reference
 /// configuration bit for bit — the `RunResult` (history and ledger) and the
 /// final snapshot (every model, optimizer and RNG state; accuracies alone
-/// would let a one-ulp drift through): the kernel tiers, the plan schedules
-/// and the worker budgets change when work happens, never what it computes.
+/// would let a one-ulp drift through): the worker budget changes when and
+/// where work happens, never what it computes. (That the kernels compute
+/// what the scalar reference would is held per entry point, in
+/// `tests/kernels.rs` and `crates/tensor/tests/properties.rs`.)
 fn assert_gate_matrix<A: Federation>(name: &str, make: impl Fn() -> A) {
-    let run = |tier: KernelMode, plan: PlanMode, workers: Option<usize>| {
-        // Tier guard before plan guard, here and everywhere both are held.
-        let _tier = tier.scoped();
-        let _plan = plan.scoped();
+    let run = |workers: Option<usize>| {
         let builder = DriverBuilder::new().rounds(ROUNDS);
         let builder = match workers {
             Some(workers) => builder.workers(workers),
@@ -234,18 +203,18 @@ fn assert_gate_matrix<A: Federation>(name: &str, make: impl Fn() -> A) {
         let result = builder.build().run_silent(&mut algo);
         (result, Driver::snapshot(&algo, &mut NullObserver))
     };
-    let (reference_label, tier, plan, workers) = GATE[0];
-    let reference = run(tier, plan, workers);
-    for (label, tier, plan, workers) in &GATE[1..] {
+    let (reference_label, workers) = GATE[0];
+    let reference = run(workers);
+    for (label, workers) in &GATE[1..] {
         assert!(
-            run(*tier, *plan, *workers) == reference,
+            run(*workers) == reference,
             "{name}: {label} diverged from {reference_label}"
         );
     }
 }
 
 /// FedPKD under its default configuration and the three feature modes whose
-/// server math has tier-specific kernels or an extra model in the loop.
+/// server math takes another aggregation path or an extra model in the loop.
 #[test]
 fn streaming_matches_legacy_for_fedpkd() {
     let rows = [
@@ -378,9 +347,10 @@ fn streaming_matches_legacy_for_naive_kd() {
     });
 }
 
-/// FedPKD takes the buffered aggregation path when diagnostics are on (the
-/// observer needs the full logit set) and the streaming path when silent;
-/// the two must produce identical round metrics and traffic.
+/// FedPKD keeps every admitted upload's probabilities when diagnostics are
+/// on (the observer's statistics need the full set) and only the running
+/// fold when silent; both aggregate through that one fold, and must leave
+/// identical round metrics, traffic and final state.
 #[test]
 fn observed_buffered_run_matches_silent_streaming_run() {
     let make = || {
@@ -393,9 +363,16 @@ fn observed_buffered_run_matches_silent_streaming_run() {
         )
         .unwrap()
     };
-    let silent = Driver::rounds(ROUNDS).run_silent(&mut make());
+    let mut silent_algo = make();
+    let silent = Driver::rounds(ROUNDS).run_silent(&mut silent_algo);
     let mut log = EventLog::new();
-    let observed = Driver::rounds(ROUNDS).run(&mut make(), &mut log);
-    assert_eq!(silent, observed, "streaming and buffered paths agree");
+    let mut observed_algo = make();
+    let observed = Driver::rounds(ROUNDS).run(&mut observed_algo, &mut log);
+    assert_eq!(silent, observed, "observed and silent runs agree");
+    assert!(
+        Driver::snapshot(&silent_algo, &mut NullObserver)
+            == Driver::snapshot(&observed_algo, &mut NullObserver),
+        "observed and silent runs end in the same state"
+    );
     assert!(!log.events().is_empty());
 }

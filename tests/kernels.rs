@@ -1,9 +1,8 @@
-//! Cross-kernel determinism at the product level: the fast tier's two
-//! backward products must equal the scalar tier bit for bit at every layer
-//! shape. (Whole runs are compared across tiers by the gate matrix in
-//! `tests/fleet.rs`.)
+//! Kernel determinism at the product level: the two backward products must
+//! equal their scalar reference (`Tensor::matmul_scalar` composed with
+//! `transpose` / `axpy`) bit for bit at every layer shape.
 
-use fedpkd::tensor::{KernelMode, Tensor};
+use fedpkd::tensor::Tensor;
 use proptest::prelude::*;
 
 /// Strategy: a backward-pass layer width — the capacity-tier widths whole
@@ -80,22 +79,20 @@ proptest! {
 
     /// `dW = xᵀ·g` at layer shapes: the in-place register tile (both widths
     /// tile-aligned) and the repack fallback (either width ragged) equal
-    /// the scalar tier's materialize-then-multiply, bit for bit.
+    /// the scalar reference's materialize-then-multiply, bit for bit.
     #[test]
     fn tr_matmul_matches_scalar_at_layer_widths(
         (x, g) in (batch(), width(), width())
             .prop_flat_map(|(r, m, n)| (activations(r, m), activations(r, n))),
     ) {
-        let _fast = KernelMode::scoped(KernelMode::Fast);
         let fast = x.tr_matmul(&g).unwrap();
         let scalar = x.transpose().unwrap().matmul_scalar(&g).unwrap();
         assert_same_bits(&fast, &scalar)?;
     }
 
     /// `dW += xᵀ·g` at layer shapes: the tile's accumulate epilogue and the
-    /// repack fallback equal the scalar tier's materialize, multiply, then
-    /// `axpy(1.0, ·)` into the same starting gradient, bit for bit — and
-    /// the scalar tier's own `tr_matmul_acc` is that reference.
+    /// repack fallback equal the scalar reference's materialize, multiply,
+    /// then `axpy(1.0, ·)` into the same starting gradient, bit for bit.
     #[test]
     fn tr_matmul_acc_matches_scalar_axpy_at_layer_widths(
         (x, g, grad) in (batch(), width(), width()).prop_flat_map(|(r, m, n)| {
@@ -105,23 +102,19 @@ proptest! {
         let mut reference = grad.clone();
         let product = x.transpose().unwrap().matmul_scalar(&g).unwrap();
         reference.axpy(1.0, &product).unwrap();
-        for mode in [KernelMode::Fast, KernelMode::Scalar] {
-            let _mode = KernelMode::scoped(mode);
-            let mut acc = grad.clone();
-            x.tr_matmul_acc(&g, &mut acc).unwrap();
-            assert_same_bits(&acc, &reference)?;
-        }
+        let mut acc = grad.clone();
+        x.tr_matmul_acc(&g, &mut acc).unwrap();
+        assert_same_bits(&acc, &reference)?;
     }
 
     /// `dx = g·Wᵀ` at layer shapes: the blocked `Wᵀ` repack — whole blocks
     /// through the shuffle transpose, partial edge blocks element by
-    /// element — equals the scalar tier bit for bit.
+    /// element — equals the scalar reference bit for bit.
     #[test]
     fn matmul_transposed_matches_scalar_at_layer_widths(
         (g, w) in (batch(), width(), width())
             .prop_flat_map(|(m, k, n)| (activations(m, k), activations(n, k))),
     ) {
-        let _fast = KernelMode::scoped(KernelMode::Fast);
         let fast = g.matmul_transposed(&w).unwrap();
         let scalar = g.matmul_scalar(&w.transpose().unwrap()).unwrap();
         assert_same_bits(&fast, &scalar)?;

@@ -17,6 +17,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 use fedpkd::core::snapshot::{SnapshotStreamWriter, StateSink, StateSource};
 use fedpkd::prelude::*;
@@ -126,16 +127,23 @@ fn hostile(original: u64, rng: &mut Rng) -> u64 {
     }
 }
 
+/// Built once and cloned: every mutation restores into a fresh instance,
+/// and generating the data was a third of that cost.
 fn scenario() -> fedpkd::data::FederatedScenario {
-    ScenarioBuilder::new(SyntheticConfig::cifar10_like())
-        .clients(3)
-        .partition(Partition::Dirichlet { alpha: 0.5 })
-        .samples(240)
-        .public_size(80)
-        .global_test_size(80)
-        .seed(19)
-        .build()
-        .expect("valid scenario")
+    static SCENARIO: OnceLock<fedpkd::data::FederatedScenario> = OnceLock::new();
+    SCENARIO
+        .get_or_init(|| {
+            ScenarioBuilder::new(SyntheticConfig::cifar10_like())
+                .clients(3)
+                .partition(Partition::Dirichlet { alpha: 0.5 })
+                .samples(240)
+                .public_size(80)
+                .global_test_size(80)
+                .seed(19)
+                .build()
+                .expect("valid scenario")
+        })
+        .clone()
 }
 
 fn spec(tier: DepthTier) -> ModelSpec {
@@ -266,6 +274,49 @@ fn corrupted_fedavg_payloads_restore_or_fail_typed() {
 fn corrupted_feddf_payloads_restore_or_fail_typed() {
     let make = || FedDf::new(scenario(), spec(DepthTier::T11), baseline_config(), 31).unwrap();
     fuzz_restores(0xDF07, make, faulty(), false);
+}
+
+/// The other five baselines, one row each: what FedAvg and FedDF (named
+/// tests above, which the test floor keys on) do not carry — FedProx's
+/// proximal anchor, FedMD's and DS-FL's per-client specs and consensus,
+/// FedET's and NaiveKD's server model beside a heterogeneous fleet.
+#[test]
+fn corrupted_baseline_payloads_restore_or_fail_typed() {
+    fn clients() -> Vec<ModelSpec> {
+        vec![spec(DepthTier::T11); 3]
+    }
+    fn server() -> ModelSpec {
+        spec(DepthTier::T20)
+    }
+    let rows: [(&str, fn()); 5] = [
+        ("FedProx", || {
+            let make =
+                || FedProx::new(scenario(), spec(DepthTier::T11), baseline_config(), 37).unwrap();
+            fuzz_restores(0x9807, make, faulty(), false);
+        }),
+        ("FedMD", || {
+            let make = || FedMd::new(scenario(), clients(), baseline_config(), 41).unwrap();
+            fuzz_restores(0x3D01, make, faulty(), false);
+        }),
+        ("DS-FL", || {
+            let make = || DsFl::new(scenario(), clients(), baseline_config(), 43).unwrap();
+            fuzz_restores(0xD5F1, make, faulty(), false);
+        }),
+        ("FedET", || {
+            let make =
+                || FedEt::new(scenario(), clients(), server(), baseline_config(), 47).unwrap();
+            fuzz_restores(0xFE07, make, faulty(), false);
+        }),
+        ("NaiveKD", || {
+            let make =
+                || NaiveKd::new(scenario(), clients(), server(), baseline_config(), 53).unwrap();
+            fuzz_restores(0x4A1D, make, faulty(), false);
+        }),
+    ];
+    for (name, fuzz) in rows {
+        eprintln!("fuzzing {name} snapshots");
+        fuzz();
+    }
 }
 
 /// `FleetSim` snapshotted with late uploads in flight, under sampling, a
