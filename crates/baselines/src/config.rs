@@ -60,26 +60,27 @@ impl BaselineConfig {
     ///
     /// Returns [`CoreError::InvalidConfig`] if any parameter is out of
     /// range.
-    // `!(x > 0.0)` rather than `x <= 0.0`: NaN must fail validation too.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.batch_size == 0 {
             return Err(CoreError::InvalidConfig(
                 "batch size must be positive".into(),
             ));
         }
-        if !(self.learning_rate > 0.0) {
-            return Err(CoreError::InvalidConfig(
-                "learning rate must be positive".into(),
-            ));
+        for (name, v) in [
+            ("learning rate", self.learning_rate),
+            ("temperature", self.temperature),
+            ("sharpen temperature", self.sharpen_temperature),
+        ] {
+            if !(v > 0.0 && v.is_finite()) {
+                return Err(CoreError::InvalidConfig(format!(
+                    "{name} must be positive and finite"
+                )));
+            }
         }
-        if !(self.temperature > 0.0) || !(self.sharpen_temperature > 0.0) {
+        if !(self.mu >= 0.0 && self.mu.is_finite()) {
             return Err(CoreError::InvalidConfig(
-                "temperatures must be positive".into(),
+                "mu must be finite and non-negative".into(),
             ));
-        }
-        if self.mu < 0.0 {
-            return Err(CoreError::InvalidConfig("mu must be non-negative".into()));
         }
         if !(0.0..=1.0).contains(&self.gamma) {
             return Err(CoreError::InvalidConfig("gamma must be in [0, 1]".into()));
@@ -118,6 +119,26 @@ mod tests {
             },
             BaselineConfig {
                 gamma: 2.0,
+                ..BaselineConfig::default()
+            },
+            BaselineConfig {
+                mu: f32::NAN,
+                ..BaselineConfig::default()
+            },
+            BaselineConfig {
+                mu: f32::INFINITY,
+                ..BaselineConfig::default()
+            },
+            BaselineConfig {
+                learning_rate: f32::INFINITY,
+                ..BaselineConfig::default()
+            },
+            BaselineConfig {
+                temperature: f32::INFINITY,
+                ..BaselineConfig::default()
+            },
+            BaselineConfig {
+                sharpen_temperature: f32::INFINITY,
                 ..BaselineConfig::default()
             },
         ];

@@ -112,11 +112,14 @@ impl DriverBuilder {
         self
     }
 
-    /// Caps the client-phase worker pool of every algorithm — FedPKD and
-    /// the seven baselines alike run their client phases through
-    /// [`clients`](crate::clients), which reads this budget — at `workers`
-    /// threads (default: the machine's available parallelism); at 2 or
-    /// more FedPKD's server step also takes its one step-worker thread.
+    /// The one knob for every use of a second thread: caps the threads a
+    /// round uses at `workers` (default: the machine's available
+    /// parallelism). The client phases of FedPKD and the seven baselines
+    /// alike run through [`clients`](crate::clients), which reads this
+    /// budget. FedPKD's server step spends it in order: at 2 a public-set
+    /// round's distillation takes its step-worker thread, while a
+    /// data-free round refines its generator on that thread instead; at 3
+    /// or more a data-free round's distillation takes the step worker too.
     /// Worker count never affects results — only wall-clock time.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));

@@ -6,8 +6,8 @@ use fedpkd_tensor::{metrics, Tensor};
 
 /// Batch size used for evaluation forward passes.
 ///
-/// Large enough that public-set and test-set matmuls cross the row-parallel
-/// threshold in `fedpkd_tensor::kernels` and run multi-threaded. Every
+/// Large enough that a public or test set goes through each layer in a few
+/// large products, on the calling thread (kernels never spawn one). Every
 /// eval-mode layer is row-wise (BatchNorm uses running statistics in
 /// inference mode), so batching is value-invariant: any batch size produces
 /// bit-identical outputs, and this constant is purely a throughput knob.

@@ -32,6 +32,7 @@ use fedpkd_tensor::models::ClassifierModel;
 use fedpkd_tensor::models::ModelSpec;
 use fedpkd_tensor::ops::softmax;
 use fedpkd_tensor::optim::Adam;
+use fedpkd_tensor::serialize::{load_state_vector, state_vector};
 use fedpkd_tensor::Tensor;
 
 /// The complete FedPKD algorithm over a federated scenario.
@@ -84,6 +85,10 @@ struct GeneratorState {
     generator: Generator,
     optimizer: Adam,
     rng: Rng,
+    /// The server's architecture, from which a refine running beside the
+    /// server distillation builds its copy of the critic. Configuration,
+    /// not state: never snapshotted.
+    critic_spec: ModelSpec,
 }
 
 /// The owned, snapshotable half of [`FedPkd`]: everything that changes
@@ -163,6 +168,7 @@ impl FedPkd {
                 generator,
                 optimizer: Adam::new(config.generator_lr),
                 rng,
+                critic_spec: server_spec.clone(),
             }
         });
         Ok(Self {
@@ -759,37 +765,56 @@ impl FedPkdState {
             (0..public_len).collect()
         };
         emit_phase_timing(obs, round, Phase::Filter, phase_started);
+        let global_prototypes: &[Option<Tensor>] = global_prototypes;
         // Data-free mode: refine the generator against the round's
-        // aggregated ensemble before the server distills — the FedGen
-        // alternation. The critic (server model) comes out bit-identical
-        // (params never stepped, buffers restored, gradients zeroed), so
-        // the distillation below starts from a clean slate.
-        if let (Some(gs), Some((latents, labels))) = (generator.as_mut(), synth_batch) {
-            let gstats = generator::refine(
-                &mut gs.generator,
-                &mut gs.optimizer,
-                server_model,
-                latents,
-                labels,
-                Some(aggregated),
-                global_prototypes,
-                input_moments,
-                config.temperature,
-                config.generator_epochs,
-            );
-            obs.record(&TelemetryEvent::GeneratorRefined {
-                round,
-                ensemble_loss: gstats.ensemble_loss,
-                ce_loss: gstats.ce_loss,
-                proto_loss: gstats.proto_loss,
-                moment_loss: gstats.moment_loss,
+        // aggregated ensemble with the pre-distill server as its critic —
+        // the FedGen alternation. Refine only reads the critic (params never
+        // stepped, buffers restored, gradients zeroed), so it can run on the
+        // server itself before the distillation below, or beside it on a
+        // copy.
+        let mut refine_job = generator
+            .as_mut()
+            .zip(synth_batch)
+            .map(|(gs, (latents, labels))| {
+                let GeneratorState {
+                    generator: net,
+                    optimizer,
+                    critic_spec,
+                    ..
+                } = gs;
+                let refine = move |critic: &mut ClassifierModel| {
+                    let stats = generator::refine(
+                        net,
+                        optimizer,
+                        critic,
+                        latents,
+                        labels,
+                        Some(aggregated),
+                        global_prototypes,
+                        input_moments,
+                        config.temperature,
+                        config.generator_epochs,
+                    );
+                    TelemetryEvent::GeneratorRefined {
+                        round,
+                        ensemble_loss: stats.ensemble_loss,
+                        ce_loss: stats.ce_loss,
+                        proto_loss: stats.proto_loss,
+                        moment_loss: stats.moment_loss,
+                    }
+                };
+                (&*critic_spec, refine)
             });
+        // At budget 1 there is no second thread to overlap on; and when the
+        // filter kept nothing there is no distillation to overlap with —
+        // the refinement still happens, so later rounds produce usable
+        // batches.
+        if workers < 2 || selected.is_empty() {
+            if let Some((_, mut refine)) = refine_job.take() {
+                obs.record(&refine(server_model));
+            }
         }
         if selected.is_empty() {
-            // Every transfer sample was rejected — a data-free round where
-            // no generated class had a covered prototype. Nothing to
-            // distill on or downlink; the generator refinement above still
-            // happened, so later rounds produce usable batches.
             return None;
         }
         let subset_features = transfer
@@ -808,20 +833,45 @@ impl FedPkdState {
             1.0 // the prototype loss term is removed (ablation w/o Pro)
         };
         let phase_started = Instant::now();
-        let distill_stats = train_server_with_workers(
-            server_model,
-            &subset_features,
-            &teacher_probs,
-            &subset_pseudo,
-            global_prototypes,
-            delta,
-            config.temperature,
-            config.server_epochs,
-            config.batch_size,
-            server_optimizer,
-            server_rng,
-            workers,
-        );
+        // A refine left to overlap takes one thread of the budget, against a
+        // copy of the pre-distill server built and dropped on that thread;
+        // the distillation keeps the rest. The copy's initial weights are
+        // overwritten at once, so they come from a throwaway stream, never
+        // the server's or the generator's.
+        let (refined, distill_stats) = std::thread::scope(|scope| {
+            let refining = refine_job.map(|(critic_spec, mut refine)| {
+                let critic_state = state_vector(server_model);
+                scope.spawn(move || {
+                    let mut critic = critic_spec.build(&mut Rng::seed_from_u64(0));
+                    load_state_vector(&mut critic, &critic_state)
+                        .expect("the copy is built from the server's own spec");
+                    refine(&mut critic)
+                })
+            });
+            let distill_stats = train_server_with_workers(
+                server_model,
+                &subset_features,
+                &teacher_probs,
+                &subset_pseudo,
+                global_prototypes,
+                delta,
+                config.temperature,
+                config.server_epochs,
+                config.batch_size,
+                server_optimizer,
+                server_rng,
+                workers - usize::from(refining.is_some()),
+            );
+            let refined = refining.map(|thread| {
+                thread
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            });
+            (refined, distill_stats)
+        });
+        if let Some(refined) = refined {
+            obs.record(&refined);
+        }
         obs.record(&TelemetryEvent::ServerDistill {
             round,
             kd_loss: distill_stats.kd_loss,

@@ -152,17 +152,10 @@ impl FedPkdConfig {
     ///
     /// Returns [`CoreError::InvalidConfig`] if any parameter is out of
     /// range.
-    // `!(x > 0.0)` rather than `x <= 0.0`: NaN must fail validation too.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn validate(&self) -> Result<(), CoreError> {
         if self.batch_size == 0 {
             return Err(CoreError::InvalidConfig(
                 "batch size must be positive".into(),
-            ));
-        }
-        if !(self.learning_rate > 0.0) {
-            return Err(CoreError::InvalidConfig(
-                "learning rate must be positive".into(),
             ));
         }
         if !(0.0 < self.theta && self.theta <= 1.0) {
@@ -175,34 +168,29 @@ impl FedPkdConfig {
                 )));
             }
         }
-        if self.epsilon < 0.0 {
+        // `is_finite` also rejects NaN: a NaN ε would make every Eq. 16
+        // client loss NaN, and admission would then quarantine the fleet.
+        if !(self.epsilon >= 0.0 && self.epsilon.is_finite()) {
             return Err(CoreError::InvalidConfig(
-                "epsilon must be non-negative".into(),
+                "epsilon must be finite and non-negative".into(),
             ));
         }
-        if !(self.temperature > 0.0) {
-            return Err(CoreError::InvalidConfig(
-                "temperature must be positive".into(),
-            ));
-        }
-        if !(self.margin_lr > 0.0) {
-            return Err(CoreError::InvalidConfig(
-                "margin learning rate must be positive".into(),
-            ));
-        }
-        if !(self.margin_init > 0.0) {
-            return Err(CoreError::InvalidConfig(
-                "initial margin must be positive".into(),
-            ));
+        for (name, v) in [
+            ("learning rate", self.learning_rate),
+            ("temperature", self.temperature),
+            ("margin learning rate", self.margin_lr),
+            ("initial margin", self.margin_init),
+            ("generator learning rate", self.generator_lr),
+        ] {
+            if !(v > 0.0 && v.is_finite()) {
+                return Err(CoreError::InvalidConfig(format!(
+                    "{name} must be positive and finite"
+                )));
+            }
         }
         if self.adaptive_margins && self.margin_epochs == 0 {
             return Err(CoreError::InvalidConfig(
                 "adaptive margins need at least one epoch per round".into(),
-            ));
-        }
-        if !(self.generator_lr > 0.0) {
-            return Err(CoreError::InvalidConfig(
-                "generator learning rate must be positive".into(),
             ));
         }
         if self.distill_source == DistillSource::Generated {
@@ -361,6 +349,34 @@ mod tests {
             FedPkdConfig {
                 distill_source: DistillSource::Generated,
                 generator_epochs: 0,
+                ..FedPkdConfig::default()
+            },
+            FedPkdConfig {
+                epsilon: f32::NAN,
+                ..FedPkdConfig::default()
+            },
+            FedPkdConfig {
+                epsilon: f32::INFINITY,
+                ..FedPkdConfig::default()
+            },
+            FedPkdConfig {
+                learning_rate: f32::INFINITY,
+                ..FedPkdConfig::default()
+            },
+            FedPkdConfig {
+                temperature: f32::INFINITY,
+                ..FedPkdConfig::default()
+            },
+            FedPkdConfig {
+                margin_lr: f32::INFINITY,
+                ..FedPkdConfig::default()
+            },
+            FedPkdConfig {
+                margin_init: f32::INFINITY,
+                ..FedPkdConfig::default()
+            },
+            FedPkdConfig {
+                generator_lr: f32::INFINITY,
                 ..FedPkdConfig::default()
             },
         ];

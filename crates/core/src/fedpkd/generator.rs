@@ -20,6 +20,12 @@
 //! never stepped and its buffers are restored afterwards — so generated
 //! batches and generator updates replay bit-identically across worker
 //! counts.
+//!
+//! Because [`refine`] only reads its critic, the critic need not be the
+//! server itself. At a worker budget of 2 or more a round hands it a copy —
+//! built from the server's spec and loaded with the server's state vector —
+//! and refines on its own thread while the server distills; the copy is as
+//! good a critic as the server, bit for bit.
 
 use fedpkd_rng::Rng;
 use fedpkd_tensor::loss::{CrossEntropy, DistillKl, Mse};
@@ -310,8 +316,9 @@ pub fn refine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedpkd_tensor::models::build_mlp;
+    use fedpkd_tensor::models::{build_mlp, DepthTier, ModelSpec};
     use fedpkd_tensor::ops::softmax;
+    use fedpkd_tensor::serialize::{load_state_vector, param_vector, state_vector};
 
     #[test]
     fn synthesize_produces_finite_batches_of_the_right_shape() {
@@ -349,7 +356,6 @@ mod tests {
         let (latents, labels) = gen.draw_batch(40, &mut rng);
         // A synthetic "ensemble": softened one-hot targets at the intended
         // labels, as a perfectly-informative teacher would produce.
-        let x = gen.synthesize(&latents, &labels);
         let mut teacher_logits = Tensor::zeros(&[40, 10]);
         for (i, &y) in labels.iter().enumerate() {
             teacher_logits.row_mut(i)[y] = 4.0;
@@ -390,8 +396,6 @@ mod tests {
             total_last < total_first,
             "objective must drop: {total_first} → {total_last}"
         );
-        // The critic must come out untouched: refine only reads it.
-        let _ = x;
     }
 
     #[test]
@@ -400,7 +404,7 @@ mod tests {
         let mut gen = Generator::new(8, 10, 32, &mut rng);
         let mut server = build_mlp(&[32, 16], 10, &mut rng);
         let mut opt = Adam::new(0.01);
-        let before = fedpkd_tensor::serialize::state_vector(&server);
+        let before = state_vector(&server);
         let (latents, labels) = gen.draw_batch(20, &mut rng);
         let protos: Vec<Option<Tensor>> = vec![Some(Tensor::zeros(&[16])); 10];
         let no_moments: Vec<Option<Tensor>> = vec![None; 10];
@@ -416,13 +420,72 @@ mod tests {
             1.0,
             3,
         );
-        assert_eq!(fedpkd_tensor::serialize::state_vector(&server), before);
+        assert_eq!(state_vector(&server), before);
         let mut grads = Vec::new();
         server.visit_params(&mut |p| grads.extend_from_slice(p.grad.as_slice()));
         assert!(
             grads.iter().all(|&g| g == 0.0),
             "critic grads must be zeroed"
         );
+    }
+
+    /// A refine running beside the server distillation reads a copy of the
+    /// server built from its spec and loaded with its state vector. That
+    /// copy must be as good a critic as the server itself: same stats, same
+    /// generator parameters, same Adam state — and the server is untouched.
+    #[test]
+    fn refine_against_a_state_vector_copy_matches_refine_against_the_original() {
+        let spec = ModelSpec::ResMlp {
+            input_dim: 32,
+            num_classes: 10,
+            tier: DepthTier::T11,
+        };
+        let mut rng = Rng::seed_from_u64(7);
+        let mut server = spec.build(&mut rng);
+        // Drift the normalization buffers off their initial values, so the
+        // copy has to carry them as well as the parameters.
+        server.forward(&Tensor::randn(&[16, 32], 2.0, &mut rng), true);
+        let before = state_vector(&server);
+        let mut copy = spec.build(&mut Rng::seed_from_u64(99));
+        load_state_vector(&mut copy, &before).unwrap();
+        let run = |critic: &mut ClassifierModel| {
+            let mut rng = Rng::seed_from_u64(8);
+            let mut gen = Generator::new(8, 10, 32, &mut rng);
+            let mut opt = Adam::new(0.01);
+            let (latents, labels) = gen.draw_batch(30, &mut rng);
+            let teacher = softmax(&Tensor::randn(&[30, 10], 1.0, &mut rng), 1.0);
+            let protos: Vec<Option<Tensor>> = (0..10)
+                .map(|c| {
+                    (c % 2 == 0).then(|| Tensor::full(&[critic.feature_dim()], 0.1 * c as f32))
+                })
+                .collect();
+            let moments: Vec<Option<Tensor>> = (0..10)
+                .map(|c| (c % 3 == 0).then(|| Tensor::full(&[32], 0.2 * c as f32)))
+                .collect();
+            let stats = refine(
+                &mut gen,
+                &mut opt,
+                critic,
+                &latents,
+                &labels,
+                Some(&teacher),
+                &protos,
+                &moments,
+                2.0,
+                4,
+            );
+            let (m, v) = opt.moments();
+            (
+                stats,
+                param_vector(&gen),
+                opt.step_count(),
+                m.to_vec(),
+                v.to_vec(),
+            )
+        };
+        let on_copy = run(&mut copy);
+        assert_eq!(state_vector(&server), before, "the server is untouched");
+        assert_eq!(on_copy, run(&mut server));
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!   32- and 16-wide mop-up tiles), an `A·Bᵀ` path that repacks the
 //!   transposed operand once and reuses the tiled kernel, a
 //!   transposed-self kernel for `Aᵀ·B` that accumulates into its output in
-//!   the store epilogue, fused bias+ReLU epilogues, and a row-parallel
-//!   path for large products.
+//!   the store epilogue, and fused bias+ReLU epilogues. Every kernel runs
+//!   on the calling thread: the only extra threads are the ones the worker
+//!   budget hands out (`DriverBuilder::workers`), never one a kernel spawns.
 //!
 //! # Why the kernels match the reference bit for bit
 //!
@@ -25,9 +26,7 @@
 //! increasing, starting from `+0.0` (or from the bias epilogue applied
 //! *after* the full sum, matching an unfused bias pass). Tiling only
 //! reorders work *across* output elements, never within one, and IEEE 754
-//! addition is deterministic, so the bits match. The row-parallel path
-//! splits the *output rows* across threads; rows never share an
-//! accumulator, so the result is independent of thread count and schedule.
+//! addition is deterministic, so the bits match.
 //!
 //! The reference's zero-skip (skip a whole `b` row when `a[i][k] == 0`)
 //! is exact by the same coin, read both ways: the accumulator starts at
@@ -55,16 +54,13 @@
 //! function of its operands, so a run whose every product equals the
 //! reference's is the run the reference would have produced.
 
-use crate::parallel;
-
 /// The one kernel tier there is, as `benchmark/src/provenance.rs` prints it.
 /// That file is the only caller of the function below; ROADMAP item 3
 /// step 0 deletes its line and then this enum and the function.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
-    /// Register-tiled kernels with fused epilogues and the row-parallel
-    /// large-matmul path.
+    /// Register-tiled kernels with fused epilogues.
     Fast,
 }
 
@@ -91,11 +87,6 @@ const NJ_MID: usize = 32;
 /// the scalar remainder strip, which is why client training lagged the
 /// server phases.
 const NJ_NARROW: usize = 16;
-/// Minimum multiply-adds before the row-parallel path engages; below this
-/// the scoped-thread spawn cost outweighs the work.
-const PAR_MIN_MADDS: usize = 1 << 22;
-/// Minimum output rows a worker must receive for a parallel split.
-const PAR_MIN_ROWS: usize = 64;
 
 fn all_finite(xs: &[f32]) -> bool {
     xs.iter().all(|x| x.is_finite())
@@ -143,8 +134,14 @@ pub(crate) fn matmul_scalar_into(
     }
 }
 
-/// `out = epilogue(A·B)`, register-tiled, row-parallel when the
-/// product is large. `out` must be zeroed.
+/// `out = epilogue(A·B)`, register-tiled. `out` must be zeroed.
+///
+/// Full `MI×NJ` tiles keep their accumulators in registers for the whole
+/// reduction — the scalar loop's per-`k` reload/store of the output row is
+/// the hot path's dominant memory traffic, and this removes it. The tile
+/// body is branch-free (see the module docs for why skipping nothing is
+/// still bit-identical to the skipping scalar loop). Remainder strips fall
+/// back to a branchless scalar loop with the same per-element order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn matmul_fast_into(
     a: &[f32],
@@ -156,46 +153,8 @@ pub(crate) fn matmul_fast_into(
     bias: Option<&[f32]>,
     relu: bool,
 ) {
-    if m * k * n >= PAR_MIN_MADDS && m >= 2 * PAR_MIN_ROWS {
-        parallel::for_each_row_chunk(out, n, PAR_MIN_ROWS, |row0, chunk| {
-            let rows = chunk.len() / n;
-            matmul_block(
-                &a[row0 * k..(row0 + rows) * k],
-                b,
-                chunk,
-                rows,
-                k,
-                n,
-                bias,
-                relu,
-            );
-        });
-    } else {
-        matmul_block(a, b, out, m, k, n, bias, relu);
-    }
-}
-
-/// Register-tiled `A·B` over a contiguous block of output rows.
-///
-/// Full `MI×NJ` tiles keep their accumulators in registers for the whole
-/// reduction — the scalar loop's per-`k` reload/store of the output row is
-/// the hot path's dominant memory traffic, and this removes it. The tile
-/// body is branch-free (see the module docs for why skipping nothing is
-/// still bit-identical to the skipping scalar loop). Remainder strips fall
-/// back to a branchless scalar loop with the same per-element order.
-#[allow(clippy::too_many_arguments)]
-fn matmul_block(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    rows: usize,
-    k: usize,
-    n: usize,
-    bias: Option<&[f32]>,
-    relu: bool,
-) {
     let mut i0 = 0;
-    while i0 + MI <= rows {
+    while i0 + MI <= m {
         let mut j0 = 0;
         while j0 + NJ <= n {
             matmul_tile::<NJ>(a, b, out, i0, j0, k, n, bias, relu);
@@ -214,8 +173,8 @@ fn matmul_block(
         }
         i0 += MI;
     }
-    if i0 < rows {
-        matmul_strip(a, b, out, i0, rows - i0, 0, k, n, bias, relu);
+    if i0 < m {
+        matmul_strip(a, b, out, i0, m - i0, 0, k, n, bias, relu);
     }
 }
 
@@ -381,12 +340,11 @@ pub(crate) fn matmul_transposed_fast_into(
 /// The `MI` values of `Aᵀ` a register tile needs at reduction step `rr` are
 /// `a[rr·m + i0 ..][..MI]` — contiguous in the row-major operand — so when
 /// whole tiles cover the output (`m % MI == 0`, `n % NJ_NARROW == 0`: every
-/// capacity-tier layer shape) and the product is below the row-parallel
-/// threshold, the tiles read `a` in place and add their finished sums to
-/// `out` in the store epilogue. Any other shape repacks `a` into row-major
-/// `[m, r]` (O(r·m) against the product's O(r·m·n)), reuses
-/// [`matmul_fast_into`] with its remainder strips and row-parallel split
-/// into scratch, and adds that to `out`.
+/// capacity-tier layer shape), the tiles read `a` in place and add their
+/// finished sums to `out` in the store epilogue. Any other shape repacks
+/// `a` into row-major `[m, r]` (O(r·m) against the product's O(r·m·n)),
+/// reuses [`matmul_fast_into`] with its remainder strips into scratch, and
+/// adds that to `out`.
 ///
 /// Either way the reduction runs over `r` strictly increasing from `+0.0`
 /// per output element and the finished sum `s` lands as `out + s` — the
@@ -405,9 +363,7 @@ pub(crate) fn tr_matmul_fast_into(
     if r == 0 {
         return;
     }
-    let tiles_cover = m.is_multiple_of(MI) && n.is_multiple_of(NJ_NARROW);
-    let row_parallel = r * m * n >= PAR_MIN_MADDS && m >= 2 * PAR_MIN_ROWS;
-    if tiles_cover && !row_parallel {
+    if m.is_multiple_of(MI) && n.is_multiple_of(NJ_NARROW) {
         for i0 in (0..m).step_by(MI) {
             let mut j0 = 0;
             while j0 + NJ <= n {

@@ -3,56 +3,7 @@
 //! These operate row-wise on rank-2 tensors of logits `[batch, classes]` —
 //! the shape in which all knowledge transfer in FedPKD happens.
 
-use crate::{parallel, Tensor};
-
-/// Minimum rows per chunk before the softmax family engages the
-/// row-parallel path; below twice this, thread spawn cost outweighs the
-/// per-row exp work. Rows are independent, so the split is bit-identical
-/// to the sequential sweep at any worker count.
-const PAR_MIN_SOFTMAX_ROWS: usize = 256;
-
-/// One row of [`softmax`], in place — THE definition both paths share.
-#[inline]
-fn softmax_row(row: &mut [f32], temperature: f32) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut total = 0.0f32;
-    for v in row.iter_mut() {
-        *v = ((*v - max) / temperature).exp();
-        total += *v;
-    }
-    for v in row.iter_mut() {
-        *v /= total;
-    }
-}
-
-/// One row of [`log_softmax`], in place — THE definition both paths share.
-#[inline]
-fn log_softmax_row(row: &mut [f32], temperature: f32) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let log_sum: f32 = row
-        .iter()
-        .map(|&v| ((v - max) / temperature).exp())
-        .sum::<f32>()
-        .ln();
-    for v in row.iter_mut() {
-        *v = (*v - max) / temperature - log_sum;
-    }
-}
-
-/// One row of [`row_variance`] — THE definition both paths share.
-#[inline]
-fn variance_row(row: &[f32], cols: f32) -> f32 {
-    let mean: f32 = row.iter().sum::<f32>() / cols;
-    row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols
-}
-
-/// Whether a row-wise op of `rows` rows should run on the row-parallel
-/// path. Rows never share state, so this is purely a speed
-/// decision — bits are identical either way.
-#[inline]
-fn row_parallel(rows: usize) -> bool {
-    rows >= 2 * PAR_MIN_SOFTMAX_ROWS
-}
+use crate::Tensor;
 
 /// Row-wise softmax with temperature.
 ///
@@ -84,21 +35,15 @@ pub fn softmax(logits: &Tensor, temperature: f32) -> Tensor {
     if cols == 0 {
         return out;
     }
-    let rows = out.rows();
-    if row_parallel(rows) {
-        parallel::for_each_row_chunk(
-            out.as_mut_slice(),
-            cols,
-            PAR_MIN_SOFTMAX_ROWS,
-            |_, chunk| {
-                for row in chunk.chunks_mut(cols) {
-                    softmax_row(row, temperature);
-                }
-            },
-        );
-    } else {
-        for r in 0..rows {
-            softmax_row(out.row_mut(r), temperature);
+    for row in out.as_mut_slice().chunks_mut(cols) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut total = 0.0f32;
+        for v in row.iter_mut() {
+            *v = ((*v - max) / temperature).exp();
+            total += *v;
+        }
+        for v in row.iter_mut() {
+            *v /= total;
         }
     }
     out
@@ -116,21 +61,15 @@ pub fn log_softmax(logits: &Tensor, temperature: f32) -> Tensor {
     if cols == 0 {
         return out;
     }
-    let rows = out.rows();
-    if row_parallel(rows) {
-        parallel::for_each_row_chunk(
-            out.as_mut_slice(),
-            cols,
-            PAR_MIN_SOFTMAX_ROWS,
-            |_, chunk| {
-                for row in chunk.chunks_mut(cols) {
-                    log_softmax_row(row, temperature);
-                }
-            },
-        );
-    } else {
-        for r in 0..rows {
-            log_softmax_row(out.row_mut(r), temperature);
+    for row in out.as_mut_slice().chunks_mut(cols) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let log_sum: f32 = row
+            .iter()
+            .map(|&v| ((v - max) / temperature).exp())
+            .sum::<f32>()
+            .ln();
+        for v in row.iter_mut() {
+            *v = (*v - max) / temperature - log_sum;
         }
     }
     out
@@ -160,18 +99,13 @@ pub fn row_entropy(probs: &Tensor) -> Vec<f32> {
 /// hence high variance.
 pub fn row_variance(x: &Tensor) -> Vec<f32> {
     let cols = x.cols().max(1) as f32;
-    let rows = x.rows();
-    if row_parallel(rows) {
-        let mut out = vec![0.0f32; rows];
-        parallel::for_each_row_chunk(&mut out, 1, PAR_MIN_SOFTMAX_ROWS, |row0, chunk| {
-            for (i, o) in chunk.iter_mut().enumerate() {
-                *o = variance_row(x.row(row0 + i), cols);
-            }
-        });
-        out
-    } else {
-        (0..rows).map(|r| variance_row(x.row(r), cols)).collect()
-    }
+    (0..x.rows())
+        .map(|r| {
+            let row = x.row(r);
+            let mean: f32 = row.iter().sum::<f32>() / cols;
+            row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / cols
+        })
+        .collect()
 }
 
 /// Sharpens each row of a probability matrix: `p_i^(1/T) / Σ_j p_j^(1/T)`.

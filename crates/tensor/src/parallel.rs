@@ -1,13 +1,14 @@
 //! Order-preserving thread dispatch.
 //!
-//! Two idioms, both on scoped threads. Tasks — a client's training, a
-//! client's evaluation — go through the one work-stealing dispatcher
-//! ([`dispatch_stealing`], or [`dispatch_stealing_scheduled`] with an
-//! execution plan), which commits results on the caller's thread in item
-//! order. Row-independent kernels split their output buffer into
-//! contiguous row chunks ([`for_each_row_chunk`]). Items (or output rows)
-//! never share mutable state, so the result is bit-identical to the
-//! sequential loop regardless of core count or scheduling.
+//! Tasks — a client's training, a client's evaluation — go through the one
+//! work-stealing dispatcher ([`dispatch_stealing`], or
+//! [`dispatch_stealing_scheduled`] with an execution plan) on scoped
+//! threads, as many as the caller's worker budget, and commit results on
+//! the caller's thread in item order. Items never share mutable state, so
+//! the result is bit-identical to the sequential loop regardless of core
+//! count or scheduling. Kernels never spawn: a thread a kernel started on
+//! its own would not count against the budget and would oversubscribe the
+//! cores the budget already handed out.
 
 /// Per-thread reusable scratch buffers for transient `f32` workspaces.
 ///
@@ -223,39 +224,6 @@ fn run_stealing<I: Send, T: Send>(
     })
 }
 
-/// Splits `out` (a row-major buffer of `row_width`-wide rows) into
-/// contiguous row chunks of at least `min_rows` rows each and runs
-/// `f(first_row_index, chunk)` on one scoped thread per chunk.
-///
-/// Chunks are disjoint `&mut` slices, so no locking is needed and the
-/// written buffer is identical to a sequential pass no matter how the
-/// threads are scheduled. Shared by the row-parallel matmul path and the
-/// row-parallel softmax and variance paths — any
-/// row-independent kernel can dispatch through it without changing bits.
-pub fn for_each_row_chunk(
-    out: &mut [f32],
-    row_width: usize,
-    min_rows: usize,
-    f: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    debug_assert!(row_width > 0 && min_rows > 0);
-    let rows = out.len() / row_width;
-    let workers = max_workers().min(rows.div_ceil(min_rows)).max(1);
-    if workers == 1 {
-        // Single worker (one core, or too few rows): run inline — spawning
-        // a scoped thread would only add latency.
-        f(0, out);
-        return;
-    }
-    let chunk_rows = rows.div_ceil(workers);
-    let f = &f;
-    std::thread::scope(|scope| {
-        for (idx, chunk) in out.chunks_mut(chunk_rows * row_width).enumerate() {
-            scope.spawn(move || f(idx * chunk_rows, chunk));
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,22 +313,5 @@ mod tests {
             scratch::with_f32s(16, |inner| inner.fill(3.0));
             assert!(outer.iter().all(|&v| v == 2.0));
         });
-    }
-
-    #[test]
-    fn row_chunks_cover_every_row_exactly_once() {
-        let rows = 97;
-        let width = 5;
-        let mut out = vec![0.0f32; rows * width];
-        for_each_row_chunk(&mut out, width, 8, |row0, chunk| {
-            for (r, row) in chunk.chunks_mut(width).enumerate() {
-                for v in row {
-                    *v += (row0 + r) as f32;
-                }
-            }
-        });
-        for (r, row) in out.chunks(width).enumerate() {
-            assert!(row.iter().all(|&v| v == r as f32), "row {r}: {row:?}");
-        }
     }
 }

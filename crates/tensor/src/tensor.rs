@@ -375,9 +375,9 @@ impl Tensor {
     /// Matrix product via the reference scalar kernel (the i-k-j triple
     /// loop).
     ///
-    /// This is the specification the tiled, transposed-packed, and
-    /// row-parallel kernels are held bit-identical to; no production path
-    /// calls it, equivalence tests compose their references from it.
+    /// This is the specification the tiled and transposed-packed kernels
+    /// are held bit-identical to; no production path calls it, equivalence
+    /// tests compose their references from it.
     ///
     /// # Errors
     ///

@@ -6,7 +6,7 @@ use fedpkd_rng::Rng;
 use fedpkd_tensor::kernels::{softmax_kl_row, softmax_kl_xent_row, softmax_xent_row};
 use fedpkd_tensor::loss::{distill_kl_ce, CrossEntropy, DistillKl, Mse};
 use fedpkd_tensor::models::{DepthTier, ModelSpec};
-use fedpkd_tensor::ops::{log_softmax, row_entropy, row_variance, sharpen, softmax};
+use fedpkd_tensor::ops::{log_softmax, row_entropy, sharpen, softmax};
 use fedpkd_tensor::parallel::{dispatch_stealing, dispatch_stealing_scheduled};
 use fedpkd_tensor::plan::grouped_schedule;
 use fedpkd_tensor::serialize::{load_param_vector, param_vector};
@@ -347,34 +347,6 @@ proptest! {
     }
 }
 
-/// The row-parallel dispatch (engaged above ~4M multiply-adds and 128 rows)
-/// is bit-identical to the scalar reference no matter how the row chunks
-/// land on threads.
-#[test]
-fn row_parallel_matmul_is_bit_identical_to_scalar() {
-    let mut rng = Rng::seed_from_u64(42);
-    let (m, k, n) = (2048, 48, 48); // m·k·n = 4.7M > the parallel threshold
-    let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
-    let b = Tensor::rand_uniform(&[k, n], -1.0, 1.0, &mut rng);
-    let fast = a.matmul(&b).unwrap();
-    let scalar = a.matmul_scalar(&b).unwrap();
-    assert_eq!(fast.shape(), scalar.shape());
-    for (x, y) in fast.as_slice().iter().zip(scalar.as_slice()) {
-        assert_eq!(x.to_bits(), y.to_bits());
-    }
-    let bias = Tensor::rand_uniform(&[n], -1.0, 1.0, &mut rng);
-    let fused = a.matmul_bias(&b, &bias, true).unwrap();
-    let mut expect = scalar;
-    for r in 0..expect.rows() {
-        for (o, &bv) in expect.row_mut(r).iter_mut().zip(bias.as_slice()) {
-            *o = (*o + bv).max(0.0);
-        }
-    }
-    for (x, y) in fused.as_slice().iter().zip(expect.as_slice()) {
-        assert_eq!(x.to_bits(), y.to_bits());
-    }
-}
-
 /// Strategy: one row of logits salted with adversarial values — NaN, ±∞,
 /// signed zeros, and repeated constants (duplicates) — the inputs where a
 /// fused kernel could legally diverge from the composition if it reordered
@@ -542,32 +514,6 @@ proptest! {
         });
         prop_assert!(grouped.windows(2).all(|w| w[0].0 < w[1].0));
         prop_assert_eq!(plain, grouped);
-    }
-}
-
-/// The softmax family's row-parallel path (engaged from 512 rows) equals
-/// the row-at-a-time loop bit for bit: rows never share state, so how the
-/// row chunks land on threads cannot matter.
-#[test]
-fn row_parallel_softmax_family_is_bit_identical_to_row_at_a_time() {
-    let mut rng = Rng::seed_from_u64(43);
-    let (rows, cols) = (2 * 256 + 77, 10); // ≥ 2 × PAR_MIN_SOFTMAX_ROWS, ragged last chunk
-    let x = Tensor::rand_uniform(&[rows, cols], -6.0, 6.0, &mut rng);
-    let one_row = |r: usize| Tensor::from_vec(x.row(r).to_vec(), &[1, cols]).unwrap();
-    let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    for temp in [1.0f32, 3.0] {
-        let p = softmax(&x, temp);
-        let log_p = log_softmax(&x, temp);
-        for r in 0..rows {
-            assert_eq!(bits(p.row(r)), bits(softmax(&one_row(r), temp).as_slice()));
-            assert_eq!(
-                bits(log_p.row(r)),
-                bits(log_softmax(&one_row(r), temp).as_slice())
-            );
-        }
-    }
-    for (r, v) in row_variance(&x).iter().enumerate() {
-        assert_eq!(v.to_bits(), row_variance(&one_row(r))[0].to_bits());
     }
 }
 

@@ -18,20 +18,43 @@ if grep -rnE 'ModeSwitch|\.scoped\(\)|KernelMode::Scalar|PlanMode::Sequential' c
     echo "error: the lines above select or read an execution mode" >&2
     exit 1
 fi
+# One source of extra threads, the worker budget (`DriverBuilder::workers`):
+# outside tests, only the work-stealing pool, the server step's step worker
+# and the data-free refine beside the server distillation start a thread in
+# these crates. A thread started anywhere else would not count against the
+# budget and would oversubscribe the cores it already handed out. Prints
+# `file:line:enclosing fn: line` for every non-comment spawn site.
+spawns=$(find crates/tensor/src crates/core/src crates/baselines/src -name '*.rs' -print0 |
+    xargs -0 awk '
+        FNR == 1 { live = 1; name = "" }
+        /^#\[cfg\(test\)\]/ { live = 0 }
+        !live || $1 ~ /^\/\// { next }
+        match($0, /fn [A-Za-z0-9_]+/) { name = substr($0, RSTART + 3, RLENGTH - 3) }
+        /thread::(scope|spawn)/ { print FILENAME ":" FNR ":" name ": " $0 }' |
+    grep -vE '^crates/tensor/src/parallel\.rs:[0-9]+:run_stealing: |^crates/core/src/fedpkd/distill\.rs:[0-9]+:train_server_with_workers: |^crates/core/src/fedpkd/algorithm\.rs:[0-9]+:filter_and_distill: ' ||
+    true)
+if [ -n "$spawns" ]; then
+    echo "$spawns"
+    echo "error: the lines above start a thread outside the worker budget" >&2
+    exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings
 # The vendored third-party crate is exempt from the doc gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q --exclude proptest
 cargo test --workspace -q
 # One-core liveness: the training thread and its step worker wait on each
-# other (bounded spin, then block), and every algorithm's client phases run
+# other (bounded spin, then block), every algorithm's client phases run
 # on the work-stealing pool, whose ordered commit waits on a reorder buffer
-# the workers fill. Both must also finish when all threads share one core.
-# Re-runs the inline-vs-worker tests and the phase kit's unit tests pinned
-# to CPU 0; a wait that can hang dies on the timeout instead of stalling
-# the gate.
+# the workers fill, and a data-free round joins its refine thread after
+# the distillation. All must also finish when all threads share one core.
+# Re-runs the inline-vs-worker tests, the phase kit's unit tests and the
+# data-free budget sweep (caller, refine thread and step worker at budget
+# 3) pinned to CPU 0; a wait that can hang dies on the timeout instead of
+# stalling the gate.
 if command -v taskset > /dev/null && command -v timeout > /dev/null; then
     taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --test fused_step worker
     taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --lib clients::
+    taskset -c 0 timeout 600 cargo test --release -q --test fleet fedpkd_data_free_refine_beside_distill
 else
     echo "skip: one-core runs (need taskset and timeout)" >&2
 fi

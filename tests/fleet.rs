@@ -284,6 +284,63 @@ fn fedpkd_inline_server_step_at_budget_1_matches_step_worker_at_budgets_2_and_8(
     }
 }
 
+/// A data-free round spends its budget in order: at 1 the generator
+/// refines inline before the server distills; at 2 it refines on a second
+/// thread, against a copy of the server, while the distillation steps
+/// inline; from 3 the distillation also takes its step worker. Every budget
+/// must give the budget-1 run, and the telemetry must arrive in the same
+/// order — only the measured seconds may differ.
+#[test]
+fn fedpkd_data_free_refine_beside_distill_at_budgets_2_3_and_8_matches_budget_1() {
+    let run = |workers: usize, obs: &mut dyn RoundObserver| {
+        let mut algo = FedPkd::new(
+            scenario(21),
+            vec![client_spec(); CLIENTS],
+            server_spec(),
+            FedPkdConfig {
+                distill_source: DistillSource::Generated,
+                ..fast_pkd()
+            },
+            9,
+        )
+        .unwrap();
+        let result = DriverBuilder::new()
+            .rounds(ROUNDS)
+            .workers(workers)
+            .build()
+            .run(&mut algo, obs);
+        (result, Driver::snapshot(&algo, &mut NullObserver))
+    };
+    let inline = run(1, &mut NullObserver);
+    for workers in [2, 3, 8] {
+        assert_eq!(
+            run(workers, &mut NullObserver),
+            inline,
+            "budget {workers} vs budget 1"
+        );
+    }
+    let events = |workers: usize| {
+        let mut log = EventLog::new();
+        run(workers, &mut log);
+        let mut events = log.events().to_vec();
+        for event in &mut events {
+            if let TelemetryEvent::PhaseTiming { seconds, .. }
+            | TelemetryEvent::RoundEnd { seconds, .. } = event
+            {
+                *seconds = 0.0;
+            }
+        }
+        events
+    };
+    let inline = events(1);
+    // Every round refined and distilled, so budget 2 took the overlap.
+    for kind in ["generator_refined", "server_distill"] {
+        let count = inline.iter().filter(|e| e.kind() == kind).count();
+        assert_eq!(count, ROUNDS, "{kind} events");
+    }
+    assert_eq!(events(2), inline, "event stream at budget 2 vs budget 1");
+}
+
 #[test]
 fn streaming_matches_legacy_for_fedavg() {
     assert_gate_matrix("FedAvg", || {
