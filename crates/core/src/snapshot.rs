@@ -23,17 +23,19 @@
 //! the whole payload in memory:
 //!
 //! ```text
-//! magic "FPKD" (4) · version u32 = 2 · algorithm name (len + utf8)
+//! magic "FPKD" (4) · version u32 = 3 · algorithm name (len + utf8)
 //! · chunks (u32 len > 0 · bytes)* · u32 0 sentinel
-//! · FNV-1a64 checksum of everything before it (8)
+//! · XXH64 checksum of everything before it (8)
 //! ```
 //!
 //! [`SnapshotStreamWriter`] produces it directly into any
-//! [`std::io::Write`]; [`SnapshotStreamReader`] consumes it from any
-//! [`std::io::Read`]. Any other version — including the buffered version 1
-//! this one replaced — is [`SnapshotError::UnsupportedVersion`]. This is
-//! the only representation of a snapshot: one held in memory is these
-//! bytes in a `Vec<u8>`.
+//! [`std::io::Write`], one write per chunk; [`SnapshotStreamReader`]
+//! consumes it from any [`std::io::Read`]. Any other version is
+//! [`SnapshotError::UnsupportedVersion`]: version 1 was a buffered
+//! envelope, and version 2 had this layout under an FNV-1a64 checksum, so
+//! its bytes would otherwise read as a checksum mismatch. This is the
+//! only representation of a snapshot: one held in memory is these bytes
+//! in a `Vec<u8>`.
 //!
 //! The payload layout is private to each algorithm, assembled from the
 //! primitives of [`StateSink`]/[`StateSource`] and the typed helpers below
@@ -88,7 +90,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FPKD";
 ///
 /// Bump on any layout change; decoding rejects other versions with
 /// [`SnapshotError::UnsupportedVersion`] rather than misinterpreting bytes.
-pub const SNAPSHOT_STREAM_VERSION: u32 = 2;
+pub const SNAPSHOT_STREAM_VERSION: u32 = 3;
 
 /// Why a snapshot could not be decoded or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -361,19 +363,18 @@ pub struct SnapshotStreamWriter<'w> {
 }
 
 impl<'w> SnapshotStreamWriter<'w> {
-    /// Opens a snapshot on `sink` for algorithm `name`, emitting the
-    /// header (magic, version, name) immediately.
+    /// Opens a snapshot on `sink` for algorithm `name`; the header
+    /// (magic, version, name) reaches the sink with the first chunk.
     pub fn new(sink: &'w mut dyn std::io::Write, name: &str) -> Self {
-        let header = [
-            &SNAPSHOT_MAGIC[..],
-            &SNAPSHOT_STREAM_VERSION.to_le_bytes(),
-            &(name.len() as u64).to_le_bytes(),
-            name.as_bytes(),
-        ]
-        .concat();
         let mut chunks = ChunkWriter::new(sink);
-        let error = chunks.header(&header).err().map(Into::into);
-        Self { chunks, error }
+        chunks.header(&SNAPSHOT_MAGIC);
+        chunks.header(&SNAPSHOT_STREAM_VERSION.to_le_bytes());
+        chunks.header(&(name.len() as u64).to_le_bytes());
+        chunks.header(name.as_bytes());
+        Self {
+            chunks,
+            error: None,
+        }
     }
 
     /// Terminates the envelope: the pending chunk, the zero-length
@@ -854,10 +855,11 @@ mod tests {
 
     #[test]
     fn stream_bytes_are_pinned() {
-        // The fingerprint of this stream as written before the chunk codec
-        // moved to `netsim` (PR 17): header, three full chunks whatever the
-        // size of the pieces pushed in, a 17-byte remainder, sentinel,
-        // trailer. A snapshot file from any commit since reads back.
+        // Header, three full chunks whatever the size of the pieces pushed
+        // in, a 17-byte remainder, sentinel, trailer. The length is the
+        // layout's and has not changed since the chunk codec moved to
+        // `netsim`; the fingerprint changed once, with version 3, when the
+        // trailer became XXH64 (the version word and the trailer differ).
         let payload: Vec<u8> = (0..3 * CHUNK + 17).map(|i| i as u8).collect();
         let mut bytes = Vec::new();
         let mut w = SnapshotStreamWriter::new(&mut bytes, "FedPKD");
@@ -869,7 +871,7 @@ mod tests {
         fnv.update(&bytes);
         assert_eq!(
             (bytes.len(), fnv.finish()),
-            (196_675, 0x2012_8e5a_37cf_0641)
+            (196_675, 0xe556_3ff4_6582_ddc3)
         );
     }
 
@@ -907,8 +909,9 @@ mod tests {
 
     #[test]
     fn other_versions_are_rejected() {
-        // Version 1 was the buffered envelope; 3 does not exist yet.
-        for version in [1, SNAPSHOT_STREAM_VERSION + 1] {
+        // Version 1 was the buffered envelope, version 2 this layout under
+        // an FNV-1a64 trailer; the next one does not exist yet.
+        for version in [1, SNAPSHOT_STREAM_VERSION - 1, SNAPSHOT_STREAM_VERSION + 1] {
             let mut bytes = stream_of(&[0xAB; 100]);
             bytes[4..8].copy_from_slice(&version.to_le_bytes());
             assert_eq!(

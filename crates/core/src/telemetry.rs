@@ -78,7 +78,7 @@ impl Phase {
 pub enum FrameRejectCause {
     /// The connection ended mid-frame.
     Truncated,
-    /// The frame's running FNV trailer did not match its bytes.
+    /// The frame's running XXH64 trailer did not match its bytes.
     ChecksumMismatch,
     /// The frame exceeded the server's payload cap.
     Oversized,

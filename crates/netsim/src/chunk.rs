@@ -1,15 +1,15 @@
 //! The one chunk envelope: bounded length-prefixed chunks under a running
-//! FNV-1a64 trailer.
+//! XXH64 trailer.
 //!
 //! Both byte streams this workspace frames — the snapshot stream of
 //! `fedpkd-core` and the socket frame of `fedpkd-serve` — are
 //!
 //! ```text
-//! header · (len: u32 LE, 0 < len ≤ CHUNK · bytes)* · 0u32 · fnv: u64 LE
+//! header · (len: u32 LE, 0 < len ≤ CHUNK · bytes)* · 0u32 · xxh64: u64 LE
 //! ```
 //!
 //! where the header is the user's own (magic, version and name for a
-//! snapshot; a kind byte for a frame) and the trailer is the FNV-1a64 of
+//! snapshot; a kind byte for a frame) and the trailer is the [`Xxh64`] of
 //! every byte before it. [`ChunkWriter`] and [`ChunkReader`] are the only
 //! implementation of that discipline: the writer stages payload into full
 //! `CHUNK`-sized chunks followed by the remainder, the reader holds one
@@ -22,7 +22,7 @@
 //!
 //! let mut bytes = Vec::new();
 //! let mut w = ChunkWriter::new(&mut bytes);
-//! w.header(b"hi")?;
+//! w.header(b"hi");
 //! w.write(&[7; 100])?;
 //! w.finish()?;
 //!
@@ -37,7 +37,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::Fnv1a;
+use crate::Xxh64;
 use std::io::{Read, Write};
 
 /// Maximum payload bytes per chunk.
@@ -54,7 +54,7 @@ pub enum ChunkError {
         /// The declared chunk length.
         len: usize,
     },
-    /// The FNV trailer does not match the bytes read.
+    /// The trailer does not match the bytes read.
     ChecksumMismatch,
     /// An I/O failure other than end-of-stream.
     Io(std::io::Error),
@@ -87,11 +87,16 @@ impl From<std::io::Error> for ChunkError {
 /// Call [`header`](Self::header) for the user's prefix, then
 /// [`write`](Self::write) any number of times, then
 /// [`finish`](Self::finish) — without it the envelope has no sentinel and
-/// no trailer. At most [`CHUNK`] payload bytes are staged at a time.
+/// no trailer. One chunk is staged at a time and reaches the sink in one
+/// write, the last with the sentinel and trailer: callers need no
+/// `BufWriter`.
 pub struct ChunkWriter<W: Write> {
     sink: W,
-    hash: Fnv1a,
+    hash: Xxh64,
+    /// Bytes not yet handed to the sink: `staged[..head]` is header, then
+    /// the open chunk's length prefix and payload.
     staged: Vec<u8>,
+    head: usize,
 }
 
 impl<W: Write> ChunkWriter<W> {
@@ -99,62 +104,71 @@ impl<W: Write> ChunkWriter<W> {
     pub fn new(sink: W) -> Self {
         Self {
             sink,
-            hash: Fnv1a::new(),
+            hash: Xxh64::default(),
             staged: Vec::new(),
+            head: 0,
         }
     }
 
-    /// Writes header bytes — hashed, not chunked — which must precede any
-    /// payload. (The length prefixes and the sentinel go out the same way.)
-    ///
-    /// # Errors
-    ///
-    /// The sink's I/O failure.
-    pub fn header(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.hash.update(bytes);
-        self.sink.write_all(bytes)
+    /// Stages header bytes — hashed, not chunked — which must precede any
+    /// payload. They reach the sink with the first chunk.
+    pub fn header(&mut self, bytes: &[u8]) {
+        self.staged.extend_from_slice(bytes);
+        self.head = self.staged.len();
     }
 
-    /// Appends payload bytes, emitting a chunk each time [`CHUNK`] bytes
-    /// are staged.
+    /// Appends payload bytes. A full chunk goes to the sink once payload
+    /// for the next one arrives.
     ///
     /// # Errors
     ///
     /// The sink's I/O failure.
     pub fn write(&mut self, mut payload: &[u8]) -> std::io::Result<()> {
         while !payload.is_empty() {
-            let n = (CHUNK - self.staged.len()).min(payload.len());
+            if self.staged.len() == self.head + 4 + CHUNK {
+                self.emit()?;
+            }
+            if self.staged.len() == self.head {
+                self.staged.extend_from_slice(&[0; 4]);
+            }
+            let n = (self.head + 4 + CHUNK - self.staged.len()).min(payload.len());
+            self.staged.reserve(n + 12); // and the sentinel and trailer
             self.staged.extend_from_slice(&payload[..n]);
             payload = &payload[n..];
-            if self.staged.len() == CHUNK {
-                self.flush_staged()?;
-            }
         }
         Ok(())
     }
 
-    fn flush_staged(&mut self) -> std::io::Result<()> {
-        if self.staged.is_empty() {
-            return Ok(());
+    /// Fills in the open chunk's length prefix, if a chunk is open.
+    fn close(&mut self) {
+        if let Some(len) = self.staged.len().checked_sub(self.head + 4) {
+            self.staged[self.head..][..4].copy_from_slice(&(len as u32).to_le_bytes());
         }
-        self.header(&(self.staged.len() as u32).to_le_bytes())?;
+    }
+
+    /// Hands the staged header and full chunk to the sink in one write.
+    fn emit(&mut self) -> std::io::Result<()> {
+        self.close();
         self.hash.update(&self.staged);
         self.sink.write_all(&self.staged)?;
         self.staged.clear();
+        self.head = 0;
         Ok(())
     }
 
-    /// Ends the envelope: the staged remainder, the zero-length sentinel
-    /// and the FNV trailer. Does not flush the sink.
+    /// Ends the envelope: the open chunk, the zero-length sentinel and the
+    /// trailer, in one write. Does not flush the sink.
     ///
     /// # Errors
     ///
     /// The sink's I/O failure.
     pub fn finish(mut self) -> std::io::Result<()> {
-        self.flush_staged()?;
-        self.header(&0u32.to_le_bytes())?;
+        self.close();
+        self.staged.extend_from_slice(&0u32.to_le_bytes());
+        self.hash.update(&self.staged);
         let trailer = self.hash.finish();
-        self.sink.write_all(&trailer.to_le_bytes())
+        self.staged.extend_from_slice(&trailer.to_le_bytes());
+        self.sink.write_all(&self.staged)
     }
 }
 
@@ -162,7 +176,7 @@ impl<W: Write> ChunkWriter<W> {
 /// holding one chunk (≤ [`CHUNK`] bytes) at a time.
 pub struct ChunkReader<R: Read> {
     source: R,
-    hash: Fnv1a,
+    hash: Xxh64,
     chunk: Vec<u8>,
     /// The zero-length sentinel has been consumed.
     done: bool,
@@ -174,7 +188,7 @@ impl<R: Read> ChunkReader<R> {
     /// stream itself (a server that polls for a frame's first byte, say);
     /// it is hashed as if read here.
     pub fn new(source: R, consumed: &[u8]) -> Self {
-        let mut hash = Fnv1a::new();
+        let mut hash = Xxh64::default();
         hash.update(consumed);
         Self {
             source,

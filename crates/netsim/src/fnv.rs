@@ -1,6 +1,5 @@
-//! FNV-1a64, the one running checksum of the workspace: the trailer of the
-//! chunk envelope ([`crate::chunk`]: serve frames and snapshot streams) and
-//! the ledger fingerprint.
+//! FNV-1a64, the workspace's fingerprint (the ledger's, pinned bytes'). Too
+//! slow for bulk bytes: the chunk envelope's trailer is [`crate::Xxh64`].
 
 const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -36,6 +36,7 @@ mod link;
 mod message;
 mod quantize;
 pub mod wire;
+mod xxh64;
 
 pub use adversary::{Attack, RoundContext};
 pub use fault::{sample_cohort, Cohort, CohortPolicy, Deadline, DropCause, FaultPlan};
@@ -45,3 +46,4 @@ pub use link::LinkModel;
 pub use message::{Message, PrototypeEntry};
 pub use quantize::{QuantizeError, QuantizedLogits};
 pub use wire::{Wire, WireError};
+pub use xxh64::Xxh64;

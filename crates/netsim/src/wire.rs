@@ -61,12 +61,7 @@ pub trait Wire: Sized {
 
 /// Splits `N` bytes off the front of `buf`, advancing it.
 fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], WireError> {
-    if buf.len() < N {
-        return Err(WireError::UnexpectedEof);
-    }
-    let (head, rest) = buf.split_at(N);
-    *buf = rest;
-    Ok(head.try_into().expect("split_at guarantees length"))
+    Ok(split(buf, N)?.try_into().expect("split guarantees length"))
 }
 
 /// Reads one byte off the front of `buf`.
@@ -110,14 +105,19 @@ pub(crate) fn put_f32(buf: &mut Vec<u8>, v: f32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Splits `n` raw bytes off the front of `buf` into a fresh vector.
-pub(crate) fn get_bytes(buf: &mut &[u8], n: usize) -> Result<Vec<u8>, WireError> {
+/// Splits `n` raw bytes off the front of `buf`, advancing it.
+fn split<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
     if buf.len() < n {
         return Err(WireError::UnexpectedEof);
     }
     let (head, rest) = buf.split_at(n);
     *buf = rest;
-    Ok(head.to_vec())
+    Ok(head)
+}
+
+/// Splits `n` raw bytes off the front of `buf` into a fresh vector.
+pub(crate) fn get_bytes(buf: &mut &[u8], n: usize) -> Result<Vec<u8>, WireError> {
+    split(buf, n).map(<[u8]>::to_vec)
 }
 
 pub(crate) fn get_len(buf: &mut &[u8]) -> Result<usize, WireError> {
@@ -129,21 +129,29 @@ pub(crate) fn get_len(buf: &mut &[u8]) -> Result<usize, WireError> {
 }
 
 pub(crate) fn put_f32_slice(buf: &mut Vec<u8>, values: &[f32]) {
+    buf.reserve(4 + 4 * values.len());
     put_u32(buf, values.len() as u32);
     for &v in values {
         put_f32(buf, v);
     }
 }
 
-pub(crate) fn get_f32_vec(buf: &mut &[u8]) -> Result<Vec<f32>, WireError> {
+/// Reads a length-prefixed run of 4-byte values in one exact-size pass.
+fn get_vec4<T>(buf: &mut &[u8], from_le: fn([u8; 4]) -> T) -> Result<Vec<T>, WireError> {
     let n = get_len(buf)?;
-    if buf.len() < n * 4 {
-        return Err(WireError::UnexpectedEof);
-    }
-    (0..n).map(|_| get_f32(buf)).collect()
+    let bytes = split(buf, n * 4)?;
+    Ok(bytes
+        .chunks_exact(4)
+        .map(|c| from_le(c.try_into().expect("chunks_exact(4)")))
+        .collect())
+}
+
+pub(crate) fn get_f32_vec(buf: &mut &[u8]) -> Result<Vec<f32>, WireError> {
+    get_vec4(buf, f32::from_le_bytes)
 }
 
 pub(crate) fn put_u32_slice(buf: &mut Vec<u8>, values: &[u32]) {
+    buf.reserve(4 + 4 * values.len());
     put_u32(buf, values.len() as u32);
     for &v in values {
         put_u32(buf, v);
@@ -151,11 +159,7 @@ pub(crate) fn put_u32_slice(buf: &mut Vec<u8>, values: &[u32]) {
 }
 
 pub(crate) fn get_u32_vec(buf: &mut &[u8]) -> Result<Vec<u32>, WireError> {
-    let n = get_len(buf)?;
-    if buf.len() < n * 4 {
-        return Err(WireError::UnexpectedEof);
-    }
-    (0..n).map(|_| get_u32(buf)).collect()
+    get_vec4(buf, u32::from_le_bytes)
 }
 
 #[cfg(test)]

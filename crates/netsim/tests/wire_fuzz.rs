@@ -23,7 +23,7 @@
 //! own tests check only how each maps the errors.
 
 use fedpkd_netsim::chunk::{ChunkError, ChunkReader, ChunkWriter, CHUNK};
-use fedpkd_netsim::{Fnv1a, Message, PrototypeEntry, QuantizedLogits, Wire, WireError};
+use fedpkd_netsim::{Message, PrototypeEntry, QuantizedLogits, Wire, WireError, Xxh64};
 use proptest::prelude::*;
 
 fn arb_prototype_entry() -> impl Strategy<Value = PrototypeEntry> {
@@ -215,7 +215,7 @@ const HEADER: &[u8] = b"hdr";
 fn envelope(payload: &[u8]) -> Vec<u8> {
     let mut bytes = Vec::new();
     let mut w = ChunkWriter::new(&mut bytes);
-    w.header(HEADER).unwrap();
+    w.header(HEADER);
     w.write(payload).unwrap();
     w.finish().unwrap();
     bytes
@@ -253,12 +253,60 @@ fn chunk_envelopes_round_trip_at_every_boundary() {
         // Many small writes stage into the same chunks as one large one.
         let mut pieces = Vec::new();
         let mut w = ChunkWriter::new(&mut pieces);
-        w.header(HEADER).unwrap();
+        w.header(HEADER);
         for piece in payload.chunks(999) {
             w.write(piece).unwrap();
         }
         w.finish().unwrap();
         assert_eq!(pieces, bytes, "{len} bytes in pieces");
+    }
+}
+
+/// A sink that counts the writes it is handed.
+struct CountingSink {
+    bytes: Vec<u8>,
+    writes: usize,
+}
+
+impl std::io::Write for CountingSink {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn each_chunk_reaches_the_sink_in_one_write() {
+    // Up to one chunk: header, chunk, sentinel and trailer in one write.
+    // More: one write per chunk followed by more payload, then the tail
+    // (the last chunk, sentinel and trailer) in one.
+    for (len, writes) in [
+        (0, 1),
+        (1, 1),
+        (32_000, 1),
+        (CHUNK, 1),
+        (CHUNK + 1, 2),
+        (3 * CHUNK, 3),
+        (3 * CHUNK + 17, 4),
+    ] {
+        let payload = pattern(len);
+        let mut sink = CountingSink {
+            bytes: Vec::new(),
+            writes: 0,
+        };
+        let mut w = ChunkWriter::new(&mut sink);
+        w.header(HEADER);
+        for piece in payload.chunks(999) {
+            w.write(piece).unwrap();
+        }
+        w.finish().unwrap();
+        assert_eq!(sink.writes, writes, "{len} bytes");
+        assert_eq!(sink.bytes, envelope(&payload), "{len} bytes");
     }
 }
 
@@ -351,11 +399,11 @@ fn a_missing_sentinel_is_never_ok() {
     cut.drain(good.len() - 12..good.len() - 8);
     assert!(read_envelope(&cut).is_err());
     // ...and an envelope from a writer that never wrote one, its trailer
-    // sealing exactly the bytes before it.
+    // sealing exactly the bytes before it with the envelope's own hash.
     let mut unsealed = good[..good.len() - 12].to_vec();
-    let mut fnv = Fnv1a::new();
-    fnv.update(&unsealed);
-    unsealed.extend_from_slice(&fnv.finish().to_le_bytes());
+    let mut hash = Xxh64::default();
+    hash.update(&unsealed);
+    unsealed.extend_from_slice(&hash.finish().to_le_bytes());
     assert!(read_envelope(&unsealed).is_err());
     // A reader asked to finish before it has seen the sentinel refuses,
     // even though what follows the chunk it stopped at is well-formed.

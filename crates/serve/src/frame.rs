@@ -5,11 +5,11 @@
 //! one the snapshot stream of `fedpkd-core` uses:
 //!
 //! ```text
-//! kind: u8 · (len: u32 LE, len > 0 · chunk bytes)* · 0u32 · fnv: u64 LE
+//! kind: u8 · (len: u32 LE, len > 0 · chunk bytes)* · 0u32 · xxh64: u64 LE
 //! ```
 //!
 //! Chunks are at most [`FRAME_CHUNK`] bytes; a zero length terminates the
-//! chunk list, and the trailer is the running FNV-1a64 over every byte
+//! chunk list, and the trailer is the running XXH64 over every byte
 //! before it (kind, length prefixes, chunk bytes, and the sentinel). The
 //! chunk reader rejects an over-long chunk before allocating for it and
 //! this module checks the payload cap before the payload grows — a hostile
@@ -50,7 +50,7 @@ pub enum FrameError {
         /// The configured cap.
         cap: usize,
     },
-    /// The FNV trailer does not match the received bytes.
+    /// The XXH64 trailer does not match the received bytes.
     ChecksumMismatch,
     /// An I/O failure other than clean end-of-stream.
     Io(std::io::Error),
@@ -102,14 +102,15 @@ impl From<ChunkError> for FrameError {
     }
 }
 
-/// Writes one frame: kind byte, 64 KiB chunks, sentinel, FNV trailer.
+/// Writes one frame: kind byte, 64 KiB chunks, sentinel, XXH64 trailer,
+/// handing `w` one write per chunk.
 ///
 /// # Errors
 ///
 /// Any underlying I/O failure.
 pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::io::Result<()> {
     let mut chunks = ChunkWriter::new(&mut *w);
-    chunks.header(&[kind])?;
+    chunks.header(&[kind]);
     chunks.write(payload)?;
     chunks.finish()?;
     w.flush()
@@ -201,16 +202,17 @@ mod tests {
 
     #[test]
     fn frame_bytes_are_pinned() {
-        // The fingerprint of this frame as written before the chunk codec
-        // moved to `netsim` (PR 17): kind, three full chunks, a 17-byte
-        // remainder, sentinel, trailer. A peer built from any commit since
-        // reads these bytes.
+        // Kind, three full chunks, a 17-byte remainder, sentinel, trailer.
+        // The length is the layout's and has not changed since the chunk
+        // codec moved to `netsim`; the fingerprint changed once, when the
+        // trailer became XXH64 (only the last 8 bytes differ). Both ends
+        // of a socket must be built from the same side of that change.
         let payload: Vec<u8> = (0..3 * FRAME_CHUNK + 17).map(|i| i as u8).collect();
         let mut buf = Vec::new();
         write_frame(&mut buf, 5, &payload).unwrap();
         let mut fnv = fedpkd_netsim::Fnv1a::new();
         fnv.update(&buf);
-        assert_eq!((buf.len(), fnv.finish()), (196_654, 0x610a_3597_41f6_631f));
+        assert_eq!((buf.len(), fnv.finish()), (196_654, 0x8cb1_afa8_044c_70d2));
     }
 
     #[test]

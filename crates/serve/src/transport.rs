@@ -3,13 +3,15 @@
 //!
 //! [`Listener`] is the server side (accept), [`Target`] the client side
 //! (connect), and [`Conn`] the accepted/connected stream both hand out.
-//! `Conn` implements [`Read`] + [`Write`] by delegation so the frame codec
-//! is transport-agnostic, and exposes the read/write deadline knobs the
+//! `Conn` implements [`Read`] + [`Write`] so the frame codec is
+//! transport-agnostic, and exposes the read/write deadline knobs the
 //! engine unifies with the fault plan's [`Deadline`](fedpkd_netsim::Deadline)
-//! currency.
+//! currency. Reads are buffered: a frame's kind byte, length prefixes and
+//! sentinel cost no system call of their own.
 
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -32,8 +34,8 @@ impl Target {
     /// restarts is the one clients retry through backoff).
     pub fn connect(&self) -> std::io::Result<Conn> {
         match self {
-            Self::Tcp(addr) => TcpStream::connect(addr.as_str()).map(Conn::Tcp),
-            Self::Uds(path) => UnixStream::connect(path).map(Conn::Uds),
+            Self::Tcp(addr) => TcpStream::connect(addr.as_str()).map(|s| Conn::new(Stream::Tcp(s))),
+            Self::Uds(path) => UnixStream::connect(path).map(|s| Conn::new(Stream::Uds(s))),
         }
     }
 }
@@ -43,7 +45,7 @@ impl Target {
 pub enum Listener {
     /// A TCP listener.
     Tcp(TcpListener),
-    /// A Unix-domain socket listener (unlinks a stale socket file first).
+    /// A Unix-domain socket listener (unlinks a stale socket first).
     Uds(UnixListener),
 }
 
@@ -58,15 +60,22 @@ impl Listener {
     }
 
     /// Binds a Unix-domain listener on `path`, removing a stale socket
-    /// file left by a killed predecessor (the kill-9 restart path).
+    /// left by a killed predecessor (the kill-9 restart path).
     ///
     /// # Errors
     ///
-    /// Any bind failure.
+    /// `AlreadyExists` when `path` is something other than a socket (a
+    /// snapshot file passed by mistake, say); any other bind failure.
     pub fn bind_uds(path: &Path) -> std::io::Result<Self> {
-        match std::fs::remove_file(path) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        match std::fs::symlink_metadata(path) {
+            Ok(meta) if meta.file_type().is_socket() => std::fs::remove_file(path)?,
+            Ok(_) => {
+                return Err(std::io::Error::new(
+                    ErrorKind::AlreadyExists,
+                    "not a socket",
+                ))
+            }
+            Err(e) if e.kind() == ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
         UnixListener::bind(path).map(Self::Uds)
@@ -100,44 +109,61 @@ impl Listener {
     /// Any accept failure.
     pub fn accept(&self) -> std::io::Result<Conn> {
         match self {
-            Self::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                Ok(Conn::Tcp(s))
-            }
-            Self::Uds(l) => {
-                let (s, _) = l.accept()?;
-                Ok(Conn::Uds(s))
-            }
+            Self::Tcp(l) => l.accept().map(|(s, _)| Conn::new(Stream::Tcp(s))),
+            Self::Uds(l) => l.accept().map(|(s, _)| Conn::new(Stream::Uds(s))),
         }
     }
 }
 
-/// An accepted or connected stream, either transport.
 #[derive(Debug)]
-pub enum Conn {
-    /// A TCP stream.
+enum Stream {
     Tcp(TcpStream),
-    /// A Unix-domain stream.
     Uds(UnixStream),
 }
 
+/// Evaluates `$body` with `$s` bound to the socket of either variant.
+macro_rules! on_socket {
+    ($stream:expr, $s:ident => $body:expr) => {
+        match $stream {
+            Stream::Tcp($s) => $body,
+            Stream::Uds($s) => $body,
+        }
+    };
+}
+
+const READ_BUF: usize = 8 * 1024;
+
+/// An accepted or connected stream, either transport, with a read buffer
+/// that the first read allocates. A read that finds the buffer empty and
+/// asks for at least its size goes straight to the socket; none waits on
+/// the socket while the buffer holds bytes.
+#[derive(Debug)]
+pub struct Conn {
+    stream: Stream,
+    /// `buf[pos..]` is received and not yet read.
+    buf: Vec<u8>,
+    pos: usize,
+}
+
 impl Conn {
+    fn new(stream: Stream) -> Self {
+        Self {
+            stream,
+            buf: Vec::new(),
+            pos: 0,
+        }
+    }
+
     /// Applies one deadline to both reads and writes on the stream.
     ///
     /// # Errors
     ///
     /// Any underlying socket failure.
     pub fn set_io_deadline(&self, deadline: Duration) -> std::io::Result<()> {
-        match self {
-            Self::Tcp(s) => {
-                s.set_read_timeout(Some(deadline))?;
-                s.set_write_timeout(Some(deadline))
-            }
-            Self::Uds(s) => {
-                s.set_read_timeout(Some(deadline))?;
-                s.set_write_timeout(Some(deadline))
-            }
-        }
+        on_socket!(&self.stream, s => {
+            s.set_read_timeout(Some(deadline))?;
+            s.set_write_timeout(Some(deadline))
+        })
     }
 }
 
@@ -151,34 +177,39 @@ pub fn is_timeout(e: &std::io::Error) -> bool {
 }
 
 impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Self::Tcp(s) => s.read(buf),
-            Self::Uds(s) => s.read(buf),
+    fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+        if self.pos == self.buf.len() && !out.is_empty() {
+            if out.len() >= READ_BUF {
+                return on_socket!(&mut self.stream, s => s.read(out));
+            }
+            self.pos = 0;
+            self.buf.resize(READ_BUF, 0);
+            let got = on_socket!(&mut self.stream, s => s.read(&mut self.buf));
+            self.buf.truncate(got.as_ref().map_or(0, |&n| n));
+            got?;
         }
+        let n = (&self.buf[self.pos..]).read(out)?;
+        self.pos += n;
+        Ok(n)
     }
 }
 
 impl Write for Conn {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Self::Tcp(s) => s.write(buf),
-            Self::Uds(s) => s.write(buf),
-        }
+        on_socket!(&mut self.stream, s => s.write(buf))
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Self::Tcp(s) => s.flush(),
-            Self::Uds(s) => s.flush(),
-        }
+        on_socket!(&mut self.stream, s => s.flush())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{read_frame, write_frame, DEFAULT_MAX_PAYLOAD};
+    use crate::frame::{
+        read_frame, read_frame_after_kind, write_frame, DEFAULT_MAX_PAYLOAD, FRAME_CHUNK,
+    };
 
     #[test]
     fn tcp_and_uds_carry_frames() {
@@ -212,5 +243,104 @@ mod tests {
             assert_eq!(join.join().unwrap(), (4, b"over uds".to_vec()));
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn bind_uds_refuses_to_replace_a_regular_file() {
+        let dir = std::env::temp_dir().join(format!("fedpkd-serve-file-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("history.jsonl");
+        std::fs::write(&path, b"keep me\n").unwrap();
+        let err = Listener::bind_uds(&path).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::AlreadyExists);
+        assert_eq!(std::fs::read(&path).unwrap(), b"keep me\n");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A buffered `Conn` and the raw peer socket it talks to.
+    fn uds_pair() -> (Conn, UnixStream) {
+        let (ours, peer) = UnixStream::pair().unwrap();
+        (Conn::new(Stream::Uds(ours)), peer)
+    }
+
+    fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, kind, payload).unwrap();
+        bytes
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 7 + 3) as u8).collect()
+    }
+
+    #[test]
+    fn a_frame_trickling_in_byte_by_byte_reads_whole() {
+        let (mut conn, mut peer) = uds_pair();
+        let bytes = frame(3, &pattern(300));
+        let writer = std::thread::spawn(move || {
+            for byte in bytes {
+                peer.write_all(&[byte]).unwrap();
+                std::thread::sleep(Duration::from_micros(50));
+            }
+        });
+        let got = read_frame(&mut conn, DEFAULT_MAX_PAYLOAD).unwrap();
+        assert_eq!(got, Some((3, pattern(300))));
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn buffered_bytes_are_read_without_waiting_on_the_socket() {
+        // Two frames in one socket write land in one buffered read; the
+        // second must come out of the buffer, or the deadline fires.
+        let (mut conn, mut peer) = uds_pair();
+        conn.set_io_deadline(Duration::from_millis(200)).unwrap();
+        peer.write_all(&[frame(1, b"first"), frame(2, b"second")].concat())
+            .unwrap();
+        let first = read_frame(&mut conn, DEFAULT_MAX_PAYLOAD).unwrap();
+        assert_eq!(first, Some((1, b"first".to_vec())));
+        assert!(conn.buf.len() > conn.pos, "the second frame is buffered");
+        let second = read_frame(&mut conn, DEFAULT_MAX_PAYLOAD).unwrap();
+        assert_eq!(second, Some((2, b"second".to_vec())));
+
+        // The handler's split read: the kind byte alone, then the body from
+        // bytes the kind read already buffered.
+        let bytes = frame(5, b"already here");
+        peer.write_all(&bytes).unwrap();
+        let mut kind = [0u8; 1];
+        assert_eq!(conn.read(&mut kind).unwrap(), 1);
+        assert_eq!(conn.buf.len() - conn.pos, bytes.len() - 1);
+        let body = read_frame_after_kind(&mut conn, kind[0], DEFAULT_MAX_PAYLOAD).unwrap();
+        assert_eq!((kind[0], body), (5, b"already here".to_vec()));
+
+        // Clean EOF between frames is still `None`.
+        drop(peer);
+        assert!(read_frame(&mut conn, DEFAULT_MAX_PAYLOAD)
+            .unwrap()
+            .is_none());
+    }
+
+    #[test]
+    fn a_deadline_between_frames_is_followed_by_a_frame() {
+        let (mut conn, mut peer) = uds_pair();
+        conn.set_io_deadline(Duration::from_millis(50)).unwrap();
+        let mut kind = [0u8; 1];
+        let idle = conn.read(&mut kind).unwrap_err();
+        assert!(is_timeout(&idle), "{idle:?}");
+        peer.write_all(&frame(4, b"late")).unwrap();
+        let got = read_frame(&mut conn, DEFAULT_MAX_PAYLOAD).unwrap();
+        assert_eq!(got, Some((4, b"late".to_vec())));
+    }
+
+    #[test]
+    fn chunks_larger_than_the_buffer_read_whole() {
+        let (mut conn, mut peer) = uds_pair();
+        let payloads = [pattern(3 * READ_BUF + 5), pattern(FRAME_CHUNK + 100)];
+        let bytes: Vec<u8> = payloads.iter().flat_map(|p| frame(6, p)).collect();
+        let writer = std::thread::spawn(move || peer.write_all(&bytes).unwrap());
+        for payload in payloads {
+            let got = read_frame(&mut conn, DEFAULT_MAX_PAYLOAD).unwrap();
+            assert_eq!(got, Some((6, payload)));
+        }
+        writer.join().unwrap();
     }
 }

@@ -237,6 +237,28 @@ fn unusable_flag_values_get_the_usage_error() {
         assert!(!said.contains("panicked"), "{flag} {value}: {said}");
     }
     let _ = std::fs::remove_file(&sock);
+
+    // A `--uds` path that names a regular file (a `--history` or
+    // `--snapshot` path passed by mistake) is refused, not unlinked.
+    let file = std::env::temp_dir().join(format!("fedpkd-flags-{}.jsonl", std::process::id()));
+    std::fs::write(&file, b"{\"round\":0}\n").expect("write the file");
+    let mut server = Command::new(env!("CARGO_BIN_EXE_fedpkd-serve"))
+        .args(["--uds", &file.display().to_string(), "--rounds", "1"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn fedpkd-serve");
+    let mut stderr = server.stderr.take().expect("piped stderr");
+    let status = wait_timeout(server, Duration::from_secs(10));
+    let mut said = String::new();
+    stderr.read_to_string(&mut said).expect("read stderr");
+    assert_eq!(status.code(), Some(1), "--uds <file>: {said}");
+    assert!(said.contains("binding"), "--uds <file>: {said}");
+    assert_eq!(
+        std::fs::read(&file).expect("the file survives"),
+        b"{\"round\":0}\n"
+    );
+    let _ = std::fs::remove_file(&file);
 }
 
 fn wait_timeout(mut child: Child, timeout: Duration) -> std::process::ExitStatus {

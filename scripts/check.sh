@@ -45,16 +45,19 @@ cargo test --workspace -q
 # One-core liveness: the training thread and its step worker wait on each
 # other (bounded spin, then block), every algorithm's client phases run
 # on the work-stealing pool, whose ordered commit waits on a reorder buffer
-# the workers fill, and a data-free round joins its refine thread after
-# the distillation. All must also finish when all threads share one core.
-# Re-runs the inline-vs-worker tests, the phase kit's unit tests and the
-# data-free budget sweep (caller, refine thread and step worker at budget
-# 3) pinned to CPU 0; a wait that can hang dies on the timeout instead of
-# stalling the gate.
+# the workers fill, a data-free round joins its refine thread after the
+# distillation, and the lock-step serve protocol waits on a buffered
+# socket read (one that waited on the socket while its bytes sat in the
+# buffer would hang). All must also finish when all threads share one
+# core. Re-runs the inline-vs-worker tests, the phase kit's unit tests,
+# the data-free budget sweep (caller, refine thread and step worker at
+# budget 3) and the served-vs-in-process tests pinned to CPU 0; a wait
+# that can hang dies on the timeout instead of stalling the gate.
 if command -v taskset > /dev/null && command -v timeout > /dev/null; then
     taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --test fused_step worker
     taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --lib clients::
     taskset -c 0 timeout 600 cargo test --release -q --test fleet fedpkd_data_free_refine_beside_distill
+    taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-serve --test serve
 else
     echo "skip: one-core runs (need taskset and timeout)" >&2
 fi

@@ -444,7 +444,7 @@ fn v1_snapshot_bytes_are_an_unsupported_version() {
         fedpkd().restore_from(&mut v1_bytes.as_slice()),
         Err(SnapshotError::UnsupportedVersion {
             found: 1,
-            supported: 2,
+            supported: snapshot::SNAPSHOT_STREAM_VERSION,
         })
     );
 }
@@ -456,7 +456,10 @@ fn streamed_snapshot_is_a_v2_envelope_and_smaller_machinery_rejects_damage() {
     let mut bytes = Vec::new();
     algo.snapshot_to(&mut bytes).expect("stream out");
     assert_eq!(&bytes[..4], b"FPKD");
-    assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 2);
+    assert_eq!(
+        u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
+        snapshot::SNAPSHOT_STREAM_VERSION
+    );
     // A payload bit-flip must surface at the trailing checksum.
     let mut corrupt = bytes.clone();
     let mid = corrupt.len() / 2;
