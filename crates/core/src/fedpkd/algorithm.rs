@@ -9,13 +9,12 @@ use crate::cow::{pooled_client_accuracies, ClientPool};
 use crate::eval;
 use crate::fedpkd::config::{CoreError, DistillSource, FedPkdConfig};
 use crate::fedpkd::distill::train_server_with_workers;
-use crate::fedpkd::filter::{filter_public, filter_public_opts, FilterOptions};
+use crate::fedpkd::filter::{filter_public, filter_public_opts};
 use crate::fedpkd::generator::{self, Generator};
 use crate::fedpkd::logits::{
     aggregate_logits_trimmed_from_probs, aggregation_stats_from_probs, effective_trim,
     pseudo_labels,
 };
-use crate::fedpkd::margins::{self, MarginBank};
 use crate::fedpkd::prototypes::{
     aggregate_prototypes, aggregate_prototypes_robust, compute_input_moments, compute_prototypes,
     global_to_wire_entries, to_wire_entries, Prototype,
@@ -114,11 +113,6 @@ struct FedPkdState {
     /// simulated transfer completes; its logits are stale by then and are
     /// discarded. Empty in synchronous mode.
     pending_late: BTreeMap<usize, Vec<LateUpload>>,
-    /// Trainable prototype/margin bank plus its optimizer
-    /// ([`FedPkdConfig::adaptive_margins`]); when present,
-    /// `global_prototypes` holds the bank's smoothed exports rather than
-    /// the raw Eq. 8 means.
-    margins: Option<(MarginBank, Adam)>,
     /// Data-free distillation state ([`DistillSource::Generated`]).
     generator: Option<GeneratorState>,
     quarantine: QuarantineTracker,
@@ -150,12 +144,6 @@ impl FedPkd {
         let num_classes = scenario.num_classes;
         let num_clients = scenario.num_clients();
         let quarantine = QuarantineTracker::new(num_clients, config.admission.quarantine_after);
-        let margins = config.adaptive_margins.then(|| {
-            (
-                MarginBank::new(num_classes, server_model.feature_dim(), config.margin_init),
-                Adam::new(config.margin_lr),
-            )
-        });
         let generator = (config.distill_source == DistillSource::Generated).then(|| {
             let mut rng = Rng::stream(seed, GENERATOR_STREAM);
             let generator = Generator::new(
@@ -181,7 +169,6 @@ impl FedPkd {
                 global_prototypes: vec![None; num_classes],
                 cached_prototypes: vec![None; num_clients],
                 pending_late: BTreeMap::new(),
-                margins,
                 generator,
                 quarantine,
                 driver: DriverState::new(),
@@ -552,7 +539,6 @@ impl FedPkdState {
         let FedPkdState {
             global_prototypes,
             cached_prototypes,
-            margins,
             quarantine,
             ..
         } = self;
@@ -640,34 +626,17 @@ impl FedPkdState {
             };
             if let Ok((new_prototypes, outliers)) = result {
                 proto_outliers = outliers;
-                // Adaptive margins: the Eq. 8 means become refine targets
-                // for the trainable bank, and the bank's smoothed exports
-                // are what the rest of the round — the filter, the server
-                // distillation, the downlink, and next round's Eq. 16
-                // pull — sees as the global prototypes.
-                let effective = if let Some((bank, opt)) = margins.as_mut() {
-                    let stats = margins::refine(bank, opt, &new_prototypes, config.margin_epochs);
-                    obs.record(&TelemetryEvent::MarginRefined {
-                        round,
-                        covered: stats.covered,
-                        proto_loss: stats.proto_loss,
-                        margin_loss: stats.margin_loss,
-                        margins: bank.margins().iter().map(|&m| f64::from(m)).collect(),
-                    });
-                    bank.globals()
-                } else {
-                    new_prototypes
-                };
                 if obs.enabled() {
-                    let (mean_l2, max_l2) = FedPkd::prototype_drift(global_prototypes, &effective);
+                    let (mean_l2, max_l2) =
+                        FedPkd::prototype_drift(global_prototypes, &new_prototypes);
                     obs.record(&TelemetryEvent::PrototypeDrift {
                         round,
-                        classes_present: effective.iter().filter(|p| p.is_some()).count(),
+                        classes_present: new_prototypes.iter().filter(|p| p.is_some()).count(),
                         mean_l2,
                         max_l2,
                     });
                 }
-                *global_prototypes = effective;
+                *global_prototypes = new_prototypes;
             }
             // On Err — no cache entries at all, or (with admission
             // disabled) divergent widths — the previous prototype
@@ -712,15 +681,10 @@ impl FedPkdState {
             server_optimizer,
             server_rng,
             global_prototypes,
-            margins,
             generator,
             ..
         } = self;
         let phase_started = Instant::now();
-        // Radii are only armed for classes whose distance scale has been
-        // observed (INFINITY otherwise), so margins never gate round 0.
-        let margin_radii: Option<Vec<f32>> =
-            margins.as_ref().map(|(bank, _)| bank.filter_margins());
         // Generated samples of a class no client has seen carry no
         // teachable signal (Eq. 10 has no target): drop them outright
         // instead of keeping an index-order θ fraction.
@@ -728,25 +692,16 @@ impl FedPkdState {
         let selected: Vec<usize> = if config.use_filter && config.use_prototypes {
             let server_features = eval::features_on(server_model, transfer);
             // The statistics cost a global sort of the distances: only
-            // when the bank, the uncovered-class accounting or an observer
-            // consumes them.
-            if margin_radii.is_some() || drop_uncovered || obs.enabled() {
+            // when the uncovered-class accounting or an observer consumes
+            // them.
+            if drop_uncovered || obs.enabled() {
                 let (selected, stats) = filter_public_opts(
                     &server_features,
                     pseudo,
                     global_prototypes,
                     config.theta,
-                    FilterOptions {
-                        margins: margin_radii.as_deref(),
-                        drop_uncovered,
-                    },
+                    drop_uncovered,
                 );
-                // Feed the observed within-class distance scale back into
-                // the bank: it is both the margin target and the arming
-                // signal for next round's radii.
-                if let Some((bank, _)) = margins.as_mut() {
-                    bank.observe_distances(&stats.mean_distance_per_class);
-                }
                 obs.record(&TelemetryEvent::FilterOutcome {
                     round,
                     kept: stats.kept(),
@@ -755,7 +710,6 @@ impl FedPkdState {
                     total_per_class: stats.total_per_class,
                     distance_quantiles: stats.distance_quantiles,
                     dropped_uncovered: stats.dropped_uncovered,
-                    dropped_by_margin: stats.dropped_by_margin,
                 });
                 selected
             } else {
@@ -1069,14 +1023,9 @@ impl Federation for FedPkd {
                 snapshot::write_prototypes(w, protos);
             }
         }
-        // Scenario-diversity extensions: presence-tagged so a restore into
-        // a differently-configured instance fails typed instead of
+        // Data-free state: presence-tagged so a restore into a
+        // differently-configured instance fails typed instead of
         // misaligning the byte stream.
-        w.put_bool(self.state.margins.is_some());
-        if let Some((bank, opt)) = &self.state.margins {
-            snapshot::write_model(w, bank);
-            snapshot::write_adam(w, opt);
-        }
         w.put_bool(self.state.generator.is_some());
         if let Some(gs) = &self.state.generator {
             snapshot::write_model(w, &gs.generator);
@@ -1165,22 +1114,6 @@ impl Federation for FedPkd {
                 uploads.push((client, origin, snapshot::read_prototypes(r)?));
             }
             pending_late.insert(arrival, uploads);
-        }
-        let has_margins = r.take_bool()?;
-        if has_margins != self.state.margins.is_some() {
-            return Err(SnapshotError::Malformed(format!(
-                "snapshot {} adaptive-margin state but the instance is configured {} it",
-                if has_margins { "carries" } else { "has no" },
-                if self.state.margins.is_some() {
-                    "with"
-                } else {
-                    "without"
-                },
-            )));
-        }
-        if let Some((bank, opt)) = self.state.margins.as_mut() {
-            snapshot::read_model(r, bank)?;
-            snapshot::read_adam(r, opt, bank)?;
         }
         let has_generator = r.take_bool()?;
         if has_generator != self.state.generator.is_some() {
@@ -1451,46 +1384,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_margins_learn_and_still_reach_accuracy() {
-        let cfg = FedPkdConfig {
-            adaptive_margins: true,
-            ..fast_config()
-        };
-        let mut algo = FedPkd::new(
-            tiny_scenario(14),
-            vec![spec(DepthTier::T11); 3],
-            spec(DepthTier::T20),
-            cfg,
-            43,
-        )
-        .unwrap();
-        let mut log = crate::telemetry::EventLog::new();
-        let result = crate::driver::Driver::rounds(3).run(&mut algo, &mut log);
-        assert!(result.best_server_accuracy().unwrap() > 0.2);
-        // Margin events fire every round with per-class radii that have
-        // moved off their initialization.
-        let refined: Vec<_> = log
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                TelemetryEvent::MarginRefined {
-                    covered, margins, ..
-                } => Some((*covered, margins.clone())),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(refined.len(), 3);
-        let (covered, last_margins) = refined.last().unwrap();
-        assert!(*covered >= 8, "{covered}/10 classes covered");
-        assert_eq!(last_margins.len(), 10);
-        let init = f64::from(FedPkdConfig::default().margin_init);
-        assert!(
-            last_margins.iter().any(|&m| (m - init).abs() > 1e-3),
-            "margins must move off init: {last_margins:?}"
-        );
-    }
-
-    #[test]
     fn data_free_mode_charges_broadcast_and_learns() {
         let cfg = FedPkdConfig {
             distill_source: DistillSource::Generated,
@@ -1542,7 +1435,6 @@ mod tests {
         let run = || {
             let cfg = FedPkdConfig {
                 distill_source: DistillSource::Generated,
-                adaptive_margins: true,
                 ..fast_config()
             };
             let mut algo = FedPkd::new(

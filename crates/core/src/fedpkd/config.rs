@@ -86,21 +86,6 @@ pub struct FedPkdConfig {
     /// Aggregation rule for admitted uploads. Defaults to
     /// [`RobustAggregation::Off`], the paper-faithful Eqs. 6–8.
     pub robust: RobustAggregation,
-    /// Extension (FedProtoKD): when `true`, global prototypes become
-    /// trainable parameters refined by Adam toward the round's aggregated
-    /// means, together with an adaptive per-class margin (a learned
-    /// acceptance radius) that tightens the Eq. 10 filter. `false` keeps
-    /// the paper-faithful frozen size-weighted means.
-    pub adaptive_margins: bool,
-    /// Adam learning rate for the prototype/margin bank (only read when
-    /// [`adaptive_margins`](Self::adaptive_margins) is on).
-    pub margin_lr: f32,
-    /// Gradient steps on the prototype/margin bank per round.
-    pub margin_epochs: usize,
-    /// Initial per-class margin (acceptance radius in feature space). Must
-    /// start generous — margins only tighten as they adapt toward the
-    /// observed inter-class separation.
-    pub margin_init: f32,
     /// Where the server's distillation transfer set comes from.
     pub distill_source: DistillSource,
     /// Latent dimension of the data-free generator (only read when
@@ -133,10 +118,6 @@ impl Default for FedPkdConfig {
             prototype_staleness: 2,
             admission: AdmissionPolicy::default(),
             robust: RobustAggregation::Off,
-            adaptive_margins: false,
-            margin_lr: 0.01,
-            margin_epochs: 3,
-            margin_init: 8.0,
             distill_source: DistillSource::Public,
             generator_latent_dim: 16,
             generator_lr: 0.01,
@@ -178,8 +159,6 @@ impl FedPkdConfig {
         for (name, v) in [
             ("learning rate", self.learning_rate),
             ("temperature", self.temperature),
-            ("margin learning rate", self.margin_lr),
-            ("initial margin", self.margin_init),
             ("generator learning rate", self.generator_lr),
         ] {
             if !(v > 0.0 && v.is_finite()) {
@@ -187,11 +166,6 @@ impl FedPkdConfig {
                     "{name} must be positive and finite"
                 )));
             }
-        }
-        if self.adaptive_margins && self.margin_epochs == 0 {
-            return Err(CoreError::InvalidConfig(
-                "adaptive margins need at least one epoch per round".into(),
-            ));
         }
         if self.distill_source == DistillSource::Generated {
             if self.generator_latent_dim == 0 {
@@ -325,19 +299,6 @@ mod tests {
                 ..FedPkdConfig::default()
             },
             FedPkdConfig {
-                margin_lr: 0.0,
-                ..FedPkdConfig::default()
-            },
-            FedPkdConfig {
-                margin_init: f32::NAN,
-                ..FedPkdConfig::default()
-            },
-            FedPkdConfig {
-                adaptive_margins: true,
-                margin_epochs: 0,
-                ..FedPkdConfig::default()
-            },
-            FedPkdConfig {
                 generator_lr: -0.1,
                 ..FedPkdConfig::default()
             },
@@ -365,14 +326,6 @@ mod tests {
             },
             FedPkdConfig {
                 temperature: f32::INFINITY,
-                ..FedPkdConfig::default()
-            },
-            FedPkdConfig {
-                margin_lr: f32::INFINITY,
-                ..FedPkdConfig::default()
-            },
-            FedPkdConfig {
-                margin_init: f32::INFINITY,
                 ..FedPkdConfig::default()
             },
             FedPkdConfig {

@@ -14,30 +14,8 @@ pub struct FilterStats {
     /// empty when no class did.
     pub distance_quantiles: Vec<f64>,
     /// Samples dropped because their class had no global prototype and
-    /// [`FilterOptions::drop_uncovered`] was set (data-free mode).
+    /// `drop_uncovered` was set (data-free mode).
     pub dropped_uncovered: usize,
-    /// Samples inside the θ cut that an adaptive margin still rejected.
-    pub dropped_by_margin: usize,
-    /// Mean L2 distance of each class's samples to its global prototype
-    /// (over finite distances; `0.0` for classes without a prototype,
-    /// members, or any finite distance). The adaptive-margin bank consumes
-    /// this as its per-class distance scale.
-    pub mean_distance_per_class: Vec<f64>,
-}
-
-/// Extension knobs for the Eq. 10 filter (both default to the
-/// paper-faithful behaviour).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FilterOptions<'a> {
-    /// Adaptive per-class acceptance radii: a sample inside the θ cut is
-    /// still dropped when its distance exceeds its class's margin
-    /// (squared-distance compare against `margin²`).
-    pub margins: Option<&'a [f32]>,
-    /// Drop classes without a global prototype entirely instead of keeping
-    /// a θ fraction in index order. Data-free mode sets this: a generated
-    /// sample of a class no client has seen carries no teachable signal
-    /// (Eq. 10 has no target), so the round must not train on it.
-    pub drop_uncovered: bool,
 }
 
 impl FilterStats {
@@ -79,27 +57,28 @@ pub fn filter_public(
         pseudo_labels,
         global_prototypes,
         theta,
-        FilterOptions::default(),
+        false,
         None,
     )
 }
 
-/// [`filter_public`] with the scenario-diversity extensions — adaptive
-/// per-class margins and uncovered-class dropping (see [`FilterOptions`])
-/// — plus a [`FilterStats`] diagnostic summary. Under default options the
-/// kept set is [`filter_public`]'s; the summary costs a global sort of the
-/// distances, so paths that drop it should call [`filter_public`].
+/// [`filter_public`] plus a [`FilterStats`] diagnostic summary. With
+/// `drop_uncovered` (data-free mode) a class without a global prototype
+/// is dropped outright instead of keeping a θ fraction in index order: a
+/// generated sample of a class no client has seen carries no teachable
+/// signal (Eq. 10 has no target). Otherwise the kept set is
+/// [`filter_public`]'s; the summary costs a global sort of the distances,
+/// so paths that drop it should call [`filter_public`].
 ///
 /// # Panics
 ///
-/// Same conditions as [`filter_public`], plus a margins slice shorter than
-/// the class count.
+/// Same conditions as [`filter_public`].
 pub fn filter_public_opts(
     server_features: &Tensor,
     pseudo_labels: &[usize],
     global_prototypes: &[Option<Tensor>],
     theta: f32,
-    options: FilterOptions<'_>,
+    drop_uncovered: bool,
 ) -> (Vec<usize>, FilterStats) {
     let mut stats = FilterStats::default();
     let selected = filter_impl(
@@ -107,20 +86,18 @@ pub fn filter_public_opts(
         pseudo_labels,
         global_prototypes,
         theta,
-        options,
+        drop_uncovered,
         Some(&mut stats),
     );
     (selected, stats)
 }
 
-// `!(d <= r2)` rather than `d > r2`: NaN distances must be rejected too.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
 fn filter_impl(
     server_features: &Tensor,
     pseudo_labels: &[usize],
     global_prototypes: &[Option<Tensor>],
     theta: f32,
-    options: FilterOptions<'_>,
+    drop_uncovered: bool,
     mut stats: Option<&mut FilterStats>,
 ) -> Vec<usize> {
     assert!(theta > 0.0 && theta <= 1.0, "theta must be in (0, 1]");
@@ -129,12 +106,6 @@ fn filter_impl(
         pseudo_labels.len(),
         "one pseudo-label per feature row"
     );
-    if let Some(margins) = options.margins {
-        assert!(
-            margins.len() >= global_prototypes.len(),
-            "one margin per class"
-        );
-    }
 
     let num_classes = global_prototypes.len();
     let mut by_class: Vec<Vec<usize>> = vec![Vec::new(); num_classes];
@@ -145,7 +116,6 @@ fn filter_impl(
     if let Some(s) = stats.as_deref_mut() {
         s.kept_per_class = vec![0; num_classes];
         s.total_per_class = by_class.iter().map(Vec::len).collect();
-        s.mean_distance_per_class = vec![0.0; num_classes];
     }
 
     let mut distances: Vec<f32> = Vec::new();
@@ -176,50 +146,19 @@ fn filter_impl(
                 scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
                 if let Some(s) = stats.as_deref_mut() {
                     distances.extend(scored.iter().map(|&(_, d)| d));
-                    // Per-class L2 distance scale over finite distances
-                    // (the stored d is squared).
-                    let mut sum = 0.0f64;
-                    let mut count = 0usize;
-                    for &(_, d) in &scored {
-                        if d.is_finite() {
-                            sum += f64::from(d).sqrt();
-                            count += 1;
-                        }
-                    }
-                    if count > 0 {
-                        s.mean_distance_per_class[class] = sum / count as f64;
-                    }
+                    s.kept_per_class[class] = keep_target;
                 }
-                let mut kept = 0usize;
-                let mut margin_dropped = 0usize;
-                // Within the θ cut, an adaptive margin acts as a hard
-                // acceptance radius. NaN distances fail the comparison and
-                // are dropped, consistent with the sort above.
-                let radius2 = options.margins.map(|m| m[class] * m[class]);
-                for (i, d) in scored.into_iter().take(keep_target) {
-                    match radius2 {
-                        Some(r2) if !(d <= r2) => margin_dropped += 1,
-                        _ => {
-                            selected.push(i);
-                            kept += 1;
-                        }
-                    }
-                }
-                if let Some(s) = stats.as_deref_mut() {
-                    s.kept_per_class[class] = kept;
-                    s.dropped_by_margin += margin_dropped;
-                }
+                selected.extend(scored.into_iter().take(keep_target).map(|(i, _)| i));
             }
-            None if options.drop_uncovered => {
+            None if drop_uncovered => {
                 if let Some(s) = stats.as_deref_mut() {
                     s.dropped_uncovered += members.len();
                 }
             }
             None => {
-                let kept = members.len().min(keep_target);
                 selected.extend(members.into_iter().take(keep_target));
                 if let Some(s) = stats.as_deref_mut() {
-                    s.kept_per_class[class] = kept;
+                    s.kept_per_class[class] = keep_target;
                 }
             }
         }
@@ -342,7 +281,7 @@ mod tests {
         let labels = vec![0, 0, 1, 1, 0];
         let protos = vec![proto(&[0.0]), proto(&[0.0])];
         let plain = filter_public(&f, &labels, &protos, 0.5);
-        let (kept, stats) = filter_public_opts(&f, &labels, &protos, 0.5, FilterOptions::default());
+        let (kept, stats) = filter_public_opts(&f, &labels, &protos, 0.5, false);
         assert_eq!(kept, plain);
         assert_eq!(stats.total_per_class, vec![3, 2]);
         assert_eq!(stats.kept_per_class, vec![2, 1]);
@@ -359,7 +298,7 @@ mod tests {
         let f = features(&[&[1.0], &[2.0]]);
         let labels = vec![0, 0];
         let protos: Vec<Option<Tensor>> = vec![None];
-        let (kept, stats) = filter_public_opts(&f, &labels, &protos, 1.0, FilterOptions::default());
+        let (kept, stats) = filter_public_opts(&f, &labels, &protos, 1.0, false);
         assert_eq!(kept, vec![0, 1]);
         assert!(stats.distance_quantiles.is_empty());
         assert_eq!(stats.kept_per_class, vec![2]);
@@ -378,50 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn margins_reject_samples_beyond_the_acceptance_radius() {
-        // Distances (squared): 1, 4, 9, 16. theta = 1 would keep all four,
-        // but a margin of 2.5 (radius² = 6.25) rejects the last two.
-        let f = features(&[&[1.0], &[2.0], &[3.0], &[4.0]]);
-        let labels = vec![0, 0, 0, 0];
-        let protos = vec![proto(&[0.0])];
-        let margins = [2.5f32];
-        let (kept, stats) = filter_public_opts(
-            &f,
-            &labels,
-            &protos,
-            1.0,
-            FilterOptions {
-                margins: Some(&margins),
-                drop_uncovered: false,
-            },
-        );
-        assert_eq!(kept, vec![0, 1]);
-        assert_eq!(stats.dropped_by_margin, 2);
-        assert_eq!(stats.kept_per_class, vec![2]);
-    }
-
-    #[test]
-    fn generous_margins_change_nothing() {
-        let f = features(&[&[1.0], &[10.0], &[2.0], &[20.0], &[3.0]]);
-        let labels = vec![0, 0, 1, 1, 0];
-        let protos = vec![proto(&[0.0]), proto(&[0.0])];
-        let margins = [1e6f32, 1e6];
-        let plain = filter_public(&f, &labels, &protos, 0.5);
-        let (kept, stats) = filter_public_opts(
-            &f,
-            &labels,
-            &protos,
-            0.5,
-            FilterOptions {
-                margins: Some(&margins),
-                drop_uncovered: false,
-            },
-        );
-        assert_eq!(kept, plain);
-        assert_eq!(stats.dropped_by_margin, 0);
-    }
-
-    #[test]
     fn drop_uncovered_discards_classes_without_prototypes() {
         // Class 1 has no prototype: with drop_uncovered every class-1
         // sample is discarded and reported, instead of the index-order
@@ -429,40 +324,11 @@ mod tests {
         let f = features(&[&[1.0], &[2.0], &[3.0], &[4.0]]);
         let labels = vec![0, 1, 0, 1];
         let protos = vec![proto(&[0.0]), None];
-        let (kept, stats) = filter_public_opts(
-            &f,
-            &labels,
-            &protos,
-            1.0,
-            FilterOptions {
-                margins: None,
-                drop_uncovered: true,
-            },
-        );
+        let (kept, stats) = filter_public_opts(&f, &labels, &protos, 1.0, true);
         assert_eq!(kept, vec![0, 2]);
         assert_eq!(stats.dropped_uncovered, 2);
         assert_eq!(stats.kept_per_class, vec![2, 0]);
         assert_eq!(stats.dropped(), 2);
-    }
-
-    #[test]
-    fn nan_margin_distances_are_rejected_not_kept() {
-        let f = features(&[&[1.0], &[f32::NAN]]);
-        let labels = vec![0, 0];
-        let protos = vec![proto(&[0.0])];
-        let margins = [10.0f32];
-        let (kept, stats) = filter_public_opts(
-            &f,
-            &labels,
-            &protos,
-            1.0,
-            FilterOptions {
-                margins: Some(&margins),
-                drop_uncovered: false,
-            },
-        );
-        assert_eq!(kept, vec![0]);
-        assert_eq!(stats.dropped_by_margin, 1);
     }
 
     #[test]

@@ -16,11 +16,10 @@
 //! 4. the server sends back its subset logits, the global prototypes, and
 //!    the selection; clients distill from them (Eqs. 14–15).
 //!
-//! Two scenario-diversity extensions ride on the same round structure:
-//! [`margins`] makes the global prototypes trainable with adaptive
-//! class-wise acceptance radii (FedProtoKD), and [`generator`] replaces
-//! the shared public dataset with server-synthesized samples
-//! ([`DistillSource::Generated`], after FedGen/FedDistill).
+//! One scenario-diversity extension rides on the same round structure:
+//! [`generator`] replaces the shared public dataset with
+//! server-synthesized samples ([`DistillSource::Generated`], after
+//! FedGen/FedDistill).
 
 mod algorithm;
 mod config;
@@ -28,7 +27,6 @@ pub mod distill;
 pub mod filter;
 pub mod generator;
 pub mod logits;
-pub mod margins;
 pub mod prototypes;
 
 pub use algorithm::FedPkd;
@@ -37,5 +35,4 @@ pub use distill::ServerDistillStats;
 pub use filter::FilterStats;
 pub use generator::{Generator, GeneratorStats};
 pub use logits::AggregationStats;
-pub use margins::{MarginBank, MarginStats};
 pub use prototypes::Prototype;

@@ -216,23 +216,6 @@ pub enum TelemetryEvent {
         /// Samples dropped because their pseudo-class has no global
         /// prototype (data-free mode only; 0 otherwise).
         dropped_uncovered: usize,
-        /// Samples inside the θ cut rejected by their class's adaptive
-        /// margin (adaptive-margin mode only; 0 otherwise).
-        dropped_by_margin: usize,
-    },
-    /// The trainable prototype/margin bank was refined toward this round's
-    /// aggregated means (adaptive-margin mode).
-    MarginRefined {
-        /// Round index.
-        round: usize,
-        /// Classes that received an aggregated mean this round.
-        covered: usize,
-        /// Final-step mean squared prototype-to-target error.
-        proto_loss: f64,
-        /// Final-step mean squared margin-to-separation error.
-        margin_loss: f64,
-        /// The per-class margins after refinement.
-        margins: Vec<f64>,
     },
     /// The server-side sample generator was refined against the client
     /// logit ensemble (data-free mode).
@@ -396,7 +379,6 @@ impl TelemetryEvent {
             Self::LogitAggregation { .. } => "logit_aggregation",
             Self::PrototypeDrift { .. } => "prototype_drift",
             Self::FilterOutcome { .. } => "filter_outcome",
-            Self::MarginRefined { .. } => "margin_refined",
             Self::GeneratorRefined { .. } => "generator_refined",
             Self::ServerDistill { .. } => "server_distill",
             Self::ClientDistilled { .. } => "client_distilled",
@@ -425,7 +407,6 @@ impl TelemetryEvent {
             | Self::LogitAggregation { round, .. }
             | Self::PrototypeDrift { round, .. }
             | Self::FilterOutcome { round, .. }
-            | Self::MarginRefined { round, .. }
             | Self::GeneratorRefined { round, .. }
             | Self::ServerDistill { round, .. }
             | Self::ClientDistilled { round, .. }
@@ -527,7 +508,6 @@ impl TelemetryEvent {
                 total_per_class,
                 distance_quantiles,
                 dropped_uncovered,
-                dropped_by_margin,
                 ..
             } => {
                 obj.usize("kept", *kept);
@@ -536,19 +516,6 @@ impl TelemetryEvent {
                 obj.usize_array("total_per_class", total_per_class);
                 obj.f64_array("distance_quantiles", distance_quantiles);
                 obj.usize("dropped_uncovered", *dropped_uncovered);
-                obj.usize("dropped_by_margin", *dropped_by_margin);
-            }
-            Self::MarginRefined {
-                covered,
-                proto_loss,
-                margin_loss,
-                margins,
-                ..
-            } => {
-                obj.usize("covered", *covered);
-                obj.f64("proto_loss", *proto_loss);
-                obj.f64("margin_loss", *margin_loss);
-                obj.f64_array("margins", margins);
             }
             Self::GeneratorRefined {
                 ensemble_loss,
@@ -1002,14 +969,6 @@ mod tests {
                 total_per_class: vec![60, 60],
                 distance_quantiles: vec![0.0, 0.25, 0.5, 0.75, 1.0],
                 dropped_uncovered: 4,
-                dropped_by_margin: 2,
-            },
-            TelemetryEvent::MarginRefined {
-                round: 0,
-                covered: 2,
-                proto_loss: 0.5,
-                margin_loss: 0.25,
-                margins: vec![2.0, 3.0],
             },
             TelemetryEvent::GeneratorRefined {
                 round: 0,

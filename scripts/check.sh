@@ -74,6 +74,10 @@ cargo build --release -q --examples
 for example in examples/*.rs; do
     timeout 120 "${CARGO_TARGET_DIR:-target}/release/examples/$(basename "$example" .rs)" > /dev/null
 done
+# Accuracy gate: the α sweep at three seeds (seeded, so deterministic) exits
+# non-zero if FedPKD, public or data-free, falls below FedDF at any seed
+# where it must win; the gates are in its doc comment (~75 s on 2 cores).
+cargo bench -q -p fedpkd-bench --bench alpha_sweep > /dev/null
 # Benchmark smoke: `benchmark/` is its own workspace, so nothing above
 # compiles it — a changed `pub` signature it calls would break the repo's
 # benchmark silently. Builds it and runs every workload (timed and traced,

@@ -213,15 +213,8 @@ fn fedpkd() -> FedPkd {
     fedpkd_with(|_| {})
 }
 
-fn fedpkd_margins() -> FedPkd {
-    fedpkd_with(|c| c.adaptive_margins = true)
-}
-
 fn fedpkd_data_free() -> FedPkd {
-    fedpkd_with(|c| {
-        c.adaptive_margins = true;
-        c.distill_source = DistillSource::Generated;
-    })
+    fedpkd_with(|c| c.distill_source = DistillSource::Generated)
 }
 
 /// FedPKD on the conv family (`examples/conv_vision`'s shapes: 3 × 8 × 8
@@ -282,14 +275,6 @@ fn fedpkd_resumes_bit_identically() {
 #[test]
 fn fedpkd_resumes_bit_identically_under_hostile_faults() {
     assert_resumes_bit_identically(fedpkd, Some(&hostile_plan()));
-}
-
-#[test]
-fn fedpkd_margins_resume_bit_identically_under_hostile_faults() {
-    // The trainable prototype/margin bank (PR 10) rides the snapshot: its
-    // parameters, Adam moments, coverage flags, and observed-distance
-    // buffer must all survive the kill for the resumed half to replay.
-    assert_resumes_bit_identically(fedpkd_margins, Some(&hostile_plan()));
 }
 
 #[test]
@@ -572,47 +557,29 @@ fn foreign_snapshot_is_rejected_by_name() {
     assert!(log.events().is_empty());
 }
 
-// ---- Version sniff (PR 10): feature-mode state is presence-tagged. -----
+// ---- Version sniff: the data-free mode's state is presence-tagged. -----
 //
-// A v2 envelope that carries margin-bank or generator state must not
-// restore through a configuration that lacks the feature (and vice
-// versa): the reader surfaces a typed error before consuming the
+// A snapshot that carries generator state must not restore through a
+// public-mode configuration, nor a public-mode snapshot through a
+// data-free one: the reader surfaces a typed error before consuming the
 // payload, never a panic, never a silently half-applied restore.
 
-#[test]
-fn margins_snapshot_into_plain_config_is_malformed_not_a_panic() {
-    let mut donor = fedpkd_margins();
+/// Restoring `donor`'s one-round snapshot into `victim` must fail typed.
+fn assert_cross_mode_restore_is_malformed(mut donor: FedPkd, mut victim: FedPkd) {
     let _ = Driver::rounds(1).run_silent(&mut donor);
-    let mut bytes = Vec::new();
-    donor.snapshot_to(&mut bytes).expect("stream out");
-    let err = fedpkd().restore_from(&mut bytes.as_slice()).unwrap_err();
-    assert!(matches!(err, SnapshotError::Malformed(_)), "got {err:?}");
-}
-
-#[test]
-fn plain_snapshot_into_margins_config_is_malformed_not_a_panic() {
-    let mut donor = fedpkd();
-    let _ = Driver::rounds(1).run_silent(&mut donor);
-    let mut bytes = Vec::new();
-    donor.snapshot_to(&mut bytes).expect("stream out");
-    let err = fedpkd_margins()
-        .restore_from(&mut bytes.as_slice())
-        .unwrap_err();
+    let bytes = snapshot_of(&donor);
+    let err = victim.restore_from(&mut bytes.as_slice()).unwrap_err();
     assert!(matches!(err, SnapshotError::Malformed(_)), "got {err:?}");
 }
 
 #[test]
 fn generated_snapshot_into_public_config_is_malformed_not_a_panic() {
-    let mut donor = fedpkd_data_free();
-    let _ = Driver::rounds(1).run_silent(&mut donor);
-    let mut bytes = Vec::new();
-    donor.snapshot_to(&mut bytes).expect("stream out");
-    // A margins-only instance accepts the bank but must balk at the
-    // generator payload it has no slot for.
-    let err = fedpkd_margins()
-        .restore_from(&mut bytes.as_slice())
-        .unwrap_err();
-    assert!(matches!(err, SnapshotError::Malformed(_)), "got {err:?}");
+    assert_cross_mode_restore_is_malformed(fedpkd_data_free(), fedpkd());
+}
+
+#[test]
+fn public_snapshot_into_generated_config_is_malformed_not_a_panic() {
+    assert_cross_mode_restore_is_malformed(fedpkd(), fedpkd_data_free());
 }
 
 #[test]
@@ -621,7 +588,7 @@ fn new_mode_snapshots_still_reject_foreign_algorithms_by_name() {
     let _ = Driver::rounds(1).run_silent(&mut donor);
     let mut bytes = Vec::new();
     donor.snapshot_to(&mut bytes).expect("stream out");
-    for victim in [fedpkd_margins(), fedpkd_data_free()] {
+    for victim in [fedpkd(), fedpkd_data_free()] {
         let mut victim = victim;
         match victim.restore_from(&mut bytes.as_slice()) {
             Err(SnapshotError::AlgorithmMismatch { expected, found }) => {

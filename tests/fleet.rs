@@ -213,8 +213,9 @@ fn assert_gate_matrix<A: Federation>(name: &str, make: impl Fn() -> A) {
     }
 }
 
-/// FedPKD under its default configuration and the three feature modes whose
-/// server math takes another aggregation path or an extra model in the loop.
+/// FedPKD under its default configuration and the two feature modes whose
+/// server math takes another aggregation path (trimmed) or an extra model
+/// in the loop (the data-free generator).
 #[test]
 fn streaming_matches_legacy_for_fedpkd() {
     let rows = [
@@ -227,16 +228,8 @@ fn streaming_matches_legacy_for_fedpkd() {
             },
         ),
         (
-            "FedPKD/margins",
+            "FedPKD/generated",
             FedPkdConfig {
-                adaptive_margins: true,
-                ..fast_pkd()
-            },
-        ),
-        (
-            "FedPKD/margins+generated",
-            FedPkdConfig {
-                adaptive_margins: true,
                 distill_source: DistillSource::Generated,
                 ..fast_pkd()
             },

@@ -230,6 +230,8 @@ fn fuzz_restores<A: Federation>(
     map.payload
 }
 
+/// The data-free mode, so the mutations also reach the generator's model,
+/// its Adam state and its RNG words.
 #[test]
 fn corrupted_fedpkd_payloads_restore_or_fail_typed() {
     let make = || {
@@ -238,7 +240,7 @@ fn corrupted_fedpkd_payloads_restore_or_fail_typed() {
             client_public_epochs: 1,
             server_epochs: 1,
             learning_rate: 0.003,
-            adaptive_margins: true,
+            distill_source: DistillSource::Generated,
             ..FedPkdConfig::default()
         };
         FedPkd::new(
