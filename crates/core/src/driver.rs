@@ -118,8 +118,9 @@ impl DriverBuilder {
     /// alike run through [`clients`](crate::clients), which reads this
     /// budget. FedPKD's server step spends it in order: at 2 a public-set
     /// round's distillation takes its step-worker thread, while a
-    /// data-free round refines its generator on that thread instead; at 3
-    /// or more a data-free round's distillation takes the step worker too.
+    /// data-free round refines its generator on that thread first and then
+    /// hands it to the distillation as its step worker; at 3 or more the
+    /// refine and the step worker each have a thread.
     /// Worker count never affects results — only wall-clock time.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));

@@ -723,10 +723,12 @@ impl FedPkdState {
         // Data-free mode: refine the generator against the round's
         // aggregated ensemble with the pre-distill server as its critic —
         // the FedGen alternation. Refine only reads the critic (params never
-        // stepped, buffers restored, gradients zeroed), so it can run on the
-        // server itself before the distillation below, or beside it on a
-        // copy.
-        let mut refine_job = generator
+        // stepped, buffers restored, gradients zeroed), so it runs beside
+        // the distillation below, wherever the budget puts it, on a copy of
+        // the pre-distill server built and dropped where it runs. The copy's
+        // initial weights are overwritten at once, so they come from a
+        // throwaway stream, never the server's or the generator's.
+        let refine_job = generator
             .as_mut()
             .zip(synth_batch)
             .map(|(gs, (latents, labels))| {
@@ -736,11 +738,15 @@ impl FedPkdState {
                     critic_spec,
                     ..
                 } = gs;
-                let refine = move |critic: &mut ClassifierModel| {
+                let critic_state = state_vector(server_model);
+                move || {
+                    let mut critic = critic_spec.build(&mut Rng::seed_from_u64(0));
+                    load_state_vector(&mut critic, &critic_state)
+                        .expect("the copy is built from the server's own spec");
                     let stats = generator::refine(
                         net,
                         optimizer,
-                        critic,
+                        &mut critic,
                         latents,
                         labels,
                         Some(aggregated),
@@ -756,21 +762,8 @@ impl FedPkdState {
                         proto_loss: stats.proto_loss,
                         moment_loss: stats.moment_loss,
                     }
-                };
-                (&*critic_spec, refine)
+                }
             });
-        // At budget 1 there is no second thread to overlap on; and when the
-        // filter kept nothing there is no distillation to overlap with —
-        // the refinement still happens, so later rounds produce usable
-        // batches.
-        if workers < 2 || selected.is_empty() {
-            if let Some((_, mut refine)) = refine_job.take() {
-                obs.record(&refine(server_model));
-            }
-        }
-        if selected.is_empty() {
-            return None;
-        }
         let subset_features = transfer
             .features()
             .select_rows(&selected)
@@ -787,44 +780,28 @@ impl FedPkdState {
             1.0 // the prototype loss term is removed (ablation w/o Pro)
         };
         let phase_started = Instant::now();
-        // A refine left to overlap takes one thread of the budget, against a
-        // copy of the pre-distill server built and dropped on that thread;
-        // the distillation keeps the rest. The copy's initial weights are
-        // overwritten at once, so they come from a throwaway stream, never
-        // the server's or the generator's.
-        let (refined, distill_stats) = std::thread::scope(|scope| {
-            let refining = refine_job.map(|(critic_spec, mut refine)| {
-                let critic_state = state_vector(server_model);
-                scope.spawn(move || {
-                    let mut critic = critic_spec.build(&mut Rng::seed_from_u64(0));
-                    load_state_vector(&mut critic, &critic_state)
-                        .expect("the copy is built from the server's own spec");
-                    refine(&mut critic)
-                })
-            });
-            let distill_stats = train_server_with_workers(
-                server_model,
-                &subset_features,
-                &teacher_probs,
-                &subset_pseudo,
-                global_prototypes,
-                delta,
-                config.temperature,
-                config.server_epochs,
-                config.batch_size,
-                server_optimizer,
-                server_rng,
-                workers - usize::from(refining.is_some()),
-            );
-            let refined = refining.map(|thread| {
-                thread
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            });
-            (refined, distill_stats)
-        });
+        // With an empty subset nothing trains, but the refinement still
+        // happens, so later rounds produce usable batches.
+        let (distill_stats, refined) = train_server_with_workers(
+            server_model,
+            &subset_features,
+            &teacher_probs,
+            &subset_pseudo,
+            global_prototypes,
+            delta,
+            config.temperature,
+            config.server_epochs,
+            config.batch_size,
+            server_optimizer,
+            server_rng,
+            workers,
+            refine_job,
+        );
         if let Some(refined) = refined {
             obs.record(&refined);
+        }
+        if selected.is_empty() {
+            return None;
         }
         obs.record(&TelemetryEvent::ServerDistill {
             round,

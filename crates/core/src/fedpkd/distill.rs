@@ -1,4 +1,12 @@
 //! Prototype-based ensemble distillation — server training (Eqs. 11–13).
+//!
+//! The server step is the one place FedPKD's server spends the worker
+//! budget, and this module holds its one [`std::thread::scope`]: the step
+//! worker's thread, and a data-free round's generator refine beside the
+//! distillation ([`train_server_with_workers`]), whose thread becomes the step
+//! worker when the refine returns if the budget has no room for both.
+
+use std::panic::resume_unwind;
 
 use fedpkd_rng::Rng;
 use fedpkd_tensor::loss::{distill_kl_ce, DistillKl, Mse};
@@ -68,22 +76,34 @@ pub fn train_server(
         optimizer,
         rng,
         max_workers(),
+        None::<fn()>,
     )
+    .0
 }
 
-/// [`train_server`] under a worker budget. Mini-batch SGD is sequential, so
-/// the server trains on the calling thread whatever the budget; with
-/// `workers >= 2` one more thread, scoped to this call, takes the
-/// parameter-gradient products and optimizer updates off the backward
-/// pass's critical path (see [`StepWorker`]). Same bits either way;
-/// `workers <= 1` is the plain inline step, and a call with nothing to
-/// train spawns nothing.
+/// [`train_server`] under a worker budget, with an optional job of the
+/// caller's — a data-free round's generator refine — running `beside` it
+/// on a thread of the same budget. Returns the job's result with the
+/// stats.
+///
+/// Mini-batch SGD is sequential, so the server trains on the calling
+/// thread whatever the budget; with `workers >= 2` one more thread, scoped
+/// to this call, takes the parameter-gradient products and optimizer
+/// updates off the backward pass's critical path (see [`StepWorker`]). The
+/// budget is spent in order. At 1, or with nothing to train, the job runs
+/// on the calling thread after the distillation (or alone), and nothing is
+/// spawned. At 2 the job's thread becomes the step worker once the job
+/// returns; until then the distillation steps inline. From 3 the job and
+/// the step worker each have a thread. The job and the distillation must
+/// share no mutable state, so — as the step worker moves no bits — where
+/// and when anything runs cannot show in the bits of either.
 ///
 /// # Panics
 ///
-/// Panics if row counts disagree or `delta` is outside `[0, 1]`.
+/// Panics if row counts disagree or `delta` is outside `[0, 1]`; resumes a
+/// panic of the job once the distillation is done.
 #[allow(clippy::too_many_arguments)]
-pub fn train_server_with_workers(
+pub fn train_server_with_workers<T: Send>(
     model: &mut ClassifierModel,
     public_features: &Tensor,
     teacher_probs: &Tensor,
@@ -96,7 +116,8 @@ pub fn train_server_with_workers(
     optimizer: &mut dyn Optimizer,
     rng: &mut Rng,
     workers: usize,
-) -> ServerDistillStats {
+    beside: Option<impl FnOnce() -> T + Send>,
+) -> (ServerDistillStats, Option<T>) {
     assert!((0.0..=1.0).contains(&delta), "delta must be in [0, 1]");
     let n = public_features.rows();
     assert_eq!(teacher_probs.rows(), n, "teacher rows mismatch");
@@ -104,14 +125,16 @@ pub fn train_server_with_workers(
     if n == 0 || epochs == 0 {
         // Nothing runs; dividing by zero batches below would poison the
         // stats (and JSONL telemetry) with NaN.
-        return ServerDistillStats::default();
+        return (ServerDistillStats::default(), beside.map(|job| job()));
     }
     let kl = DistillKl::new(temperature);
     let mse = Mse::new();
 
-    // The epochs, over whichever fused step `step` is.
+    // The epochs, over whichever training forward and fused step
+    // `forward` and `step` are.
     let mut epochs_with =
         |model: &mut ClassifierModel,
+         forward: &mut dyn FnMut(&mut ClassifierModel, &Tensor) -> (Tensor, Tensor),
          step: &mut dyn FnMut(&mut ClassifierModel, &Tensor, Option<&Tensor>)| {
             let mut kd_total = 0.0f64;
             let mut proto_total = 0.0f64;
@@ -136,7 +159,7 @@ pub fn train_server_with_workers(
                     labels.clear();
                     labels.extend(chunk.iter().map(|&i| pseudo_labels[i]));
 
-                    let (features, logits) = model.forward_full(&x, true);
+                    let (features, logits) = forward(model, &x);
 
                     // Distillation term (Eq. 11): both losses share the logits,
                     // so the combined entry fuses their softmax families.
@@ -191,17 +214,49 @@ pub fn train_server_with_workers(
         };
 
     if workers < 2 {
-        return epochs_with(model, &mut |model, logit_grad, feature_grad| {
-            model.backward_step(logit_grad, feature_grad, optimizer);
-        });
+        let stats = epochs_with(
+            model,
+            &mut |model, x| model.forward_full(x, true),
+            &mut |model, logit_grad, feature_grad| {
+                model.backward_step(logit_grad, feature_grad, optimizer);
+            },
+        );
+        return (stats, beside.map(|job| job()));
     }
-    let worker = StepWorker::new(optimizer);
+    let serves_after_job = beside.is_some() && workers == 2;
+    let worker = if serves_after_job {
+        StepWorker::inline_until_served(optimizer)
+    } else {
+        StepWorker::new(optimizer)
+    };
+    let worker = &worker;
     std::thread::scope(|scope| {
-        scope.spawn(|| worker.serve());
-        let _close = worker.close_on_drop();
-        epochs_with(model, &mut |model, logit_grad, feature_grad| {
-            model.backward_step_on(logit_grad, feature_grad, &worker);
-        })
+        let job = beside.map(|job| {
+            scope.spawn(move || {
+                let out = job();
+                if serves_after_job {
+                    worker.serve();
+                }
+                out
+            })
+        });
+        if !serves_after_job {
+            scope.spawn(|| worker.serve());
+        }
+        let stats = {
+            let _close = worker.close_on_drop();
+            let stats = epochs_with(
+                model,
+                &mut |model, x| model.forward_train_on(x, worker),
+                &mut |model, logit_grad, feature_grad| {
+                    model.backward_step_on(logit_grad, feature_grad, worker);
+                },
+            );
+            worker.finish_step(model);
+            stats
+        };
+        let out = job.map(|thread| thread.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        (stats, out)
     })
 }
 

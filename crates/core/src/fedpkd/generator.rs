@@ -22,10 +22,10 @@
 //! counts.
 //!
 //! Because [`refine`] only reads its critic, the critic need not be the
-//! server itself. At a worker budget of 2 or more a round hands it a copy —
-//! built from the server's spec and loaded with the server's state vector —
-//! and refines on its own thread while the server distills; the copy is as
-//! good a critic as the server, bit for bit.
+//! server itself. A round hands it a copy — built from the server's spec
+//! and loaded with the server's state vector — and, at a worker budget of
+//! 2 or more, refines on its own thread while the server distills; the
+//! copy is as good a critic as the server, bit for bit.
 
 use fedpkd_rng::Rng;
 use fedpkd_tensor::loss::{CrossEntropy, DistillKl, Mse};

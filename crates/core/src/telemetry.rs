@@ -42,9 +42,9 @@ pub enum Phase {
     Aggregation,
     /// Prototype-based public-set filtering (Algorithm 1).
     Filter,
-    /// Server-model distillation (Eqs. 11–13). In a data-free round at a
-    /// worker budget of 2 or more the generator refines beside it, and this
-    /// phase times both; at budget 1 the refine runs before it, in no phase.
+    /// Server-model distillation (Eqs. 11–13). In a data-free round the
+    /// generator's refine runs beside it (at budget 1, right after it), and
+    /// this phase times both.
     ServerDistill,
     /// Clients distilling from the server/ensemble knowledge (Eq. 15).
     ClientDistill,

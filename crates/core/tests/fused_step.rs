@@ -8,11 +8,19 @@
 //! prototype feature gradient, across consecutive steps (so optimizer state
 //! carried between steps is covered) including a 4-row tail batch.
 //!
-//! The same goes for *where* the step's second half runs:
+//! The same goes for *where and when* the step's second half runs:
 //! `backward_step_on` a [`StepWorker`] (the update, and the gradient
-//! products the layers offer unapplied, on another thread) against the
-//! inline `backward_step`, and `train_server_with_workers` at budget 1
-//! (inline) against budgets 2 and 8 (worker).
+//! products the layers offer unapplied, on another thread), with the next
+//! `forward_train_on` taking each layer's parameters back as it reaches
+//! it, against the inline `backward_step`; a worker nobody serves yet
+//! against the inline step; `train_server_with_workers` at budget 1
+//! (inline) against budgets 2 and 8 (worker), and with a job beside it that
+//! finishes before the distillation, after it, or panics, at budgets 2 and
+//! 3 against budget 1. Every test that runs a step worker
+//! has `worker` in its name: `scripts/check.sh` re-runs those on one core.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use fedpkd_core::fedpkd::distill::{train_server_with_workers, ServerDistillStats};
 use fedpkd_core::train::{add_proximal_term, apply_proximal_term};
@@ -217,8 +225,9 @@ fn check(
 
 /// Runs the three steps inline and on a step worker — one worker for all
 /// three, as a training call has — and holds the returned input gradient,
-/// the model (every parameter back in place, none left a placeholder) and
-/// its gradients equal after each, and the optimizers equal at the end.
+/// the model (every parameter back in place after `finish_step`, none left
+/// a placeholder) and its gradients equal after each, and the optimizers
+/// equal at the end.
 fn check_worker(
     spec: &ModelSpec,
     opt: OptSpec,
@@ -238,7 +247,7 @@ fn check_worker(
         for rows in BATCHES {
             let x = input_batch(spec, rows, &mut rng);
             let (features, logits) = inline_model.forward_full(&x, true);
-            worker_model.forward_full(&x, true);
+            worker_model.forward_train_on(&x, &worker);
             let logit_grad = Tensor::randn(logits.shape(), 0.5, &mut rng);
             let feature_grad =
                 with_feature_grad.then(|| Tensor::randn(features.shape(), 0.5, &mut rng));
@@ -247,6 +256,7 @@ fn check_worker(
                 inline_model.backward_step(&logit_grad, feature_grad.as_ref(), inline_opt.as_dyn());
             let worker_dx =
                 worker_model.backward_step_on(&logit_grad, feature_grad.as_ref(), &worker);
+            worker.finish_step(&mut worker_model);
 
             prop_assert_eq!(bits(worker_dx.as_slice()), bits(inline_dx.as_slice()));
             prop_assert_eq!(param_vector(&worker_model).len(), param_count);
@@ -263,6 +273,130 @@ fn check_worker(
     prop_assert_eq!(worker_opt.state_bits(), inline_opt.state_bits());
     Ok(())
 }
+
+/// Six steps inline and on a step worker, each worker step opened by the
+/// gated forward straight after the last backward, so parameters come back
+/// layer by layer and `finish_step` runs once, at the end. A thread serves
+/// from step `served_from` on (past the last step: never); a `deferred`
+/// worker updates inline until then, as one on a data-free round's refine
+/// thread does, where the interleaving of the first served step is left to
+/// the scheduler: any mix must give the same bits. Holds the forward
+/// outputs and input gradients equal at every step, and parameters, zeroed
+/// gradients and Adam's `t`, `m` and `v` at the end.
+fn check_gated(spec: &ModelSpec, with_feature_grad: bool, deferred: bool, served_from: usize) {
+    let seed = 21;
+    let mut inline_model = spec.build(&mut Rng::seed_from_u64(seed));
+    let mut worker_model = spec.build(&mut Rng::seed_from_u64(seed));
+    let (mut inline_opt, mut worker_opt) = (Adam::new(0.01), Adam::new(0.01));
+    let mut rng = Rng::seed_from_u64(seed ^ 0x5eed);
+    let label = format!(
+        "{}, feature grad {with_feature_grad}, served from step {served_from}",
+        spec.describe()
+    );
+
+    let worker = if deferred {
+        StepWorker::inline_until_served(&mut worker_opt)
+    } else {
+        StepWorker::new(&mut worker_opt)
+    };
+    std::thread::scope(|scope| {
+        let _close = worker.close_on_drop();
+        for (step, &rows) in BATCHES.iter().chain(&BATCHES).enumerate() {
+            if step == served_from {
+                scope.spawn(|| worker.serve());
+            }
+            let x = input_batch(spec, rows, &mut rng);
+            let (features, logits) = inline_model.forward_full(&x, true);
+            let (worker_features, worker_logits) = worker_model.forward_train_on(&x, &worker);
+            assert_eq!(
+                bits(worker_features.as_slice()),
+                bits(features.as_slice()),
+                "{label}"
+            );
+            assert_eq!(
+                bits(worker_logits.as_slice()),
+                bits(logits.as_slice()),
+                "{label}"
+            );
+            let logit_grad = Tensor::randn(logits.shape(), 0.5, &mut rng);
+            let feature_grad =
+                with_feature_grad.then(|| Tensor::randn(features.shape(), 0.5, &mut rng));
+
+            let inline_dx =
+                inline_model.backward_step(&logit_grad, feature_grad.as_ref(), &mut inline_opt);
+            let worker_dx =
+                worker_model.backward_step_on(&logit_grad, feature_grad.as_ref(), &worker);
+            assert_eq!(
+                bits(worker_dx.as_slice()),
+                bits(inline_dx.as_slice()),
+                "{label}"
+            );
+        }
+        worker.finish_step(&mut worker_model);
+    });
+    assert_eq!(
+        bits(&state_vector(&worker_model)),
+        bits(&state_vector(&inline_model)),
+        "{label}"
+    );
+    let grads = grad_bits(&worker_model);
+    assert_eq!(grads.len(), inline_model.param_count(), "{label}");
+    assert!(
+        grads.iter().all(|&g| g == 0),
+        "{label}: a gradient left over"
+    );
+    assert_eq!(adam_bits(&worker_opt), adam_bits(&inline_opt), "{label}");
+    assert_eq!(inline_opt.step_count(), 2 * BATCHES.len() as u64);
+}
+
+#[test]
+fn gated_forward_on_a_worker_equals_the_inline_fused_step_after_k_steps() {
+    for spec in all_specs() {
+        for with_feature_grad in [false, true] {
+            check_gated(&spec, with_feature_grad, false, 0);
+        }
+    }
+}
+
+#[test]
+fn a_worker_nobody_serves_for_the_first_j_steps_equals_the_inline_step() {
+    let steps = 2 * BATCHES.len();
+    for spec in all_specs() {
+        for served_from in [0, steps / 2, steps] {
+            check_gated(&spec, true, true, served_from);
+        }
+    }
+}
+
+/// An optimizer state sized for another model makes the worker's first
+/// update panic. The backward pass that handed the job over still returns;
+/// the next forward must resume the panic at the first layer it waits for,
+/// not leave it for `finish_step`.
+#[test]
+fn a_worker_panic_resurfaces_at_the_next_forward_reclaim() {
+    let spec = all_specs().remove(1);
+    let mut model = spec.build(&mut Rng::seed_from_u64(11));
+    let wrong = || vec![Tensor::zeros(&[1]); model.slot_count()];
+    let mut optimizer = Adam::new(0.01);
+    optimizer.restore_state(3, wrong(), wrong());
+    let mut rng = Rng::seed_from_u64(12);
+    let x = input_batch(&spec, 8, &mut rng);
+
+    let worker = StepWorker::new(&mut optimizer);
+    let panic = std::thread::scope(|scope| {
+        scope.spawn(|| worker.serve());
+        let _close = worker.close_on_drop();
+        let (_, logits) = model.forward_train_on(&x, &worker);
+        model.backward_step_on(&Tensor::full(logits.shape(), 0.1), None, &worker);
+        catch_unwind(AssertUnwindSafe(|| model.forward_train_on(&x, &worker)))
+            .expect_err("the worker's panic must resurface in the forward")
+    });
+    let message = panic.downcast_ref::<String>().expect("an assert message");
+    assert!(message.contains("optimizer/model mismatch"), "{message}");
+}
+
+/// What `train_server_with_workers` returned, or the panic it raised.
+type BesideOutcome<T> = std::thread::Result<(ServerDistillStats, Option<T>)>;
 
 /// A server-distillation problem over `spec`'s input shape: 40 rows (so
 /// batches of 16, 16 and 8), a soft teacher, and prototypes for every class
@@ -305,7 +439,7 @@ impl DistillCase {
     ) -> (ServerDistillStats, Vec<u32>, u64) {
         let mut model = spec.build(&mut Rng::seed_from_u64(11));
         let mut rng = Rng::seed_from_u64(12);
-        let stats = train_server_with_workers(
+        let (stats, _) = train_server_with_workers(
             &mut model,
             &self.features,
             &self.teacher,
@@ -318,8 +452,185 @@ impl DistillCase {
             optimizer,
             &mut rng,
             workers,
+            None::<fn()>,
         );
         (stats, bits(&state_vector(&model)), rng.next_u64())
+    }
+
+    /// [`run`](Self::run) with `job` beside the distillation: the call's
+    /// outcome (its panic caught), then the model and the stream as the
+    /// call left them.
+    fn run_beside<T: Send>(
+        &self,
+        spec: &ModelSpec,
+        optimizer: &mut dyn Optimizer,
+        epochs: usize,
+        workers: usize,
+        job: impl FnOnce() -> T + Send,
+    ) -> (BesideOutcome<T>, Vec<u32>, u64) {
+        let mut model = spec.build(&mut Rng::seed_from_u64(11));
+        let mut rng = Rng::seed_from_u64(12);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            train_server_with_workers(
+                &mut model,
+                &self.features,
+                &self.teacher,
+                &self.pseudo,
+                &self.prototypes,
+                0.6,
+                2.0,
+                epochs,
+                16,
+                optimizer,
+                &mut rng,
+                workers,
+                Some(job),
+            )
+        }));
+        (outcome, bits(&state_vector(&model)), rng.next_u64())
+    }
+}
+
+/// Where the distillation has got to, for a job beside it to wait on.
+#[derive(Default)]
+struct Progress {
+    updates: AtomicUsize,
+    job_done: AtomicBool,
+}
+
+fn wait_for(ready: impl Fn() -> bool) {
+    while !ready() {
+        std::thread::yield_now();
+    }
+}
+
+/// Adam, reporting each update to `progress`; when `after_job`, the first
+/// step does not open until the job beside the distillation is done.
+struct Watched<'p> {
+    adam: Adam,
+    progress: &'p Progress,
+    after_job: bool,
+}
+
+impl Optimizer for Watched<'_> {
+    fn begin_step(&mut self, model: &dyn Layer) {
+        if self.after_job {
+            wait_for(|| self.progress.job_done.load(Ordering::SeqCst));
+        }
+        self.adam.begin_step(model);
+    }
+
+    fn update_param(&mut self, slot: usize, param: &mut Param) {
+        self.adam.update_param(slot, param);
+        self.progress.updates.fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn learning_rate(&self) -> f32 {
+        self.adam.learning_rate()
+    }
+
+    fn set_learning_rate(&mut self, lr: f32) {
+        self.adam.set_learning_rate(lr);
+    }
+}
+
+/// A job beside the distillation that finishes before its first step, or
+/// only once every update is done, leaves the same bits at budgets 2 (its
+/// thread then serves as the step worker, or never does) and 3 (a step
+/// worker of its own) as at budget 1 (the job after the distillation).
+fn check_job_beside_the_worker(job_first: bool) {
+    for spec in all_specs() {
+        let case = DistillCase::new(&spec, 13);
+        let updates = 6 * spec.build(&mut Rng::seed_from_u64(0)).slot_count();
+        let mut reference_opt = Adam::new(0.01);
+        let (outcome, state, next) = case.run_beside(&spec, &mut reference_opt, 2, 1, || 7);
+        let reference = (outcome.expect("no panic"), state, next);
+        assert_eq!(reference.0 .1, Some(7));
+        for workers in [2, 3] {
+            let progress = Progress::default();
+            let mut optimizer = Watched {
+                adam: Adam::new(0.01),
+                progress: &progress,
+                after_job: job_first,
+            };
+            let job = || {
+                if !job_first {
+                    wait_for(|| progress.updates.load(Ordering::SeqCst) >= updates);
+                }
+                progress.job_done.store(true, Ordering::SeqCst);
+                7
+            };
+            let (outcome, state, next) = case.run_beside(&spec, &mut optimizer, 2, workers, job);
+            let label = format!("{} at budget {workers}", spec.describe());
+            assert_eq!(outcome.expect("no panic"), reference.0, "{label}");
+            assert_eq!((state, next), (reference.1.clone(), reference.2), "{label}");
+            assert_eq!(
+                adam_bits(&optimizer.adam),
+                adam_bits(&reference_opt),
+                "{label}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_job_finishing_first_hands_its_thread_to_the_step_worker_bit_identically() {
+    check_job_beside_the_worker(true);
+}
+
+#[test]
+fn a_job_finishing_last_leaves_the_step_worker_unserved_bit_identically() {
+    check_job_beside_the_worker(false);
+}
+
+/// A job that panics beside the distillation: at every budget the
+/// distillation completes, the same bits result, and the job's own panic
+/// reaches the caller.
+#[test]
+fn a_job_panicking_beside_the_step_worker_resumes_on_the_caller() {
+    let spec = all_specs().remove(1);
+    let case = DistillCase::new(&spec, 14);
+    let run = |workers: usize| {
+        let mut optimizer = Adam::new(0.01);
+        let (outcome, state, next) =
+            case.run_beside(&spec, &mut optimizer, 2, workers, || -> u32 {
+                panic!("the refine failed")
+            });
+        let panic = outcome.expect_err("the job's panic must reach the caller");
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"the refine failed"));
+        (state, next, adam_bits(&optimizer))
+    };
+    let reference = run(1);
+    assert_eq!(reference.2 .0, 6, "the distillation completed");
+    for workers in [2, 3] {
+        assert_eq!(run(workers), reference, "budget {workers} vs budget 1");
+    }
+}
+
+/// An empty filtered subset, or no epochs: nothing trains and no worker
+/// starts, but the job — a data-free round's refine — still runs.
+#[test]
+fn a_job_beside_nothing_to_train_runs_at_every_worker_budget() {
+    let spec = all_specs().remove(0);
+    let case = DistillCase::new(&spec, 15);
+    let untouched = bits(&state_vector(&spec.build(&mut Rng::seed_from_u64(11))));
+    let empty = DistillCase {
+        features: case.features.select_rows(&[]).unwrap(),
+        teacher: case.teacher.select_rows(&[]).unwrap(),
+        pseudo: Vec::new(),
+        prototypes: case.prototypes.clone(),
+    };
+    for workers in [1, 2, 3] {
+        for (case, epochs) in [(&case, 0), (&empty, 3)] {
+            let mut optimizer = Adam::new(0.01);
+            let (outcome, state, _) = case.run_beside(&spec, &mut optimizer, epochs, workers, || 7);
+            assert_eq!(
+                outcome.expect("no panic"),
+                (ServerDistillStats::default(), Some(7))
+            );
+            assert_eq!(state, untouched);
+            assert_eq!(optimizer.step_count(), 0);
+        }
     }
 }
 

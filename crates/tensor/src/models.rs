@@ -89,6 +89,34 @@ impl ClassifierModel {
         (features, logits)
     }
 
+    /// The training forward of a model stepped on `worker`
+    /// ([`backward_step_on`](Self::backward_step_on)): the same
+    /// `(features, logits)` as `forward_full(input, true)`, with each
+    /// top-level backbone layer, then the head, taking its parameters back
+    /// from `worker` just before it runs, so the worker's tail overlaps the
+    /// layers below.
+    ///
+    /// # Panics
+    ///
+    /// Resumes a panic raised on the worker's thread.
+    pub fn forward_train_on(
+        &mut self,
+        input: &Tensor,
+        worker: &StepWorker<'_>,
+    ) -> (Tensor, Tensor) {
+        let mut slot = 0;
+        let mut features: Option<Tensor> = None;
+        for layer in self.backbone.layers_mut() {
+            worker.reclaim(slot, layer.as_mut());
+            slot += layer.slot_count();
+            features = Some(layer.forward(features.as_ref().unwrap_or(input), true));
+        }
+        let features = features.unwrap_or_else(|| input.clone());
+        worker.reclaim(self.head_slot, &mut self.head);
+        let logits = self.head.forward(&features, true);
+        (features, logits)
+    }
+
     /// Runs the full model, returning logits only.
     pub fn forward_logits(&mut self, input: &Tensor, train: bool) -> Tensor {
         self.forward_full(input, train).1
@@ -158,13 +186,16 @@ impl ClassifierModel {
     /// and the parameter-gradient products the layers offer unapplied —
     /// done by `worker`'s thread while this one carries on with the input
     /// gradients: same kernels, same operands, same bits. Every parameter
-    /// leaves the model by value during the pass and is back in place when
-    /// this returns.
+    /// leaves the model by value during the pass and is still out when this
+    /// returns: the next [`forward_train_on`](Self::forward_train_on) takes
+    /// each back as its layer runs, and [`StepWorker::finish_step`] takes
+    /// back the rest after the last step. Nothing else may read the model
+    /// in between.
     ///
     /// # Panics
     ///
-    /// Resumes a panic raised on the worker's thread; the model is then
-    /// missing the parameters that thread held.
+    /// Panics in debug builds if a parameter of the previous step is still
+    /// out.
     pub fn backward_step_on(
         &mut self,
         logit_grad: &Tensor,
@@ -173,9 +204,7 @@ impl ClassifierModel {
     ) -> Tensor {
         worker.begin_step(self);
         let mut hook = worker;
-        let input_grad = self.backward_dual_with(logit_grad, feature_grad, &mut hook);
-        worker.finish_step(self);
-        input_grad
+        self.backward_dual_with(logit_grad, feature_grad, &mut hook)
     }
 
     /// Input-gradient-only [`backward_dual`](Self::backward_dual): the same

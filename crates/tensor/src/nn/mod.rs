@@ -265,6 +265,11 @@ impl Sequential {
     pub fn is_empty(&self) -> bool {
         self.layers.is_empty()
     }
+
+    /// The child layers, in forward order.
+    pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
+        &mut self.layers
+    }
 }
 
 impl std::fmt::Debug for Sequential {

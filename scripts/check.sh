@@ -19,10 +19,11 @@ if grep -rnE 'ModeSwitch|\.scoped\(\)|KernelMode::Scalar|PlanMode::Sequential' c
     exit 1
 fi
 # One source of extra threads, the worker budget (`DriverBuilder::workers`):
-# outside tests, only the work-stealing pool, the server step's step worker
-# and the data-free refine beside the server distillation start a thread in
-# these crates. A thread started anywhere else would not count against the
-# budget and would oversubscribe the cores it already handed out. Prints
+# outside tests, only the work-stealing pool and the server step start a
+# thread in these crates — the server step's one scope holds its step
+# worker and a data-free round's refine beside the distillation. A thread
+# started anywhere else would not count against the budget and would
+# oversubscribe the cores it already handed out. Prints
 # `file:line:enclosing fn: line` for every non-comment spawn site.
 spawns=$(find crates/tensor/src crates/core/src crates/baselines/src -name '*.rs' -print0 |
     xargs -0 awk '
@@ -31,7 +32,7 @@ spawns=$(find crates/tensor/src crates/core/src crates/baselines/src -name '*.rs
         !live || $1 ~ /^\/\// { next }
         match($0, /fn [A-Za-z0-9_]+/) { name = substr($0, RSTART + 3, RLENGTH - 3) }
         /thread::(scope|spawn)/ { print FILENAME ":" FNR ":" name ": " $0 }' |
-    grep -vE '^crates/tensor/src/parallel\.rs:[0-9]+:run_stealing: |^crates/core/src/fedpkd/distill\.rs:[0-9]+:train_server_with_workers: |^crates/core/src/fedpkd/algorithm\.rs:[0-9]+:filter_and_distill: ' ||
+    grep -vE '^crates/tensor/src/parallel\.rs:[0-9]+:run_stealing: |^crates/core/src/fedpkd/distill\.rs:[0-9]+:train_server_with_workers: ' ||
     true)
 if [ -n "$spawns" ]; then
     echo "$spawns"
@@ -43,16 +44,18 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q --exclude proptest
 cargo test --workspace -q
 # One-core liveness: the training thread and its step worker wait on each
-# other (bounded spin, then block), every algorithm's client phases run
-# on the work-stealing pool, whose ordered commit waits on a reorder buffer
-# the workers fill, a data-free round joins its refine thread after the
-# distillation, and the lock-step serve protocol waits on a buffered
-# socket read (one that waited on the socket while its bytes sat in the
-# buffer would hang). All must also finish when all threads share one
-# core. Re-runs the inline-vs-worker tests, the phase kit's unit tests,
-# the data-free budget sweep (caller, refine thread and step worker at
-# budget 3) and the served-vs-in-process tests pinned to CPU 0; a wait
-# that can hang dies on the timeout instead of stalling the gate.
+# other (bounded spin, then block; the forward waits layer by layer), every
+# algorithm's client phases run on the work-stealing pool, whose ordered
+# commit waits on a reorder buffer the workers fill, a data-free round's
+# refine thread turns step worker when the refine returns and is joined
+# after the distillation, and the lock-step serve protocol waits on a
+# buffered socket read (one that waited on the socket while its bytes sat
+# in the buffer would hang). All must also finish when all threads share
+# one core. Re-runs the inline-vs-worker and job-beside-the-worker tests,
+# the phase kit's unit tests, the data-free budget sweep (caller, refine
+# thread and step worker at budget 3) and the served-vs-in-process tests
+# pinned to CPU 0; a wait that can hang dies on the timeout instead of
+# stalling the gate.
 if command -v taskset > /dev/null && command -v timeout > /dev/null; then
     taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --test fused_step worker
     taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --lib clients::

@@ -278,11 +278,12 @@ fn fedpkd_inline_server_step_at_budget_1_matches_step_worker_at_budgets_2_and_8(
 }
 
 /// A data-free round spends its budget in order: at 1 the generator
-/// refines inline before the server distills; at 2 it refines on a second
+/// refines inline after the server distills; at 2 it refines on a second
 /// thread, against a copy of the server, while the distillation steps
-/// inline; from 3 the distillation also takes its step worker. Every budget
-/// must give the budget-1 run, and the telemetry must arrive in the same
-/// order — only the measured seconds may differ.
+/// inline, and that thread becomes the distillation's step worker once the
+/// refine returns; from 3 the distillation has a step worker of its own.
+/// Every budget must give the budget-1 run, and the telemetry must arrive
+/// in the same order — only the measured seconds may differ.
 #[test]
 fn fedpkd_data_free_refine_beside_distill_at_budgets_2_3_and_8_matches_budget_1() {
     let run = |workers: usize, obs: &mut dyn RoundObserver| {
@@ -326,11 +327,21 @@ fn fedpkd_data_free_refine_beside_distill_at_budgets_2_3_and_8_matches_budget_1(
         events
     };
     let inline = events(1);
-    // Every round refined and distilled, so budget 2 took the overlap.
+    // Every round refined and distilled, so budget 2 took the overlap, and
+    // the refine is recorded first wherever it ran.
     for kind in ["generator_refined", "server_distill"] {
         let count = inline.iter().filter(|e| e.kind() == kind).count();
         assert_eq!(count, ROUNDS, "{kind} events");
     }
+    let order: Vec<&str> = inline
+        .iter()
+        .map(TelemetryEvent::kind)
+        .filter(|kind| ["generator_refined", "server_distill"].contains(kind))
+        .collect();
+    assert_eq!(
+        order,
+        ["generator_refined", "server_distill"].repeat(ROUNDS)
+    );
     assert_eq!(events(2), inline, "event stream at budget 2 vs budget 1");
 }
 
