@@ -518,7 +518,7 @@ mod tests {
 
     /// `DriverBuilder::workers(1)` must bound every algorithm's client
     /// phases: at a worker budget of 1 each phase function runs all of its
-    /// client closures on a single thread.
+    /// client closures on the caller's thread, and starts no other.
     #[test]
     fn phase_functions_run_on_one_thread_at_worker_budget_1() {
         use std::collections::HashSet;
@@ -532,8 +532,13 @@ mod tests {
             let mut threads = threads.lock().unwrap();
             threads.insert(std::thread::current().id());
         };
-        // Distinct threads the closures of the last phase call ran on.
-        let seen = || std::mem::take(&mut *threads.lock().unwrap()).len();
+        // The one thread the closures of the last phase call ran on.
+        let caller = std::thread::current().id();
+        let seen = || {
+            let threads = std::mem::take(&mut *threads.lock().unwrap());
+            assert!(threads.iter().all(|&id| id == caller), "{threads:?}");
+            threads.len()
+        };
         let (mut log, mut ledger) = (EventLog::new(), CommLedger::new());
         let io = &mut RoundIo::new(0, &ctx, &mut ledger, &mut log);
 

@@ -113,14 +113,16 @@ impl DriverBuilder {
     }
 
     /// The one knob for every use of a second thread: caps the threads a
-    /// round uses at `workers` (default: the machine's available
-    /// parallelism). The client phases of FedPKD and the seven baselines
-    /// alike run through [`clients`](crate::clients), which reads this
-    /// budget. FedPKD's server step spends it in order: at 2 a public-set
-    /// round's distillation takes its step-worker thread, while a
-    /// data-free round refines its generator on that thread first and then
-    /// hands it to the distillation as its step worker; at 3 or more the
-    /// refine and the step worker each have a thread.
+    /// round uses at `workers`, the calling thread included (default: the
+    /// machine's available parallelism). The client phases of FedPKD and
+    /// the seven baselines alike run through [`clients`](crate::clients),
+    /// which reads this budget: the caller works as one of the `workers`
+    /// and starts `workers − 1` helpers, so at 1 every client runs on the
+    /// calling thread. FedPKD's server step spends it in order: at 2 a
+    /// public-set round's distillation takes its step-worker thread, while
+    /// a data-free round refines its generator on that thread first and
+    /// then hands it to the distillation as its step worker; at 3 or more
+    /// the refine and the step worker each have a thread.
     /// Worker count never affects results — only wall-clock time.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));

@@ -12,7 +12,10 @@
 //!
 //! The client phase runs on the work-stealing pool under the round
 //! context's worker budget, and folding happens at the ordered commit
-//! point, so results are bit-identical for any worker count. Late
+//! point, so results are bit-identical for any worker count. Uploads the
+//! serving layer staged are already decoded: they skip the pool and fold
+//! on the caller's thread, merged into that commit order, so a round
+//! whose every survivor was served spawns no thread. Late
 //! arrivals (bounded-staleness mode) are honored: a client on the round's
 //! late roster still "trains", but its upload is queued and folded — and
 //! its bytes charged — at the arrival round.
@@ -170,35 +173,43 @@ impl Federation for FleetSim {
         let mut acc = PrototypeAccumulator::new();
 
         // Uploads the serving layer staged for this round replace the
-        // in-process synthesis; staging for other rounds is untouched.
-        let staged: BTreeMap<usize, Vec<Option<Prototype>>> = {
-            let keys: Vec<(usize, usize)> = self
-                .staged
-                .range((round, 0)..=(round, usize::MAX))
-                .map(|(&key, _)| key)
-                .collect();
-            keys.into_iter()
-                .map(|key| (key.1, self.staged.remove(&key).expect("key just listed")))
-                .collect()
-        };
+        // in-process synthesis and move out of the map; whatever else was
+        // staged for this round is dropped, other rounds' is untouched.
+        let mut staged = Vec::new();
+        let mut unstaged = Vec::new();
+        for client in ctx.cohort().survivors() {
+            match self.staged.remove(&(round, client)) {
+                Some(protos) => staged.push((client, protos)),
+                None => unstaged.push(client),
+            }
+        }
+        self.staged.retain(|&(r, _), _| r != round);
 
-        // On-time survivors: synthesize payloads on the worker pool, fold
-        // at the ordered commit point (ascending client id).
-        let survivors = ctx.cohort().survivors();
+        // On-time survivors fold in ascending client id. Only the unstaged
+        // ones go to the worker pool, to be synthesized; each one's commit
+        // first folds the staged survivors below it, and the staged ones
+        // above the last are folded after. A fully served round never
+        // enters the pool.
+        let mut staged = staged.into_iter().peekable();
         dispatch_stealing(
-            survivors,
+            unstaged,
             workers,
             |_, client| {
-                let protos = match staged.get(&client) {
-                    Some(protos) => protos.clone(),
-                    None => Self::synth_prototypes(seed, classes, dims, round, client),
-                };
-                (client, protos)
+                (
+                    client,
+                    Self::synth_prototypes(seed, classes, dims, round, client),
+                )
             },
             |_, (client, protos)| {
+                while let Some((below, protos)) = staged.next_if(|&(c, _)| c < client) {
+                    Self::ingest(&mut acc, ledger, round, below, &protos);
+                }
                 Self::ingest(&mut acc, ledger, round, client, &protos);
             },
         );
+        for (client, protos) in staged {
+            Self::ingest(&mut acc, ledger, round, client, &protos);
+        }
 
         // Then this round's late arrivals, in (origin round, client) order:
         // queued rounds ago, bytes charged now that they crossed the wire.
@@ -461,28 +472,51 @@ mod tests {
         // A run where every invited client's payload is staged through the
         // remote SPI (as the serving layer does) must equal the in-process
         // run at the same seed — the bit-identity the chaos oracle rests on.
+        // So must a run that stages every other survivor, whose staged
+        // uploads fold between the synthesized ones at the ordered commit
+        // (the evens: the first survivor is staged; the odds: the last
+        // is), at any worker budget.
         let rounds = 3;
         let mut plain = FleetSim::new(64, 6, 8, 17);
         let reference = sampled_builder(rounds).build().run_silent(&mut plain);
 
-        let mut served = FleetSim::new(64, 6, 8, 17);
-        let builder = DriverBuilder::new().cohort(CohortPolicy::Sample { size: 64, seed: 3 });
-        let mut steps = RoundLoop::begin(&builder, &mut served);
-        let mut history = Vec::new();
-        for round in 0..rounds {
-            let ctx = steps.context(&served);
-            for client in ctx.cohort().survivors() {
-                let payload = served.client_payload(round, client);
-                served
-                    .stage_upload(round, client, payload, 0)
-                    .expect("own payload is admissible");
+        for (skip, stride, workers) in [
+            (0, 1, None),
+            (0, 2, Some(1)),
+            (1, 2, Some(2)),
+            (0, 2, None),
+            (1, 2, None),
+        ] {
+            let mut served = FleetSim::new(64, 6, 8, 17);
+            let mut builder =
+                DriverBuilder::new().cohort(CohortPolicy::Sample { size: 64, seed: 3 });
+            if let Some(workers) = workers {
+                builder = builder.workers(workers);
             }
-            history.push(steps.commit(&mut served, &ctx, &mut crate::telemetry::NullObserver));
+            let mut steps = RoundLoop::begin(&builder, &mut served);
+            let mut history = Vec::new();
+            for round in 0..rounds {
+                let ctx = steps.context(&served);
+                let survivors = ctx.cohort().survivors();
+                for client in survivors.into_iter().skip(skip).step_by(stride) {
+                    let payload = served.client_payload(round, client);
+                    served
+                        .stage_upload(round, client, payload, 0)
+                        .expect("own payload is admissible");
+                }
+                history.push(steps.commit(&mut served, &ctx, &mut crate::telemetry::NullObserver));
+                assert!(
+                    served.staged.is_empty(),
+                    "round {round} drained its staging"
+                );
+            }
+            steps.finish(&mut served);
+            let case =
+                format!("survivors {skip}, {skip} + {stride}, .. staged, budget {workers:?}");
+            assert_eq!(history, reference.history, "{case}");
+            assert_eq!(served.driver().ledger(), &reference.ledger, "{case}");
+            assert_eq!(served.centroids(), plain.centroids(), "{case}");
         }
-        steps.finish(&mut served);
-        assert_eq!(history, reference.history);
-        assert_eq!(served.driver().ledger(), &reference.ledger);
-        assert_eq!(served.centroids(), plain.centroids());
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! Tasks — a client's training, a client's evaluation — go through the one
 //! work-stealing dispatcher ([`dispatch_stealing`], or
-//! [`dispatch_stealing_scheduled`] with an execution plan) on scoped
-//! threads, as many as the caller's worker budget, and commit results on
-//! the caller's thread in item order. Items never share mutable state, so
-//! the result is bit-identical to the sequential loop regardless of core
-//! count or scheduling. Kernels never spawn: a thread a kernel started on
-//! its own would not count against the budget and would oversubscribe the
-//! cores the budget already handed out.
+//! [`dispatch_stealing_scheduled`] with an execution plan). A budget of
+//! `n` is `n` threads counting the caller, which works as worker 0 beside
+//! `n − 1` scoped helpers, so budget 1 runs every task on the caller's
+//! thread; results commit on the caller's thread in item order. Items
+//! never share mutable state, so the result is bit-identical to the
+//! sequential loop regardless of core count or scheduling. Kernels never
+//! spawn: a thread a kernel started on its own would not count against the
+//! budget and would oversubscribe the cores the budget already handed out.
 
 /// Per-thread reusable scratch buffers for transient `f32` workspaces.
 ///
@@ -20,10 +21,11 @@
 /// released, so steady-state training does no repack allocations at all.
 ///
 /// The pool is thread-local, which makes it safe by construction under
-/// every dispatch idiom in this module (scoped worker threads never share
-/// a buffer) and keeps results bit-identical: a pooled buffer is handed
-/// out with unspecified contents, so callers must fully overwrite the
-/// range they read — exactly what the repack loops already do.
+/// every dispatch idiom in this module (its workers, the caller among
+/// them, never share a buffer) and keeps results bit-identical: a pooled
+/// buffer is handed out with unspecified contents, so callers must fully
+/// overwrite the range they read — exactly what the repack loops already
+/// do.
 pub mod scratch {
     use std::cell::RefCell;
 
@@ -77,11 +79,12 @@ pub fn max_workers() -> usize {
 /// `peak_pending` is the scheduler's memory bound: the caller's commit
 /// callback consumes results in canonical item order, so out-of-order
 /// completions park in a reorder buffer whose occupancy is bounded by
-/// worker skew (how far the fastest worker runs ahead of the slowest),
-/// never by the total item count.
+/// worker skew (how far the fastest worker runs ahead of the slowest, plus
+/// the caller's one item in flight), never by the total item count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StealStats {
-    /// Items executed by a worker other than the one they were seeded on.
+    /// Items executed by a worker (the caller included) other than the one
+    /// they were seeded on.
     pub steals: usize,
     /// Peak number of completed results waiting in the reorder buffer for
     /// an earlier item to finish.
@@ -92,17 +95,21 @@ pub struct StealStats {
 /// work stealing, committing results on the *caller's* thread in ascending
 /// item order.
 ///
-/// Each worker is seeded with a contiguous chunk of items and pops from its
-/// own deque front; a worker that runs dry steals from the back of another
-/// worker's deque, so stragglers cannot idle the pool. Results stream back
-/// to the caller as they complete and are handed to `commit(index, result)`
+/// The caller is one of the `workers`: it runs worker 0's items itself
+/// beside `workers − 1` scoped helpers, and spawns none at a budget of 1
+/// or for a single item. Each worker is seeded with a contiguous chunk of
+/// items and pops from its own deque front; a worker that runs dry steals
+/// from the back of another worker's deque, so stragglers cannot idle the
+/// pool. Helpers' results stream back as they complete, the caller files
+/// them between its own items, and `commit(index, result)` sees them
 /// strictly in item order via a reorder buffer — so any fold performed in
 /// `commit` accumulates in canonical order and is bit-identical to the
 /// sequential loop regardless of worker count or interleaving.
 ///
 /// `task` receives `(index, item)` and must not share mutable state across
 /// items; `commit` runs on the calling thread only, so it may freely mutate
-/// caller-local accumulators without locking.
+/// caller-local accumulators without locking. A panicking task's panic
+/// resumes on the caller, and no item above the panicked one is committed.
 pub fn dispatch_stealing<I: Send, T: Send>(
     items: Vec<I>,
     workers: usize,
@@ -155,6 +162,12 @@ pub fn dispatch_stealing_scheduled<I: Send, T: Send>(
 /// Shared work-stealing core: `seeded` pairs each item with its canonical
 /// commit index, in the order workers should drain them. Commits run on the
 /// caller's thread in ascending canonical index whatever the seeding order.
+///
+/// The caller is worker 0 and files the helpers' results between its own
+/// items. A task that panics on the caller unwinds through the scope and
+/// drops the receiver, so the helpers stop after their current item; a
+/// helper's panic resurfaces from the scope's join once the caller has run
+/// out the other items.
 fn run_stealing<I: Send, T: Send>(
     seeded: Vec<(usize, I)>,
     workers: usize,
@@ -173,53 +186,54 @@ fn run_stealing<I: Send, T: Send>(
         .collect();
     let deques = &deques;
     let task = &task;
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, T, bool)>();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let own = deques[w].lock().expect("worker deque poisoned").pop_front();
-                if let Some((idx, item)) = own {
-                    if tx.send((idx, task(idx, item), false)).is_err() {
-                        return;
-                    }
-                    continue;
-                }
-                // Own deque is dry: steal the *back* of another worker's
-                // deque (the item its owner would reach last).
-                let stolen = (1..workers).find_map(|off| {
+    // Worker `w`'s next item and whether it was stolen: the front of its
+    // own deque, else the *back* of another's (the item its owner would
+    // reach last). `None` once every deque is empty; no new items appear.
+    let next_item = move |w: usize| {
+        let own = deques[w].lock().expect("worker deque poisoned").pop_front();
+        own.map(|item| (item, false)).or_else(|| {
+            (1..workers)
+                .find_map(|off| {
                     deques[(w + off) % workers]
                         .lock()
                         .expect("worker deque poisoned")
                         .pop_back()
-                });
-                match stolen {
-                    Some((idx, item)) => {
-                        if tx.send((idx, task(idx, item), true)).is_err() {
-                            return;
-                        }
+                })
+                .map(|item| (item, true))
+        })
+    };
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, T, bool)>();
+    std::thread::scope(|scope| {
+        for w in 1..workers {
+            let tx = tx.clone();
+            scope.spawn(move || {
+                while let Some(((idx, item), stolen)) = next_item(w) {
+                    if tx.send((idx, task(idx, item), stolen)).is_err() {
+                        return;
                     }
-                    // Every deque is empty; no new items ever appear.
-                    None => return,
                 }
             });
         }
         drop(tx);
+        // Owned by this closure, so a panicking task drops it on unwind.
+        let rx = rx;
         let mut stats = StealStats::default();
         let mut pending = std::collections::BTreeMap::new();
         let mut next = 0usize;
-        for (idx, result, stolen) in rx {
-            if stolen {
-                stats.steals += 1;
-            }
+        let mut file = |(idx, result, stolen): (usize, T, bool)| {
+            stats.steals += usize::from(stolen);
             pending.insert(idx, result);
             stats.peak_pending = stats.peak_pending.max(pending.len());
             while let Some(result) = pending.remove(&next) {
                 commit(next, result);
                 next += 1;
             }
+        };
+        while let Some(((idx, item), stolen)) = next_item(0) {
+            file((idx, task(idx, item), stolen));
+            rx.try_iter().for_each(&mut file);
         }
-        debug_assert_eq!(next, n, "every item must be committed exactly once");
+        rx.into_iter().for_each(file);
         stats
     })
 }
@@ -246,6 +260,97 @@ mod tests {
             assert_eq!(committed, expected, "workers={workers}");
             assert!(stats.peak_pending <= 257);
         }
+    }
+
+    #[test]
+    fn a_single_item_or_a_budget_of_one_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        for (items, workers) in [(1, 2), (5, 1)] {
+            let mut runs = 0;
+            let stats = dispatch_stealing(
+                (0..items).collect::<Vec<usize>>(),
+                workers,
+                |_, _| std::thread::current().id(),
+                |_, ran_on| {
+                    assert_eq!(ran_on, caller, "{items} items at budget {workers}");
+                    runs += 1;
+                },
+            );
+            assert_eq!(runs, items);
+            assert_eq!(stats.steals, 0);
+        }
+    }
+
+    /// Runs `dispatch_stealing` over items `0..8` at budget 2 (the caller
+    /// owns `0..4`, the one helper `4..8`), catching the panic `task`
+    /// raises: what was committed, the panic message, and the thread the
+    /// panicking item ran on.
+    fn dispatch_with_a_panic(
+        panicking: usize,
+        task: impl Fn(usize, &std::sync::atomic::AtomicBool) + Sync,
+    ) -> (Vec<usize>, String, std::thread::ThreadId) {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let reached = AtomicBool::new(false);
+        let ran_on = std::sync::Mutex::new(None);
+        let mut committed = Vec::new();
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            dispatch_stealing(
+                (0..8).collect(),
+                2,
+                |idx, _: usize| {
+                    if idx == panicking {
+                        *ran_on.lock().unwrap() = Some(std::thread::current().id());
+                        reached.store(true, Ordering::SeqCst);
+                        panic!("task {idx}");
+                    }
+                    task(idx, &reached);
+                },
+                |idx, ()| committed.push(idx),
+            )
+        }));
+        let payload = outcome.expect_err("the panic must resume on the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        let ran_on = ran_on.into_inner().unwrap().expect("the item ran");
+        (committed, message, ran_on)
+    }
+
+    /// Spins until the panicking item has started.
+    fn wait_for(reached: &std::sync::atomic::AtomicBool) {
+        while !reached.load(std::sync::atomic::Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_task_panicking_on_the_caller_resumes_with_only_the_items_below_committed() {
+        // The helper waits in item 4 until item 2 has started, so it
+        // cannot steal item 2: the caller runs 0, 1, then 2 and panics.
+        let (committed, message, ran_on) = dispatch_with_a_panic(2, |idx, reached| {
+            if idx >= 4 {
+                wait_for(reached);
+            }
+        });
+        assert_eq!(ran_on, std::thread::current().id());
+        assert_eq!(message, "task 2");
+        assert_eq!(committed, [0, 1]);
+    }
+
+    #[test]
+    fn a_task_panicking_on_a_helper_resumes_on_the_caller_with_only_the_items_below_committed() {
+        // The caller waits in item 0 until item 5 has started, so the
+        // helper runs 4 and then 5, and panics; the caller runs out the
+        // rest, stealing 6 and 7 from the dead helper's deque.
+        let (committed, _, ran_on) = dispatch_with_a_panic(5, |idx, reached| {
+            if idx == 0 {
+                wait_for(reached);
+            }
+        });
+        assert_ne!(ran_on, std::thread::current().id());
+        assert_eq!(committed, [0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -20,8 +20,9 @@ if grep -rnE 'ModeSwitch|\.scoped\(\)|KernelMode::Scalar|PlanMode::Sequential' c
 fi
 # One source of extra threads, the worker budget (`DriverBuilder::workers`):
 # outside tests, only the work-stealing pool and the server step start a
-# thread in these crates — the server step's one scope holds its step
-# worker and a data-free round's refine beside the distillation. A thread
+# thread in these crates — the pool's `budget − 1` helpers beside its
+# caller, and the server step's one scope, which holds its step worker and
+# a data-free round's refine beside the distillation. A thread
 # started anywhere else would not count against the budget and would
 # oversubscribe the cores it already handed out. Prints
 # `file:line:enclosing fn: line` for every non-comment spawn site.
@@ -45,20 +46,24 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q --exclude proptest
 cargo test --workspace -q
 # One-core liveness: the training thread and its step worker wait on each
 # other (bounded spin, then block; the forward waits layer by layer), every
-# algorithm's client phases run on the work-stealing pool, whose ordered
-# commit waits on a reorder buffer the workers fill, a data-free round's
-# refine thread turns step worker when the refine returns and is joined
-# after the distillation, and the lock-step serve protocol waits on a
-# buffered socket read (one that waited on the socket while its bytes sat
-# in the buffer would hang). All must also finish when all threads share
-# one core. Re-runs the inline-vs-worker and job-beside-the-worker tests,
-# the phase kit's unit tests, the data-free budget sweep (caller, refine
-# thread and step worker at budget 3) and the served-vs-in-process tests
-# pinned to CPU 0; a wait that can hang dies on the timeout instead of
-# stalling the gate.
+# algorithm's client phases run on the work-stealing pool, whose caller
+# works its own items and then waits on a reorder buffer the helpers fill,
+# a served round folds its staged uploads between the pool's commits, a
+# data-free round's refine thread turns step worker when the refine returns
+# and is joined after the distillation, and the lock-step serve protocol
+# waits on a buffered socket read (one that waited on the socket while its
+# bytes sat in the buffer would hang). All must also finish when all
+# threads share one core. Re-runs the inline-vs-worker and
+# job-beside-the-worker tests, the dispatcher's own tests (panics on the
+# caller and on a helper included), the phase kit's unit tests, the staged
+# fold, the data-free budget sweep (caller, refine thread and step worker
+# at budget 3) and the served-vs-in-process tests pinned to CPU 0; a wait
+# that can hang dies on the timeout instead of stalling the gate.
 if command -v taskset > /dev/null && command -v timeout > /dev/null; then
     taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --test fused_step worker
+    taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-tensor --lib parallel::
     taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --lib clients::
+    taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --lib fleet::tests::staged_uploads
     taskset -c 0 timeout 600 cargo test --release -q --test fleet fedpkd_data_free_refine_beside_distill
     taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-serve --test serve
 else
