@@ -29,11 +29,6 @@ pub struct BaselineConfig {
     pub sharpen_temperature: f32,
     /// KL-vs-CE mix for client-side distillation.
     pub gamma: f32,
-    /// Byzantine defense for the parameter-averaging methods (FedAvg,
-    /// FedProx): clip each client update's deviation from the previous
-    /// global model to the cohort's median deviation norm before averaging.
-    /// Off by default — the paper's baselines average as published.
-    pub clip_updates: bool,
 }
 
 impl Default for BaselineConfig {
@@ -48,7 +43,6 @@ impl Default for BaselineConfig {
             mu: 0.01,
             sharpen_temperature: 0.5,
             gamma: 0.5,
-            clip_updates: false,
         }
     }
 }

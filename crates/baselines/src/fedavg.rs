@@ -7,7 +7,6 @@ use crate::common::{
 };
 use crate::BaselineConfig;
 use fedpkd_core::fedpkd::CoreError;
-use fedpkd_core::robust::clipped_weighted_average;
 use fedpkd_core::runtime::Federation;
 use fedpkd_core::telemetry::{emit_phase_timing, Phase, RoundObserver};
 use fedpkd_core::train::TrainStats;
@@ -59,7 +58,6 @@ impl FedAvg {
 pub(crate) fn averaging_round(
     fleet: &mut Fleet,
     scenario: &FederatedScenario,
-    config: &BaselineConfig,
     io: &mut RoundIo<'_>,
     train: impl Fn(&mut Client, &ClientData, &[f32]) -> TrainStats + Sync,
 ) {
@@ -74,12 +72,7 @@ pub(crate) fn averaging_round(
     let started = Instant::now();
     if !updates.is_empty() {
         let weights = train_sizes(scenario, &senders);
-        let averaged = if config.clip_updates {
-            clipped_weighted_average(&updates, &weights, &global)
-                .expect("admitted updates are non-empty and equal-length")
-        } else {
-            weighted_average(&updates, &weights).expect("equal-length updates")
-        };
+        let averaged = weighted_average(&updates, &weights).expect("equal-length updates");
         load_state_vector(server, &averaged).expect("layout is fixed");
     }
     emit_phase_timing(io.obs, io.round, Phase::Aggregation, started);
@@ -98,7 +91,7 @@ impl Federation for FedAvg {
         obs: &mut dyn RoundObserver,
     ) {
         let (config, io) = (&self.config, &mut RoundIo::new(round, ctx, ledger, obs));
-        averaging_round(&mut self.state, &self.scenario, config, io, |c, d, _| {
+        averaging_round(&mut self.state, &self.scenario, io, |c, d, _| {
             train_fresh(config, c, d)
         });
     }

@@ -57,28 +57,22 @@ impl Federation for FedProx {
         obs: &mut dyn RoundObserver,
     ) {
         let (config, io) = (&self.config, &mut RoundIo::new(round, ctx, ledger, obs));
-        averaging_round(
-            &mut self.state,
-            &self.scenario,
-            config,
-            io,
-            |c, d, global| {
-                // The proximal anchor covers the trainable parameters (the
-                // leading section of the state vector); buffers are not
-                // optimized and need no anchor.
-                let anchor = &global[..c.model.param_count()];
-                train_supervised_prox(
-                    &mut c.model,
-                    &d.train,
-                    anchor,
-                    config.mu,
-                    config.local_epochs,
-                    config.batch_size,
-                    &mut Adam::new(config.learning_rate),
-                    &mut c.rng,
-                )
-            },
-        );
+        averaging_round(&mut self.state, &self.scenario, io, |c, d, global| {
+            // The proximal anchor covers the trainable parameters (the
+            // leading section of the state vector); buffers are not
+            // optimized and need no anchor.
+            let anchor = &global[..c.model.param_count()];
+            train_supervised_prox(
+                &mut c.model,
+                &d.train,
+                anchor,
+                config.mu,
+                config.local_epochs,
+                config.batch_size,
+                &mut Adam::new(config.learning_rate),
+                &mut c.rng,
+            )
+        });
     }
 
     forward_to_fleet!();

@@ -145,7 +145,7 @@ impl<'a> RoundIo<'a> {
 }
 
 /// The training phase: runs `work` on every client named in `roster` (the
-/// survivors, plus whoever else the algorithm lets train) on the pool's
+/// round's survivors, in every algorithm) on the pool's
 /// dispatch, and per client **in ascending client order** records
 /// `ClientTrained` and hands the payload to `commit`; then the
 /// `ClientTraining` phase timing. Unrostered clients are not touched.
@@ -507,8 +507,8 @@ mod tests {
                 committed(&mut clients, &scenario, &ctx, &[0, 1, 2]),
                 sizes(&[0, 1, 2])
             );
-            // A partial roster (late clients, samples) runs exactly its
-            // members, in client order however it was listed.
+            // A partial roster runs exactly its members, in client order
+            // however it was listed.
             assert_eq!(
                 committed(&mut clients, &scenario, &ctx, &[2, 0]),
                 sizes(&[2, 0])
@@ -668,10 +668,10 @@ mod tests {
         );
         assert!(log.events().iter().all(|e| e.round() == 4));
 
-        // The FedPKD shape: the roster is wider than the survivors (client
-        // 1 is a late straggler, training although it dropped), every
-        // commit follows its own `ClientTrained`, and the downlink is a
-        // row subset billed as two messages per survivor.
+        // A roster wider than the survivors (client 1 trains although it
+        // dropped) still commits each client after its own
+        // `ClientTrained`; then the FedPKD downlink, a row subset billed as
+        // two messages per survivor.
         let (mut log, mut ledger) = (EventLog::new(), CommLedger::new());
         let io = &mut RoundIo::new(4, &ctx, &mut ledger, &mut log);
         let work = |client: &mut ClientState, data: &ClientData| ((), train(client, data));

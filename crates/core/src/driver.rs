@@ -2,9 +2,9 @@
 //! federation.
 //!
 //! Faults, adversaries (via the [`FaultPlan`]), cohort sampling over a
-//! fleet, the worker budget and the bounded-staleness window are all
-//! orthogonal knobs on one [`DriverBuilder`], and
-//! [`Driver::run`]/[`Driver::resume`] are the only verbs. The round loop
+//! fleet and the worker budget are orthogonal knobs on one
+//! [`DriverBuilder`], and [`Driver::run`]/[`Driver::resume`] are the only
+//! verbs. The round loop
 //! itself — the ledger taken out of the algorithm's [`DriverState`], each
 //! client's last uplink size (one fold over the ledger's transfers, so a
 //! run resumed or continued at any round reads what an uninterrupted one
@@ -21,23 +21,22 @@
 //!    straggler-deadline check),
 //! 2. restricts the cohort to this round's seeded sample under
 //!    [`CohortPolicy::Sample`] — uninvited clients are marked
-//!    [`DropCause::Unsampled`], excluded from participation accounting,
-//!    and emit no drop telemetry,
-//! 3. in bounded-staleness mode ([`DriverBuilder::staleness`]), promotes
-//!    invited deadline-stragglers whose lag fits the bound onto the
-//!    context's late-arrival roster,
-//! 4. stamps the context with the worker budget and hands it to the
+//!    [`DropCause::Unsampled`](fedpkd_netsim::DropCause::Unsampled),
+//!    excluded from participation accounting, and emit no drop telemetry,
+//! 3. stamps the context with the worker budget and hands it to the
 //!    algorithm's round, whose client phase runs on the work-stealing
 //!    pool and whose server folds uploads into streaming accumulators in
 //!    canonical client order.
 //!
-//! Every per-round decision — sampling, faults, attacks, staleness lags —
-//! is a pure function of `(seed, round, client)`, so the same seeds
-//! replay to a bit-identical [`RunResult`] regardless of worker count or
-//! completion interleaving.
+//! Every round is synchronous: a client the context drops (a deadline
+//! straggler included) sits the round out, and nothing it would have sent
+//! arrives in a later one. Every per-round decision — sampling, faults,
+//! attacks — is a pure function of `(seed, round, client)`, so the same
+//! seeds replay to a bit-identical [`RunResult`] regardless of worker
+//! count or completion interleaving.
 
 use fedpkd_netsim::{
-    sample_cohort, Cohort, CohortPolicy, CommLedger, Direction, DropCause, FaultPlan, RoundContext,
+    sample_cohort, Cohort, CohortPolicy, CommLedger, Direction, FaultPlan, RoundContext,
 };
 
 use crate::runtime::{DriverState, Federation, RoundMetrics, RunResult};
@@ -79,12 +78,11 @@ pub struct DriverBuilder {
     faults: Option<FaultPlan>,
     cohort: CohortPolicy,
     workers: Option<usize>,
-    staleness: usize,
 }
 
 impl DriverBuilder {
     /// A builder with defaults: 1 round, no faults, full cohort, the
-    /// machine's worker budget, synchronous (no staleness).
+    /// machine's worker budget.
     pub fn new() -> Self {
         Self {
             rounds: 1,
@@ -129,22 +127,10 @@ impl DriverBuilder {
         self
     }
 
-    /// Opts into bounded-staleness async mode: an invited straggler that
-    /// misses the round deadline by at most `max_lag` rounds (see
-    /// [`FaultPlan::deadline_lag`]) is put on the round's late-arrival
-    /// roster instead of being discarded. Algorithms that support
-    /// staleness (FedPKD's prototype path) train such clients and fold
-    /// their upload in when it arrives; `0` (the default) is strict
-    /// synchronous mode.
-    pub fn staleness(mut self, max_lag: usize) -> Self {
-        self.staleness = max_lag;
-        self
-    }
-
     /// Evaluates this configuration's per-round participation decision —
-    /// fault plan, cohort sampling, staleness promotion, worker budget —
-    /// into the [`RoundContext`] that round `round` runs under, given each
-    /// client's most recent observed uplink bytes.
+    /// fault plan, cohort sampling, worker budget — into the
+    /// [`RoundContext`] that round `round` runs under, given each client's
+    /// most recent observed uplink bytes.
     ///
     /// [`RoundLoop::context`] is its one caller in a run, for
     /// [`Driver::run`] and the `fedpkd-serve` engine alike, so a served
@@ -164,26 +150,6 @@ impl DriverBuilder {
         if let CohortPolicy::Sample { size, seed } = self.cohort {
             let invited = sample_cohort(seed, round, num_clients, size);
             ctx = ctx.restrict_to_sample(&invited);
-        }
-        if self.staleness > 0 {
-            if let Some(plan) = &self.faults {
-                // Invited deadline-stragglers whose transfer lands within
-                // the staleness bound upload late instead of not at all.
-                // Pure per-(round, client) computation: replays identically.
-                let late: Vec<(usize, usize)> = ctx
-                    .cohort()
-                    .dropped()
-                    .into_iter()
-                    .filter(|&(_, cause)| cause == DropCause::Deadline)
-                    .filter_map(|(client, _)| {
-                        let bytes = last_uplink.get(client).copied().unwrap_or(0);
-                        plan.deadline_lag(client, bytes)
-                            .filter(|&lag| lag <= self.staleness)
-                            .map(|lag| (client, lag))
-                    })
-                    .collect();
-                ctx = ctx.with_late_arrivals(late);
-            }
         }
         ctx.with_worker_budget(self.workers)
     }

@@ -1,6 +1,5 @@
 //! The FedPKD federation — Algorithm 2 of the paper.
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use crate::admission::{PayloadKind, QuarantineTracker, RejectReason};
@@ -70,9 +69,6 @@ pub struct FedPkd {
     state: FedPkdState,
 }
 
-/// One in-flight bounded-staleness upload: `(client, origin round, payload)`.
-type LateUpload = (usize, usize, Vec<Option<Prototype>>);
-
 /// RNG stream id for the data-free generator (client streams are `1 + i`
 /// and the server is `0`, so a high constant cannot collide).
 const GENERATOR_STREAM: u64 = 0x6765_6e31;
@@ -106,13 +102,6 @@ struct FedPkdState {
     /// uploads enter the cache, so a rejected client's last good prototypes
     /// keep serving within the staleness window.
     cached_prototypes: Vec<Option<(usize, Vec<Option<Prototype>>)>>,
-    /// Bounded-staleness in-flight uploads, keyed by arrival round:
-    /// `(client, origin round, prototypes)` in origin order. A straggler
-    /// on the round context's late roster trains on time, but its
-    /// prototype upload only reaches the server (and the ledger) when the
-    /// simulated transfer completes; its logits are stale by then and are
-    /// discarded. Empty in synchronous mode.
-    pending_late: BTreeMap<usize, Vec<LateUpload>>,
     /// Data-free distillation state ([`DistillSource::Generated`]).
     generator: Option<GeneratorState>,
     quarantine: QuarantineTracker,
@@ -168,7 +157,6 @@ impl FedPkd {
                 server_rng,
                 global_prototypes: vec![None; num_classes],
                 cached_prototypes: vec![None; num_clients],
-                pending_late: BTreeMap::new(),
                 generator,
                 quarantine,
                 driver: DriverState::new(),
@@ -251,7 +239,7 @@ struct RoundEnv<'a> {
     transfer: &'a Dataset,
 }
 
-/// Phase 1's output: the admitted on-time uploads' softmax probabilities —
+/// Phase 1's output: the admitted uploads' softmax probabilities —
 /// folded into `acc` (unless the trimmed estimator replaces the fold), and
 /// kept whole in `kept` when a cross-client estimator or the diagnostics
 /// need the full set.
@@ -264,22 +252,20 @@ struct Uplink {
 
 impl FedPkdState {
     /// Phase 1: client private training + dual knowledge uplink
-    /// ([`train_cohort`]) for the cohort's survivors and the `late` roster;
-    /// `synthetic` says the transfer set was generated and must be
-    /// broadcast first. Returns the admitted on-time uploads and the
-    /// aggregated data-free input moments.
+    /// ([`train_cohort`]) for the cohort's survivors; `synthetic` says the
+    /// transfer set was generated and must be broadcast first. Returns the
+    /// admitted uploads and the aggregated data-free input moments.
     ///
-    /// Survivors and late-roster stragglers train concurrently; every
-    /// upload is *committed* in ascending client order — Byzantine
-    /// corruption, ledger accounting, admission, and the streaming Eq. 6–7
-    /// fold all happen per client at the commit point. No O(cohort)
+    /// Survivors train concurrently; every upload is *committed* in
+    /// ascending client order — Byzantine corruption, ledger accounting,
+    /// admission, and the streaming Eq. 6–7 fold all happen per client at
+    /// the commit point. No O(cohort)
     /// payload buffer exists unless the trimmed estimator (cross-client by
     /// definition) or the aggregation diagnostics require one.
     fn client_phase(
         &mut self,
         env: &RoundEnv<'_>,
         io: &mut RoundIo<'_>,
-        late: &[(usize, usize)],
         synthetic: bool,
     ) -> (Uplink, Vec<Option<Tensor>>) {
         let RoundEnv {
@@ -291,13 +277,11 @@ impl FedPkdState {
         let cohort = ctx.cohort();
         let public_len = scenario.public.len();
         let num_classes = scenario.num_classes;
-        let mut roster = cohort.survivors();
-        roster.extend(late.iter().map(|&(client, _)| client));
-        roster.sort_unstable();
+        let roster = cohort.survivors();
         // The generated batch is server knowledge the participants need
-        // before they can score it: broadcast it to everyone on the roster
-        // and charge the downlink (the public-dataset mode ships nothing
-        // here because the public set is pre-shared).
+        // before they can score it: broadcast it to every survivor and
+        // charge the downlink (the public-dataset mode ships nothing here
+        // because the public set is pre-shared).
         if synthetic {
             let batch_bytes = Message::synthetic_batch_encoded_len(
                 transfer.len(),
@@ -326,7 +310,6 @@ impl FedPkdState {
             server_model,
             global_prototypes,
             cached_prototypes,
-            pending_late,
             quarantine,
             ..
         } = self;
@@ -379,23 +362,6 @@ impl FedPkdState {
                 if let Some(attack) = ctx.attack(client) {
                     let mut rng = ctx.attack_rng(round, client);
                     corrupt_upload(attack, &mut rng, &mut logits, &mut prototypes);
-                }
-                if !cohort.is_active(client) {
-                    // A late-roster straggler: its transfer is still in flight.
-                    // The logits will be a round stale on arrival and are
-                    // discarded; the slow-moving prototypes queue for the
-                    // arrival round, when their bytes are charged and admission
-                    // inspects them.
-                    let lag = late
-                        .iter()
-                        .find(|&&(c, _)| c == client)
-                        .map(|&(_, lag)| lag)
-                        .expect("late roster put this client on the roster");
-                    pending_late
-                        .entry(round + lag)
-                        .or_default()
-                        .push((client, round, prototypes));
-                    return;
                 }
                 // The lossy 8-bit channel cannot represent garbage payloads
                 // (non-finite or misshapen); those travel raw instead — an
@@ -514,22 +480,18 @@ impl FedPkdState {
         (uplink, input_moments)
     }
 
-    /// Phase 2: the late `arrivals` land, then server-side aggregation
-    /// (Eqs. 6–8, or their trimmed variants) over the admitted uploads.
-    /// Returns the aggregated probabilities and their pseudo-labels, or
-    /// `None` when the round degrades to a no-op.
+    /// Phase 2: server-side aggregation (Eqs. 6–8, or their trimmed
+    /// variants) over the admitted uploads. Returns the aggregated
+    /// probabilities and their pseudo-labels, or `None` when the round
+    /// degrades to a no-op.
     fn aggregate(
         &mut self,
         env: &RoundEnv<'_>,
         io: &mut RoundIo<'_>,
-        arrivals: Vec<LateUpload>,
         uplink: Uplink,
     ) -> Option<(Tensor, Vec<usize>)> {
         let (config, round) = (env.config, io.round);
-        let num_classes = env.scenario.num_classes;
-        let policy = config.admission;
         let trim = config.robust.trim_fraction();
-        let proto_dim = self.server_model.feature_dim();
         let Uplink {
             acc,
             kept,
@@ -539,43 +501,15 @@ impl FedPkdState {
         let FedPkdState {
             global_prototypes,
             cached_prototypes,
-            quarantine,
             ..
         } = self;
         let phase_started = Instant::now();
-        for (client, origin, protos) in arrivals {
-            // The delayed transfer completes now: charge its bytes, then
-            // let admission gate the aged prototypes into the stale-reuse
-            // cache. Quarantine streaks track only the synchronous path.
-            let entries = to_wire_entries(&protos);
-            let bytes = Message::Prototypes { entries }.encoded_len();
-            io.bill(client, Direction::Uplink, bytes);
-            let verdict = if quarantine.is_quarantined(client) {
-                Err(RejectReason::Quarantined)
-            } else {
-                policy.check_prototypes(&protos, num_classes, proto_dim)
-            };
-            if let Err(reason) = verdict {
-                io.reject(client, PayloadKind::Prototypes, reason);
-                continue;
-            }
-            // Stamped with the origin round so `prototype_staleness` ages
-            // the payload from when it was computed; a fresher upload from
-            // the same client wins.
-            if cached_prototypes[client]
-                .as_ref()
-                .is_none_or(|&(cached, _)| cached <= origin)
-            {
-                cached_prototypes[client] = Some((origin, protos));
-            }
-        }
         let obs = &mut *io.obs;
         if admitted == 0 {
-            // Every on-time upload was rejected (or everyone was late):
-            // with no trustworthy knowledge there is nothing to aggregate
-            // or distill, so the round degrades to a no-op — models and
-            // prototypes stay as they were, late arrivals only refreshed
-            // the cache.
+            // Every upload was rejected: with no trustworthy knowledge
+            // there is nothing to aggregate or distill, so the round
+            // degrades to a no-op — models and prototypes stay as they
+            // were.
             emit_phase_timing(obs, round, Phase::Aggregation, phase_started);
             return None;
         }
@@ -893,21 +827,10 @@ impl Federation for FedPkd {
         let cohort = ctx.cohort();
         let public_len = self.scenario.public.len();
         let num_classes = self.scenario.num_classes;
-        // Late uploads queued in earlier rounds whose simulated transfer
-        // completes now — they arrive whether or not anyone trains today.
-        let arrivals = self.state.pending_late.remove(&round).unwrap_or_default();
-        // Stragglers the driver promoted onto the late roster train this
-        // round; only their prototypes survive the delay, so without
-        // prototypes the late path carries nothing and is skipped.
-        let late: Vec<(usize, usize)> = if self.config.use_prototypes {
-            ctx.late_arrivals().to_vec()
-        } else {
-            Vec::new()
-        };
-        if cohort.num_active() == 0 && late.is_empty() && arrivals.is_empty() {
-            // Zero survivors and nothing in flight: nobody trains, nothing
-            // travels, no model or prototype changes. The driver still
-            // frames the round with telemetry and evaluation.
+        if cohort.num_active() == 0 {
+            // Zero survivors: nobody trains, nothing travels, no model or
+            // prototype changes. The driver still frames the round with
+            // telemetry and evaluation.
             return;
         }
 
@@ -935,8 +858,8 @@ impl Federation for FedPkd {
         let io = &mut RoundIo::new(round, ctx, ledger, obs);
         let state = &mut self.state;
 
-        let (uplink, input_moments) = state.client_phase(&env, io, &late, synth_batch.is_some());
-        let Some((aggregated, pseudo)) = state.aggregate(&env, io, arrivals, uplink) else {
+        let (uplink, input_moments) = state.client_phase(&env, io, synth_batch.is_some());
+        let Some((aggregated, pseudo)) = state.aggregate(&env, io, uplink) else {
             return;
         };
         let Some((selected, subset_features)) = state.filter_and_distill(
@@ -984,19 +907,6 @@ impl Federation for FedPkd {
             w.put_bool(entry.is_some());
             if let Some((round, protos)) = entry {
                 w.put_usize(*round);
-                snapshot::write_prototypes(w, protos);
-            }
-        }
-        // In-flight late uploads (bounded-staleness mode): per arrival
-        // round, the (client, origin round, prototypes) triples still on
-        // the wire. Empty in sync mode, so sync snapshots cost 8 bytes.
-        w.put_usize(self.state.pending_late.len());
-        for (arrival, uploads) in &self.state.pending_late {
-            w.put_usize(*arrival);
-            w.put_usize(uploads.len());
-            for (client, origin, protos) in uploads {
-                w.put_usize(*client);
-                w.put_usize(*origin);
                 snapshot::write_prototypes(w, protos);
             }
         }
@@ -1070,28 +980,6 @@ impl Federation for FedPkd {
                 None
             });
         }
-        // Late uploads queue before admission (a Byzantine straggler's
-        // payload is legitimately in flight) and meet it on arrival, so
-        // only their framing is checked here.
-        let num_buckets = r.take_usize()?;
-        let mut pending_late = BTreeMap::new();
-        for _ in 0..num_buckets {
-            let arrival = r.take_usize()?;
-            let num_uploads = r.take_usize()?;
-            let mut uploads = Vec::new();
-            for _ in 0..num_uploads {
-                let client = r.take_usize()?;
-                if client >= cache_len {
-                    return Err(SnapshotError::Malformed(format!(
-                        "snapshot queues a late upload from client {client}, \
-                         instance has {cache_len} clients"
-                    )));
-                }
-                let origin = r.take_usize()?;
-                uploads.push((client, origin, snapshot::read_prototypes(r)?));
-            }
-            pending_late.insert(arrival, uploads);
-        }
         let has_generator = r.take_bool()?;
         if has_generator != self.state.generator.is_some() {
             return Err(SnapshotError::Malformed(format!(
@@ -1113,7 +1001,6 @@ impl Federation for FedPkd {
         let driver = snapshot::read_driver(r)?;
         self.state.global_prototypes = global_prototypes;
         self.state.cached_prototypes = cached_prototypes;
-        self.state.pending_late = pending_late;
         self.state.driver = driver;
         Ok(())
     }

@@ -15,10 +15,7 @@
 //! point, so results are bit-identical for any worker count. Uploads the
 //! serving layer staged are already decoded: they skip the pool and fold
 //! on the caller's thread, merged into that commit order, so a round
-//! whose every survivor was served spawns no thread. Late
-//! arrivals (bounded-staleness mode) are honored: a client on the round's
-//! late roster still "trains", but its upload is queued and folded — and
-//! its bytes charged — at the arrival round.
+//! whose every survivor was served spawns no thread.
 
 use std::collections::BTreeMap;
 
@@ -71,10 +68,6 @@ pub struct FleetSim {
     centroids: Vec<f32>,
     /// Rounds whose aggregate actually updated the centroids.
     aggregated_rounds: usize,
-    /// Late uploads queued by arrival round: `(client, origin_round)`,
-    /// in arrival order. The origin round re-keys the client's RNG stream
-    /// so the late payload is the one it would have sent on time.
-    pending_late: BTreeMap<usize, Vec<(usize, usize)>>,
     /// Uploads staged by the serving layer, keyed `(round, client)` and
     /// consumed by the matching `run_round` call. Transient within a
     /// round — snapshots are taken at commit boundaries, after every
@@ -95,7 +88,6 @@ impl FleetSim {
             seed,
             centroids: vec![0.0; classes * dims],
             aggregated_rounds: 0,
-            pending_late: BTreeMap::new(),
             staged: BTreeMap::new(),
             driver: DriverState::new(),
         }
@@ -185,11 +177,11 @@ impl Federation for FleetSim {
         }
         self.staged.retain(|&(r, _), _| r != round);
 
-        // On-time survivors fold in ascending client id. Only the unstaged
-        // ones go to the worker pool, to be synthesized; each one's commit
-        // first folds the staged survivors below it, and the staged ones
-        // above the last are folded after. A fully served round never
-        // enters the pool.
+        // Survivors fold in ascending client id. Only the unstaged ones go
+        // to the worker pool, to be synthesized; each one's commit first
+        // folds the staged survivors below it, and the staged ones above
+        // the last are folded after. A fully served round never enters the
+        // pool.
         let mut staged = staged.into_iter().peekable();
         dispatch_stealing(
             unstaged,
@@ -209,23 +201,6 @@ impl Federation for FleetSim {
         );
         for (client, protos) in staged {
             Self::ingest(&mut acc, ledger, round, client, &protos);
-        }
-
-        // Then this round's late arrivals, in (origin round, client) order:
-        // queued rounds ago, bytes charged now that they crossed the wire.
-        if let Some(arrivals) = self.pending_late.remove(&round) {
-            for (client, origin) in arrivals {
-                let protos = Self::synth_prototypes(seed, classes, dims, origin, client);
-                Self::ingest(&mut acc, ledger, round, client, &protos);
-            }
-        }
-
-        // Queue the clients the driver marked late for their arrival round.
-        for &(client, lag) in ctx.late_arrivals() {
-            self.pending_late
-                .entry(round + lag)
-                .or_default()
-                .push((client, round));
         }
 
         if acc.clients() > 0 {
@@ -273,15 +248,6 @@ impl Federation for FleetSim {
         w.put_u64(self.seed);
         w.put_f32s(&self.centroids);
         w.put_usize(self.aggregated_rounds);
-        w.put_usize(self.pending_late.len());
-        for (&arrival, queued) in &self.pending_late {
-            w.put_usize(arrival);
-            w.put_usize(queued.len());
-            for &(client, origin) in queued {
-                w.put_usize(client);
-                w.put_usize(origin);
-            }
-        }
         write_driver(w, &self.driver);
     }
 
@@ -311,20 +277,6 @@ impl Federation for FleetSim {
         }
         self.centroids = centroids;
         self.aggregated_rounds = r.take_usize()?;
-        let buckets = r.take_usize()?;
-        self.pending_late = BTreeMap::new();
-        for _ in 0..buckets {
-            let arrival = r.take_usize()?;
-            let len = r.take_usize()?;
-            // Grown as pairs arrive: a corrupted count sizes no allocation.
-            let mut queued = Vec::new();
-            for _ in 0..len {
-                let client = r.take_usize()?;
-                let origin = r.take_usize()?;
-                queued.push((client, origin));
-            }
-            self.pending_late.insert(arrival, queued);
-        }
         // Staged uploads are transient within a round; a restored instance
         // starts with nothing staged.
         self.staged = BTreeMap::new();
@@ -440,31 +392,6 @@ mod tests {
         let large = FleetSim::new(10_000, 10, 32, 1);
         assert_eq!(small.centroids().len(), large.centroids().len());
         assert_eq!(small.centroids().len(), 10 * 32);
-    }
-
-    #[test]
-    fn fleet_staleness_folds_late_uploads_at_arrival() {
-        // A slow link plus a tight deadline makes every invited client a
-        // straggler once its payload size is known; with staleness the
-        // uploads land in later rounds instead of vanishing.
-        let plan = FaultPlan::new(0).with_deadline(LinkModel::new(100.0, 0.0), 1.0);
-        let run = |staleness: usize| {
-            let mut fleet = FleetSim::new(200, 6, 8, 21);
-            DriverBuilder::new()
-                .rounds(4)
-                .cohort(CohortPolicy::Sample { size: 32, seed: 9 })
-                .faults(plan.clone())
-                .staleness(staleness)
-                .build()
-                .run_silent(&mut fleet)
-        };
-        let strict = run(0);
-        let stale = run(2);
-        // Strict mode loses the stragglers' bytes entirely; bounded
-        // staleness recovers (some of) them in later rounds.
-        assert!(stale.ledger.total_bytes() > strict.ledger.total_bytes());
-        // And the stale run replays bit-identically.
-        assert_eq!(stale, run(2));
     }
 
     #[test]
@@ -601,14 +528,13 @@ mod tests {
     }
 
     #[test]
-    fn fleet_snapshot_resume_is_bit_identical_mid_staleness() {
+    fn fleet_snapshot_resume_is_bit_identical_under_deadlines() {
         let plan = FaultPlan::new(2).with_deadline(LinkModel::new(100.0, 0.0), 1.0);
         let driver = || {
             DriverBuilder::new()
                 .rounds(3)
                 .cohort(CohortPolicy::Sample { size: 32, seed: 9 })
                 .faults(plan.clone())
-                .staleness(2)
         };
         let mut straight = FleetSim::new(200, 6, 8, 33);
         let _ = driver().build().run_silent(&mut straight);
@@ -616,7 +542,8 @@ mod tests {
 
         let mut halted = FleetSim::new(200, 6, 8, 33);
         let _ = driver().build().run_silent(&mut halted);
-        // Snapshot mid-run, while late uploads are still in flight.
+        // Snapshot mid-run: the resumed loop must rebuild each client's
+        // deadline estimate from the restored ledger.
         let state = Driver::snapshot(&halted, &mut crate::telemetry::NullObserver);
         let mut resumed = FleetSim::new(200, 6, 8, 33);
         let second = driver()

@@ -1,13 +1,12 @@
-//! Robust aggregation primitives: trimmed means, medians, and clipped
-//! averaging.
+//! Robust aggregation primitives: trimmed means and medians.
 //!
 //! Admission control ([`crate::admission`]) rejects payloads that are
 //! *malformed*; the helpers here defang payloads that are well-formed but
-//! *wrong* — a Byzantine client's label-flipped logits or boosted model
-//! update pass every shape and finiteness check. The statistical defenses
-//! follow the classic robust-aggregation literature: coordinate-wise
-//! trimmed means (breakdown point = the trim fraction), distance-to-median
-//! outlier rejection, and norm clipping to the cohort median.
+//! *wrong* — a Byzantine client's label-flipped logits or noised
+//! prototypes pass every shape and finiteness check. The statistical
+//! defenses follow the classic robust-aggregation literature:
+//! coordinate-wise trimmed means (breakdown point = the trim fraction) and
+//! distance-to-median outlier rejection.
 //!
 //! All functions are deterministic and allocation-light; ties broken by
 //! `f32::total_cmp` keep results bit-identical across platforms.
@@ -145,68 +144,6 @@ pub fn coordinate_median(rows: &[&[f32]]) -> Result<Vec<f32>, AggregationError> 
         .collect())
 }
 
-/// Weighted average of `updates` after clipping each one's deviation from
-/// `reference` to the cohort's *median* deviation norm — the standard
-/// defense for parameter-averaging aggregation (FedAvg/FedProx): a boosted
-/// or sign-flipped update can pull the average no harder than the median
-/// honest client does.
-///
-/// With one or two updates the median equals (one of) the norms themselves,
-/// so clipping is a no-op there; protection kicks in from three clients up,
-/// and honest runs whose norms are similar are barely perturbed.
-///
-/// # Errors
-///
-/// [`AggregationError::Empty`] with no updates or all-zero weights,
-/// [`AggregationError::ShapeMismatch`] when lengths disagree.
-// `!(x > 0.0)` rather than `x <= 0.0`: a NaN total must also bail out.
-#[allow(clippy::neg_cmp_op_on_partial_ord)]
-pub fn clipped_weighted_average(
-    updates: &[Vec<f32>],
-    weights: &[f64],
-    reference: &[f32],
-) -> Result<Vec<f32>, AggregationError> {
-    if updates.is_empty() || updates.len() != weights.len() {
-        return Err(AggregationError::Empty);
-    }
-    if updates.iter().any(|u| u.len() != reference.len()) {
-        return Err(AggregationError::ShapeMismatch);
-    }
-    let total_weight: f64 = weights.iter().sum();
-    if !(total_weight > 0.0) {
-        return Err(AggregationError::Empty);
-    }
-    let norms: Vec<f64> = updates
-        .iter()
-        .map(|u| {
-            u.iter()
-                .zip(reference)
-                .map(|(&a, &b)| {
-                    let d = f64::from(a) - f64::from(b);
-                    d * d
-                })
-                .sum::<f64>()
-                .sqrt()
-        })
-        .collect();
-    let mut sorted_norms = norms.clone();
-    let cap = median(&mut sorted_norms);
-    let mut out = vec![0.0f64; reference.len()];
-    for ((update, &weight), &norm) in updates.iter().zip(weights).zip(&norms) {
-        let scale = if norm > cap && norm > 0.0 {
-            cap / norm
-        } else {
-            1.0
-        };
-        let w = weight / total_weight;
-        for ((o, &u), &r) in out.iter_mut().zip(update).zip(reference) {
-            let delta = f64::from(u) - f64::from(r);
-            *o += w * (f64::from(r) + scale * delta);
-        }
-    }
-    Ok(out.into_iter().map(|v| v as f32).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,56 +214,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn clipping_tames_a_boosted_update() {
-        let reference = vec![0.0f32; 2];
-        // Two honest unit-norm updates, one boosted 1000×.
-        let updates = vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![1000.0, 0.0]];
-        let weights = vec![1.0, 1.0, 1.0];
-        let clipped = clipped_weighted_average(&updates, &weights, &reference).unwrap();
-        // The boosted update is scaled back to the median norm (1.0), so no
-        // coordinate can exceed it.
-        assert!(clipped.iter().all(|v| v.abs() <= 1.0), "{clipped:?}");
-        // An unclipped average would be dominated by the attacker.
-        let unclipped: f32 = (1.0 + 0.0 + 1000.0) / 3.0;
-        assert!(clipped[0] < unclipped / 100.0);
-    }
-
-    #[test]
-    fn clipping_is_noop_for_equal_norms() {
-        let reference = vec![1.0f32, 1.0];
-        let updates = vec![vec![2.0, 1.0], vec![1.0, 2.0]];
-        let weights = vec![1.0, 1.0];
-        let clipped = clipped_weighted_average(&updates, &weights, &reference).unwrap();
-        assert!((clipped[0] - 1.5).abs() < 1e-6);
-        assert!((clipped[1] - 1.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clipped_average_respects_weights() {
-        let reference = vec![0.0f32];
-        let updates = vec![vec![1.0], vec![3.0]];
-        // Norms 1 and 3; median 2 → second clipped to 2; weights 3:1.
-        let clipped = clipped_weighted_average(&updates, &[3.0, 1.0], &reference).unwrap();
-        assert!((clipped[0] - (0.75 * 1.0 + 0.25 * 2.0)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clipped_average_rejects_bad_inputs() {
-        assert_eq!(
-            clipped_weighted_average(&[], &[], &[]),
-            Err(AggregationError::Empty)
-        );
-        assert_eq!(
-            clipped_weighted_average(&[vec![1.0]], &[1.0], &[1.0, 2.0]),
-            Err(AggregationError::ShapeMismatch)
-        );
-        assert_eq!(
-            clipped_weighted_average(&[vec![1.0]], &[0.0], &[0.0]),
-            Err(AggregationError::Empty)
-        );
-    }
-
     /// One cell of a pinned input: uniform values salted with signed
     /// zeros and a duplicated constant, plus — unless `finite` — NaN and
     /// ±∞, in the proportions the deleted cross-tier proptests drew.
@@ -366,8 +253,8 @@ mod tests {
         const LENS: [usize; 9] = [1, 2, 15, 16, 17, 63, 64, 65, 200];
         const TRIMS: [f32; 3] = [0.0, 0.2, 0.49];
         let mut rng = Rng::seed_from_u64(0x0b17_5eed);
-        let mut hashes = [Fnv1a::new(); 5];
-        let [trimmed, med, coord, clipped, logits] = &mut hashes;
+        let mut hashes = [Fnv1a::new(); 4];
+        let [trimmed, med, coord, logits] = &mut hashes;
         for (len, finite) in LENS.into_iter().flat_map(|l| [(l, false), (l, true)]) {
             for _ in 0..8 {
                 for trim in TRIMS {
@@ -383,11 +270,12 @@ mod tests {
                     fold(coord, f64::from(v));
                 }
 
-                let weights: Vec<f64> = (0..len).map(|_| rng.range_f64(0.5, 4.0)).collect();
-                let reference = cells32(&mut rng, 3, true);
-                for v in clipped_weighted_average(&rows, &weights, &reference).unwrap() {
-                    fold(clipped, f64::from(v));
+                // The draws of a deleted clipped average's weights and
+                // reference, kept so the inputs below stay the pinned ones.
+                for _ in 0..len {
+                    rng.range_f64(0.5, 4.0);
                 }
+                cells32(&mut rng, 3, true);
             }
             // That commit swept 3 rows sequentially and fanned 130 out
             // across workers, eight coordinates at a time.
@@ -413,11 +301,9 @@ mod tests {
                 0x82fd_f820_d6b4_ac54,
                 0x8179_74d2_8e60_0db6,
                 0x223f_e0b3_ad5b_3bfc,
-                0x728f_1edf_eee2_c430,
                 0x321e_51f0_3432_7659,
             ],
-            "trimmed_mean, median, coordinate_median, clipped_weighted_average, \
-             aggregate_logits_trimmed"
+            "trimmed_mean, median, coordinate_median, aggregate_logits_trimmed"
         );
     }
 }

@@ -23,7 +23,7 @@
 //! the whole payload in memory:
 //!
 //! ```text
-//! magic "FPKD" (4) · version u32 = 4 · algorithm name (len + utf8)
+//! magic "FPKD" (4) · version u32 = 5 · algorithm name (len + utf8)
 //! · chunks (u32 len > 0 · bytes)* · u32 0 sentinel
 //! · XXH64 checksum of everything before it (8)
 //! ```
@@ -33,9 +33,11 @@
 //! consumes it from any [`std::io::Read`]. Any other version is
 //! [`SnapshotError::UnsupportedVersion`]: version 1 was a buffered
 //! envelope, version 2 had this layout under an FNV-1a64 checksum, so
-//! its bytes would otherwise read as a checksum mismatch, and version 3
+//! its bytes would otherwise read as a checksum mismatch, version 3
 //! had this envelope around a FedPKD payload that still carried a
-//! presence tag for a trainable prototype bank. This is the
+//! presence tag for a trainable prototype bank, and version 4 had FedPKD
+//! and `FleetSim` payloads that still carried a queue of late
+//! (bounded-staleness) uploads. This is the
 //! only representation of a snapshot: one held in memory is these bytes
 //! in a `Vec<u8>`.
 //!
@@ -92,7 +94,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FPKD";
 ///
 /// Bump on any layout change; decoding rejects other versions with
 /// [`SnapshotError::UnsupportedVersion`] rather than misinterpreting bytes.
-pub const SNAPSHOT_STREAM_VERSION: u32 = 4;
+pub const SNAPSHOT_STREAM_VERSION: u32 = 5;
 
 /// Why a snapshot could not be decoded or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -861,8 +863,8 @@ mod tests {
         // in, a 17-byte remainder, sentinel, trailer. The length is the
         // layout's and has not changed since the chunk codec moved to
         // `netsim`; the fingerprint changed with version 3, when the
-        // trailer became XXH64, and with version 4, whose envelope is
-        // version 3's (only the version word and so the trailer differ).
+        // trailer became XXH64, and with versions 4 and 5, whose envelope
+        // is version 3's (only the version word and so the trailer differ).
         let payload: Vec<u8> = (0..3 * CHUNK + 17).map(|i| i as u8).collect();
         let mut bytes = Vec::new();
         let mut w = SnapshotStreamWriter::new(&mut bytes, "FedPKD");
@@ -874,7 +876,7 @@ mod tests {
         fnv.update(&bytes);
         assert_eq!(
             (bytes.len(), fnv.finish()),
-            (196_675, 0xa4cb_1027_48f5_0fdf)
+            (196_675, 0xb1e0_cc1b_739f_630d)
         );
     }
 
@@ -914,7 +916,8 @@ mod tests {
     fn other_versions_are_rejected() {
         // Version 1 was the buffered envelope, version 2 this layout under
         // an FNV-1a64 trailer, version 3 the FedPKD payload with a
-        // prototype-bank tag; the next one does not exist yet.
+        // prototype-bank tag, version 4 the payloads with a late-upload
+        // queue; the next one does not exist yet.
         for version in [
             1,
             2,

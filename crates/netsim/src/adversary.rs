@@ -185,7 +185,6 @@ pub struct RoundContext {
     cohort: Cohort,
     attacks: Vec<Option<Attack>>,
     seed: u64,
-    late: Vec<(usize, usize)>,
     worker_budget: Option<usize>,
 }
 
@@ -197,7 +196,6 @@ impl RoundContext {
             cohort,
             attacks: vec![None; n],
             seed: 0,
-            late: Vec::new(),
             worker_budget: None,
         }
     }
@@ -209,7 +207,6 @@ impl RoundContext {
             cohort,
             attacks,
             seed,
-            late: Vec::new(),
             worker_budget: None,
         }
     }
@@ -223,29 +220,12 @@ impl RoundContext {
         self
     }
 
-    /// Replaces the late-arrival roster: `(client, lag)` pairs for clients
-    /// that missed this round's deadline but whose upload the driver will
-    /// accept `lag` rounds late (bounded-staleness async mode). Late
-    /// clients remain *dropped* in the cohort — they contribute nothing to
-    /// this round's aggregation — but an algorithm that supports staleness
-    /// may train them and queue their upload for arrival.
-    pub fn with_late_arrivals(mut self, late: Vec<(usize, usize)>) -> Self {
-        self.late = late;
-        self
-    }
-
     /// Sets the driver's worker budget for this round's client phase
     /// (`None` = let the algorithm pick, typically the machine's available
     /// parallelism).
     pub fn with_worker_budget(mut self, workers: Option<usize>) -> Self {
         self.worker_budget = workers;
         self
-    }
-
-    /// The round's late-arrival roster: `(client, lag)` pairs, ascending by
-    /// client. Empty in synchronous mode.
-    pub fn late_arrivals(&self) -> &[(usize, usize)] {
-        &self.late
     }
 
     /// The driver's worker budget for this round, if it set one.

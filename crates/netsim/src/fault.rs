@@ -102,20 +102,6 @@ impl Deadline {
     pub fn exceeded_by(self, elapsed_seconds: f64) -> bool {
         elapsed_seconds > self.seconds
     }
-
-    /// How many whole deadline windows a transfer of `elapsed_seconds`
-    /// overruns: `None` when it meets the cutoff, `Some(lag ≥ 1)` when it
-    /// lands `lag` windows late (the bounded-staleness currency of
-    /// [`FaultPlan::deadline_lag`]).
-    pub fn lag_of(self, elapsed_seconds: f64) -> Option<usize> {
-        if !self.exceeded_by(elapsed_seconds) {
-            return None;
-        }
-        // The transfer spans ceil(elapsed / deadline) round windows; it
-        // lands lag = that - 1 rounds after the one it started in.
-        let lag = (elapsed_seconds / self.seconds).ceil() as usize;
-        Some(lag.saturating_sub(1).max(1))
-    }
 }
 
 /// Why a client missed a round.
@@ -484,25 +470,6 @@ impl FaultPlan {
         RoundContext::with_attacks(cohort, attacks, self.seed)
     }
 
-    /// How many round deadlines `client`'s uplink of `payload_bytes` would
-    /// overrun: `None` if the client meets the deadline (or no deadline is
-    /// configured), `Some(lag ≥ 1)` if the transfer finishes during round
-    /// `current + lag`.
-    ///
-    /// This is the bounded-staleness hook: a driver running in async mode
-    /// can admit a straggler's upload `lag` rounds late instead of
-    /// discarding it, as long as `lag` stays within its staleness bound.
-    /// Like [`cohort`](Self::cohort), it is a pure function of the plan and
-    /// its arguments.
-    pub fn deadline_lag(&self, client: usize, payload_bytes: usize) -> Option<usize> {
-        let deadline = self.deadline?;
-        let time = self
-            .link
-            .slowed(self.slowdown(client))
-            .transfer_time(payload_bytes);
-        deadline.lag_of(time)
-    }
-
     fn in_outage(&self, client: usize, round: usize) -> bool {
         self.outages.iter().any(|o| {
             o.client == client && round >= o.start_round && round < o.start_round + o.rounds
@@ -691,24 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_lag_counts_overrun_round_windows() {
-        // 1 KB/s link, zero latency: 1000 bytes take 1 s.
-        let link = LinkModel::new(1000.0, 0.0);
-        let plan = FaultPlan::new(0)
-            .with_deadline(link, 1.0)
-            .with_slowdown(1, 3.0);
-        assert_eq!(plan.deadline_lag(0, 900), None, "meets the deadline");
-        assert_eq!(plan.deadline_lag(0, 1500), Some(1), "lands next round");
-        assert_eq!(plan.deadline_lag(0, 3500), Some(3));
-        assert_eq!(plan.deadline_lag(1, 1000), Some(2), "slowdown compounds");
-        assert_eq!(
-            FaultPlan::new(0).deadline_lag(0, usize::MAX),
-            None,
-            "no deadline configured"
-        );
-    }
-
-    #[test]
     fn deadline_is_one_representation_for_simulated_and_real_cutoffs() {
         // The serving layer waits `deadline.to_duration()` wall-clock and
         // asks `exceeded_by(elapsed)`; the fault plan asks `exceeded_by`
@@ -730,15 +679,6 @@ mod tests {
         assert_eq!(cohort.cause(1), Some(DropCause::Deadline));
         // And `with_deadline(link, secs)` is the same plan.
         assert_eq!(plan, FaultPlan::new(0).with_deadline(link, 2.0));
-    }
-
-    #[test]
-    fn deadline_lag_windows() {
-        let d = Deadline::from_secs(1.0);
-        assert_eq!(d.lag_of(0.5), None);
-        assert_eq!(d.lag_of(1.0), None);
-        assert_eq!(d.lag_of(1.5), Some(1));
-        assert_eq!(d.lag_of(3.5), Some(3));
     }
 
     #[test]

@@ -123,6 +123,13 @@ fn parse_args() -> Result<Args, String> {
             "--snapshot-every needs --snapshot PATH\nusage: {USAGE}"
         ));
     }
+    // Nor may a cadence of 0: no round past the first is a multiple of it,
+    // so the run would never write a snapshot.
+    if args.snapshot_every == Some(0) {
+        return Err(format!(
+            "--snapshot-every must be at least 1\nusage: {USAGE}"
+        ));
+    }
     Ok(args)
 }
 

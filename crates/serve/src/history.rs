@@ -17,6 +17,7 @@
 //!   produced different metrics is a determinism bug, not noise to paper
 //!   over.
 
+use std::io::Write;
 use std::path::Path;
 
 use fedpkd_core::runtime::RoundMetrics;
@@ -167,9 +168,9 @@ pub fn canonical_rounds(text: &str) -> Result<Vec<String>, HistoryError> {
 }
 
 /// Drops an unterminated trailing line left by a process killed mid-write
-/// (every complete line ends in `\n`). Rewrites via a temp file and an
-/// atomic rename; a missing file is fine (fresh start). Returns whether a
-/// partial line was dropped.
+/// (every complete line ends in `\n`). Rewrites via a synced temp file
+/// and an atomic rename; a missing file is fine (fresh start). Returns
+/// whether a partial line was dropped.
 ///
 /// # Errors
 ///
@@ -187,8 +188,12 @@ pub fn repair_history_file(path: &Path) -> Result<bool, HistoryError> {
     if keep == bytes.len() {
         return Ok(false);
     }
+    // Synced before the rename, as every append and the snapshot are: a
+    // crash right after it must not leave a renamed but unwritten file.
     let tmp = path.with_extension("repair-tmp");
-    std::fs::write(&tmp, &bytes[..keep])?;
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(&bytes[..keep])?;
+    file.sync_all()?;
     std::fs::rename(&tmp, path)?;
     Ok(true)
 }

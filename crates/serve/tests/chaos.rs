@@ -207,23 +207,30 @@ fn killed_and_restarted_run_is_bit_identical_to_in_process() {
 /// A flag value the server cannot run with is a usage error (exit 1), not
 /// a panic deep in `Deadline::from_secs` (exit 101) — nor, for a zero
 /// connection cap, a server that sheds every client for ever, or, for a
-/// snapshot cadence with no path, a run that persists nothing.
+/// snapshot cadence with no path or a cadence of 0, a run that persists
+/// nothing.
 #[test]
 fn unusable_flag_values_get_the_usage_error() {
     use std::io::Read;
     let sock = std::env::temp_dir().join(format!("fedpkd-flags-{}.sock", std::process::id()));
-    for (flag, value) in [
-        ("--io-deadline", "nan"),
-        ("--io-deadline", "0"),
-        ("--io-deadline", "-1"),
-        ("--io-deadline", "1e30"),
-        ("--max-conns", "0"),
+    let snap = std::env::temp_dir().join(format!("fedpkd-flags-{}.snap", std::process::id()));
+    let snap = snap.display().to_string();
+    for args in [
+        &["--io-deadline", "nan"][..],
+        &["--io-deadline", "0"],
+        &["--io-deadline", "-1"],
+        &["--io-deadline", "1e30"],
+        &["--max-conns", "0"],
         // A snapshot cadence with no `--snapshot PATH` to write to.
-        ("--snapshot-every", "1"),
+        &["--snapshot-every", "1"],
+        // A cadence no round past the first is a multiple of, with a path
+        // so the check above does not catch it first.
+        &["--snapshot", &snap, "--snapshot-every", "0"],
     ] {
+        let case = args.join(" ");
         let mut server = Command::new(env!("CARGO_BIN_EXE_fedpkd-serve"))
             .args(["--uds", &sock.display().to_string(), "--rounds", "1"])
-            .args([flag, value])
+            .args(args)
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
             .spawn()
@@ -232,9 +239,9 @@ fn unusable_flag_values_get_the_usage_error() {
         let status = wait_timeout(server, Duration::from_secs(10));
         let mut said = String::new();
         stderr.read_to_string(&mut said).expect("read stderr");
-        assert_eq!(status.code(), Some(1), "{flag} {value}: {said}");
-        assert!(said.contains("usage:"), "{flag} {value}: {said}");
-        assert!(!said.contains("panicked"), "{flag} {value}: {said}");
+        assert_eq!(status.code(), Some(1), "{case}: {said}");
+        assert!(said.contains("usage:"), "{case}: {said}");
+        assert!(!said.contains("panicked"), "{case}: {said}");
     }
     let _ = std::fs::remove_file(&sock);
 

@@ -43,7 +43,8 @@ fi
 cargo clippy --workspace --all-targets -- -D warnings
 # The vendored third-party crate is exempt from the doc gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q --exclude proptest
-cargo test --workspace -q
+# Every failing test binary is reported, not only the first.
+cargo test --workspace -q --no-fail-fast
 # One-core liveness: the training thread and its step worker wait on each
 # other (bounded spin, then block; the forward waits layer by layer), every
 # algorithm's client phases run on the work-stealing pool, whose caller

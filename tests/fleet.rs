@@ -61,23 +61,24 @@ proptest! {
     /// A 10k-fleet run under a sampled cohort policy is bit-identical on
     /// replay — same `RunResult`, same server state — regardless of the
     /// worker budget, because uploads fold at the canonical commit point.
-    /// In bounded-staleness mode too: a link slow enough that every invited
-    /// client misses the 1 s deadline, its upload landing in a later round.
+    /// Under a deadline too: a link slow enough that every invited client
+    /// whose upload size is known misses the 1 s deadline and sits the
+    /// round out.
     #[test]
     fn fleet_run_replays_identically(
         seed in any::<u64>(),
         cohort_seed in any::<u64>(),
-        staleness in prop_oneof![Just(0usize), Just(2)],
+        deadline in prop_oneof![Just(false), Just(true)],
     ) {
         let run = |workers: usize| {
             let mut fleet = FleetSim::new(FLEET, 6, 8, seed);
             let mut builder = DriverBuilder::new()
-                .rounds(ROUNDS + staleness)
+                .rounds(ROUNDS)
                 .cohort(CohortPolicy::Sample { size: 64, seed: cohort_seed })
                 .workers(workers);
-            if staleness > 0 {
+            if deadline {
                 let slow = FaultPlan::new(seed).with_deadline(LinkModel::new(100.0, 0.0), 1.0);
-                builder = builder.faults(slow).staleness(staleness);
+                builder = builder.faults(slow);
             }
             let result = builder.build().run_silent(&mut fleet);
             (result, fleet)
