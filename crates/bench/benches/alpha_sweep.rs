@@ -12,12 +12,10 @@
 //! the generated run's (larger) budget, are printed with their spread but
 //! not gated.
 
-use fedpkd_bench::{banner, print_table, run_method, Method, Scale, Setting, Task};
+use fedpkd_bench::{banner, print_table, run_method, Method, Scale, Setting, Summary, Task, SEEDS};
 use fedpkd_core::fedpkd::{DistillSource, FedPkdConfig};
 use fedpkd_core::runtime::RunResult;
 use fedpkd_data::ALPHA_SWEEP;
-
-const SEEDS: [u64; 3] = [707, 1311, 2024];
 
 /// Best server accuracy achievable within a communication budget: the
 /// maximum over rounds whose *cumulative* bytes still fit under `budget` —
@@ -35,22 +33,6 @@ fn acc_within(result: &RunResult, budget: usize) -> f64 {
 fn at_equal_budget(pkd: &RunResult, df: &RunResult) -> (f64, f64) {
     let budget = pkd.ledger.total_bytes().min(df.ledger.total_bytes());
     (acc_within(pkd, budget), acc_within(df, budget))
-}
-
-fn mean(values: &[f64]) -> f64 {
-    values.iter().sum::<f64>() / values.len() as f64
-}
-
-/// `mean ± sd` (sample standard deviation) of one value per seed.
-fn mean_sd(values: &[f64]) -> String {
-    let m = mean(values);
-    let var = values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / (values.len() - 1) as f64;
-    format!("{m:.4} ± {:.4}", var.sqrt())
-}
-
-/// Column `k` of one-row-per-seed measurements.
-fn column<const N: usize>(rows: &[[f64; N]], k: usize) -> Vec<f64> {
-    rows.iter().map(|row| row[k]).collect()
 }
 
 fn best(run: &RunResult) -> f64 {
@@ -98,13 +80,13 @@ fn main() {
                 at_alpha_01.push((seed, pkd, df, df_acc));
             }
         }
-        let col = |k| column(&cells, k);
+        let sum = |k: usize| Summary::of(cells.iter().map(|row| row[k]));
         rows.push(vec![
             alpha.to_string(),
-            mean_sd(&col(0)),
-            mean_sd(&col(1)),
-            mean_sd(&col(2)),
-            format!("{:.0}", mean(&col(3))),
+            sum(0).to_string(),
+            sum(1).to_string(),
+            sum(2).to_string(),
+            format!("{:.0}", sum(3).mean),
         ]);
     }
     print_table(
@@ -147,37 +129,38 @@ fn main() {
             bytes(&run),
         ]);
     }
-    let col = |k| column(&cells, k);
+    let col = |k: usize| -> Vec<f64> { cells.iter().map(|row| row[k]).collect() };
+    let sum = |k: usize| Summary::of(col(k));
     print_table(
         "Data-free mode at α=0.1 (FedPKD, mean ± sd over seeds)",
         &["transfer set", "best server accuracy", "mean total bytes"],
         &[
             vec![
                 "public".into(),
-                mean_sd(&col(0)),
-                format!("{:.0}", mean(&col(6))),
+                sum(0).to_string(),
+                format!("{:.0}", sum(6).mean),
             ],
             vec![
                 "generated".into(),
-                mean_sd(&col(1)),
-                format!("{:.0}", mean(&col(7))),
+                sum(1).to_string(),
+                format!("{:.0}", sum(7).mean),
             ],
         ],
     );
     println!(
         "\npublic − generated gap: {} (per seed {:.4?}; reported, not gated)",
-        mean_sd(&col(2)),
+        sum(2),
         col(2)
     );
     println!(
         "generated vs FedDF within the public run's budget: {} vs {} (gated)",
-        mean_sd(&col(1)),
-        mean_sd(&col(3))
+        sum(1),
+        sum(3)
     );
     println!(
         "generated vs FedDF within the generated run's budget: {} vs {} (per seed {:.4?} vs {:.4?}; reported, not gated)",
-        mean_sd(&col(4)),
-        mean_sd(&col(5)),
+        sum(4),
+        sum(5),
         col(4),
         col(5)
     );

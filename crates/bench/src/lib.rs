@@ -1,9 +1,11 @@
 //! Shared infrastructure for the experiment harness.
 //!
-//! Every bench target under `benches/` reproduces one table or figure of
-//! the paper's evaluation (see DESIGN.md §4 for the index). This library
-//! provides the shared pieces: paper-faithful scenario presets, method
-//! constructors, scale profiles, and table printers.
+//! The `paper` bench target reproduces every table and figure of the
+//! paper's evaluation, and `alpha_sweep` the α sweep (see DESIGN.md §4 for
+//! the index). This library provides the shared pieces: paper-faithful
+//! scenario presets, the method constructor, scale profiles, the memo that
+//! runs each distinct [`Cell`] once per seed of [`SEEDS`], the mean ± sd
+//! [`Summary`] and the table printer.
 //!
 //! Absolute numbers differ from the paper (the substrate is a synthetic
 //! simulator, not CIFAR on GPUs); the harness is built to reproduce the
@@ -19,6 +21,10 @@ use fedpkd_core::fedpkd::{FedPkd, FedPkdConfig};
 use fedpkd_core::runtime::RunResult;
 use fedpkd_data::{FederatedScenario, Partition, ScenarioBuilder, SyntheticConfig};
 use fedpkd_tensor::models::{DepthTier, ModelSpec};
+use std::fmt;
+
+/// The seeds every harness cell runs at; tables print mean ± sd over them.
+pub const SEEDS: [u64; 3] = [707, 1311, 2024];
 
 /// Which synthetic dataset stands in for which paper dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,6 +85,8 @@ impl Task {
 /// The paper's partition settings (§V-A / §V-B).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Setting {
+    /// IID: every client draws uniformly from the private pool (Fig. 1).
+    Iid,
     /// Highly non-IID shards: `k = 3` (C10) / `k = 30` (C100).
     ShardsHigh,
     /// Weakly non-IID shards: `k = 5` (C10) / `k = 50` (C100).
@@ -102,6 +110,7 @@ impl Setting {
     /// degree).
     pub fn partition(&self, task: Task, samples: usize, clients: usize) -> Partition {
         match self {
+            Self::Iid => Partition::Iid,
             Self::DirHigh => Partition::Dirichlet { alpha: 0.1 },
             Self::DirWeak => Partition::Dirichlet { alpha: 0.5 },
             Self::Dir { alpha } => Partition::Dirichlet { alpha: *alpha },
@@ -131,6 +140,7 @@ impl Setting {
     /// Display name, e.g. `k=3` or `α=0.1`.
     pub fn name(&self, task: Task) -> String {
         match (self, task) {
+            (Self::Iid, _) => "IID".into(),
             (Self::ShardsHigh, Task::C10) => "k=3".into(),
             (Self::ShardsHigh, Task::C100) => "k=30".into(),
             (Self::ShardsWeak, Task::C10) => "k=5".into(),
@@ -145,7 +155,7 @@ impl Setting {
 /// Scale profile of the harness: how big the scenarios are and how long the
 /// runs last. `quick` (default) finishes the full suite in minutes;
 /// `paper` uses the paper's round/epoch budget (set `FEDPKD_SCALE=paper`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scale {
     /// Number of federated clients.
     pub clients: usize,
@@ -388,7 +398,8 @@ impl Method {
 
 /// Runs one method on one scenario with homogeneous (or, for
 /// heterogeneity-capable methods when `hetero` is set, tier-mixed) client
-/// models and returns the run result.
+/// models and returns the run result. A FedPKD configuration variant (an
+/// ablation arm, a θ or δ sweep point) is a `scale` with a different `pkd`.
 ///
 /// # Panics
 ///
@@ -457,45 +468,110 @@ pub fn run_method(
     }
 }
 
-/// Runs FedPKD with a modified configuration (for the ablation and
-/// sensitivity sweeps of Figs. 8–10).
-///
-/// # Panics
-///
-/// Panics if the mutated configuration is invalid.
-pub fn run_fedpkd_with(
-    scale: &Scale,
-    task: Task,
-    setting: Setting,
-    seed: u64,
-    mutate: impl FnOnce(&mut FedPkdConfig),
-) -> RunResult {
-    let mut config = scale.pkd.clone();
-    mutate(&mut config);
-    let scenario = scale.scenario(task, setting, seed);
-    let mut algo = FedPkd::new(
-        scenario,
-        vec![scale.client_spec(task); scale.clients],
-        scale.server_spec(task),
-        config,
-        seed,
-    )
-    .expect("mutated config must stay valid");
-    Driver::rounds(scale.rounds).run_silent(&mut algo)
+/// One federation run's identity short of its seed: the method, the data,
+/// the client models and the [`Scale`] (with its [`FedPkdConfig`]) it runs
+/// at. Two figures that ask for equal cells read the same runs.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cell {
+    /// The algorithm.
+    pub method: Method,
+    /// The dataset analog.
+    pub task: Task,
+    /// The partition.
+    pub setting: Setting,
+    /// Tier-mixed client models (see [`run_method`]).
+    pub hetero: bool,
+    /// Scenario size, run length and hyperparameters.
+    pub scale: Scale,
 }
 
-/// Formats an optional accuracy as a percent cell.
-pub fn pct(acc: Option<f64>) -> String {
-    match acc {
-        Some(a) => format!("{:.2}%", a * 100.0),
-        None => "n/a".to_string(),
+/// Every federation run the harness has executed, keyed by [`Cell`] and
+/// seed: a lookup of a cell another figure already ran reads that run.
+#[derive(Debug, Default)]
+pub struct Runs {
+    done: Vec<(Cell, u64, RunResult)>,
+}
+
+impl Runs {
+    /// The run of `cell` at `seed`, executed on its first lookup.
+    pub fn get(&mut self, cell: &Cell, seed: u64) -> &RunResult {
+        let index = match self
+            .done
+            .iter()
+            .position(|(c, s, _)| *s == seed && c == cell)
+        {
+            Some(index) => index,
+            None => {
+                let Cell {
+                    method,
+                    task,
+                    setting,
+                    hetero,
+                    ref scale,
+                } = *cell;
+                let result = run_method(method, scale, task, setting, hetero, seed);
+                self.done.push((cell.clone(), seed, result));
+                self.done.len() - 1
+            }
+        };
+        &self.done[index].2
+    }
+
+    /// `value` of `cell`'s run at each seed of [`SEEDS`], in order.
+    pub fn per_seed<T>(&mut self, cell: &Cell, value: impl Fn(&RunResult) -> T) -> Vec<T> {
+        SEEDS
+            .iter()
+            .map(|&seed| value(self.get(cell, seed)))
+            .collect()
+    }
+
+    /// How many federation runs have been executed.
+    pub fn executed(&self) -> usize {
+        self.done.len()
+    }
+}
+
+/// Mean and sample standard deviation of one value per seed. Displays as
+/// `mean ± sd` at the formatter's precision (4 places by default).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Summary {
+    /// The arithmetic mean.
+    pub mean: f64,
+    /// The sample (n − 1) standard deviation; 0 for fewer than two values.
+    pub sd: f64,
+}
+
+impl Summary {
+    /// Summarizes `values`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` is empty.
+    pub fn of(values: impl IntoIterator<Item = f64>) -> Self {
+        let values: Vec<f64> = values.into_iter().collect();
+        assert!(!values.is_empty(), "a summary needs at least one value");
+        let n = values.len() as f64;
+        let mean = values.iter().sum::<f64>() / n;
+        let sd = if values.len() < 2 {
+            0.0
+        } else {
+            (values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0)).sqrt()
+        };
+        Self { mean, sd }
+    }
+}
+
+impl fmt::Display for Summary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let places = f.precision().unwrap_or(4);
+        write!(f, "{:.places$} ± {:.places$}", self.mean, self.sd)
     }
 }
 
 /// Prints a markdown table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+pub fn print_table(title: &str, headers: &[impl AsRef<str>], rows: &[Vec<String>]) {
     println!("\n## {title}\n");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.as_ref().len()).collect();
     for row in rows {
         for (w, cell) in widths.iter_mut().zip(row) {
             *w = (*w).max(cell.len());
@@ -509,7 +585,7 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
             .collect();
         format!("| {} |", body.join(" | "))
     };
-    let header_cells: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
+    let header_cells: Vec<String> = headers.iter().map(|s| s.as_ref().to_string()).collect();
     println!("{}", fmt_row(&header_cells));
     let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
     println!("{}", fmt_row(&sep));
@@ -523,7 +599,7 @@ pub fn banner(id: &str, paper_claim: &str) {
     println!("\n=== {id} ===");
     println!("paper: {paper_claim}");
     println!(
-        "scale profile: {} (set FEDPKD_SCALE=paper for the full budget)",
+        "scale profile: {} (set FEDPKD_SCALE=paper for the full budget); every cell runs at seeds {SEEDS:?} and prints mean ± sd",
         Profile::from_env().name()
     );
 }
@@ -559,6 +635,7 @@ mod tests {
         let scale = Scale::quick();
         for task in [Task::C10, Task::C100] {
             for setting in [
+                Setting::Iid,
                 Setting::ShardsHigh,
                 Setting::ShardsWeak,
                 Setting::DirHigh,
@@ -606,9 +683,96 @@ mod tests {
         assert!(Method::FedPkd.has_server_model());
     }
 
+    /// A scale small enough to run a federation round in a unit test.
+    fn tiny() -> Scale {
+        let quick = Scale::quick();
+        Scale {
+            clients: 3,
+            samples: 90,
+            public: 30,
+            test: 30,
+            rounds: 1,
+            pkd: FedPkdConfig {
+                client_private_epochs: 1,
+                client_public_epochs: 1,
+                server_epochs: 1,
+                ..quick.pkd
+            },
+            base: BaselineConfig {
+                local_epochs: 1,
+                server_epochs: 1,
+                digest_epochs: 1,
+                ..quick.base
+            },
+        }
+    }
+
+    fn tiny_cell(method: Method) -> Cell {
+        Cell {
+            method,
+            task: Task::C10,
+            setting: Setting::Iid,
+            hetero: false,
+            scale: tiny(),
+        }
+    }
+
     #[test]
-    fn pct_formats() {
-        assert_eq!(pct(Some(0.5)), "50.00%");
-        assert_eq!(pct(None), "n/a");
+    fn every_method_runs_a_round() {
+        let scale = tiny();
+        let homogeneous = Method::ROSTER.into_iter().chain([Method::NaiveKd]);
+        let hetero = Method::HETERO_ROSTER.map(|m| (m, true));
+        for (method, hetero) in homogeneous.map(|m| (m, false)).chain(hetero) {
+            let result = run_method(method, &scale, Task::C10, Setting::Iid, hetero, 5);
+            assert_eq!(result.history.len(), 1, "{method:?} hetero={hetero}");
+            assert_eq!(
+                result.best_server_accuracy().is_some(),
+                method.has_server_model(),
+                "{method:?} hetero={hetero}"
+            );
+            assert!(result.ledger.total_bytes() > 0, "{method:?} sent nothing");
+        }
+    }
+
+    #[test]
+    fn the_memo_runs_a_cell_once_per_seed() {
+        let mut runs = Runs::default();
+        let cell = tiny_cell(Method::FedAvg);
+        let first = runs.get(&cell, 9).clone();
+        assert_eq!(runs.executed(), 1);
+        let second = runs.get(&cell, 9).clone();
+        assert_eq!(runs.executed(), 1, "a second lookup must not run again");
+        assert_eq!(first, second);
+        runs.get(&cell, 10);
+        assert_eq!(runs.executed(), 2, "another seed is another run");
+    }
+
+    #[test]
+    fn an_override_equal_to_the_default_is_the_default_cell() {
+        let default = tiny_cell(Method::FedPkd);
+        let mut theta = default.clone();
+        theta.scale.pkd.theta = 0.7;
+        assert_eq!(theta, default);
+        let mut runs = Runs::default();
+        runs.get(&default, 3);
+        runs.get(&theta, 3);
+        assert_eq!(runs.executed(), 1);
+        theta.scale.pkd.theta = 0.5;
+        assert_ne!(theta, default, "a real override is its own cell");
+    }
+
+    #[test]
+    fn summary_is_mean_and_sample_sd() {
+        let s = Summary::of([1.0, 2.0, 4.0]);
+        assert!((s.mean - 7.0 / 3.0).abs() < 1e-12);
+        // Σ(v − m)² = 16/9 + 1/9 + 25/9 = 42/9; / (n − 1) = 7/3.
+        assert!((s.sd - (7.0f64 / 3.0).sqrt()).abs() < 1e-12);
+        assert_eq!(Summary::of([0.25; 3]).sd, 0.0);
+        assert_eq!(Summary::of([0.5]), Summary { mean: 0.5, sd: 0.0 });
+        assert_eq!(format!("{}", Summary::of([0.5, 0.7])), "0.6000 ± 0.1414");
+        assert_eq!(
+            format!("{:.1}", Summary::of([50.0, 60.0, 70.0])),
+            "60.0 ± 10.0"
+        );
     }
 }
