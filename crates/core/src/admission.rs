@@ -26,8 +26,17 @@
 //! well-formed but wrong.
 
 use crate::fedpkd::prototypes::Prototype;
-use crate::fedpkd::CoreError;
 use fedpkd_tensor::Tensor;
+
+/// Per-entry magnitude cap for logit uploads.
+pub const MAX_ABS_LOGIT: f32 = 1e4;
+
+/// L2-norm cap for each prototype vector.
+pub const MAX_PROTOTYPE_NORM: f32 = 1e4;
+
+/// A client is quarantined after this many *consecutive* rounds with a
+/// rejected upload.
+pub const QUARANTINE_AFTER: usize = 3;
 
 /// Which upload failed validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,63 +92,31 @@ impl RejectReason {
 
 /// Stateless validation rules applied to every client upload.
 ///
-/// The defaults are deliberately loose — generous magnitude caps that no
-/// honestly trained model approaches — so the policy rejects only payloads
-/// that are malformed or wildly implausible, never merely low-quality ones.
-/// Statistical outliers are the business of robust aggregation, not
-/// admission.
+/// The caps ([`MAX_ABS_LOGIT`], [`MAX_PROTOTYPE_NORM`]) are deliberately
+/// loose — generous magnitudes that no honestly trained model approaches —
+/// so the policy rejects only payloads that are malformed or wildly
+/// implausible, never merely low-quality ones. Statistical outliers are the
+/// business of robust aggregation, not admission.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionPolicy {
     /// Master switch; `false` restores the trust-everyone seed behavior
     /// (and with it the panics on malformed uploads).
     pub enabled: bool,
-    /// Per-entry magnitude cap for logit uploads.
-    pub max_abs_logit: f32,
-    /// L2-norm cap for each prototype vector.
-    pub max_prototype_norm: f32,
-    /// Quarantine a client after this many *consecutive* rounds with a
-    /// rejected upload (`0` disables quarantining).
-    pub quarantine_after: usize,
 }
 
 impl Default for AdmissionPolicy {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            max_abs_logit: 1e4,
-            max_prototype_norm: 1e4,
-            quarantine_after: 3,
-        }
+        Self { enabled: true }
     }
 }
 
 impl AdmissionPolicy {
-    /// Validates the policy's own parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] if a cap is not positive and
-    /// finite.
-    pub fn validate(&self) -> Result<(), CoreError> {
-        for (name, v) in [
-            ("max_abs_logit", self.max_abs_logit),
-            ("max_prototype_norm", self.max_prototype_norm),
-        ] {
-            if !(v > 0.0 && v.is_finite()) {
-                return Err(CoreError::InvalidConfig(format!(
-                    "admission {name} must be positive and finite"
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// Checks a logit upload against the expected `rows × cols` shape.
     ///
     /// # Errors
     ///
     /// Returns the [`RejectReason`] on shape mismatch, non-finite entries,
-    /// or entries beyond [`max_abs_logit`](Self::max_abs_logit).
+    /// or entries beyond [`MAX_ABS_LOGIT`].
     pub fn check_logits(
         &self,
         logits: &Tensor,
@@ -155,11 +132,7 @@ impl AdmissionPolicy {
         if !logits.all_finite() {
             return Err(RejectReason::NonFinite);
         }
-        if logits
-            .as_slice()
-            .iter()
-            .any(|v| v.abs() > self.max_abs_logit)
-        {
+        if logits.as_slice().iter().any(|v| v.abs() > MAX_ABS_LOGIT) {
             return Err(RejectReason::NormExceeded);
         }
         Ok(())
@@ -191,7 +164,7 @@ impl AdmissionPolicy {
             if !p.vector.all_finite() {
                 return Err(RejectReason::NonFinite);
             }
-            if f64::from(p.vector.l2_norm()) > f64::from(self.max_prototype_norm) {
+            if f64::from(p.vector.l2_norm()) > f64::from(MAX_PROTOTYPE_NORM) {
                 return Err(RejectReason::NormExceeded);
             }
         }
@@ -199,9 +172,9 @@ impl AdmissionPolicy {
     }
 
     /// Checks a flat parameter upload against the expected length.
-    /// Magnitude is deliberately unconstrained here — norm-bounding updates
-    /// is the job of clipped averaging, which handles it gracefully rather
-    /// than by rejection.
+    /// Magnitude is unconstrained here, and nothing downstream bounds it
+    /// either: no baseline clips or norm-bounds a large-but-finite update,
+    /// so the model-averaging baselines average one in as it arrives.
     ///
     /// # Errors
     ///
@@ -333,21 +306,6 @@ mod tests {
     }
 
     #[test]
-    fn default_policy_is_valid() {
-        assert!(policy().validate().is_ok());
-        let bad = AdmissionPolicy {
-            max_abs_logit: 0.0,
-            ..policy()
-        };
-        assert!(bad.validate().is_err());
-        let bad = AdmissionPolicy {
-            max_prototype_norm: f32::NAN,
-            ..policy()
-        };
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
     fn clean_logits_pass() {
         assert_eq!(
             policy().check_logits(&t(&[1.0, -2.0], &[1, 2]), 1, 2),
@@ -374,10 +332,7 @@ mod tests {
 
     #[test]
     fn disabled_policy_accepts_garbage() {
-        let p = AdmissionPolicy {
-            enabled: false,
-            ..policy()
-        };
+        let p = AdmissionPolicy { enabled: false };
         assert_eq!(
             p.check_logits(&t(&[f32::NAN], &[1, 1]), 9, 9),
             Ok(()),
@@ -421,7 +376,8 @@ mod tests {
             p.check_update(&[1.0, f32::NEG_INFINITY], 2),
             Err(RejectReason::NonFinite)
         );
-        // Large-but-finite updates are admitted; clipping tames them later.
+        // Large-but-finite updates are admitted, and no later stage bounds
+        // them.
         assert_eq!(p.check_update(&[1e30, 0.0], 2), Ok(()));
     }
 

@@ -2,11 +2,11 @@
 
 use std::time::Instant;
 
-use crate::admission::{PayloadKind, QuarantineTracker, RejectReason};
+use crate::admission::{PayloadKind, QuarantineTracker, RejectReason, QUARANTINE_AFTER};
 use crate::clients::{corrupt_logits, digest, train_cohort, validate_specs, ClientState, RoundIo};
 use crate::cow::{pooled_client_accuracies, ClientPool};
 use crate::eval;
-use crate::fedpkd::config::{CoreError, DistillSource, FedPkdConfig};
+use crate::fedpkd::config::{CoreError, DistillSource, FedPkdConfig, PROTOTYPE_STALENESS};
 use crate::fedpkd::distill::train_server_with_workers;
 use crate::fedpkd::filter::{filter_public, filter_public_opts};
 use crate::fedpkd::generator::{self, Generator};
@@ -48,10 +48,10 @@ use fedpkd_tensor::Tensor;
 /// Eq. 6–8 aggregations, and receive the downlink. For the size-weighted
 /// prototype aggregation (Eq. 8) the server additionally reuses a dropped
 /// client's most recent uploaded prototypes, as long as the absence is
-/// within [`FedPkdConfig::prototype_staleness`] rounds — prototypes are
-/// slow-moving class statistics, so brief reuse is sound (cf. FedProto's
-/// robustness to missing clients), whereas logits are never reused. A
-/// zero-survivor round is a no-op: nothing travels and no model changes.
+/// within [`PROTOTYPE_STALENESS`] rounds — prototypes are slow-moving class
+/// statistics, so brief reuse is sound (cf. FedProto's robustness to
+/// missing clients), whereas logits are never reused. A zero-survivor
+/// round is a no-op: nothing travels and no model changes.
 ///
 /// See the crate-level example for usage.
 ///
@@ -132,7 +132,7 @@ impl FedPkd {
         let server_model = server_spec.build(&mut server_rng);
         let num_classes = scenario.num_classes;
         let num_clients = scenario.num_clients();
-        let quarantine = QuarantineTracker::new(num_clients, config.admission.quarantine_after);
+        let quarantine = QuarantineTracker::new(num_clients, QUARANTINE_AFTER);
         let generator = (config.distill_source == DistillSource::Generated).then(|| {
             let mut rng = Rng::stream(seed, GENERATOR_STREAM);
             let generator = Generator::new(
@@ -543,11 +543,11 @@ impl FedPkdState {
         if config.use_prototypes {
             // Eq. 8 over the admitted survivors' fresh prototypes plus any
             // absent client's cached upload that is recent enough
-            // (`prototype_staleness` bounds the age of reuse).
+            // (`PROTOTYPE_STALENESS` bounds the age of reuse).
             let client_protos: Vec<Vec<Option<Prototype>>> = cached_prototypes
                 .iter()
                 .flatten()
-                .filter(|&&(uploaded, _)| round - uploaded <= config.prototype_staleness)
+                .filter(|&&(uploaded, _)| round - uploaded <= PROTOTYPE_STALENESS)
                 .map(|(_, p)| p.clone())
                 .collect();
             proto_contributions = client_protos
@@ -1401,10 +1401,7 @@ mod tests {
                 tiny_scenario(9),
                 vec![spec(DepthTier::T11); 3],
                 spec(DepthTier::T20),
-                FedPkdConfig {
-                    prototype_staleness: 2,
-                    ..fast_config()
-                },
+                fast_config(),
                 37,
             )
             .unwrap()

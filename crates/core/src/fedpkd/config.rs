@@ -3,6 +3,12 @@
 use crate::admission::AdmissionPolicy;
 use crate::robust::RobustAggregation;
 
+/// Fault-tolerance window: when a client misses a round, the server keeps
+/// using its last uploaded prototypes in the Eq. 8 aggregation for up to
+/// this many rounds of absence. Logits are never reused — they reflect the
+/// current round's models — so this only bounds prototype staleness.
+pub const PROTOTYPE_STALENESS: usize = 2;
+
 /// Where the server-side distillation transfer set comes from.
 ///
 /// FedPKD as published assumes a shared unlabeled public dataset every
@@ -72,12 +78,6 @@ pub struct FedPkdConfig {
     /// *dequantized* values, so the accuracy effect of the lossy channel is
     /// faithfully simulated.
     pub quantize_knowledge: bool,
-    /// Fault-tolerance window: when a client misses a round, the server
-    /// keeps using its last uploaded prototypes in the Eq. 8 aggregation
-    /// for up to this many rounds of absence (`0` = never reuse stale
-    /// prototypes). Logits are never reused — they reflect the current
-    /// round's models — so this only bounds prototype staleness.
-    pub prototype_staleness: usize,
     /// Admission control applied to every client upload before it can
     /// influence server state. Enabled by default — on clean runs every
     /// honest payload passes, so this is a no-op for paper-faithful
@@ -115,7 +115,6 @@ impl Default for FedPkdConfig {
             use_filter: true,
             variance_weighting: true,
             quantize_knowledge: false,
-            prototype_staleness: 2,
             admission: AdmissionPolicy::default(),
             robust: RobustAggregation::Off,
             distill_source: DistillSource::Public,
@@ -179,7 +178,6 @@ impl FedPkdConfig {
                 ));
             }
         }
-        self.admission.validate()?;
         if let RobustAggregation::Trimmed { trim_fraction } = self.robust {
             if !(0.0..0.5).contains(&trim_fraction) {
                 return Err(CoreError::InvalidConfig(
@@ -288,13 +286,6 @@ mod tests {
             FedPkdConfig {
                 robust: RobustAggregation::Trimmed {
                     trim_fraction: -0.1,
-                },
-                ..FedPkdConfig::default()
-            },
-            FedPkdConfig {
-                admission: AdmissionPolicy {
-                    max_abs_logit: f32::NAN,
-                    ..AdmissionPolicy::default()
                 },
                 ..FedPkdConfig::default()
             },

@@ -30,7 +30,7 @@ pub mod logits;
 pub mod prototypes;
 
 pub use algorithm::FedPkd;
-pub use config::{CoreError, DistillSource, FedPkdConfig};
+pub use config::{CoreError, DistillSource, FedPkdConfig, PROTOTYPE_STALENESS};
 pub use distill::ServerDistillStats;
 pub use filter::FilterStats;
 pub use generator::{Generator, GeneratorStats};

@@ -305,10 +305,7 @@ impl RemoteFederation for FleetSim {
         round: usize,
         client: usize,
         payload: Message,
-        _wire_bytes: usize,
     ) -> Result<(), StageError> {
-        // The fleet only accepts raw prototype payloads, whose observed
-        // size equals the canonical encoded length `ingest` bills.
         let Message::Prototypes { entries } = payload else {
             return Err(StageError::UnexpectedPayload);
         };
@@ -428,7 +425,7 @@ mod tests {
                 for client in survivors.into_iter().skip(skip).step_by(stride) {
                     let payload = served.client_payload(round, client);
                     served
-                        .stage_upload(round, client, payload, 0)
+                        .stage_upload(round, client, payload)
                         .expect("own payload is admissible");
                 }
                 history.push(steps.commit(&mut served, &ctx, &mut crate::telemetry::NullObserver));
@@ -456,12 +453,12 @@ mod tests {
         };
         // Wrong message kind.
         assert_eq!(
-            fleet.stage_upload(0, 0, Message::SampleSelection { ids: vec![1] }, 0),
+            fleet.stage_upload(0, 0, Message::SampleSelection { ids: vec![1] }),
             Err(StageError::UnexpectedPayload)
         );
         // Client outside the fleet.
         assert_eq!(
-            fleet.stage_upload(0, 99, Message::Prototypes { entries: vec![] }, 0),
+            fleet.stage_upload(0, 99, Message::Prototypes { entries: vec![] }),
             Err(StageError::UnknownClient {
                 client: 99,
                 fleet: 8
@@ -475,7 +472,6 @@ mod tests {
                 Message::Prototypes {
                     entries: vec![entry(9, 1, 8)]
                 },
-                0,
             ),
             Err(StageError::WrongShape)
         );
@@ -486,7 +482,6 @@ mod tests {
                 Message::Prototypes {
                     entries: vec![entry(0, 1, 3)]
                 },
-                0,
             ),
             Err(StageError::WrongShape)
         );
@@ -498,7 +493,6 @@ mod tests {
                 Message::Prototypes {
                     entries: vec![entry(2, 1, 8), entry(1, 1, 8)]
                 },
-                0,
             ),
             Err(StageError::Malformed)
         );
@@ -509,7 +503,6 @@ mod tests {
                 Message::Prototypes {
                     entries: vec![entry(1, 0, 8)]
                 },
-                0,
             ),
             Err(StageError::Malformed)
         );
@@ -517,13 +510,13 @@ mod tests {
         let mut bad = entry(1, 1, 8);
         bad.vector[3] = f32::NAN;
         assert_eq!(
-            fleet.stage_upload(0, 0, Message::Prototypes { entries: vec![bad] }, 0),
+            fleet.stage_upload(0, 0, Message::Prototypes { entries: vec![bad] }),
             Err(StageError::NonFinite)
         );
         // A failed staging leaves nothing behind; a clean one lands.
         assert!(fleet.staged.is_empty());
         let own = fleet.client_payload(0, 0);
-        fleet.stage_upload(0, 0, own, 0).unwrap();
+        fleet.stage_upload(0, 0, own).unwrap();
         assert_eq!(fleet.staged.len(), 1);
     }
 

@@ -102,12 +102,9 @@ pub trait RemoteFederation: Federation {
     /// Stages a decoded upload for consumption by the next
     /// `run_round(round, ..)` call.
     ///
-    /// `wire_bytes` is the payload size actually observed on the socket —
-    /// for a raw upload this equals the message's canonical `encoded_len`,
-    /// but a compressed codec (quantized logits) observes fewer bytes, and
-    /// a federation that accepts compressed uploads must bill *that* count
-    /// to its ledger so accounting reflects what genuinely crossed the
-    /// wire. Federations whose payloads are always raw may ignore it.
+    /// The round bills the message's canonical `encoded_len`, which is the
+    /// payload size the socket carried: every upload is a raw `Wire`
+    /// message.
     ///
     /// Validation is eager; on `Err` the federation is unchanged. Staging
     /// the same `(round, client)` twice replaces the earlier payload (a
@@ -121,6 +118,5 @@ pub trait RemoteFederation: Federation {
         round: usize,
         client: usize,
         payload: Message,
-        wire_bytes: usize,
     ) -> Result<(), StageError>;
 }

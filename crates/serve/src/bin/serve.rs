@@ -116,6 +116,13 @@ fn parse_args() -> Result<Args, String> {
     if args.max_conns == 0 {
         return Err(format!("--max-conns must be at least 1\nusage: {USAGE}"));
     }
+    // A zero round timeout commits every round degraded before any upload
+    // can land: the run would complete having served nothing.
+    if args.round_timeout_ms == Some(0) {
+        return Err(format!(
+            "--round-timeout-ms must be at least 1\nusage: {USAGE}"
+        ));
+    }
     // A cadence with nowhere to write would run to completion having
     // persisted nothing, while the operator believes the run is crash-safe.
     if args.snapshot_every.is_some() && args.snapshot.is_none() {

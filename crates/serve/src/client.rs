@@ -30,6 +30,12 @@ use crate::frame::{read_frame, write_frame, FrameError, DEFAULT_MAX_PAYLOAD};
 use crate::protocol::{Codec, Request, Response};
 use crate::transport::{Conn, Target};
 
+/// First reconnect backoff delay, milliseconds.
+const BACKOFF_BASE_MS: u64 = 25;
+
+/// Reconnect backoff cap, milliseconds.
+const BACKOFF_CAP_MS: u64 = 2_000;
+
 /// Why a client gave up.
 #[derive(Debug)]
 #[non_exhaustive]
@@ -73,15 +79,9 @@ pub struct ClientConfig {
     /// Read/write deadline on the connection, shared currency with the
     /// server's [`ServeConfig::io_deadline`](crate::server::ServeConfig).
     pub io_deadline: Deadline,
-    /// First backoff delay, milliseconds.
-    pub backoff_base_ms: u64,
-    /// Backoff cap, milliseconds.
-    pub backoff_cap_ms: u64,
     /// Consecutive failed connect/exchange attempts before giving up —
     /// bounds how long a client outlives a server that never comes back.
     pub max_attempts: u32,
-    /// Upload codec for every round payload.
-    pub codec: Codec,
 }
 
 impl ClientConfig {
@@ -93,10 +93,7 @@ impl ClientConfig {
             seed: client as u64,
             poll: Duration::from_millis(20),
             io_deadline: Deadline::from_secs(2.0),
-            backoff_base_ms: 25,
-            backoff_cap_ms: 2_000,
             max_attempts: 40,
-            codec: Codec::Raw,
         }
     }
 }
@@ -113,8 +110,8 @@ pub struct ClientReport {
     pub overloaded: usize,
 }
 
-/// Computes a round payload: the encoded bytes and the codec they use.
-/// The payload must be a pure function of `(round, client)` — see
+/// Computes a round payload: the raw `Wire` bytes of the client's
+/// `Message`. The payload must be a pure function of `(round, client)` — see
 /// [`RemoteFederation::client_payload`](fedpkd_core::remote::RemoteFederation::client_payload),
 /// whose implementors this closure typically wraps.
 pub type PayloadFn<'a> = dyn Fn(u64, usize) -> Vec<u8> + 'a;
@@ -129,8 +126,8 @@ fn exchange(conn: &mut Conn, req: &Request) -> Result<Response, FrameError> {
 
 /// Runs one client to run completion (the server answers `done`).
 ///
-/// `payload` computes the upload bytes for a round; its codec is
-/// [`ClientConfig::codec`].
+/// `payload` computes the upload bytes for a round; they travel under
+/// [`Codec::Raw`].
 ///
 /// # Errors
 ///
@@ -142,7 +139,7 @@ pub fn run_client(
     payload: &PayloadFn<'_>,
     obs: &mut dyn RoundObserver,
 ) -> Result<ClientReport, ClientError> {
-    let mut backoff = Backoff::new(cfg.seed, cfg.backoff_base_ms, cfg.backoff_cap_ms);
+    let mut backoff = Backoff::new(cfg.seed, BACKOFF_BASE_MS, BACKOFF_CAP_MS);
     let mut report = ClientReport {
         uploads_acked: 0,
         reconnects: 0,
@@ -200,7 +197,7 @@ pub fn run_client(
             let upload = Request::Upload {
                 round,
                 client: cfg.client as u32,
-                codec: cfg.codec,
+                codec: Codec::Raw,
                 payload: payload(round, cfg.client),
             };
             match exchange(&mut conn, &upload) {

@@ -25,7 +25,7 @@
 //!   [`fedpkd_netsim::chunk`] (the one the snapshot stream uses), with the
 //!   payload cap and the clean-EOF rule a socket needs.
 //! - [`protocol`] — the lock-step Hello/Assignment, Upload/Ack request
-//!   grammar, including the quantized-upload codec byte.
+//!   grammar, whose one upload codec byte is `Codec::Raw`.
 //! - [`transport`] — TCP and Unix-domain sockets behind one `Conn`.
 //! - [`backoff`] — seeded exponential backoff with jitter.
 //! - [`server`] — the accept/handler/engine threads, admission front

@@ -8,9 +8,8 @@
 //!   with an [`Response::Assignment`]: the authoritative current round,
 //!   whether this client is invited to it, and whether the run is over.
 //! - [`Request::Upload`] — the client's payload for a round, as raw
-//!   [`Wire`](fedpkd_netsim::Wire) bytes under a codec byte
-//!   ([`Codec::Raw`] for a plain `Message`, [`Codec::Quantized`] for
-//!   `QuantizedLogits` compression). The server answers [`Response::Ack`],
+//!   [`Wire`](fedpkd_netsim::Wire) bytes of a plain `Message` under the
+//!   codec byte of [`Codec::Raw`]. The server answers [`Response::Ack`],
 //!   a typed [`Response::Rejected`], [`Response::Stale`] when the round
 //!   has moved on (the client re-polls), or [`Response::Overloaded`] with
 //!   a retry hint when shedding load.
@@ -44,13 +43,12 @@ pub const KIND_OVERLOADED: u8 = 6;
 /// Upload was for a round the server has moved past (or not reached).
 pub const KIND_STALE: u8 = 7;
 
-/// How an upload's payload bytes are encoded.
+/// How an upload's payload bytes are encoded. Every upload is a plain
+/// `Message`; any other codec byte decodes as an unknown request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Codec {
     /// Plain `Message` wire bytes.
     Raw,
-    /// `QuantizedLogits` wire bytes (affine u8 compression).
-    Quantized,
 }
 
 impl Codec {
@@ -58,7 +56,6 @@ impl Codec {
     pub fn to_byte(self) -> u8 {
         match self {
             Self::Raw => 0,
-            Self::Quantized => 1,
         }
     }
 
@@ -66,7 +63,6 @@ impl Codec {
     pub fn from_byte(b: u8) -> Option<Self> {
         match b {
             0 => Some(Self::Raw),
-            1 => Some(Self::Quantized),
             _ => None,
         }
     }
@@ -284,7 +280,7 @@ mod tests {
             Request::Upload {
                 round: u64::MAX,
                 client: u32::MAX,
-                codec: Codec::Quantized,
+                codec: Codec::Raw,
                 payload: Vec::new(),
             },
         ] {
@@ -321,12 +317,14 @@ mod tests {
     fn unknown_kinds_and_codecs_are_none_not_errors() {
         assert!(Request::decode(200, &[]).unwrap().is_none());
         assert!(Response::decode(200, &[]).unwrap().is_none());
-        // Upload with an unknown codec byte.
-        let mut body = Vec::new();
-        put_u64(&mut body, 1);
-        put_u32(&mut body, 2);
-        body.push(99);
-        assert!(Request::decode(KIND_UPLOAD, &body).unwrap().is_none());
+        // Uploads with an unknown codec byte.
+        for codec in [1, 99] {
+            let mut body = Vec::new();
+            put_u64(&mut body, 1);
+            put_u32(&mut body, 2);
+            body.push(codec);
+            assert!(Request::decode(KIND_UPLOAD, &body).unwrap().is_none());
+        }
     }
 
     #[test]

@@ -48,12 +48,15 @@ use fedpkd_core::remote::RemoteFederation;
 use fedpkd_core::runtime::RoundMetrics;
 use fedpkd_core::snapshot::SnapshotError;
 use fedpkd_core::telemetry::{FrameRejectCause, RoundObserver, TelemetryEvent};
-use fedpkd_netsim::{Cohort, Deadline, DropCause, Message, QuantizedLogits, RoundContext, Wire};
+use fedpkd_netsim::{Cohort, Deadline, DropCause, Message, RoundContext, Wire};
 
 use crate::frame::{read_frame_after_kind, write_frame, FrameError, DEFAULT_MAX_PAYLOAD};
 use crate::history::{ledger_fingerprint, metrics_line, run_complete_line, HistoryError};
 use crate::protocol::{Codec, Request, Response};
 use crate::transport::{is_timeout, Conn, Listener};
+
+/// Retry hint carried by [`Response::Overloaded`], in milliseconds.
+const OVERLOAD_RETRY_MS: u32 = 100;
 
 /// How the serving engine failed.
 #[derive(Debug)]
@@ -146,10 +149,6 @@ pub struct ServeConfig {
     /// Live-connection cap; connections beyond it are shed with
     /// [`Response::Overloaded`].
     pub max_conns: usize,
-    /// Per-frame payload cap handed to the frame reader.
-    pub max_payload: usize,
-    /// Retry hint carried by [`Response::Overloaded`], in milliseconds.
-    pub overload_retry_ms: u32,
     /// Graceful degradation: commit the round with whichever cohort
     /// uploaded once this much time passes. Off by default — a degraded
     /// commit re-derives the cohort from who actually arrived, which is
@@ -170,8 +169,6 @@ impl Default for ServeConfig {
             history_path: None,
             io_deadline: Deadline::from_secs(2.0),
             max_conns: 64,
-            max_payload: DEFAULT_MAX_PAYLOAD,
-            overload_retry_ms: 100,
             round_timeout: None,
             drain: Duration::from_secs(2),
         }
@@ -414,7 +411,7 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
             Request::Upload {
                 round,
                 client,
-                codec,
+                codec: Codec::Raw,
                 payload,
             } => {
                 if self.done() || round != self.round() as u64 {
@@ -433,7 +430,7 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
                     // function of (round, client), so ack idempotently.
                     return Ok(Response::Ack { round });
                 }
-                let message = match decode_upload(codec, &payload) {
+                let message = match decode_upload(&payload) {
                     Ok(message) => message,
                     Err((cause, reason)) => {
                         obs.record(&TelemetryEvent::FrameRejected {
@@ -446,10 +443,7 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
                         });
                     }
                 };
-                if let Err(e) = self
-                    .fed
-                    .stage_upload(self.round(), client, message, payload.len())
-                {
+                if let Err(e) = self.fed.stage_upload(self.round(), client, message) {
                     obs.record(&TelemetryEvent::FrameRejected {
                         round: self.round(),
                         conn,
@@ -470,49 +464,20 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
     }
 }
 
-/// Decodes an upload payload by codec, validating at the admission front
-/// door: undecodable or over-long bytes, non-finite quantization
-/// parameters, and structural size lies are all typed rejections before
-/// any federation state is touched.
-fn decode_upload(
-    codec: Codec,
-    payload: &[u8],
-) -> Result<Message, (FrameRejectCause, &'static str)> {
-    match codec {
-        Codec::Raw => {
-            let mut buf = payload;
-            let message = Message::decode(&mut buf)
-                .map_err(|_| (FrameRejectCause::Malformed, "undecodable_payload"))?;
-            if !buf.is_empty() {
-                return Err((FrameRejectCause::Malformed, "trailing_bytes"));
-            }
-            Ok(message)
-        }
-        Codec::Quantized => {
-            let mut buf = payload;
-            let q = QuantizedLogits::decode(&mut buf)
-                .map_err(|_| (FrameRejectCause::Malformed, "undecodable_payload"))?;
-            if !buf.is_empty() {
-                return Err((FrameRejectCause::Malformed, "trailing_bytes"));
-            }
-            if !q.min.is_finite() || !q.scale.is_finite() {
-                return Err((FrameRejectCause::Inadmissible, "quantize_non_finite"));
-            }
-            if q.values.len() != q.sample_ids.len() * q.num_classes as usize {
-                return Err((FrameRejectCause::Inadmissible, "quantize_shape"));
-            }
-            let values = q.dequantize();
-            Ok(Message::Logits {
-                sample_ids: q.sample_ids,
-                num_classes: q.num_classes,
-                values,
-            })
-        }
+/// Decodes a raw upload payload, validating at the admission front door:
+/// undecodable or over-long bytes are typed rejections before any
+/// federation state is touched.
+fn decode_upload(payload: &[u8]) -> Result<Message, (FrameRejectCause, &'static str)> {
+    let mut buf = payload;
+    let message = Message::decode(&mut buf)
+        .map_err(|_| (FrameRejectCause::Malformed, "undecodable_payload"))?;
+    if !buf.is_empty() {
+        return Err((FrameRejectCause::Malformed, "trailing_bytes"));
     }
+    Ok(message)
 }
 
 /// One connection's read/dispatch loop; runs on its own thread.
-#[allow(clippy::too_many_arguments)]
 fn handle_conn(
     mut conn: Conn,
     id: usize,
@@ -520,7 +485,6 @@ fn handle_conn(
     done: Arc<AtomicBool>,
     active: Arc<AtomicUsize>,
     io_deadline: Duration,
-    max_payload: usize,
 ) {
     let _ = conn.set_io_deadline(io_deadline);
     let reply_wait = io_deadline.max(Duration::from_secs(1)) * 4;
@@ -539,7 +503,7 @@ fn handle_conn(
             Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => break,
         }
-        let payload = match read_frame_after_kind(&mut conn, kind[0], max_payload) {
+        let payload = match read_frame_after_kind(&mut conn, kind[0], DEFAULT_MAX_PAYLOAD) {
             Ok(payload) => payload,
             Err(err) => {
                 // A deadline *inside* a frame, corruption, or a hostile
@@ -643,8 +607,7 @@ pub fn serve<F: RemoteFederation>(
         let tx = tx.clone();
         let done = Arc::clone(&done);
         let active = Arc::clone(&active);
-        let (max_conns, max_payload, retry_ms) =
-            (cfg.max_conns, cfg.max_payload, cfg.overload_retry_ms);
+        let max_conns = cfg.max_conns;
         std::thread::spawn(move || {
             let mut next_conn = 0usize;
             while !done.load(Ordering::Relaxed) {
@@ -657,7 +620,9 @@ pub fn serve<F: RemoteFederation>(
                             // frame is readable by the peer even after we
                             // drop the stream.
                             let _ = conn.set_io_deadline(Duration::from_millis(200));
-                            let resp = Response::Overloaded { retry_ms };
+                            let resp = Response::Overloaded {
+                                retry_ms: OVERLOAD_RETRY_MS,
+                            };
                             let _ = write_frame(&mut conn, resp.kind(), &resp.to_bytes());
                             // Shedding must not block on a full queue the
                             // overload itself caused.
@@ -674,7 +639,7 @@ pub fn serve<F: RemoteFederation>(
                         let done = Arc::clone(&done);
                         let active = Arc::clone(&active);
                         std::thread::spawn(move || {
-                            handle_conn(conn, id, tx, done, active, io_deadline, max_payload);
+                            handle_conn(conn, id, tx, done, active, io_deadline);
                         });
                     }
                     Err(ref e) if is_timeout(e) => {

@@ -221,6 +221,8 @@ fn unusable_flag_values_get_the_usage_error() {
         &["--io-deadline", "-1"],
         &["--io-deadline", "1e30"],
         &["--max-conns", "0"],
+        // Every round would commit degraded before any upload could land.
+        &["--round-timeout-ms", "0"],
         // A snapshot cadence with no `--snapshot PATH` to write to.
         &["--snapshot-every", "1"],
         // A cadence no round past the first is a multiple of, with a path

@@ -1,24 +1,19 @@
 //! In-process serving tests: the engine, real clients, real sockets —
 //! everything short of separate processes (which `tests/chaos.rs` covers).
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::Duration;
 
 use fedpkd_core::driver::DriverBuilder;
 use fedpkd_core::fleet::FleetSim;
-use fedpkd_core::remote::{RemoteFederation, StageError};
-use fedpkd_core::runtime::{DriverState, Federation};
-use fedpkd_core::snapshot::{read_driver, write_driver, SnapshotError, StateSink, StateSource};
-use fedpkd_core::telemetry::{EventLog, NullObserver, RoundObserver, TelemetryEvent};
-use fedpkd_netsim::{
-    CohortPolicy, CommLedger, Direction, Message, QuantizedLogits, RoundContext, Wire,
-};
-use fedpkd_rng::Rng;
+use fedpkd_core::remote::RemoteFederation;
+use fedpkd_core::runtime::Federation;
+use fedpkd_core::telemetry::{EventLog, NullObserver, TelemetryEvent};
+use fedpkd_netsim::{CohortPolicy, Message, Wire};
 use fedpkd_serve::client::{run_client, ClientConfig};
 use fedpkd_serve::frame::{read_frame, write_frame, DEFAULT_MAX_PAYLOAD};
-use fedpkd_serve::protocol::{Codec, Request, Response};
+use fedpkd_serve::protocol::{Codec, Request, Response, KIND_UPLOAD};
 use fedpkd_serve::server::{serve, ServeConfig};
 use fedpkd_serve::transport::{Conn, Listener, Target};
 
@@ -212,6 +207,22 @@ fn hostile_frames_and_payloads_are_rejected_and_narrated() {
                 Response::Assignment { .. }
             ));
 
+            // An upload under a codec byte other than `Codec::Raw`'s is an
+            // unknown request, and the connection survives it. The reply is
+            // checked after the run, so a wrong one cannot stall the round.
+            let mut body = Vec::new();
+            body.extend_from_slice(&0u64.to_le_bytes());
+            body.extend_from_slice(&0u32.to_le_bytes());
+            body.push(1);
+            body.extend_from_slice(&FleetSim::new(1, 4, 8, 5).client_payload(0, 0).to_bytes());
+            write_frame(&mut odd, KIND_UPLOAD, &body).unwrap();
+            let (kind, body) = read_frame(&mut odd, DEFAULT_MAX_PAYLOAD).unwrap().unwrap();
+            let unknown_codec = Response::decode(kind, &body).unwrap().unwrap();
+            assert!(matches!(
+                exchange(&mut odd, &Request::Hello { client: 0 }),
+                Response::Assignment { .. }
+            ));
+
             // An inadmissible payload: wrong message kind for FleetSim.
             let upload = Request::Upload {
                 round: 0,
@@ -238,6 +249,7 @@ fn hostile_frames_and_payloads_are_rejected_and_narrated() {
                 Response::Ack { round: 0 }
             ));
             done_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            unknown_codec
         })
     };
 
@@ -257,7 +269,13 @@ fn hostile_frames_and_payloads_are_rejected_and_narrated() {
     )
     .unwrap();
     done_tx.send(()).unwrap();
-    probe.join().unwrap();
+    let unknown_codec = probe.join().unwrap();
+    assert_eq!(
+        unknown_codec,
+        Response::Rejected {
+            reason: "unknown_kind".to_string()
+        }
+    );
 
     use fedpkd_core::telemetry::FrameRejectCause;
     let causes: Vec<FrameRejectCause> = log
@@ -269,7 +287,15 @@ fn hostile_frames_and_payloads_are_rejected_and_narrated() {
         })
         .collect();
     assert!(causes.contains(&FrameRejectCause::ChecksumMismatch));
-    assert!(causes.contains(&FrameRejectCause::UnknownKind));
+    // The unknown kind byte and the unknown codec byte.
+    assert_eq!(
+        causes
+            .iter()
+            .filter(|&&c| c == FrameRejectCause::UnknownKind)
+            .count(),
+        2,
+        "{causes:?}"
+    );
     assert!(causes.contains(&FrameRejectCause::Inadmissible));
     // Only the honest upload was billed.
     let expected = FleetSim::new(1, 4, 8, 5).client_payload(0, 0).encoded_len();
@@ -328,282 +354,5 @@ fn round_timeout_commits_with_partial_cohort() {
             metrics.participation_rate
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---------------------------------------------------------------------
-// Quantized uploads: a federation that accepts logits and bills the
-// bytes that actually crossed the wire.
-// ---------------------------------------------------------------------
-
-/// A minimal logit-exchanging federation: every client uploads a logit
-/// matrix over `samples` public samples, the server averages them, and —
-/// the part under test — staged uploads are billed at their *observed*
-/// wire size, so a quantized upload costs what the socket saw, not what
-/// the raw message would have.
-struct LogitFed {
-    clients: usize,
-    samples: usize,
-    classes: u32,
-    seed: u64,
-    mean: Vec<f32>,
-    staged: BTreeMap<(usize, usize), (Message, usize)>,
-    driver: DriverState,
-}
-
-impl LogitFed {
-    fn new(clients: usize, samples: usize, classes: u32, seed: u64) -> Self {
-        Self {
-            clients,
-            samples,
-            classes,
-            seed,
-            mean: vec![0.0; samples * classes as usize],
-            staged: BTreeMap::new(),
-            driver: DriverState::new(),
-        }
-    }
-
-    fn synth_values(&self, round: usize, client: usize) -> Vec<f32> {
-        let mut rng = Rng::stream(self.seed.wrapping_add(round as u64), client as u64);
-        (0..self.samples * self.classes as usize)
-            .map(|_| rng.next_f32() * 4.0 - 2.0)
-            .collect()
-    }
-}
-
-impl Federation for LogitFed {
-    fn name(&self) -> &'static str {
-        "LogitFed"
-    }
-
-    fn num_clients(&self) -> usize {
-        self.clients
-    }
-
-    fn run_round(
-        &mut self,
-        round: usize,
-        ctx: &RoundContext,
-        ledger: &mut CommLedger,
-        _obs: &mut dyn RoundObserver,
-    ) {
-        for client in ctx.cohort().survivors() {
-            let (message, wire_bytes) = match self.staged.remove(&(round, client)) {
-                Some(staged) => staged,
-                None => {
-                    let message = self.client_payload(round, client);
-                    let bytes = message.encoded_len();
-                    (message, bytes)
-                }
-            };
-            ledger.record_bytes(round, client, Direction::Uplink, wire_bytes);
-            if let Message::Logits { values, .. } = message {
-                for (m, v) in self.mean.iter_mut().zip(values) {
-                    *m += v / self.clients as f32;
-                }
-            }
-        }
-    }
-
-    fn server_accuracy(&mut self) -> Option<f64> {
-        None
-    }
-
-    fn client_accuracies(&mut self) -> Vec<f64> {
-        Vec::new()
-    }
-
-    fn driver(&self) -> &DriverState {
-        &self.driver
-    }
-
-    fn driver_mut(&mut self) -> &mut DriverState {
-        &mut self.driver
-    }
-
-    fn write_state(&self, w: &mut dyn StateSink) {
-        for &m in &self.mean {
-            w.put_f32(m);
-        }
-        write_driver(w, &self.driver);
-    }
-
-    fn read_state(&mut self, r: &mut dyn StateSource) -> Result<(), SnapshotError> {
-        for m in &mut self.mean {
-            *m = r.take_f32()?;
-        }
-        self.driver = read_driver(r)?;
-        Ok(())
-    }
-}
-
-impl RemoteFederation for LogitFed {
-    fn client_payload(&self, round: usize, client: usize) -> Message {
-        Message::Logits {
-            sample_ids: (0..self.samples as u32).collect(),
-            num_classes: self.classes,
-            values: self.synth_values(round, client),
-        }
-    }
-
-    fn stage_upload(
-        &mut self,
-        round: usize,
-        client: usize,
-        payload: Message,
-        wire_bytes: usize,
-    ) -> Result<(), StageError> {
-        if client >= self.clients {
-            return Err(StageError::UnknownClient {
-                client,
-                fleet: self.clients,
-            });
-        }
-        let Message::Logits {
-            sample_ids,
-            num_classes,
-            values,
-        } = payload
-        else {
-            return Err(StageError::UnexpectedPayload);
-        };
-        if sample_ids.len() != self.samples
-            || num_classes != self.classes
-            || values.len() != self.samples * self.classes as usize
-        {
-            return Err(StageError::WrongShape);
-        }
-        if values.iter().any(|v| !v.is_finite()) {
-            return Err(StageError::NonFinite);
-        }
-        self.staged.insert(
-            (round, client),
-            (
-                Message::Logits {
-                    sample_ids,
-                    num_classes,
-                    values,
-                },
-                wire_bytes,
-            ),
-        );
-        Ok(())
-    }
-}
-
-/// Quantized uploads cross the wire at the compressed size and the ledger
-/// bills exactly that; hostile quantized payloads die at admission.
-#[test]
-fn quantized_uploads_bill_observed_bytes_and_reject_non_finite() {
-    let dir = temp_dir("quant");
-    let sock = dir.join("serve.sock");
-    let listener = Listener::bind_uds(&sock).unwrap();
-    let target = Target::Uds(sock.clone());
-
-    let (clients, samples, classes, seed) = (2usize, 6usize, 4u32, 31u64);
-    fn quantized_payload(
-        clients: usize,
-        samples: usize,
-        classes: u32,
-        seed: u64,
-        round: usize,
-        client: usize,
-    ) -> Vec<u8> {
-        let replica = LogitFed::new(clients, samples, classes, seed);
-        let Message::Logits {
-            sample_ids,
-            num_classes,
-            values,
-        } = replica.client_payload(round, client)
-        else {
-            unreachable!()
-        };
-        QuantizedLogits::from_values(&sample_ids, num_classes, &values)
-            .unwrap()
-            .to_bytes()
-    }
-    let quantized_payload = move |round: usize, client: usize| {
-        quantized_payload(clients, samples, classes, seed, round, client)
-    };
-    let raw_len = LogitFed::new(clients, samples, classes, seed)
-        .client_payload(0, 0)
-        .encoded_len();
-    let q_len_r0: usize = (0..clients).map(|c| quantized_payload(0, c).len()).sum();
-    let q0 = quantized_payload(0, 0);
-    assert!(q0.len() < raw_len, "quantization must actually compress");
-
-    let (done_tx, done_rx) = mpsc::channel::<()>();
-    let probe = std::thread::spawn(move || {
-        let mut conn = target.connect().unwrap();
-        conn.set_io_deadline(Duration::from_secs(2)).unwrap();
-
-        // A quantized payload with a non-finite scale dies at admission.
-        let mut hostile = QuantizedLogits::from_values(
-            &(0..samples as u32).collect::<Vec<_>>(),
-            classes,
-            &vec![0.5; samples * classes as usize],
-        )
-        .unwrap();
-        hostile.min = f32::NAN;
-        let upload = Request::Upload {
-            round: 0,
-            client: 0,
-            codec: Codec::Quantized,
-            payload: hostile.to_bytes(),
-        };
-        match exchange(&mut conn, &upload) {
-            Response::Rejected { reason } => assert_eq!(reason, "quantize_non_finite"),
-            other => panic!("expected Rejected, got {other:?}"),
-        }
-
-        // Honest quantized uploads for both clients, both rounds.
-        loop {
-            let resp = exchange(&mut conn, &Request::Hello { client: 0 });
-            let round = match resp {
-                Response::Assignment { done: true, .. } => break,
-                Response::Assignment { round, .. } => round,
-                other => panic!("unexpected {other:?}"),
-            };
-            for client in 0..clients {
-                let upload = Request::Upload {
-                    round,
-                    client: client as u32,
-                    codec: Codec::Quantized,
-                    payload: quantized_payload(round as usize, client),
-                };
-                match exchange(&mut conn, &upload) {
-                    Response::Ack { .. } | Response::Stale { .. } => {}
-                    other => panic!("unexpected {other:?}"),
-                }
-            }
-        }
-        done_rx.recv_timeout(Duration::from_secs(10)).unwrap();
-    });
-
-    let mut fed = LogitFed::new(clients, samples, classes, seed);
-    let cfg = ServeConfig {
-        rounds: 2,
-        drain: Duration::from_millis(300),
-        ..ServeConfig::default()
-    };
-    let report = serve(
-        &mut fed,
-        &DriverBuilder::new().rounds(2),
-        listener,
-        &cfg,
-        &mut NullObserver,
-    )
-    .unwrap();
-    done_tx.send(()).unwrap();
-    probe.join().unwrap();
-
-    // Round 0 was billed at the quantized sizes the socket observed.
-    assert_eq!(
-        fed.driver().ledger().round_traffic(0).uplink,
-        q_len_r0,
-        "ledger must bill compressed bytes, not raw encoded_len"
-    );
-    assert!(report.total_bytes < 2 * clients * raw_len);
     let _ = std::fs::remove_dir_all(&dir);
 }

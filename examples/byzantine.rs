@@ -78,10 +78,7 @@ fn main() {
     // Truly undefended: admission off, paper-faithful aggregation — the
     // NaN payload flows straight into Eqs. 6–8 and poisons the teacher.
     let undefended_config = FedPkdConfig {
-        admission: AdmissionPolicy {
-            enabled: false,
-            ..AdmissionPolicy::default()
-        },
+        admission: AdmissionPolicy { enabled: false },
         ..base_config()
     };
     let undefended = DriverBuilder::new()

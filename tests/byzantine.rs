@@ -59,7 +59,7 @@ fn fedpkd(config: FedPkdConfig) -> FedPkd {
 
 /// A NaN-spewing client and a wrong-shape client cannot crash the server:
 /// the run completes every round, both are rejected with the right typed
-/// reason, and after `quarantine_after` consecutive rejections they are
+/// reason, and after `QUARANTINE_AFTER` consecutive rejections they are
 /// quarantined and never re-inspected.
 #[test]
 fn garbage_payloads_are_rejected_not_fatal() {
@@ -105,7 +105,7 @@ fn garbage_payloads_are_rejected_not_fatal() {
         "honest clients must pass admission: {rejections:?}"
     );
 
-    // Default quarantine_after = 3: both offenders tip over in round 2...
+    // QUARANTINE_AFTER = 3: both offenders tip over in round 2...
     let quarantined: Vec<(usize, usize)> = log
         .events()
         .iter()
@@ -136,10 +136,7 @@ fn garbage_payloads_are_rejected_not_fatal() {
 fn disabled_admission_degrades_gracefully_under_nan() {
     let plan = FaultPlan::new(17).with_adversary(0, Attack::NonFinitePayload);
     let cfg = FedPkdConfig {
-        admission: AdmissionPolicy {
-            enabled: false,
-            ..AdmissionPolicy::default()
-        },
+        admission: AdmissionPolicy { enabled: false },
         ..config()
     };
     let result = DriverBuilder::new()
@@ -221,10 +218,7 @@ fn trimming_beats_variance_weighting_under_label_flip() {
 fn admission_is_bit_transparent_on_clean_runs() {
     let enabled = Driver::rounds(2).run_silent(&mut fedpkd(config()));
     let disabled_cfg = FedPkdConfig {
-        admission: AdmissionPolicy {
-            enabled: false,
-            ..AdmissionPolicy::default()
-        },
+        admission: AdmissionPolicy { enabled: false },
         ..config()
     };
     let disabled = Driver::rounds(2).run_silent(&mut fedpkd(disabled_cfg));
