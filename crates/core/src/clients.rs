@@ -29,7 +29,7 @@ use crate::fedpkd::CoreError;
 use crate::telemetry::{emit_phase_timing, Phase, RoundObserver, TelemetryEvent};
 use crate::train::TrainStats;
 use fedpkd_data::{ClientData, FederatedScenario};
-use fedpkd_netsim::{Attack, CommLedger, Direction, Message, RoundContext};
+use fedpkd_netsim::{CommLedger, Direction, Message, RoundContext};
 use fedpkd_rng::Rng;
 use fedpkd_tensor::models::{ClassifierModel, ModelSpec};
 use fedpkd_tensor::optim::Adam;
@@ -287,22 +287,18 @@ pub fn public_upload(
     let policy = AdmissionPolicy::default();
     let inspect = |io: &mut RoundIo<'_>, client, logits: &mut Tensor| {
         if let Some(attack) = io.ctx.attack(client) {
-            corrupt_logits(attack, &mut io.ctx.attack_rng(io.round, client), logits);
+            // A wrong-shape attack changes the width.
+            let (rows, cols) = (logits.rows(), logits.cols());
+            let mut values = std::mem::take(logits).into_vec();
+            let rng = &mut io.ctx.attack_rng(io.round, client);
+            let cols = attack.corrupt_logits(rng, &mut values, rows, cols);
+            *logits = Tensor::from_vec(values, &[rows, cols]).expect("corruption keeps the rows");
         }
         let bytes = Message::logits_encoded_len(rows, logits.as_slice().len());
         io.bill(client, Direction::Uplink, bytes);
         policy.check_logits(logits, rows, cols)
     };
     Some(admit(uploads, io, PayloadKind::Logits, inspect))
-}
-
-/// Applies `attack` to a logits upload in place; a wrong-shape attack
-/// changes the tensor's width.
-pub(crate) fn corrupt_logits(attack: Attack, rng: &mut Rng, logits: &mut Tensor) {
-    let (rows, cols) = (logits.rows(), logits.cols());
-    let mut values = std::mem::replace(logits, Tensor::zeros(&[0])).into_vec();
-    let cols = attack.corrupt_logits(rng, &mut values, rows, cols);
-    *logits = Tensor::from_vec(values, &[rows, cols]).expect("corruption preserves row count");
 }
 
 /// The downlink client phase: every survivor is billed one downlink
@@ -349,7 +345,7 @@ mod tests {
     use crate::telemetry::EventLog;
     use crate::train::{train_distill, train_supervised};
     use fedpkd_data::{Partition, ScenarioBuilder, SyntheticConfig};
-    use fedpkd_netsim::{Cohort, DropCause};
+    use fedpkd_netsim::{Attack, Cohort, DropCause};
     use fedpkd_tensor::models::DepthTier;
     use fedpkd_tensor::serialize::param_vector;
 

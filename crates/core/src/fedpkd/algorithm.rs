@@ -3,7 +3,7 @@
 use std::time::Instant;
 
 use crate::admission::{PayloadKind, QuarantineTracker, RejectReason, QUARANTINE_AFTER};
-use crate::clients::{corrupt_logits, digest, train_cohort, validate_specs, ClientState, RoundIo};
+use crate::clients::{digest, train_cohort, validate_specs, RoundIo};
 use crate::cow::{pooled_client_accuracies, ClientPool};
 use crate::eval;
 use crate::fedpkd::config::{CoreError, DistillSource, FedPkdConfig, PROTOTYPE_STALENESS};
@@ -15,16 +15,16 @@ use crate::fedpkd::logits::{
     pseudo_labels,
 };
 use crate::fedpkd::prototypes::{
-    aggregate_prototypes, aggregate_prototypes_robust, compute_input_moments, compute_prototypes,
-    global_to_wire_entries, to_wire_entries, Prototype,
+    aggregate_prototypes, aggregate_prototypes_robust, from_wire_entries, global_to_wire_entries,
+    Prototype,
 };
+use crate::fedpkd::session;
 use crate::runtime::{DriverState, Federation};
 use crate::snapshot::{self, SnapshotError, StateSink, StateSource};
 use crate::streaming::LogitAccumulator;
 use crate::telemetry::{emit_phase_timing, Phase, RoundObserver, TelemetryEvent};
-use crate::train::{train_distill, train_supervised, train_supervised_with_prototypes};
-use fedpkd_data::{ClientData, Dataset, FederatedScenario};
-use fedpkd_netsim::{Attack, CommLedger, Direction, Message, QuantizedLogits, RoundContext, Wire};
+use fedpkd_data::{Dataset, FederatedScenario};
+use fedpkd_netsim::{Attack, CommLedger, Direction, Message, RoundContext, Wire};
 use fedpkd_rng::Rng;
 use fedpkd_tensor::models::ClassifierModel;
 use fedpkd_tensor::models::ModelSpec;
@@ -43,9 +43,8 @@ use fedpkd_tensor::Tensor;
 /// # Partial participation
 ///
 /// Under fault injection the round's [`Cohort`](fedpkd_netsim::Cohort)
-/// restricts every phase to
-/// the surviving clients: only they train, upload knowledge, enter the
-/// Eq. 6–8 aggregations, and receive the downlink. For the size-weighted
+/// restricts every phase to the surviving clients: only they train, upload
+/// knowledge, enter the Eq. 6–8 aggregations, and receive the downlink. For the size-weighted
 /// prototype aggregation (Eq. 8) the server additionally reuses a dropped
 /// client's most recent uploaded prototypes, as long as the absence is
 /// within [`PROTOTYPE_STALENESS`] rounds — prototypes are slow-moving class
@@ -185,48 +184,41 @@ impl FedPkd {
     /// L2 drift between two generations of global prototypes, for
     /// telemetry: mean and max over classes present in both.
     fn prototype_drift(old: &[Option<Tensor>], new: &[Option<Tensor>]) -> (f64, f64) {
-        let mut mean = 0.0f64;
-        let mut max = 0.0f64;
-        let mut count = 0usize;
-        for (o, n) in old.iter().zip(new) {
-            if let (Some(o), Some(n)) = (o.as_ref(), n.as_ref()) {
-                let d = f64::from(
-                    o.as_slice()
-                        .iter()
-                        .zip(n.as_slice())
-                        .map(|(a, b)| (a - b) * (a - b))
-                        .sum::<f32>(),
-                )
-                .sqrt();
-                mean += d;
-                max = max.max(d);
-                count += 1;
-            }
-        }
-        if count > 0 {
-            mean /= count as f64;
-        }
-        (mean, max)
+        let drifts: Vec<f64> = old
+            .iter()
+            .zip(new)
+            .filter_map(|(o, n)| {
+                let (o, n) = (o.as_ref()?.as_slice(), n.as_ref()?.as_slice());
+                let squared: f32 = o.iter().zip(n).map(|(a, b)| (a - b) * (a - b)).sum();
+                Some(f64::from(squared).sqrt())
+            })
+            .collect();
+        let sum = drifts.iter().fold(0.0, |sum, &d| sum + d);
+        let max = drifts.iter().fold(0.0, |max: f64, &d| max.max(d));
+        (sum / drifts.len().max(1) as f64, max)
     }
 }
 
-/// Applies a Byzantine client's [`Attack`] to its round upload in place:
-/// the logits tensor (whose width may change under a wrong-shape attack)
-/// and every present prototype vector. Draws come from the context's
+/// Applies a Byzantine client's [`Attack`] to its uplink in place: the
+/// logits (whose width may change under a wrong-shape attack), then every
+/// prototype vector in class order. Draws come from the context's
 /// dedicated `(seed, round, client)` stream, so corruption replays
 /// bit-identically.
-fn corrupt_upload(
-    attack: Attack,
-    rng: &mut Rng,
-    logits: &mut Tensor,
-    prototypes: &mut [Option<Prototype>],
-) {
-    corrupt_logits(attack, rng, logits);
-    for proto in prototypes.iter_mut().flatten() {
-        let mut vector = proto.vector.as_slice().to_vec();
-        attack.corrupt_prototype(rng, &mut vector);
-        let dim = vector.len();
-        proto.vector = Tensor::from_vec(vector, &[dim]).expect("vector stays one-dimensional");
+fn corrupt(attack: Attack, rng: &mut Rng, uplink: &mut [Message]) {
+    for message in uplink {
+        if let Message::Logits {
+            sample_ids,
+            num_classes,
+            values,
+        } = message
+        {
+            let cols = attack.corrupt_logits(rng, values, sample_ids.len(), *num_classes as usize);
+            *num_classes = cols as u32;
+        } else if let Message::Prototypes { entries } = message {
+            for entry in entries {
+                attack.corrupt_prototype(rng, &mut entry.vector);
+            }
+        }
     }
 }
 
@@ -252,149 +244,75 @@ struct Uplink {
 
 impl FedPkdState {
     /// Phase 1: client private training + dual knowledge uplink
-    /// ([`train_cohort`]) for the cohort's survivors; `synthetic` says the
-    /// transfer set was generated and must be broadcast first. Returns the
+    /// ([`session::upload`] on [`train_cohort`]) for the cohort's
+    /// survivors, from the round-start messages `start`. Returns the
     /// admitted uploads and the aggregated data-free input moments.
     ///
     /// Survivors train concurrently; every upload is *committed* in
     /// ascending client order — Byzantine corruption, ledger accounting,
-    /// admission, and the streaming Eq. 6–7 fold all happen per client at
-    /// the commit point. No O(cohort)
-    /// payload buffer exists unless the trimmed estimator (cross-client by
-    /// definition) or the aggregation diagnostics require one.
+    /// decoding, admission, and the streaming Eq. 6–7 fold all happen per
+    /// client at the commit point. No O(cohort) payload buffer exists unless
+    /// the trimmed estimator (cross-client by definition) or the
+    /// aggregation diagnostics require one.
     fn client_phase(
         &mut self,
         env: &RoundEnv<'_>,
         io: &mut RoundIo<'_>,
-        synthetic: bool,
+        start: &[Message],
     ) -> (Uplink, Vec<Option<Tensor>>) {
-        let RoundEnv {
-            config,
-            scenario,
-            transfer,
-        } = *env;
+        let (config, scenario) = (env.config, env.scenario);
         let (round, ctx) = (io.round, io.ctx);
-        let cohort = ctx.cohort();
         let public_len = scenario.public.len();
         let num_classes = scenario.num_classes;
-        let roster = cohort.survivors();
-        // The generated batch is server knowledge the participants need
-        // before they can score it: broadcast it to every survivor and
-        // charge the downlink (the public-dataset mode ships nothing here
-        // because the public set is pre-shared).
-        if synthetic {
-            let batch_bytes = Message::synthetic_batch_encoded_len(
-                transfer.len(),
-                transfer.features().as_slice().len(),
-            );
+        let roster = ctx.cohort().survivors();
+        // The generated batch, first when present, is server knowledge the
+        // participants need before they can score it: every survivor is
+        // billed for it (the public-dataset mode ships nothing here because
+        // the public set is pre-shared).
+        if let Some(batch @ Message::SyntheticBatch { .. }) = start.first() {
             for &client in &roster {
-                io.bill(client, Direction::Downlink, batch_bytes);
+                io.bill(client, Direction::Downlink, batch.encoded_len());
             }
         }
 
         let trimmed = config.robust.trim_fraction().is_some();
         let keep_probs = trimmed || io.obs.enabled();
-        let mut acc = LogitAccumulator::new(config.variance_weighting);
-        let mut kept: Vec<Tensor> = Vec::new();
+        let mut uplink = Uplink {
+            acc: LogitAccumulator::new(config.variance_weighting),
+            kept: Vec::new(),
+            fold_failed: false,
+            admitted: 0,
+        };
         let mut moment_uploads: Vec<Vec<Option<Prototype>>> = Vec::new();
-        let sample_dim = transfer.sample_dim();
-        let mut admitted = 0usize;
-        let mut fold_failed = false;
+        let sample_dim = env.transfer.sample_dim();
 
         let policy = config.admission;
-        let all_ids: Vec<u32> = (0..public_len as u32).collect();
         // Destructure for disjoint borrows: the fleet mutates on the
         // worker pool while the commit pipeline updates server-side state.
         let FedPkdState {
             clients,
             server_model,
-            global_prototypes,
             cached_prototypes,
             quarantine,
             ..
         } = self;
         let proto_dim = server_model.feature_dim();
-        let global_prototypes = &*global_prototypes;
-        let work = |state: &mut ClientState, data: &ClientData| {
-            // Round 0 trains with Eq. 4; later rounds add the prototype
-            // pull of Eq. 16 (when prototypes are on).
-            let stats = if round == 0 || !config.use_prototypes {
-                train_supervised(
-                    &mut state.model,
-                    &data.train,
-                    config.client_private_epochs,
-                    config.batch_size,
-                    &mut state.optimizer,
-                    &mut state.rng,
-                )
-            } else {
-                train_supervised_with_prototypes(
-                    &mut state.model,
-                    &data.train,
-                    global_prototypes,
-                    config.epsilon,
-                    config.client_private_epochs,
-                    config.batch_size,
-                    &mut state.optimizer,
-                    &mut state.rng,
-                )
-            };
-            let logits = eval::logits_on(&mut state.model, transfer);
-            let prototypes = compute_prototypes(&mut state.model, &data.train);
-            // Data-free mode: the input-space class means that ground the
-            // server's generator in the real data distribution ride along
-            // with the dual uplink.
-            let moments = (config.distill_source == DistillSource::Generated)
-                .then(|| compute_input_moments(&data.train));
-            ((logits, prototypes, moments), stats)
-        };
         train_cohort(
             clients,
             scenario,
             io,
             &roster,
-            work,
-            |io, client, (mut logits, mut prototypes, moments)| {
+            |state, data| session::upload(config, &scenario.public, state, data, start),
+            |io, client, mut messages| {
                 // Byzantine clients corrupt their uploads here — before the
                 // ledger charge, because the corrupted bytes are what actually
                 // cross the wire, and before admission, which is the server's
                 // view of them.
                 if let Some(attack) = ctx.attack(client) {
-                    let mut rng = ctx.attack_rng(round, client);
-                    corrupt_upload(attack, &mut rng, &mut logits, &mut prototypes);
+                    corrupt(attack, &mut ctx.attack_rng(round, client), &mut messages);
                 }
-                // The lossy 8-bit channel cannot represent garbage payloads
-                // (non-finite or misshapen); those travel raw instead — an
-                // adversary does not get to crash the codec.
-                let quantizable = config.quantize_knowledge
-                    && logits.cols() == num_classes
-                    && logits.all_finite();
-                if quantizable {
-                    // Charge the quantized size and replace the logits with
-                    // what actually survives the wire. The guard checked
-                    // finiteness, so this cannot fail.
-                    let quantized = QuantizedLogits::from_values(
-                        &all_ids,
-                        num_classes as u32,
-                        logits.as_slice(),
-                    )
-                    .expect("finiteness checked by the quantizable guard");
-                    io.bill(client, Direction::Uplink, quantized.encoded_len());
-                    logits = Tensor::from_vec(quantized.dequantize(), logits.shape())
-                        .expect("dequantization preserves the shape");
-                } else {
-                    let raw = Message::logits_encoded_len(public_len, logits.as_slice().len());
-                    io.bill(client, Direction::Uplink, raw);
-                }
-                if config.use_prototypes {
-                    let entries = to_wire_entries(&prototypes);
-                    let bytes = Message::Prototypes { entries }.encoded_len();
-                    io.bill(client, Direction::Uplink, bytes);
-                }
-                if let Some(m) = &moments {
-                    let entries = to_wire_entries(m);
-                    let bytes = Message::DataMoments { entries }.encoded_len();
-                    io.bill(client, Direction::Uplink, bytes);
+                for message in &messages {
+                    io.bill(client, Direction::Uplink, message.encoded_len());
                 }
                 // Admission control: the upload was charged — the bytes crossed
                 // the wire — but only validated payloads may touch server
@@ -405,6 +323,31 @@ impl FedPkdState {
                         io.reject(client, PayloadKind::Prototypes, RejectReason::Quarantined);
                     }
                     return;
+                }
+                // The server's view: the tensors admission and the fold take.
+                // A message that does not decode becomes an empty payload,
+                // which admission refuses as wrong-shaped.
+                let mut logits = Tensor::zeros(&[0, num_classes]);
+                let (mut prototypes, mut moments) = (Vec::new(), None);
+                for message in messages {
+                    match message {
+                        Message::Logits {
+                            sample_ids,
+                            num_classes: cols,
+                            values,
+                        } => {
+                            let shape = [sample_ids.len(), cols as usize];
+                            logits = Tensor::from_vec(values, &shape).unwrap_or(logits);
+                        }
+                        Message::Prototypes { entries } => {
+                            prototypes =
+                                from_wire_entries(entries, num_classes).unwrap_or_default();
+                        }
+                        Message::DataMoments { entries } => {
+                            moments = from_wire_entries(entries, num_classes).ok();
+                        }
+                        _ => {}
+                    }
                 }
                 let mut rejected = false;
                 if let Err(reason) = policy.check_logits(&logits, public_len, num_classes) {
@@ -437,11 +380,9 @@ impl FedPkdState {
                 // not folded — the logit/prototype checks above are what gate
                 // the client's standing.
                 if let Some(m) = moments {
-                    let well_formed = m.len() == num_classes
-                        && m.iter()
-                            .flatten()
-                            .all(|p| p.vector.shape() == [sample_dim] && p.vector.all_finite());
-                    if well_formed {
+                    let fits =
+                        |p: &Prototype| p.vector.shape() == [sample_dim] && p.vector.all_finite();
+                    if m.iter().flatten().all(fits) {
                         moment_uploads.push(m);
                     }
                 }
@@ -449,34 +390,25 @@ impl FedPkdState {
                 // softmax pass is consumed here and freed — unless a
                 // cross-client estimator or diagnostics need the full set.
                 let probs = softmax(&logits, 1.0);
-                if !trimmed && acc.fold_probs(&probs).is_err() {
+                if !trimmed && uplink.acc.fold_probs(&probs).is_err() {
                     // Only reachable with admission disabled (shape-divergent
                     // payloads were let through); the round will degrade to a
                     // no-op below.
-                    fold_failed = true;
+                    uplink.fold_failed = true;
                 }
                 if keep_probs {
-                    kept.push(probs);
+                    uplink.kept.push(probs);
                 }
-                admitted += 1;
+                uplink.admitted += 1;
             },
         );
 
         // Data-free mode: size-weight the admitted input-moment uploads into
         // the global per-class input means the generator will match. The
         // uploads were folded in commit order (ascending client id), so the
-        // aggregate is deterministic across worker counts.
-        let input_moments: Vec<Option<Tensor>> = if moment_uploads.is_empty() {
-            vec![None; num_classes]
-        } else {
-            aggregate_prototypes(&moment_uploads).unwrap_or_else(|_| vec![None; num_classes])
-        };
-        let uplink = Uplink {
-            acc,
-            kept,
-            fold_failed,
-            admitted,
-        };
+        // aggregate is deterministic across worker counts; no upload, no means.
+        let input_moments =
+            aggregate_prototypes(&moment_uploads).unwrap_or_else(|_| vec![None; num_classes]);
         (uplink, input_moments)
     }
 
@@ -492,12 +424,7 @@ impl FedPkdState {
     ) -> Option<(Tensor, Vec<usize>)> {
         let (config, round) = (env.config, io.round);
         let trim = config.robust.trim_fraction();
-        let Uplink {
-            acc,
-            kept,
-            fold_failed,
-            admitted,
-        } = uplink;
+        let kept = &uplink.kept;
         let FedPkdState {
             global_prototypes,
             cached_prototypes,
@@ -505,23 +432,17 @@ impl FedPkdState {
         } = self;
         let phase_started = Instant::now();
         let obs = &mut *io.obs;
-        if admitted == 0 {
-            // Every upload was rejected: with no trustworthy knowledge
-            // there is nothing to aggregate or distill, so the round
-            // degrades to a no-op — models and prototypes stay as they
-            // were.
-            emit_phase_timing(obs, round, Phase::Aggregation, phase_started);
-            return None;
-        }
+        // With every upload rejected there is no trustworthy knowledge to
+        // aggregate or distill; with admission disabled, shape-divergent
+        // payloads can fail the fold. Either way the round degrades to a
+        // no-op — models and prototypes stay as they were.
         let aggregated = match trim {
-            Some(t) => aggregate_logits_trimmed_from_probs(&kept, t).ok(),
-            None if fold_failed => None,
-            None => acc.finish().ok(),
+            _ if uplink.admitted == 0 => None,
+            Some(t) => aggregate_logits_trimmed_from_probs(kept, t).ok(),
+            None if uplink.fold_failed => None,
+            None => uplink.acc.finish().ok(),
         };
         let Some(aggregated) = aggregated else {
-            // Only reachable with admission disabled (shape-divergent
-            // payloads were let through): degrade to a no-op round rather
-            // than panicking.
             emit_phase_timing(obs, round, Phase::Aggregation, phase_started);
             return None;
         };
@@ -529,7 +450,7 @@ impl FedPkdState {
         if obs.enabled() {
             // `obs.enabled()` implies the commit point kept every admitted
             // upload's probabilities.
-            let stats = aggregation_stats_from_probs(&kept, config.variance_weighting);
+            let stats = aggregation_stats_from_probs(kept, config.variance_weighting);
             obs.record(&TelemetryEvent::LogitAggregation {
                 round,
                 clients: kept.len(),
@@ -592,8 +513,8 @@ impl FedPkdState {
 
     /// Phase 3: data filtering (Alg. 1), the data-free generator's
     /// refinement, and server distillation (Eqs. 11–13) toward
-    /// `aggregated`. Returns the selected transfer indices and their
-    /// feature rows, or `None` when the filter kept nothing.
+    /// `aggregated`. Returns the selected transfer indices, or `None` when
+    /// the filter kept nothing.
     fn filter_and_distill(
         &mut self,
         env: &RoundEnv<'_>,
@@ -601,15 +522,10 @@ impl FedPkdState {
         aggregated: &Tensor,
         pseudo: &[usize],
         input_moments: &[Option<Tensor>],
-        synth_batch: Option<&(Tensor, Vec<usize>)>,
-    ) -> Option<(Vec<usize>, Tensor)> {
-        let RoundEnv {
-            config,
-            scenario,
-            transfer,
-        } = *env;
+        latents: Option<&Tensor>,
+    ) -> Option<Vec<usize>> {
+        let (config, transfer) = (env.config, env.transfer);
         let (round, workers, obs) = (io.round, io.workers(), &mut *io.obs);
-        let public_len = scenario.public.len();
         let FedPkdState {
             server_model,
             server_optimizer,
@@ -650,7 +566,7 @@ impl FedPkdState {
                 filter_public(&server_features, pseudo, global_prototypes, config.theta)
             }
         } else {
-            (0..public_len).collect()
+            (0..transfer.len()).collect()
         };
         emit_phase_timing(obs, round, Phase::Filter, phase_started);
         let global_prototypes: &[Option<Tensor>] = global_prototypes;
@@ -662,42 +578,39 @@ impl FedPkdState {
         // the pre-distill server built and dropped where it runs. The copy's
         // initial weights are overwritten at once, so they come from a
         // throwaway stream, never the server's or the generator's.
-        let refine_job = generator
-            .as_mut()
-            .zip(synth_batch)
-            .map(|(gs, (latents, labels))| {
-                let GeneratorState {
-                    generator: net,
+        let refine_job = generator.as_mut().zip(latents).map(|(gs, latents)| {
+            let GeneratorState {
+                generator: net,
+                optimizer,
+                critic_spec,
+                ..
+            } = gs;
+            let critic_state = state_vector(server_model);
+            move || {
+                let mut critic = critic_spec.build(&mut Rng::seed_from_u64(0));
+                load_state_vector(&mut critic, &critic_state)
+                    .expect("the copy is built from the server's own spec");
+                let stats = generator::refine(
+                    net,
                     optimizer,
-                    critic_spec,
-                    ..
-                } = gs;
-                let critic_state = state_vector(server_model);
-                move || {
-                    let mut critic = critic_spec.build(&mut Rng::seed_from_u64(0));
-                    load_state_vector(&mut critic, &critic_state)
-                        .expect("the copy is built from the server's own spec");
-                    let stats = generator::refine(
-                        net,
-                        optimizer,
-                        &mut critic,
-                        latents,
-                        labels,
-                        Some(aggregated),
-                        global_prototypes,
-                        input_moments,
-                        config.temperature,
-                        config.generator_epochs,
-                    );
-                    TelemetryEvent::GeneratorRefined {
-                        round,
-                        ensemble_loss: stats.ensemble_loss,
-                        ce_loss: stats.ce_loss,
-                        proto_loss: stats.proto_loss,
-                        moment_loss: stats.moment_loss,
-                    }
+                    &mut critic,
+                    latents,
+                    transfer.labels(),
+                    Some(aggregated),
+                    global_prototypes,
+                    input_moments,
+                    config.temperature,
+                    config.generator_epochs,
+                );
+                TelemetryEvent::GeneratorRefined {
+                    round,
+                    ensemble_loss: stats.ensemble_loss,
+                    ce_loss: stats.ce_loss,
+                    proto_loss: stats.proto_loss,
+                    moment_loss: stats.moment_loss,
                 }
-            });
+            }
+        });
         let subset_features = transfer
             .features()
             .select_rows(&selected)
@@ -745,65 +658,38 @@ impl FedPkdState {
             batches: distill_stats.batches,
         });
         emit_phase_timing(obs, round, Phase::ServerDistill, phase_started);
-        Some((selected, subset_features))
+        Some(selected)
     }
 
     /// Phase 4: server knowledge downlink + client public training
-    /// (Eqs. 14–15, [`digest`]), survivors only. Only the `selected`
-    /// subset's logits travel (θ% of the public set), which is FedPKD's
-    /// downlink saving.
+    /// (Eqs. 14–15, [`session::digest`] on [`digest`]), survivors only. Only
+    /// the `selected` subset's logits travel (θ% of the public set), which
+    /// is FedPKD's downlink saving.
     fn downlink(
         &mut self,
         env: &RoundEnv<'_>,
         io: &mut RoundIo<'_>,
+        start: &[Message],
         selected: &[usize],
-        subset_features: &Tensor,
     ) {
-        let RoundEnv {
-            config,
-            scenario,
-            transfer,
-        } = *env;
-        let subset_dataset = transfer.subset(selected);
-        let mut server_logits = eval::logits_on(&mut self.server_model, &subset_dataset);
-        let selected_ids: Vec<u32> = selected.iter().map(|&i| i as u32).collect();
+        let (config, scenario, transfer) = (env.config, env.scenario, env.transfer);
+        let server_logits = eval::logits_on(&mut self.server_model, &transfer.subset(selected));
+        let ids: Vec<u32> = selected.iter().map(|&i| i as u32).collect();
         // Every survivor receives the same three messages: the subset's
-        // logits, the global prototypes, the selection. A diverged server
-        // (e.g. under an unfiltered Byzantine attack) can emit non-finite
-        // logits; those cannot ride the lossy 8-bit channel, so they fall
-        // back to the raw f32 message instead of panicking.
-        let mut logits_bytes =
-            Message::logits_encoded_len(selected_ids.len(), server_logits.as_slice().len());
-        if config.quantize_knowledge {
-            let classes = scenario.num_classes as u32;
-            if let Ok(quantized) =
-                QuantizedLogits::from_values(&selected_ids, classes, server_logits.as_slice())
-            {
-                server_logits = Tensor::from_vec(quantized.dequantize(), server_logits.shape())
-                    .expect("dequantization preserves the shape");
-                logits_bytes = quantized.encoded_len();
-            }
-        }
-        let mut bills = vec![logits_bytes];
+        // logits, the global prototypes, the selection.
+        let mut downlink = vec![Message::Logits {
+            sample_ids: ids.clone(),
+            num_classes: scenario.num_classes as u32,
+            values: server_logits.into_vec(),
+        }];
         if config.use_prototypes {
             let entries = global_to_wire_entries(&self.global_prototypes);
-            bills.push(Message::Prototypes { entries }.encoded_len());
+            downlink.push(Message::Prototypes { entries });
         }
-        bills.push(Message::sample_selection_encoded_len(selected_ids.len()));
-        let server_probs = softmax(&server_logits, config.temperature);
-        // Public-phase distillation (Eq. 15).
+        downlink.push(Message::SampleSelection { ids });
+        let bills: Vec<usize> = downlink.iter().map(Wire::encoded_len).collect();
         digest(&mut self.clients, scenario, io, &bills, |state| {
-            train_distill(
-                &mut state.model,
-                subset_features,
-                &server_probs,
-                config.gamma,
-                config.temperature,
-                config.client_public_epochs,
-                config.batch_size,
-                &mut state.optimizer,
-                &mut state.rng,
-            )
+            session::digest(config, &scenario.public, state, start, &downlink)
         });
     }
 }
@@ -824,55 +710,63 @@ impl Federation for FedPkd {
         ledger: &mut CommLedger,
         obs: &mut dyn RoundObserver,
     ) {
-        let cohort = ctx.cohort();
         let public_len = self.scenario.public.len();
-        let num_classes = self.scenario.num_classes;
-        if cohort.num_active() == 0 {
+        if ctx.cohort().num_active() == 0 {
             // Zero survivors: nobody trains, nothing travels, no model or
             // prototype changes. The driver still frames the round with
             // telemetry and evaluation.
             return;
         }
 
-        // Data-free mode: the server synthesizes this round's transfer set
-        // up front from the dedicated latent stream; everything below that
-        // would consume `scenario.public` consumes the generated batch
-        // instead. The batch matches the public set's size so uplink logit
-        // traffic (and thus comm-budget comparisons) stay identical.
-        // Zero-survivor rounds returned above without drawing, so the
-        // latent stream advances only on rounds that actually run.
-        let mut synth_batch: Option<(Tensor, Vec<usize>)> = None;
-        let synth_dataset: Option<Dataset> = self.state.generator.as_mut().map(|gs| {
-            let (latents, labels) = gs.generator.draw_batch(public_len, &mut gs.rng);
-            let features = gs.generator.synthesize(&latents, &labels);
-            let dataset = Dataset::new(features, labels.clone(), num_classes)
-                .expect("generator conditions on in-range labels");
-            synth_batch = Some((latents, labels));
-            dataset
-        });
+        // What every survivor receives before it trains, built once. First,
+        // in data-free mode, this round's transfer set, drawn from the
+        // dedicated latent stream at the public set's size so uplink logit
+        // traffic (and comm-budget comparisons) stays identical; zero-survivor
+        // rounds returned above, so the stream advances only on rounds that
+        // run. Last, after round 0, the global prototypes.
+        let mut start = Vec::new();
+        let mut latents = None;
+        if let Some(gs) = self.state.generator.as_mut() {
+            let (z, labels) = gs.generator.draw_batch(public_len, &mut gs.rng);
+            let features = gs.generator.synthesize(&z, &labels);
+            start.push(Message::SyntheticBatch {
+                sample_dim: features.cols() as u32,
+                labels: labels.iter().map(|&y| y as u32).collect(),
+                values: features.into_vec(),
+            });
+            latents = Some(z);
+        }
+        if round > 0 && self.config.use_prototypes {
+            // Unbilled: Eq. 16 reads the server's current prototypes, also
+            // in a client that missed the downlink that carried them.
+            let entries = global_to_wire_entries(&self.state.global_prototypes);
+            start.push(Message::Prototypes { entries });
+        }
+        // The server reads the transfer set the clients read.
+        let transfer = session::transfer_set(&self.scenario.public, &start);
         let env = RoundEnv {
             config: &self.config,
             scenario: &self.scenario,
-            transfer: synth_dataset.as_ref().unwrap_or(&self.scenario.public),
+            transfer: &transfer,
         };
         let io = &mut RoundIo::new(round, ctx, ledger, obs);
         let state = &mut self.state;
 
-        let (uplink, input_moments) = state.client_phase(&env, io, synth_batch.is_some());
+        let (uplink, input_moments) = state.client_phase(&env, io, &start);
         let Some((aggregated, pseudo)) = state.aggregate(&env, io, uplink) else {
             return;
         };
-        let Some((selected, subset_features)) = state.filter_and_distill(
+        let Some(selected) = state.filter_and_distill(
             &env,
             io,
             &aggregated,
             &pseudo,
             &input_moments,
-            synth_batch.as_ref(),
+            latents.as_ref(),
         ) else {
             return;
         };
-        state.downlink(&env, io, &selected, &subset_features);
+        state.downlink(&env, io, &start, &selected);
     }
 
     fn server_accuracy(&mut self) -> Option<f64> {
@@ -999,6 +893,15 @@ impl Federation for FedPkd {
         }
         snapshot::read_quarantine(r, &mut self.state.quarantine)?;
         let driver = snapshot::read_driver(r)?;
+        // Eq. 8 ages a cached upload by `round - uploaded`: it must come
+        // from a round already driven.
+        let driven = driver.rounds_driven();
+        let undriven = |e: &Option<(usize, _)>| e.as_ref().is_some_and(|e| e.0 >= driven);
+        if let Some(client) = cached_prototypes.iter().position(undriven) {
+            return Err(SnapshotError::Malformed(format!(
+                "client {client} cached prototypes from a round not yet driven ({driven})"
+            )));
+        }
         self.state.global_prototypes = global_prototypes;
         self.state.cached_prototypes = cached_prototypes;
         self.state.driver = driver;
@@ -1216,38 +1119,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_knowledge_cuts_traffic_and_still_learns() {
-        let run = |quantize: bool| {
-            let cfg = FedPkdConfig {
-                quantize_knowledge: quantize,
-                ..fast_config()
-            };
-            let mut algo = FedPkd::new(
-                tiny_scenario(12),
-                vec![spec(DepthTier::T11); 3],
-                spec(DepthTier::T20),
-                cfg,
-                31,
-            )
-            .unwrap();
-            crate::driver::Driver::rounds(2).run_silent(&mut algo)
-        };
-        let full = run(false);
-        let quantized = run(true);
-        // Logit values shrink 4×; sample-id lists, prototypes, and
-        // selection messages are untouched, so the total drops by less.
-        assert!(
-            (quantized.ledger.total_bytes() as f64) < 0.75 * full.ledger.total_bytes() as f64,
-            "8-bit knowledge should cut traffic: {} vs {}",
-            quantized.ledger.total_bytes(),
-            full.ledger.total_bytes()
-        );
-        // The lossy channel must not destroy learning.
-        let q_acc = quantized.best_server_accuracy().unwrap();
-        assert!(q_acc > 0.15, "quantized accuracy {q_acc}");
-    }
-
-    #[test]
     fn data_free_mode_charges_broadcast_and_learns() {
         let cfg = FedPkdConfig {
             distill_source: DistillSource::Generated,
@@ -1429,6 +1300,37 @@ mod tests {
         // No round-1 uplink bytes for the dropped client.
         assert_eq!(ledger.round_client_uplinks(1, 3)[2], 0);
         assert!(ledger.round_client_uplinks(1, 3)[0] > 0);
+    }
+
+    /// A cached upload from a round not yet driven would underflow Eq. 8's
+    /// age `round - uploaded` the next time its client is absent: such a
+    /// snapshot must not restore.
+    #[test]
+    fn a_cached_round_not_yet_driven_is_malformed() {
+        let build = || {
+            FedPkd::new(
+                tiny_scenario(9),
+                vec![spec(DepthTier::T11); 3],
+                spec(DepthTier::T20),
+                fast_config(),
+                37,
+            )
+            .unwrap()
+        };
+        let mut algo = build();
+        crate::driver::Driver::rounds(2).run_silent(&mut algo);
+        let driven = algo.state.driver.rounds_driven();
+        for (uploaded, restores) in [(driven - 1, true), (driven, false), (1 << 40, false)] {
+            algo.state.cached_prototypes[0].as_mut().unwrap().0 = uploaded;
+            let mut snapshot = Vec::new();
+            algo.snapshot_to(&mut snapshot).unwrap();
+            let restored = build().restore_from(&mut snapshot.as_slice());
+            match restored {
+                Ok(()) => assert!(restores, "cached round {uploaded} restored"),
+                Err(SnapshotError::Malformed(_)) => assert!(!restores, "round {uploaded}"),
+                Err(other) => panic!("cached round {uploaded}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -72,12 +72,6 @@ pub struct FedPkdConfig {
     /// instead of variance-proportional weights (an extra ablation beyond
     /// the paper's).
     pub variance_weighting: bool,
-    /// Extension (paper future work, "resource efficiency"): transfer
-    /// logits as 8-bit quantized payloads, cutting the dominant traffic
-    /// ~4× at a bounded reconstruction error. The algorithm consumes the
-    /// *dequantized* values, so the accuracy effect of the lossy channel is
-    /// faithfully simulated.
-    pub quantize_knowledge: bool,
     /// Admission control applied to every client upload before it can
     /// influence server state. Enabled by default — on clean runs every
     /// honest payload passes, so this is a no-op for paper-faithful
@@ -114,7 +108,6 @@ impl Default for FedPkdConfig {
             use_prototypes: true,
             use_filter: true,
             variance_weighting: true,
-            quantize_knowledge: false,
             admission: AdmissionPolicy::default(),
             robust: RobustAggregation::Off,
             distill_source: DistillSource::Public,

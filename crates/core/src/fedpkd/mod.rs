@@ -28,6 +28,7 @@ pub mod filter;
 pub mod generator;
 pub mod logits;
 pub mod prototypes;
+mod session;
 
 pub use algorithm::FedPkd;
 pub use config::{CoreError, DistillSource, FedPkdConfig, PROTOTYPE_STALENESS};

@@ -2,6 +2,7 @@
 //! Byzantine-robust outlier-rejecting variant.
 
 use crate::eval;
+use crate::remote::StageError;
 use crate::robust::{coordinate_median, trim_count, AggregationError};
 use crate::streaming::size_weighted_mean;
 use fedpkd_data::Dataset;
@@ -27,33 +28,8 @@ pub fn compute_prototypes(
     model: &mut ClassifierModel,
     dataset: &Dataset,
 ) -> Vec<Option<Prototype>> {
-    let num_classes = dataset.num_classes();
     let dim = model.feature_dim();
-    let mut sums: Vec<Vec<f64>> = vec![vec![0.0; dim]; num_classes];
-    let mut counts = vec![0usize; num_classes];
-    if !dataset.is_empty() {
-        let features = eval::features_on(model, dataset);
-        for (row, &y) in dataset.labels().iter().enumerate() {
-            counts[y] += 1;
-            for (s, &v) in sums[y].iter_mut().zip(features.row(row)) {
-                *s += v as f64;
-            }
-        }
-    }
-    sums.into_iter()
-        .zip(counts)
-        .map(|(sum, count)| {
-            if count == 0 {
-                None
-            } else {
-                let mean: Vec<f32> = sum.into_iter().map(|s| (s / count as f64) as f32).collect();
-                Some(Prototype {
-                    count,
-                    vector: Tensor::from_vec(mean, &[dim]).expect("dim matches"),
-                })
-            }
-        })
-        .collect()
+    class_means(&eval::features_on(model, dataset), dataset, dim)
 }
 
 /// Computes a client's per-class *input-space* first moments: for each class
@@ -63,29 +39,31 @@ pub fn compute_prototypes(
 /// them so the server's generator can be grounded in the real per-class
 /// input distribution instead of chasing the ensemble's opinion of noise.
 pub fn compute_input_moments(dataset: &Dataset) -> Vec<Option<Prototype>> {
+    class_means(dataset.features(), dataset, dataset.sample_dim())
+}
+
+/// Per class of `dataset`, the mean of its `dim`-wide `rows`, summed in
+/// `f64` in row order; `None` for a class with no row.
+fn class_means(rows: &Tensor, dataset: &Dataset, dim: usize) -> Vec<Option<Prototype>> {
     let num_classes = dataset.num_classes();
-    let dim = dataset.sample_dim();
     let mut sums: Vec<Vec<f64>> = vec![vec![0.0; dim]; num_classes];
     let mut counts = vec![0usize; num_classes];
-    let features = dataset.features();
     for (row, &y) in dataset.labels().iter().enumerate() {
         counts[y] += 1;
-        for (s, &v) in sums[y].iter_mut().zip(features.row(row)) {
+        for (s, &v) in sums[y].iter_mut().zip(rows.row(row)) {
             *s += v as f64;
         }
     }
     sums.into_iter()
         .zip(counts)
         .map(|(sum, count)| {
-            if count == 0 {
-                None
-            } else {
+            (count > 0).then(|| {
                 let mean: Vec<f32> = sum.into_iter().map(|s| (s / count as f64) as f32).collect();
-                Some(Prototype {
+                Prototype {
                     count,
                     vector: Tensor::from_vec(mean, &[dim]).expect("dim matches"),
-                })
-            }
+                }
+            })
         })
         .collect()
 }
@@ -221,6 +199,39 @@ pub fn aggregate_prototypes_robust(
     Ok((global, outliers))
 }
 
+/// Decodes wire entries into `classes` per-class slots: the inverse of
+/// [`to_wire_entries`] and, with count 0, of [`global_to_wire_entries`].
+/// Only the structure is checked; widths, counts and values are the
+/// receiver's to judge.
+///
+/// # Errors
+///
+/// At the first entry whose class is not above the last one's,
+/// [`StageError::Malformed`]; at the first one outside `0..classes`,
+/// [`StageError::WrongShape`].
+pub fn from_wire_entries(
+    entries: Vec<PrototypeEntry>,
+    classes: usize,
+) -> Result<Vec<Option<Prototype>>, StageError> {
+    let mut slots = vec![None; classes];
+    let mut last: Option<u32> = None;
+    for entry in entries {
+        if last.is_some_and(|prev| entry.class <= prev) {
+            return Err(StageError::Malformed);
+        }
+        last = Some(entry.class);
+        let slot = slots
+            .get_mut(entry.class as usize)
+            .ok_or(StageError::WrongShape)?;
+        let dim = entry.vector.len();
+        *slot = Some(Prototype {
+            count: entry.count as usize,
+            vector: Tensor::from_vec(entry.vector, &[dim]).expect("`[len]` holds `len` values"),
+        });
+    }
+    Ok(slots)
+}
+
 /// Converts local prototypes into wire entries for uplink accounting.
 pub fn to_wire_entries(prototypes: &[Option<Prototype>]) -> Vec<PrototypeEntry> {
     prototypes
@@ -330,6 +341,42 @@ mod tests {
             count,
             vector: Tensor::from_vec(values.to_vec(), &[values.len()]).unwrap(),
         }
+    }
+
+    #[test]
+    fn wire_entries_decode_back_into_their_slots() {
+        let local = vec![
+            Some(proto(3, &[1.0, -2.0])),
+            None,
+            Some(proto(1, &[0.5, 4.0])),
+        ];
+        assert_eq!(
+            from_wire_entries(to_wire_entries(&local), 3),
+            Ok(local.clone())
+        );
+        // Global prototypes travel with count 0 and decode as they are.
+        let global: Vec<Option<Tensor>> = local
+            .iter()
+            .map(|p| Some(p.as_ref()?.vector.clone()))
+            .collect();
+        let decoded = from_wire_entries(global_to_wire_entries(&global), 3).unwrap();
+        assert!(decoded.iter().flatten().all(|p| p.count == 0));
+        let vectors: Vec<Option<Tensor>> =
+            decoded.into_iter().map(|p| p.map(|p| p.vector)).collect();
+        assert_eq!(vectors, global);
+        // Structure is checked, in entry order: ascending classes first.
+        let mut entries = to_wire_entries(&local);
+        assert_eq!(
+            from_wire_entries(entries.clone(), 2),
+            Err(StageError::WrongShape)
+        );
+        entries.swap(0, 1);
+        assert_eq!(
+            from_wire_entries(entries.clone(), 3),
+            Err(StageError::Malformed)
+        );
+        entries[1].class = 2;
+        assert_eq!(from_wire_entries(entries, 3), Err(StageError::Malformed));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use fedpkd_rng::Rng;
 use fedpkd_tensor::parallel::{dispatch_stealing, max_workers};
 use fedpkd_tensor::Tensor;
 
-use crate::fedpkd::prototypes::{to_wire_entries, Prototype};
+use crate::fedpkd::prototypes::{from_wire_entries, to_wire_entries, Prototype};
 use crate::remote::{RemoteFederation, StageError};
 use crate::runtime::{DriverState, Federation};
 use crate::snapshot::{read_driver, write_driver, SnapshotError, StateSink, StateSource};
@@ -315,29 +315,17 @@ impl RemoteFederation for FleetSim {
                 fleet: self.fleet,
             });
         }
-        let mut protos: Vec<Option<Prototype>> = (0..self.classes).map(|_| None).collect();
-        let mut last_class: Option<u32> = None;
-        for entry in entries {
-            if last_class.is_some_and(|prev| entry.class <= prev) {
-                return Err(StageError::Malformed);
-            }
-            last_class = Some(entry.class);
-            let class = entry.class as usize;
-            if class >= self.classes || entry.vector.len() != self.dims {
+        let protos = from_wire_entries(entries, self.classes)?;
+        for p in protos.iter().flatten() {
+            if p.vector.len() != self.dims {
                 return Err(StageError::WrongShape);
             }
-            if entry.count == 0 {
+            if p.count == 0 {
                 return Err(StageError::Malformed);
             }
-            if entry.vector.iter().any(|v| !v.is_finite()) {
+            if !p.vector.all_finite() {
                 return Err(StageError::NonFinite);
             }
-            let vector =
-                Tensor::from_vec(entry.vector, &[self.dims]).map_err(|_| StageError::WrongShape)?;
-            protos[class] = Some(Prototype {
-                count: entry.count as usize,
-                vector,
-            });
         }
         self.staged.insert((round, client), protos);
         Ok(())

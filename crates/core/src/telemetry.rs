@@ -84,7 +84,7 @@ pub enum FrameRejectCause {
     Oversized,
     /// The frame kind byte is not part of the protocol.
     UnknownKind,
-    /// The payload bytes failed `Wire` (or quantized-logits) decoding.
+    /// The payload bytes failed `Wire` decoding.
     Malformed,
     /// The decoded payload failed admission control.
     Inadmissible,

@@ -127,17 +127,6 @@ impl Message {
     pub fn logits_encoded_len(samples: usize, values: usize) -> usize {
         1 + 4 + 4 * samples + 4 + 4 + 4 * values
     }
-
-    /// Encoded size of a [`Message::SampleSelection`] of `ids` indices.
-    pub fn sample_selection_encoded_len(ids: usize) -> usize {
-        1 + 4 + 4 * ids
-    }
-
-    /// Encoded size of a [`Message::SyntheticBatch`] of `labels` rows and
-    /// `values` features.
-    pub fn synthetic_batch_encoded_len(labels: usize, values: usize) -> usize {
-        1 + 4 + 4 + 4 * labels + 4 + 4 * values
-    }
 }
 
 impl Wire for Message {
@@ -245,9 +234,9 @@ impl Wire for Message {
             Self::Prototypes { entries } | Self::DataMoments { entries } => {
                 1 + 4 + entries.iter().map(Wire::encoded_len).sum::<usize>()
             }
-            Self::SampleSelection { ids } => Self::sample_selection_encoded_len(ids.len()),
+            Self::SampleSelection { ids } => 1 + 4 + 4 * ids.len(),
             Self::SyntheticBatch { labels, values, .. } => {
-                Self::synthetic_batch_encoded_len(labels.len(), values.len())
+                1 + 4 + 4 + 4 * labels.len() + 4 + 4 * values.len()
             }
         }
     }
@@ -338,24 +327,8 @@ mod tests {
             assert_eq!(
                 Message::logits_encoded_len(n, n * k),
                 Message::Logits {
-                    sample_ids: ids.clone(),
+                    sample_ids: ids,
                     num_classes: k as u32,
-                    values: values.clone(),
-                }
-                .to_bytes()
-                .len()
-            );
-            assert_eq!(
-                Message::sample_selection_encoded_len(n),
-                Message::SampleSelection { ids: ids.clone() }
-                    .to_bytes()
-                    .len()
-            );
-            assert_eq!(
-                Message::synthetic_batch_encoded_len(n, n * k),
-                Message::SyntheticBatch {
-                    sample_dim: k as u32,
-                    labels: ids,
                     values,
                 }
                 .to_bytes()

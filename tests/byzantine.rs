@@ -147,27 +147,6 @@ fn disabled_admission_degrades_gracefully_under_nan() {
     assert_eq!(result.history.len(), 2, "all rounds must complete");
 }
 
-/// The lossy 8-bit channel must coexist with adversaries: a NaN-spewing
-/// client cannot be quantized (affine u8 calibration has no encoding for
-/// non-finite values), so its payload travels raw and gets rejected by
-/// admission — the quantizer returns a typed error instead of panicking,
-/// and the run completes. Exercises both the unquantizable-uplink guard
-/// and the downlink fallback in the same configuration.
-#[test]
-fn quantized_channel_survives_nan_adversary() {
-    let plan = FaultPlan::new(23).with_adversary(0, Attack::NonFinitePayload);
-    let cfg = FedPkdConfig {
-        quantize_knowledge: true,
-        ..config()
-    };
-    let result = DriverBuilder::new()
-        .rounds(3)
-        .faults(plan)
-        .build()
-        .run_silent(&mut fedpkd(cfg));
-    assert_eq!(result.history.len(), 3, "all rounds must complete");
-}
-
 /// The reproducibility contract extends to adversarial runs: the same seed
 /// and the same attack roster replay bit-identically.
 #[test]
