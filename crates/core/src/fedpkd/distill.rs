@@ -48,7 +48,8 @@ pub struct ServerDistillStats {
 ///
 /// # Panics
 ///
-/// Panics if row counts disagree or `delta` is outside `[0, 1]`.
+/// Panics if row counts disagree, `delta` is outside `[0, 1]` or
+/// `batch_size` is 0.
 #[allow(clippy::too_many_arguments)]
 pub fn train_server(
     model: &mut ClassifierModel,
@@ -100,8 +101,9 @@ pub fn train_server(
 ///
 /// # Panics
 ///
-/// Panics if row counts disagree or `delta` is outside `[0, 1]`; resumes a
-/// panic of the job once the distillation is done.
+/// Panics if row counts disagree, `delta` is outside `[0, 1]` or
+/// `batch_size` is 0; resumes a panic of the job once the distillation is
+/// done.
 #[allow(clippy::too_many_arguments)]
 pub fn train_server_with_workers<T: Send>(
     model: &mut ClassifierModel,
@@ -119,6 +121,8 @@ pub fn train_server_with_workers<T: Send>(
     beside: Option<impl FnOnce() -> T + Send>,
 ) -> (ServerDistillStats, Option<T>) {
     assert!((0.0..=1.0).contains(&delta), "delta must be in [0, 1]");
+    // `FedPkdConfig::validate` rejects 0, and no wire or snapshot byte sets it.
+    assert!(batch_size > 0, "batch size must be positive");
     let n = public_features.rows();
     assert_eq!(teacher_probs.rows(), n, "teacher rows mismatch");
     assert_eq!(pseudo_labels.len(), n, "pseudo-label count mismatch");
@@ -559,6 +563,29 @@ mod tests {
             1,
             &mut opt,
             &mut rng,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "batch size must be positive")]
+    fn rejects_a_zero_batch_size() {
+        let mut rng = Rng::seed_from_u64(6);
+        let mut server = build_mlp(&[2, 4], 2, &mut rng);
+        let mut opt = Adam::new(0.01);
+        train_server_with_workers(
+            &mut server,
+            &Tensor::zeros(&[2, 2]),
+            &Tensor::zeros(&[2, 2]),
+            &[0, 1],
+            &[None, None],
+            0.5,
+            1.0,
+            1,
+            0,
+            &mut opt,
+            &mut rng,
+            2,
+            None::<fn()>,
         );
     }
 }

@@ -51,29 +51,20 @@ fn accumulate_bias_grad(g: &Tensor, bias: &mut Param) {
 
 /// The parameter-gradient products of one [`Linear`] backward pass, not yet
 /// applied: `dW += xᵀ·g` and `db += column sums of g`. It carries its own
-/// operands — the layer's ReLU-masked output gradient `g` by value, the
-/// forward input `x` as a read-only share of the layer's cache — so a
-/// [`ParamHook::linear`] may apply it anywhere, on any thread: the same two
-/// kernels on the same operands as the layer's own backward.
+/// operands — the layer's output gradient `g` (ReLU-masked if fused) by
+/// value, the forward input `x` as a read-only share of the layer's cache —
+/// so a [`ParamHook::linear`] may apply it anywhere, on any thread: the
+/// same two kernels on the same operands as the layer's own backward.
 #[derive(Debug)]
 pub struct PendingGrads {
-    /// `None` once `dW` is in the weight gradient.
-    x: Option<Arc<Tensor>>,
+    x: Arc<Tensor>,
     g: Tensor,
 }
 
 impl PendingGrads {
-    /// Applies the `dW` product now, leaving only `db` pending. A second
-    /// call does nothing.
-    pub fn apply_weight(&mut self, weight: &mut Param) {
-        if let Some(x) = self.x.take() {
-            accumulate_weight_grad(&x, &self.g, weight);
-        }
-    }
-
-    /// Applies whatever is still pending to the two gradients.
-    pub fn apply(mut self, weight: &mut Param, bias: &mut Param) {
-        self.apply_weight(weight);
+    /// Applies both products to the two gradients.
+    pub fn apply(self, weight: &mut Param, bias: &mut Param) {
+        accumulate_weight_grad(&self.x, &self.g, weight);
         accumulate_bias_grad(&self.g, bias);
     }
 }
@@ -203,31 +194,34 @@ impl Layer for Linear {
         self.backward_impl(grad_out, true)
     }
 
-    /// A plain layer's `grad_out` belongs to the layer above (a residual
-    /// block reads it again for its skip path), so its products are applied
-    /// here and only the finished parameters are handed over. A fused-ReLU
-    /// layer owns its masked gradient: it computes `dx`, the one result the
-    /// rest of the pass waits for, and offers the products unapplied.
+    /// Computes `dx`, the one result the rest of the pass waits for, and
+    /// offers the products unapplied. The fused layer's masked gradient is a
+    /// tensor it just made; a plain layer's `grad_out` belongs to the layer
+    /// above (a residual block reads it again for its skip path), so it
+    /// takes a copy, which the block pays for by adding its skip gradient in
+    /// place.
     fn backward_with(
         &mut self,
         grad_out: &Tensor,
         first_slot: usize,
         hook: &mut dyn ParamHook,
     ) -> Tensor {
-        if !self.fuse_relu {
-            let grad_in = self.backward_impl(grad_out, true);
-            hook.param(first_slot, &mut self.weight);
-            hook.param(first_slot + 1, &mut self.bias);
-            return grad_in;
-        }
         let x = self
             .cached_input
             .clone()
             .expect("backward called before forward");
-        let g = self.masked(grad_out);
+        let g = if self.fuse_relu {
+            self.masked(grad_out)
+        } else {
+            grad_out.clone()
+        };
         let grad_in = self.input_grad(&g);
-        let pending = PendingGrads { x: Some(x), g };
-        hook.linear(first_slot, &mut self.weight, &mut self.bias, pending);
+        hook.linear(
+            first_slot,
+            &mut self.weight,
+            &mut self.bias,
+            PendingGrads { x, g },
+        );
         grad_in
     }
 

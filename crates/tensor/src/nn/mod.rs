@@ -67,14 +67,15 @@ pub trait ParamHook {
     /// [`Layer::visit_params`] order.
     fn param(&mut self, slot: usize, param: &mut Param);
 
-    /// Called by a [`Linear`] that owns both operands of its
-    /// parameter-gradient products and has *not* applied them: `weight`
-    /// (at `slot`) and `bias` (at `slot + 1`) still lack what `pending`
-    /// holds, and nothing else in the backward pass waits for it. The
-    /// default applies the products on the spot and hands both parameters
-    /// to [`param`](ParamHook::param) — exactly what the layer would have
-    /// done itself; an override may carry `pending` elsewhere as long as
-    /// it is applied before the parameter's update.
+    /// Called by every [`Linear`], plain or fused, in place of
+    /// [`param`](ParamHook::param), with its parameter-gradient products
+    /// *not* applied: `weight` (at `slot`) and `bias` (at `slot + 1`) still
+    /// lack what `pending` holds, and nothing else in the backward pass
+    /// waits for it. The default applies the products on the spot and hands
+    /// both parameters to [`param`](ParamHook::param) — exactly what the
+    /// layer's own [`backward`](Layer::backward) would have left; an
+    /// override may carry `pending` elsewhere as long as it is applied
+    /// before the parameter's update.
     fn linear(&mut self, slot: usize, weight: &mut Param, bias: &mut Param, pending: PendingGrads) {
         pending.apply(weight, bias);
         self.param(slot, weight);
@@ -126,9 +127,9 @@ pub trait Layer: Send {
     /// the hook down, so a child's parameters are handed over while the
     /// backward pass is still at that child — before the layers below it
     /// run — and a hook that updates weights must therefore only ever see a
-    /// parameter whose value no later part of the pass reads. A fused-ReLU
-    /// [`Linear`] overrides it to offer its not-yet-applied gradient
-    /// products through [`ParamHook::linear`].
+    /// parameter whose value no later part of the pass reads. [`Linear`]
+    /// overrides it to offer its not-yet-applied gradient products through
+    /// [`ParamHook::linear`].
     fn backward_with(
         &mut self,
         grad_out: &Tensor,
@@ -372,11 +373,13 @@ impl Residual {
         Self { body }
     }
 
-    /// `grad_body + grad_out`: the skip path's gradient is `grad_out` itself.
-    fn join_grads(grad_body: &Tensor, grad_out: &Tensor) -> Tensor {
+    /// `grad_body + grad_out`, in place: the skip path's gradient is
+    /// `grad_out` itself, and `a + 1.0·b` is `a + b` bit for bit.
+    fn join_grads(mut grad_body: Tensor, grad_out: &Tensor) -> Tensor {
         grad_body
-            .add(grad_out)
-            .expect("residual input gradients must agree in shape")
+            .axpy(1.0, grad_out)
+            .expect("residual input gradients must agree in shape");
+        grad_body
     }
 }
 
@@ -396,7 +399,7 @@ impl Layer for Residual {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        Self::join_grads(&self.body.backward(grad_out), grad_out)
+        Self::join_grads(self.body.backward(grad_out), grad_out)
     }
 
     fn backward_with(
@@ -405,12 +408,14 @@ impl Layer for Residual {
         first_slot: usize,
         hook: &mut dyn ParamHook,
     ) -> Tensor {
-        let g_body = self.body.backward_with(grad_out, first_slot, hook);
-        Self::join_grads(&g_body, grad_out)
+        Self::join_grads(
+            self.body.backward_with(grad_out, first_slot, hook),
+            grad_out,
+        )
     }
 
     fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
-        Self::join_grads(&self.body.backward_input(grad_out), grad_out)
+        Self::join_grads(self.body.backward_input(grad_out), grad_out)
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -666,6 +671,52 @@ mod tests {
         assert_eq!(dx_hooked, dx_plain, "the hook must not reach the pass");
         let seen: Vec<Vec<u32>> = seen.into_iter().map(Option::unwrap).collect();
         assert_eq!(seen, expected, "final gradients, in visit order");
+    }
+
+    /// Records which hook method each parameter arrives through.
+    struct Recorder(Vec<(&'static str, usize)>);
+
+    impl ParamHook for Recorder {
+        fn param(&mut self, slot: usize, _: &mut Param) {
+            self.0.push(("param", slot));
+        }
+
+        fn linear(
+            &mut self,
+            slot: usize,
+            weight: &mut Param,
+            bias: &mut Param,
+            pending: PendingGrads,
+        ) {
+            self.0.push(("linear", slot));
+            pending.apply(weight, bias);
+        }
+    }
+
+    #[test]
+    fn every_linear_offers_its_products_and_only_the_other_params_come_one_by_one() {
+        let mut rng = Rng::seed_from_u64(13);
+        let x = Tensor::rand_uniform(&[6, 4], -1.0, 1.0, &mut rng);
+        let g = Tensor::rand_uniform(&[6, 3], -1.0, 1.0, &mut rng);
+        let (mut plain, mut hooked) = (nested_net(14), nested_net(14));
+        plain.forward(&x, true);
+        hooked.forward(&x, true);
+        let mut recorder = Recorder(Vec::new());
+        let dx = hooked.backward_with(&g, 0, &mut recorder);
+        // Last to first: the plain head (8), the plain residual body (6),
+        // the fused layer (4), the batch norm's γ and β (2, 3), the plain
+        // stem (0).
+        let expected = [
+            ("linear", 8),
+            ("linear", 6),
+            ("linear", 4),
+            ("param", 2),
+            ("param", 3),
+            ("linear", 0),
+        ];
+        assert_eq!(recorder.0, expected);
+        assert_eq!(dx, plain.backward(&g));
+        assert_eq!(grads_of(&hooked), grads_of(&plain));
     }
 
     #[test]

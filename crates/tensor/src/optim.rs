@@ -350,6 +350,30 @@ impl Optimizer for Adam {
     }
 
     fn update_param(&mut self, slot: usize, param: &mut Param) {
+        if self.bias1 == 1.0 {
+            self.update_lanes::<true>(slot, param);
+        } else {
+            self.update_lanes::<false>(slot, param);
+        }
+    }
+
+    fn learning_rate(&self) -> f32 {
+        self.lr
+    }
+
+    fn set_learning_rate(&mut self, lr: f32) {
+        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
+        self.lr = lr;
+    }
+}
+
+impl Adam {
+    /// [`Optimizer::update_param`]'s lane loop. `M_UNBIASED` says that
+    /// `bias1 = 1 − β₁ᵗ` has rounded to exactly `1.0` (from t = 165 at
+    /// β₁ = 0.9), where `m / bias1` is `m` bit for bit — ±0, ±∞ and NaN
+    /// included — so the division is skipped. A constant, not a per-lane
+    /// test, so both variants vectorize.
+    fn update_lanes<const M_UNBIASED: bool>(&mut self, slot: usize, param: &mut Param) {
         let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
         let (bias1, bias2) = (self.bias1, self.bias2);
         let m = self.m[slot].as_mut_slice();
@@ -373,19 +397,10 @@ impl Optimizer for Adam {
             let g = grad + wd * *value;
             *m = b1 * *m + (1.0 - b1) * g;
             *v = b2 * *v + (1.0 - b2) * g * g;
-            let m_hat = *m / bias1;
+            let m_hat = if M_UNBIASED { *m } else { *m / bias1 };
             let v_hat = *v / bias2;
             *value -= lr * m_hat / (v_hat.sqrt() + eps);
         }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
     }
 }
 
@@ -539,6 +554,64 @@ mod tests {
         crate::serialize::load_state_vector(&mut model, &saved_params).unwrap();
         run_steps(&mut model, &mut opt2, 5);
         assert_eq!(crate::serialize::state_vector(&model), expected);
+    }
+
+    #[test]
+    fn adam_across_the_bias1_saturation_point_matches_always_dividing() {
+        let (b1, b2, eps, lr, wd) = (0.9f32, 0.999f32, 1e-8f32, 0.01f32, 0.0f32);
+        // The first step count at which `1 − β₁ᵗ` rounds to 1.0.
+        let saturated = (1..).find(|&t| 1.0 - b1.powi(t) == 1.0).unwrap();
+        // Six special gradients (±0, a subnormal, ±∞, NaN), then ten
+        // ordinary ones. The last eight lanes start from a zero weight,
+        // where one ulp of `m̂` shows in the updated value.
+        let special = [0.0, -0.0, 1e-40, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let grads: Vec<f32> = special
+            .into_iter()
+            .chain((0..10).map(|i| 0.37 * i as f32 - 1.3))
+            .collect();
+        let lanes = |v: Vec<f32>| Tensor::from_vec(v, &[4, 4]).unwrap();
+        let mut m = lanes((0..16).map(|i| 0.05 * i as f32 - 0.4).collect());
+        let mut v = lanes((0..16).map(|i| 0.01 * i as f32).collect());
+        m.as_mut_slice()[..3].copy_from_slice(&[0.0, -0.0, 1e-41]);
+        let mut param = Param::new(lanes(
+            (0..16).map(|i| if i < 8 { 1.0 } else { 0.0 }).collect(),
+        ));
+        let mut value = param.value.clone();
+        let layer = Linear::new(4, 4, &mut Rng::seed_from_u64(5));
+        let mut opt = Adam::new(lr);
+        let start = saturated - 3;
+        opt.restore_state(
+            u64::try_from(start).unwrap(),
+            vec![m.clone()],
+            vec![v.clone()],
+        );
+        let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut biases = Vec::new();
+        for t in start + 1..=start + 6 {
+            let scale = (t - start) as f32;
+            let grad: Vec<f32> = grads.iter().map(|g| g * scale).collect();
+            param.grad = lanes(grad.clone());
+            opt.begin_step(&layer);
+            opt.update_param(0, &mut param);
+            biases.push(opt.bias1);
+            // The reference: Adam as written, dividing every step.
+            let (bias1, bias2) = (1.0 - b1.powi(t), 1.0 - b2.powi(t));
+            let lanes = value.as_mut_slice().iter_mut().zip(&grad);
+            for ((w, &g), (m, v)) in lanes.zip(m.as_mut_slice().iter_mut().zip(v.as_mut_slice())) {
+                let g = g + wd * *w;
+                *m = b1 * *m + (1.0 - b1) * g;
+                *v = b2 * *v + (1.0 - b2) * g * g;
+                *w -= lr * (*m / bias1) / ((*v / bias2).sqrt() + eps);
+            }
+            let (m_opt, v_opt) = opt.moments();
+            assert_eq!(bits(&param.value), bits(&value), "value at t = {t}");
+            assert_eq!(bits(&m_opt[0]), bits(&m), "m at t = {t}");
+            assert_eq!(bits(&v_opt[0]), bits(&v), "v at t = {t}");
+        }
+        assert!(
+            biases[0] < 1.0 && biases[5] == 1.0,
+            "not across: {biases:?}"
+        );
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //! parameter's layer, so [`ClassifierModel::backward_step_on`] hands them to
 //! a [`StepWorker`] instead of running them inline: as a [`ParamHook`] it
 //! takes each parameter out of the model *by value* the moment the pass is
-//! done with it (with, for a fused-ReLU [`Linear`](crate::nn::Linear), the
+//! done with it (with, for every [`Linear`](crate::nn::Linear), the
 //! unapplied [`PendingGrads`]) and queues it for the thread running
-//! [`serve`](StepWorker::serve). The step returns with parameters still
-//! out. The next forward ([`ClassifierModel::forward_train_on`]) takes each
-//! layer's parameters back just before that layer runs
+//! [`serve`](StepWorker::serve). The training thread keeps only what the
+//! backward chain waits for — the forward and each layer's `dx` — and the
+//! worker gets the rest. The step returns with parameters still out. The
+//! next forward ([`ClassifierModel::forward_train_on`]) takes each layer's
+//! parameters back just before that layer runs
 //! ([`reclaim`](StepWorker::reclaim)), so the worker's tail overlaps the
 //! forward's head; the worker takes the newest job first, which is the
 //! lowest layer, the first one the forward needs. After the last step,
@@ -25,12 +27,6 @@
 //! update inline, as the plain fused step does, until a thread serves, so a
 //! thread busy with something else may start serving mid-call.
 //!
-//! The worker does the same job slower than the caller would (its operands
-//! were last touched on another core), so handing over everything makes
-//! the caller wait. The balance rule: while more than [`BACKLOG_LIMIT`] jobs
-//! are unfinished, the caller applies a `dW` product itself before handing
-//! the layer over.
-//!
 //! [`ClassifierModel::backward_step_on`]: crate::models::ClassifierModel::backward_step_on
 //! [`ClassifierModel::forward_train_on`]: crate::models::ClassifierModel::forward_train_on
 
@@ -40,9 +36,6 @@ use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-
-/// Unfinished jobs above which the caller keeps a `dW` product for itself.
-pub const BACKLOG_LIMIT: usize = 4;
 
 /// Polls of a wait that only spin, and polls after those that give the core
 /// away each time (so a peer sharing it runs at once); then the wait blocks.
@@ -122,7 +115,7 @@ pub struct StepWorker<'a> {
     wake_caller: Condvar,
     /// Jobs handed over and not yet given back. Written under the mailbox
     /// lock, which is what publishes the jobs themselves; the relaxed reads
-    /// outside it (polling, the balance rule) are hints.
+    /// outside it (polling) are hints.
     backlog: AtomicUsize,
     /// Likewise written under the mailbox lock.
     closed: AtomicBool,
@@ -380,21 +373,9 @@ impl ParamHook for &StepWorker<'_> {
         self.hand_over(Job::Param { slot, param });
     }
 
-    fn linear(
-        &mut self,
-        slot: usize,
-        weight: &mut Param,
-        bias: &mut Param,
-        mut pending: PendingGrads,
-    ) {
+    fn linear(&mut self, slot: usize, weight: &mut Param, bias: &mut Param, pending: PendingGrads) {
         if !self.serving.load(Ordering::Relaxed) {
             return self.update_linear(slot, weight, bias, pending);
-        }
-        // The layer is handed over either way, with `db` pending, so what
-        // this thread allocates does not depend on the (timing-dependent)
-        // backlog: `dW` accumulates in place.
-        if self.backlog.load(Ordering::Relaxed) > BACKLOG_LIMIT {
-            pending.apply_weight(weight);
         }
         self.hand_over(Job::Linear {
             slot,
