@@ -358,7 +358,7 @@ mod tests {
         model.zero_grad();
         apply_proximal_term(&mut model, &reference, 1.0);
         let norm_before: f32 = param_vector(&model).iter().map(|v| v * v).sum();
-        let mut opt = fedpkd_tensor::optim::Sgd::new(0.1);
+        let mut opt = fedpkd_tensor::optim::Adam::new(0.01);
         opt.step(&mut model);
         let norm_after: f32 = param_vector(&model).iter().map(|v| v * v).sum();
         assert!(

@@ -4,7 +4,7 @@
 //! loop uses) must leave a model, its gradients, its optimizer and the
 //! returned input gradient bit for bit where `backward_dual` →
 //! [`apply_proximal_term`] → `Optimizer::step` → `zero_grad` leaves them —
-//! on every model family, under both optimizers, with and without the
+//! on every model family, under Adam, with and without the
 //! prototype feature gradient, across consecutive steps (so optimizer state
 //! carried between steps is covered) including a 4-row tail batch.
 //!
@@ -27,7 +27,7 @@ use fedpkd_core::train::{add_proximal_term, apply_proximal_term};
 use fedpkd_rng::Rng;
 use fedpkd_tensor::models::{ClassifierModel, DepthTier, ModelSpec};
 use fedpkd_tensor::nn::{Layer, Param};
-use fedpkd_tensor::optim::{step_and_zero, Adam, Optimizer, Sgd};
+use fedpkd_tensor::optim::{step_and_zero, Adam, Optimizer};
 use fedpkd_tensor::serialize::{param_vector, state_vector};
 use fedpkd_tensor::step_worker::StepWorker;
 use fedpkd_tensor::Tensor;
@@ -66,67 +66,6 @@ fn model_spec() -> impl Strategy<Value = ModelSpec> {
     (0..specs.len()).prop_map(move |i| specs[i].clone())
 }
 
-#[derive(Debug, Clone, Copy)]
-enum OptSpec {
-    Adam { weight_decay: f32 },
-    Sgd { momentum: f32, weight_decay: f32 },
-}
-
-fn opt_spec() -> impl Strategy<Value = OptSpec> {
-    prop_oneof![
-        Just(OptSpec::Adam { weight_decay: 0.0 }),
-        Just(OptSpec::Adam { weight_decay: 0.01 }),
-        Just(OptSpec::Sgd {
-            momentum: 0.0,
-            weight_decay: 0.0
-        }),
-        Just(OptSpec::Sgd {
-            momentum: 0.9,
-            weight_decay: 0.01
-        }),
-    ]
-}
-
-/// The optimizer under test, concrete so Adam's state can be read back.
-enum Opt {
-    Adam(Adam),
-    Sgd(Sgd),
-}
-
-impl Opt {
-    fn new(spec: OptSpec) -> Self {
-        match spec {
-            OptSpec::Adam { weight_decay } => {
-                Self::Adam(Adam::new(0.01).with_weight_decay(weight_decay))
-            }
-            OptSpec::Sgd {
-                momentum,
-                weight_decay,
-            } => Self::Sgd(
-                Sgd::new(0.05)
-                    .with_momentum(momentum)
-                    .with_weight_decay(weight_decay),
-            ),
-        }
-    }
-
-    fn as_dyn(&mut self) -> &mut dyn Optimizer {
-        match self {
-            Self::Adam(adam) => adam,
-            Self::Sgd(sgd) => sgd,
-        }
-    }
-
-    /// Adam's `t` and `m ++ v` as bits; empty for SGD, whose velocity shows
-    /// in the next step's parameters.
-    fn state_bits(&self) -> (u64, Vec<u32>) {
-        match self {
-            Self::Adam(adam) => adam_bits(adam),
-            Self::Sgd(_) => (0, Vec::new()),
-        }
-    }
-}
-
 fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|x| x.to_bits()).collect()
 }
@@ -163,14 +102,13 @@ fn input_batch(spec: &ModelSpec, rows: usize, rng: &mut Rng) -> Tensor {
 /// state equal after each.
 fn check(
     spec: &ModelSpec,
-    opt: OptSpec,
     with_feature_grad: bool,
     mu: Option<f32>,
     seed: u64,
 ) -> Result<(), TestCaseError> {
     let mut trio_model = spec.build(&mut Rng::seed_from_u64(seed));
     let mut fused_model = spec.build(&mut Rng::seed_from_u64(seed));
-    let (mut trio_opt, mut fused_opt) = (Opt::new(opt), Opt::new(opt));
+    let (mut trio_opt, mut fused_opt) = (Adam::new(0.01), Adam::new(0.01));
     let reference = param_vector(&trio_model);
     let offsets = param_offsets(&fused_model);
     let mut rng = Rng::seed_from_u64(seed ^ 0x5eed);
@@ -187,15 +125,13 @@ fn check(
         if let Some(mu) = mu {
             apply_proximal_term(&mut trio_model, &reference, mu);
         }
-        trio_opt.as_dyn().step(&mut trio_model);
+        trio_opt.step(&mut trio_model);
         trio_model.zero_grad();
 
         let fused_dx = match mu {
-            None => {
-                fused_model.backward_step(&logit_grad, feature_grad.as_ref(), fused_opt.as_dyn())
-            }
+            None => fused_model.backward_step(&logit_grad, feature_grad.as_ref(), &mut fused_opt),
             Some(mu) => {
-                let optimizer = fused_opt.as_dyn();
+                let optimizer: &mut dyn Optimizer = &mut fused_opt;
                 optimizer.begin_step(&fused_model);
                 fused_model.backward_dual_with(
                     &logit_grad,
@@ -218,7 +154,7 @@ fn check(
         let grads = grad_bits(&fused_model);
         prop_assert!(grads.iter().all(|&g| g == 0), "fused step left a gradient");
         prop_assert_eq!(grads, grad_bits(&trio_model));
-        prop_assert_eq!(fused_opt.state_bits(), trio_opt.state_bits());
+        prop_assert_eq!(adam_bits(&fused_opt), adam_bits(&trio_opt));
     }
     Ok(())
 }
@@ -228,19 +164,14 @@ fn check(
 /// the model (every parameter back in place after `finish_step`, none left
 /// a placeholder) and its gradients equal after each, and the optimizers
 /// equal at the end.
-fn check_worker(
-    spec: &ModelSpec,
-    opt: OptSpec,
-    with_feature_grad: bool,
-    seed: u64,
-) -> Result<(), TestCaseError> {
+fn check_worker(spec: &ModelSpec, with_feature_grad: bool, seed: u64) -> Result<(), TestCaseError> {
     let mut inline_model = spec.build(&mut Rng::seed_from_u64(seed));
     let mut worker_model = spec.build(&mut Rng::seed_from_u64(seed));
-    let (mut inline_opt, mut worker_opt) = (Opt::new(opt), Opt::new(opt));
+    let (mut inline_opt, mut worker_opt) = (Adam::new(0.01), Adam::new(0.01));
     let param_count = inline_model.param_count();
     let mut rng = Rng::seed_from_u64(seed ^ 0x5eed);
 
-    let worker = StepWorker::new(worker_opt.as_dyn());
+    let worker = StepWorker::new(&mut worker_opt);
     std::thread::scope(|scope| {
         scope.spawn(|| worker.serve());
         let _close = worker.close_on_drop();
@@ -253,7 +184,7 @@ fn check_worker(
                 with_feature_grad.then(|| Tensor::randn(features.shape(), 0.5, &mut rng));
 
             let inline_dx =
-                inline_model.backward_step(&logit_grad, feature_grad.as_ref(), inline_opt.as_dyn());
+                inline_model.backward_step(&logit_grad, feature_grad.as_ref(), &mut inline_opt);
             let worker_dx =
                 worker_model.backward_step_on(&logit_grad, feature_grad.as_ref(), &worker);
             worker.finish_step(&mut worker_model);
@@ -270,7 +201,7 @@ fn check_worker(
         }
         Ok(())
     })?;
-    prop_assert_eq!(worker_opt.state_bits(), inline_opt.state_bits());
+    prop_assert_eq!(adam_bits(&worker_opt), adam_bits(&inline_opt));
     Ok(())
 }
 
@@ -699,21 +630,19 @@ proptest! {
     #[test]
     fn fused_step_equals_backward_step_zero_grad(
         spec in model_spec(),
-        opt in opt_spec(),
         with_feature_grad in any::<bool>(),
         mu in prop_oneof![Just(None), Just(Some(0.1f32))],
         seed in any::<u64>(),
     ) {
-        check(&spec, opt, with_feature_grad, mu, seed)?;
+        check(&spec, with_feature_grad, mu, seed)?;
     }
 
     #[test]
     fn step_on_a_worker_equals_the_inline_fused_step(
         spec in model_spec(),
-        opt in opt_spec(),
         with_feature_grad in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        check_worker(&spec, opt, with_feature_grad, seed)?;
+        check_worker(&spec, with_feature_grad, seed)?;
     }
 }

@@ -215,6 +215,13 @@ fn run() -> Result<(), String> {
         "fedpkd-serve: run complete at round {} ({} bytes, ledger fnv {:016x})",
         report.rounds_driven, report.total_bytes, report.ledger_fnv
     );
+    // A failed write does not stop the run (the sink counts the events it
+    // drops from then on), but the trace asked for is incomplete, so the
+    // command fails with that count.
+    if let (Some(sink), Some(path)) = (telemetry, &args.telemetry) {
+        sink.into_inner()
+            .map_err(|e| format!("--telemetry {}: {e}", path.display()))?;
+    }
     Ok(())
 }
 

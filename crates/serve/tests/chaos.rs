@@ -270,6 +270,69 @@ fn unusable_flag_values_get_the_usage_error() {
     let _ = std::fs::remove_file(&file);
 }
 
+/// `--telemetry` writes one JSON line per event, and a sink whose writes
+/// fail fails the command with the number of events it lost instead of
+/// exiting 0 with an empty trace.
+#[test]
+fn telemetry_write_failures_fail_the_command() {
+    use std::io::Read;
+    let dir = std::env::temp_dir().join(format!("fedpkd-trace-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let sock = dir.join("serve.sock");
+    let run = |trace: &Path| {
+        let mut server = Command::new(env!("CARGO_BIN_EXE_fedpkd-serve"))
+            .args(["--uds", &sock.display().to_string(), "--rounds", "1"])
+            .args(["--round-timeout-ms", "50"])
+            .args(["--telemetry", &trace.display().to_string()])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn fedpkd-serve");
+        let mut stderr = server.stderr.take().expect("piped stderr");
+        let status = wait_timeout(server, Duration::from_secs(10));
+        let mut said = String::new();
+        stderr.read_to_string(&mut said).expect("read stderr");
+        (status, said)
+    };
+
+    // No client connects, so the one round commits degraded at its timeout.
+    let trace = dir.join("trace.jsonl");
+    let (status, said) = run(&trace);
+    assert!(status.success(), "{said}");
+    let text = std::fs::read_to_string(&trace).expect("the trace");
+    let lines: Vec<&str> = text.lines().collect();
+    assert!(
+        lines
+            .first()
+            .is_some_and(|l| l.starts_with("{\"event\":\"round_start\",")),
+        "{text}"
+    );
+    assert!(
+        lines
+            .last()
+            .is_some_and(|l| l.starts_with("{\"event\":\"round_end\",")),
+        "{text}"
+    );
+    for line in &lines {
+        assert!(
+            line.starts_with("{\"event\":\"") && line.ends_with('}'),
+            "{line}"
+        );
+    }
+
+    let full = Path::new("/dev/full");
+    if full.exists() {
+        let (status, said) = run(full);
+        assert_eq!(status.code(), Some(1), "{said}");
+        assert!(said.contains("telemetry write failed"), "{said}");
+        // The first event's write failed; every later one was dropped.
+        let dropped = format!("; {} later event(s) dropped", lines.len() - 1);
+        assert!(said.contains(&dropped), "{said}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn wait_timeout(mut child: Child, timeout: Duration) -> std::process::ExitStatus {
     let deadline = Instant::now() + timeout;
     loop {

@@ -5,7 +5,7 @@
 //! training substrate from scratch: row-major `f32` tensors, a layer
 //! abstraction with explicit forward/backward passes, the losses the paper
 //! uses (cross-entropy, KL-divergence distillation, mean-squared error for
-//! prototype regularization), and SGD/Adam optimizers.
+//! prototype regularization), and the Adam optimizer.
 //!
 //! The crate is deliberately scoped to what federated knowledge distillation
 //! needs: mini-batch training of small classifiers, access to the
@@ -20,7 +20,7 @@
 //! use fedpkd_rng::Rng;
 //! use fedpkd_tensor::nn::{Layer, Linear, Relu, Sequential};
 //! use fedpkd_tensor::loss::CrossEntropy;
-//! use fedpkd_tensor::optim::{Optimizer, Sgd};
+//! use fedpkd_tensor::optim::{Adam, Optimizer};
 //! use fedpkd_tensor::Tensor;
 //!
 //! let mut rng = Rng::seed_from_u64(0);
@@ -31,7 +31,7 @@
 //! ]);
 //! let x = Tensor::from_vec(vec![0.0, 0.0, 1.0, 1.0], &[2, 2]).unwrap();
 //! let y = vec![0usize, 1];
-//! let mut opt = Sgd::new(0.1);
+//! let mut opt = Adam::new(0.05);
 //! for _ in 0..50 {
 //!     let logits = model.forward(&x, true);
 //!     let (loss, grad) = CrossEntropy::new().loss_and_grad(&logits, &y);

@@ -1,9 +1,8 @@
 //! First-order optimizers.
 //!
 //! Optimizers operate on any [`Layer`] through its stable parameter
-//! visitation order, keeping their per-parameter state (momentum, Adam
-//! moments) in buffers indexed by *slot* — a parameter's position in that
-//! order.
+//! visitation order, keeping their per-parameter state (Adam's moments) in
+//! buffers indexed by *slot* — a parameter's position in that order.
 //!
 //! An update step is [`Optimizer::begin_step`] once, then
 //! [`Optimizer::update_param`] once per parameter, in any order. Two
@@ -86,108 +85,31 @@ fn zeros_like_params(model: &dyn Layer) -> Vec<Tensor> {
         .collect()
 }
 
-/// Stochastic gradient descent with optional momentum and weight decay.
+/// The Adam optimizer (Kingma & Ba), the paper's optimizer of choice
+/// (Adam, η = 0.001).
 ///
 /// # Examples
 ///
 /// ```
 /// use fedpkd_rng::Rng;
 /// use fedpkd_tensor::nn::{Layer, Linear};
-/// use fedpkd_tensor::optim::{Optimizer, Sgd};
+/// use fedpkd_tensor::optim::{Adam, Optimizer};
 /// use fedpkd_tensor::Tensor;
 ///
 /// let mut rng = Rng::seed_from_u64(0);
 /// let mut layer = Linear::new(2, 2, &mut rng);
-/// let mut opt = Sgd::new(0.1).with_momentum(0.9);
+/// let mut opt = Adam::new(0.001);
 /// layer.forward(&Tensor::zeros(&[1, 2]), true);
 /// layer.backward(&Tensor::zeros(&[1, 2]));
 /// opt.step(&mut layer);
+/// assert_eq!(opt.step_count(), 1);
 /// ```
-#[derive(Debug)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates plain SGD with the given learning rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive and finite.
-    pub fn new(lr: f32) -> Self {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        Self {
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Enables classical momentum.
-    #[must_use]
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
-        self.momentum = momentum;
-        self
-    }
-
-    /// Enables L2 weight decay.
-    #[must_use]
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        assert!(weight_decay >= 0.0, "weight decay must be non-negative");
-        self.weight_decay = weight_decay;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn begin_step(&mut self, model: &dyn Layer) {
-        if self.velocity.is_empty() {
-            self.velocity = zeros_like_params(model);
-        }
-    }
-
-    fn update_param(&mut self, slot: usize, param: &mut Param) {
-        let (lr, momentum, wd) = (self.lr, self.momentum, self.weight_decay);
-        let value = param.value.as_mut_slice();
-        let grad = param.grad.as_slice();
-        let vel = self.velocity[slot].as_mut_slice();
-        assert_eq!(value.len(), grad.len(), "parameter/gradient mismatch");
-        assert_eq!(value.len(), vel.len(), "optimizer/model mismatch");
-        for ((w, &g), vel_i) in value.iter_mut().zip(grad).zip(vel.iter_mut()) {
-            let g = g + wd * *w;
-            if momentum > 0.0 {
-                *vel_i = momentum * *vel_i + g;
-                *w -= lr * *vel_i;
-            } else {
-                *w -= lr * g;
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-}
-
-/// The Adam optimizer (Kingma & Ba), the paper's optimizer of choice
-/// (Adam, η = 0.001).
 #[derive(Debug)]
 pub struct Adam {
     lr: f32,
     beta1: f32,
     beta2: f32,
     eps: f32,
-    weight_decay: f32,
     t: u64,
     /// Bias corrections `1 − βᵗ` of the open step, set by `begin_step`.
     bias1: f32,
@@ -210,21 +132,12 @@ impl Adam {
             beta1: 0.9,
             beta2: 0.999,
             eps: 1e-8,
-            weight_decay: 0.0,
             t: 0,
             bias1: 0.0,
             bias2: 0.0,
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Enables L2 weight decay (added to the gradient, as in classic Adam).
-    #[must_use]
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        assert!(weight_decay >= 0.0, "weight decay must be non-negative");
-        self.weight_decay = weight_decay;
-        self
     }
 
     /// Number of update steps taken so far (the bias-correction counter).
@@ -247,7 +160,7 @@ impl Adam {
     /// Restores the step count and moment buffers captured via
     /// [`step_count`](Self::step_count) and [`moments`](Self::moments).
     ///
-    /// Hyperparameters (β₁, β₂, ε, weight decay) are configuration, not
+    /// Hyperparameters (β₁, β₂, ε) are configuration, not
     /// state; they come from the constructor of the instance being restored
     /// into.
     ///
@@ -374,7 +287,7 @@ impl Adam {
     /// included — so the division is skipped. A constant, not a per-lane
     /// test, so both variants vectorize.
     fn update_lanes<const M_UNBIASED: bool>(&mut self, slot: usize, param: &mut Param) {
-        let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
+        let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         let (bias1, bias2) = (self.bias1, self.bias2);
         let m = self.m[slot].as_mut_slice();
         let v = self.v[slot].as_mut_slice();
@@ -394,9 +307,8 @@ impl Adam {
             .zip(m.iter_mut())
             .zip(v.iter_mut())
         {
-            let g = grad + wd * *value;
-            *m = b1 * *m + (1.0 - b1) * g;
-            *v = b2 * *v + (1.0 - b2) * g * g;
+            *m = b1 * *m + (1.0 - b1) * grad;
+            *v = b2 * *v + (1.0 - b2) * grad * grad;
             let m_hat = if M_UNBIASED { *m } else { *m / bias1 };
             let v_hat = *v / bias2;
             *value -= lr * m_hat / (v_hat.sqrt() + eps);
@@ -436,20 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_reduces_loss() {
-        let mut opt = Sgd::new(0.5);
-        let final_loss = train_toy(&mut opt, 200);
-        assert!(final_loss < 0.1, "loss {final_loss}");
-    }
-
-    #[test]
-    fn sgd_momentum_reduces_loss() {
-        let mut opt = Sgd::new(0.1).with_momentum(0.9);
-        let final_loss = train_toy(&mut opt, 200);
-        assert!(final_loss < 0.1, "loss {final_loss}");
-    }
-
-    #[test]
     fn adam_reduces_loss() {
         let mut opt = Adam::new(0.01);
         let final_loss = train_toy(&mut opt, 200);
@@ -457,63 +355,9 @@ mod tests {
     }
 
     #[test]
-    fn weight_decay_shrinks_weights() {
-        let mut rng = Rng::seed_from_u64(2);
-        let mut layer = Linear::new(4, 4, &mut rng);
-        let before: f32 = {
-            let mut norm = 0.0;
-            layer.visit_params(&mut |p| norm += p.value.l2_norm());
-            norm
-        };
-        // Zero gradients; only decay acts.
-        let mut opt = Sgd::new(0.1).with_weight_decay(0.5);
-        use crate::nn::Layer as _;
-        layer.forward(&Tensor::zeros(&[1, 4]), true);
-        layer.backward(&Tensor::zeros(&[1, 4]));
-        layer.zero_grad();
-        opt.step(&mut layer);
-        let after: f32 = {
-            let mut norm = 0.0;
-            layer.visit_params(&mut |p| norm += p.value.l2_norm());
-            norm
-        };
-        assert!(
-            after < before,
-            "decay must shrink weights: {after} !< {before}"
-        );
-    }
-
-    #[test]
-    fn sgd_single_step_matches_hand_computation() {
-        let mut rng = Rng::seed_from_u64(3);
-        let mut layer = Linear::new(1, 1, &mut rng);
-        use crate::nn::Layer as _;
-        // Set w = 2, b = 0. Input 1, output grad 1 → dW = 1, db = 1.
-        layer.visit_params_mut(&mut |p| {
-            p.value.as_mut_slice()[0] = if p.value.shape() == [1usize, 1] {
-                2.0
-            } else {
-                0.0
-            };
-        });
-        let x = Tensor::full(&[1, 1], 1.0);
-        layer.forward(&x, true);
-        layer.backward(&Tensor::full(&[1, 1], 1.0));
-        let mut opt = Sgd::new(0.1);
-        opt.step(&mut layer);
-        let mut vals = Vec::new();
-        layer.visit_params(&mut |p| vals.push(p.value.as_slice()[0]));
-        assert!((vals[0] - 1.9).abs() < 1e-6, "w {}", vals[0]);
-        assert!((vals[1] + 0.1).abs() < 1e-6, "b {}", vals[1]);
-    }
-
-    #[test]
     fn learning_rate_accessors() {
-        let mut opt = Sgd::new(0.1);
-        assert_eq!(opt.learning_rate(), 0.1);
-        opt.set_learning_rate(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
         let mut adam = Adam::new(0.001);
+        assert_eq!(adam.learning_rate(), 0.001);
         adam.set_learning_rate(0.002);
         assert_eq!(adam.learning_rate(), 0.002);
     }
@@ -558,7 +402,7 @@ mod tests {
 
     #[test]
     fn adam_across_the_bias1_saturation_point_matches_always_dividing() {
-        let (b1, b2, eps, lr, wd) = (0.9f32, 0.999f32, 1e-8f32, 0.01f32, 0.0f32);
+        let (b1, b2, eps, lr) = (0.9f32, 0.999f32, 1e-8f32, 0.01f32);
         // The first step count at which `1 − β₁ᵗ` rounds to 1.0.
         let saturated = (1..).find(|&t| 1.0 - b1.powi(t) == 1.0).unwrap();
         // Six special gradients (±0, a subnormal, ±∞, NaN), then ten
@@ -598,7 +442,6 @@ mod tests {
             let (bias1, bias2) = (1.0 - b1.powi(t), 1.0 - b2.powi(t));
             let lanes = value.as_mut_slice().iter_mut().zip(&grad);
             for ((w, &g), (m, v)) in lanes.zip(m.as_mut_slice().iter_mut().zip(v.as_mut_slice())) {
-                let g = g + wd * *w;
                 *m = b1 * *m + (1.0 - b1) * g;
                 *v = b2 * *v + (1.0 - b2) * g * g;
                 *w -= lr * (*m / bias1) / ((*v / bias2).sqrt() + eps);
@@ -624,12 +467,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "learning rate must be positive")]
     fn rejects_zero_lr() {
-        let _ = Sgd::new(0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "momentum must be in")]
-    fn rejects_momentum_of_one() {
-        let _ = Sgd::new(0.1).with_momentum(1.0);
+        let _ = Adam::new(0.0);
     }
 }

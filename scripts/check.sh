@@ -83,6 +83,24 @@ cargo build --release -q --examples
 for example in examples/*.rs; do
     timeout 120 "${CARGO_TARGET_DIR:-target}/release/examples/$(basename "$example" .rs)" > /dev/null
 done
+# Trace parse: an independent JSON parser reads every line the telemetry
+# example just wrote; each must be one object whose first key is "event",
+# and NaN / Infinity (which Python would accept, JSON does not) fail it.
+if command -v python3 > /dev/null; then
+    python3 -c '
+import json, sys
+def strict(name):
+    raise ValueError("not JSON: " + name)
+lines = open(sys.argv[1]).read().splitlines()
+assert lines, "empty trace"
+for n, line in enumerate(lines, 1):
+    event = json.loads(line, parse_constant=strict)
+    assert isinstance(event, dict) and next(iter(event)) == "event", (n, line)
+print("trace parse: %d lines of %s are JSON" % (len(lines), sys.argv[1]))
+' fedpkd-trace.jsonl
+else
+    echo "skip: trace parse (needs python3)" >&2
+fi
 # Accuracy gate: the α sweep at three seeds (seeded, so deterministic) exits
 # non-zero if FedPKD, public or data-free, falls below FedDF at any seed
 # where it must win; the gates are in its doc comment (~75 s on 2 cores).
