@@ -55,13 +55,15 @@ cargo test --workspace -q --no-fail-fast
 # waits on a buffered socket read (one that waited on the socket while its
 # bytes sat in the buffer would hang). All must also finish when all
 # threads share one core. Re-runs the inline-vs-worker and
-# job-beside-the-worker tests, the dispatcher's own tests (panics on the
-# caller and on a helper included), the phase kit's unit tests, the staged
-# fold, the data-free budget sweep (caller, refine thread and step worker
-# at budget 3) and the served-vs-in-process tests pinned to CPU 0; a wait
-# that can hang dies on the timeout instead of stalling the gate.
+# job-beside-the-worker tests, the pinned trainer literals (budgets 2 and 3
+# must reproduce them on one core), the dispatcher's own tests (panics on
+# the caller and on a helper included), the phase kit's unit tests, the
+# staged fold, the data-free budget sweep (caller, refine thread and step
+# worker at budget 3) and the served-vs-in-process tests pinned to CPU 0; a
+# wait that can hang dies on the timeout instead of stalling the gate.
 if command -v taskset > /dev/null && command -v timeout > /dev/null; then
     taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --test fused_step worker
+    taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --test pinned_trainers
     taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-tensor --lib parallel::
     taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --lib clients::
     taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --lib fleet::tests::staged_uploads
