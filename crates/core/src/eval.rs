@@ -20,17 +20,9 @@ pub fn accuracy(model: &mut ClassifierModel, dataset: &Dataset) -> f64 {
     if dataset.is_empty() {
         return 0.0;
     }
-    let mut correct = 0usize;
-    for batch in dataset.batches_sequential(EVAL_BATCH) {
-        let logits = model.forward_logits(&batch.features, false);
-        let preds = logits.argmax_rows();
-        correct += preds
-            .iter()
-            .zip(&batch.labels)
-            .filter(|(p, y)| p == y)
-            .count();
-    }
-    correct as f64 / dataset.len() as f64
+    let preds = logits_on(model, dataset).argmax_rows();
+    let correct = preds.iter().zip(dataset.labels()).filter(|(p, y)| p == y);
+    correct.count() as f64 / dataset.len() as f64
 }
 
 /// Per-class accuracy of `model` on `dataset` (`NaN` for absent classes).
@@ -42,27 +34,34 @@ pub fn per_class_accuracy(model: &mut ClassifierModel, dataset: &Dataset) -> Vec
 /// Full-dataset logits of `model`, computed in evaluation mode, row-aligned
 /// with the dataset.
 pub fn logits_on(model: &mut ClassifierModel, dataset: &Dataset) -> Tensor {
-    forward_in_batches(dataset, |features| model.forward_logits(features, false))
+    forward_in_windows(dataset, |features| model.forward_logits(features, false))
 }
 
 /// Full-dataset feature embeddings of `model`, row-aligned with the dataset.
 pub fn features_on(model: &mut ClassifierModel, dataset: &Dataset) -> Tensor {
-    forward_in_batches(dataset, |features| model.forward_features(features, false))
+    forward_in_windows(dataset, |features| model.forward_features(features, false))
 }
 
-fn forward_in_batches(dataset: &Dataset, mut f: impl FnMut(&Tensor) -> Tensor) -> Tensor {
-    let mut rows: Vec<Vec<f32>> = Vec::with_capacity(dataset.len());
-    for batch in dataset.batches_sequential(EVAL_BATCH) {
-        let out = f(&batch.features);
-        for r in 0..out.rows() {
-            rows.push(out.row(r).to_vec());
-        }
+/// `f`'s output over the whole dataset as one `[rows, width]` tensor: the
+/// rows go through `f` in [`EVAL_BATCH`]-row windows, gathered into one
+/// reused buffer, and each window's output is appended to the result.
+fn forward_in_windows(dataset: &Dataset, mut f: impl FnMut(&Tensor) -> Tensor) -> Tensor {
+    let (n, features) = (dataset.len(), dataset.features());
+    let (mut out, mut width) = (Vec::new(), 0);
+    let (mut window, mut rows) = (Tensor::default(), Vec::with_capacity(EVAL_BATCH));
+    for first in (0..n).step_by(EVAL_BATCH) {
+        rows.clear();
+        rows.extend(first..n.min(first + EVAL_BATCH));
+        // Every window row is below `n`, the feature row count.
+        features
+            .select_rows_into(&rows, &mut window)
+            .expect("in range");
+        let y = f(&window);
+        width = y.cols();
+        out.extend_from_slice(y.as_slice());
     }
-    if rows.is_empty() {
-        return Tensor::zeros(&[0, 0]);
-    }
-    let refs: Vec<&[f32]> = rows.iter().map(Vec::as_slice).collect();
-    Tensor::stack_rows(&refs).expect("equal-width rows from one model")
+    // `f` gives one `width`-wide row per input row.
+    Tensor::from_vec(out, &[n, width]).expect("one row per input row")
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 
 use std::panic::resume_unwind;
 
+use crate::train::{gather, minibatches, prototype_target};
 use fedpkd_rng::Rng;
 use fedpkd_tensor::loss::{distill_kl_ce, DistillKl, Mse};
 use fedpkd_tensor::models::ClassifierModel;
@@ -25,7 +26,7 @@ use fedpkd_tensor::Tensor;
 /// loop computes anyway.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServerDistillStats {
-    /// Mean `KL + CE` distillation loss (Eq. 11).
+    /// Mean `T²·KL + CE` distillation loss (Eq. 11).
     pub kd_loss: f64,
     /// Mean `MSE` prototype loss (Eq. 12); 0 when the term was inactive.
     pub proto_loss: f64,
@@ -35,9 +36,50 @@ pub struct ServerDistillStats {
     pub batches: usize,
 }
 
+/// One batch of server distillation (Eqs. 11–13): `F = δ·L_kd + (1−δ)·L_p`
+/// with Eq. 11's `L_kd = T²·KL(teacher ‖ softmax(logits / T)) + CE(logits, ỹ)`
+/// and Eq. 12's `L_p = MSE(features, P^{ỹ})` over the rows whose
+/// pseudo-class ỹ (`labels`) has a global prototype. Returns `((L_kd, L_p),
+/// logit gradient, feature gradient)`, the gradients being `F`'s; `L_p` and
+/// the feature gradient are `None` when `delta == 1` or no row is covered.
+pub fn server_objective(
+    features: &Tensor,
+    logits: &Tensor,
+    teacher: &Tensor,
+    labels: &[usize],
+    prototypes: &[Option<Tensor>],
+    delta: f32,
+    temperature: f32,
+) -> ((f64, Option<f64>), Tensor, Option<Tensor>) {
+    // Eq. 11: both losses share the logits, so the combined entry fuses
+    // their softmax families.
+    let ((kl, mut logit_grad), (ce, ce_grad)) =
+        distill_kl_ce(&DistillKl::new(temperature), logits, teacher, labels);
+    // Both gradients have the logits' shape.
+    logit_grad.axpy(1.0, &ce_grad).expect("equal shapes");
+    logit_grad.scale_in_place(delta);
+    let kd = f64::from(kl) + f64::from(ce);
+
+    // Eq. 12: pull features toward P^{ỹ}.
+    let pull = (delta < 1.0).then(|| prototype_target(features, labels, prototypes));
+    let Some((target, covered)) = pull.flatten() else {
+        return ((kd, None), logit_grad, None);
+    };
+    // The MSE averages over every batch row, but rows whose pseudo-class has
+    // no prototype have target == features and contribute exactly zero, so
+    // Eq. 12's mean must be over covered rows only — without the rescale,
+    // partial coverage dilutes both the reported L_p and its gradient.
+    let (mse, mut feature_grad) = Mse::new().loss_and_grad(features, &target);
+    let rescale = labels.len() as f32 / covered as f32;
+    feature_grad.scale_in_place((1.0 - delta) * rescale);
+    let proto = f64::from(mse) * f64::from(rescale);
+    ((kd, Some(proto)), logit_grad, Some(feature_grad))
+}
+
 /// Trains the server model on the filtered public subset with the combined
 /// objective of Eq. 13:
-/// `F = δ·(KL(S ‖ M) + CE(M, ỹ)) + (1−δ)·MSE(R(x), P^{ỹ})`.
+/// `F = δ·(T²·KL(S ‖ M) + CE(M, ỹ)) + (1−δ)·MSE(R(x), P^{ỹ})`, one
+/// [`server_objective`] per mini-batch.
 ///
 /// `public_features` / `teacher_probs` / `pseudo_labels` must be row-aligned
 /// (the already-filtered subset). Rows whose pseudo-class has no global
@@ -131,84 +173,33 @@ pub fn train_server_with_workers<T: Send>(
         // stats (and JSONL telemetry) with NaN.
         return (ServerDistillStats::default(), beside.map(|job| job()));
     }
-    let kl = DistillKl::new(temperature);
-    let mse = Mse::new();
-
+    let (mut x, mut teacher) = (Tensor::default(), Tensor::default());
     // The epochs, over whichever training forward and fused step
     // `forward` and `step` are.
     let mut epochs_with =
         |model: &mut ClassifierModel,
          forward: &mut dyn FnMut(&mut ClassifierModel, &Tensor) -> (Tensor, Tensor),
          step: &mut dyn FnMut(&mut ClassifierModel, &Tensor, Option<&Tensor>)| {
-            let mut kd_total = 0.0f64;
-            let mut proto_total = 0.0f64;
-            let mut batches = 0usize;
-            let mut order: Vec<usize> = Vec::with_capacity(n);
-            let mut labels: Vec<usize> = Vec::with_capacity(batch_size.min(n));
-            // The batch, its teacher rows and the Eq. 12 target, rebuilt in
-            // place per batch.
-            let (mut x, mut teacher) = (Tensor::default(), Tensor::default());
-            let mut target = Tensor::default();
-            for _ in 0..epochs {
-                order.clear();
-                order.extend(0..n);
-                rng.shuffle(&mut order);
-                for chunk in order.chunks(batch_size) {
-                    public_features
-                        .select_rows_into(chunk, &mut x)
-                        .expect("in range");
-                    teacher_probs
-                        .select_rows_into(chunk, &mut teacher)
-                        .expect("in range");
-                    labels.clear();
-                    labels.extend(chunk.iter().map(|&i| pseudo_labels[i]));
-
-                    let (features, logits) = forward(model, &x);
-
-                    // Distillation term (Eq. 11): both losses share the logits,
-                    // so the combined entry fuses their softmax families.
-                    let ((kl_loss, kl_grad), (ce_loss, ce_grad)) =
-                        distill_kl_ce(&kl, &logits, &teacher, &labels);
-                    let mut logit_grad = kl_grad;
-                    logit_grad.axpy(1.0, &ce_grad).expect("equal shapes");
-                    logit_grad.scale_in_place(delta);
-                    kd_total += f64::from(kl_loss) + f64::from(ce_loss);
-
-                    // Prototype term (Eq. 12): pull features toward P^{ỹ}.
-                    let feature_grad = if delta < 1.0 {
-                        target.clone_from(&features);
-                        let mut covered = 0usize;
-                        for (row, &y) in labels.iter().enumerate() {
-                            if let Some(proto) = global_prototypes.get(y).and_then(Option::as_ref) {
-                                target.row_mut(row).copy_from_slice(proto.as_slice());
-                                covered += 1;
-                            }
-                        }
-                        if covered > 0 {
-                            // The MSE averages over every batch row, but rows
-                            // whose pseudo-class has no prototype have target ==
-                            // features and contribute exactly zero, so Eq. 12's
-                            // mean must be over covered rows only — without the
-                            // rescale, partial coverage dilutes both the
-                            // reported L_p and its gradient.
-                            let (mse_loss, mut g) = mse.loss_and_grad(&features, &target);
-                            let rescale = chunk.len() as f32 / covered as f32;
-                            g.scale_in_place((1.0 - delta) * rescale);
-                            proto_total += f64::from(mse_loss) * f64::from(rescale);
-                            Some(g)
-                        } else {
-                            None
-                        }
-                    } else {
-                        None
-                    };
-
-                    step(model, &logit_grad, feature_grad.as_ref());
-                    batches += 1;
-                }
-            }
-            let kd_loss = kd_total / batches as f64;
-            let proto_loss = proto_total / batches as f64;
+            let (mut kd_total, mut proto_total) = (0.0f64, 0.0f64);
+            let batches = minibatches(n, epochs, batch_size, rng, |rows| {
+                gather(public_features, rows, &mut x);
+                gather(teacher_probs, rows, &mut teacher);
+                let labels: Vec<usize> = rows.iter().map(|&i| pseudo_labels[i]).collect();
+                let (features, logits) = forward(model, &x);
+                let ((kd, proto), logit_grad, feature_grad) = server_objective(
+                    &features,
+                    &logits,
+                    &teacher,
+                    &labels,
+                    global_prototypes,
+                    delta,
+                    temperature,
+                );
+                kd_total += kd;
+                proto_total += proto.unwrap_or(0.0);
+                step(model, &logit_grad, feature_grad.as_ref());
+            });
+            let (kd_loss, proto_loss) = (kd_total / batches as f64, proto_total / batches as f64);
             ServerDistillStats {
                 kd_loss,
                 proto_loss,

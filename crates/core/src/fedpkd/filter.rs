@@ -191,7 +191,7 @@ mod tests {
     use super::*;
 
     fn features(rows: &[&[f32]]) -> Tensor {
-        Tensor::stack_rows(rows).unwrap()
+        Tensor::from_vec(rows.concat(), &[rows.len(), rows[0].len()]).unwrap()
     }
 
     fn proto(values: &[f32]) -> Option<Tensor> {

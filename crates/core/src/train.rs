@@ -1,4 +1,6 @@
-//! Shared training loops used by FedPKD and every baseline.
+//! Shared training loops used by FedPKD and every baseline: one batch
+//! order, [`minibatches`], and per objective a plain function of one
+//! batch's forward outputs that returns its loss terms and gradients.
 
 use fedpkd_data::Dataset;
 use fedpkd_rng::Rng;
@@ -23,22 +25,115 @@ pub struct TrainStats {
 }
 
 impl TrainStats {
-    /// Builds stats from an accumulated loss total and batch count.
+    /// Builds stats from an accumulated loss total (0 when no batch ran)
+    /// and batch count.
     pub fn from_total(total_loss: f64, batches: usize) -> Self {
-        Self {
-            batches,
-            mean_loss: if batches == 0 {
-                0.0
-            } else {
-                total_loss / batches as f64
-            },
-        }
+        let mean_loss = total_loss / batches.max(1) as f64;
+        Self { batches, mean_loss }
     }
 }
 
-/// Plain supervised training on a labeled dataset (Eq. 4).
+/// The one batch order: each of `epochs` passes shuffles `0..n` once with
+/// `rng` and hands `step` the shuffled indices cut into chunks of
+/// `batch_size` (the last one may be shorter). Returns the batch count.
 ///
-/// Runs `epochs` passes of shuffled mini-batch training with cross-entropy.
+/// # Panics
+///
+/// Panics if `batch_size` is 0.
+pub fn minibatches(
+    n: usize,
+    epochs: usize,
+    batch_size: usize,
+    rng: &mut Rng,
+    mut step: impl FnMut(&[usize]),
+) -> usize {
+    // Both configs' `validate` reject 0, and no wire or snapshot byte sets it.
+    assert!(batch_size > 0, "batch size must be positive");
+    let (mut order, mut batches) = (Vec::with_capacity(n), 0);
+    for _ in 0..epochs {
+        order.clear();
+        order.extend(0..n);
+        rng.shuffle(&mut order);
+        for chunk in order.chunks(batch_size) {
+            step(chunk);
+            batches += 1;
+        }
+    }
+    batches
+}
+
+/// Gathers `rows` of `source` into `out`, a buffer reused across batches.
+pub(crate) fn gather(source: &Tensor, rows: &[usize], out: &mut Tensor) {
+    // Every trainer walks `minibatches` over its inputs' common row count.
+    source.select_rows_into(rows, out).expect("in range");
+}
+
+/// The prototype target of Eqs. 12 and 16: `features` with every row whose
+/// (pseudo-)label has a global prototype replaced by that prototype, and
+/// the number of rows replaced; `None` when no row's label has one.
+pub(crate) fn prototype_target(
+    features: &Tensor,
+    labels: &[usize],
+    prototypes: &[Option<Tensor>],
+) -> Option<(Tensor, usize)> {
+    let (mut target, mut covered) = (None::<Tensor>, 0);
+    for (row, &y) in labels.iter().enumerate() {
+        if let Some(proto) = prototypes.get(y).and_then(Option::as_ref) {
+            let target = target.get_or_insert_with(|| features.clone());
+            // Admission holds every global prototype to the feature width.
+            target.row_mut(row).copy_from_slice(proto.as_slice());
+            covered += 1;
+        }
+    }
+    Some((target?, covered))
+}
+
+/// One batch of private training (Eq. 16):
+/// `CE(logits, y) + ε · MSE(features, P^{y})`, or Eq. 4 when `ε == 0` or no
+/// row's class has a global prototype. Returns `((CE, MSE), logit gradient,
+/// feature gradient)`; MSE and feature gradient (ε applied) are `None` when
+/// the pull is off. The MSE averages over every row, uncovered ones too.
+pub fn supervised_objective(
+    features: &Tensor,
+    logits: &Tensor,
+    labels: &[usize],
+    prototypes: &[Option<Tensor>],
+    epsilon: f32,
+) -> ((f64, Option<f64>), Tensor, Option<Tensor>) {
+    let (ce, logit_grad) = CrossEntropy::new().loss_and_grad(logits, labels);
+    let pull = (epsilon != 0.0).then(|| prototype_target(features, labels, prototypes));
+    let Some((target, _)) = pull.flatten() else {
+        return ((f64::from(ce), None), logit_grad, None);
+    };
+    let (mse, mut feature_grad) = Mse::new().loss_and_grad(features, &target);
+    feature_grad.scale_in_place(epsilon);
+    let terms = (f64::from(ce), Some(f64::from(mse)));
+    (terms, logit_grad, Some(feature_grad))
+}
+
+/// One batch of client distillation (Eq. 15):
+/// `γ · T²·KL(teacher ‖ softmax(logits / T)) + (1−γ) · CE(logits, ỹ)`,
+/// with `labels` the pseudo-labels ỹ (Eq. 14). Returns `((T²·KL, CE),
+/// logit gradient)`.
+pub fn distill_objective(
+    logits: &Tensor,
+    teacher: &Tensor,
+    labels: &[usize],
+    gamma: f32,
+    temperature: f32,
+) -> ((f64, f64), Tensor) {
+    // Both terms share the logits; the combined entry fuses their softmax
+    // families.
+    let ((kl, kl_grad), (ce, ce_grad)) =
+        distill_kl_ce(&DistillKl::new(temperature), logits, teacher, labels);
+    let mut grad = kl_grad.scale(gamma);
+    // Both gradients have the logits' shape.
+    grad.axpy(1.0 - gamma, &ce_grad).expect("equal shapes");
+    ((f64::from(kl), f64::from(ce)), grad)
+}
+
+/// Plain supervised training on a labeled dataset (Eq. 4): Eq. 16's
+/// trainer with no prototypes.
 pub fn train_supervised(
     model: &mut ClassifierModel,
     dataset: &Dataset,
@@ -47,23 +142,11 @@ pub fn train_supervised(
     optimizer: &mut dyn Optimizer,
     rng: &mut Rng,
 ) -> TrainStats {
-    let ce = CrossEntropy::new();
-    let mut total_loss = 0.0f64;
-    let mut batches = 0usize;
-    for _ in 0..epochs {
-        for batch in dataset.batches(batch_size, rng) {
-            let logits = model.forward_logits(&batch.features, true);
-            let (loss, grad) = ce.loss_and_grad(&logits, &batch.labels);
-            model.backward_step(&grad, None, optimizer);
-            total_loss += f64::from(loss);
-            batches += 1;
-        }
-    }
-    TrainStats::from_total(total_loss, batches)
+    train_supervised_with_prototypes(model, dataset, &[], 0.0, epochs, batch_size, optimizer, rng)
 }
 
-/// Supervised training regularized toward global prototypes (Eq. 16):
-/// `CE(logits, y) + ε · MSE(features, P^{y})`.
+/// Supervised training regularized toward global prototypes (Eq. 16), one
+/// [`supervised_objective`] per mini-batch.
 ///
 /// Classes without a global prototype contribute only the CE term.
 #[allow(clippy::too_many_arguments)]
@@ -77,46 +160,22 @@ pub fn train_supervised_with_prototypes(
     optimizer: &mut dyn Optimizer,
     rng: &mut Rng,
 ) -> TrainStats {
-    let ce = CrossEntropy::new();
-    let mse = Mse::new();
-    let mut total_loss = 0.0f64;
-    let mut batches = 0usize;
-    // The Eq. 16 target, rebuilt in place per batch.
-    let mut target = Tensor::default();
-    for _ in 0..epochs {
-        for batch in dataset.batches(batch_size, rng) {
-            let (features, logits) = model.forward_full(&batch.features, true);
-            let (ce_loss, logit_grad) = ce.loss_and_grad(&logits, &batch.labels);
-
-            // Prototype pull: rows whose class has a global prototype get an
-            // MSE gradient on their feature embedding.
-            target.clone_from(&features);
-            let mut any = false;
-            for (row, &y) in batch.labels.iter().enumerate() {
-                if let Some(proto) = global_prototypes.get(y).and_then(Option::as_ref) {
-                    target.row_mut(row).copy_from_slice(proto.as_slice());
-                    any = true;
-                }
-            }
-            let mut objective = f64::from(ce_loss);
-            let feature_grad = if any && epsilon != 0.0 {
-                let (mse_loss, mut fgrad) = mse.loss_and_grad(&features, &target);
-                fgrad.scale_in_place(epsilon);
-                objective += f64::from(epsilon) * f64::from(mse_loss);
-                Some(fgrad)
-            } else {
-                None
-            };
-            model.backward_step(&logit_grad, feature_grad.as_ref(), optimizer);
-            total_loss += objective;
-            batches += 1;
-        }
-    }
+    let (mut x, mut total_loss) = (Tensor::default(), 0.0f64);
+    let batches = minibatches(dataset.len(), epochs, batch_size, rng, |rows| {
+        gather(dataset.features(), rows, &mut x);
+        let labels: Vec<usize> = rows.iter().map(|&i| dataset.labels()[i]).collect();
+        let (features, logits) = model.forward_full(&x, true);
+        let ((ce, mse), logit_grad, feature_grad) =
+            supervised_objective(&features, &logits, &labels, global_prototypes, epsilon);
+        model.backward_step(&logit_grad, feature_grad.as_ref(), optimizer);
+        total_loss += mse.map_or(ce, |mse| ce + f64::from(epsilon) * mse);
+    });
     TrainStats::from_total(total_loss, batches)
 }
 
 /// Knowledge-distillation training on (a subset of) the public dataset
-/// (Eq. 15): `γ · KL(student ‖ teacher) + (1−γ) · CE(student, ỹ)` where the
+/// (Eq. 15), one [`distill_objective`] per mini-batch:
+/// `γ · T²·KL(teacher ‖ student) + (1−γ) · CE(student, ỹ)`, where the
 /// pseudo-labels `ỹ` are the argmax of the teacher distribution (Eq. 14).
 ///
 /// `public_features` rows must align with `teacher_probs` rows.
@@ -142,45 +201,17 @@ pub fn train_distill(
         teacher_probs.rows(),
         "feature/teacher row mismatch"
     );
-    let n = public_features.rows();
-    if n == 0 {
-        return TrainStats::default();
-    }
-    let kl = DistillKl::new(temperature);
     let pseudo_labels: Vec<usize> = teacher_probs.argmax_rows();
-
-    let mut total_loss = 0.0f64;
-    let mut batches = 0usize;
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut labels: Vec<usize> = Vec::with_capacity(batch_size.min(n));
-    // The batch and its teacher rows, gathered in place per batch.
-    let (mut x, mut teacher) = (Tensor::default(), Tensor::default());
-    for _ in 0..epochs {
-        order.clear();
-        order.extend(0..n);
-        rng.shuffle(&mut order);
-        for chunk in order.chunks(batch_size) {
-            public_features
-                .select_rows_into(chunk, &mut x)
-                .expect("indices in range");
-            teacher_probs
-                .select_rows_into(chunk, &mut teacher)
-                .expect("indices in range");
-            labels.clear();
-            labels.extend(chunk.iter().map(|&i| pseudo_labels[i]));
-            let logits = model.forward_logits(&x, true);
-            // Both loss terms share the logits; the combined entry fuses
-            // their softmax families.
-            let ((kl_loss, kl_grad), (ce_loss, ce_grad)) =
-                distill_kl_ce(&kl, &logits, &teacher, &labels);
-            let mut grad = kl_grad.scale(gamma);
-            grad.axpy(1.0 - gamma, &ce_grad).expect("equal shapes");
-            model.backward_step(&grad, None, optimizer);
-            total_loss +=
-                f64::from(gamma) * f64::from(kl_loss) + f64::from(1.0 - gamma) * f64::from(ce_loss);
-            batches += 1;
-        }
-    }
+    let (mut x, mut teacher, mut total_loss) = (Tensor::default(), Tensor::default(), 0.0f64);
+    let batches = minibatches(public_features.rows(), epochs, batch_size, rng, |rows| {
+        gather(public_features, rows, &mut x);
+        gather(teacher_probs, rows, &mut teacher);
+        let labels: Vec<usize> = rows.iter().map(|&i| pseudo_labels[i]).collect();
+        let logits = model.forward_logits(&x, true);
+        let ((kl, ce), grad) = distill_objective(&logits, &teacher, &labels, gamma, temperature);
+        model.backward_step(&grad, None, optimizer);
+        total_loss += f64::from(gamma) * kl + f64::from(1.0 - gamma) * ce;
+    });
     TrainStats::from_total(total_loss, batches)
 }
 

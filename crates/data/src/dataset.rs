@@ -112,32 +112,19 @@ impl Dataset {
     /// # Panics
     ///
     /// Panics if `batch_size == 0`.
-    pub fn batches<'a>(&'a self, batch_size: usize, rng: &mut Rng) -> BatchIter<'a> {
+    pub fn batches(&self, batch_size: usize, rng: &mut Rng) -> impl Iterator<Item = Batch> + '_ {
         assert!(batch_size > 0, "batch size must be positive");
         let mut order: Vec<usize> = (0..self.len()).collect();
         rng.shuffle(&mut order);
-        BatchIter {
-            dataset: self,
-            order,
-            batch_size,
-            cursor: 0,
-        }
-    }
-
-    /// Iterates over mini-batches in index order (for deterministic
-    /// evaluation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0`.
-    pub fn batches_sequential(&self, batch_size: usize) -> BatchIter<'_> {
-        assert!(batch_size > 0, "batch size must be positive");
-        BatchIter {
-            dataset: self,
-            order: (0..self.len()).collect(),
-            batch_size,
-            cursor: 0,
-        }
+        (0..self.len()).step_by(batch_size).map(move |start| {
+            let indices = order[start..order.len().min(start + batch_size)].to_vec();
+            let batch = self.subset(&indices);
+            Batch {
+                features: batch.features,
+                labels: batch.labels,
+                indices,
+            }
+        })
     }
 }
 
@@ -150,39 +137,6 @@ pub struct Batch {
     pub labels: Vec<usize>,
     /// Original dataset indices of the rows.
     pub indices: Vec<usize>,
-}
-
-/// Iterator over mini-batches, produced by [`Dataset::batches`].
-#[derive(Debug)]
-pub struct BatchIter<'a> {
-    dataset: &'a Dataset,
-    order: Vec<usize>,
-    batch_size: usize,
-    cursor: usize,
-}
-
-impl Iterator for BatchIter<'_> {
-    type Item = Batch;
-
-    fn next(&mut self) -> Option<Batch> {
-        if self.cursor >= self.order.len() {
-            return None;
-        }
-        let end = (self.cursor + self.batch_size).min(self.order.len());
-        let indices: Vec<usize> = self.order[self.cursor..end].to_vec();
-        self.cursor = end;
-        let features = self
-            .dataset
-            .features
-            .select_rows(&indices)
-            .expect("batch indices are in range");
-        let labels = indices.iter().map(|&i| self.dataset.labels[i]).collect();
-        Some(Batch {
-            features,
-            labels,
-            indices,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -231,15 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_batches_preserve_order() {
-        let ds = toy();
-        let batches: Vec<Batch> = ds.batches_sequential(4).collect();
-        assert_eq!(batches.len(), 2);
-        assert_eq!(batches[0].indices, vec![0, 1, 2, 3]);
-        assert_eq!(batches[1].indices, vec![4, 5]);
-    }
-
-    #[test]
     fn batch_labels_align_with_rows() {
         let ds = toy();
         let mut rng = Rng::seed_from_u64(2);
@@ -263,6 +208,6 @@ mod tests {
     fn empty_dataset_yields_no_batches() {
         let ds = Dataset::new(Tensor::zeros(&[0, 2]), vec![], 2).unwrap();
         assert!(ds.is_empty());
-        assert_eq!(ds.batches_sequential(4).count(), 0);
+        assert_eq!(ds.batches(4, &mut Rng::seed_from_u64(4)).count(), 0);
     }
 }

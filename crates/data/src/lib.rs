@@ -43,7 +43,7 @@ mod scenario;
 mod stats;
 mod synthetic;
 
-pub use dataset::{Batch, BatchIter, Dataset};
+pub use dataset::{Batch, Dataset};
 pub use error::DataError;
 pub use partition::{partition_indices, Partition};
 pub use scenario::{ClientData, FederatedScenario, ScenarioBuilder, ALPHA_SWEEP};

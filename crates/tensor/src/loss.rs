@@ -68,19 +68,6 @@ impl CrossEntropy {
         grad.scale_in_place(inv_n);
         (loss * inv_n, grad)
     }
-
-    /// Computes only the mean loss (no gradient), for evaluation.
-    pub fn loss(&self, logits: &Tensor, labels: &[usize]) -> f32 {
-        let n = logits.rows();
-        assert_eq!(labels.len(), n, "one label per row required");
-        let log_p = log_softmax(logits, 1.0);
-        let total: f32 = labels
-            .iter()
-            .enumerate()
-            .map(|(r, &y)| -log_p.row(r)[y])
-            .sum();
-        total / n.max(1) as f32
-    }
 }
 
 /// Cross-entropy between logits and *soft* target distributions.
@@ -301,15 +288,15 @@ mod tests {
         let good = t(&[10.0, -10.0], &[1, 2]);
         let bad = t(&[-10.0, 10.0], &[1, 2]);
         let ce = CrossEntropy::new();
-        assert!(ce.loss(&good, &[0]) < 1e-3);
-        assert!(ce.loss(&bad, &[0]) > 5.0);
+        assert!(ce.loss_and_grad(&good, &[0]).0 < 1e-3);
+        assert!(ce.loss_and_grad(&bad, &[0]).0 > 5.0);
     }
 
     #[test]
     fn cross_entropy_uniform_logits_is_ln_k() {
         let ce = CrossEntropy::new();
         let logits = Tensor::zeros(&[4, 10]);
-        let loss = ce.loss(&logits, &[0, 3, 5, 9]);
+        let loss = ce.loss_and_grad(&logits, &[0, 3, 5, 9]).0;
         assert!((loss - (10.0f32).ln()).abs() < 1e-5);
     }
 

@@ -632,7 +632,7 @@ mod tests {
         let x = Tensor::from_vec(xs, &[32, 2]).unwrap();
         let ce = CrossEntropy::new();
         let mut opt = Adam::new(0.01);
-        let initial = ce.loss(&m.forward_logits(&x, false), &ys);
+        let initial = ce.loss_and_grad(&m.forward_logits(&x, false), &ys).0;
         for _ in 0..60 {
             let logits = m.forward_logits(&x, true);
             let (_, grad) = ce.loss_and_grad(&logits, &ys);
@@ -640,7 +640,7 @@ mod tests {
             opt.step(&mut m);
             m.zero_grad();
         }
-        let trained = ce.loss(&m.forward_logits(&x, false), &ys);
+        let trained = ce.loss_and_grad(&m.forward_logits(&x, false), &ys).0;
         assert!(trained < initial * 0.5, "{initial} → {trained}");
     }
 

@@ -601,33 +601,6 @@ impl Tensor {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 
-    /// Stacks rank-1 tensors (or equal-width rows) into a rank-2 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if the rows differ in length,
-    /// or [`TensorError::ShapeDataMismatch`] if `rows` is empty.
-    pub fn stack_rows(rows: &[&[f32]]) -> Result<Self, TensorError> {
-        let Some(first) = rows.first() else {
-            return Err(TensorError::ShapeDataMismatch {
-                expected: 1,
-                actual: 0,
-            });
-        };
-        let width = first.len();
-        let mut data = Vec::with_capacity(rows.len() * width);
-        for r in rows {
-            if r.len() != width {
-                return Err(TensorError::ShapeMismatch {
-                    left: vec![width],
-                    right: vec![r.len()],
-                });
-            }
-            data.extend_from_slice(r);
-        }
-        Self::from_vec(data, &[rows.len(), width])
-    }
-
     /// Whether every element is finite.
     pub fn all_finite(&self) -> bool {
         self.data.iter().all(|x| x.is_finite())
@@ -929,22 +902,6 @@ mod tests {
     fn norms_and_distances() {
         let a = t(&[3., 4.], &[2]);
         assert!((a.l2_norm() - 5.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn stack_rows_builds_matrix() {
-        let rows: Vec<&[f32]> = vec![&[1., 2.], &[3., 4.], &[5., 6.]];
-        let m = Tensor::stack_rows(&rows).unwrap();
-        assert_eq!(m.shape(), &[3, 2]);
-        assert_eq!(m.row(2), &[5., 6.]);
-    }
-
-    #[test]
-    fn stack_rows_rejects_ragged() {
-        let rows: Vec<&[f32]> = vec![&[1., 2.], &[3.]];
-        assert!(Tensor::stack_rows(&rows).is_err());
-        let empty: Vec<&[f32]> = vec![];
-        assert!(Tensor::stack_rows(&empty).is_err());
     }
 
     #[test]
