@@ -11,7 +11,7 @@ use crate::fedpkd::config::{DistillSource, FedPkdConfig};
 use crate::fedpkd::prototypes::{
     compute_input_moments, compute_prototypes, from_wire_entries, to_wire_entries,
 };
-use crate::train::{train_distill, train_supervised, train_supervised_with_prototypes, TrainStats};
+use crate::train::{train_distill, train_supervised_with_prototypes, TrainStats};
 use fedpkd_data::{ClientData, Dataset};
 use fedpkd_netsim::Message;
 use fedpkd_tensor::ops::softmax;
@@ -30,19 +30,21 @@ pub(crate) fn upload(
 ) -> (Vec<Message>, TrainStats) {
     let (model, optimizer, rng) = (&mut client.model, &mut client.optimizer, &mut client.rng);
     let (epochs, batch) = (config.client_private_epochs, config.batch_size);
-    let stats = if let Some(Message::Prototypes { entries }) = start.last() {
-        let global: Vec<Option<Tensor>> = from_wire_entries(entries.clone(), public.num_classes())
-            .expect("the server sends one entry per present class, ascending")
-            .into_iter()
-            .map(|p| Some(p?.vector))
-            .collect();
-        let (train, epsilon) = (&data.train, config.epsilon);
-        train_supervised_with_prototypes(
-            model, train, &global, epsilon, epochs, batch, optimizer, rng,
-        )
-    } else {
-        train_supervised(model, &data.train, epochs, batch, optimizer, rng)
+    // No round-start prototypes, nothing to pull toward: Eq. 16 is Eq. 4.
+    let global: Vec<Option<Tensor>> = match start.last() {
+        Some(Message::Prototypes { entries }) => {
+            from_wire_entries(entries.clone(), public.num_classes())
+                .expect("the server sends one entry per present class, ascending")
+                .into_iter()
+                .map(|p| Some(p?.vector))
+                .collect()
+        }
+        _ => Vec::new(),
     };
+    let (train, epsilon) = (&data.train, config.epsilon);
+    let stats = train_supervised_with_prototypes(
+        model, train, &global, epsilon, epochs, batch, optimizer, rng,
+    );
     let transfer = transfer_set(public, start);
     let logits = eval::logits_on(model, &transfer);
     let mut uplink = vec![Message::Logits {
