@@ -31,12 +31,11 @@
 //!
 //! The pool is bit-transparent: materializing a fresh slot is
 //! `spec.build(&mut Rng::stream(seed, 1 + i))` with a fresh `Adam`, and
-//! park/unpark round-trips parameters, buffers, optimizer moments, and RNG
-//! words without any re-encoding — a pooled run equals the single-threaded
-//! loop `materialize(i)` → task → `park(i)` in ascending client order.
-//! [`write_pool`] is the client count followed by
-//! [`write_client`](crate::snapshot::write_client) of every materialized
-//! client, whatever mix of fresh and parked slots holds them.
+//! park/unpark round-trips parameters and buffers bit for bit and moves
+//! the optimizer and the RNG stream as they are — a pooled run equals the
+//! single-threaded loop `materialize(i)` → task → `park(i)` in ascending
+//! client order. [`write_pool`] writes each slot as what it is: a fresh
+//! one as a tag and its width, a parked one as its delta.
 
 use crate::clients::ClientState;
 use crate::eval;
@@ -100,39 +99,27 @@ impl Template {
 }
 
 /// The private delta a trained client parks between rounds: everything
-/// that diverged from its template, flattened. No activations, no
-/// gradient buffers, no layer scratch.
+/// that diverged from its template. No activations, no gradient buffers,
+/// no layer scratch.
 #[derive(Debug, Clone)]
 pub struct ParkedClient {
     /// Flat model state (parameters + persistent buffers) in
     /// `serialize::state_vector` order.
     state: Vec<f32>,
-    /// Optimizer learning rate (parked verbatim so a per-client override
-    /// survives the round trip).
-    opt_lr: f32,
-    /// Optimizer step count.
-    opt_t: u64,
-    /// First-moment buffers, one per parameter tensor.
-    opt_m: Vec<fedpkd_tensor::Tensor>,
-    /// Second-moment buffers, paired with `opt_m`.
-    opt_v: Vec<fedpkd_tensor::Tensor>,
-    /// The client's RNG position (raw xoshiro words).
-    rng: [u64; 4],
+    /// The client's optimizer, moments and all.
+    optimizer: Adam,
+    /// The client's RNG stream.
+    rng: Rng,
 }
 
 impl ParkedClient {
-    /// Flattens a live client into its parked delta, consuming it. The
-    /// optimizer moments are moved, not copied.
+    /// Flattens a live client's model into its parked delta, consuming
+    /// the client. The optimizer and the RNG stream are moved, not copied.
     pub fn park(client: ClientState) -> Self {
-        let state = state_vector(&client.model);
-        let (opt_lr, opt_t, opt_m, opt_v) = client.optimizer.into_state();
         Self {
-            state,
-            opt_lr,
-            opt_t,
-            opt_m,
-            opt_v,
-            rng: client.rng.state(),
+            state: state_vector(&client.model),
+            optimizer: client.optimizer,
+            rng: client.rng,
         }
     }
 
@@ -149,26 +136,21 @@ impl ParkedClient {
         // a structurally complete model to load into.
         let mut scratch_rng = Rng::stream(0, u64::MAX);
         let mut model = spec.build(&mut scratch_rng);
+        // `read_pool` parks only a state of its template's width.
         load_state_vector(&mut model, &self.state)
             .expect("parked state matches its template's layout");
-        let mut optimizer = Adam::new(self.opt_lr);
-        optimizer.restore_state(self.opt_t, self.opt_m, self.opt_v);
         ClientState {
             model,
-            optimizer,
-            rng: Rng::from_state(self.rng),
+            optimizer: self.optimizer,
+            rng: self.rng,
         }
     }
 
     /// Resident size of this delta in bytes (model state + both moment
     /// buffers), for memory accounting.
     pub fn resident_bytes(&self) -> usize {
-        let moments: usize = self
-            .opt_m
-            .iter()
-            .chain(&self.opt_v)
-            .map(|t| t.as_slice().len())
-            .sum();
+        let (m, v) = self.optimizer.moments();
+        let moments: usize = m.iter().chain(v).map(|t| t.as_slice().len()).sum();
         (self.state.len() + moments) * std::mem::size_of::<f32>()
     }
 }
@@ -452,49 +434,40 @@ pub fn pooled_client_accuracies(pool: &mut ClientPool, scenario: &FederatedScena
         .collect()
 }
 
-/// Writes the fleet: count-prefixed, then per client model state, Adam
-/// state, RNG words — [`write_client`](snapshot::write_client)'s layout
-/// for every client. Parked slots are written from their delta; fresh
-/// slots materialize ephemerally (one at a time) to produce their
-/// template-initialization bytes.
+/// Writes the fleet: the client count, the pool's seed and learning rate,
+/// then per slot a `parked` flag, followed by the template's state width
+/// for a fresh slot (9 bytes in all) or by the delta for a parked one —
+/// its state, [`write_adam`](snapshot::write_adam) and
+/// [`write_rng`](snapshot::write_rng). No client is materialized.
 pub fn write_pool(w: &mut dyn StateSink, pool: &ClientPool) {
     w.put_usize(pool.len());
+    w.put_u64(pool.seed);
+    w.put_f32(pool.learning_rate);
     for (i, slot) in pool.slots.iter().enumerate() {
+        w.put_bool(matches!(slot, ClientSlot::Parked(_)));
         match slot {
+            ClientSlot::Fresh => w.put_usize(pool.template_of(i).state_len()),
             ClientSlot::Parked(p) => {
                 w.put_f32s(&p.state);
-                w.put_f32(p.opt_lr);
-                w.put_u64(p.opt_t);
-                w.put_usize(p.opt_m.len());
-                for t in p.opt_m.iter().chain(&p.opt_v) {
-                    snapshot::write_tensor(w, t);
-                }
-                for word in p.rng {
-                    w.put_u64(word);
-                }
-            }
-            ClientSlot::Fresh => {
-                let client = pool.materialize_fresh(i);
-                snapshot::write_client(w, &client);
+                snapshot::write_adam(w, &p.optimizer);
+                snapshot::write_rng(w, &p.rng);
             }
         }
     }
 }
 
-/// Reads a fleet written by [`write_pool`] into `pool`.
-///
-/// A client whose decoded state is exactly its template initialization —
-/// zero optimizer steps and the untouched `(seed, client)` init — is
-/// restored as [`ClientSlot::Fresh`], so restoring a mostly-fresh fleet
-/// reproduces its low residency instead of parking every client.
+/// Reads a fleet written by [`write_pool`] into `pool`. A fresh slot is
+/// restored fresh and a parked one parked; no model is built.
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Malformed`] if the snapshot's client count or any
-/// client's state length disagrees with the pool, on optimizer state that
-/// does not fit the client's template (step count, moment count or
-/// shapes), or on invalid RNG payloads. The pool may be partially overwritten on
-/// error.
+/// [`SnapshotError::Malformed`] if the snapshot's client count, seed or
+/// learning rate disagrees with the pool (a fresh slot carries no weights,
+/// so it is the pool's init only under the pool's seed and rate), if any
+/// client's state width disagrees with its template, on optimizer state
+/// that does not fit the client's template (step count, moment count or
+/// shapes), or on an invalid RNG payload. The pool may be partially
+/// overwritten on error.
 pub fn read_pool(r: &mut dyn StateSource, pool: &mut ClientPool) -> Result<(), SnapshotError> {
     let count = r.take_usize()?;
     if count != pool.len() {
@@ -503,67 +476,46 @@ pub fn read_pool(r: &mut dyn StateSource, pool: &mut ClientPool) -> Result<(), S
             pool.len()
         )));
     }
+    let (seed, learning_rate) = (r.take_u64()?, r.take_f32()?);
+    if seed != pool.seed || learning_rate.to_bits() != pool.learning_rate.to_bits() {
+        return Err(SnapshotError::Malformed(format!(
+            "snapshot of a pool with seed {seed} and learning rate {learning_rate}, \
+             pool has {} and {}",
+            pool.seed, pool.learning_rate
+        )));
+    }
     for i in 0..count {
-        let state = r.take_f32s()?;
-        let expected = pool.template_of(i).state_len();
-        if state.len() != expected {
-            return Err(SnapshotError::Malformed(format!(
-                "snapshot client {i} carries {} state values, template needs {expected}",
-                state.len()
-            )));
-        }
-        let (opt_lr, opt_t, opt_m, opt_v) =
-            snapshot::read_adam_state(r, &pool.template_of(i).layout().param_shapes)?;
-        let mut rng = [0u64; 4];
-        for word in &mut rng {
-            *word = r.take_u64()?;
-        }
-        if rng.iter().all(|&w| w == 0) {
-            return Err(SnapshotError::Malformed("all-zero RNG state".into()));
-        }
-        let parked = ParkedClient {
-            state,
-            opt_lr,
-            opt_t,
-            opt_m,
-            opt_v,
-            rng,
+        let layout = pool.template_of(i).layout();
+        let check_width = |width: usize| {
+            if width == layout.state_len {
+                return Ok(());
+            }
+            Err(SnapshotError::Malformed(format!(
+                "snapshot client {i} carries {width} state values, template needs {}",
+                layout.state_len
+            )))
         };
-        let slot = if pool.is_template_init(i, &parked) {
-            ClientSlot::Fresh
+        let slot = if r.take_bool()? {
+            let state = r.take_f32s()?;
+            check_width(state.len())?;
+            ClientSlot::Parked(Box::new(ParkedClient {
+                state,
+                optimizer: snapshot::read_adam_state(r, &layout.param_shapes)?,
+                rng: snapshot::read_rng(r)?,
+            }))
         } else {
-            ClientSlot::Parked(Box::new(parked))
+            check_width(r.take_usize()?)?;
+            ClientSlot::Fresh
         };
         pool.put(i, slot);
     }
     Ok(())
 }
 
-impl ClientPool {
-    /// Whether `parked` is bit-for-bit the template initialization of
-    /// client `i` — the never-trained state [`read_pool`] may drop.
-    fn is_template_init(&self, i: usize, parked: &ParkedClient) -> bool {
-        if parked.opt_t != 0
-            || !parked.opt_m.is_empty()
-            || !parked.opt_v.is_empty()
-            || parked.opt_lr.to_bits() != self.learning_rate.to_bits()
-        {
-            return false;
-        }
-        let mut rng = Rng::stream(self.seed, 1 + i as u64);
-        let init = self.template_of(i).spec().build(&mut rng);
-        rng.state() == parked.rng
-            && state_vector(&init)
-                .iter()
-                .zip(&parked.state)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::write_client;
+    use crate::snapshot::{write_adam, write_rng};
     use crate::train::train_supervised;
     use fedpkd_data::{Partition, ScenarioBuilder, SyntheticConfig};
     use fedpkd_tensor::models::DepthTier;
@@ -749,20 +701,74 @@ mod tests {
 
     #[test]
     fn pool_snapshot_bytes_match_owned_fleet_bytes() {
-        // The byte layout every snapshot ever written relies on: the
-        // count, then `write_client` of each client — parked (client 1) or
-        // fresh alike.
+        // Version 6's layout, field by field: the count, the seed and the
+        // learning rate; then per slot its `parked` flag, and the state
+        // width of a fresh slot or, for the parked client 1, its state,
+        // Adam's rate, step count and moments, and its RNG words.
+        use fedpkd_tensor::optim::Optimizer;
         let scenario = tiny_scenario(17);
         let mut pool = ClientPool::new(&hetero_specs(), 0.003, 31);
         for_each_pooled_client_streaming(&mut pool, &scenario.clients, &[1], 2, train, |_, _| {});
         let mut expected: Vec<u8> = Vec::new();
-        expected.put_usize(pool.len());
-        for i in 0..pool.len() {
-            write_client(&mut expected, &pool.materialize(i));
+        expected.put_usize(3);
+        expected.put_u64(31);
+        expected.put_f32(0.003);
+        for i in 0..3 {
+            let client = pool.materialize(i);
+            let state = state_vector(&client.model);
+            expected.put_bool(i == 1);
+            if i != 1 {
+                expected.put_usize(state.len());
+                continue;
+            }
+            expected.put_f32s(&state);
+            expected.put_f32(client.optimizer.learning_rate());
+            expected.put_u64(client.optimizer.step_count());
+            let (m, v) = client.optimizer.moments();
+            expected.put_usize(m.len());
+            for t in m.iter().chain(v) {
+                expected.put_usize(t.shape().len());
+                for &dim in t.shape() {
+                    expected.put_usize(dim);
+                }
+                expected.put_f32s(t.as_slice());
+            }
+            for word in client.rng.state() {
+                expected.put_u64(word);
+            }
         }
         let mut written: Vec<u8> = Vec::new();
         write_pool(&mut written, &pool);
         assert_eq!(written, expected);
+    }
+
+    #[test]
+    fn a_fresh_slot_costs_nine_snapshot_bytes() {
+        const FLEET: usize = 1_000;
+        let scenario = tiny_scenario(19);
+        let mut pool = ClientPool::new(&vec![spec(DepthTier::T11); FLEET], 0.003, 43);
+        for_each_pooled_client_streaming(
+            &mut pool,
+            &scenario.clients,
+            &[0, 2],
+            2,
+            train,
+            |_, _| {},
+        );
+        let parked_payload = |i: usize| {
+            let client = pool.materialize(i);
+            let mut bytes: Vec<u8> = Vec::new();
+            bytes.put_f32s(&state_vector(&client.model));
+            write_adam(&mut bytes, &client.optimizer);
+            write_rng(&mut bytes, &client.rng);
+            bytes.len()
+        };
+        let mut written: Vec<u8> = Vec::new();
+        write_pool(&mut written, &pool);
+        assert_eq!(
+            written.len(),
+            20 + (FLEET - 2) * 9 + (1 + parked_payload(0)) + (1 + parked_payload(2))
+        );
     }
 
     #[test]
@@ -800,6 +806,42 @@ mod tests {
             read_pool(&mut r, &mut other),
             Err(SnapshotError::Malformed(_))
         ));
+    }
+
+    /// A fresh slot carries no weights: under another seed or learning
+    /// rate it would restore as the reader's init, not the writer's.
+    #[test]
+    fn read_pool_rejects_another_seed_or_learning_rate() {
+        let specs = vec![spec(DepthTier::T11)];
+        let mut bytes: Vec<u8> = Vec::new();
+        write_pool(&mut bytes, &ClientPool::new(&specs, 0.001, 1));
+        for mut other in [
+            ClientPool::new(&specs, 0.001, 2),
+            ClientPool::new(&specs, 0.002, 1),
+        ] {
+            let mut r = bytes.as_slice();
+            assert!(matches!(
+                read_pool(&mut r, &mut other),
+                Err(SnapshotError::Malformed(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn read_pool_rejects_a_fresh_slot_of_another_width() {
+        // Client 0 is parked and fits; client 1 is a fresh T20 slot read
+        // into a T11 pool.
+        let scenario = tiny_scenario(31);
+        let mut pool = ClientPool::new(&[spec(DepthTier::T11), spec(DepthTier::T20)], 0.003, 5);
+        for_each_pooled_client_streaming(&mut pool, &scenario.clients, &[0], 1, train, |_, _| {});
+        let mut bytes: Vec<u8> = Vec::new();
+        write_pool(&mut bytes, &pool);
+        let mut other = ClientPool::new(&vec![spec(DepthTier::T11); 2], 0.003, 5);
+        let mut r = bytes.as_slice();
+        match read_pool(&mut r, &mut other) {
+            Err(SnapshotError::Malformed(why)) => assert!(why.contains("client 1"), "{why}"),
+            other => panic!("expected a malformed fresh slot, got {other:?}"),
+        }
     }
 
     #[test]

@@ -124,7 +124,7 @@ mod tests {
     use super::*;
     use crate::cow::ClientPool;
     use crate::fedpkd::prototypes::global_to_wire_entries;
-    use crate::snapshot::write_client;
+    use crate::snapshot::{write_adam, write_model, write_rng};
     use fedpkd_data::{FederatedScenario, Partition, ScenarioBuilder, SyntheticConfig};
     use fedpkd_netsim::Wire;
     use fedpkd_rng::Rng;
@@ -155,15 +155,22 @@ mod tests {
         let data = &scenario.clients[0];
         let (uplink, trained) = upload(config, &scenario.public, &mut client, data, start);
         let distilled = digest(config, &scenario.public, &mut client, start, downlink);
-        let mut state = Vec::new();
-        write_client(&mut state, &client);
         (
             uplink,
             trained,
             distilled,
             state_vector(&client.model),
-            state,
+            client_bytes(&client),
         )
+    }
+
+    /// A client's serialized state: model, Adam moments, RNG words.
+    fn client_bytes(client: &ClientState) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_model(&mut bytes, &client.model);
+        write_adam(&mut bytes, &client.optimizer);
+        write_rng(&mut bytes, &client.rng);
+        bytes
     }
 
     /// Every message as a socket delivers it: encoded, then decoded.

@@ -225,7 +225,7 @@ mod tests {
             3 => 0.0,
             4 => -0.0,
             5 => 3.25,
-            _ => rng.range_f64(-50.0, 50.0),
+            _ => -50.0 + rng.next_f64() * 100.0,
         }
     }
 
@@ -273,7 +273,7 @@ mod tests {
                 // The draws of a deleted clipped average's weights and
                 // reference, kept so the inputs below stay the pinned ones.
                 for _ in 0..len {
-                    rng.range_f64(0.5, 4.0);
+                    rng.next_f64();
                 }
                 cells32(&mut rng, 3, true);
             }

@@ -23,7 +23,7 @@
 //! the whole payload in memory:
 //!
 //! ```text
-//! magic "FPKD" (4) · version u32 = 5 · algorithm name (len + utf8)
+//! magic "FPKD" (4) · version u32 = 6 · algorithm name (len + utf8)
 //! · chunks (u32 len > 0 · bytes)* · u32 0 sentinel
 //! · XXH64 checksum of everything before it (8)
 //! ```
@@ -35,9 +35,10 @@
 //! envelope, version 2 had this layout under an FNV-1a64 checksum, so
 //! its bytes would otherwise read as a checksum mismatch, version 3
 //! had this envelope around a FedPKD payload that still carried a
-//! presence tag for a trainable prototype bank, and version 4 had FedPKD
+//! presence tag for a trainable prototype bank, version 4 had FedPKD
 //! and `FleetSim` payloads that still carried a queue of late
-//! (bounded-staleness) uploads. This is the
+//! (bounded-staleness) uploads, and version 5 wrote every client of a
+//! fleet in full, a never-trained one as its template's init. This is the
 //! only representation of a snapshot: one held in memory is these bytes
 //! in a `Vec<u8>`.
 //!
@@ -76,7 +77,6 @@
 //! ```
 
 use crate::admission::QuarantineTracker;
-use crate::clients::ClientState;
 use crate::fedpkd::prototypes::Prototype;
 use crate::runtime::DriverState;
 use fedpkd_netsim::chunk::{ChunkError, ChunkReader, ChunkWriter, CHUNK};
@@ -94,7 +94,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"FPKD";
 ///
 /// Bump on any layout change; decoding rejects other versions with
 /// [`SnapshotError::UnsupportedVersion`] rather than misinterpreting bytes.
-pub const SNAPSHOT_STREAM_VERSION: u32 = 5;
+pub const SNAPSHOT_STREAM_VERSION: u32 = 6;
 
 /// Why a snapshot could not be decoded or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -607,16 +607,13 @@ pub fn read_adam(
     opt: &mut Adam,
     model: &dyn Layer,
 ) -> Result<(), SnapshotError> {
-    use fedpkd_tensor::optim::Optimizer;
-    let (lr, t, m, v) = read_adam_state(r, &param_shapes(model))?;
-    opt.set_learning_rate(lr);
-    opt.restore_state(t, m, v);
+    *opt = read_adam_state(r, &param_shapes(model))?;
     Ok(())
 }
 
-/// Decodes and validates the fields [`write_adam`] wrote — `(learning
-/// rate, step count, first moments, second moments)` — against the
-/// parameter shapes of the model the optimizer will drive.
+/// Decodes the fields [`write_adam`] wrote into a new optimizer, after
+/// validating them against the parameter shapes of the model it will
+/// drive.
 ///
 /// # Errors
 ///
@@ -624,7 +621,7 @@ pub fn read_adam(
 pub(crate) fn read_adam_state(
     r: &mut dyn StateSource,
     param_shapes: &[Vec<usize>],
-) -> Result<(f32, u64, Vec<Tensor>, Vec<Tensor>), SnapshotError> {
+) -> Result<Adam, SnapshotError> {
     let lr = r.take_f32()?;
     if !(lr.is_finite() && lr > 0.0) {
         return Err(SnapshotError::Malformed(format!("bad learning rate {lr}")));
@@ -637,20 +634,16 @@ pub(crate) fn read_adam_state(
     let m = read_moments(r)?;
     let v = read_moments(r)?;
     Adam::check_state(t, &m, &v, param_shapes).map_err(SnapshotError::Malformed)?;
-    Ok((lr, t, m, v))
+    // The two checks above are what `new` and `restore_state` assert, so
+    // snapshot bytes cannot reach their panics.
+    let mut opt = Adam::new(lr);
+    opt.restore_state(t, m, v);
+    Ok(opt)
 }
 
-/// Writes one client's full state: model, optimizer, RNG stream — the
-/// per-client layout of [`write_pool`]; [`read_pool`] reads it back.
-pub fn write_client(w: &mut dyn StateSink, client: &ClientState) {
-    write_model(w, &client.model);
-    write_adam(w, &client.optimizer);
-    write_rng(w, &client.rng);
-}
-
-// The fleet's codec lives beside the pool (it writes parked deltas without
-// materializing them); re-exported here to keep all state codecs reachable
-// from one module.
+// The fleet's codec lives beside the pool (it reads the slots, which are
+// private to it); re-exported here to keep all state codecs reachable from
+// one module.
 pub use crate::cow::{read_pool, write_pool};
 
 /// Writes the shared driver's book-keeping: rounds driven plus the full
@@ -863,8 +856,9 @@ mod tests {
         // in, a 17-byte remainder, sentinel, trailer. The length is the
         // layout's and has not changed since the chunk codec moved to
         // `netsim`; the fingerprint changed with version 3, when the
-        // trailer became XXH64, and with versions 4 and 5, whose envelope
-        // is version 3's (only the version word and so the trailer differ).
+        // trailer became XXH64, and with versions 4, 5 and 6, whose
+        // envelope is version 3's (only the version word and so the
+        // trailer differ).
         let payload: Vec<u8> = (0..3 * CHUNK + 17).map(|i| i as u8).collect();
         let mut bytes = Vec::new();
         let mut w = SnapshotStreamWriter::new(&mut bytes, "FedPKD");
@@ -876,7 +870,7 @@ mod tests {
         fnv.update(&bytes);
         assert_eq!(
             (bytes.len(), fnv.finish()),
-            (196_675, 0xb1e0_cc1b_739f_630d)
+            (196_675, 0x9109_7d53_096b_0508)
         );
     }
 

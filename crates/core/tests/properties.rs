@@ -13,7 +13,7 @@ use fedpkd_core::fedpkd::logits::{
     client_probs, pseudo_labels,
 };
 use fedpkd_core::fedpkd::prototypes::{aggregate_prototypes, Prototype};
-use fedpkd_core::snapshot::{read_pool, write_client, write_pool, StateSink};
+use fedpkd_core::snapshot::{read_pool, write_adam, write_pool, write_rng, StateSink};
 use fedpkd_core::train::train_supervised;
 use fedpkd_data::{ClientData, FederatedScenario, Partition, ScenarioBuilder, SyntheticConfig};
 use fedpkd_tensor::models::{DepthTier, ModelSpec};
@@ -359,9 +359,11 @@ proptest! {
     }
 
     /// Snapshotting a pool mid-sequence — deltas in flight for the trained
-    /// clients, fresh slots for the rest — emits exactly the count plus
-    /// `write_client` of every client, and restoring + continuing matches
-    /// never having stopped.
+    /// clients, fresh slots for the rest — emits exactly version 6's
+    /// layout (the count, seed and learning rate, then per client its
+    /// `parked` flag and either its state width or its state, Adam state
+    /// and RNG words), and restoring + continuing matches never having
+    /// stopped.
     #[test]
     fn pool_snapshot_resume_with_deltas_in_flight_is_exact(
         seed in any::<u64>(),
@@ -384,8 +386,20 @@ proptest! {
         write_pool(&mut bytes, &pool);
         let mut per_client: Vec<u8> = Vec::new();
         per_client.put_usize(3);
+        per_client.put_u64(seed);
+        per_client.put_f32(0.003);
         for i in 0..3 {
-            write_client(&mut per_client, &reference.materialize(i));
+            let client = reference.materialize(i);
+            let state = state_vector(&client.model);
+            let parked = first.contains(&i);
+            per_client.put_bool(parked);
+            if !parked {
+                per_client.put_usize(state.len());
+                continue;
+            }
+            per_client.put_f32s(&state);
+            write_adam(&mut per_client, &client.optimizer);
+            write_rng(&mut per_client, &client.rng);
         }
         prop_assert_eq!(&bytes, &per_client);
         let mut revived = ClientPool::new(&specs, 0.003, seed);

@@ -163,16 +163,6 @@ impl Rng {
         lo + self.bounded_u64((hi - lo) as u64) as usize
     }
 
-    /// Returns a uniform `f64` in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or either bound is non-finite.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo.is_finite() && hi.is_finite() && lo < hi, "bad range");
-        lo + self.next_f64() * (hi - lo)
-    }
-
     /// Returns `true` with probability `p`.
     ///
     /// # Panics

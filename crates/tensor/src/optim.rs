@@ -104,7 +104,7 @@ fn zeros_like_params(model: &dyn Layer) -> Vec<Tensor> {
 /// opt.step(&mut layer);
 /// assert_eq!(opt.step_count(), 1);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Adam {
     lr: f32,
     beta1: f32,
@@ -235,18 +235,6 @@ impl Adam {
             }
         }
         Ok(())
-    }
-
-    /// Consumes the optimizer, moving out its complete mutable state
-    /// `(learning rate, step count, first moments, second moments)`.
-    ///
-    /// The move-out counterpart of [`moments`](Self::moments): parking a
-    /// trained client into a copy-on-write slot wants the moment buffers by
-    /// value without cloning them, and a fresh `Adam::new(lr)` plus
-    /// [`restore_state`](Self::restore_state) reconstructs an equivalent
-    /// optimizer exactly.
-    pub fn into_state(self) -> (f32, u64, Vec<Tensor>, Vec<Tensor>) {
-        (self.lr, self.t, self.m, self.v)
     }
 }
 

@@ -33,7 +33,7 @@ pub mod scratch {
     const MAX_POOLED: usize = 4;
 
     thread_local! {
-        static POOL: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
+        pub(super) static POOL: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };
     }
 
     /// Runs `f` over a scratch buffer of exactly `len` elements drawn from
@@ -58,12 +58,6 @@ pub mod scratch {
             }
         });
         result
-    }
-
-    /// Capacity (in `f32`s) currently parked in this thread's pool — an
-    /// observability hook for the reuse tests.
-    pub fn pooled_capacity() -> usize {
-        POOL.with(|pool| pool.borrow().iter().map(Vec::capacity).sum())
     }
 }
 
@@ -387,25 +381,30 @@ mod tests {
         }
     }
 
+    /// Capacity (in `f32`s) currently parked in this thread's scratch pool.
+    fn scratch_capacity() -> usize {
+        scratch::POOL.with(|pool| pool.borrow().iter().map(Vec::capacity).sum())
+    }
+
     #[test]
     fn scratch_buffers_are_reused_within_a_thread() {
         // Run on a dedicated thread so other tests' pool traffic cannot
         // interfere with the capacity accounting.
         std::thread::spawn(|| {
-            let base = scratch::pooled_capacity();
+            let base = scratch_capacity();
             scratch::with_f32s(128, |buf| {
                 assert_eq!(buf.len(), 128);
                 buf.fill(1.0);
             });
-            assert!(scratch::pooled_capacity() >= base + 128, "buffer parked");
-            let parked = scratch::pooled_capacity();
+            assert!(scratch_capacity() >= base + 128, "buffer parked");
+            let parked = scratch_capacity();
             // A second, smaller borrow must reuse the parked buffer rather
             // than allocate: total pooled capacity stays flat.
             scratch::with_f32s(64, |buf| {
                 assert_eq!(buf.len(), 64);
                 assert!(buf.iter().all(|&v| v == 1.0), "stale contents kept");
             });
-            assert_eq!(scratch::pooled_capacity(), parked);
+            assert_eq!(scratch_capacity(), parked);
         })
         .join()
         .unwrap();

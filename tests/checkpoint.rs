@@ -682,12 +682,19 @@ fn trained_client(tier: DepthTier) -> ClientState {
     client
 }
 
-/// A fleet payload in `write_pool`'s layout: the count, then each client.
-fn fleet_bytes(clients: &[ClientState]) -> Vec<u8> {
+/// A fleet payload in `write_pool`'s layout, every client parked: the
+/// count, the target pool's seed and learning rate, then per client its
+/// flag, state, Adam state and RNG words.
+fn fleet_bytes(seed: u64, learning_rate: f32, clients: &[ClientState]) -> Vec<u8> {
     let mut bytes = Vec::new();
     bytes.put_usize(clients.len());
+    bytes.put_u64(seed);
+    bytes.put_f32(learning_rate);
     for client in clients {
-        snapshot::write_client(&mut bytes, client);
+        bytes.put_bool(true);
+        snapshot::write_model(&mut bytes, &client.model);
+        snapshot::write_adam(&mut bytes, &client.optimizer);
+        snapshot::write_rng(&mut bytes, &client.rng);
     }
     bytes
 }
@@ -699,12 +706,16 @@ fn another_tiers_optimizer_state_is_malformed_for_an_owned_client() {
     let mut pool = ClientPool::new(&[tier_spec(DepthTier::T11)], 0.003, 5);
     let read = |mut bytes: &[u8], pool: &mut ClientPool| snapshot::read_pool(&mut bytes, pool);
     assert!(matches!(
-        read(&fleet_bytes(&[chimera]), &mut pool),
+        read(&fleet_bytes(5, 0.003, &[chimera]), &mut pool),
         Err(SnapshotError::Malformed(_))
     ));
     assert_eq!(pool.resident_clients(), 0, "slot untouched");
     // The same bytes with the client's own optimizer restore.
-    read(&fleet_bytes(&[trained_client(DepthTier::T11)]), &mut pool).unwrap();
+    read(
+        &fleet_bytes(5, 0.003, &[trained_client(DepthTier::T11)]),
+        &mut pool,
+    )
+    .unwrap();
     assert_eq!(pool.resident_clients(), 1);
 }
 
@@ -715,7 +726,7 @@ fn another_tiers_optimizer_state_is_malformed_for_a_pooled_fleet() {
     let pool = ClientPool::new(&vec![client_spec(); 3], 0.001, 23);
     let mut fleet: Vec<_> = (0..3).map(|i| pool.materialize(i)).collect();
     fleet[1].optimizer = trained_client(DepthTier::T20).optimizer;
-    let bytes = fleet_bytes(&fleet);
+    let bytes = fleet_bytes(23, 0.003, &fleet);
     assert!(matches!(
         fedpkd().restore_from(&mut stream_of("FedPKD", &bytes).as_slice()),
         Err(SnapshotError::Malformed(_))

@@ -1,4 +1,5 @@
-//! An independent oracle for the paper's per-batch training objectives.
+//! An independent oracle for the paper's per-batch training objectives and
+//! for the server's aggregation and filter.
 //!
 //! Each production objective — Eqs. 11–13 (`server_objective`), Eq. 15
 //! (`distill_objective`) and Eq. 16 (`supervised_objective`) — is diffed
@@ -6,7 +7,10 @@
 //! one loop per term, no kernels, no fused softmax families, no shared
 //! code with the product. The gradient of Eq. 13 is also checked by
 //! central finite differences of the reference objective, so the reference
-//! gradient is not merely a second copy of the same algebra.
+//! gradient is not merely a second copy of the same algebra. The same goes
+//! for the server side: Eqs. 6–7 (`LogitAccumulator`), Eq. 8
+//! (`PrototypeAccumulator`) and Algorithm 1's θ filter (Eqs. 9–10,
+//! `filter_public`); each of those rows states its own tolerance.
 //!
 //! The problem is tiny and dense: 6 rows, 4 classes, 3 feature dimensions,
 //! a soft teacher with one row holding exact zeros (the `p = 0` terms of
@@ -23,6 +27,10 @@
 //! the result by O(1) relative.
 
 use fedpkd::core::fedpkd::distill::server_objective;
+use fedpkd::core::fedpkd::filter::filter_public;
+use fedpkd::core::fedpkd::logits::MIN_TOTAL_VARIANCE;
+use fedpkd::core::fedpkd::prototypes::Prototype;
+use fedpkd::core::streaming::{LogitAccumulator, PrototypeAccumulator};
 use fedpkd::core::train::{distill_objective, supervised_objective};
 use fedpkd::rng::Rng;
 use fedpkd::tensor::ops::softmax;
@@ -382,5 +390,236 @@ fn eq16_supervised_objective_matches_the_reference() {
         let ((_, mse), _, grad) =
             supervised_objective(&p.features, &p.logits, &p.labels, &prototypes, epsilon);
         assert!(mse.is_none() && grad.is_none());
+    }
+}
+
+// ---- The server side: Eqs. 6–7, 8 and 9–10. ----------------------------
+
+/// Clients folded into each aggregate.
+const CLIENTS: usize = 3;
+
+/// The logit row every client predicts flat (all logits equal).
+const FLAT_ROW: usize = 4;
+
+/// `softmax(row)` in `f64`.
+fn softmax64(row: &[f64]) -> Vec<f64> {
+    let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let exps: Vec<f64> = row.iter().map(|z| (z - max).exp()).collect();
+    let total: f64 = exps.iter().sum();
+    exps.iter().map(|e| e / total).collect()
+}
+
+/// Each client's public-set logits, `B × K`. Every client is flat on
+/// [`FLAT_ROW`], so that row's probabilities are exactly `1/K` and its
+/// total variance exactly 0: Eq. 7 must fall back to the plain mean there.
+fn client_logits() -> Vec<Tensor> {
+    let mut rng = Rng::seed_from_u64(77);
+    (0..CLIENTS)
+        .map(|c| {
+            let mut logits = Tensor::randn(&[B, K], 2.0, &mut rng);
+            logits.row_mut(FLAT_ROW).fill(0.5 * c as f32);
+            logits
+        })
+        .collect()
+}
+
+/// Eqs. 6–7 written out: per row `r`, each client's probabilities
+/// `p_c = softmax(z_c[r])` and their variance `v_c = mean_k (p_ck − 1/K)²`
+/// (the probabilities' mean is `1/K`); the teacher row is `Σ_c β_c·p_c`
+/// with `β_c = v_c / Σ_c' v_c'`, or `mean_c p_c` when `Σ v` is below
+/// `MIN_TOTAL_VARIANCE`. Returns the teacher and, per row, the smallest
+/// per-client variance and `Σ v`.
+fn eq7_reference(logits: &[Tensor]) -> (Vec<f64>, Vec<(f64, f64)>) {
+    let mut teacher = vec![0.0; B * K];
+    let mut variances = Vec::new();
+    for r in 0..B {
+        let probs: Vec<Vec<f64>> = logits
+            .iter()
+            .map(|z| softmax64(&f64s(z)[r * K..(r + 1) * K]))
+            .collect();
+        let v: Vec<f64> = probs
+            .iter()
+            .map(|p| p.iter().map(|x| (x - 1.0 / K as f64).powi(2)).sum::<f64>() / K as f64)
+            .collect();
+        let total: f64 = v.iter().sum();
+        let weighted = total > f64::from(MIN_TOTAL_VARIANCE);
+        for (c, p) in probs.iter().enumerate() {
+            let beta = if weighted {
+                v[c] / total
+            } else {
+                1.0 / CLIENTS as f64
+            };
+            for k in 0..K {
+                teacher[r * K + k] += beta * p[k];
+            }
+        }
+        variances.push((v.iter().cloned().fold(f64::INFINITY, f64::min), total));
+    }
+    (teacher, variances)
+}
+
+/// Eqs. 6–7. Tolerance: the accumulator works in `f32`. Each teacher entry
+/// is a `CLIENTS`-term sum of `v·p` over a `CLIENTS`-term `Σ v`, and each
+/// `v` a `K`-term sum of squared deviations, so the plain rounding error
+/// is a few tens of `u` relative — inside [`TOL`]. The deviations
+/// `p − mean` cancel, though: an absolute error `δ ≈ 3u` in each costs `v`
+/// a relative `2δ/√v`. The fixture asserts every client's variance on
+/// every weighted row is at least `1e-2`, which bounds that term by
+/// `4e-6` — still inside [`TOL`], and thousands of times below the gap
+/// between the weighted teacher and the plain mean, which it also asserts.
+#[test]
+fn eq7_variance_weighted_logits_match_the_reference() {
+    let logits = client_logits();
+    let (want, variances) = eq7_reference(&logits);
+    for (r, &(smallest, total)) in variances.iter().enumerate() {
+        if r == FLAT_ROW {
+            assert_eq!(total, 0.0, "row {r} is flat for every client");
+        } else {
+            assert!(smallest >= 1e-2, "row {r}: a client's variance {smallest}");
+        }
+    }
+    let mut plain = LogitAccumulator::new(false);
+    let mut weighted = LogitAccumulator::new(true);
+    for z in &logits {
+        plain.fold(z).unwrap();
+        weighted.fold(z).unwrap();
+    }
+    let (plain, weighted) = (plain.finish().unwrap(), weighted.finish().unwrap());
+    close_all(&weighted, &want, "Eq. 7 teacher");
+    // The fallback row is the plain mean, and every other row is not.
+    let gap = |r: usize| -> f64 {
+        (0..K)
+            .map(|k| f64::from((weighted.row(r)[k] - plain.row(r)[k]).abs()))
+            .fold(0.0, f64::max)
+    };
+    for r in 0..B {
+        if r == FLAT_ROW {
+            assert_eq!(gap(r), 0.0, "row {r} falls back to the mean");
+        } else {
+            assert!(gap(r) > 1e3 * TOL, "row {r} is weighted: gap {}", gap(r));
+        }
+    }
+}
+
+/// Eq. 8: per class, `Σ_c n_c·P_c / Σ_c n_c` over the clients that hold
+/// it; a class nobody holds stays absent. Tolerance: the accumulator sums
+/// in `f64` and rounds once to `f32`. Every `n·P` is exact in `f64` (a
+/// 24-bit mantissa times a small count), the sum of three such terms and
+/// the division add a few `2⁻⁵³`, so the result is within half an `f32`
+/// ulp of the reference — asserted as `2⁻²³·|want|` per coordinate.
+#[test]
+fn eq8_size_weighted_prototypes_match_the_reference() {
+    let mut rng = Rng::seed_from_u64(88);
+    // Class 0 on every client, class 1 on client 2 only, class 2 on
+    // clients 0 and 1, class 3 on none.
+    let holds = |c: usize, class: usize| match class {
+        0 => true,
+        1 => c == 2,
+        2 => c < 2,
+        _ => false,
+    };
+    let counts = [[5, 0, 17, 0], [1, 0, 40, 0], [9, 3, 0, 0]];
+    let uploads: Vec<Vec<Option<Prototype>>> = (0..CLIENTS)
+        .map(|c| {
+            (0..K)
+                .map(|class| {
+                    holds(c, class).then(|| Prototype {
+                        count: counts[c][class],
+                        vector: Tensor::randn(&[D], 1.0, &mut rng),
+                    })
+                })
+                .collect()
+        })
+        .collect();
+    let mut acc = PrototypeAccumulator::new();
+    for upload in &uploads {
+        acc.fold(upload).unwrap();
+    }
+    let got = acc.finish().unwrap();
+    for class in 0..K {
+        let holders: Vec<&Prototype> = uploads.iter().filter_map(|u| u[class].as_ref()).collect();
+        if holders.is_empty() {
+            assert!(got[class].is_none(), "class {class} is held by nobody");
+            continue;
+        }
+        let total: f64 = holders.iter().map(|p| p.count as f64).sum();
+        let got = got[class].as_ref().expect("a held class has a prototype");
+        for d in 0..D {
+            let weighted: f64 = holders
+                .iter()
+                .map(|p| p.count as f64 * f64::from(p.vector.as_slice()[d]))
+                .sum();
+            let want = weighted / total;
+            let got = f64::from(got.as_slice()[d]);
+            assert!(
+                (got - want).abs() <= f64::from(f32::EPSILON) * want.abs(),
+                "class {class}[{d}]: production {got} vs reference {want}"
+            );
+        }
+    }
+}
+
+/// Algorithm 1 (Eqs. 9–10): per pseudo-class `n`, keep the `⌈θ·|D_n|⌉`
+/// rows nearest the class's global prototype in L2; a class without a
+/// prototype keeps its first `⌈θ·|D_n|⌉` rows in index order. Tolerance:
+/// none — the output is a set of row indices, compared exactly. It is
+/// well defined because the fixture asserts that at every cut the last
+/// kept and the first dropped reference distance differ by more than
+/// `1e-4` relative, while an `f32` distance over `D` coordinates is off
+/// by at most `(D + 2)·u ≈ 3e-7` relative: the `f32` ranking cannot
+/// cross the cut. θ is `0.5` or `0.75`, exact in `f32`, so `⌈θ·n⌉` is the
+/// same in both.
+#[test]
+fn eq10_filter_keeps_the_nearest_rows_per_pseudo_class() {
+    const ROWS: usize = 24;
+    let mut rng = Rng::seed_from_u64(99);
+    let features = Tensor::randn(&[ROWS, D], 1.0, &mut rng);
+    // Pseudo-labels (Eq. 9's argmax, given): classes of 9, 6, 6 and 3
+    // rows, interleaved; class 3 has no prototype.
+    let labels: Vec<usize> = (0..ROWS)
+        .map(|i| match i % 8 {
+            0 | 3 | 6 => 0,
+            1 | 4 => 1,
+            2 | 7 => 2,
+            _ => 3,
+        })
+        .collect();
+    let prototypes: Vec<Option<Tensor>> = (0..K)
+        .map(|class| (class < 3).then(|| Tensor::randn(&[D], 1.0, &mut rng)))
+        .collect();
+    let x = f64s(&features);
+    for theta in [0.5f32, 0.75] {
+        let mut want = Vec::new();
+        for (class, proto) in prototypes.iter().enumerate() {
+            let members: Vec<usize> = (0..ROWS).filter(|&i| labels[i] == class).collect();
+            let keep = (f64::from(theta) * members.len() as f64).ceil() as usize;
+            let Some(proto) = proto else {
+                want.extend(&members[..keep]);
+                continue;
+            };
+            let proto = f64s(proto);
+            let mut scored: Vec<(f64, usize)> = members
+                .iter()
+                .map(|&i| {
+                    let d2: f64 = (0..D).map(|d| (x[i * D + d] - proto[d]).powi(2)).sum();
+                    (d2.sqrt(), i)
+                })
+                .collect();
+            scored.sort_by(|a, b| a.0.total_cmp(&b.0));
+            if keep < scored.len() {
+                let (last, next) = (scored[keep - 1].0, scored[keep].0);
+                assert!(
+                    next - last > 1e-4 * next,
+                    "class {class}: a near tie at the cut"
+                );
+            }
+            want.extend(scored[..keep].iter().map(|&(_, i)| i));
+        }
+        want.sort_unstable();
+        assert_eq!(
+            filter_public(&features, &labels, &prototypes, theta),
+            want,
+            "θ = {theta}"
+        );
     }
 }

@@ -19,7 +19,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::OnceLock;
 
-use fedpkd::core::snapshot::{SnapshotStreamWriter, StateSink};
+use fedpkd::core::cow::ClientPool;
+use fedpkd::core::snapshot::{read_pool, SnapshotStreamWriter, StateSink};
 use fedpkd::prelude::*;
 
 thread_local! {
@@ -251,6 +252,41 @@ fn corrupted_fedpkd_payloads_restore_or_fail_typed() {
         .expect("valid federation")
     };
     fuzz_restores(0xF3D9, make, faulty(), false);
+}
+
+/// FedPKD under a sampled cohort of one of its three clients: after two
+/// rounds at least one slot is parked and at least one still fresh, so the
+/// mutations reach both kinds of pool slot (`faulty()` may leave none
+/// fresh).
+#[test]
+fn corrupted_sampled_fedpkd_payloads_restore_or_fail_typed() {
+    let (seed, learning_rate) = (59, 0.003);
+    let make = || {
+        let config = FedPkdConfig {
+            client_private_epochs: 1,
+            client_public_epochs: 1,
+            server_epochs: 1,
+            learning_rate,
+            ..FedPkdConfig::default()
+        };
+        let clients = vec![spec(DepthTier::T11); 3];
+        FedPkd::new(scenario(), clients, spec(DepthTier::T20), config, seed)
+            .expect("valid federation")
+    };
+    let builder = DriverBuilder::new().cohort(CohortPolicy::Sample { size: 1, seed: 7 });
+    let mut donor = make();
+    let _ = builder.clone().rounds(2).build().run_silent(&mut donor);
+    let mut payload = Vec::new();
+    donor.write_state(&mut payload);
+    // Every payload opens with the pool.
+    let mut pool = ClientPool::new(&vec![spec(DepthTier::T11); 3], learning_rate, seed);
+    read_pool(&mut payload.as_slice(), &mut pool).expect("the donor's own pool");
+    assert!(
+        (1..3).contains(&pool.resident_clients()),
+        "{} of 3 slots parked",
+        pool.resident_clients()
+    );
+    fuzz_restores(0x5A3F, make, builder, false);
 }
 
 fn baseline_config() -> BaselineConfig {
