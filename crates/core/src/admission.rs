@@ -61,31 +61,47 @@ impl PayloadKind {
     }
 }
 
-/// Why the server refused a client's upload.
+/// Why a message was refused: a client's upload, in process or staged
+/// from a socket, or a server message a client session cannot read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum RejectReason {
     /// The payload contains NaN or ±Inf.
     NonFinite,
-    /// The payload's dimensions disagree with what the server expects
+    /// The payload's dimensions disagree with what the receiver expects
     /// (logit matrix shape, prototype width or class count, update length,
-    /// or a zero sample count).
+    /// a zero sample count, a class index or row id out of range).
     WrongShape,
     /// A magnitude cap was exceeded (per-entry for logits, L2 per vector
     /// for prototypes).
     NormExceeded,
     /// The client is quarantined; its uploads are dropped unseen.
     Quarantined,
+    /// A message is not of the kind expected in its place.
+    UnexpectedPayload,
+    /// The client index is outside the fleet.
+    UnknownClient {
+        /// The offending client index.
+        client: usize,
+        /// The fleet size it must be below.
+        fleet: usize,
+    },
+    /// Structurally invalid: class entries out of order or duplicated.
+    Malformed,
 }
 
 impl RejectReason {
-    /// The snake_case name used in serialized telemetry.
+    /// The snake_case name used in serialized telemetry and wire
+    /// rejections.
     pub fn name(self) -> &'static str {
         match self {
             Self::NonFinite => "non_finite",
             Self::WrongShape => "wrong_shape",
             Self::NormExceeded => "norm_exceeded",
             Self::Quarantined => "quarantined",
+            Self::UnexpectedPayload => "unexpected_payload",
+            Self::UnknownClient { .. } => "unknown_client",
+            Self::Malformed => "malformed",
         }
     }
 }
@@ -431,5 +447,12 @@ mod tests {
         assert_eq!(RejectReason::WrongShape.name(), "wrong_shape");
         assert_eq!(RejectReason::NormExceeded.name(), "norm_exceeded");
         assert_eq!(RejectReason::Quarantined.name(), "quarantined");
+        assert_eq!(RejectReason::UnexpectedPayload.name(), "unexpected_payload");
+        let unknown = RejectReason::UnknownClient {
+            client: 9,
+            fleet: 8,
+        };
+        assert_eq!(unknown.name(), "unknown_client");
+        assert_eq!(RejectReason::Malformed.name(), "malformed");
     }
 }

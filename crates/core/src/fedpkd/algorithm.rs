@@ -302,7 +302,10 @@ impl FedPkdState {
             scenario,
             io,
             &roster,
-            |state, data| session::upload(config, &scenario.public, state, data, start),
+            |state, data| {
+                session::upload(config, &scenario.public, state, data, start)
+                    .expect("the server built the round-start messages from its own state")
+            },
             |io, client, mut messages| {
                 // Byzantine clients corrupt their uploads here — before the
                 // ledger charge, because the corrupted bytes are what actually
@@ -690,6 +693,7 @@ impl FedPkdState {
         let bills: Vec<usize> = downlink.iter().map(Wire::encoded_len).collect();
         digest(&mut self.clients, scenario, io, &bills, |state| {
             session::digest(config, &scenario.public, state, start, &downlink)
+                .expect("the server built this round's messages from its own state")
         });
     }
 }
@@ -743,7 +747,8 @@ impl Federation for FedPkd {
             start.push(Message::Prototypes { entries });
         }
         // The server reads the transfer set the clients read.
-        let transfer = session::transfer_set(&self.scenario.public, &start);
+        let transfer = session::transfer_set(&self.scenario.public, &start)
+            .expect("the server built the round-start messages from its own state");
         let env = RoundEnv {
             config: &self.config,
             scenario: &self.scenario,

@@ -1,8 +1,8 @@
 //! Prototype extraction (Eq. 5) and aggregation (Eq. 8), with a
 //! Byzantine-robust outlier-rejecting variant.
 
+use crate::admission::RejectReason;
 use crate::eval;
-use crate::remote::StageError;
 use crate::robust::{coordinate_median, trim_count, AggregationError};
 use crate::streaming::size_weighted_mean;
 use fedpkd_data::Dataset;
@@ -207,22 +207,22 @@ pub fn aggregate_prototypes_robust(
 /// # Errors
 ///
 /// At the first entry whose class is not above the last one's,
-/// [`StageError::Malformed`]; at the first one outside `0..classes`,
-/// [`StageError::WrongShape`].
+/// [`RejectReason::Malformed`]; at the first one outside `0..classes`,
+/// [`RejectReason::WrongShape`].
 pub fn from_wire_entries(
     entries: Vec<PrototypeEntry>,
     classes: usize,
-) -> Result<Vec<Option<Prototype>>, StageError> {
+) -> Result<Vec<Option<Prototype>>, RejectReason> {
     let mut slots = vec![None; classes];
     let mut last: Option<u32> = None;
     for entry in entries {
         if last.is_some_and(|prev| entry.class <= prev) {
-            return Err(StageError::Malformed);
+            return Err(RejectReason::Malformed);
         }
         last = Some(entry.class);
         let slot = slots
             .get_mut(entry.class as usize)
-            .ok_or(StageError::WrongShape)?;
+            .ok_or(RejectReason::WrongShape)?;
         let dim = entry.vector.len();
         *slot = Some(Prototype {
             count: entry.count as usize,
@@ -368,15 +368,15 @@ mod tests {
         let mut entries = to_wire_entries(&local);
         assert_eq!(
             from_wire_entries(entries.clone(), 2),
-            Err(StageError::WrongShape)
+            Err(RejectReason::WrongShape)
         );
         entries.swap(0, 1);
         assert_eq!(
             from_wire_entries(entries.clone(), 3),
-            Err(StageError::Malformed)
+            Err(RejectReason::Malformed)
         );
         entries[1].class = 2;
-        assert_eq!(from_wire_entries(entries, 3), Err(StageError::Malformed));
+        assert_eq!(from_wire_entries(entries, 3), Err(RejectReason::Malformed));
     }
 
     #[test]

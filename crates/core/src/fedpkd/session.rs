@@ -1,10 +1,11 @@
 //! The client's half of Algorithm 2, over a live [`ClientState`]: it
-//! reads the server's [`Message`]s and returns its own. Every message it
-//! reads is built by [`FedPkd`](super::FedPkd) in this process from the
-//! server's own state, so none of the decodes below can fail.
+//! reads the server's [`Message`]s and returns its own. Every message is
+//! checked before the first training step, so a refused one leaves the
+//! client as it was.
 
 use std::borrow::Cow;
 
+use crate::admission::RejectReason;
 use crate::clients::ClientState;
 use crate::eval;
 use crate::fedpkd::config::{DistillSource, FedPkdConfig};
@@ -21,31 +22,40 @@ use fedpkd_tensor::Tensor;
 /// started with them, else Eq. 4 — then the uplink: `Logits` over the
 /// transfer set, `Prototypes` when they are on, and in data-free mode the
 /// input-space `DataMoments` that ground the server's generator.
+///
+/// # Errors
+///
+/// Why `start` cannot be read: see [`transfer_set`]; round-start
+/// prototypes out of order ([`RejectReason::Malformed`]), or of a class
+/// or width this client does not have ([`RejectReason::WrongShape`]).
 pub(crate) fn upload(
     config: &FedPkdConfig,
     public: &Dataset,
     client: &mut ClientState,
     data: &ClientData,
     start: &[Message],
-) -> (Vec<Message>, TrainStats) {
+) -> Result<(Vec<Message>, TrainStats), RejectReason> {
+    let transfer = transfer_set(public, start)?;
     let (model, optimizer, rng) = (&mut client.model, &mut client.optimizer, &mut client.rng);
     let (epochs, batch) = (config.client_private_epochs, config.batch_size);
     // No round-start prototypes, nothing to pull toward: Eq. 16 is Eq. 4.
     let global: Vec<Option<Tensor>> = match start.last() {
         Some(Message::Prototypes { entries }) => {
-            from_wire_entries(entries.clone(), public.num_classes())
-                .expect("the server sends one entry per present class, ascending")
+            from_wire_entries(entries.clone(), public.num_classes())?
                 .into_iter()
                 .map(|p| Some(p?.vector))
                 .collect()
         }
         _ => Vec::new(),
     };
+    let width = model.feature_dim();
+    if global.iter().flatten().any(|g| g.len() != width) {
+        return Err(RejectReason::WrongShape);
+    }
     let (train, epsilon) = (&data.train, config.epsilon);
     let stats = train_supervised_with_prototypes(
         model, train, &global, epsilon, epochs, batch, optimizer, rng,
     );
-    let transfer = transfer_set(public, start);
     let logits = eval::logits_on(model, &transfer);
     let mut uplink = vec![Message::Logits {
         sample_ids: (0..transfer.len() as u32).collect(),
@@ -61,34 +71,45 @@ pub(crate) fn upload(
         let entries = to_wire_entries(&compute_input_moments(&data.train));
         uplink.push(Message::DataMoments { entries });
     }
-    (uplink, stats)
+    Ok((uplink, stats))
 }
 
 /// Public-phase distillation (Eq. 15): the selected rows of the transfer
 /// set, toward the server's logits on them softened at the temperature.
+///
+/// # Errors
+///
+/// Why `start` cannot be read (see [`transfer_set`]); a `downlink` that
+/// does not open with `Logits` and close with a `SampleSelection`
+/// ([`RejectReason::UnexpectedPayload`]); logits that are not whole rows
+/// over this problem's classes, or a selection that is not one transfer-set
+/// row per logit row ([`RejectReason::WrongShape`]).
 pub(crate) fn digest(
     config: &FedPkdConfig,
     public: &Dataset,
     client: &mut ClientState,
     start: &[Message],
     downlink: &[Message],
-) -> TrainStats {
+) -> Result<TrainStats, RejectReason> {
     let [Message::Logits {
         sample_ids,
         num_classes,
         values,
     }, .., Message::SampleSelection { ids }] = downlink
     else {
-        unreachable!("the server sends its logits first and the selection last");
+        return Err(RejectReason::UnexpectedPayload);
     };
+    if *num_classes as usize != public.num_classes() || ids.len() != sample_ids.len() {
+        return Err(RejectReason::WrongShape);
+    }
     let shape = [sample_ids.len(), *num_classes as usize];
-    let logits = Tensor::from_vec(values.clone(), &shape).expect("the server sends whole rows");
+    let logits = Tensor::from_vec(values.clone(), &shape).map_err(|_| RejectReason::WrongShape)?;
     let selected: Vec<usize> = ids.iter().map(|&i| i as usize).collect();
-    let features = transfer_set(public, start)
+    let features = transfer_set(public, start)?
         .features()
         .select_rows(&selected)
-        .expect("the server selects rows of the transfer set");
-    train_distill(
+        .map_err(|_| RejectReason::WrongShape)?;
+    Ok(train_distill(
         &mut client.model,
         &features,
         &softmax(&logits, config.temperature),
@@ -98,25 +119,38 @@ pub(crate) fn digest(
         config.batch_size,
         &mut client.optimizer,
         &mut client.rng,
-    )
+    ))
 }
 
 /// The round's transfer set: the generated batch when the round started
 /// with one, else the public set.
-pub(crate) fn transfer_set<'a>(public: &'a Dataset, start: &[Message]) -> Cow<'a, Dataset> {
+///
+/// # Errors
+///
+/// [`RejectReason::WrongShape`] for a batch whose rows are not the public
+/// set's width, whose values are not whole rows, or with a label outside
+/// the problem's classes.
+pub(crate) fn transfer_set<'a>(
+    public: &'a Dataset,
+    start: &[Message],
+) -> Result<Cow<'a, Dataset>, RejectReason> {
     let Some(Message::SyntheticBatch {
         sample_dim,
         labels,
         values,
     }) = start.first()
     else {
-        return Cow::Borrowed(public);
+        return Ok(Cow::Borrowed(public));
     };
+    if *sample_dim as usize != public.sample_dim() {
+        return Err(RejectReason::WrongShape);
+    }
     let shape = [labels.len(), *sample_dim as usize];
-    let features = Tensor::from_vec(values.clone(), &shape).expect("the server sends whole rows");
+    let features =
+        Tensor::from_vec(values.clone(), &shape).map_err(|_| RejectReason::WrongShape)?;
     let labels = labels.iter().map(|&y| y as usize).collect();
     let batch = Dataset::new(features, labels, public.num_classes());
-    Cow::Owned(batch.expect("the generator conditions on in-range labels"))
+    Ok(Cow::Owned(batch.map_err(|_| RejectReason::WrongShape)?))
 }
 
 #[cfg(test)]
@@ -153,8 +187,8 @@ mod tests {
         let pool = ClientPool::new(&[spec(scenario)], config.learning_rate, 3);
         let mut client = pool.materialize(0);
         let data = &scenario.clients[0];
-        let (uplink, trained) = upload(config, &scenario.public, &mut client, data, start);
-        let distilled = digest(config, &scenario.public, &mut client, start, downlink);
+        let (uplink, trained) = upload(config, &scenario.public, &mut client, data, start).unwrap();
+        let distilled = digest(config, &scenario.public, &mut client, start, downlink).unwrap();
         (
             uplink,
             trained,
@@ -249,5 +283,106 @@ mod tests {
             assert_eq!(kinds, expected);
             assert!(local.1.batches > 0 && local.2.batches > 0);
         }
+    }
+
+    #[test]
+    fn hostile_messages_are_refused_typed_and_leave_the_client_unchanged() {
+        let scenario = ScenarioBuilder::new(SyntheticConfig::cifar10_like())
+            .clients(1)
+            .samples(60)
+            .public_size(30)
+            .global_test_size(10)
+            .partition(Partition::Iid)
+            .seed(6)
+            .build()
+            .unwrap();
+        let (public, data) = (&scenario.public, &scenario.clients[0]);
+        let (rows, classes, sample_dim) = (public.len(), scenario.num_classes, public.sample_dim());
+        let config = FedPkdConfig {
+            client_private_epochs: 1,
+            client_public_epochs: 1,
+            ..FedPkdConfig::default()
+        };
+        let pool = ClientPool::new(&[spec(&scenario)], config.learning_rate, 3);
+        let mut client = pool.materialize(0);
+        let before = client_bytes(&client);
+        let mut rng = Rng::seed_from_u64(7);
+
+        let prototypes = |width: usize| Message::Prototypes {
+            entries: global_to_wire_entries(&vec![Some(Tensor::zeros(&[width])); classes]),
+        };
+        let feature_dim = client.model.feature_dim();
+        let mut swapped = global_to_wire_entries(&vec![Some(Tensor::zeros(&[feature_dim])); 2]);
+        swapped.swap(0, 1);
+        let batch = |dim: usize, label: u32, short: usize| Message::SyntheticBatch {
+            sample_dim: dim as u32,
+            labels: vec![label; rows],
+            values: vec![0.5; rows * dim - short],
+        };
+        let starts = [
+            (
+                "out-of-order prototypes",
+                vec![Message::Prototypes { entries: swapped }],
+                RejectReason::Malformed,
+            ),
+            (
+                "prototype width",
+                vec![prototypes(feature_dim + 1)],
+                RejectReason::WrongShape,
+            ),
+            (
+                "short batch values",
+                vec![batch(sample_dim, 0, 1)],
+                RejectReason::WrongShape,
+            ),
+            (
+                "batch width",
+                vec![batch(sample_dim + 1, 0, 0)],
+                RejectReason::WrongShape,
+            ),
+            (
+                "label past the classes",
+                vec![batch(sample_dim, classes as u32, 0)],
+                RejectReason::WrongShape,
+            ),
+        ];
+        for (case, start, reason) in starts {
+            let refused = upload(&config, public, &mut client, data, &start).map(|_| ());
+            assert_eq!(refused, Err(reason), "{case}");
+            assert_eq!(client_bytes(&client), before, "{case}");
+        }
+
+        let logits = Message::Logits {
+            sample_ids: vec![0, 1, 2],
+            num_classes: classes as u32,
+            values: Tensor::randn(&[3, classes], 1.0, &mut rng).into_vec(),
+        };
+        let select = |ids: Vec<u32>| Message::SampleSelection { ids };
+        let downlinks = [
+            (
+                "selection before logits",
+                vec![select(vec![0, 1, 2]), logits.clone()],
+                RejectReason::UnexpectedPayload,
+            ),
+            (
+                "selection past the transfer set",
+                vec![logits.clone(), select(vec![0, 1, rows as u32])],
+                RejectReason::WrongShape,
+            ),
+            (
+                "selection length",
+                vec![logits.clone(), select(vec![0, 1])],
+                RejectReason::WrongShape,
+            ),
+        ];
+        for (case, downlink, reason) in downlinks {
+            let refused = digest(&config, public, &mut client, &[], &downlink).map(|_| ());
+            assert_eq!(refused, Err(reason), "{case}");
+            assert_eq!(client_bytes(&client), before, "{case}");
+        }
+        // The same client reads well-formed messages.
+        let honest = [logits, select(vec![0, 1, 2])];
+        assert!(digest(&config, public, &mut client, &[], &honest).is_ok());
+        assert_ne!(client_bytes(&client), before);
     }
 }

@@ -12,10 +12,13 @@
 //!
 //! The client phase runs on the work-stealing pool under the round
 //! context's worker budget, and folding happens at the ordered commit
-//! point, so results are bit-identical for any worker count. Uploads the
-//! serving layer staged are already decoded: they skip the pool and fold
-//! on the caller's thread, merged into that commit order, so a round
-//! whose every survivor was served spawns no thread.
+//! point, so results are bit-identical for any worker count.
+//!
+//! A served round is whole: the serving layer commits a round only once
+//! every survivor's upload is staged, or rebuilds the cohort from those
+//! that arrived. So a round with any staged survivor folds its staged
+//! uploads alone, in client order, on the caller's thread, and spawns no
+//! thread; a round with none synthesizes every survivor's upload.
 
 use std::collections::BTreeMap;
 
@@ -24,8 +27,9 @@ use fedpkd_rng::Rng;
 use fedpkd_tensor::parallel::{dispatch_stealing, max_workers};
 use fedpkd_tensor::Tensor;
 
+use crate::admission::{AdmissionPolicy, RejectReason};
 use crate::fedpkd::prototypes::{from_wire_entries, to_wire_entries, Prototype};
-use crate::remote::{RemoteFederation, StageError};
+use crate::remote::RemoteFederation;
 use crate::runtime::{DriverState, Federation};
 use crate::snapshot::{read_driver, write_driver, SnapshotError, StateSink, StateSource};
 use crate::streaming::PrototypeAccumulator;
@@ -40,6 +44,12 @@ const ROUND_KEY: u64 = 0x9E37_79B9_7F4A_7C15;
 /// deliberately not emitted: at fleet scale the event stream would dwarf
 /// the round itself, and the driver's round framing already reports the
 /// aggregate picture.
+///
+/// Every upload is [`client_payload`](Self::client_payload), a pure
+/// function of `(seed, round, client)` and the problem shape, never of
+/// server state. So a config-only replica in a client process computes
+/// the same bytes the in-process simulation charges, and a served run
+/// replays the simulated one bit for bit.
 ///
 /// # Examples
 ///
@@ -97,6 +107,14 @@ impl FleetSim {
     /// `[classes, dims]`.
     pub fn centroids(&self) -> &[f32] {
         &self.centroids
+    }
+
+    /// The exact wire payload client `client` uploads in round `round`.
+    pub fn client_payload(&self, round: usize, client: usize) -> Message {
+        let protos = Self::synth_prototypes(self.seed, self.classes, self.dims, round, client);
+        Message::Prototypes {
+            entries: to_wire_entries(&protos),
+        }
     }
 
     /// Synthesizes the prototype upload client `client` produces in round
@@ -164,43 +182,33 @@ impl Federation for FleetSim {
         let workers = ctx.worker_budget().unwrap_or_else(max_workers);
         let mut acc = PrototypeAccumulator::new();
 
-        // Uploads the serving layer staged for this round replace the
-        // in-process synthesis and move out of the map; whatever else was
-        // staged for this round is dropped, other rounds' is untouched.
-        let mut staged = Vec::new();
-        let mut unstaged = Vec::new();
-        for client in ctx.cohort().survivors() {
-            match self.staged.remove(&(round, client)) {
-                Some(protos) => staged.push((client, protos)),
-                None => unstaged.push(client),
-            }
-        }
+        // The survivors' staged uploads move out of the map; whatever else
+        // was staged for this round is dropped, other rounds' is untouched.
+        let survivors = ctx.cohort().survivors();
+        let staged: Vec<_> = survivors
+            .iter()
+            .filter_map(|&client| Some((client, self.staged.remove(&(round, client))?)))
+            .collect();
         self.staged.retain(|&(r, _), _| r != round);
 
-        // Survivors fold in ascending client id. Only the unstaged ones go
-        // to the worker pool, to be synthesized; each one's commit first
-        // folds the staged survivors below it, and the staged ones above
-        // the last are folded after. A fully served round never enters the
-        // pool.
-        let mut staged = staged.into_iter().peekable();
-        dispatch_stealing(
-            unstaged,
-            workers,
-            |_, client| {
-                (
-                    client,
-                    Self::synth_prototypes(seed, classes, dims, round, client),
-                )
-            },
-            |_, (client, protos)| {
-                while let Some((below, protos)) = staged.next_if(|&(c, _)| c < client) {
-                    Self::ingest(&mut acc, ledger, round, below, &protos);
-                }
+        // Survivors fold in ascending client id: a served round's staged
+        // uploads alone, else every survivor's, synthesized on the pool.
+        if staged.is_empty() {
+            dispatch_stealing(
+                survivors,
+                workers,
+                |_, client| {
+                    (
+                        client,
+                        Self::synth_prototypes(seed, classes, dims, round, client),
+                    )
+                },
+                |_, (client, protos)| Self::ingest(&mut acc, ledger, round, client, &protos),
+            );
+        } else {
+            for (client, protos) in staged {
                 Self::ingest(&mut acc, ledger, round, client, &protos);
-            },
-        );
-        for (client, protos) in staged {
-            Self::ingest(&mut acc, ledger, round, client, &protos);
+            }
         }
 
         if acc.clients() > 0 {
@@ -293,40 +301,23 @@ impl Federation for FleetSim {
 }
 
 impl RemoteFederation for FleetSim {
-    fn client_payload(&self, round: usize, client: usize) -> Message {
-        let protos = Self::synth_prototypes(self.seed, self.classes, self.dims, round, client);
-        Message::Prototypes {
-            entries: to_wire_entries(&protos),
-        }
-    }
-
     fn stage_upload(
         &mut self,
         round: usize,
         client: usize,
         payload: Message,
-    ) -> Result<(), StageError> {
+    ) -> Result<(), RejectReason> {
         let Message::Prototypes { entries } = payload else {
-            return Err(StageError::UnexpectedPayload);
+            return Err(RejectReason::UnexpectedPayload);
         };
         if client >= self.fleet {
-            return Err(StageError::UnknownClient {
+            return Err(RejectReason::UnknownClient {
                 client,
                 fleet: self.fleet,
             });
         }
         let protos = from_wire_entries(entries, self.classes)?;
-        for p in protos.iter().flatten() {
-            if p.vector.len() != self.dims {
-                return Err(StageError::WrongShape);
-            }
-            if p.count == 0 {
-                return Err(StageError::Malformed);
-            }
-            if !p.vector.all_finite() {
-                return Err(StageError::NonFinite);
-            }
-        }
+        AdmissionPolicy::default().check_prototypes(&protos, self.classes, self.dims)?;
         self.staged.insert((round, client), protos);
         Ok(())
     }
@@ -383,22 +374,13 @@ mod tests {
     fn staged_uploads_replay_bit_identically_with_synthesis() {
         // A run where every invited client's payload is staged through the
         // remote SPI (as the serving layer does) must equal the in-process
-        // run at the same seed — the bit-identity the chaos oracle rests on.
-        // So must a run that stages every other survivor, whose staged
-        // uploads fold between the synthesized ones at the ordered commit
-        // (the evens: the first survivor is staged; the odds: the last
-        // is), at any worker budget.
+        // run at the same seed — the bit-identity the chaos oracle rests on
+        // — at any worker budget.
         let rounds = 3;
         let mut plain = FleetSim::new(64, 6, 8, 17);
         let reference = sampled_builder(rounds).build().run_silent(&mut plain);
 
-        for (skip, stride, workers) in [
-            (0, 1, None),
-            (0, 2, Some(1)),
-            (1, 2, Some(2)),
-            (0, 2, None),
-            (1, 2, None),
-        ] {
+        for workers in [None, Some(1), Some(2)] {
             let mut served = FleetSim::new(64, 6, 8, 17);
             let mut builder =
                 DriverBuilder::new().cohort(CohortPolicy::Sample { size: 64, seed: 3 });
@@ -409,8 +391,7 @@ mod tests {
             let mut history = Vec::new();
             for round in 0..rounds {
                 let ctx = steps.context(&served);
-                let survivors = ctx.cohort().survivors();
-                for client in survivors.into_iter().skip(skip).step_by(stride) {
+                for client in ctx.cohort().survivors() {
                     let payload = served.client_payload(round, client);
                     served
                         .stage_upload(round, client, payload)
@@ -423,12 +404,44 @@ mod tests {
                 );
             }
             steps.finish(&mut served);
-            let case =
-                format!("survivors {skip}, {skip} + {stride}, .. staged, budget {workers:?}");
+            let case = format!("budget {workers:?}");
             assert_eq!(history, reference.history, "{case}");
             assert_eq!(served.driver().ledger(), &reference.ledger, "{case}");
             assert_eq!(served.centroids(), plain.centroids(), "{case}");
         }
+    }
+
+    #[test]
+    fn a_partly_staged_round_folds_only_what_was_staged() {
+        // Staging every other survivor: the round bills and folds exactly
+        // those uploads, and synthesizes nobody else's.
+        let mut fleet = FleetSim::new(16, 6, 8, 17);
+        let builder = DriverBuilder::new();
+        let mut steps = RoundLoop::begin(&builder, &mut fleet);
+        let ctx = steps.context(&fleet);
+        let survivors = ctx.cohort().survivors();
+        let staged: Vec<usize> = survivors.iter().copied().step_by(2).collect();
+        assert!(!staged.is_empty() && staged.len() < survivors.len());
+        let mut acc = PrototypeAccumulator::new();
+        let mut ledger = CommLedger::new();
+        for &client in &staged {
+            let payload = fleet.client_payload(0, client);
+            fleet.stage_upload(0, client, payload).unwrap();
+            let protos = FleetSim::synth_prototypes(17, 6, 8, 0, client);
+            FleetSim::ingest(&mut acc, &mut ledger, 0, client, &protos);
+        }
+        steps.commit(&mut fleet, &ctx, &mut crate::telemetry::NullObserver);
+        steps.finish(&mut fleet);
+
+        assert!(fleet.staged.is_empty());
+        assert_eq!(fleet.driver().ledger(), &ledger);
+        let expected: Vec<f32> = acc
+            .finish()
+            .unwrap()
+            .into_iter()
+            .flat_map(|mean| mean.map_or(vec![0.0; 8], |m| m.as_slice().to_vec()))
+            .collect();
+        assert_eq!(fleet.centroids(), expected.as_slice());
     }
 
     #[test]
@@ -442,12 +455,12 @@ mod tests {
         // Wrong message kind.
         assert_eq!(
             fleet.stage_upload(0, 0, Message::SampleSelection { ids: vec![1] }),
-            Err(StageError::UnexpectedPayload)
+            Err(RejectReason::UnexpectedPayload)
         );
         // Client outside the fleet.
         assert_eq!(
             fleet.stage_upload(0, 99, Message::Prototypes { entries: vec![] }),
-            Err(StageError::UnknownClient {
+            Err(RejectReason::UnknownClient {
                 client: 99,
                 fleet: 8
             })
@@ -461,7 +474,7 @@ mod tests {
                     entries: vec![entry(9, 1, 8)]
                 },
             ),
-            Err(StageError::WrongShape)
+            Err(RejectReason::WrongShape)
         );
         assert_eq!(
             fleet.stage_upload(
@@ -471,9 +484,9 @@ mod tests {
                     entries: vec![entry(0, 1, 3)]
                 },
             ),
-            Err(StageError::WrongShape)
+            Err(RejectReason::WrongShape)
         );
-        // Out-of-order classes and zero counts are malformed.
+        // Out-of-order classes are malformed.
         assert_eq!(
             fleet.stage_upload(
                 0,
@@ -482,7 +495,7 @@ mod tests {
                     entries: vec![entry(2, 1, 8), entry(1, 1, 8)]
                 },
             ),
-            Err(StageError::Malformed)
+            Err(RejectReason::Malformed)
         );
         assert_eq!(
             fleet.stage_upload(
@@ -492,14 +505,28 @@ mod tests {
                     entries: vec![entry(1, 0, 8)]
                 },
             ),
-            Err(StageError::Malformed)
+            Err(RejectReason::WrongShape),
+            "a zero count is admission's wrong shape"
         );
         // Non-finite values.
         let mut bad = entry(1, 1, 8);
         bad.vector[3] = f32::NAN;
         assert_eq!(
             fleet.stage_upload(0, 0, Message::Prototypes { entries: vec![bad] }),
-            Err(StageError::NonFinite)
+            Err(RejectReason::NonFinite)
+        );
+        // A vector past the norm cap.
+        let mut huge = entry(1, 1, 8);
+        huge.vector[0] = 2.0 * crate::admission::MAX_PROTOTYPE_NORM;
+        assert_eq!(
+            fleet.stage_upload(
+                0,
+                0,
+                Message::Prototypes {
+                    entries: vec![huge]
+                }
+            ),
+            Err(RejectReason::NormExceeded)
         );
         // A failed staging leaves nothing behind; a clean one lands.
         assert!(fleet.staged.is_empty());

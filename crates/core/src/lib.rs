@@ -71,7 +71,7 @@ pub use admission::{AdmissionPolicy, PayloadKind, QuarantineTracker, RejectReaso
 pub use cow::{ClientPool, ClientSlot, ParkedClient};
 pub use driver::{Driver, DriverBuilder, RoundLoop};
 pub use fleet::FleetSim;
-pub use remote::{RemoteFederation, StageError};
+pub use remote::RemoteFederation;
 pub use robust::{AggregationError, RobustAggregation};
 pub use runtime::{Federation, RoundMetrics, RunResult};
 pub use snapshot::SnapshotError;

@@ -1,5 +1,6 @@
-//! `fedpkd-client` — one FedPKD participant over TCP or a Unix domain
-//! socket.
+//! `fedpkd-client` — one client of the served `FleetSim` federation over
+//! TCP or a Unix domain socket (FedPKD itself crossing the socket is
+//! ROADMAP item 1b-ii).
 //!
 //! ```text
 //! fedpkd-client --uds /tmp/fedpkd.sock --client 3 --fleet 8 --classes 4 \
@@ -8,7 +9,7 @@
 //!
 //! The fleet/classes/dims/seed flags must match the server's: they build
 //! the config-only [`FleetSim`] replica whose
-//! [`client_payload`](fedpkd_core::remote::RemoteFederation::client_payload)
+//! [`client_payload`](fedpkd_core::fleet::FleetSim::client_payload)
 //! is a pure function of `(seed, round, client)`, which is why this
 //! process can compute the exact bytes the in-process simulation would
 //! have charged. The client rides out server restarts with seeded
@@ -18,7 +19,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use fedpkd_core::fleet::FleetSim;
-use fedpkd_core::remote::RemoteFederation;
 use fedpkd_core::telemetry::NullObserver;
 use fedpkd_netsim::Wire;
 use fedpkd_serve::client::{run_client, ClientConfig};

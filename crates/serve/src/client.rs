@@ -1,4 +1,7 @@
-//! The client engine: a real FedPKD participant over a socket.
+//! The client engine: one participant of the served federation over a
+//! socket. The served federation is `FleetSim`, whose uploads stand in
+//! for FedPKD's prototype uplink; a FedPKD client session crossing the
+//! socket is ROADMAP item 1b-ii.
 //!
 //! [`run_client`] drives one client's whole life against a
 //! `fedpkd-serve` server. The loop is lock-step with the protocol:
@@ -112,8 +115,8 @@ pub struct ClientReport {
 
 /// Computes a round payload: the raw `Wire` bytes of the client's
 /// `Message`. The payload must be a pure function of `(round, client)` — see
-/// [`RemoteFederation::client_payload`](fedpkd_core::remote::RemoteFederation::client_payload),
-/// whose implementors this closure typically wraps.
+/// [`FleetSim::client_payload`](fedpkd_core::fleet::FleetSim::client_payload),
+/// which this closure typically wraps.
 pub type PayloadFn<'a> = dyn Fn(u64, usize) -> Vec<u8> + 'a;
 
 fn exchange(conn: &mut Conn, req: &Request) -> Result<Response, FrameError> {

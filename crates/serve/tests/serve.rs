@@ -7,7 +7,6 @@ use std::time::Duration;
 
 use fedpkd_core::driver::DriverBuilder;
 use fedpkd_core::fleet::FleetSim;
-use fedpkd_core::remote::RemoteFederation;
 use fedpkd_core::runtime::Federation;
 use fedpkd_core::telemetry::{EventLog, NullObserver, TelemetryEvent};
 use fedpkd_netsim::{CohortPolicy, Message, Wire};

@@ -49,12 +49,12 @@ cargo test --workspace -q --no-fail-fast
 # other (bounded spin, then block; the forward waits layer by layer), every
 # algorithm's client phases run on the work-stealing pool, whose caller
 # works its own items and then waits on a reorder buffer the helpers fill,
-# a served round folds its staged uploads between the pool's commits, a
-# data-free round's refine thread turns step worker when the refine returns
-# and is joined after the distillation, and the lock-step serve protocol
-# waits on a buffered socket read (one that waited on the socket while its
-# bytes sat in the buffer would hang). All must also finish when all
-# threads share one core. Re-runs the inline-vs-worker and
+# a served round folds its staged uploads on the caller and never enters
+# the pool, a data-free round's refine thread turns step worker when the
+# refine returns and is joined after the distillation, and the lock-step
+# serve protocol waits on a buffered socket read (one that waited on the
+# socket while its bytes sat in the buffer would hang). All must also
+# finish when all threads share one core. Re-runs the inline-vs-worker and
 # job-beside-the-worker tests, the pinned trainer literals (budgets 2 and 3
 # must reproduce them on one core), the dispatcher's own tests (panics on
 # the caller and on a helper included), the phase kit's unit tests, the
