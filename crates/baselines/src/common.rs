@@ -13,7 +13,7 @@ use crate::BaselineConfig;
 use fedpkd_core::clients::{digest, validate_specs};
 use fedpkd_core::cow::{pooled_client_accuracies, ClientPool};
 use fedpkd_core::eval;
-use fedpkd_core::fedpkd::logits::aggregation_stats;
+use fedpkd_core::fedpkd::logits::{aggregation_stats_from_probs, client_probs};
 use fedpkd_core::fedpkd::CoreError;
 use fedpkd_core::runtime::DriverState;
 use fedpkd_core::snapshot::{self, SnapshotError, StateSink, StateSource};
@@ -224,11 +224,11 @@ pub(crate) fn mean_upload(uploads: &[Tensor], io: &mut RoundIo<'_>) -> Option<Te
 }
 
 /// Reports how much the ensemble members disagree (uniform weights; the
-/// softmax inside the helper is monotone per row, so probabilities and
-/// logits measure alike).
+/// softmax taken here is monotone per row, so probabilities and logits
+/// measure alike).
 pub(crate) fn report_ensemble(members: &[Tensor], io: &mut RoundIo<'_>) {
     if io.obs.enabled() {
-        let stats = aggregation_stats(members, false);
+        let stats = aggregation_stats_from_probs(&client_probs(members), false);
         io.obs.record(&TelemetryEvent::LogitAggregation {
             round: io.round,
             clients: members.len(),
@@ -328,17 +328,16 @@ impl Optimizer for Proximal<'_> {
     fn learning_rate(&self) -> f32 {
         self.inner.learning_rate()
     }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.inner.set_learning_rate(lr);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fedpkd_core::telemetry::NullObserver;
     use fedpkd_data::{FederatedScenario, Partition, ScenarioBuilder, SyntheticConfig};
+    use fedpkd_netsim::{Cohort, CommLedger, RoundContext};
     use fedpkd_tensor::models::{DepthTier, ModelSpec};
+    use fedpkd_tensor::ops::{sharpen, softmax};
     use fedpkd_tensor::serialize::param_vector;
 
     pub(crate) fn tiny_scenario(seed: u64) -> FederatedScenario {
@@ -444,6 +443,153 @@ mod tests {
         assert!(
             drift < free_drift,
             "prox drift {drift} should be below free drift {free_drift}"
+        );
+    }
+
+    // ---- The consensus FedMD, NaiveKD and DS-FL distill toward ----------
+    //
+    // Each row diffs the production composition against a naive `f64`
+    // reference written from the method's paper, sharing no code with the
+    // product. `u = 2⁻²⁴` is the `f32` unit roundoff.
+
+    /// Relative tolerance, per entry, of both consensus rows.
+    const TOL: f64 = 1e-5;
+
+    const UPLOADERS: usize = 3;
+
+    /// Three clients' public-set logits: 6 samples, 4 classes, entries of
+    /// `N(0, 1)`, all below 4 in magnitude (asserted).
+    fn consensus_logits() -> Vec<Tensor> {
+        let mut rng = Rng::seed_from_u64(77);
+        let logits: Vec<Tensor> = (0..UPLOADERS)
+            .map(|_| Tensor::randn(&[6, 4], 1.0, &mut rng))
+            .collect();
+        let max = logits
+            .iter()
+            .flat_map(|z| z.as_slice())
+            .fold(0.0f32, |m, v| m.max(v.abs()));
+        assert!(max < 4.0, "fixture bound: max |z| = {max}");
+        logits
+    }
+
+    /// [`mean_upload`] in a round every client survives.
+    fn production_mean(uploads: &[Tensor]) -> Tensor {
+        let ctx = RoundContext::benign(Cohort::full(uploads.len()));
+        let (mut ledger, mut obs) = (CommLedger::new(), NullObserver);
+        let io = &mut RoundIo::new(0, &ctx, &mut ledger, &mut obs);
+        mean_upload(uploads, io).expect("three uploads")
+    }
+
+    /// The rows of `t` in `f64`.
+    fn rows(t: &Tensor) -> Vec<Vec<f64>> {
+        (0..t.rows())
+            .map(|r| t.row(r).iter().map(|&v| f64::from(v)).collect())
+            .collect()
+    }
+
+    /// Row `r` of every client, averaged: `(1/C) Σ_c clients[c][r]`.
+    fn mean_row(clients: &[Vec<Vec<f64>>], r: usize) -> Vec<f64> {
+        (0..clients[0][r].len())
+            .map(|j| clients.iter().map(|c| c[r][j]).sum::<f64>() / clients.len() as f64)
+            .collect()
+    }
+
+    /// `exp(z_j / T) / Σ_k exp(z_k / T)`.
+    fn softmax_row(z: &[f64], t: f64) -> Vec<f64> {
+        let e: Vec<f64> = z.iter().map(|v| (v / t).exp()).collect();
+        let total: f64 = e.iter().sum();
+        e.iter().map(|v| v / total).collect()
+    }
+
+    /// The largest per-entry relative gap between `got` and `want`.
+    fn worst_gap(got: &[Vec<f64>], want: &[Vec<f64>]) -> f64 {
+        assert_eq!(got.len(), want.len(), "row count");
+        got.iter()
+            .flatten()
+            .zip(want.iter().flatten())
+            .map(|(g, w)| (g - w).abs() / w.abs())
+            .fold(0.0, f64::max)
+    }
+
+    /// FedMD (Li & Wang) and NaiveKD: the consensus is the softmax, at the
+    /// distillation temperature `T`, of the clients' mean logits —
+    /// `q_ij = exp(z̄_ij / T) / Σ_k exp(z̄_ik / T)`, `z̄ = (1/C) Σ_c z_c`.
+    ///
+    /// Tolerance: the `f32` mean rounds `1/C` once and each of its `C`
+    /// multiply-adds twice, every rounding at most `u·max|z| < 4u`, so each
+    /// `z̄` is within `(2C + 1)·4u = 28u`. The softmax argument
+    /// `z̄_ij − max_k z̄_ik` carries two such errors and its own rounding
+    /// (`< 8u`), `64u`, which the division by `T = 2` and `exp` turn into
+    /// about `34u` relative per term; the `K`-term normaliser adds another
+    /// `34u + K·u` and the division `u`, so each probability is within
+    /// about `73u ≈ 4.4e-6` relative. [`TOL`] allows twice that. The
+    /// probability average (the ensemble FedDF distills toward) misses the
+    /// same reference by more than `100 × TOL`, also asserted.
+    #[test]
+    fn fedmd_consensus_matches_the_reference() {
+        let t = BaselineConfig::default().temperature;
+        let logits = consensus_logits();
+        let got = rows(&softmax(&production_mean(&logits), t));
+        let clients: Vec<Vec<Vec<f64>>> = logits.iter().map(rows).collect();
+        let samples = 0..logits[0].rows();
+        let want: Vec<Vec<f64>> = samples
+            .clone()
+            .map(|r| softmax_row(&mean_row(&clients, r), f64::from(t)))
+            .collect();
+        let gap = worst_gap(&got, &want);
+        assert!(gap <= TOL, "softmax of the mean logits: relative gap {gap}");
+
+        let client_probs: Vec<Vec<Vec<f64>>> = clients
+            .iter()
+            .map(|c| c.iter().map(|z| softmax_row(z, f64::from(t))).collect())
+            .collect();
+        let probability_average: Vec<Vec<f64>> =
+            samples.map(|r| mean_row(&client_probs, r)).collect();
+        let gap = worst_gap(&probability_average, &want);
+        assert!(
+            gap > 100.0 * TOL,
+            "the probability average is a different rule: gap {gap}"
+        );
+    }
+
+    /// DS-FL (Itahara et al.): entropy-reduction aggregation — clients
+    /// upload softmax probabilities, the server averages them and sharpens
+    /// the mean at `T_s`: `s_ij = p̄_ij^{1/T_s} / Σ_k p̄_ik^{1/T_s}`,
+    /// `p̄ = (1/C) Σ_c p_c`, over the uploaded `f32` probabilities.
+    ///
+    /// Tolerance: every term is non-negative, so nothing cancels. The `f32`
+    /// mean is within `(2C + 1)·u = 7u` relative, `powf(1/T_s)` at
+    /// `T_s = 0.5` doubles that and rounds once (`15u`), and the `K`-term
+    /// normaliser and the division add `15u + K·u + u`: about
+    /// `35u ≈ 2.1e-6` relative per entry. [`TOL`] allows five times that;
+    /// the sharpening itself moves the plain mean by more than
+    /// `100 × TOL`, also asserted.
+    #[test]
+    fn dsfl_consensus_matches_the_reference() {
+        let t_s = BaselineConfig::default().sharpen_temperature;
+        let probs: Vec<Tensor> = consensus_logits().iter().map(|z| softmax(z, 1.0)).collect();
+        let mean = production_mean(&probs);
+        let got = rows(&sharpen(&mean, t_s));
+        let clients: Vec<Vec<Vec<f64>>> = probs.iter().map(rows).collect();
+        let want: Vec<Vec<f64>> = (0..probs[0].rows())
+            .map(|r| {
+                let powered: Vec<f64> = mean_row(&clients, r)
+                    .iter()
+                    .map(|p| p.powf(1.0 / f64::from(t_s)))
+                    .collect();
+                let total: f64 = powered.iter().sum();
+                powered.iter().map(|p| p / total).collect()
+            })
+            .collect();
+        let gap = worst_gap(&got, &want);
+        assert!(
+            gap <= TOL,
+            "sharpened mean probabilities: relative gap {gap}"
+        );
+        let gap = worst_gap(&rows(&mean), &want);
+        assert!(
+            gap > 100.0 * TOL,
+            "sharpening must move the mean: gap {gap}"
         );
     }
 }

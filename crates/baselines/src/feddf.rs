@@ -24,10 +24,12 @@ use fedpkd_tensor::Tensor;
 /// them (FedAvg traffic). The server initializes the fused model with the
 /// weighted parameter average, then refines it by distilling from the
 /// *ensemble* of uploaded client models — it loads each client's parameters
-/// into a scratch model, averages their softmax outputs on the public set,
-/// and trains the fused model toward that ensemble (AVGLOGITS). The server
-/// architecture is therefore constrained to the client architecture (the
-/// limitation the paper calls out).
+/// into a scratch model, averages their softmax outputs (T = 1) on the
+/// public set, and trains the fused model toward that probability average.
+/// Lin et al.'s AVGLOGITS (Ensemble Distillation, PAPERS.md) distills
+/// toward the softmax of the mean *logits* instead; ROADMAP item 2 step 2
+/// moves FedDF to it. The server architecture is constrained to the client
+/// architecture (the limitation the paper calls out).
 pub struct FedDf {
     scenario: FederatedScenario,
     config: BaselineConfig,

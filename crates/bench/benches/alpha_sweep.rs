@@ -1,5 +1,6 @@
-//! α sweep — FedPKD against FedDF's AVGLOGITS ensemble across the
-//! Dirichlet concentration grid (`fedpkd_data::ALPHA_SWEEP`), each pair
+//! α sweep — FedPKD against FedDF's ensemble (a probability average; Lin
+//! et al.'s AVGLOGITS, the mean of logits, is ROADMAP item 2 step 2) across
+//! the Dirichlet concentration grid (`fedpkd_data::ALPHA_SWEEP`), each pair
 //! compared at the **equal communication budget**, plus the data-free
 //! (generated transfer set) mode at `α = 0.1`. Every cell runs at each
 //! seed of [`SEEDS`] and prints mean ± sd over them.

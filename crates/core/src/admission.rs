@@ -112,19 +112,10 @@ impl RejectReason {
 /// loose — generous magnitudes that no honestly trained model approaches —
 /// so the policy rejects only payloads that are malformed or wildly
 /// implausible, never merely low-quality ones. Statistical outliers are the
-/// business of robust aggregation, not admission.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdmissionPolicy {
-    /// Master switch; `false` restores the trust-everyone seed behavior
-    /// (and with it the panics on malformed uploads).
-    pub enabled: bool,
-}
-
-impl Default for AdmissionPolicy {
-    fn default() -> Self {
-        Self { enabled: true }
-    }
-}
+/// business of robust aggregation, not admission. There is no off switch:
+/// every upload of every algorithm passes these checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct AdmissionPolicy;
 
 impl AdmissionPolicy {
     /// Checks a logit upload against the expected `rows × cols` shape.
@@ -139,9 +130,6 @@ impl AdmissionPolicy {
         rows: usize,
         cols: usize,
     ) -> Result<(), RejectReason> {
-        if !self.enabled {
-            return Ok(());
-        }
         if logits.shape() != [rows, cols] {
             return Err(RejectReason::WrongShape);
         }
@@ -167,9 +155,6 @@ impl AdmissionPolicy {
         num_classes: usize,
         dim: usize,
     ) -> Result<(), RejectReason> {
-        if !self.enabled {
-            return Ok(());
-        }
         if prototypes.len() != num_classes {
             return Err(RejectReason::WrongShape);
         }
@@ -197,9 +182,6 @@ impl AdmissionPolicy {
     /// Returns the [`RejectReason`] on length mismatch or non-finite
     /// entries.
     pub fn check_update(&self, params: &[f32], expected_len: usize) -> Result<(), RejectReason> {
-        if !self.enabled {
-            return Ok(());
-        }
         if params.len() != expected_len {
             return Err(RejectReason::WrongShape);
         }
@@ -306,10 +288,6 @@ impl QuarantineTracker {
 mod tests {
     use super::*;
 
-    fn policy() -> AdmissionPolicy {
-        AdmissionPolicy::default()
-    }
-
     fn t(data: &[f32], shape: &[usize]) -> Tensor {
         Tensor::from_vec(data.to_vec(), shape).unwrap()
     }
@@ -324,14 +302,14 @@ mod tests {
     #[test]
     fn clean_logits_pass() {
         assert_eq!(
-            policy().check_logits(&t(&[1.0, -2.0], &[1, 2]), 1, 2),
+            AdmissionPolicy.check_logits(&t(&[1.0, -2.0], &[1, 2]), 1, 2),
             Ok(())
         );
     }
 
     #[test]
     fn logits_checks_catch_each_failure() {
-        let p = policy();
+        let p = AdmissionPolicy;
         assert_eq!(
             p.check_logits(&t(&[1.0, 2.0, 3.0], &[1, 3]), 1, 2),
             Err(RejectReason::WrongShape)
@@ -347,19 +325,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_policy_accepts_garbage() {
-        let p = AdmissionPolicy { enabled: false };
-        assert_eq!(
-            p.check_logits(&t(&[f32::NAN], &[1, 1]), 9, 9),
-            Ok(()),
-            "disabled admission must not inspect anything"
-        );
-        assert_eq!(p.check_update(&[f32::INFINITY], 5), Ok(()));
-    }
-
-    #[test]
     fn prototype_checks_catch_each_failure() {
-        let p = policy();
+        let p = AdmissionPolicy;
         let ok = vec![Some(proto(3, &[1.0, 2.0])), None];
         assert_eq!(p.check_prototypes(&ok, 2, 2), Ok(()));
         // Wrong class count.
@@ -385,7 +352,7 @@ mod tests {
 
     #[test]
     fn update_checks_shape_and_finiteness() {
-        let p = policy();
+        let p = AdmissionPolicy;
         assert_eq!(p.check_update(&[1.0, 2.0], 2), Ok(()));
         assert_eq!(p.check_update(&[1.0], 2), Err(RejectReason::WrongShape));
         assert_eq!(

@@ -254,7 +254,7 @@ pub fn local_update(
         let stats = train(client, data);
         (state_vector(&client.model), stats)
     })?;
-    let policy = AdmissionPolicy::default();
+    let policy = AdmissionPolicy;
     let inspect = |io: &mut RoundIo<'_>, client, params: &mut Vec<f32>| {
         let honest_len = params.len();
         if let Some(attack) = io.ctx.attack(client) {
@@ -284,7 +284,7 @@ pub fn public_upload(
 ) -> Option<(Vec<usize>, Vec<Tensor>)> {
     let uploads = train_survivors(clients, scenario, io, upload)?;
     let (rows, cols) = (scenario.public.len(), scenario.num_classes);
-    let policy = AdmissionPolicy::default();
+    let policy = AdmissionPolicy;
     let inspect = |io: &mut RoundIo<'_>, client, logits: &mut Tensor| {
         if let Some(attack) = io.ctx.attack(client) {
             // A wrong-shape attack changes the width.

@@ -365,10 +365,11 @@ pub fn for_each_pooled_client_streaming<T: Send>(
     // ordered commit point on the caller's thread.
     let pool_ref: &ClientPool = pool;
     let mut parked: Vec<(usize, ParkedClient)> = Vec::with_capacity(items.len());
-    // Execution plan: seed same-template clients contiguously so a worker
-    // replays one template's weights (and one arena size class) back to
-    // back. Seeding order is the only thing that changes — the ordered
-    // commit point keeps the result bit-identical (DESIGN.md §5j).
+    // Execution plan: seed same-template clients contiguously. It shares
+    // nothing between clients; it is kept because mixed-tier client
+    // training measured faster with it (DESIGN.md §5j). Seeding order is
+    // the only thing that changes — the ordered commit point keeps the
+    // result bit-identical.
     let keys: Vec<u64> = items
         .iter()
         .map(|&(i, _, _)| u64::from(pool.assignment[i]))

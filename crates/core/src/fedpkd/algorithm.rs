@@ -2,7 +2,9 @@
 
 use std::time::Instant;
 
-use crate::admission::{PayloadKind, QuarantineTracker, RejectReason, QUARANTINE_AFTER};
+use crate::admission::{
+    AdmissionPolicy, PayloadKind, QuarantineTracker, RejectReason, QUARANTINE_AFTER,
+};
 use crate::clients::{digest, train_cohort, validate_specs, RoundIo};
 use crate::cow::{pooled_client_accuracies, ClientPool};
 use crate::eval;
@@ -238,7 +240,6 @@ struct RoundEnv<'a> {
 struct Uplink {
     acc: LogitAccumulator,
     kept: Vec<Tensor>,
-    fold_failed: bool,
     admitted: usize,
 }
 
@@ -280,13 +281,12 @@ impl FedPkdState {
         let mut uplink = Uplink {
             acc: LogitAccumulator::new(config.variance_weighting),
             kept: Vec::new(),
-            fold_failed: false,
             admitted: 0,
         };
         let mut moment_uploads: Vec<Vec<Option<Prototype>>> = Vec::new();
         let sample_dim = env.transfer.sample_dim();
 
-        let policy = config.admission;
+        let policy = AdmissionPolicy;
         // Destructure for disjoint borrows: the fleet mutates on the
         // worker pool while the commit pipeline updates server-side state.
         let FedPkdState {
@@ -379,13 +379,11 @@ impl FedPkdState {
                 if config.use_prototypes {
                     cached_prototypes[client] = Some((round, prototypes));
                 }
-                // Moments only feed the generator: a malformed vector is simply
-                // not folded — the logit/prototype checks above are what gate
-                // the client's standing.
+                // Moments only feed the generator: an upload that fails the
+                // prototype gate is simply not folded — the logit/prototype
+                // checks above are what gate the client's standing.
                 if let Some(m) = moments {
-                    let fits =
-                        |p: &Prototype| p.vector.shape() == [sample_dim] && p.vector.all_finite();
-                    if m.iter().flatten().all(fits) {
+                    if policy.check_prototypes(&m, num_classes, sample_dim).is_ok() {
                         moment_uploads.push(m);
                     }
                 }
@@ -393,11 +391,10 @@ impl FedPkdState {
                 // softmax pass is consumed here and freed — unless a
                 // cross-client estimator or diagnostics need the full set.
                 let probs = softmax(&logits, 1.0);
-                if !trimmed && uplink.acc.fold_probs(&probs).is_err() {
-                    // Only reachable with admission disabled (shape-divergent
-                    // payloads were let through); the round will degrade to a
-                    // no-op below.
-                    uplink.fold_failed = true;
+                if !trimmed {
+                    uplink.acc.fold_probs(&probs).expect(
+                        "admission fixed every admitted upload's shape to public_len × num_classes",
+                    );
                 }
                 if keep_probs {
                     uplink.kept.push(probs);
@@ -436,13 +433,11 @@ impl FedPkdState {
         let phase_started = Instant::now();
         let obs = &mut *io.obs;
         // With every upload rejected there is no trustworthy knowledge to
-        // aggregate or distill; with admission disabled, shape-divergent
-        // payloads can fail the fold. Either way the round degrades to a
-        // no-op — models and prototypes stay as they were.
+        // aggregate or distill: the round degrades to a no-op — models and
+        // prototypes stay as they were.
         let aggregated = match trim {
             _ if uplink.admitted == 0 => None,
             Some(t) => aggregate_logits_trimmed_from_probs(kept, t).ok(),
-            None if uplink.fold_failed => None,
             None => uplink.acc.finish().ok(),
         };
         let Some(aggregated) = aggregated else {
@@ -496,8 +491,7 @@ impl FedPkdState {
                 }
                 *global_prototypes = new_prototypes;
             }
-            // On Err — no cache entries at all, or (with admission
-            // disabled) divergent widths — the previous prototype
+            // On Err — no cache entries at all — the previous prototype
             // generation keeps serving instead of being wiped.
         }
         if obs.enabled() {
@@ -860,7 +854,7 @@ impl Federation for FedPkd {
         // The cache holds admitted uploads only, and feeds Eq. 8 without
         // another look: a restored entry must pass the gate a live one
         // passed.
-        let policy = self.config.admission;
+        let policy = AdmissionPolicy;
         let mut cached_prototypes = Vec::with_capacity(cache_len);
         for client in 0..cache_len {
             cached_prototypes.push(if r.take_bool()? {

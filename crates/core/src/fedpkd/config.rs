@@ -1,6 +1,5 @@
 //! FedPKD hyperparameters and error type.
 
-use crate::admission::AdmissionPolicy;
 use crate::robust::RobustAggregation;
 
 /// Fault-tolerance window: when a client misses a round, the server keeps
@@ -72,11 +71,6 @@ pub struct FedPkdConfig {
     /// instead of variance-proportional weights (an extra ablation beyond
     /// the paper's).
     pub variance_weighting: bool,
-    /// Admission control applied to every client upload before it can
-    /// influence server state. Enabled by default — on clean runs every
-    /// honest payload passes, so this is a no-op for paper-faithful
-    /// experiments.
-    pub admission: AdmissionPolicy,
     /// Aggregation rule for admitted uploads. Defaults to
     /// [`RobustAggregation::Off`], the paper-faithful Eqs. 6–8.
     pub robust: RobustAggregation,
@@ -108,7 +102,6 @@ impl Default for FedPkdConfig {
             use_prototypes: true,
             use_filter: true,
             variance_weighting: true,
-            admission: AdmissionPolicy::default(),
             robust: RobustAggregation::Off,
             distill_source: DistillSource::Public,
             generator_latent_dim: 16,

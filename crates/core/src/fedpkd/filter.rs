@@ -140,9 +140,8 @@ fn filter_impl(
                     })
                     .collect();
                 // A total order keeps the sort deterministic even when a
-                // poisoned prototype (admission disabled) yields NaN
-                // distances — those sort past every finite distance, so
-                // "farthest from the prototype" drops them first.
+                // NaN distance reaches it — those sort past every finite
+                // distance, so "farthest from the prototype" drops them first.
                 scored.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
                 if let Some(s) = stats.as_deref_mut() {
                     distances.extend(scored.iter().map(|&(_, d)| d));

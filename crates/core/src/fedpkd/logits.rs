@@ -11,9 +11,9 @@ use fedpkd_tensor::Tensor;
 /// them would amplify noise rather than confidence.
 pub const MIN_TOTAL_VARIANCE: f32 = 1e-12;
 
-fn check_alignment(client_logits: &[Tensor]) -> Result<&Tensor, AggregationError> {
-    let first = client_logits.first().ok_or(AggregationError::Empty)?;
-    if client_logits.iter().any(|l| l.shape() != first.shape()) {
+fn check_alignment(probs: &[Tensor]) -> Result<&Tensor, AggregationError> {
+    let first = probs.first().ok_or(AggregationError::Empty)?;
+    if probs.iter().any(|p| p.shape() != first.shape()) {
         return Err(AggregationError::ShapeMismatch);
     }
     Ok(first)
@@ -27,8 +27,8 @@ pub fn client_probs(client_logits: &[Tensor]) -> Vec<Tensor> {
     client_logits.iter().map(|l| softmax(l, 1.0)).collect()
 }
 
-/// Aggregates per-client public-set logits into a global teacher
-/// distribution.
+/// Aggregates per-client public-set probabilities ([`client_probs`]) into
+/// a global teacher distribution.
 ///
 /// For each sample, every client's contribution is weighted by the variance
 /// of its output vector (Eq. 7) — the paper's confidence proxy: a confident
@@ -51,29 +51,8 @@ pub fn client_probs(client_logits: &[Tensor]) -> Vec<Tensor> {
 /// [`LogitAccumulator`](crate::streaming::LogitAccumulator) in slice
 /// order, so a server that streams uploads through the same accumulator in
 /// the same (canonical client) order produces bit-identical output by
-/// construction.
-///
-/// # Errors
-///
-/// [`AggregationError::Empty`] with no clients,
-/// [`AggregationError::ShapeMismatch`] when the matrices disagree in shape.
-pub fn aggregate_logits(
-    client_logits: &[Tensor],
-    variance_weighting: bool,
-) -> Result<Tensor, AggregationError> {
-    check_alignment(client_logits)?;
-    let mut acc = crate::streaming::LogitAccumulator::new(variance_weighting);
-    for logits in client_logits {
-        acc.fold(logits)?;
-    }
-    acc.finish()
-}
-
-/// [`aggregate_logits`] over pre-computed [`client_probs`] — the entry
-/// point for callers that also feed the same probabilities to
-/// [`aggregation_stats_from_probs`] or the trimmed variant. `fold` is
-/// softmax-then-`fold_probs`, so this is bit-identical to
-/// [`aggregate_logits`] on the corresponding logits.
+/// construction. The same probabilities can feed
+/// [`aggregation_stats_from_probs`] and the trimmed variant.
 ///
 /// # Errors
 ///
@@ -92,8 +71,8 @@ pub fn aggregate_logits_from_probs(
 }
 
 /// Byzantine-robust variant of Eqs. 6–7: a coordinate-wise trimmed mean of
-/// the clients' softmax probabilities, renormalized so each row is again a
-/// distribution.
+/// the clients' softmax probabilities ([`client_probs`]), renormalized so
+/// each row is again a distribution.
 ///
 /// Trimming replaces the variance weighting — Eq. 7 rewards exactly what a
 /// confident adversary fakes (a peaked output), so under attack the
@@ -103,20 +82,7 @@ pub fn aggregate_logits_from_probs(
 /// are dropped before averaging, so fewer than `trim_fraction` of clients
 /// cannot move an entry past the honest value range.
 ///
-/// # Errors
-///
-/// [`AggregationError::Empty`] with no clients,
-/// [`AggregationError::ShapeMismatch`] when the matrices disagree in shape.
-pub fn aggregate_logits_trimmed(
-    client_logits: &[Tensor],
-    trim_fraction: f32,
-) -> Result<Tensor, AggregationError> {
-    check_alignment(client_logits)?;
-    aggregate_logits_trimmed_from_probs(&client_probs(client_logits), trim_fraction)
-}
-
-/// [`aggregate_logits_trimmed`] over pre-computed [`client_probs`]: one
-/// sequential sweep over the samples. Per class, the clients'
+/// One sequential sweep over the samples: per class, the clients'
 /// probabilities for the sample are gathered into one column and
 /// trim-averaged; trimming each coordinate independently breaks the
 /// sum-to-one invariant, so the row is then renormalized to keep
@@ -184,25 +150,11 @@ pub struct AggregationStats {
     pub disagreement: f64,
 }
 
-/// Computes [`AggregationStats`] for a set of client logits, mirroring the
-/// weighting [`aggregate_logits`] would apply.
-///
-/// This runs its own softmax pass; telemetry-enabled callers that already
-/// aggregated should instead compute [`client_probs`] once and share them
-/// between the aggregation and [`aggregation_stats_from_probs`]. Inputs
-/// that [`aggregate_logits`] would reject (empty or misaligned) yield the
-/// default (empty) stats rather than an error — diagnostics never gate the
-/// round.
-pub fn aggregation_stats(client_logits: &[Tensor], variance_weighting: bool) -> AggregationStats {
-    if check_alignment(client_logits).is_err() {
-        return AggregationStats::default();
-    }
-    aggregation_stats_from_probs(&client_probs(client_logits), variance_weighting)
-}
-
-/// [`aggregation_stats`] over pre-computed [`client_probs`] — softmax is
-/// a pure per-tensor map, so sharing its output between aggregation and
-/// telemetry is bit-identical to recomputing it in each consumer.
+/// Computes [`AggregationStats`] over the clients' probabilities
+/// ([`client_probs`]), mirroring the weighting
+/// [`aggregate_logits_from_probs`] applies. Inputs it would reject (empty
+/// or misaligned) yield the default (empty) stats rather than an error —
+/// diagnostics never gate the round.
 pub fn aggregation_stats_from_probs(
     probs: &[Tensor],
     variance_weighting: bool,
@@ -264,7 +216,9 @@ mod tests {
         let a = t(&[8.0, 0.0, 0.0, 1.0, 2.0, 3.0], &[2, 3]);
         let b = t(&[0.0, 0.4, 0.2, -1.0, 0.0, 1.0], &[2, 3]);
         for weighting in [true, false] {
-            let agg = aggregate_logits(&[a.clone(), b.clone()], weighting).unwrap();
+            let agg =
+                aggregate_logits_from_probs(&client_probs(&[a.clone(), b.clone()]), weighting)
+                    .unwrap();
             for r in 0..agg.rows() {
                 let sum: f32 = agg.row(r).iter().sum();
                 assert!((sum - 1.0).abs() < 1e-5, "row sums to {sum}");
@@ -279,7 +233,7 @@ mod tests {
         // is flat; A's prediction must dominate the aggregate.
         let a = t(&[8.0, 0.0, 0.0], &[1, 3]);
         let b = t(&[0.0, 0.4, 0.2], &[1, 3]);
-        let agg = aggregate_logits(&[a, b], true).unwrap();
+        let agg = aggregate_logits_from_probs(&client_probs(&[a, b]), true).unwrap();
         assert_eq!(pseudo_labels(&agg), vec![0]);
         assert!(agg.row(0)[0] > 0.9, "aggregate {:?}", agg.row(0));
     }
@@ -291,7 +245,7 @@ mod tests {
         // rather than being dragged to A's scale.
         let a = t(&[100.0, 0.0], &[1, 2]);
         let b = t(&[0.0, 1.0], &[1, 2]);
-        let agg = aggregate_logits(&[a, b], true).unwrap();
+        let agg = aggregate_logits_from_probs(&client_probs(&[a, b]), true).unwrap();
         assert!(agg.row(0).iter().all(|&v| (0.0..=1.0).contains(&v)));
         assert!((agg.row(0).iter().sum::<f32>() - 1.0).abs() < 1e-5);
     }
@@ -300,7 +254,7 @@ mod tests {
     fn uniform_fallback_when_all_variances_zero() {
         let a = t(&[2.0, 2.0], &[1, 2]);
         let b = t(&[4.0, 4.0], &[1, 2]);
-        let agg = aggregate_logits(&[a, b], true).unwrap();
+        let agg = aggregate_logits_from_probs(&client_probs(&[a, b]), true).unwrap();
         // Both clients are flat → mixture of two uniform distributions.
         assert!((agg.row(0)[0] - 0.5).abs() < 1e-5);
     }
@@ -311,7 +265,7 @@ mod tests {
         // weighting path must not divide by a NaN total.
         let a = t(&[f32::NAN, 1.0], &[1, 2]);
         let b = t(&[1.0, 1.0], &[1, 2]);
-        let agg = aggregate_logits(&[a, b], true).unwrap();
+        let agg = aggregate_logits_from_probs(&client_probs(&[a, b]), true).unwrap();
         // Fallback averages A's (NaN) and B's (uniform) rows; B's half is
         // intact. (Admission control upstream rejects such payloads before
         // they reach aggregation — this guards the primitive itself.)
@@ -325,7 +279,8 @@ mod tests {
     fn uniform_mode_is_plain_probability_mean() {
         let a = t(&[1.0, 3.0], &[1, 2]);
         let b = t(&[3.0, 5.0], &[1, 2]);
-        let agg = aggregate_logits(&[a.clone(), b.clone()], false).unwrap();
+        let agg =
+            aggregate_logits_from_probs(&client_probs(&[a.clone(), b.clone()]), false).unwrap();
         let pa = softmax(&a, 1.0);
         let pb = softmax(&b, 1.0);
         let expected = pa.add(&pb).unwrap().scale(0.5);
@@ -337,7 +292,8 @@ mod tests {
     #[test]
     fn single_client_aggregation_is_its_softmax() {
         let a = t(&[1.0, -2.0, 0.5, 0.0, 1.0, 2.0], &[2, 3]);
-        let agg = aggregate_logits(std::slice::from_ref(&a), true).unwrap();
+        let agg =
+            aggregate_logits_from_probs(&client_probs(std::slice::from_ref(&a)), true).unwrap();
         let expected = softmax(&a, 1.0);
         for (x, y) in agg.as_slice().iter().zip(expected.as_slice()) {
             assert!((x - y).abs() < 1e-5);
@@ -350,7 +306,7 @@ mod tests {
         // each should win its own sample.
         let a = t(&[9.0, 0.0, 0.1, 0.2], &[2, 2]);
         let b = t(&[0.1, 0.2, 0.0, 9.0], &[2, 2]);
-        let agg = aggregate_logits(&[a, b], true).unwrap();
+        let agg = aggregate_logits_from_probs(&client_probs(&[a, b]), true).unwrap();
         assert_eq!(pseudo_labels(&agg), vec![0, 1]);
         assert!(agg.row(0)[0] > 0.9);
         assert!(agg.row(1)[1] > 0.9);
@@ -370,7 +326,7 @@ mod tests {
             honest,
             adversary,
         ];
-        let agg = aggregate_logits_trimmed(&clients, 0.2).unwrap();
+        let agg = aggregate_logits_trimmed_from_probs(&client_probs(&clients), 0.2).unwrap();
         assert_eq!(pseudo_labels(&agg), vec![0]);
         assert!(agg.row(0)[0] > 0.9, "aggregate {:?}", agg.row(0));
         let sum: f32 = agg.row(0).iter().sum();
@@ -381,8 +337,10 @@ mod tests {
     fn trimmed_with_zero_fraction_is_plain_mean() {
         let a = t(&[1.0, 3.0], &[1, 2]);
         let b = t(&[3.0, 5.0], &[1, 2]);
-        let trimmed = aggregate_logits_trimmed(&[a.clone(), b.clone()], 0.0).unwrap();
-        let uniform = aggregate_logits(&[a, b], false).unwrap();
+        let trimmed =
+            aggregate_logits_trimmed_from_probs(&client_probs(&[a.clone(), b.clone()]), 0.0)
+                .unwrap();
+        let uniform = aggregate_logits_from_probs(&client_probs(&[a, b]), false).unwrap();
         for (x, y) in trimmed.as_slice().iter().zip(uniform.as_slice()) {
             assert!((x - y).abs() < 1e-5);
         }
@@ -400,7 +358,7 @@ mod tests {
         // Sample 0: clients agree (class 0); sample 1: they disagree.
         let a = t(&[9.0, 0.0, 9.0, 0.0], &[2, 2]);
         let b = t(&[5.0, 0.0, 0.0, 5.0], &[2, 2]);
-        let stats = aggregation_stats(&[a, b], true);
+        let stats = aggregation_stats_from_probs(&client_probs(&[a, b]), true);
         assert_eq!(stats.mean_client_weight.len(), 2);
         let sum: f64 = stats.mean_client_weight.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9, "weights sum to {sum}");
@@ -411,32 +369,38 @@ mod tests {
     fn stats_uniform_mode_reports_equal_weights() {
         let a = t(&[9.0, 0.0], &[1, 2]);
         let b = t(&[0.0, 9.0], &[1, 2]);
-        let stats = aggregation_stats(&[a, b], false);
+        let stats = aggregation_stats_from_probs(&client_probs(&[a, b]), false);
         assert_eq!(stats.mean_client_weight, vec![0.5, 0.5]);
         assert_eq!(stats.disagreement, 1.0);
     }
 
     #[test]
     fn degenerate_inputs_are_errors_not_panics() {
-        assert_eq!(aggregate_logits(&[], true), Err(AggregationError::Empty));
         assert_eq!(
-            aggregate_logits_trimmed(&[], 0.2),
+            aggregate_logits_from_probs(&[], true),
+            Err(AggregationError::Empty)
+        );
+        assert_eq!(
+            aggregate_logits_trimmed_from_probs(&[], 0.2),
             Err(AggregationError::Empty)
         );
         let a = t(&[1.0, 2.0], &[1, 2]);
         let b = t(&[1.0, 2.0, 3.0], &[1, 3]);
         assert_eq!(
-            aggregate_logits(&[a.clone(), b.clone()], true),
+            aggregate_logits_from_probs(&client_probs(&[a.clone(), b.clone()]), true),
             Err(AggregationError::ShapeMismatch)
         );
         assert_eq!(
-            aggregate_logits_trimmed(&[a.clone(), b.clone()], 0.2),
+            aggregate_logits_trimmed_from_probs(&client_probs(&[a.clone(), b.clone()]), 0.2),
             Err(AggregationError::ShapeMismatch)
         );
         // Stats never gate the round: degenerate input → default stats.
-        assert_eq!(aggregation_stats(&[], true), AggregationStats::default());
         assert_eq!(
-            aggregation_stats(&[a, b], true),
+            aggregation_stats_from_probs(&[], true),
+            AggregationStats::default()
+        );
+        assert_eq!(
+            aggregation_stats_from_probs(&client_probs(&[a, b]), true),
             AggregationStats::default()
         );
     }

@@ -317,7 +317,7 @@ impl RemoteFederation for FleetSim {
             });
         }
         let protos = from_wire_entries(entries, self.classes)?;
-        AdmissionPolicy::default().check_prototypes(&protos, self.classes, self.dims)?;
+        AdmissionPolicy.check_prototypes(&protos, self.classes, self.dims)?;
         self.staged.insert((round, client), protos);
         Ok(())
     }

@@ -147,7 +147,7 @@ pub fn coordinate_median(rows: &[&[f32]]) -> Result<Vec<f32>, AggregationError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fedpkd::logits::aggregate_logits_trimmed;
+    use crate::fedpkd::logits::{aggregate_logits_trimmed_from_probs, client_probs};
     use fedpkd_netsim::Fnv1a;
     use fedpkd_rng::Rng;
     use fedpkd_tensor::Tensor;
@@ -288,7 +288,8 @@ mod tests {
                     })
                     .collect();
                 for trim in TRIMS {
-                    let out = aggregate_logits_trimmed(&clients, trim).unwrap();
+                    let out =
+                        aggregate_logits_trimmed_from_probs(&client_probs(&clients), trim).unwrap();
                     for &v in out.as_slice() {
                         fold(logits, f64::from(v));
                     }
@@ -303,7 +304,7 @@ mod tests {
                 0x223f_e0b3_ad5b_3bfc,
                 0x321e_51f0_3432_7659,
             ],
-            "trimmed_mean, median, coordinate_median, aggregate_logits_trimmed"
+            "trimmed_mean, median, coordinate_median, aggregate_logits_trimmed_from_probs"
         );
     }
 }

@@ -10,15 +10,15 @@
 //! # Determinism: one canonical fold
 //!
 //! Each accumulator is THE definition of its aggregation: the buffered
-//! entry points ([`crate::fedpkd::logits::aggregate_logits`],
+//! entry points ([`crate::fedpkd::logits::aggregate_logits_from_probs`],
 //! [`crate::fedpkd::prototypes::aggregate_prototypes`]) are loops over
-//! `fold` followed by `finish`. A streaming caller that folds uploads in
-//! canonical client order (ascending client id, which the work-stealing
-//! scheduler's ordered commit guarantees) therefore produces bit-identical
-//! results to the buffered path *by construction* — there is no second
-//! implementation to drift. Floating-point addition is not associative, so
-//! this ordering discipline, not thread count, is what makes same-seed
-//! replays bit-identical.
+//! `fold_probs` / `fold` followed by `finish`. A streaming caller that
+//! folds uploads in canonical client order (ascending client id, which the
+//! work-stealing scheduler's ordered commit guarantees) therefore produces
+//! bit-identical results to the buffered path *by construction* — there is
+//! no second implementation to drift. Floating-point addition is not
+//! associative, so this ordering discipline, not thread count, is what
+//! makes same-seed replays bit-identical.
 //!
 //! The robust (trimmed) aggregation variants need order statistics over
 //! the whole cohort and therefore cannot stream; callers that enable them
@@ -29,13 +29,13 @@
 use crate::fedpkd::logits::MIN_TOTAL_VARIANCE;
 use crate::fedpkd::prototypes::Prototype;
 use crate::robust::AggregationError;
-use fedpkd_tensor::ops::{row_variance, softmax};
+use fedpkd_tensor::ops::row_variance;
 use fedpkd_tensor::Tensor;
 
 /// Streaming form of the Eq. 6–7 variance-weighted logit aggregation.
 ///
-/// Folds one client's public-set logits at a time, keeping only the
-/// sufficient statistics (`Σ p`, `Σ v·p`, `Σ v` over the softmax
+/// Folds one client's public-set softmax probabilities at a time, keeping
+/// only the sufficient statistics (`Σ p`, `Σ v·p`, `Σ v` over the softmax
 /// probabilities `p` and their per-sample variances `v`) — memory is
 /// O(samples·classes) regardless of client count.
 #[derive(Debug, Clone)]
@@ -72,23 +72,11 @@ impl LogitAccumulator {
         self.clients
     }
 
-    /// Folds one client's raw logits into the aggregate. The first client
-    /// fixes the expected shape.
-    ///
-    /// # Errors
-    ///
-    /// [`AggregationError::ShapeMismatch`] when `logits` disagrees with the
-    /// first client's shape (the upload is not folded).
-    pub fn fold(&mut self, logits: &Tensor) -> Result<(), AggregationError> {
-        self.fold_probs(&softmax(logits, 1.0))
-    }
-
-    /// Folds one client whose softmax probabilities were already computed
-    /// — the probs-sharing entry point: telemetry
-    /// ([`crate::fedpkd::logits::aggregation_stats_from_probs`]) and
-    /// aggregation can then run the softmax pass once per client instead
-    /// of once per consumer. `fold` is a thin wrapper over this, so both
-    /// entry points are the same fold and stay bit-identical.
+    /// Folds one client's softmax probabilities (temperature 1) into the
+    /// aggregate; the first client fixes the expected shape. The caller
+    /// runs the softmax pass once per client and can hand the same tensor
+    /// to telemetry
+    /// ([`crate::fedpkd::logits::aggregation_stats_from_probs`]).
     ///
     /// # Errors
     ///
@@ -251,21 +239,22 @@ pub(crate) fn size_weighted_mean(weighted_sum: Option<Vec<f64>>, total: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fedpkd::logits::aggregate_logits;
+    use crate::fedpkd::logits::{aggregate_logits_from_probs, client_probs};
     use crate::fedpkd::prototypes::aggregate_prototypes;
     use fedpkd_rng::Rng;
 
     #[test]
     fn logit_fold_is_bit_identical_to_buffered_aggregation() {
         let mut rng = Rng::seed_from_u64(11);
-        let clients: Vec<Tensor> = (0..7)
+        let logits: Vec<Tensor> = (0..7)
             .map(|_| Tensor::rand_uniform(&[5, 4], -3.0, 3.0, &mut rng))
             .collect();
+        let clients = client_probs(&logits);
         for weighting in [true, false] {
-            let buffered = aggregate_logits(&clients, weighting).unwrap();
+            let buffered = aggregate_logits_from_probs(&clients, weighting).unwrap();
             let mut acc = LogitAccumulator::new(weighting);
-            for l in &clients {
-                acc.fold(l).unwrap();
+            for p in &clients {
+                acc.fold_probs(p).unwrap();
             }
             let streamed = acc.finish().unwrap();
             let a: Vec<u32> = buffered.as_slice().iter().map(|v| v.to_bits()).collect();
@@ -278,9 +267,9 @@ mod tests {
     fn logit_accumulator_rejects_shape_drift_and_empty_finish() {
         let mut acc = LogitAccumulator::new(true);
         assert_eq!(acc.clone().finish(), Err(AggregationError::Empty));
-        acc.fold(&Tensor::zeros(&[2, 3])).unwrap();
+        acc.fold_probs(&Tensor::zeros(&[2, 3])).unwrap();
         assert_eq!(
-            acc.fold(&Tensor::zeros(&[2, 4])),
+            acc.fold_probs(&Tensor::zeros(&[2, 4])),
             Err(AggregationError::ShapeMismatch)
         );
         assert_eq!(acc.clients(), 1);

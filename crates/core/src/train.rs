@@ -6,7 +6,7 @@ use fedpkd_data::Dataset;
 use fedpkd_rng::Rng;
 use fedpkd_tensor::loss::{distill_kl_ce, CrossEntropy, DistillKl, Mse};
 use fedpkd_tensor::models::ClassifierModel;
-use fedpkd_tensor::nn::{Layer, Param};
+use fedpkd_tensor::nn::Param;
 use fedpkd_tensor::optim::Optimizer;
 use fedpkd_tensor::Tensor;
 
@@ -215,28 +215,6 @@ pub fn train_distill(
     TrainStats::from_total(total_loss, batches)
 }
 
-/// Adds the FedProx proximal gradient `μ · (w − w_ref)` to the accumulated
-/// gradients of `model`. Call between `backward` and the optimizer step.
-///
-/// # Panics
-///
-/// Panics if `reference` does not match the model's parameter count.
-pub fn apply_proximal_term(model: &mut dyn Layer, reference: &[f32], mu: f32) {
-    let expected = model.param_count();
-    assert_eq!(
-        reference.len(),
-        expected,
-        "reference has {} values, model has {expected} parameters",
-        reference.len()
-    );
-    let mut offset = 0usize;
-    model.visit_params_mut(&mut |p| {
-        let len = p.value.len();
-        add_proximal_term(p, &reference[offset..offset + len], mu);
-        offset += len;
-    });
-}
-
 /// The proximal term for one parameter: `grad += μ · (w − w_ref)`, with
 /// `reference` that parameter's slice of the reference vector.
 ///
@@ -263,6 +241,7 @@ mod tests {
     use crate::eval;
     use fedpkd_data::SyntheticConfig;
     use fedpkd_tensor::models::build_mlp;
+    use fedpkd_tensor::nn::Layer;
     use fedpkd_tensor::ops::softmax;
     use fedpkd_tensor::optim::Adam;
     use fedpkd_tensor::serialize::param_vector;
@@ -384,10 +363,12 @@ mod tests {
     fn proximal_term_pulls_toward_reference() {
         let mut rng = Rng::seed_from_u64(6);
         let mut model = build_mlp(&[2, 4], 2, &mut rng);
-        let reference = vec![0.0f32; model.param_count()];
-        // Zero data gradient: apply the prox term alone and step.
+        // Zero data gradient: apply the prox term toward zero alone and step.
         model.zero_grad();
-        apply_proximal_term(&mut model, &reference, 1.0);
+        model.visit_params_mut(&mut |p| {
+            let reference = vec![0.0f32; p.value.len()];
+            add_proximal_term(p, &reference, 1.0);
+        });
         let norm_before: f32 = param_vector(&model).iter().map(|v| v * v).sum();
         let mut opt = fedpkd_tensor::optim::Adam::new(0.01);
         opt.step(&mut model);
@@ -399,10 +380,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "parameters")]
+    #[should_panic(expected = "reference slice mismatch")]
     fn proximal_term_validates_length() {
         let mut rng = Rng::seed_from_u64(7);
         let mut model = build_mlp(&[2, 4], 2, &mut rng);
-        apply_proximal_term(&mut model, &[0.0; 3], 0.1);
+        model.visit_params_mut(&mut |p| add_proximal_term(p, &[0.0; 3], 0.1));
     }
 }

@@ -3,7 +3,8 @@
 //! `ClassifierModel::backward_step` (and the hook-level form the FedProx
 //! loop uses) must leave a model, its gradients, its optimizer and the
 //! returned input gradient bit for bit where `backward_dual` →
-//! [`apply_proximal_term`] → `Optimizer::step` → `zero_grad` leaves them —
+//! [`add_proximal_term`] on every parameter → `Optimizer::step` →
+//! `zero_grad` leaves them —
 //! on every model family, under Adam, with and without the
 //! prototype feature gradient, across consecutive steps (so optimizer state
 //! carried between steps is covered) including a 4-row tail batch.
@@ -23,7 +24,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use fedpkd_core::fedpkd::distill::{train_server_with_workers, ServerDistillStats};
-use fedpkd_core::train::{add_proximal_term, apply_proximal_term};
+use fedpkd_core::train::add_proximal_term;
 use fedpkd_rng::Rng;
 use fedpkd_tensor::models::{ClassifierModel, DepthTier, ModelSpec};
 use fedpkd_tensor::nn::{Layer, Param};
@@ -123,7 +124,12 @@ fn check(
 
         let trio_dx = trio_model.backward_dual(&logit_grad, feature_grad.as_ref());
         if let Some(mu) = mu {
-            apply_proximal_term(&mut trio_model, &reference, mu);
+            let mut offset = 0;
+            trio_model.visit_params_mut(&mut |p| {
+                let len = p.value.len();
+                add_proximal_term(p, &reference[offset..offset + len], mu);
+                offset += len;
+            });
         }
         trio_opt.step(&mut trio_model);
         trio_model.zero_grad();
@@ -458,10 +464,6 @@ impl Optimizer for Watched<'_> {
 
     fn learning_rate(&self) -> f32 {
         self.adam.learning_rate()
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.adam.set_learning_rate(lr);
     }
 }
 

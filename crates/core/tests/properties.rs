@@ -7,11 +7,7 @@ use fedpkd_core::cow::{
 };
 use fedpkd_core::eval;
 use fedpkd_core::fedpkd::filter::filter_public;
-use fedpkd_core::fedpkd::logits::{
-    aggregate_logits, aggregate_logits_from_probs, aggregate_logits_trimmed,
-    aggregate_logits_trimmed_from_probs, aggregation_stats, aggregation_stats_from_probs,
-    client_probs, pseudo_labels,
-};
+use fedpkd_core::fedpkd::logits::{aggregate_logits_from_probs, client_probs, pseudo_labels};
 use fedpkd_core::fedpkd::prototypes::{aggregate_prototypes, Prototype};
 use fedpkd_core::snapshot::{read_pool, write_adam, write_pool, write_rng, StateSink};
 use fedpkd_core::train::train_supervised;
@@ -40,7 +36,7 @@ proptest! {
             .prop_flat_map(|(c, n, k)| arb_logits(c, n, k)),
         weighting in any::<bool>(),
     ) {
-        let agg = aggregate_logits(&logits, weighting).unwrap();
+        let agg = aggregate_logits_from_probs(&client_probs(&logits), weighting).unwrap();
         prop_assert!(agg.all_finite());
         for r in 0..agg.rows() {
             let sum: f32 = agg.row(r).iter().sum();
@@ -57,10 +53,10 @@ proptest! {
         logits in (2usize..5, 1usize..10, 2usize..6)
             .prop_flat_map(|(c, n, k)| arb_logits(c, n, k)),
     ) {
-        let forward = aggregate_logits(&logits, true).unwrap();
+        let forward = aggregate_logits_from_probs(&client_probs(&logits), true).unwrap();
         let mut reversed = logits.clone();
         reversed.reverse();
-        let backward = aggregate_logits(&reversed, true).unwrap();
+        let backward = aggregate_logits_from_probs(&client_probs(&reversed), true).unwrap();
         for (a, b) in forward.as_slice().iter().zip(backward.as_slice()) {
             prop_assert!((a - b).abs() < 1e-5);
         }
@@ -197,39 +193,6 @@ proptest! {
 }
 
 // ---- Shared-probs aggregation vs. the recomputing entry points ---------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Computing client probabilities once ([`client_probs`]) and feeding
-    /// the shared buffers to aggregation, trimmed aggregation, and
-    /// telemetry stats yields the exact bits of the original entry points
-    /// that each ran their own softmax. This is
-    /// the contract that lets the round loop drop its redundant softmax
-    /// recompute in the telemetry path.
-    #[test]
-    fn shared_probs_paths_are_bit_identical(
-        logits in (2usize..6, 1usize..12, 2usize..8)
-            .prop_flat_map(|(c, n, k)| arb_logits(c, n, k)),
-        weighting in any::<bool>(),
-        trim in 0.0f32..0.49,
-    ) {
-        let probs = client_probs(&logits);
-        let shared = aggregate_logits_from_probs(&probs, weighting).unwrap();
-        let direct = aggregate_logits(&logits, weighting).unwrap();
-        for (a, b) in shared.as_slice().iter().zip(direct.as_slice()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let shared_trim = aggregate_logits_trimmed_from_probs(&probs, trim).unwrap();
-        let direct_trim = aggregate_logits_trimmed(&logits, trim).unwrap();
-        for (a, b) in shared_trim.as_slice().iter().zip(direct_trim.as_slice()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let shared_stats = aggregation_stats_from_probs(&probs, weighting);
-        let direct_stats = aggregation_stats(&logits, weighting);
-        prop_assert_eq!(shared_stats, direct_stats);
-    }
-}
 
 // ---- Copy-on-write pool vs. the single-threaded reference loop ------
 

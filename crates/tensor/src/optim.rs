@@ -56,9 +56,6 @@ pub trait Optimizer: Send {
 
     /// The current learning rate.
     fn learning_rate(&self) -> f32;
-
-    /// Sets the learning rate (a restored snapshot carries its own).
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
 /// The fused step's per-parameter hook body: apply `optimizer`'s update to
@@ -261,11 +258,6 @@ impl Optimizer for Adam {
     fn learning_rate(&self) -> f32 {
         self.lr
     }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        assert!(lr.is_finite() && lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
 }
 
 impl Adam {
@@ -344,10 +336,8 @@ mod tests {
 
     #[test]
     fn learning_rate_accessors() {
-        let mut adam = Adam::new(0.001);
+        let adam = Adam::new(0.001);
         assert_eq!(adam.learning_rate(), 0.001);
-        adam.set_learning_rate(0.002);
-        assert_eq!(adam.learning_rate(), 0.002);
     }
 
     #[test]

@@ -1,21 +1,23 @@
-//! Execution-plan layer: grouped scheduling for batched multi-client work.
+//! Execution-plan layer: the seeding order of multi-client work.
 //!
 //! The work-stealing pool in [`crate::parallel`] seeds each worker's deque
-//! with a contiguous chunk of items in input order. For a heterogeneous
-//! client fleet that order interleaves model architectures arbitrarily, so
-//! a worker draining its queue alternates between weight templates and
-//! scratch-buffer sizes on every task — each client's forward/backward
-//! re-faults a different template into cache and regrows the thread-local
-//! repack arenas.
+//! with a contiguous chunk of items in input order. [`grouped_schedule`]
+//! permutes that order so same-group items (clients sharing a `ModelSpec`)
+//! land contiguously on the same worker. Each client still trains alone,
+//! and a client template owns no weights (`fedpkd-core`'s `cow` module), so
+//! grouping shares no resident weights and batches no GEMMs across
+//! clients.
 //!
-//! This module plans the *seeding order* instead: [`grouped_schedule`]
-//! permutes the queue so same-group items (clients sharing a `ModelSpec` template) land
-//! contiguously on the same worker. Consecutive tasks then run batched
-//! per-layer GEMMs against the *same* resident template with same-sized
-//! pooled scratch arenas — the fleet-scale form of batching heterogeneous
-//! client work.
+//! It is kept because it measured faster, not for a known mechanism. With
+//! the cohort seeded in input order instead (`dispatch_stealing`),
+//! `pkd_hetero`'s `core.phase.client_training_s` (five clients of mixed
+//! tiers, `--trace 1`, a 2-core x86-64 box, alternated pairs) was slower
+//! in 4 of 4 pairs at seed 707 (median 0.0267 → 0.0327 s, +23 %) and in
+//! 4 of 5 at seed 1311 (median 0.0277 → 0.0295 s, +7 %). Every other
+//! benchmark workload has one client tier, where grouping is the identity
+//! order.
 //!
-//! # Why batching commutes with commit order
+//! # Why the schedule commutes with commit order
 //!
 //! Determinism does not depend on the schedule. Every task is a pure
 //! function of `(index, item)` (clients never share mutable state), and

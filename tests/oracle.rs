@@ -481,8 +481,9 @@ fn eq7_variance_weighted_logits_match_the_reference() {
     let mut plain = LogitAccumulator::new(false);
     let mut weighted = LogitAccumulator::new(true);
     for z in &logits {
-        plain.fold(z).unwrap();
-        weighted.fold(z).unwrap();
+        let p = softmax(z, 1.0);
+        plain.fold_probs(&p).unwrap();
+        weighted.fold_probs(&p).unwrap();
     }
     let (plain, weighted) = (plain.finish().unwrap(), weighted.finish().unwrap());
     close_all(&weighted, &want, "Eq. 7 teacher");
