@@ -104,35 +104,16 @@ impl Federation for FedEt {
             return;
         }
 
-        // Server-side confidence-weighted ensemble over the public set.
-        let ln_k = (k as f32).ln();
-        let mut weighted_sum = Tensor::zeros(&[public.len(), k]);
-        let mut weight_total = vec![0.0f32; public.len()];
-        let mut members: Vec<Tensor> = Vec::new();
-        for (&i, params) in senders.iter().zip(&updates) {
+        // Server-side confidence-weighted ensemble over the public set,
+        // each sender's model rebuilt from its upload in turn.
+        let members = senders.iter().zip(&updates).map(|(&i, params)| {
             let mut scratch_rng = Rng::stream(self.seed, 1000 + i as u64);
             let mut scratch = self.client_specs[i].build(&mut scratch_rng);
             load_state_vector(&mut scratch, params).expect("spec matches upload");
-            let probs = softmax(&eval::logits_on(&mut scratch, public), 1.0);
-            let certainty = row_entropy(&probs)
-                .into_iter()
-                .map(|h| (1.0 - h / ln_k).max(1e-3));
-            for (r, w) in certainty.enumerate() {
-                weight_total[r] += w;
-                for (o, &p) in weighted_sum.row_mut(r).iter_mut().zip(probs.row(r)) {
-                    *o += w * p;
-                }
-            }
-            if io.obs.enabled() {
-                members.push(probs);
-            }
-        }
-        for (r, total) in weight_total.iter().enumerate() {
-            let norm = total.max(1e-9);
-            for v in weighted_sum.row_mut(r) {
-                *v /= norm;
-            }
-        }
+            softmax(&eval::logits_on(&mut scratch, public), 1.0)
+        });
+        let (weighted_sum, members) =
+            certainty_ensemble(members, public.len(), k, io.obs.enabled());
         // The entropy-based per-sample weights are FedET-specific; the
         // shared report still measures ensemble disagreement.
         report_ensemble(&members, io);
@@ -150,6 +131,44 @@ impl Federation for FedEt {
     }
 
     forward_to_fleet!();
+}
+
+/// FedET's certainty-weighted ensemble of `members`, each a
+/// `[samples, k]` probability matrix, folded one at a time: per sample,
+/// member `c` weighs `w_c = max(1 − H(p_c)/ln k, 1e-3)` and the ensemble
+/// is `Σ_c w_c·p_c / max(Σ_c w_c, 1e-9)`. Returns it with every member's
+/// probabilities when `keep` is set, else with none buffered.
+pub(crate) fn certainty_ensemble(
+    members: impl IntoIterator<Item = Tensor>,
+    samples: usize,
+    k: usize,
+    keep: bool,
+) -> (Tensor, Vec<Tensor>) {
+    let ln_k = (k as f32).ln();
+    let mut weighted_sum = Tensor::zeros(&[samples, k]);
+    let mut weight_total = vec![0.0f32; samples];
+    let mut kept = Vec::new();
+    for probs in members {
+        let certainty = row_entropy(&probs)
+            .into_iter()
+            .map(|h| (1.0 - h / ln_k).max(1e-3));
+        for (r, w) in certainty.enumerate() {
+            weight_total[r] += w;
+            for (o, &p) in weighted_sum.row_mut(r).iter_mut().zip(probs.row(r)) {
+                *o += w * p;
+            }
+        }
+        if keep {
+            kept.push(probs);
+        }
+    }
+    for (r, total) in weight_total.iter().enumerate() {
+        let norm = total.max(1e-9);
+        for v in weighted_sum.row_mut(r) {
+            *v /= norm;
+        }
+    }
+    (weighted_sum, kept)
 }
 
 #[cfg(test)]
@@ -198,6 +217,72 @@ mod tests {
             learning_rate: 0.003,
             ..BaselineConfig::default()
         }
+    }
+
+    /// Relative tolerance, per entry, of the ensemble row.
+    const TOL: f64 = 2.5e-5;
+
+    /// Smallest certainty an unfloored fixture weight may have (asserted).
+    const MIN_CERTAINTY: f64 = 0.1;
+
+    /// FedET (Cho et al.): the certainty-weighted ensemble, diffed against a
+    /// naive `f64` reference of the rule [`certainty_ensemble`] states,
+    /// sharing no code with it, over three members' `f32` probabilities
+    /// (6 samples, 4 classes; member 2's sample 0 is uniform, so the
+    /// `1e-3` floor is taken there).
+    ///
+    /// Tolerance, with `u = 2⁻²⁴` the `f32` unit roundoff: each entropy
+    /// term `−p·ln p` is within `3u` relative and the `K`-term sum adds
+    /// `(K − 1)u`, so `H` is within `6u`; `ln k` and the division add `2u`,
+    /// so `H/ln k ≤ 1` is within `8u` absolute, and `1 − H/ln k` within
+    /// `9u` absolute — `90u` relative for a weight of at least
+    /// [`MIN_CERTAINTY`] (a floored weight is `1e-3` on both sides). All
+    /// terms are non-negative: `Σ w·p` is within `90u + u + (C − 1)u`,
+    /// `Σ w` within `90u + (C − 1)u` and the division adds `u`, about
+    /// `187u ≈ 1.1e-5` relative per entry. [`TOL`] allows a little over
+    /// twice that.
+    #[test]
+    fn fedet_ensemble_matches_the_reference() {
+        let (samples, k) = (6, 4);
+        let mut rng = Rng::seed_from_u64(91);
+        let mut members: Vec<Tensor> = (0..3)
+            .map(|_| softmax(&Tensor::randn(&[samples, k], 3.0, &mut rng), 1.0))
+            .collect();
+        members[2].row_mut(0).fill(0.25);
+        let (got, kept) = certainty_ensemble(members.clone(), samples, k, false);
+        assert!(kept.is_empty(), "nothing is buffered without `keep`");
+
+        let entropy =
+            |p: &[f64]| -> f64 { p.iter().filter(|&&v| v > 0.0).map(|v| -v * v.ln()).sum() };
+        let ln_k = (k as f64).ln();
+        let mut worst: f64 = 0.0;
+        for r in 0..samples {
+            let rows: Vec<Vec<f64>> = members
+                .iter()
+                .map(|m| m.row(r).iter().map(|&v| f64::from(v)).collect())
+                .collect();
+            let weights: Vec<f64> = rows
+                .iter()
+                .map(|p| (1.0 - entropy(p) / ln_k).max(1e-3))
+                .collect();
+            for &w in &weights {
+                assert!(w == 1e-3 || w >= MIN_CERTAINTY, "fixture bound: w = {w}");
+            }
+            let total = weights.iter().sum::<f64>().max(1e-9);
+            for (j, &g) in got.row(r).iter().enumerate() {
+                let want = rows
+                    .iter()
+                    .zip(&weights)
+                    .map(|(p, w)| w * p[j])
+                    .sum::<f64>()
+                    / total;
+                worst = worst.max((f64::from(g) - want).abs() / want);
+            }
+        }
+        assert!(
+            worst <= TOL,
+            "certainty-weighted ensemble: relative gap {worst}"
+        );
     }
 
     #[test]

@@ -193,25 +193,22 @@ impl AdmissionPolicy {
 }
 
 /// Cross-round quarantine state: clients whose uploads are rejected in
-/// `threshold` consecutive rounds are permanently excluded from admission
-/// (until the tracker is rebuilt).
+/// [`QUARANTINE_AFTER`] consecutive rounds are permanently excluded from
+/// admission (until the tracker is rebuilt).
 ///
 /// A round with an accepted upload resets the client's streak; rounds the
 /// client does not participate in leave the streak untouched, so flaky
 /// connectivity cannot launder a poisoner's record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuarantineTracker {
-    threshold: usize,
     consecutive: Vec<usize>,
     quarantined: Vec<bool>,
 }
 
 impl QuarantineTracker {
-    /// A tracker over `num_clients` clients; `threshold == 0` disables
-    /// quarantining entirely.
-    pub fn new(num_clients: usize, threshold: usize) -> Self {
+    /// A tracker over `num_clients` clients.
+    pub fn new(num_clients: usize) -> Self {
         Self {
-            threshold,
             consecutive: vec![0; num_clients],
             quarantined: vec![false; num_clients],
         }
@@ -229,7 +226,7 @@ impl QuarantineTracker {
             return false;
         };
         *streak += 1;
-        if self.threshold > 0 && *streak >= self.threshold && !self.quarantined[client] {
+        if *streak >= QUARANTINE_AFTER && !self.quarantined[client] {
             self.quarantined[client] = true;
             return true;
         }
@@ -261,7 +258,6 @@ impl QuarantineTracker {
 
     /// Restores streaks and flags captured via
     /// [`streaks`](Self::streaks)/[`quarantined_flags`](Self::quarantined_flags).
-    /// The threshold is configuration and stays as constructed.
     ///
     /// # Panics
     ///
@@ -366,10 +362,14 @@ mod tests {
 
     #[test]
     fn quarantine_trips_after_consecutive_rejections() {
-        let mut q = QuarantineTracker::new(2, 3);
-        assert!(!q.record_rejection(0));
-        assert!(!q.record_rejection(0));
-        assert!(q.record_rejection(0), "third consecutive rejection trips");
+        let mut q = QuarantineTracker::new(2);
+        for _ in 1..QUARANTINE_AFTER {
+            assert!(!q.record_rejection(0));
+        }
+        assert!(
+            q.record_rejection(0),
+            "the last consecutive rejection trips"
+        );
         assert!(q.is_quarantined(0));
         assert!(!q.record_rejection(0), "tripping is reported once");
         assert!(!q.is_quarantined(1));
@@ -377,28 +377,22 @@ mod tests {
 
     #[test]
     fn acceptance_resets_the_streak() {
-        let mut q = QuarantineTracker::new(1, 2);
-        q.record_rejection(0);
+        let mut q = QuarantineTracker::new(1);
+        for _ in 1..QUARANTINE_AFTER {
+            q.record_rejection(0);
+        }
         q.record_accepted(0);
         assert_eq!(q.streak(0), 0);
-        assert!(!q.record_rejection(0));
+        for _ in 1..QUARANTINE_AFTER {
+            assert!(!q.record_rejection(0));
+        }
         assert!(!q.is_quarantined(0));
         assert!(q.record_rejection(0));
     }
 
     #[test]
-    fn zero_threshold_never_quarantines() {
-        let mut q = QuarantineTracker::new(1, 0);
-        for _ in 0..10 {
-            assert!(!q.record_rejection(0));
-        }
-        assert!(!q.is_quarantined(0));
-        assert_eq!(q.streak(0), 10);
-    }
-
-    #[test]
     fn out_of_range_clients_are_harmless() {
-        let mut q = QuarantineTracker::new(1, 1);
+        let mut q = QuarantineTracker::new(1);
         assert!(!q.record_rejection(5));
         q.record_accepted(5);
         assert!(!q.is_quarantined(5));

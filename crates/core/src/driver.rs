@@ -4,21 +4,20 @@
 //! Faults, adversaries (via the [`FaultPlan`]), cohort sampling over a
 //! fleet and the worker budget are orthogonal knobs on one
 //! [`DriverBuilder`], and [`Driver::run`]/[`Driver::resume`] are the only
-//! verbs. The round loop
-//! itself — the ledger taken out of the algorithm's [`DriverState`], each
-//! client's last uplink size (one fold over the ledger's transfers, so a
-//! run resumed or continued at any round reads what an uninterrupted one
-//! does), the round counter — is [`RoundLoop`], which `Driver::run` and
-//! the `fedpkd-serve` engine both step, so a served round and a simulated
-//! one are the same code.
+//! verbs. The round counter and the lifetime ledger have one home, the
+//! algorithm's [`DriverState`](crate::runtime::DriverState): a round is
+//! [`DriverBuilder::context`] then [`Federation::round`], which reads the
+//! round from that state, bills the ledger held there and advances it.
+//! `Driver::run` and the `fedpkd-serve` engine both run rounds that way,
+//! so a served round and a simulated one are the same code.
 //!
 //! # The event-driven round loop
 //!
 //! Per round the driver:
 //!
 //! 1. evaluates the optional [`FaultPlan`] into a [`RoundContext`]
-//!    (feeding each client's last observed uplink size to the
-//!    straggler-deadline check),
+//!    (under a straggler deadline, feeding each client's last observed
+//!    uplink size, folded from the lifetime ledger, to the check),
 //! 2. restricts the cohort to this round's seeded sample under
 //!    [`CohortPolicy::Sample`] — uninvited clients are marked
 //!    [`DropCause::Unsampled`](fedpkd_netsim::DropCause::Unsampled),
@@ -39,7 +38,7 @@ use fedpkd_netsim::{
     sample_cohort, Cohort, CohortPolicy, CommLedger, Direction, FaultPlan, RoundContext,
 };
 
-use crate::runtime::{DriverState, Federation, RoundMetrics, RunResult};
+use crate::runtime::{Federation, RunResult};
 use crate::snapshot::SnapshotError;
 use crate::telemetry::{NullObserver, RoundObserver, TelemetryEvent};
 
@@ -127,24 +126,27 @@ impl DriverBuilder {
         self
     }
 
-    /// Evaluates this configuration's per-round participation decision —
-    /// fault plan, cohort sampling, worker budget — into the
-    /// [`RoundContext`] that round `round` runs under, given each client's
-    /// most recent observed uplink bytes.
+    /// Evaluates this configuration's participation decision — fault
+    /// plan, cohort sampling, worker budget — into the [`RoundContext`]
+    /// that `algo`'s next round runs under.
     ///
-    /// [`RoundLoop::context`] is its one caller in a run, for
-    /// [`Driver::run`] and the `fedpkd-serve` engine alike, so a served
-    /// round and a simulated round make the same invitation/drop decisions
-    /// at the same seed. Pure per-round computation — no driver state is
-    /// consulted or mutated.
-    pub fn context_for(
-        &self,
-        round: usize,
-        num_clients: usize,
-        last_uplink: &[usize],
-    ) -> RoundContext {
+    /// [`Driver::run`] and the `fedpkd-serve` engine both call it before
+    /// each [`Federation::round`], so a served round and a simulated round
+    /// make the same invitation/drop decisions at the same seed. It reads
+    /// `algo`'s driver state and changes nothing.
+    pub fn context<F: Federation>(&self, algo: &F) -> RoundContext {
+        let driver = algo.driver();
+        let round = driver.rounds_driven();
+        let num_clients = algo.num_clients();
         let mut ctx = match &self.faults {
-            Some(plan) => plan.round_context(round, num_clients, last_uplink),
+            Some(plan) => {
+                // Only the deadline check reads a client's upload size.
+                let last_uplink = match plan.deadline() {
+                    Some(_) => last_uplink(driver.ledger(), num_clients),
+                    None => Vec::new(),
+                };
+                plan.round_context(round, num_clients, &last_uplink)
+            }
             None => RoundContext::benign(Cohort::full(num_clients)),
         };
         if let CohortPolicy::Sample { size, seed } = self.cohort {
@@ -160,112 +162,31 @@ impl DriverBuilder {
     }
 }
 
-/// One algorithm's round loop, a step at a time: what [`Driver::run`] and
-/// the `fedpkd-serve` engine both own while rounds are being driven.
-///
-/// [`begin`](Self::begin) takes the lifetime ledger out of the algorithm's
-/// [`DriverState`] and folds every uplink it holds into each client's last
-/// observed uplink size; [`context`](Self::context) and
-/// [`commit`](Self::commit) run one round, `commit` folding in the
-/// transfers the round added; [`park`](Self::park) copies the round
-/// counter and ledger back so that a snapshot captures them, and
-/// [`finish`](Self::finish) moves them back for good.
-#[derive(Debug)]
-pub struct RoundLoop<'a> {
-    config: &'a DriverBuilder,
-    round: usize,
-    ledger: CommLedger,
-    /// Each client's uplink bytes in the latest round it sent any, feeding
-    /// the straggler-deadline estimate, and which round that was.
-    last_uplink: Vec<usize>,
-    uplink_round: Vec<usize>,
-}
-
-impl<'a> RoundLoop<'a> {
-    /// Starts (or, after a restore or an earlier run, continues) `algo`'s
-    /// round loop under `config`.
-    pub fn begin<F: Federation>(config: &'a DriverBuilder, algo: &mut F) -> Self {
-        let mut steps = Self {
-            config,
-            round: algo.driver().rounds_driven,
-            ledger: std::mem::take(&mut algo.driver_mut().ledger),
-            last_uplink: vec![0; algo.num_clients()],
-            uplink_round: vec![usize::MAX; algo.num_clients()],
+/// Each client's uplink bytes in the latest round it sent any, the
+/// straggler-deadline estimate: a client's uplinks of one round add up, a
+/// later round's replace them, and a client that sent nothing reads 0. One
+/// fold over the whole lifetime ledger, so a run continued or resumed at
+/// any round reads the sizes an uninterrupted one does.
+fn last_uplink(ledger: &CommLedger, num_clients: usize) -> Vec<usize> {
+    let mut bytes = vec![0; num_clients];
+    let mut latest = vec![usize::MAX; num_clients];
+    for t in ledger.transfers() {
+        if t.direction != Direction::Uplink || t.bytes == 0 {
+            continue;
+        }
+        // A record naming a client outside the fleet (a hostile
+        // snapshot's) feeds no estimate.
+        let Some(sent) = bytes.get_mut(t.client) else {
+            continue;
         };
-        steps.observe_uplinks(0);
-        steps
-    }
-
-    /// Folds the ledger's transfers from index `from` on into
-    /// `last_uplink`: a client's uplinks of one round add up, a later
-    /// round's replace them, and a client that sent nothing keeps its
-    /// last size. The whole ledger at [`begin`](Self::begin) and one
-    /// round's transfers at each [`commit`](Self::commit) are the same
-    /// fold, so a continued or resumed loop reads the sizes an
-    /// uninterrupted one does.
-    fn observe_uplinks(&mut self, from: usize) {
-        for t in self.ledger.transfers().skip(from) {
-            if t.direction != Direction::Uplink || t.bytes == 0 {
-                continue;
-            }
-            // A record naming a client outside the fleet (a hostile
-            // snapshot's) feeds no estimate.
-            let Some(bytes) = self.last_uplink.get_mut(t.client) else {
-                continue;
-            };
-            if self.uplink_round[t.client] == t.round {
-                *bytes += t.bytes;
-            } else {
-                *bytes = t.bytes;
-                self.uplink_round[t.client] = t.round;
-            }
+        if latest[t.client] == t.round {
+            *sent += t.bytes;
+        } else {
+            *sent = t.bytes;
+            latest[t.client] = t.round;
         }
     }
-
-    /// The round the next [`commit`](Self::commit) runs.
-    pub fn round(&self) -> usize {
-        self.round
-    }
-
-    /// The lifetime ledger through the last committed round.
-    pub fn ledger(&self) -> &CommLedger {
-        &self.ledger
-    }
-
-    /// The participation decision the next round runs under (see
-    /// [`DriverBuilder::context_for`]).
-    pub fn context<F: Federation>(&self, algo: &F) -> RoundContext {
-        self.config
-            .context_for(self.round, algo.num_clients(), &self.last_uplink)
-    }
-
-    /// Runs the next round under `ctx` — [`context`](Self::context)'s
-    /// answer, or a caller's narrowing of it — folds the uplinks it billed
-    /// into the per-client sizes the next context reads, and advances.
-    pub fn commit<F: Federation>(
-        &mut self,
-        algo: &mut F,
-        ctx: &RoundContext,
-        obs: &mut dyn RoundObserver,
-    ) -> RoundMetrics {
-        let recorded = self.ledger.num_transfers();
-        let metrics = algo.round(self.round, ctx, &mut self.ledger, obs);
-        self.observe_uplinks(recorded);
-        self.round += 1;
-        metrics
-    }
-
-    /// Copies the round counter and the ledger into `algo`'s
-    /// [`DriverState`], where a snapshot looks for them; the loop goes on.
-    pub fn park<F: Federation>(&self, algo: &mut F) {
-        *algo.driver_mut() = DriverState::from_parts(self.round, self.ledger.clone());
-    }
-
-    /// Ends the loop: the round counter and the ledger go back into
-    /// `algo`'s [`DriverState`].
-    pub fn finish<F: Federation>(self, algo: &mut F) {
-        *algo.driver_mut() = DriverState::from_parts(self.round, self.ledger);
-    }
+    bytes
 }
 
 /// Drives a [`Federation`] through communication rounds under one fixed
@@ -298,14 +219,12 @@ impl Driver {
     /// Panics if the builder was configured with zero rounds.
     pub fn run<F: Federation>(&mut self, algo: &mut F, obs: &mut dyn RoundObserver) -> RunResult {
         assert!(self.config.rounds > 0, "need at least one round");
-        let mut steps = RoundLoop::begin(&self.config, algo);
         let history = (0..self.config.rounds)
             .map(|_| {
-                let ctx = steps.context(algo);
-                steps.commit(algo, &ctx, obs)
+                let ctx = self.config.context(algo);
+                algo.round(&ctx, obs)
             })
             .collect();
-        steps.finish(algo);
         RunResult {
             history,
             ledger: algo.driver().ledger.clone(),

@@ -2,9 +2,7 @@
 
 use std::time::Instant;
 
-use crate::admission::{
-    AdmissionPolicy, PayloadKind, QuarantineTracker, RejectReason, QUARANTINE_AFTER,
-};
+use crate::admission::{AdmissionPolicy, PayloadKind, QuarantineTracker, RejectReason};
 use crate::clients::{digest, train_cohort, validate_specs, RoundIo};
 use crate::cow::{pooled_client_accuracies, ClientPool};
 use crate::eval;
@@ -133,7 +131,7 @@ impl FedPkd {
         let server_model = server_spec.build(&mut server_rng);
         let num_classes = scenario.num_classes;
         let num_clients = scenario.num_clients();
-        let quarantine = QuarantineTracker::new(num_clients, QUARANTINE_AFTER);
+        let quarantine = QuarantineTracker::new(num_clients);
         let generator = (config.distill_source == DistillSource::Generated).then(|| {
             let mut rng = Rng::stream(seed, GENERATOR_STREAM);
             let generator = Generator::new(

@@ -326,7 +326,7 @@ impl RemoteFederation for FleetSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{Driver, DriverBuilder, RoundLoop};
+    use crate::driver::{Driver, DriverBuilder};
     use fedpkd_netsim::{CohortPolicy, FaultPlan, LinkModel, PrototypeEntry};
 
     fn sampled_builder(rounds: usize) -> DriverBuilder {
@@ -387,23 +387,21 @@ mod tests {
             if let Some(workers) = workers {
                 builder = builder.workers(workers);
             }
-            let mut steps = RoundLoop::begin(&builder, &mut served);
             let mut history = Vec::new();
             for round in 0..rounds {
-                let ctx = steps.context(&served);
+                let ctx = builder.context(&served);
                 for client in ctx.cohort().survivors() {
                     let payload = served.client_payload(round, client);
                     served
                         .stage_upload(round, client, payload)
                         .expect("own payload is admissible");
                 }
-                history.push(steps.commit(&mut served, &ctx, &mut crate::telemetry::NullObserver));
+                history.push(served.round(&ctx, &mut crate::telemetry::NullObserver));
                 assert!(
                     served.staged.is_empty(),
                     "round {round} drained its staging"
                 );
             }
-            steps.finish(&mut served);
             let case = format!("budget {workers:?}");
             assert_eq!(history, reference.history, "{case}");
             assert_eq!(served.driver().ledger(), &reference.ledger, "{case}");
@@ -417,8 +415,7 @@ mod tests {
         // those uploads, and synthesizes nobody else's.
         let mut fleet = FleetSim::new(16, 6, 8, 17);
         let builder = DriverBuilder::new();
-        let mut steps = RoundLoop::begin(&builder, &mut fleet);
-        let ctx = steps.context(&fleet);
+        let ctx = builder.context(&fleet);
         let survivors = ctx.cohort().survivors();
         let staged: Vec<usize> = survivors.iter().copied().step_by(2).collect();
         assert!(!staged.is_empty() && staged.len() < survivors.len());
@@ -430,8 +427,7 @@ mod tests {
             let protos = FleetSim::synth_prototypes(17, 6, 8, 0, client);
             FleetSim::ingest(&mut acc, &mut ledger, 0, client, &protos);
         }
-        steps.commit(&mut fleet, &ctx, &mut crate::telemetry::NullObserver);
-        steps.finish(&mut fleet);
+        fleet.round(&ctx, &mut crate::telemetry::NullObserver);
 
         assert!(fleet.staged.is_empty());
         assert_eq!(fleet.driver().ledger(), &ledger);

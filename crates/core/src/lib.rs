@@ -69,7 +69,7 @@ pub mod train;
 
 pub use admission::{AdmissionPolicy, PayloadKind, QuarantineTracker, RejectReason};
 pub use cow::{ClientPool, ClientSlot, ParkedClient};
-pub use driver::{Driver, DriverBuilder, RoundLoop};
+pub use driver::{Driver, DriverBuilder};
 pub use fleet::FleetSim;
 pub use remote::RemoteFederation;
 pub use robust::{AggregationError, RobustAggregation};

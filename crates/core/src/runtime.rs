@@ -121,13 +121,16 @@ impl RunResult {
     }
 }
 
-/// Book-keeping the shared driver persists on each algorithm between runs.
+/// The round counter and the lifetime ledger: the one home of both, on
+/// each algorithm.
 ///
-/// Embedding this in every [`Federation`] implementation (exposed through
-/// [`Federation::driver`]/[`Federation::driver_mut`]) is what lets a second
-/// `run` on the same instance *continue* — round numbering and the ledger
-/// pick up where the previous run stopped instead of restarting at round 0
-/// against the already-trained models.
+/// Every [`Federation`] implementation embeds one (exposed through
+/// [`Federation::driver`]/[`Federation::driver_mut`]) and
+/// [`Federation::round`] is what advances it, so a second `run` on the
+/// same instance *continues* — round numbering and the ledger pick up
+/// where the previous run stopped instead of restarting at round 0 against
+/// the already-trained models — and a snapshot taken between any two
+/// rounds captures both.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DriverState {
     pub(crate) rounds_driven: usize,
@@ -154,9 +157,9 @@ impl DriverState {
     /// [`crate::snapshot::read_driver`]).
     ///
     /// Restoring the ledger alongside the round counter matters for more
-    /// than accounting: the driver seeds the straggler-deadline estimate
-    /// from the previous round's recorded uplinks, so a resumed run only
-    /// evaluates fault plans bit-identically if the ledger came back too.
+    /// than accounting: the driver folds the straggler-deadline estimate
+    /// from the ledger's recorded uplinks, so a resumed run only evaluates
+    /// fault plans bit-identically if the ledger came back too.
     pub fn from_parts(rounds_driven: usize, ledger: CommLedger) -> Self {
         Self {
             rounds_driven,
@@ -168,12 +171,12 @@ impl DriverState {
 /// A federated learning algorithm: what it implements and how it is driven.
 ///
 /// Implementations own their scenario, client models, and (optionally)
-/// server model. [`crate::driver::Driver`] guarantees `run_round` is
-/// called with strictly increasing round indices starting at 0, and the
-/// provided [`round`](Self::round) handles evaluation, ledger accounting,
-/// and round-boundary telemetry itself — implementations only emit the
-/// events for what happens *inside* a round (client training, aggregation,
-/// filtering, distillation).
+/// server model. The provided [`round`](Self::round) calls `run_round`
+/// with the round counter of the instance's [`DriverState`], which it then
+/// advances, so round indices start at 0 and strictly increase; it also
+/// handles evaluation, ledger accounting, and round-boundary telemetry —
+/// implementations only emit the events for what happens *inside* a round
+/// (client training, aggregation, filtering, distillation).
 ///
 /// # Partial participation
 ///
@@ -288,22 +291,19 @@ pub trait Federation {
         r.finish()
     }
 
-    /// Executes one communication round end to end — cohort telemetry,
-    /// training phases, evaluation, ledger accounting — and returns its
-    /// metrics.
+    /// Executes the next communication round end to end — cohort
+    /// telemetry, training phases, evaluation, ledger accounting — and
+    /// returns its metrics.
     ///
-    /// Emits [`TelemetryEvent::RoundStart`], one
+    /// The round is [`DriverState::rounds_driven`]; its transfers go into
+    /// the lifetime ledger held in the same state, and the counter
+    /// advances by one. Emits [`TelemetryEvent::RoundStart`], one
     /// [`TelemetryEvent::ClientDropped`] per missing client, the in-round
     /// event stream, [`TelemetryEvent::LedgerDelta`], and
     /// [`TelemetryEvent::RoundEnd`] to `obs`, in that order.
-    fn round(
-        &mut self,
-        round: usize,
-        ctx: &RoundContext,
-        ledger: &mut CommLedger,
-        obs: &mut dyn RoundObserver,
-    ) -> RoundMetrics {
+    fn round(&mut self, ctx: &RoundContext, obs: &mut dyn RoundObserver) -> RoundMetrics {
         let round_started = Instant::now();
+        let round = self.driver().rounds_driven;
         let cohort = ctx.cohort();
         obs.record(&TelemetryEvent::RoundStart {
             algorithm: self.name().to_string(),
@@ -323,13 +323,15 @@ pub trait Federation {
                 cause,
             });
         }
-        self.run_round(round, ctx, ledger, obs);
+        let mut ledger = std::mem::take(&mut self.driver_mut().ledger);
+        self.run_round(round, ctx, &mut ledger, obs);
+        let traffic = ledger.round_traffic(round);
+        let cumulative_bytes = ledger.cumulative_bytes_through_round(round);
+        *self.driver_mut() = DriverState::from_parts(round + 1, ledger);
         let eval_started = Instant::now();
         let server_accuracy = self.server_accuracy();
         let client_accuracies = self.client_accuracies();
         emit_phase_timing(obs, round, Phase::Evaluation, eval_started);
-        let traffic = ledger.round_traffic(round);
-        let cumulative_bytes = ledger.cumulative_bytes_through_round(round);
         obs.record(&TelemetryEvent::LedgerDelta {
             round,
             uplink_bytes: traffic.uplink,
@@ -351,8 +353,6 @@ pub trait Federation {
             cumulative_bytes,
             participation_rate: cohort.participation_rate(),
         });
-        let driver = self.driver_mut();
-        driver.rounds_driven = driver.rounds_driven.max(round + 1);
         metrics
     }
 }

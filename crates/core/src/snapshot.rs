@@ -1073,18 +1073,21 @@ mod tests {
 
     #[test]
     fn quarantine_round_trips_and_length_checks() {
-        let mut tracker = QuarantineTracker::new(3, 2);
-        tracker.record_rejection(1);
-        tracker.record_rejection(1);
+        use crate::admission::QUARANTINE_AFTER;
+        let mut tracker = QuarantineTracker::new(3);
+        for _ in 0..QUARANTINE_AFTER {
+            tracker.record_rejection(1);
+        }
+        tracker.record_rejection(2);
         assert!(tracker.is_quarantined(1));
         let mut bytes: Vec<u8> = Vec::new();
         write_quarantine(&mut bytes, &tracker);
-        let mut restored = QuarantineTracker::new(3, 2);
+        let mut restored = QuarantineTracker::new(3);
         let mut r = bytes.as_slice();
         read_quarantine(&mut r, &mut restored).unwrap();
         assert_eq!(restored, tracker);
         // Wrong client count must be a typed error, not a panic.
-        let mut wrong = QuarantineTracker::new(5, 2);
+        let mut wrong = QuarantineTracker::new(5);
         let mut r = bytes.as_slice();
         assert!(matches!(
             read_quarantine(&mut r, &mut wrong),

@@ -14,10 +14,11 @@
 //! same ledger as
 //! `DriverBuilder::run` at the same seed, even across `kill -9` and
 //! restart — uploads are pure functions of `(seed, round, client)`,
-//! the round loop is the in-process driver's own
-//! [`RoundLoop`](fedpkd_core::driver::RoundLoop), stepped from here,
-//! and periodic streaming snapshots let a restarted server re-drive the
-//! lost rounds to byte-identical history lines.
+//! a round is the in-process driver's own
+//! [`DriverBuilder::context`](fedpkd_core::driver::DriverBuilder::context)
+//! then `Federation::round`, called from here, and periodic streaming
+//! snapshots let a restarted server re-drive the lost rounds to
+//! byte-identical history lines.
 //!
 //! Module map:
 //!

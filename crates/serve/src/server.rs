@@ -21,11 +21,11 @@
 //! - The **engine** owns the federation and the round state machine. It
 //!   answers [`Request::Hello`] with the authoritative round and
 //!   invitation, admits or rejects uploads at the front door (decode →
-//!   validate → [`RemoteFederation::stage_upload`]), and commits a round by
-//!   stepping the same [`RoundLoop`] the in-process driver steps — one
-//!   ledger, one `last_uplink`, one round counter, one
-//!   [`DriverBuilder::context_for`], one `Federation::round`. Uploads
-//!   rejected at admission are never billed.
+//!   validate → [`RemoteFederation::stage_upload`]), and commits a round the
+//!   way the in-process driver runs one: [`DriverBuilder::context`], then
+//!   `Federation::round`, which bills the ledger and advances the round
+//!   counter the federation's own driver state holds. Uploads rejected at
+//!   admission are never billed.
 //!
 //! Every commit appends a deterministic history line and, on the snapshot
 //! cadence, streams a snapshot to a temp file renamed into place — so
@@ -43,7 +43,7 @@ use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendErr
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fedpkd_core::driver::{DriverBuilder, RoundLoop};
+use fedpkd_core::driver::DriverBuilder;
 use fedpkd_core::remote::RemoteFederation;
 use fedpkd_core::runtime::RoundMetrics;
 use fedpkd_core::snapshot::SnapshotError;
@@ -222,12 +222,13 @@ fn frame_cause(err: &FrameError) -> FrameRejectCause {
     }
 }
 
-/// The round state machine: the federation, the [`RoundLoop`] stepping it,
-/// and the current round's expected/arrived bookkeeping.
+/// The round state machine: the federation, the builder that decides each
+/// round's context, and the current round's expected/arrived bookkeeping.
+/// The round counter and the ledger stay in the federation's driver state.
 struct Engine<'a, F: RemoteFederation> {
     fed: &'a mut F,
     cfg: &'a ServeConfig,
-    steps: RoundLoop<'a>,
+    builder: &'a DriverBuilder,
     history: Vec<RoundMetrics>,
     history_file: Option<std::fs::File>,
     ctx: Option<RoundContext>,
@@ -252,11 +253,10 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
             ),
             None => None,
         };
-        let steps = RoundLoop::begin(builder, fed);
         let mut engine = Self {
             fed,
             cfg,
-            steps,
+            builder,
             history: Vec::new(),
             history_file,
             ctx: None,
@@ -269,7 +269,7 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
     }
 
     fn round(&self) -> usize {
-        self.steps.round()
+        self.fed.driver().rounds_driven()
     }
 
     fn done(&self) -> bool {
@@ -284,7 +284,7 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
             self.expected.clear();
             return;
         }
-        let ctx = self.steps.context(self.fed);
+        let ctx = self.builder.context(self.fed);
         self.expected = ctx.cohort().survivors().into_iter().collect();
         self.ctx = Some(ctx);
     }
@@ -310,8 +310,8 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
         } else {
             ctx
         };
-        let metrics = self.steps.commit(self.fed, &ctx, obs);
-        let billed = self.steps.ledger().round_traffic(round).uplink;
+        let metrics = self.fed.round(&ctx, obs);
+        let billed = self.fed.driver().ledger().round_traffic(round).uplink;
         let observed: usize = self.arrived.values().sum();
         if billed != observed {
             return Err(ServeError::LedgerMismatch {
@@ -351,15 +351,13 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
         Ok(())
     }
 
-    /// Streams a snapshot to a temp file and renames it into place, with
-    /// the round loop parked in the driver state first so the snapshot
-    /// captures it — a `kill -9` sees either the old snapshot or the new
-    /// one, never a torn write.
+    /// Streams a snapshot to a temp file and renames it into place — a
+    /// `kill -9` sees either the old snapshot or the new one, never a torn
+    /// write.
     fn write_snapshot(&mut self) -> Result<(), ServeError> {
         let Some(path) = &self.cfg.snapshot_path else {
             return Ok(());
         };
-        self.steps.park(self.fed);
         let tmp = path.with_extension("snap-tmp");
         let mut file = std::fs::File::create(&tmp)?;
         self.fed.snapshot_to(&mut file)?;
@@ -368,23 +366,20 @@ impl<'a, F: RemoteFederation> Engine<'a, F> {
         Ok(())
     }
 
-    /// Returns the run report and puts the driver state (round counter +
-    /// ledger) back into the federation.
+    /// The run report.
     fn finish(self) -> ServeReport {
-        let ledger = self.steps.ledger();
-        let report = ServeReport {
-            rounds_driven: self.steps.round(),
+        let ledger = self.fed.driver().ledger();
+        ServeReport {
+            rounds_driven: self.round(),
             history: self.history,
             ledger_fnv: ledger_fingerprint(ledger),
             total_bytes: ledger.total_bytes(),
-        };
-        self.steps.finish(self.fed);
-        report
+        }
     }
 
     /// Appends the terminal `run_complete` history line.
     fn finish_history(&mut self) -> Result<(), ServeError> {
-        let ledger = self.steps.ledger();
+        let ledger = self.fed.driver().ledger();
         let line = run_complete_line(
             self.round(),
             ledger.total_bytes(),
@@ -660,11 +655,8 @@ pub fn serve<F: RemoteFederation>(
     drop(rx);
     let _ = acceptor.join();
 
-    // Put the driver state back even on the error path, so the caller's
-    // federation reflects every round that actually committed.
-    let report = engine.finish();
     result?;
-    Ok(report)
+    Ok(engine.finish())
 }
 
 /// The engine's event loop: rounds commit as uploads complete them, the

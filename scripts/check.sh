@@ -60,15 +60,26 @@ cargo test --workspace -q --no-fail-fast
 # the caller and on a helper included), the phase kit's unit tests, the
 # staged fold, the data-free budget sweep (caller, refine thread and step
 # worker at budget 3) and the served-vs-in-process tests pinned to CPU 0; a
-# wait that can hang dies on the timeout instead of stalling the gate.
+# wait that can hang dies on the timeout instead of stalling the gate. A
+# filter that matches no test exits 0, so each run must also report at least
+# one passed test: a renamed test cannot drop out of this gate unseen.
+one_core() {
+    local out
+    out=$(taskset -c 0 timeout 600 cargo test --release -q "$@" 2>&1) &&
+        grep -qE '^test result: ok\. [1-9][0-9]* passed' <<< "$out" || {
+        printf '%s\n' "$out"
+        echo "error: one-core cargo test $* failed or ran no test" >&2
+        return 1
+    }
+}
 if command -v taskset > /dev/null && command -v timeout > /dev/null; then
-    taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --test fused_step worker
-    taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --test pinned_trainers
-    taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-tensor --lib parallel::
-    taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --lib clients::
-    taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-core --lib fleet::tests::staged_uploads
-    taskset -c 0 timeout 600 cargo test --release -q --test fleet fedpkd_data_free_refine_beside_distill
-    taskset -c 0 timeout 600 cargo test --release -q -p fedpkd-serve --test serve
+    one_core -p fedpkd-core --test fused_step worker
+    one_core -p fedpkd-core --test pinned_trainers
+    one_core -p fedpkd-tensor --lib parallel::
+    one_core -p fedpkd-core --lib clients::
+    one_core -p fedpkd-core --lib fleet::tests::staged_uploads
+    one_core --test fleet fedpkd_data_free_refine_beside_distill
+    one_core -p fedpkd-serve --test serve
 else
     echo "skip: one-core runs (need taskset and timeout)" >&2
 fi
