@@ -265,11 +265,13 @@ impl QuarantineTracker {
     /// count — callers deserializing untrusted bytes must length-check
     /// first.
     pub fn restore_parts(&mut self, consecutive: Vec<usize>, quarantined: Vec<bool>) {
+        // Unreachable from snapshot bytes: `read_quarantine` checks their count first.
         assert_eq!(
             consecutive.len(),
             self.consecutive.len(),
             "streak count must match client count"
         );
+        // Unreachable from snapshot bytes: the flags are read to that same count.
         assert_eq!(
             quarantined.len(),
             self.quarantined.len(),

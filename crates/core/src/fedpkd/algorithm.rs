@@ -567,10 +567,11 @@ impl FedPkdState {
         let global_prototypes: &[Option<Tensor>] = global_prototypes;
         // Data-free mode: refine the generator against the round's
         // aggregated ensemble with the pre-distill server as its critic —
-        // the FedGen alternation. Refine only reads the critic (params never
-        // stepped, buffers restored, gradients zeroed), so it runs beside
-        // the distillation below, wherever the budget puts it, on a copy of
-        // the pre-distill server built and dropped where it runs. The copy's
+        // the FedGen alternation. Refine never steps the critic's params,
+        // restores its buffers and leaves its gradients at zero, so a copy
+        // of the pre-distill server, built and dropped where the refine
+        // runs, is as good a critic, and the refine runs beside the
+        // distillation below, wherever the budget puts it. The copy's
         // initial weights are overwritten at once, so they come from a
         // throwaway stream, never the server's or the generator's.
         let refine_job = generator.as_mut().zip(latents).map(|(gs, latents)| {
@@ -806,7 +807,7 @@ impl Federation for FedPkd {
         // misaligning the byte stream.
         w.put_bool(self.state.generator.is_some());
         if let Some(gs) = &self.state.generator {
-            snapshot::write_model(w, &gs.generator);
+            snapshot::write_model(w, gs.generator.net());
             snapshot::write_adam(w, &gs.optimizer);
             snapshot::write_rng(w, &gs.rng);
         }
@@ -884,8 +885,8 @@ impl Federation for FedPkd {
             )));
         }
         if let Some(gs) = self.state.generator.as_mut() {
-            snapshot::read_model(r, &mut gs.generator)?;
-            snapshot::read_adam(r, &mut gs.optimizer, &gs.generator)?;
+            snapshot::read_model(r, gs.generator.net_mut())?;
+            snapshot::read_adam(r, &mut gs.optimizer, gs.generator.net())?;
             gs.rng = snapshot::read_rng(r)?;
         }
         snapshot::read_quarantine(r, &mut self.state.quarantine)?;

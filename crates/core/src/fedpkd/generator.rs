@@ -14,23 +14,23 @@
 //! never holds client models, only their aggregated knowledge.
 //!
 //! Determinism: latents come from a dedicated RNG stream owned by the
-//! algorithm state, every loss is computed in fixed row order with `f64`
-//! accumulation, and the critic (the server model) forwards in train mode
-//! only so its normalization layers can backpropagate — its parameters are
-//! never stepped and its buffers are restored afterwards — so generated
-//! batches and generator updates replay bit-identically across worker
-//! counts.
+//! algorithm state and every loss is computed in fixed row order with `f64`
+//! accumulation, so generated batches and generator updates replay
+//! bit-identically across worker counts.
 //!
-//! Because [`refine`] only reads its critic, the critic need not be the
-//! server itself. A round hands it a copy — built from the server's spec
-//! and loaded with the server's state vector — and, at a worker budget of
-//! 2 or more, refines on its own thread while the server distills; the
-//! copy is as good a critic as the server, bit for bit.
+//! The critic (the server model) forwards in train mode only so its
+//! normalization layers can backpropagate. [`refine`] never steps its
+//! parameters, restores its buffers afterwards and leaves its gradients at
+//! zero, so the critic need not be the server itself: a round hands it a
+//! copy — built from the server's spec and loaded with the server's state
+//! vector — and, at a worker budget of 2 or more, refines on its own thread
+//! while the server distills; the copy is as good a critic as the server,
+//! bit for bit.
 
 use fedpkd_rng::Rng;
 use fedpkd_tensor::loss::{CrossEntropy, DistillKl, Mse};
 use fedpkd_tensor::models::ClassifierModel;
-use fedpkd_tensor::nn::{Layer, Linear, Param, ParamHook, Relu, Sequential};
+use fedpkd_tensor::nn::{Layer, Linear, Param, ParamHook, PendingGrads, Relu, Sequential};
 use fedpkd_tensor::optim::{step_and_zero, Adam, Optimizer};
 use fedpkd_tensor::Tensor;
 
@@ -110,45 +110,30 @@ impl Generator {
         let input = self.conditioned(latents, labels);
         self.net.forward(&input, false)
     }
+
+    /// The network, whose state the snapshot writes.
+    pub(crate) fn net(&self) -> &Sequential {
+        &self.net
+    }
+
+    /// The network, whose state a restore loads.
+    pub(crate) fn net_mut(&mut self) -> &mut Sequential {
+        &mut self.net
+    }
 }
 
-impl Layer for Generator {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        self.net.forward(input, train)
+/// The backward hook of the pass through the critic: [`refine`] wants the
+/// input gradient only, so every `Linear`'s weight products are dropped
+/// unrun and any other parameter's gradient (a `BatchNorm1d`'s `dγ`/`dβ`)
+/// is zeroed the moment it is accumulated.
+struct Critic;
+
+impl ParamHook for Critic {
+    fn param(&mut self, _: usize, param: &mut Param) {
+        param.zero_grad();
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.net.backward(grad_out)
-    }
-
-    fn backward_with(
-        &mut self,
-        grad_out: &Tensor,
-        first_slot: usize,
-        hook: &mut dyn ParamHook,
-    ) -> Tensor {
-        self.net.backward_with(grad_out, first_slot, hook)
-    }
-
-    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
-        self.net.backward_input(grad_out)
-    }
-
-    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.net.visit_params_mut(f);
-    }
-
-    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
-        self.net.visit_params(f);
-    }
-
-    fn visit_buffers(&self, f: &mut dyn FnMut(&[f32])) {
-        self.net.visit_buffers(f);
-    }
-
-    fn visit_buffers_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
-        self.net.visit_buffers_mut(f);
-    }
+    fn linear(&mut self, _: usize, _: &mut Param, _: &mut Param, _: PendingGrads) {}
 }
 
 /// Telemetry byproducts of one [`refine`] call (final step's values).
@@ -179,9 +164,11 @@ pub struct GeneratorStats {
 /// generated batch mean onto the aggregated input-space class mean in
 /// `class_moments` (per-batch-mean, so individual samples keep their
 /// latent-driven diversity instead of collapsing onto the mean). The
-/// server model is a critic here, never a trainee: the pass through it
-/// computes input gradients only, so its parameters and their gradients are
-/// never touched.
+/// server model is a critic here, never a trainee: its parameters are never
+/// stepped, its buffers are restored afterwards, and the pass through it
+/// runs no `Linear` weight product and zeroes every other gradient it
+/// accumulates, so a critic that comes in with zero gradients leaves with
+/// zero gradients.
 #[allow(clippy::too_many_arguments)]
 pub fn refine(
     generator: &mut Generator,
@@ -256,7 +243,8 @@ pub fn refine(
                 feature_grad.row_mut(i).copy_from_slice(grad.row(k));
             }
         }
-        let mut input_grad = server.backward_dual_input(&logit_grad, Some(&feature_grad));
+        let mut input_grad =
+            server.backward_dual_with(&logit_grad, Some(&feature_grad), &mut Critic);
         // Input-space grounding: match each class's generated batch mean
         // to the real class mean. Fixed class order + f64 accumulation
         // keep this bit-identical across tiers and worker counts.
@@ -398,20 +386,22 @@ mod tests {
         );
     }
 
-    #[test]
-    fn refine_leaves_the_server_critic_unchanged() {
-        let mut rng = Rng::seed_from_u64(4);
-        let mut gen = Generator::new(8, 10, 32, &mut rng);
-        let mut server = build_mlp(&[32, 16], 10, &mut rng);
+    /// Refines against `server` for three epochs and checks the critic
+    /// comes back as it went in: the same state vector, every gradient zero.
+    fn assert_refine_leaves_the_critic_unchanged(
+        gen: &mut Generator,
+        server: &mut ClassifierModel,
+        rng: &mut Rng,
+    ) {
         let mut opt = Adam::new(0.01);
-        let before = state_vector(&server);
-        let (latents, labels) = gen.draw_batch(20, &mut rng);
-        let protos: Vec<Option<Tensor>> = vec![Some(Tensor::zeros(&[16])); 10];
+        let before = state_vector(server);
+        let (latents, labels) = gen.draw_batch(20, rng);
+        let protos: Vec<Option<Tensor>> = vec![Some(Tensor::zeros(&[server.feature_dim()])); 10];
         let no_moments: Vec<Option<Tensor>> = vec![None; 10];
         refine(
-            &mut gen,
+            gen,
             &mut opt,
-            &mut server,
+            server,
             &latents,
             &labels,
             None,
@@ -420,13 +410,39 @@ mod tests {
             1.0,
             3,
         );
-        assert_eq!(state_vector(&server), before);
+        assert_eq!(state_vector(server), before);
         let mut grads = Vec::new();
         server.visit_params(&mut |p| grads.extend_from_slice(p.grad.as_slice()));
         assert!(
             grads.iter().all(|&g| g == 0.0),
             "critic grads must be zeroed"
         );
+    }
+
+    #[test]
+    fn refine_leaves_the_server_critic_unchanged() {
+        let mut rng = Rng::seed_from_u64(4);
+        let mut gen = Generator::new(8, 10, 32, &mut rng);
+        let mut server = build_mlp(&[32, 16], 10, &mut rng);
+        assert_refine_leaves_the_critic_unchanged(&mut gen, &mut server, &mut rng);
+    }
+
+    /// The same contract through `BatchNorm1d`, whose `dγ`/`dβ` the pass
+    /// accumulates and zeroes and whose running statistics it restores —
+    /// drifted off their initial values first, so the restore shows.
+    #[test]
+    fn refine_leaves_a_batch_norm_critic_unchanged() {
+        let mut rng = Rng::seed_from_u64(9);
+        let mut gen = Generator::new(8, 10, 32, &mut rng);
+        let mut server = ModelSpec::ResMlp {
+            input_dim: 32,
+            num_classes: 10,
+            tier: DepthTier::T11,
+        }
+        .build(&mut rng);
+        server.forward(&Tensor::randn(&[16, 32], 2.0, &mut rng), true);
+        assert!(server.buffer_count() > 0, "the critic has normalization");
+        assert_refine_leaves_the_critic_unchanged(&mut gen, &mut server, &mut rng);
     }
 
     /// A refine running beside the server distillation reads a copy of the
@@ -477,7 +493,7 @@ mod tests {
             let (m, v) = opt.moments();
             (
                 stats,
-                param_vector(&gen),
+                param_vector(&gen.net),
                 opt.step_count(),
                 m.to_vec(),
                 v.to_vec(),

@@ -76,7 +76,7 @@
 //! # Ok::<(), SnapshotError>(())
 //! ```
 
-use crate::admission::QuarantineTracker;
+use crate::admission::{QuarantineTracker, QUARANTINE_AFTER};
 use crate::fedpkd::prototypes::Prototype;
 use crate::runtime::DriverState;
 use fedpkd_netsim::chunk::{ChunkError, ChunkReader, ChunkWriter, CHUNK};
@@ -729,7 +729,10 @@ pub fn write_quarantine(w: &mut dyn StateSink, tracker: &QuarantineTracker) {
 /// # Errors
 ///
 /// [`SnapshotError::Malformed`] if the client count differs from the
-/// tracker's.
+/// tracker's, or if a client that is not quarantined has a streak of
+/// [`QUARANTINE_AFTER`] or more — a state `record_rejection` never leaves,
+/// since it quarantines at the threshold, and one whose next rejection
+/// would overflow the streak.
 pub fn read_quarantine(
     r: &mut dyn StateSource,
     tracker: &mut QuarantineTracker,
@@ -748,6 +751,14 @@ pub fn read_quarantine(
     let mut quarantined = Vec::with_capacity(count);
     for _ in 0..count {
         quarantined.push(r.take_bool()?);
+    }
+    if let Some(client) =
+        (0..count).find(|&c| !quarantined[c] && consecutive[c] >= QUARANTINE_AFTER)
+    {
+        return Err(SnapshotError::Malformed(format!(
+            "client {client} has a rejection streak of {} but is not quarantined",
+            consecutive[client]
+        )));
     }
     tracker.restore_parts(consecutive, quarantined);
     Ok(())
@@ -1073,7 +1084,6 @@ mod tests {
 
     #[test]
     fn quarantine_round_trips_and_length_checks() {
-        use crate::admission::QUARANTINE_AFTER;
         let mut tracker = QuarantineTracker::new(3);
         for _ in 0..QUARANTINE_AFTER {
             tracker.record_rejection(1);
@@ -1093,6 +1103,31 @@ mod tests {
             read_quarantine(&mut r, &mut wrong),
             Err(SnapshotError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn a_free_client_at_the_quarantine_threshold_is_malformed() {
+        let restore = |streak: usize, quarantined: bool| {
+            let mut tracker = QuarantineTracker::new(2);
+            tracker.restore_parts(vec![0, streak], vec![false, quarantined]);
+            let mut bytes: Vec<u8> = Vec::new();
+            write_quarantine(&mut bytes, &tracker);
+            let mut restored = QuarantineTracker::new(2);
+            read_quarantine(&mut bytes.as_slice(), &mut restored).map(|()| restored)
+        };
+        for streak in [usize::MAX, QUARANTINE_AFTER] {
+            assert!(
+                matches!(restore(streak, false), Err(SnapshotError::Malformed(_))),
+                "streak {streak}, not quarantined"
+            );
+        }
+        let mut below = restore(QUARANTINE_AFTER - 1, false).unwrap();
+        assert!(below.record_rejection(1), "the next rejection quarantines");
+        for streak in [0, QUARANTINE_AFTER - 1, QUARANTINE_AFTER, usize::MAX] {
+            let restored = restore(streak, true).unwrap();
+            assert_eq!(restored.streak(1), streak);
+            assert!(restored.is_quarantined(1));
+        }
     }
 
     #[test]

@@ -13,9 +13,13 @@
 //! without a job beside it) and 3: where the step's second half runs must
 //! not show. `scripts/check.sh` re-runs this file on one core, where budgets
 //! 2 and 3 must still reproduce it.
+//!
+//! The data-free refine is pinned the same way, with a residual critic so
+//! the input gradient runs through BatchNorm's backward.
 
 use fedpkd_core::eval;
 use fedpkd_core::fedpkd::distill::{train_server_with_workers, ServerDistillStats};
+use fedpkd_core::fedpkd::generator::{refine, Generator};
 use fedpkd_core::train::{
     train_distill, train_supervised, train_supervised_with_prototypes, TrainStats,
 };
@@ -207,4 +211,41 @@ fn evaluation_over_several_windows_is_pinned() {
     assert_eq!(features.shape(), &[2100, model.feature_dim()]);
     fold_f32(&mut hash, features.as_slice());
     assert_eq!(hash.finish(), 0xbe6d_4226_94ee_bdd5);
+}
+
+#[test]
+fn generator_refine_is_pinned() {
+    let (mut critic, mut adam, mut rng) = (model(), Adam::new(0.01), Rng::seed_from_u64(12));
+    let mut generator = Generator::new(4, CLASSES, INPUT, &mut rng);
+    let (latents, labels) = generator.draw_batch(ROWS, &mut rng);
+    let prototypes = partial_prototypes(critic.feature_dim());
+    // Input-space class means for every class but the first.
+    let moments: Vec<Option<Tensor>> = (0..CLASSES)
+        .map(|c| (c > 0).then(|| Tensor::randn(&[INPUT], 1.0, &mut rng)))
+        .collect();
+    let stats = refine(
+        &mut generator,
+        &mut adam,
+        &mut critic,
+        &latents,
+        &labels,
+        Some(&teacher(ROWS)),
+        &prototypes,
+        &moments,
+        2.0,
+        3,
+    );
+    let stats = [
+        stats.ensemble_loss,
+        stats.ce_loss,
+        stats.proto_loss,
+        stats.moment_loss,
+    ];
+    let mut hash = Fnv1a::new();
+    hash.update(&fingerprint(&critic, &adam, &rng, &stats).to_le_bytes());
+    fold_f32(
+        &mut hash,
+        generator.synthesize(&latents, &labels).as_slice(),
+    );
+    assert_eq!(hash.finish(), 0xe1a1_0b03_dfa7_2226);
 }

@@ -207,22 +207,9 @@ impl ClassifierModel {
         self.backward_dual_with(logit_grad, feature_grad, &mut hook)
     }
 
-    /// Input-gradient-only [`backward_dual`](Self::backward_dual): the same
-    /// return value, no parameter gradient touched — for backpropagating
-    /// through the model as a frozen critic (see [`Layer::backward_input`]).
-    pub fn backward_dual_input(
-        &mut self,
-        logit_grad: &Tensor,
-        feature_grad: Option<&Tensor>,
-    ) -> Tensor {
-        self.backward_dual_via(logit_grad, feature_grad, |part, g, _| {
-            part.backward_input(g)
-        })
-    }
-
-    /// The dual backward's skeleton: `run(part, grad, first_slot)` is one
-    /// of the [`Layer`] backward flavours, applied to the head and then —
-    /// with the extra feature gradient added — to the backbone.
+    /// The dual backward's skeleton: `run(part, grad, first_slot)` is
+    /// [`Layer::backward`] or [`Layer::backward_with`], applied to the head
+    /// and then — with the extra feature gradient added — to the backbone.
     fn backward_dual_via(
         &mut self,
         logit_grad: &Tensor,
@@ -265,10 +252,6 @@ impl Layer for ClassifierModel {
         hook: &mut dyn ParamHook,
     ) -> Tensor {
         self.backward_dual_from(first_slot, grad_out, None, hook)
-    }
-
-    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_dual_input(grad_out, None)
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {

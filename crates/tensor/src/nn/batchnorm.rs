@@ -158,38 +158,6 @@ impl Layer for BatchNorm1d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_impl(grad_out, true)
-    }
-
-    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_impl(grad_out, false)
-    }
-
-    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.gamma);
-        f(&mut self.beta);
-    }
-
-    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
-        f(&self.gamma);
-        f(&self.beta);
-    }
-
-    fn visit_buffers(&self, f: &mut dyn FnMut(&[f32])) {
-        f(&self.running_mean);
-        f(&self.running_var);
-    }
-
-    fn visit_buffers_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
-        f(&mut self.running_mean);
-        f(&mut self.running_var);
-    }
-}
-
-impl BatchNorm1d {
-    /// The shared backward body: accumulates `dγ`/`dβ` when `param_grads`
-    /// is set and returns `dx`.
-    fn backward_impl(&mut self, grad_out: &Tensor, param_grads: bool) -> Tensor {
         let xhat = self
             .cached_xhat
             .as_ref()
@@ -202,30 +170,28 @@ impl BatchNorm1d {
         let d = self.features;
         let gamma = self.gamma.value.as_slice();
 
-        if param_grads {
-            let mut dgamma = Tensor::zeros(&[d]);
-            let mut dbeta = Tensor::zeros(&[d]);
-            for (g, h) in grad_out
-                .as_slice()
-                .chunks_exact(d)
-                .zip(xhat.as_slice().chunks_exact(d))
+        let mut dgamma = Tensor::zeros(&[d]);
+        let mut dbeta = Tensor::zeros(&[d]);
+        for (g, h) in grad_out
+            .as_slice()
+            .chunks_exact(d)
+            .zip(xhat.as_slice().chunks_exact(d))
+        {
+            for ((dg, db), (&g, &h)) in dgamma
+                .as_mut_slice()
+                .iter_mut()
+                .zip(dbeta.as_mut_slice())
+                .zip(g.iter().zip(h))
             {
-                for ((dg, db), (&g, &h)) in dgamma
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(dbeta.as_mut_slice())
-                    .zip(g.iter().zip(h))
-                {
-                    *dg += g * h;
-                    *db += g;
-                }
+                *dg += g * h;
+                *db += g;
             }
-            self.gamma
-                .grad
-                .axpy(1.0, &dgamma)
-                .expect("accumulate dgamma");
-            self.beta.grad.axpy(1.0, &dbeta).expect("accumulate dbeta");
         }
+        self.gamma
+            .grad
+            .axpy(1.0, &dgamma)
+            .expect("accumulate dgamma");
+        self.beta.grad.axpy(1.0, &dbeta).expect("accumulate dbeta");
 
         // When the forward pass normalized with running statistics (a
         // single-row training batch), mean/var do not depend on the input
@@ -284,6 +250,26 @@ impl BatchNorm1d {
             }
         }
         dx
+    }
+
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.gamma);
+        f(&mut self.beta);
+    }
+
+    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
+        f(&self.gamma);
+        f(&self.beta);
+    }
+
+    fn visit_buffers(&self, f: &mut dyn FnMut(&[f32])) {
+        f(&self.running_mean);
+        f(&self.running_var);
+    }
+
+    fn visit_buffers_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        f(&mut self.running_mean);
+        f(&mut self.running_var);
     }
 }
 

@@ -177,28 +177,6 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_impl(grad_out, true)
-    }
-
-    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_impl(grad_out, false)
-    }
-
-    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.weight);
-        f(&mut self.bias);
-    }
-
-    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
-        f(&self.weight);
-        f(&self.bias);
-    }
-}
-
-impl Conv2d {
-    /// The shared backward body: accumulates `dW`/`db` when `param_grads`
-    /// is set and returns `dx`.
-    fn backward_impl(&mut self, grad_out: &Tensor, param_grads: bool) -> Tensor {
         let input = self
             .cached_input
             .as_ref()
@@ -218,18 +196,16 @@ impl Conv2d {
         for (s, col) in cols.iter().enumerate() {
             let g = Tensor::from_vec(grad_out.row(s).to_vec(), &[self.out_channels, oh * ow])
                 .expect("grad reshape");
-            if param_grads {
-                // dW += g · colᵀ
-                let col_t = col.transpose().expect("col transpose");
-                let dw = g.matmul(&col_t).expect("dW matmul");
-                self.weight.grad.axpy(1.0, &dw).expect("dW accumulate");
-                // db += row sums of g
-                let mut db = Tensor::zeros(&[self.out_channels]);
-                for oc in 0..self.out_channels {
-                    db.as_mut_slice()[oc] = g.row(oc).iter().sum();
-                }
-                self.bias.grad.axpy(1.0, &db).expect("db accumulate");
+            // dW += g · colᵀ
+            let col_t = col.transpose().expect("col transpose");
+            let dw = g.matmul(&col_t).expect("dW matmul");
+            self.weight.grad.axpy(1.0, &dw).expect("dW accumulate");
+            // db += row sums of g
+            let mut db = Tensor::zeros(&[self.out_channels]);
+            for oc in 0..self.out_channels {
+                db.as_mut_slice()[oc] = g.row(oc).iter().sum();
             }
+            self.bias.grad.axpy(1.0, &db).expect("db accumulate");
             // dcol = Wᵀ · g, then scatter back to image space.
             let w_t = self.weight.value.transpose().expect("weight transpose");
             let dcol = w_t.matmul(&g).expect("dcol matmul");
@@ -238,6 +214,16 @@ impl Conv2d {
             dx.row_mut(s).copy_from_slice(&dxs);
         }
         dx
+    }
+
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
+    }
+
+    fn visit_params(&self, f: &mut dyn FnMut(&Param)) {
+        f(&self.weight);
+        f(&self.bias);
     }
 }
 
@@ -315,18 +301,6 @@ mod tests {
         let mut conv = Conv2d::new(1, 2, 3, 2, 1, &mut rng);
         let x = Tensor::rand_uniform(&[1, 1, 5, 5], -1.0, 1.0, &mut rng);
         gradcheck::check_input_grad(&mut conv, &x, 2e-2);
-    }
-
-    #[test]
-    fn backward_input_matches_backward_and_leaves_gradients_alone() {
-        let mut rng = Rng::seed_from_u64(8);
-        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
-        let x = Tensor::rand_uniform(&[2, 2, 4, 4], -1.0, 1.0, &mut rng);
-        let g = Tensor::rand_uniform(&[2, 3, 4, 4], -1.0, 1.0, &mut rng);
-        conv.forward(&x, true);
-        let dx = conv.backward_input(&g);
-        conv.visit_params(&mut |p| assert!(p.grad.as_slice().iter().all(|&v| v == 0.0)));
-        assert_eq!(conv.backward(&g), dx);
     }
 
     #[test]

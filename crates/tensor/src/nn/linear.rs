@@ -146,28 +146,6 @@ impl Linear {
     fn input_grad(&self, g: &Tensor) -> Tensor {
         g.matmul_transposed(&self.weight.value).expect("dx shape")
     }
-
-    /// The shared backward body: masks the incoming gradient through a
-    /// fused ReLU, accumulates `dW`/`db` when `param_grads` is set, and
-    /// returns `dx`.
-    fn backward_impl(&mut self, grad_out: &Tensor, param_grads: bool) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
-        let masked;
-        let grad_out = if self.fuse_relu {
-            masked = self.masked(grad_out);
-            &masked
-        } else {
-            grad_out
-        };
-        if param_grads {
-            accumulate_weight_grad(input, grad_out, &mut self.weight);
-            accumulate_bias_grad(grad_out, &mut self.bias);
-        }
-        self.input_grad(grad_out)
-    }
 }
 
 impl Layer for Linear {
@@ -191,7 +169,20 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_impl(grad_out, true)
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("backward called before forward");
+        let masked;
+        let grad_out = if self.fuse_relu {
+            masked = self.masked(grad_out);
+            &masked
+        } else {
+            grad_out
+        };
+        accumulate_weight_grad(input, grad_out, &mut self.weight);
+        accumulate_bias_grad(grad_out, &mut self.bias);
+        self.input_grad(grad_out)
     }
 
     /// Computes `dx`, the one result the rest of the pass waits for, and
@@ -223,10 +214,6 @@ impl Layer for Linear {
             PendingGrads { x, g },
         );
         grad_in
-    }
-
-    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_impl(grad_out, false)
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -75,7 +75,7 @@ pub trait ParamHook {
     /// both parameters to [`param`](ParamHook::param) — exactly what the
     /// layer's own [`backward`](Layer::backward) would have left; an
     /// override may carry `pending` elsewhere as long as it is applied
-    /// before the parameter's update.
+    /// before the parameter's update, or drop it when no update follows.
     fn linear(&mut self, slot: usize, weight: &mut Param, bias: &mut Param, pending: PendingGrads) {
         pending.apply(weight, bias);
         self.param(slot, weight);
@@ -143,17 +143,6 @@ pub trait Layer: Send {
             slot += 1;
         });
         grad_in
-    }
-
-    /// Input-gradient-only backward: returns exactly what
-    /// [`backward`](Layer::backward) returns but accumulates **no**
-    /// parameter gradients — for backpropagating *through* a frozen model
-    /// (a critic) to reach whatever produced its input.
-    ///
-    /// The default is right for layers without parameters; a layer that
-    /// owns parameters must override it.
-    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward(grad_out)
     }
 
     /// Number of parameter tensors ([`Param`]s, not scalars) this layer
@@ -312,12 +301,6 @@ impl Layer for Sequential {
         })
     }
 
-    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
-        chain_backward(&mut self.layers, grad_out, |layer, g| {
-            layer.backward_input(g)
-        })
-    }
-
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for layer in &mut self.layers {
             layer.visit_params_mut(f);
@@ -344,7 +327,7 @@ impl Layer for Sequential {
 }
 
 /// Runs `step` over `layers` last to first, feeding each the gradient the
-/// one after it returned — the three backward flavours of [`Sequential`]
+/// one after it returned — the two backward flavours of [`Sequential`]
 /// differ only in which child method `step` calls.
 fn chain_backward(
     layers: &mut [Box<dyn Layer>],
@@ -412,10 +395,6 @@ impl Layer for Residual {
             self.body.backward_with(grad_out, first_slot, hook),
             grad_out,
         )
-    }
-
-    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
-        Self::join_grads(self.body.backward_input(grad_out), grad_out)
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -717,20 +696,6 @@ mod tests {
         assert_eq!(recorder.0, expected);
         assert_eq!(dx, plain.backward(&g));
         assert_eq!(grads_of(&hooked), grads_of(&plain));
-    }
-
-    #[test]
-    fn backward_input_returns_the_same_gradient_and_touches_no_param() {
-        let mut rng = Rng::seed_from_u64(10);
-        let x = Tensor::rand_uniform(&[6, 4], -1.0, 1.0, &mut rng);
-        let g = Tensor::rand_uniform(&[6, 3], -1.0, 1.0, &mut rng);
-        let (mut full, mut frozen) = (nested_net(11), nested_net(11));
-        full.forward(&x, true);
-        frozen.forward(&x, true);
-        let untouched = grads_of(&frozen);
-        assert_eq!(frozen.backward_input(&g), full.backward(&g));
-        assert_eq!(grads_of(&frozen), untouched);
-        assert_ne!(grads_of(&full), untouched);
     }
 
     #[test]
