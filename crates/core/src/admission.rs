@@ -143,8 +143,9 @@ impl AdmissionPolicy {
     }
 
     /// Checks a prototype upload: `num_classes` slots, each present vector
-    /// of width `dim`, finite, within the norm cap, with a positive sample
-    /// count.
+    /// of width `dim`, finite, within the norm cap, with a sample count in
+    /// `1..=u32::MAX` — the wire's width, which a restored count must meet
+    /// too, so that Eq. 8's totals cannot overflow.
     ///
     /// # Errors
     ///
@@ -159,7 +160,7 @@ impl AdmissionPolicy {
             return Err(RejectReason::WrongShape);
         }
         for p in prototypes.iter().flatten() {
-            if p.vector.shape() != [dim] || p.count == 0 {
+            if p.vector.shape() != [dim] || !(1..=u32::MAX as usize).contains(&p.count) {
                 return Err(RejectReason::WrongShape);
             }
             if !p.vector.all_finite() {
@@ -331,12 +332,16 @@ mod tests {
         assert_eq!(p.check_prototypes(&ok, 3, 2), Err(RejectReason::WrongShape));
         // Wrong width.
         assert_eq!(p.check_prototypes(&ok, 2, 4), Err(RejectReason::WrongShape));
-        // Zero count.
-        let zero = vec![Some(proto(0, &[1.0, 2.0])), None];
-        assert_eq!(
-            p.check_prototypes(&zero, 2, 2),
-            Err(RejectReason::WrongShape)
-        );
+        // Zero count, and one past the wire's `u32`.
+        for count in [0, u32::MAX as usize + 1, usize::MAX] {
+            let bad = vec![Some(proto(count, &[1.0, 2.0])), None];
+            assert_eq!(
+                p.check_prototypes(&bad, 2, 2),
+                Err(RejectReason::WrongShape)
+            );
+        }
+        let widest = vec![Some(proto(u32::MAX as usize, &[1.0, 2.0])), None];
+        assert_eq!(p.check_prototypes(&widest, 2, 2), Ok(()));
         // Non-finite.
         let nan = vec![Some(proto(3, &[f32::NAN, 2.0])), None];
         assert_eq!(p.check_prototypes(&nan, 2, 2), Err(RejectReason::NonFinite));

@@ -124,7 +124,8 @@ impl Generator {
 
 /// The backward hook of the pass through the critic: [`refine`] wants the
 /// input gradient only, so every `Linear`'s weight products are dropped
-/// unrun and any other parameter's gradient (a `BatchNorm1d`'s `dγ`/`dβ`)
+/// unrun (a plain layer's gradient was only lent, so nothing was copied for
+/// them) and any other parameter's gradient (a `BatchNorm1d`'s `dγ`/`dβ`)
 /// is zeroed the moment it is accumulated.
 struct Critic;
 
@@ -133,7 +134,7 @@ impl ParamHook for Critic {
         param.zero_grad();
     }
 
-    fn linear(&mut self, _: usize, _: &mut Param, _: &mut Param, _: PendingGrads) {}
+    fn linear(&mut self, _: usize, _: &mut Param, _: &mut Param, _: PendingGrads<'_>) {}
 }
 
 /// Telemetry byproducts of one [`refine`] call (final step's values).

@@ -1,12 +1,12 @@
 //! The element-wise activation layer.
 
-use super::{keep_for_backward, Layer, Param};
+use super::{Layer, Param, ReluMask};
 use crate::Tensor;
 
 /// Rectified linear unit: `max(0, x)`.
 #[derive(Debug, Default)]
 pub struct Relu {
-    cached_input: Option<Tensor>,
+    mask: Option<ReluMask>,
 }
 
 impl Relu {
@@ -18,18 +18,15 @@ impl Relu {
 
 impl Layer for Relu {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        keep_for_backward(&mut self.cached_input, input, train);
+        ReluMask::keep(&mut self.mask, input, train);
         input.map(|x| x.max(0.0))
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
+        self.mask
             .as_ref()
-            .expect("backward called before forward");
-        grad_out
-            .zip_with(input, |g, x| if x > 0.0 { g } else { 0.0 })
-            .expect("relu backward shape")
+            .expect("backward called before forward")
+            .apply(grad_out)
     }
 
     fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}

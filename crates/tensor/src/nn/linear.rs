@@ -1,8 +1,9 @@
 //! Fully connected layer.
 
-use super::{keep_for_backward, Layer, Param, ParamHook};
+use super::{Layer, Param, ParamHook, ReluMask};
 use crate::Tensor;
 use fedpkd_rng::Rng;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// A fully connected (affine) layer: `y = x W + b`.
@@ -34,7 +35,7 @@ pub struct Linear {
     /// wherever the hook carried it while the layer keeps the buffer for
     /// the next batch.
     cached_input: Option<Arc<Tensor>>,
-    cached_output: Option<Tensor>,
+    relu_mask: Option<ReluMask>,
 }
 
 /// `dW += xᵀ · g`, through the transposed kernel, straight into the
@@ -51,21 +52,31 @@ fn accumulate_bias_grad(g: &Tensor, bias: &mut Param) {
 
 /// The parameter-gradient products of one [`Linear`] backward pass, not yet
 /// applied: `dW += xᵀ·g` and `db += column sums of g`. It carries its own
-/// operands — the layer's output gradient `g` (ReLU-masked if fused) by
-/// value, the forward input `x` as a read-only share of the layer's cache —
-/// so a [`ParamHook::linear`] may apply it anywhere, on any thread: the
+/// operands — the layer's output gradient `g` (lent by a plain layer, the
+/// masked copy of a fused one), the forward input `x` as a read-only share
+/// of the layer's cache — so a [`ParamHook::linear`] may apply it on the
+/// spot, or [`into_owned`](Self::into_owned) anywhere, on any thread: the
 /// same two kernels on the same operands as the layer's own backward.
 #[derive(Debug)]
-pub struct PendingGrads {
+pub struct PendingGrads<'a> {
     x: Arc<Tensor>,
-    g: Tensor,
+    g: Cow<'a, Tensor>,
 }
 
-impl PendingGrads {
+impl PendingGrads<'_> {
     /// Applies both products to the two gradients.
     pub fn apply(self, weight: &mut Param, bias: &mut Param) {
         accumulate_weight_grad(&self.x, &self.g, weight);
         accumulate_bias_grad(&self.g, bias);
+    }
+
+    /// The products with `g` owned, to outlive the backward call: a copy of
+    /// a borrowed `g`, a move of an owned one.
+    pub fn into_owned(self) -> PendingGrads<'static> {
+        PendingGrads {
+            x: self.x,
+            g: Cow::Owned(self.g.into_owned()),
+        }
     }
 }
 
@@ -87,7 +98,7 @@ impl Linear {
             out_features,
             fuse_relu: false,
             cached_input: None,
-            cached_output: None,
+            relu_mask: None,
         }
     }
 
@@ -131,15 +142,12 @@ impl std::fmt::Debug for Linear {
 impl Linear {
     /// With a fused ReLU, masks the incoming gradient exactly as a
     /// standalone Relu layer would (its predicate `z > 0` on the
-    /// pre-activation equals `relu(z) > 0` on the cached output).
+    /// pre-activation equals `relu(z) > 0` on the output it masks).
     fn masked(&self, grad_out: &Tensor) -> Tensor {
-        let out = self
-            .cached_output
+        self.relu_mask
             .as_ref()
-            .expect("backward called before forward");
-        grad_out
-            .zip_with(out, |g, y| if y > 0.0 { g } else { 0.0 })
-            .expect("relu mask shape")
+            .expect("backward called before forward")
+            .apply(grad_out)
     }
 
     /// `dx = g · Wᵀ`, through the transposed kernel.
@@ -163,8 +171,8 @@ impl Layer for Linear {
         } else {
             self.cached_input = Some(Arc::new(input.clone()));
         }
-        // The output doubles as the ReLU mask: `relu(z) > 0 ⇔ z > 0`.
-        keep_for_backward(&mut self.cached_output, &out, train && self.fuse_relu);
+        // The output gives the ReLU mask: `relu(z) > 0 ⇔ z > 0`.
+        ReluMask::keep(&mut self.relu_mask, &out, train && self.fuse_relu);
         out
     }
 
@@ -187,10 +195,10 @@ impl Layer for Linear {
 
     /// Computes `dx`, the one result the rest of the pass waits for, and
     /// offers the products unapplied. The fused layer's masked gradient is a
-    /// tensor it just made; a plain layer's `grad_out` belongs to the layer
-    /// above (a residual block reads it again for its skip path), so it
-    /// takes a copy, which the block pays for by adding its skip gradient in
-    /// place.
+    /// tensor it just made and hands over; a plain layer's `grad_out`
+    /// belongs to the layer above (a residual block reads it again for its
+    /// skip path), so it lends it, and only a hook that keeps the products
+    /// past this call copies it.
     fn backward_with(
         &mut self,
         grad_out: &Tensor,
@@ -202,9 +210,9 @@ impl Layer for Linear {
             .clone()
             .expect("backward called before forward");
         let g = if self.fuse_relu {
-            self.masked(grad_out)
+            Cow::Owned(self.masked(grad_out))
         } else {
-            grad_out.clone()
+            Cow::Borrowed(grad_out)
         };
         let grad_in = self.input_grad(&g);
         hook.linear(

@@ -74,9 +74,16 @@ pub trait ParamHook {
     /// waits for it. The default applies the products on the spot and hands
     /// both parameters to [`param`](ParamHook::param) — exactly what the
     /// layer's own [`backward`](Layer::backward) would have left; an
-    /// override may carry `pending` elsewhere as long as it is applied
+    /// override may carry `pending` elsewhere
+    /// ([`into_owned`](PendingGrads::into_owned)) as long as it is applied
     /// before the parameter's update, or drop it when no update follows.
-    fn linear(&mut self, slot: usize, weight: &mut Param, bias: &mut Param, pending: PendingGrads) {
+    fn linear(
+        &mut self,
+        slot: usize,
+        weight: &mut Param,
+        bias: &mut Param,
+        pending: PendingGrads<'_>,
+    ) {
         pending.apply(weight, bias);
         self.param(slot, weight);
         self.param(slot + 1, bias);
@@ -203,6 +210,63 @@ fn keep_for_backward(cache: &mut Option<Tensor>, value: &Tensor, train: bool) {
         _ if !train => *cache = None,
         Some(cached) => cached.clone_from(value),
         None => *cache = Some(value.clone()),
+    }
+}
+
+/// All a ReLU's backward reads of its forward: which elements were `> 0.0`
+/// (NaN and ±0.0 are not), one bit each over 64-lane words and a tail word,
+/// and the shape a gradient must have.
+#[derive(Debug, Default)]
+struct ReluMask {
+    words: Vec<u64>,
+    shape: Vec<usize>,
+}
+
+fn positive_bits(lanes: &[f32]) -> u64 {
+    let mut word = 0;
+    for (i, &x) in lanes.iter().enumerate() {
+        word |= u64::from(x > 0.0) << i;
+    }
+    word
+}
+
+fn clear_unset_lanes(lanes: &mut [f32], word: u64) {
+    for (i, x) in lanes.iter_mut().enumerate() {
+        if word >> i & 1 == 0 {
+            *x = 0.0;
+        }
+    }
+}
+
+impl ReluMask {
+    /// [`keep_for_backward`] for the mask of `value`, packed in place.
+    fn keep(mask: &mut Option<Self>, value: &Tensor, train: bool) {
+        if !train {
+            *mask = None;
+            return;
+        }
+        let mask = mask.get_or_insert_default();
+        let (words, tail) = value.as_slice().as_chunks::<64>();
+        let tail = (!tail.is_empty()).then(|| positive_bits(tail));
+        mask.words.clear();
+        mask.words
+            .extend(words.iter().map(|w| positive_bits(w)).chain(tail));
+        mask.shape.clear();
+        mask.shape.extend_from_slice(value.shape());
+    }
+
+    /// The bits of `grad_out.zip_with(value, |g, y| if y > 0.0 { g } else { 0.0 })`.
+    fn apply(&self, grad_out: &Tensor) -> Tensor {
+        assert_eq!(grad_out.shape(), self.shape, "relu mask shape");
+        let mut g = grad_out.clone();
+        let (words, tail) = g.as_mut_slice().as_chunks_mut::<64>();
+        for (lanes, &word) in words.iter_mut().zip(&self.words) {
+            clear_unset_lanes(lanes, word);
+        }
+        if let Some(&word) = self.words.get(words.len()) {
+            clear_unset_lanes(tail, word);
+        }
+        g
     }
 }
 
@@ -665,7 +729,7 @@ mod tests {
             slot: usize,
             weight: &mut Param,
             bias: &mut Param,
-            pending: PendingGrads,
+            pending: PendingGrads<'_>,
         ) {
             self.0.push(("linear", slot));
             pending.apply(weight, bias);
@@ -696,6 +760,82 @@ mod tests {
         assert_eq!(recorder.0, expected);
         assert_eq!(dx, plain.backward(&g));
         assert_eq!(grads_of(&hooked), grads_of(&plain));
+    }
+
+    /// `shape`'s worth of values, a quarter of them NaN, ±0.0, ±∞ or the
+    /// subnormal extremes and the rest any bit pattern (itself sometimes
+    /// NaN, infinite or subnormal).
+    fn hostile_values(shape: &[usize], rng: &mut Rng) -> Tensor {
+        const SPECIAL: [f32; 8] = [
+            f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007f_ffff),
+        ];
+        let len = shape.iter().product();
+        let values = (0..len)
+            .map(|_| match rng.next_u64() {
+                bits if bits % 4 == 0 => SPECIAL[(bits >> 8) as usize % SPECIAL.len()],
+                bits => f32::from_bits((bits >> 32) as u32),
+            })
+            .collect();
+        Tensor::from_vec(values, shape).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The 1-bit mask's backward is the `f32` cache's, bit for bit, at
+        /// every length class: one lane, a short tail word alone, one full
+        /// word, a word and a one-lane tail, and the critic's batch shapes.
+        #[test]
+        fn relu_mask_backward_matches_the_f32_cache_bitwise(
+            which in 0..6usize,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let shapes: [&[usize]; 6] = [&[1], &[63], &[64], &[65], &[32, 128], &[600, 128]];
+            let mut rng = Rng::seed_from_u64(seed);
+            let cache = hostile_values(shapes[which], &mut rng);
+            let grad_out = hostile_values(shapes[which], &mut rng);
+            let mut mask = None;
+            ReluMask::keep(&mut mask, &cache, true);
+            let masked = mask.unwrap().apply(&grad_out);
+            let expected = grad_out
+                .zip_with(&cache, |g, y| if y > 0.0 { g } else { 0.0 })
+                .unwrap();
+            proptest::prop_assert_eq!(masked.shape(), expected.shape());
+            let bits = |t: &Tensor| t.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert!(bits(&masked) == bits(&expected));
+        }
+    }
+
+    #[test]
+    fn a_relu_mask_is_packed_over_in_place_and_dropped_by_eval() {
+        let mut rng = Rng::seed_from_u64(15);
+        let mut mask = None;
+        ReluMask::keep(&mut mask, &hostile_values(&[600, 128], &mut rng), true);
+        let words = mask.as_ref().unwrap().words.as_ptr();
+        // A smaller batch reuses the words, and its tail word is its own.
+        let small = hostile_values(&[65], &mut rng);
+        ReluMask::keep(&mut mask, &small, true);
+        let kept = mask.as_ref().unwrap();
+        assert_eq!((kept.words.as_ptr(), kept.words.len()), (words, 2));
+        let expected = small.map(|y| if y > 0.0 { 1.0 } else { 0.0 });
+        assert_eq!(kept.apply(&Tensor::full(&[65], 1.0)), expected);
+        ReluMask::keep(&mut mask, &small, false);
+        assert!(mask.is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "relu mask shape")]
+    fn a_relu_mask_refuses_a_gradient_of_another_shape() {
+        let mut mask = None;
+        ReluMask::keep(&mut mask, &Tensor::full(&[2, 3], 1.0), true);
+        mask.unwrap().apply(&Tensor::full(&[7], 1.0));
     }
 
     #[test]

@@ -69,7 +69,7 @@ enum Job {
         slot: usize,
         weight: Param,
         bias: Param,
-        pending: PendingGrads,
+        pending: PendingGrads<'static>,
     },
 }
 
@@ -244,7 +244,7 @@ impl<'a> StepWorker<'a> {
         slot: usize,
         weight: &mut Param,
         bias: &mut Param,
-        pending: PendingGrads,
+        pending: PendingGrads<'_>,
     ) {
         pending.apply(weight, bias);
         let mut optimizer = self.optimizer();
@@ -373,7 +373,13 @@ impl ParamHook for &StepWorker<'_> {
         self.hand_over(Job::Param { slot, param });
     }
 
-    fn linear(&mut self, slot: usize, weight: &mut Param, bias: &mut Param, pending: PendingGrads) {
+    fn linear(
+        &mut self,
+        slot: usize,
+        weight: &mut Param,
+        bias: &mut Param,
+        pending: PendingGrads<'_>,
+    ) {
         if !self.serving.load(Ordering::Relaxed) {
             return self.update_linear(slot, weight, bias, pending);
         }
@@ -381,7 +387,8 @@ impl ParamHook for &StepWorker<'_> {
             slot,
             weight: take(weight),
             bias: take(bias),
-            pending,
+            // The step's one copy of a plain layer's lent `grad_out`.
+            pending: pending.into_owned(),
         });
     }
 }

@@ -744,10 +744,12 @@ fn another_tiers_optimizer_state_is_malformed_for_a_pooled_fleet() {
 /// prototype vector it sees — `true, count, rank 1, dim, values`, the
 /// entry layout of the stale-prototype cache; a global prototype has no
 /// count — loses its last coordinate, in shape and data alike, so the
-/// tensor itself still decodes.
+/// tensor itself still decodes; or, with `huge_count`, keeps its vector and
+/// has its count replaced by `usize::MAX`.
 #[derive(Default)]
 struct ShortenOnePrototype {
     out: Vec<u8>,
+    huge_count: bool,
     /// `put_usize` calls since the last other call, held back so the
     /// dimension can still be rewritten when the values arrive.
     held: Vec<usize>,
@@ -792,8 +794,12 @@ impl StateSink for ShortenOnePrototype {
             && self.held[2] == vs.len();
         if counted_vector && !self.shortened {
             self.shortened = true;
-            self.held[2] -= 1;
-            vs = &vs[..vs.len() - 1];
+            if self.huge_count {
+                self.held[0] = usize::MAX;
+            } else {
+                self.held[2] -= 1;
+                vs = &vs[..vs.len() - 1];
+            }
         }
         self.flush();
         self.after_true = false;
@@ -815,6 +821,23 @@ fn a_cached_prototype_of_the_wrong_width_is_malformed() {
     // ...and one short vector in the cache fails the restore: it would
     // otherwise enter Eq. 8 without meeting admission.
     let mut sink = ShortenOnePrototype::default();
+    algo.write_state(&mut sink);
+    assert!(sink.shortened, "round 0 cached somebody's prototypes");
+    let crafted = stream_of("FedPKD", &sink.into_bytes());
+    let err = fedpkd().restore_from(&mut crafted.as_slice()).unwrap_err();
+    assert!(matches!(err, SnapshotError::Malformed(_)), "got {err:?}");
+}
+
+/// A restored count wider than the wire's `u32` would overflow Eq. 8's
+/// per-class total at the next fold.
+#[test]
+fn a_cached_prototype_count_past_the_wire_width_is_malformed() {
+    let mut algo = fedpkd();
+    let _ = Driver::rounds(1).run_silent(&mut algo);
+    let mut sink = ShortenOnePrototype {
+        huge_count: true,
+        ..Default::default()
+    };
     algo.write_state(&mut sink);
     assert!(sink.shortened, "round 0 cached somebody's prototypes");
     let crafted = stream_of("FedPKD", &sink.into_bytes());

@@ -12,8 +12,9 @@
 //! assertion that nothing panicked — and must not size an allocation from
 //! a length field: the largest single request stays within twice the
 //! stream's own length (a `Vec` that grows as bytes arrive doubles). For
-//! `FleetSim`, whose rounds cost microseconds, an `Ok` restore must also
-//! drive one more round: state that restores but cannot run is malformed.
+//! `FleetSim`, whose rounds cost microseconds, and for data-free FedPKD, an
+//! `Ok` restore must also drive one more round: state that restores but
+//! cannot run is malformed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -230,7 +231,9 @@ fn fuzz_restores<A: Federation>(
 }
 
 /// The data-free mode, so the mutations also reach the generator's model,
-/// its Adam state and its RNG words.
+/// its Adam state and its RNG words. Every `Ok` restore runs one more
+/// round, so a restored value that only breaks the next round (a prototype
+/// count that overflows Eq. 8's total) fails here.
 #[test]
 fn corrupted_fedpkd_payloads_restore_or_fail_typed() {
     let make = || {
@@ -251,7 +254,7 @@ fn corrupted_fedpkd_payloads_restore_or_fail_typed() {
         )
         .expect("valid federation")
     };
-    fuzz_restores(0xF3D9, make, faulty(), false);
+    fuzz_restores(0xF3D9, make, faulty(), true);
 }
 
 /// FedPKD under a sampled cohort of one of its three clients: after two
