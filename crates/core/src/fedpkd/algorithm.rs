@@ -568,7 +568,7 @@ impl FedPkdState {
         // Data-free mode: refine the generator against the round's
         // aggregated ensemble with the pre-distill server as its critic —
         // the FedGen alternation. Refine never steps the critic's params,
-        // restores its buffers and leaves its gradients at zero, so a copy
+        // never moves its buffers and leaves its gradients at zero, so a copy
         // of the pre-distill server, built and dropped where the refine
         // runs, is as good a critic, and the refine runs beside the
         // distillation below, wherever the budget puts it. The copy's

@@ -18,10 +18,12 @@
 //! accumulation, so generated batches and generator updates replay
 //! bit-identically across worker counts.
 //!
-//! The critic (the server model) forwards in train mode only so its
-//! normalization layers can backpropagate. [`refine`] never steps its
-//! parameters, restores its buffers afterwards and leaves its gradients at
-//! zero, so the critic need not be the server itself: a round hands it a
+//! The critic (the server model) forwards in a frozen training pass
+//! ([`Pass::Frozen`]): its normalization layers use batch statistics and
+//! can backpropagate, but their running statistics stay put, and its
+//! `Linear`s keep nothing for a weight gradient. [`refine`] never steps
+//! its parameters and leaves its gradients at zero, so the critic need not
+//! be the server itself: a round hands it a
 //! copy — built from the server's spec and loaded with the server's state
 //! vector — and, at a worker budget of 2 or more, refines on its own thread
 //! while the server distills; the copy is as good a critic as the server,
@@ -30,7 +32,7 @@
 use fedpkd_rng::Rng;
 use fedpkd_tensor::loss::{CrossEntropy, DistillKl, Mse};
 use fedpkd_tensor::models::ClassifierModel;
-use fedpkd_tensor::nn::{Layer, Linear, Param, ParamHook, PendingGrads, Relu, Sequential};
+use fedpkd_tensor::nn::{Layer, Linear, Param, ParamHook, Pass, PendingGrads, Relu, Sequential};
 use fedpkd_tensor::optim::{step_and_zero, Adam, Optimizer};
 use fedpkd_tensor::Tensor;
 
@@ -123,10 +125,11 @@ impl Generator {
 }
 
 /// The backward hook of the pass through the critic: [`refine`] wants the
-/// input gradient only, so every `Linear`'s weight products are dropped
-/// unrun (a plain layer's gradient was only lent, so nothing was copied for
-/// them) and any other parameter's gradient (a `BatchNorm1d`'s `dγ`/`dβ`)
-/// is zeroed the moment it is accumulated.
+/// input gradient only, so every `Linear`'s weight products, which a frozen
+/// forward leaves without an input, are dropped (a plain layer's gradient
+/// was only lent, so nothing was copied for them) and any other parameter's
+/// gradient (a `BatchNorm1d`'s `dγ`/`dβ`) is zeroed the moment it is
+/// accumulated.
 struct Critic;
 
 impl ParamHook for Critic {
@@ -157,7 +160,7 @@ pub struct GeneratorStats {
 /// Refines the generator against the round's aggregated knowledge.
 ///
 /// Re-forwards the round's broadcast latents through the generator (in
-/// train mode) and through the frozen server critic; the loss
+/// train mode) and through the server critic (in a frozen pass); the loss
 /// is the sum of the ensemble KL (when `teacher_probs` is available), the
 /// intended-label cross-entropy, the prototype alignment MSE over rows
 /// whose class has a global prototype, and — the real-data anchor — a
@@ -166,7 +169,7 @@ pub struct GeneratorStats {
 /// `class_moments` (per-batch-mean, so individual samples keep their
 /// latent-driven diversity instead of collapsing onto the mean). The
 /// server model is a critic here, never a trainee: its parameters are never
-/// stepped, its buffers are restored afterwards, and the pass through it
+/// stepped, its running statistics never move, and the pass through it
 /// runs no `Linear` weight product and zeroes every other gradient it
 /// accumulates, so a critic that comes in with zero gradients leaves with
 /// zero gradients.
@@ -192,12 +195,6 @@ pub fn refine(
     let ce = CrossEntropy::new();
     let mse = Mse::new();
     let input = generator.conditioned(latents, labels);
-    // The critic must forward in train mode so normalization layers cache
-    // what their backward needs; that drifts their running statistics, so
-    // snapshot the buffers here and restore them below — the critic comes
-    // out bit-identical to how it went in.
-    let mut saved_buffers: Vec<Vec<f32>> = Vec::new();
-    server.visit_buffers(&mut |b| saved_buffers.push(b.to_vec()));
     // Labels, prototypes and moments do not change between epochs, so
     // neither do the covered rows, their targets or the per-class row
     // lists; the per-epoch tensors are rebuilt in place.
@@ -220,7 +217,7 @@ pub fn refine(
     let mut mean = vec![0.0f64; dim_in];
     for _ in 0..epochs {
         let x = generator.net.forward(&input, true);
-        let (features, logits) = server.forward_full(&x, true);
+        let (features, logits) = server.forward_full_pass(&x, Pass::Frozen);
         // Logit-space pull: ensemble KL plus intended-label CE.
         let (ce_loss, ce_grad) = ce.loss_and_grad(&logits, labels);
         let (ens_loss, mut logit_grad) = match teacher_probs {
@@ -294,11 +291,6 @@ pub fn refine(
             moment_loss,
         };
     }
-    let mut restored = saved_buffers.into_iter();
-    server.visit_buffers_mut(&mut |b| {
-        let saved = restored.next().expect("buffer walk order is stable");
-        b.copy_from_slice(&saved);
-    });
     stats
 }
 
@@ -429,8 +421,8 @@ mod tests {
     }
 
     /// The same contract through `BatchNorm1d`, whose `dγ`/`dβ` the pass
-    /// accumulates and zeroes and whose running statistics it restores —
-    /// drifted off their initial values first, so the restore shows.
+    /// accumulates and zeroes and whose running statistics it never moves —
+    /// drifted off their initial values first, so a move would show.
     #[test]
     fn refine_leaves_a_batch_norm_critic_unchanged() {
         let mut rng = Rng::seed_from_u64(9);

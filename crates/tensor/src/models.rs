@@ -16,7 +16,7 @@
 
 use crate::nn::{
     AvgPool2d, BatchNorm1d, Conv2d, Flatten, GlobalAvgPool2d, Layer, Linear, Param, ParamHook,
-    Relu, Residual, Sequential,
+    Pass, Relu, Residual, Sequential,
 };
 use crate::optim::{step_and_zero, Optimizer};
 use crate::step_worker::StepWorker;
@@ -84,8 +84,13 @@ impl ClassifierModel {
 
     /// Runs the full model, returning `(features, logits)`.
     pub fn forward_full(&mut self, input: &Tensor, train: bool) -> (Tensor, Tensor) {
-        let features = self.forward_features(input, train);
-        let logits = self.head.forward(&features, train);
+        self.forward_full_pass(input, if train { Pass::Train } else { Pass::Eval })
+    }
+
+    /// [`forward_full`](Self::forward_full) under any [`Pass`].
+    pub fn forward_full_pass(&mut self, input: &Tensor, pass: Pass) -> (Tensor, Tensor) {
+        let features = self.backbone.forward_pass(input, pass);
+        let logits = self.head.forward_pass(&features, pass);
         (features, logits)
     }
 
@@ -237,8 +242,8 @@ impl std::fmt::Debug for ClassifierModel {
 }
 
 impl Layer for ClassifierModel {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        self.forward_logits(input, train)
+    fn forward_pass(&mut self, input: &Tensor, pass: Pass) -> Tensor {
+        self.forward_full_pass(input, pass).1
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -1,6 +1,6 @@
 //! The element-wise activation layer.
 
-use super::{Layer, Param, ReluMask};
+use super::{Layer, Param, Pass, ReluMask};
 use crate::Tensor;
 
 /// Rectified linear unit: `max(0, x)`.
@@ -17,8 +17,8 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        ReluMask::keep(&mut self.mask, input, train);
+    fn forward_pass(&mut self, input: &Tensor, pass: Pass) -> Tensor {
+        ReluMask::keep(&mut self.mask, input, pass != Pass::Eval);
         input.map(|x| x.max(0.0))
     }
 

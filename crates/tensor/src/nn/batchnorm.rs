@@ -1,6 +1,6 @@
 //! Batch normalization for rank-2 activations.
 
-use super::{Layer, Param};
+use super::{Layer, Param, Pass};
 use crate::Tensor;
 
 /// Batch normalization over the feature dimension of `[batch, features]`
@@ -8,7 +8,9 @@ use crate::Tensor;
 ///
 /// Training mode normalizes with batch statistics and maintains running
 /// estimates; evaluation mode normalizes with the running estimates, so a
-/// trained model is deterministic at inference time.
+/// trained model is deterministic at inference time. A [`Pass::Frozen`]
+/// forward normalizes as training does and leaves the running estimates
+/// alone.
 pub struct BatchNorm1d {
     gamma: Param,
     beta: Param,
@@ -61,14 +63,14 @@ impl std::fmt::Debug for BatchNorm1d {
 }
 
 impl Layer for BatchNorm1d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward_pass(&mut self, input: &Tensor, pass: Pass) -> Tensor {
         let n = input.rows();
         let d = self.features;
         debug_assert_eq!(input.cols(), d, "feature width mismatch");
         let gamma = self.gamma.value.as_slice();
         let beta = self.beta.value.as_slice();
 
-        let use_batch_stats = train && n > 1;
+        let use_batch_stats = pass != Pass::Eval && n > 1;
         let (mean, var) = if use_batch_stats {
             let mut mean = vec![0.0f32; d];
             for r in 0..n {
@@ -88,15 +90,17 @@ impl Layer for BatchNorm1d {
             for v in &mut var {
                 *v /= n as f32;
             }
-            // Update running statistics.
-            for ((rm, rv), (&m, &v)) in self
-                .running_mean
-                .iter_mut()
-                .zip(self.running_var.iter_mut())
-                .zip(mean.iter().zip(&var))
-            {
-                *rm = (1.0 - self.momentum) * *rm + self.momentum * m;
-                *rv = (1.0 - self.momentum) * *rv + self.momentum * v;
+            // Update running statistics, unless the pass is frozen.
+            if pass == Pass::Train {
+                for ((rm, rv), (&m, &v)) in self
+                    .running_mean
+                    .iter_mut()
+                    .zip(self.running_var.iter_mut())
+                    .zip(mean.iter().zip(&var))
+                {
+                    *rm = (1.0 - self.momentum) * *rm + self.momentum * m;
+                    *rv = (1.0 - self.momentum) * *rv + self.momentum * v;
+                }
             }
             (mean, var)
         } else {
@@ -108,7 +112,7 @@ impl Layer for BatchNorm1d {
         // Zip-driven row sweeps (no per-element bounds checks); the
         // per-element arithmetic is unchanged, so outputs are bit-identical
         // to the indexed loops.
-        if !train {
+        if pass == Pass::Eval {
             // Eval keeps nothing for a backward: `xhat` lives only in a
             // register, and the caches of an earlier training batch go.
             for (xr, or) in input

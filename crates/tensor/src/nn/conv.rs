@@ -1,6 +1,6 @@
 //! 2-D convolution via im2col.
 
-use super::{keep_for_backward, Layer, Param};
+use super::{Layer, Param, Pass};
 use crate::Tensor;
 use fedpkd_rng::Rng;
 
@@ -31,7 +31,7 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     padding: usize,
-    cached_input: Option<Tensor>,
+    cached_in_shape: Option<Vec<usize>>,
     cached_cols: Option<Vec<Tensor>>, // one [ic*k*k, oh*ow] matrix per sample
 }
 
@@ -65,7 +65,7 @@ impl Conv2d {
             kernel,
             stride,
             padding,
-            cached_input: None,
+            cached_in_shape: None,
             cached_cols: None,
         }
     }
@@ -148,7 +148,7 @@ impl std::fmt::Debug for Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward_pass(&mut self, input: &Tensor, pass: Pass) -> Tensor {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "Conv2d expects [n, c, h, w] input");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
@@ -171,21 +171,23 @@ impl Layer for Conv2d {
             }
             cols.push(col);
         }
-        keep_for_backward(&mut self.cached_input, input, train);
-        self.cached_cols = train.then_some(cols);
+        // A frozen pass keeps what a training one does: the backward forms
+        // `dW` and `dx` in one per-sample loop over the same columns. Of the
+        // input it reads only the shape.
+        self.cached_in_shape = (pass != Pass::Eval).then(|| shape.to_vec());
+        self.cached_cols = (pass != Pass::Eval).then_some(cols);
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
+        let in_shape = self
+            .cached_in_shape
+            .as_deref()
             .expect("backward called before forward");
         let cols = self
             .cached_cols
             .as_ref()
             .expect("backward called before forward");
-        let in_shape = input.shape();
         let (n, _c, h, w) = (in_shape[0], in_shape[1], in_shape[2], in_shape[3]);
         let oh = self.output_size(h);
         let ow = self.output_size(w);

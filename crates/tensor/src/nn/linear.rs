@@ -1,6 +1,6 @@
 //! Fully connected layer.
 
-use super::{Layer, Param, ParamHook, ReluMask};
+use super::{Layer, Param, ParamHook, Pass, ReluMask};
 use crate::Tensor;
 use fedpkd_rng::Rng;
 use std::borrow::Cow;
@@ -31,9 +31,12 @@ pub struct Linear {
     in_features: usize,
     out_features: usize,
     fuse_relu: bool,
-    /// Shared, not owned outright: a [`PendingGrads`] reads it from
-    /// wherever the hook carried it while the layer keeps the buffer for
-    /// the next batch.
+    /// Whether the last forward was [`Pass::Frozen`]: it keeps no input,
+    /// and `backward_with` offers products that can only be dropped.
+    frozen: bool,
+    /// Kept by a [`Pass::Train`] forward only. Shared, not owned outright:
+    /// a [`PendingGrads`] reads it from wherever the hook carried it while
+    /// the layer keeps the buffer for the next batch.
     cached_input: Option<Arc<Tensor>>,
     relu_mask: Option<ReluMask>,
 }
@@ -57,16 +60,25 @@ fn accumulate_bias_grad(g: &Tensor, bias: &mut Param) {
 /// of the layer's cache — so a [`ParamHook::linear`] may apply it on the
 /// spot, or [`into_owned`](Self::into_owned) anywhere, on any thread: the
 /// same two kernels on the same operands as the layer's own backward.
+/// After a [`Pass::Frozen`] forward it has no `x`, and only dropping it is
+/// allowed.
 #[derive(Debug)]
 pub struct PendingGrads<'a> {
-    x: Arc<Tensor>,
+    x: Option<Arc<Tensor>>,
     g: Cow<'a, Tensor>,
 }
 
 impl PendingGrads<'_> {
     /// Applies both products to the two gradients.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer's last forward was [`Pass::Frozen`].
     pub fn apply(self, weight: &mut Param, bias: &mut Param) {
-        accumulate_weight_grad(&self.x, &self.g, weight);
+        let x = self
+            .x
+            .expect("no weight gradient after a frozen forward pass: it keeps no input");
+        accumulate_weight_grad(&x, &self.g, weight);
         accumulate_bias_grad(&self.g, bias);
     }
 
@@ -97,6 +109,7 @@ impl Linear {
             in_features,
             out_features,
             fuse_relu: false,
+            frozen: false,
             cached_input: None,
             relu_mask: None,
         }
@@ -157,22 +170,28 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward_pass(&mut self, input: &Tensor, pass: Pass) -> Tensor {
         debug_assert_eq!(input.cols(), self.in_features, "input width mismatch");
         let out = input
             .matmul_bias(&self.weight.value, &self.bias.value, self.fuse_relu)
             .expect("linear forward: shape mismatch");
-        // `keep_for_backward` for a shared buffer: sole owner again by the
-        // time a step has finished, so the buffer is overwritten in place.
-        if !train {
+        // Only `dW` reads the input. The layer is sole owner of the buffer
+        // again by the time a step has finished, so a training forward
+        // overwrites it in place; any other pass drops it.
+        if pass != Pass::Train {
             self.cached_input = None;
         } else if let Some(cached) = self.cached_input.as_mut().and_then(Arc::get_mut) {
             cached.clone_from(input);
         } else {
             self.cached_input = Some(Arc::new(input.clone()));
         }
+        self.frozen = pass == Pass::Frozen;
         // The output gives the ReLU mask: `relu(z) > 0 ⇔ z > 0`.
-        ReluMask::keep(&mut self.relu_mask, &out, train && self.fuse_relu);
+        ReluMask::keep(
+            &mut self.relu_mask,
+            &out,
+            pass != Pass::Eval && self.fuse_relu,
+        );
         out
     }
 
@@ -198,17 +217,19 @@ impl Layer for Linear {
     /// tensor it just made and hands over; a plain layer's `grad_out`
     /// belongs to the layer above (a residual block reads it again for its
     /// skip path), so it lends it, and only a hook that keeps the products
-    /// past this call copies it.
+    /// past this call copies it. After a frozen forward the products carry
+    /// no input.
     fn backward_with(
         &mut self,
         grad_out: &Tensor,
         first_slot: usize,
         hook: &mut dyn ParamHook,
     ) -> Tensor {
-        let x = self
-            .cached_input
-            .clone()
-            .expect("backward called before forward");
+        let x = match &self.cached_input {
+            Some(x) => Some(Arc::clone(x)),
+            None if self.frozen => None,
+            None => panic!("backward called before forward"),
+        };
         let g = if self.fuse_relu {
             Cow::Owned(self.masked(grad_out))
         } else {
@@ -345,6 +366,38 @@ mod tests {
         let x = Tensor::rand_uniform(&[5, 4], 0.5, 1.5, &mut rng);
         gradcheck::check_input_grad(&mut fc, &x, 1e-2);
         gradcheck::check_param_grad(&mut fc, &x, 1e-2);
+    }
+
+    #[test]
+    fn a_frozen_forward_keeps_the_mask_and_drops_the_training_input() {
+        let mut rng = Rng::seed_from_u64(10);
+        let mut fc = Linear::fused_relu(4, 3, &mut rng);
+        let x = Tensor::rand_uniform(&[5, 4], -1.0, 1.0, &mut rng);
+        fc.forward_pass(&x, Pass::Train);
+        assert!(fc.cached_input.is_some() && fc.relu_mask.is_some());
+        fc.forward_pass(&x, Pass::Frozen);
+        assert!(fc.cached_input.is_none(), "no input for a weight gradient");
+        assert!(fc.relu_mask.is_some(), "the mask `dx` reads");
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn an_input_gradient_after_an_eval_forward_still_panics() {
+        let mut rng = Rng::seed_from_u64(11);
+        let mut fc = Linear::new(4, 3, &mut rng);
+        let x = Tensor::rand_uniform(&[5, 4], -1.0, 1.0, &mut rng);
+        fc.forward_pass(&x, Pass::Frozen);
+        fc.forward_pass(&x, Pass::Eval);
+        fc.backward_with(&Tensor::zeros(&[5, 3]), 0, &mut DropProducts);
+    }
+
+    /// Drops the products unapplied, as a critic that wants only `dx` does.
+    struct DropProducts;
+
+    impl ParamHook for DropProducts {
+        fn param(&mut self, _: usize, _: &mut Param) {}
+
+        fn linear(&mut self, _: usize, _: &mut Param, _: &mut Param, _: PendingGrads<'_>) {}
     }
 
     #[test]

@@ -96,6 +96,19 @@ impl<F: FnMut(usize, &mut Param)> ParamHook for F {
     }
 }
 
+/// Which forward a layer runs, and so what it keeps for a backward.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pass {
+    /// Running statistics; nothing kept, so a backward after it panics.
+    Eval,
+    /// Batch statistics, which move the running ones; every cache kept.
+    Train,
+    /// A training pass whose backward takes only the input gradient: batch
+    /// statistics, running ones left alone, and a [`Linear`] keeps no
+    /// input ([`PendingGrads::apply`] panics).
+    Frozen,
+}
+
 /// A differentiable network layer.
 ///
 /// The contract: call [`forward`](Layer::forward) on a batch, then
@@ -110,9 +123,15 @@ impl<F: FnMut(usize, &mut Param)> ParamHook for F {
 ///
 /// Layers are `Send` so simulated clients can train on worker threads.
 pub trait Layer: Send {
-    /// Runs the layer on `input`. `train` selects training-time behaviour
-    /// (batch-norm batch statistics, caches kept for `backward`).
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    /// Runs the layer on `input` under `pass`, which selects batch or
+    /// running statistics and what is kept for a backward.
+    fn forward_pass(&mut self, input: &Tensor, pass: Pass) -> Tensor;
+
+    /// [`forward_pass`](Layer::forward_pass) under [`Pass::Train`] when
+    /// `train`, else [`Pass::Eval`].
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        self.forward_pass(input, if train { Pass::Train } else { Pass::Eval })
+    }
 
     /// Backpropagates `grad_out` (gradient w.r.t. the last forward output),
     /// accumulating parameter gradients and returning the gradient w.r.t.
@@ -196,20 +215,6 @@ pub trait Layer: Send {
     /// Zeroes all accumulated gradients.
     fn zero_grad(&mut self) {
         self.visit_params_mut(&mut |p| p.zero_grad());
-    }
-}
-
-/// Maintains one of a layer's backward caches across a forward pass. A
-/// training forward stores `value`, overwriting the previous batch's tensor
-/// in place (no allocation once the cache is warm). An eval forward keeps
-/// nothing and drops what was there, so a `backward` after it panics with
-/// "backward called before forward" instead of silently using the previous
-/// training batch.
-fn keep_for_backward(cache: &mut Option<Tensor>, value: &Tensor, train: bool) {
-    match cache {
-        _ if !train => *cache = None,
-        Some(cached) => cached.clone_from(value),
-        None => *cache = Some(value.clone()),
     }
 }
 
@@ -336,13 +341,13 @@ impl std::fmt::Debug for Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+    fn forward_pass(&mut self, input: &Tensor, pass: Pass) -> Tensor {
         let Some((first, rest)) = self.layers.split_first_mut() else {
             return input.clone();
         };
-        let mut x = first.forward(input, train);
+        let mut x = first.forward_pass(input, pass);
         for layer in rest {
-            x = layer.forward(&x, train);
+            x = layer.forward_pass(&x, pass);
         }
         x
     }
@@ -439,8 +444,8 @@ impl std::fmt::Debug for Residual {
 }
 
 impl Layer for Residual {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let main = self.body.forward(input, train);
+    fn forward_pass(&mut self, input: &Tensor, pass: Pass) -> Tensor {
+        let main = self.body.forward_pass(input, pass);
         main.add(input)
             .expect("residual body must preserve the input shape")
     }

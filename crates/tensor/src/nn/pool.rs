@@ -1,6 +1,6 @@
 //! Pooling and reshaping layers for the convolutional path.
 
-use super::{Layer, Param};
+use super::{Layer, Param, Pass};
 use crate::Tensor;
 
 /// Average pooling over non-overlapping (or strided) square windows of a
@@ -36,7 +36,7 @@ impl AvgPool2d {
 }
 
 impl Layer for AvgPool2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward_pass(&mut self, input: &Tensor, pass: Pass) -> Tensor {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "AvgPool2d expects [n, c, h, w]");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
@@ -62,7 +62,8 @@ impl Layer for AvgPool2d {
                 }
             }
         }
-        self.cached_in_shape = Some(shape.to_vec());
+        // An eval forward keeps nothing, so a backward after it panics.
+        self.cached_in_shape = (pass != Pass::Eval).then(|| shape.to_vec());
         out
     }
 
@@ -119,7 +120,7 @@ impl GlobalAvgPool2d {
 }
 
 impl Layer for GlobalAvgPool2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward_pass(&mut self, input: &Tensor, pass: Pass) -> Tensor {
         let shape = input.shape();
         assert_eq!(shape.len(), 4, "GlobalAvgPool2d expects [n, c, h, w]");
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
@@ -132,7 +133,8 @@ impl Layer for GlobalAvgPool2d {
                 *d = src[ci * h * w..(ci + 1) * h * w].iter().sum::<f32>() / area;
             }
         }
-        self.cached_in_shape = Some(shape.to_vec());
+        // An eval forward keeps nothing, so a backward after it panics.
+        self.cached_in_shape = (pass != Pass::Eval).then(|| shape.to_vec());
         out
     }
 
@@ -176,8 +178,8 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        self.cached_in_shape = Some(input.shape().to_vec());
+    fn forward_pass(&mut self, input: &Tensor, pass: Pass) -> Tensor {
+        self.cached_in_shape = (pass != Pass::Eval).then(|| input.shape().to_vec());
         input
             .reshape(&[input.rows(), input.cols()])
             .expect("flatten preserves element count")
@@ -252,6 +254,32 @@ mod tests {
         assert_eq!(y.shape(), &[2, 48]);
         let g = fl.backward(&Tensor::zeros(&[2, 48]));
         assert_eq!(g.shape(), &[2, 3, 4, 4]);
+    }
+
+    /// A training forward, an eval forward, then a backward.
+    fn backward_after_eval(layer: &mut dyn Layer, in_shape: &[usize]) {
+        let x = Tensor::zeros(in_shape);
+        let out = layer.forward(&x, true);
+        layer.forward(&x, false);
+        layer.backward(&Tensor::zeros(out.shape()));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn avg_pool_eval_forward_drops_the_training_shape() {
+        backward_after_eval(&mut AvgPool2d::new(2, 2), &[1, 2, 4, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn global_avg_pool_eval_forward_drops_the_training_shape() {
+        backward_after_eval(&mut GlobalAvgPool2d::new(), &[1, 2, 4, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called before forward")]
+    fn flatten_eval_forward_drops_the_training_shape() {
+        backward_after_eval(&mut Flatten::new(), &[1, 2, 4, 4]);
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! a typed [`SnapshotError`] — reaching the end of the loop *is* the
 //! assertion that nothing panicked — and must not size an allocation from
 //! a length field: the largest single request stays within twice the
-//! stream's own length (a `Vec` that grows as bytes arrive doubles). For
-//! `FleetSim`, whose rounds cost microseconds, and for data-free FedPKD, an
+//! stream's own length (a `Vec` that grows as bytes arrive doubles). An
 //! `Ok` restore must also drive one more round: state that restores but
 //! cannot run is malformed.
 
@@ -168,14 +167,9 @@ fn faulty() -> DriverBuilder {
 }
 
 /// Drives `make()` for two rounds under `builder`, then restores
-/// `MUTATIONS` corrupted copies of its snapshot; with `drive_on`, every
-/// copy that restores also runs one more round under `builder`.
-fn fuzz_restores<A: Federation>(
-    seed: u64,
-    make: impl Fn() -> A,
-    builder: DriverBuilder,
-    drive_on: bool,
-) {
+/// `MUTATIONS` corrupted copies of its snapshot; every copy that restores
+/// also runs one more round under `builder`.
+fn fuzz_restores<A: Federation>(seed: u64, make: impl Fn() -> A, builder: DriverBuilder) {
     let mut donor = make();
     let _ = builder.clone().rounds(2).build().run_silent(&mut donor);
     let mut map = FieldMap::default();
@@ -214,9 +208,7 @@ fn fuzz_restores<A: Federation>(
         match outcome {
             Ok(()) => {
                 restored += 1;
-                if drive_on {
-                    let _ = builder.clone().rounds(1).build().run_silent(&mut victim);
-                }
+                let _ = builder.clone().rounds(1).build().run_silent(&mut victim);
             }
             Err(_) => rejected += 1,
         }
@@ -231,9 +223,8 @@ fn fuzz_restores<A: Federation>(
 }
 
 /// The data-free mode, so the mutations also reach the generator's model,
-/// its Adam state and its RNG words. Every `Ok` restore runs one more
-/// round, so a restored value that only breaks the next round (a prototype
-/// count that overflows Eq. 8's total) fails here.
+/// its Adam state and its RNG words. A restored value that only breaks the
+/// next round (a prototype count that overflows Eq. 8's total) fails here.
 #[test]
 fn corrupted_fedpkd_payloads_restore_or_fail_typed() {
     let make = || {
@@ -254,7 +245,7 @@ fn corrupted_fedpkd_payloads_restore_or_fail_typed() {
         )
         .expect("valid federation")
     };
-    fuzz_restores(0xF3D9, make, faulty(), true);
+    fuzz_restores(0xF3D9, make, faulty());
 }
 
 /// FedPKD under a sampled cohort of one of its three clients: after two
@@ -289,7 +280,7 @@ fn corrupted_sampled_fedpkd_payloads_restore_or_fail_typed() {
         "{} of 3 slots parked",
         pool.resident_clients()
     );
-    fuzz_restores(0x5A3F, make, builder, false);
+    fuzz_restores(0x5A3F, make, builder);
 }
 
 fn baseline_config() -> BaselineConfig {
@@ -305,14 +296,14 @@ fn baseline_config() -> BaselineConfig {
 #[test]
 fn corrupted_fedavg_payloads_restore_or_fail_typed() {
     let make = || FedAvg::new(scenario(), spec(DepthTier::T11), baseline_config(), 29).unwrap();
-    fuzz_restores(0xA7C1, make, faulty(), false);
+    fuzz_restores(0xA7C1, make, faulty());
 }
 
 /// FedDF carries what FedAvg does not: a server-side RNG position.
 #[test]
 fn corrupted_feddf_payloads_restore_or_fail_typed() {
     let make = || FedDf::new(scenario(), spec(DepthTier::T11), baseline_config(), 31).unwrap();
-    fuzz_restores(0xDF07, make, faulty(), false);
+    fuzz_restores(0xDF07, make, faulty());
 }
 
 /// The other five baselines, one row each: what FedAvg and FedDF (named
@@ -331,25 +322,25 @@ fn corrupted_baseline_payloads_restore_or_fail_typed() {
         ("FedProx", || {
             let make =
                 || FedProx::new(scenario(), spec(DepthTier::T11), baseline_config(), 37).unwrap();
-            fuzz_restores(0x9807, make, faulty(), false);
+            fuzz_restores(0x9807, make, faulty());
         }),
         ("FedMD", || {
             let make = || FedMd::new(scenario(), clients(), baseline_config(), 41).unwrap();
-            fuzz_restores(0x3D01, make, faulty(), false);
+            fuzz_restores(0x3D01, make, faulty());
         }),
         ("DS-FL", || {
             let make = || DsFl::new(scenario(), clients(), baseline_config(), 43).unwrap();
-            fuzz_restores(0xD5F1, make, faulty(), false);
+            fuzz_restores(0xD5F1, make, faulty());
         }),
         ("FedET", || {
             let make =
                 || FedEt::new(scenario(), clients(), server(), baseline_config(), 47).unwrap();
-            fuzz_restores(0xFE07, make, faulty(), false);
+            fuzz_restores(0xFE07, make, faulty());
         }),
         ("NaiveKD", || {
             let make =
                 || NaiveKd::new(scenario(), clients(), server(), baseline_config(), 53).unwrap();
-            fuzz_restores(0x4A1D, make, faulty(), false);
+            fuzz_restores(0x4A1D, make, faulty());
         }),
     ];
     for (name, fuzz) in rows {
@@ -367,5 +358,5 @@ fn corrupted_fleet_payloads_restore_or_fail_typed_and_run_on() {
     let builder = DriverBuilder::new()
         .cohort(CohortPolicy::Sample { size: 32, seed: 9 })
         .faults(plan);
-    fuzz_restores(0xF1EE, || FleetSim::new(200, 6, 8, 33), builder, true);
+    fuzz_restores(0xF1EE, || FleetSim::new(200, 6, 8, 33), builder);
 }
