@@ -18,12 +18,12 @@ use fedpkd_core::fedpkd::CoreError;
 use fedpkd_core::runtime::DriverState;
 use fedpkd_core::snapshot::{self, SnapshotError, StateSink, StateSource};
 use fedpkd_core::telemetry::{emit_phase_timing, Phase, TelemetryEvent};
-use fedpkd_core::train::{add_proximal_term, train_distill, train_supervised, TrainStats};
+use fedpkd_core::train::{add_proximal_grad, train_distill, train_supervised, TrainStats};
 use fedpkd_data::{ClientData, Dataset, FederatedScenario};
 use fedpkd_netsim::Message;
 use fedpkd_rng::Rng;
 use fedpkd_tensor::models::{ClassifierModel, ModelSpec};
-use fedpkd_tensor::nn::{Layer, Param};
+use fedpkd_tensor::nn::Layer;
 use fedpkd_tensor::optim::{Adam, Optimizer};
 use fedpkd_tensor::Tensor;
 
@@ -306,8 +306,8 @@ pub(crate) fn train_supervised_prox(
 }
 
 /// FedProx's per-parameter hook as an optimizer: `inner`'s update, with the
-/// proximal gradient `μ(w − w_ref)` folded into each parameter's gradient
-/// just ahead of it.
+/// proximal gradient `μ(w − w_ref)` folded into each gradient it is handed
+/// (thread scratch for a fused `Linear`) just ahead of it.
 struct Proximal<'a> {
     inner: &'a mut dyn Optimizer,
     /// Each parameter's slice of `w_ref`, by slot.
@@ -320,9 +320,9 @@ impl Optimizer for Proximal<'_> {
         self.inner.begin_step(model);
     }
 
-    fn update_param(&mut self, slot: usize, param: &mut Param) {
-        add_proximal_term(param, self.anchors[slot], self.mu);
-        self.inner.update_param(slot, param);
+    fn update(&mut self, slot: usize, value: &mut [f32], grad: &mut [f32]) {
+        add_proximal_grad(grad, value, self.anchors[slot], self.mu);
+        self.inner.update(slot, value, grad);
     }
 
     fn learning_rate(&self) -> f32 {

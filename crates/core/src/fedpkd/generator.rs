@@ -33,7 +33,7 @@ use fedpkd_rng::Rng;
 use fedpkd_tensor::loss::{CrossEntropy, DistillKl, Mse};
 use fedpkd_tensor::models::ClassifierModel;
 use fedpkd_tensor::nn::{Layer, Linear, Param, ParamHook, Pass, PendingGrads, Relu, Sequential};
-use fedpkd_tensor::optim::{step_and_zero, Adam, Optimizer};
+use fedpkd_tensor::optim::{Adam, FusedStep, Optimizer};
 use fedpkd_tensor::Tensor;
 
 /// Hidden width of the generator MLP.
@@ -281,9 +281,7 @@ pub fn refine(
         optimizer.begin_step(&generator.net);
         generator
             .net
-            .backward_with(&input_grad, 0, &mut |slot: usize, param: &mut Param| {
-                step_and_zero(optimizer, slot, param);
-            });
+            .backward_with(&input_grad, 0, &mut FusedStep(optimizer));
         stats = GeneratorStats {
             ensemble_loss: f64::from(ens_loss),
             ce_loss: f64::from(ce_loss),
@@ -404,8 +402,8 @@ mod tests {
             3,
         );
         assert_eq!(state_vector(server), before);
-        let mut grads = Vec::new();
-        server.visit_params(&mut |p| grads.extend_from_slice(p.grad.as_slice()));
+        let mut grads: Vec<f32> = Vec::new();
+        server.visit_params(&mut |p| grads.extend(p.grad().map_or(&[][..], Tensor::as_slice)));
         assert!(
             grads.iter().all(|&g| g == 0.0),
             "critic grads must be zeroed"

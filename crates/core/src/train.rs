@@ -222,15 +222,21 @@ pub fn train_distill(
 ///
 /// Panics if `reference` is not the parameter's length.
 pub fn add_proximal_term(param: &mut Param, reference: &[f32], mu: f32) {
-    let values = param.value.as_slice();
-    assert_eq!(reference.len(), values.len(), "reference slice mismatch");
-    for ((g, &w), &r) in param
-        .grad
-        .as_mut_slice()
-        .iter_mut()
-        .zip(values)
-        .zip(reference)
-    {
+    let (value, grad) = param.value_and_grad_mut();
+    add_proximal_grad(grad.as_mut_slice(), value.as_slice(), reference, mu);
+}
+
+/// [`add_proximal_term`] on a gradient slice: `grad += μ · (w − w_ref)`,
+/// `value` holding `w` — what FedProx's optimizer does to each gradient
+/// the fused step hands it.
+///
+/// # Panics
+///
+/// Panics if `reference` or `grad` is not `value`'s length.
+pub fn add_proximal_grad(grad: &mut [f32], value: &[f32], reference: &[f32], mu: f32) {
+    assert_eq!(reference.len(), value.len(), "reference slice mismatch");
+    assert_eq!(grad.len(), value.len(), "gradient slice mismatch");
+    for ((g, &w), &r) in grad.iter_mut().zip(value).zip(reference) {
         *g += mu * (w - r);
     }
 }

@@ -19,6 +19,11 @@
 //! finishes before the distillation, after it, or panics, at budgets 2 and
 //! 3 against budget 1. Every test that runs a step worker
 //! has `worker` in its name: `scripts/check.sh` re-runs those on one core.
+//!
+//! A fused step hands every `Linear`'s `dW` and `db` from thread scratch
+//! to the optimizer, so after one, inline or on a worker, no `Linear`
+//! weight or bias holds an allocated gradient; the trio comparison reads
+//! such a gradient as the zeros it stands for.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -27,7 +32,7 @@ use fedpkd_core::fedpkd::distill::{train_server_with_workers, ServerDistillStats
 use fedpkd_core::train::add_proximal_term;
 use fedpkd_rng::Rng;
 use fedpkd_tensor::models::{ClassifierModel, DepthTier, ModelSpec};
-use fedpkd_tensor::nn::{Layer, Param};
+use fedpkd_tensor::nn::{Layer, Param, ParamHook, PendingGrads};
 use fedpkd_tensor::optim::{step_and_zero, Adam, Optimizer};
 use fedpkd_tensor::serialize::{param_vector, state_vector};
 use fedpkd_tensor::step_worker::StepWorker;
@@ -71,10 +76,48 @@ fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Every parameter's gradient bits, an unallocated gradient read as the
+/// zeros it stands for (the fused step never allocates a `Linear`'s).
 fn grad_bits(model: &ClassifierModel) -> Vec<u32> {
     let mut out = Vec::new();
-    model.visit_params(&mut |p| out.extend(p.grad.as_slice().iter().map(|g| g.to_bits())));
+    model.visit_params(&mut |p| match p.grad() {
+        Some(grad) => out.extend(bits(grad.as_slice())),
+        None => out.extend(std::iter::repeat_n(0, p.value.len())),
+    });
     out
+}
+
+/// The slots of every `Linear` weight and bias in `spec`'s models: the
+/// ones a backward pass offers through [`ParamHook::linear`].
+fn linear_slots(spec: &ModelSpec) -> Vec<usize> {
+    struct Linears(Vec<usize>);
+    impl ParamHook for Linears {
+        fn param(&mut self, _: usize, _: &mut Param) {}
+
+        fn linear(&mut self, slot: usize, _: &mut Param, _: &mut Param, _: PendingGrads<'_>) {
+            self.0.extend([slot, slot + 1]);
+        }
+    }
+    let mut model = spec.build(&mut Rng::seed_from_u64(0));
+    let x = input_batch(spec, 2, &mut Rng::seed_from_u64(1));
+    let logits = model.forward_logits(&x, true);
+    let mut linears = Linears(Vec::new());
+    model.backward_dual_with(&Tensor::zeros(logits.shape()), None, &mut linears);
+    assert!(!linears.0.is_empty(), "{} has a Linear", spec.describe());
+    linears.0
+}
+
+/// The `Linear` slots (of `linear`) whose parameter holds an allocated
+/// gradient.
+fn allocated_linear_grads(model: &ClassifierModel, linear: &[usize]) -> Vec<usize> {
+    let (mut slot, mut allocated) = (0, Vec::new());
+    model.visit_params(&mut |p| {
+        if linear.contains(&slot) && p.grad().is_some() {
+            allocated.push(slot);
+        }
+        slot += 1;
+    });
+    allocated
 }
 
 /// Where each parameter (by slot) starts in the flat parameter vector.
@@ -305,6 +348,71 @@ fn a_worker_nobody_serves_for_the_first_j_steps_equals_the_inline_step() {
     }
 }
 
+/// Three fused steps, with and without the feature gradient, on every
+/// model family: each `Linear`'s products went from scratch into Adam, so
+/// no `Linear` weight or bias has a gradient allocated afterwards.
+#[test]
+fn a_fused_step_allocates_no_linear_gradient() {
+    for spec in all_specs() {
+        let linear = linear_slots(&spec);
+        let mut model = spec.build(&mut Rng::seed_from_u64(31));
+        let mut optimizer = Adam::new(0.01);
+        let mut rng = Rng::seed_from_u64(32);
+        for rows in BATCHES {
+            let x = input_batch(&spec, rows, &mut rng);
+            let (features, logits) = model.forward_full(&x, true);
+            let feature_grad = (rows != 4).then(|| Tensor::randn(features.shape(), 0.5, &mut rng));
+            let logit_grad = Tensor::randn(logits.shape(), 0.5, &mut rng);
+            model.backward_step(&logit_grad, feature_grad.as_ref(), &mut optimizer);
+            assert_eq!(
+                allocated_linear_grads(&model, &linear),
+                Vec::<usize>::new(),
+                "{}",
+                spec.describe()
+            );
+        }
+    }
+}
+
+/// The same after `backward_step_on` and `finish_step`, on a served worker
+/// and on one nobody serves (every update inline through it).
+#[test]
+fn a_worker_step_allocates_no_linear_gradient() {
+    for spec in all_specs() {
+        let linear = linear_slots(&spec);
+        for served in [true, false] {
+            let mut model = spec.build(&mut Rng::seed_from_u64(33));
+            let mut optimizer = Adam::new(0.01);
+            let mut rng = Rng::seed_from_u64(34);
+            let worker = if served {
+                StepWorker::new(&mut optimizer)
+            } else {
+                StepWorker::inline_until_served(&mut optimizer)
+            };
+            std::thread::scope(|scope| {
+                if served {
+                    scope.spawn(|| worker.serve());
+                }
+                let _close = worker.close_on_drop();
+                for rows in BATCHES {
+                    let x = input_batch(&spec, rows, &mut rng);
+                    let (features, logits) = model.forward_train_on(&x, &worker);
+                    let feature_grad = Tensor::randn(features.shape(), 0.5, &mut rng);
+                    let logit_grad = Tensor::randn(logits.shape(), 0.5, &mut rng);
+                    model.backward_step_on(&logit_grad, Some(&feature_grad), &worker);
+                    worker.finish_step(&mut model);
+                    assert_eq!(
+                        allocated_linear_grads(&model, &linear),
+                        Vec::<usize>::new(),
+                        "{}, served {served}",
+                        spec.describe()
+                    );
+                }
+            });
+        }
+    }
+}
+
 /// An optimizer state sized for another model makes the worker's first
 /// update panic. The backward pass that handed the job over still returns;
 /// the next forward must resume the panic at the first layer it waits for,
@@ -457,8 +565,8 @@ impl Optimizer for Watched<'_> {
         self.adam.begin_step(model);
     }
 
-    fn update_param(&mut self, slot: usize, param: &mut Param) {
-        self.adam.update_param(slot, param);
+    fn update(&mut self, slot: usize, value: &mut [f32], grad: &mut [f32]) {
+        self.adam.update(slot, value, grad);
         self.progress.updates.fetch_add(1, Ordering::SeqCst);
     }
 

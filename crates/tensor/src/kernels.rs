@@ -43,12 +43,15 @@
 //! never skip anything. Computing every product unconditionally adds only
 //! `±0.0` terms the reference would have skipped (the skip only fires
 //! for `a == 0` against finite `b`), so the bits still match — and the
-//! kernels become branch-free straight-line FMA code, which is where the
-//! speedup comes from. Post-ReLU activations are roughly half zeros with
-//! an unpredictable pattern; a per-element skip test mispredicts
-//! constantly, while the branchless tile pays two fused multiply-adds per
-//! vector and never stalls. Skipping nothing also needs no per-call
-//! finiteness scan, and `0·NaN = NaN` propagates naturally.
+//! kernels become branch-free straight-line vector code, which is where
+//! the speedup comes from. Post-ReLU activations are roughly half zeros
+//! with an unpredictable pattern; a per-element skip test mispredicts
+//! constantly, while the branchless tile pays a separate multiply and add
+//! per vector and never stalls. (rustc never contracts `x += a * b` into a
+//! fused multiply-add, so each product is rounded before it is added; a
+//! `mul_add` kernel is a by-design bit move, ROADMAP item 6(a).) Skipping
+//! nothing also needs no per-call finiteness scan, and `0·NaN = NaN`
+//! propagates naturally.
 //!
 //! Whole-run equality follows from per-kernel equality: a kernel is a pure
 //! function of its operands, so a run whose every product equals the
@@ -203,9 +206,10 @@ fn matmul_tile<const W: usize>(
     );
     let mut acc = [[0.0f32; W]; MI];
     // Zip-driven iteration: no index arithmetic or bounds checks
-    // survive in the loop body, so it compiles to straight-line
-    // vector fused-multiply-adds with the accumulators pinned in
-    // registers for the entire reduction.
+    // survive in the loop body, so it compiles to straight-line vector
+    // code — a separate multiply and add per vector, never contracted
+    // (ROADMAP item 6(a)) — with the accumulators pinned in registers for
+    // the entire reduction.
     let rows_iter = a0.iter().zip(a1).zip(a2).zip(a3);
     for ((((&av0, &av1), &av2), &av3), brow) in rows_iter.zip(b.chunks_exact(n)) {
         let bseg: &[f32; W] = brow[j0..j0 + W].try_into().expect("tile width");

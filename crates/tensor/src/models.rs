@@ -18,7 +18,7 @@ use crate::nn::{
     AvgPool2d, BatchNorm1d, Conv2d, Flatten, GlobalAvgPool2d, Layer, Linear, Param, ParamHook,
     Pass, Relu, Residual, Sequential,
 };
-use crate::optim::{step_and_zero, Optimizer};
+use crate::optim::{FusedStep, Optimizer};
 use crate::step_worker::StepWorker;
 use crate::Tensor;
 use fedpkd_rng::Rng;
@@ -167,12 +167,14 @@ impl ClassifierModel {
     }
 
     /// The fused training step: [`backward_dual`](Self::backward_dual),
-    /// `optimizer.step` and `zero_grad` in one pass — each parameter is
-    /// updated and its gradient zeroed inside the backward pass, as soon as
-    /// that gradient is final, while weight, gradient and optimizer state
-    /// are still in cache. Bit-identical to the three separate calls
-    /// (parameters, optimizer state, returned input gradient); gradients
-    /// are all zero afterwards, as they must be before.
+    /// `optimizer.step` and `zero_grad` in one pass ([`FusedStep`]) — each
+    /// parameter is updated inside the backward pass, as soon as its
+    /// gradient is final, while weight and optimizer state are still in
+    /// cache. Bit-identical to the three separate calls (parameters,
+    /// optimizer state, returned input gradient). Every `Linear`'s products
+    /// go from thread scratch into the update, so its gradients stay
+    /// unallocated; every other gradient is zero afterwards, as all must be
+    /// before.
     pub fn backward_step(
         &mut self,
         logit_grad: &Tensor,
@@ -180,11 +182,7 @@ impl ClassifierModel {
         optimizer: &mut dyn Optimizer,
     ) -> Tensor {
         optimizer.begin_step(self);
-        self.backward_dual_with(
-            logit_grad,
-            feature_grad,
-            &mut |slot: usize, param: &mut Param| step_and_zero(optimizer, slot, param),
-        )
+        self.backward_dual_with(logit_grad, feature_grad, &mut FusedStep(optimizer))
     }
 
     /// [`backward_step`](Self::backward_step) with the optimizer update —

@@ -172,7 +172,6 @@ impl Layer for BatchNorm1d {
             .expect("backward called before forward(train=true)");
         let n = grad_out.rows();
         let d = self.features;
-        let gamma = self.gamma.value.as_slice();
 
         let mut dgamma = Tensor::zeros(&[d]);
         let mut dbeta = Tensor::zeros(&[d]);
@@ -192,10 +191,14 @@ impl Layer for BatchNorm1d {
             }
         }
         self.gamma
-            .grad
+            .grad_mut()
             .axpy(1.0, &dgamma)
             .expect("accumulate dgamma");
-        self.beta.grad.axpy(1.0, &dbeta).expect("accumulate dbeta");
+        self.beta
+            .grad_mut()
+            .axpy(1.0, &dbeta)
+            .expect("accumulate dbeta");
+        let gamma = self.gamma.value.as_slice();
 
         // When the forward pass normalized with running statistics (a
         // single-row training batch), mean/var do not depend on the input

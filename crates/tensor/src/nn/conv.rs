@@ -195,21 +195,24 @@ impl Layer for Conv2d {
 
         let mut dx = Tensor::zeros(in_shape);
         debug_assert_eq!(cols.len(), n);
+        // The weight does not change during the pass: one transpose serves
+        // every sample.
+        let w_t = self.weight.value.transpose().expect("weight transpose");
         for (s, col) in cols.iter().enumerate() {
             let g = Tensor::from_vec(grad_out.row(s).to_vec(), &[self.out_channels, oh * ow])
                 .expect("grad reshape");
             // dW += g · colᵀ
             let col_t = col.transpose().expect("col transpose");
             let dw = g.matmul(&col_t).expect("dW matmul");
-            self.weight.grad.axpy(1.0, &dw).expect("dW accumulate");
-            // db += row sums of g
-            let mut db = Tensor::zeros(&[self.out_channels]);
-            for oc in 0..self.out_channels {
-                db.as_mut_slice()[oc] = g.row(oc).iter().sum();
+            self.weight
+                .grad_mut()
+                .axpy(1.0, &dw)
+                .expect("dW accumulate");
+            // db += row sums of g (`b + 1.0·s` is `b + s` bit for bit).
+            for (oc, db) in self.bias.grad_mut().as_mut_slice().iter_mut().enumerate() {
+                *db += g.row(oc).iter().sum::<f32>();
             }
-            self.bias.grad.axpy(1.0, &db).expect("db accumulate");
             // dcol = Wᵀ · g, then scatter back to image space.
-            let w_t = self.weight.value.transpose().expect("weight transpose");
             let dcol = w_t.matmul(&g).expect("dcol matmul");
             debug_assert_eq!(dcol.shape(), &[ckk, oh * ow]);
             let dxs = self.col2im(&dcol, h, w, oh, ow);

@@ -1,6 +1,8 @@
 //! Fully connected layer.
 
 use super::{Layer, Param, ParamHook, Pass, ReluMask};
+use crate::optim::Optimizer;
+use crate::parallel::scratch;
 use crate::Tensor;
 use fedpkd_rng::Rng;
 use std::borrow::Cow;
@@ -44,14 +46,16 @@ pub struct Linear {
 /// `dW += xᵀ · g`, through the transposed kernel, straight into the
 /// weight gradient.
 fn accumulate_weight_grad(x: &Tensor, g: &Tensor, weight: &mut Param) {
-    x.tr_matmul_acc(g, &mut weight.grad).expect("dW shape");
+    x.tr_matmul_acc(g, weight.grad_mut()).expect("dW shape");
 }
 
 /// `db += column sums of g`.
 fn accumulate_bias_grad(g: &Tensor, bias: &mut Param) {
     let db = g.sum_rows();
-    bias.grad.axpy(1.0, &db).expect("db accumulate");
+    bias.grad_mut().axpy(1.0, &db).expect("db accumulate");
 }
+
+const FROZEN: &str = "no weight gradient after a frozen forward pass: it keeps no input";
 
 /// The parameter-gradient products of one [`Linear`] backward pass, not yet
 /// applied: `dW += xᵀ·g` and `db += column sums of g`. It carries its own
@@ -75,11 +79,39 @@ impl PendingGrads<'_> {
     ///
     /// Panics if the layer's last forward was [`Pass::Frozen`].
     pub fn apply(self, weight: &mut Param, bias: &mut Param) {
-        let x = self
-            .x
-            .expect("no weight gradient after a frozen forward pass: it keeps no input");
+        let x = self.x.expect(FROZEN);
         accumulate_weight_grad(&x, &self.g, weight);
         accumulate_bias_grad(&self.g, bias);
+    }
+
+    /// The fused step's use of the products: forms `dW` and `db` in the
+    /// calling thread's pooled scratch and hands each straight to
+    /// `optimizer`'s update of `weight` (at `slot`) and `bias` (at
+    /// `slot + 1`), so neither parameter's gradient is allocated or read.
+    /// The same two kernels as [`apply`](Self::apply) run onto zeroed
+    /// scratch instead of onto the zeroed gradients the fused step requires
+    /// on entry, so the update sees the same bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the layer's last forward was [`Pass::Frozen`].
+    pub fn step(
+        self,
+        optimizer: &mut dyn Optimizer,
+        slot: usize,
+        weight: &mut Param,
+        bias: &mut Param,
+    ) {
+        let x = self.x.expect(FROZEN);
+        let weights = weight.value.len();
+        scratch::with_f32s(weights + bias.value.len(), |grads| {
+            grads.fill(0.0);
+            let (dw, db) = grads.split_at_mut(weights);
+            x.tr_matmul_acc_into(&self.g, dw).expect("dW shape");
+            self.g.sum_rows_acc(db);
+            optimizer.update(slot, weight.value.as_mut_slice(), dw);
+            optimizer.update(slot + 1, bias.value.as_mut_slice(), db);
+        });
     }
 
     /// The products with `g` owned, to outlive the backward call: a copy of
@@ -342,9 +374,9 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         let mut grads_fused = Vec::new();
-        fused.visit_params(&mut |p| grads_fused.extend_from_slice(p.grad.as_slice()));
+        fused.visit_params(&mut |p| grads_fused.extend_from_slice(p.grad().unwrap().as_slice()));
         let mut grads_plain = Vec::new();
-        plain.visit_params(&mut |p| grads_plain.extend_from_slice(p.grad.as_slice()));
+        plain.visit_params(&mut |p| grads_plain.extend_from_slice(p.grad().unwrap().as_slice()));
         assert_eq!(grads_fused.len(), grads_plain.len());
         for (a, b) in grads_fused.iter().zip(&grads_plain) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -411,7 +443,7 @@ mod tests {
         let mut bias_grad = Vec::new();
         fc.visit_params(&mut |p| {
             if p.value.len() == 3 {
-                bias_grad = p.grad.as_slice().to_vec();
+                bias_grad = p.grad().unwrap().as_slice().to_vec();
             }
         });
         assert_eq!(bias_grad, vec![4.0, 4.0, 4.0]);

@@ -21,24 +21,54 @@ pub use pool::{AvgPool2d, Flatten, GlobalAvgPool2d};
 use crate::Tensor;
 
 /// A trainable parameter: a value tensor plus its accumulated gradient.
+///
+/// The gradient is allocated on its first accumulation, not with the
+/// parameter: the fused training step (see [`crate::optim`]) hands every
+/// [`Linear`]'s products to the optimizer from thread scratch, so the
+/// weights of a model that only ever trains through it never hold one.
+/// An unallocated gradient reads as zeros.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Current parameter values.
     pub value: Tensor,
-    /// Gradient accumulated by the most recent backward pass(es).
-    pub grad: Tensor,
+    /// Gradient accumulated by the most recent backward pass(es), if any
+    /// accumulated one.
+    grad: Option<Tensor>,
 }
 
 impl Param {
-    /// Wraps a value tensor with a zeroed gradient of the same shape.
+    /// Wraps a value tensor; no gradient is allocated until one
+    /// accumulates.
     pub fn new(value: Tensor) -> Self {
-        let grad = Tensor::zeros(value.shape());
-        Self { value, grad }
+        Self { value, grad: None }
     }
 
-    /// Resets the gradient to zero, in place.
+    /// The accumulated gradient, or `None` where nothing has accumulated
+    /// one yet (the same as all zeros).
+    pub fn grad(&self) -> Option<&Tensor> {
+        self.grad.as_ref()
+    }
+
+    /// The gradient to accumulate into, allocated as zeros on first use.
+    pub fn grad_mut(&mut self) -> &mut Tensor {
+        self.value_and_grad_mut().1
+    }
+
+    /// The value and the gradient, both mutable, allocating the gradient
+    /// as zeros on first use.
+    pub fn value_and_grad_mut(&mut self) -> (&mut Tensor, &mut Tensor) {
+        let grad = self
+            .grad
+            .get_or_insert_with(|| Tensor::zeros(self.value.shape()));
+        (&mut self.value, grad)
+    }
+
+    /// Resets the gradient to zero, in place; nothing to do where none is
+    /// allocated.
     pub fn zero_grad(&mut self) {
-        self.grad.fill(0.0);
+        if let Some(grad) = &mut self.grad {
+            grad.fill(0.0);
+        }
     }
 
     /// What a [`ParamHook`] that takes a parameter by value leaves in the
@@ -46,7 +76,7 @@ impl Param {
     pub(crate) const fn placeholder() -> Self {
         Self {
             value: Tensor::placeholder(),
-            grad: Tensor::placeholder(),
+            grad: None,
         }
     }
 }
@@ -55,9 +85,10 @@ impl Param {
 /// parameter the moment the backward pass is done with it.
 ///
 /// Any `FnMut(usize, &mut Param)` closure is a hook (its body is
-/// [`param`](ParamHook::param)); the fused training step passes one that
-/// applies the optimizer update and zeroes the gradient (see
-/// [`crate::optim::step_and_zero`]). A hook may also take a parameter out
+/// [`param`](ParamHook::param)); the fused training step passes
+/// [`crate::optim::FusedStep`], which updates each parameter from its final
+/// gradient — a [`Linear`]'s straight from thread scratch, so that it never
+/// allocates one. A hook may also take a parameter out
 /// of the model by value, leaving an empty one behind, provided it puts it
 /// back before anything reads the model again — how
 /// [`crate::step_worker::StepWorker`] moves the update to another thread.
@@ -71,7 +102,8 @@ pub trait ParamHook {
     /// [`param`](ParamHook::param), with its parameter-gradient products
     /// *not* applied: `weight` (at `slot`) and `bias` (at `slot + 1`) still
     /// lack what `pending` holds, and nothing else in the backward pass
-    /// waits for it. The default applies the products on the spot and hands
+    /// waits for it. The default applies the products on the spot
+    /// (allocating either gradient on its first accumulation) and hands
     /// both parameters to [`param`](ParamHook::param) — exactly what the
     /// layer's own [`backward`](Layer::backward) would have left; an
     /// override may carry `pending` elsewhere
@@ -445,9 +477,11 @@ impl std::fmt::Debug for Residual {
 
 impl Layer for Residual {
     fn forward_pass(&mut self, input: &Tensor, pass: Pass) -> Tensor {
-        let main = self.body.forward_pass(input, pass);
-        main.add(input)
-            .expect("residual body must preserve the input shape")
+        // In place, as `join_grads`: `a + 1.0·b` is `a + b` bit for bit.
+        let mut main = self.body.forward_pass(input, pass);
+        main.axpy(1.0, input)
+            .expect("residual body must preserve the input shape");
+        main
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -526,7 +560,7 @@ pub(crate) mod gradcheck {
         layer.backward(&weights);
 
         let mut analytic: Vec<f32> = Vec::new();
-        layer.visit_params(&mut |p| analytic.extend_from_slice(p.grad.as_slice()));
+        layer.visit_params(&mut |p| analytic.extend_from_slice(p.grad().unwrap().as_slice()));
 
         let eps = 1e-2f32;
         let n_params = {
@@ -645,10 +679,10 @@ mod tests {
         net.forward(&x, true);
         net.backward(&Tensor::full(&[1, 2], 1.0));
         let mut nonzero = false;
-        net.visit_params(&mut |p| nonzero |= p.grad.as_slice().iter().any(|&g| g != 0.0));
+        net.visit_params(&mut |p| nonzero |= grad_of(p).iter().any(|&g| g != 0.0));
         assert!(nonzero);
         net.zero_grad();
-        net.visit_params(&mut |p| assert!(p.grad.as_slice().iter().all(|&g| g == 0.0)));
+        net.visit_params(&mut |p| assert!(grad_of(p).iter().all(|&g| g == 0.0)));
     }
 
     #[test]
@@ -660,11 +694,11 @@ mod tests {
         net.forward(&x, true);
         net.backward(&g);
         let mut first = Vec::new();
-        net.visit_params(&mut |p| first.extend_from_slice(p.grad.as_slice()));
+        net.visit_params(&mut |p| first.extend_from_slice(grad_of(p)));
         net.forward(&x, true);
         net.backward(&g);
         let mut second = Vec::new();
-        net.visit_params(&mut |p| second.extend_from_slice(p.grad.as_slice()));
+        net.visit_params(&mut |p| second.extend_from_slice(grad_of(p)));
         for (a, b) in first.iter().zip(&second) {
             assert!((2.0 * a - b).abs() < 1e-5, "grads must accumulate");
         }
@@ -688,11 +722,18 @@ mod tests {
         ])
     }
 
+    /// An accumulated gradient.
+    fn grad_of(p: &Param) -> &[f32] {
+        p.grad().expect("an accumulated gradient").as_slice()
+    }
+
+    fn grad_bits(p: &Param) -> Vec<u32> {
+        grad_of(p).iter().map(|g| g.to_bits()).collect()
+    }
+
     fn grads_of(net: &dyn Layer) -> Vec<Vec<u32>> {
         let mut grads = Vec::new();
-        net.visit_params(&mut |p| {
-            grads.push(p.grad.as_slice().iter().map(|g| g.to_bits()).collect());
-        });
+        net.visit_params(&mut |p| grads.push(grad_bits(p)));
         grads
     }
 
@@ -711,7 +752,7 @@ mod tests {
         let mut seen: Vec<Option<Vec<u32>>> = vec![None; expected.len()];
         let dx_hooked = hooked.backward_with(&g, 0, &mut |slot: usize, p: &mut Param| {
             assert!(seen[slot].is_none(), "slot {slot} handed over twice");
-            seen[slot] = Some(p.grad.as_slice().iter().map(|g| g.to_bits()).collect());
+            seen[slot] = Some(grad_bits(p));
             // What the fused step does: change the weight, clear the grad.
             p.value.fill(0.0);
             p.zero_grad();
@@ -719,6 +760,44 @@ mod tests {
         assert_eq!(dx_hooked, dx_plain, "the hook must not reach the pass");
         let seen: Vec<Vec<u32>> = seen.into_iter().map(Option::unwrap).collect();
         assert_eq!(seen, expected, "final gradients, in visit order");
+    }
+
+    #[test]
+    fn a_param_allocates_its_gradient_on_first_accumulation_only() {
+        let param = Param::new(Tensor::full(&[2, 3], 1.0));
+        assert!(param.grad().is_none(), "Param::new allocates no gradient");
+        let mut net = nested_net(16);
+        let mut allocated = 0;
+        net.visit_params(&mut |p| allocated += usize::from(p.grad().is_some()));
+        assert_eq!(allocated, 0, "a built model holds no gradient");
+        net.zero_grad();
+        net.visit_params(&mut |p| assert!(p.grad().is_none(), "zero_grad allocates none"));
+
+        // Backward → zero_grad → backward: the second pass accumulates onto
+        // zeroed buffers exactly what the first did onto fresh ones, and a
+        // third without zeroing adds to them.
+        let mut rng = Rng::seed_from_u64(17);
+        let x = Tensor::rand_uniform(&[6, 4], -1.0, 1.0, &mut rng);
+        let g = Tensor::rand_uniform(&[6, 3], -1.0, 1.0, &mut rng);
+        net.forward(&x, true);
+        net.backward(&g);
+        let first = grads_of(&net);
+        assert_eq!(first.len(), net.slot_count(), "every gradient allocated");
+        net.zero_grad();
+        net.forward(&x, true);
+        net.backward(&g);
+        assert_eq!(grads_of(&net), first);
+        net.forward(&x, true);
+        net.backward(&g);
+        let doubled: Vec<Vec<u32>> = first
+            .iter()
+            .map(|p| {
+                p.iter()
+                    .map(|&b| (2.0 * f32::from_bits(b)).to_bits())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(grads_of(&net), doubled, "x + x is 2x exactly");
     }
 
     /// Records which hook method each parameter arrives through.

@@ -5,21 +5,27 @@
 //! buffers indexed by *slot* — a parameter's position in that order.
 //!
 //! An update step is [`Optimizer::begin_step`] once, then
-//! [`Optimizer::update_param`] once per parameter, in any order. Two
-//! drivers exist over that one per-parameter kernel:
+//! [`Optimizer::update`] once per parameter, in any order, each with the
+//! parameter's values and its gradient as slices. Two drivers exist over
+//! that one per-parameter kernel:
 //!
-//! - [`Optimizer::step`] walks the model after a finished backward pass;
-//! - the fused step ([`step_and_zero`] as the hook of
+//! - [`Optimizer::step`] walks the model after a finished backward pass,
+//!   reading each parameter's accumulated gradient
+//!   ([`Optimizer::update_param`]);
+//! - the fused step ([`FusedStep`] as the hook of
 //!   [`Layer::backward_with`], packaged as
 //!   [`crate::models::ClassifierModel::backward_step`]) updates each
-//!   parameter and zeroes its gradient inside the backward pass, the
-//!   moment the gradient is final — one pass over each weight instead of
-//!   three.
+//!   parameter inside the backward pass, the moment its gradient is final.
+//!   A [`Linear`](crate::nn::Linear)'s `dW` and `db` go from the stepping
+//!   thread's scratch straight into the update
+//!   ([`PendingGrads::step`]), so its gradients are never allocated; any
+//!   other parameter's is updated and zeroed while still in cache
+//!   ([`step_and_zero`]).
 //!
 //! Both produce the same bits: parameters are updated independently, from
 //! the same gradient, with the same per-step scalars.
 
-use crate::nn::{Layer, Param};
+use crate::nn::{Layer, Param, ParamHook, PendingGrads};
 use crate::Tensor;
 
 /// A gradient-based parameter update rule.
@@ -33,15 +39,25 @@ pub trait Optimizer: Send {
     fn begin_step(&mut self, model: &dyn Layer);
 
     /// Applies the open step's update to the parameter at `slot` (its
-    /// position in the model's [`Layer::visit_params`] order) using the
-    /// gradient currently accumulated in it. Does not zero the gradient.
+    /// position in the model's [`Layer::visit_params`] order), whose values
+    /// are `value`, using `grad` as its gradient. The update may use `grad`
+    /// as its own scratch (FedProx folds its proximal term into it in
+    /// place); the caller reads it no more as this step's gradient.
     ///
     /// # Panics
     ///
     /// Panics if the optimizer's state for `slot` is missing or does not
-    /// have the parameter's length — it was sized by, or restored for, a
-    /// different model.
-    fn update_param(&mut self, slot: usize, param: &mut Param);
+    /// have `value`'s length — it was sized by, or restored for, a
+    /// different model — or if `grad` does not have `value`'s length.
+    fn update(&mut self, slot: usize, value: &mut [f32], grad: &mut [f32]);
+
+    /// [`update`](Optimizer::update) with the gradient accumulated in
+    /// `param` (allocated as zeros first if none was). Does not zero the
+    /// gradient.
+    fn update_param(&mut self, slot: usize, param: &mut Param) {
+        let (value, grad) = param.value_and_grad_mut();
+        self.update(slot, value.as_mut_slice(), grad.as_mut_slice());
+    }
 
     /// Applies one update step using the gradients currently accumulated in
     /// the model's parameters. Does not zero the gradients.
@@ -58,12 +74,35 @@ pub trait Optimizer: Send {
     fn learning_rate(&self) -> f32;
 }
 
-/// The fused step's per-parameter hook body: apply `optimizer`'s update to
-/// the parameter at `slot`, then zero its gradient while it is still in
-/// cache. Call [`Optimizer::begin_step`] first.
+/// The fused step's per-parameter hook body for a parameter with an
+/// accumulated gradient: apply `optimizer`'s update to the parameter at
+/// `slot`, then zero its gradient while it is still in cache. Call
+/// [`Optimizer::begin_step`] first.
 pub fn step_and_zero(optimizer: &mut dyn Optimizer, slot: usize, param: &mut Param) {
     optimizer.update_param(slot, param);
     param.zero_grad();
+}
+
+/// The fused step as a [`ParamHook`]: every `Linear`'s products go from
+/// scratch into the optimizer ([`PendingGrads::step`]) and every other
+/// parameter is stepped and zeroed ([`step_and_zero`]). Call
+/// [`Optimizer::begin_step`] before the backward pass it hooks.
+pub struct FusedStep<'a>(pub &'a mut dyn Optimizer);
+
+impl ParamHook for FusedStep<'_> {
+    fn param(&mut self, slot: usize, param: &mut Param) {
+        step_and_zero(self.0, slot, param);
+    }
+
+    fn linear(
+        &mut self,
+        slot: usize,
+        weight: &mut Param,
+        bias: &mut Param,
+        pending: PendingGrads<'_>,
+    ) {
+        pending.step(self.0, slot, weight, bias);
+    }
 }
 
 /// The shape of every parameter of `model`, in slot order — what
@@ -247,11 +286,11 @@ impl Optimizer for Adam {
         self.bias2 = 1.0 - self.beta2.powi(t);
     }
 
-    fn update_param(&mut self, slot: usize, param: &mut Param) {
+    fn update(&mut self, slot: usize, value: &mut [f32], grad: &mut [f32]) {
         if self.bias1 == 1.0 {
-            self.update_lanes::<true>(slot, param);
+            self.update_lanes::<true>(slot, value, grad);
         } else {
-            self.update_lanes::<false>(slot, param);
+            self.update_lanes::<false>(slot, value, grad);
         }
     }
 
@@ -261,18 +300,21 @@ impl Optimizer for Adam {
 }
 
 impl Adam {
-    /// [`Optimizer::update_param`]'s lane loop. `M_UNBIASED` says that
+    /// [`Optimizer::update`]'s lane loop. `M_UNBIASED` says that
     /// `bias1 = 1 − β₁ᵗ` has rounded to exactly `1.0` (from t = 165 at
     /// β₁ = 0.9), where `m / bias1` is `m` bit for bit — ±0, ±∞ and NaN
     /// included — so the division is skipped. A constant, not a per-lane
     /// test, so both variants vectorize.
-    fn update_lanes<const M_UNBIASED: bool>(&mut self, slot: usize, param: &mut Param) {
+    fn update_lanes<const M_UNBIASED: bool>(
+        &mut self,
+        slot: usize,
+        value: &mut [f32],
+        grad: &[f32],
+    ) {
         let (lr, b1, b2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
         let (bias1, bias2) = (self.bias1, self.bias2);
         let m = self.m[slot].as_mut_slice();
         let v = self.v[slot].as_mut_slice();
-        let value = param.value.as_mut_slice();
-        let grad = param.grad.as_slice();
         // The zips below stop at the shortest slice; a state built for
         // another model must fail here, not update a prefix of the weight.
         assert_eq!(value.len(), grad.len(), "parameter/gradient mismatch");
@@ -412,7 +454,7 @@ mod tests {
         for t in start + 1..=start + 6 {
             let scale = (t - start) as f32;
             let grad: Vec<f32> = grads.iter().map(|g| g * scale).collect();
-            param.grad = lanes(grad.clone());
+            *param.grad_mut() = lanes(grad.clone());
             opt.begin_step(&layer);
             opt.update_param(0, &mut param);
             biases.push(opt.bias1);

@@ -70,7 +70,9 @@ pub fn param_byte_len(model: &dyn Layer) -> usize {
 /// model restored from parameters alone would evaluate with stale
 /// normalization statistics.
 pub fn state_vector(model: &dyn Layer) -> Vec<f32> {
-    let mut out = param_vector(model);
+    // Sized once: a parked client keeps this vector's capacity.
+    let mut out = Vec::with_capacity(state_len(model));
+    model.visit_params(&mut |p| out.extend_from_slice(p.value.as_slice()));
     model.visit_buffers(&mut |b| out.extend_from_slice(b));
     out
 }
@@ -252,6 +254,32 @@ mod tests {
         ]);
         load_param_vector(&mut params_only, &param_vector(&m)).unwrap();
         assert_ne!(m.forward(&x, false), params_only.forward(&x, false));
+    }
+
+    /// A parked client keeps its state vector's capacity: appending the
+    /// batch-norm buffers to a vector reserved for the parameters alone
+    /// would double it.
+    #[test]
+    fn a_batch_norm_models_state_vector_is_sized_once() {
+        use crate::models::{DepthTier, ModelSpec};
+        use crate::nn::BatchNorm1d;
+        let mut rng = Rng::seed_from_u64(25);
+        let small = Sequential::new(vec![
+            Box::new(Linear::new(3, 4, &mut rng)) as Box<dyn Layer>,
+            Box::new(BatchNorm1d::new(4)),
+        ]);
+        let t56 = ModelSpec::ResMlp {
+            input_dim: 32,
+            num_classes: 100,
+            tier: DepthTier::T56,
+        }
+        .build(&mut rng);
+        for model in [&small as &dyn Layer, &t56] {
+            assert!(model.buffer_count() > 0);
+            let state = state_vector(model);
+            assert_eq!(state.len(), state_len(model));
+            assert_eq!(state.capacity(), state.len());
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! [`finish_step`](StepWorker::finish_step) puts back whatever is still out.
 //!
 //! Ownership moves, nothing is shared mutably, and the worker runs the
-//! kernels the inline step runs ([`PendingGrads::apply`], [`step_and_zero`])
+//! kernels the inline step runs ([`PendingGrads::step`], [`step_and_zero`])
 //! on the same operands; parameters are independent of each other, so which
 //! thread did the work cannot show in any bit. A worker made
 //! [`inline_until_served`](StepWorker::inline_until_served) does each
@@ -236,9 +236,10 @@ impl<'a> StepWorker<'a> {
         }
     }
 
-    /// A `Linear`'s products and both updates. `pending` is consumed here,
-    /// so on the worker the layer is the input buffer's sole owner again
-    /// before the caller can see the job finished.
+    /// A `Linear`'s products, in this thread's scratch, and both updates
+    /// ([`PendingGrads::step`]). `pending` is consumed here, so on the
+    /// worker the layer is the input buffer's sole owner again before the
+    /// caller can see the job finished.
     fn update_linear(
         &self,
         slot: usize,
@@ -246,10 +247,7 @@ impl<'a> StepWorker<'a> {
         bias: &mut Param,
         pending: PendingGrads<'_>,
     ) {
-        pending.apply(weight, bias);
-        let mut optimizer = self.optimizer();
-        step_and_zero(&mut **optimizer, slot, weight);
-        step_and_zero(&mut **optimizer, slot + 1, bias);
+        pending.step(&mut **self.optimizer(), slot, weight, bias);
     }
 
     fn give_back<const N: usize>(&self, params: [(usize, Param); N]) {

@@ -514,14 +514,36 @@ impl Tensor {
     /// Same contract as [`tr_matmul`](Self::tr_matmul), plus
     /// [`TensorError::ShapeMismatch`] unless `acc` is `[m, n]`.
     pub fn tr_matmul_acc(&self, other: &Self, acc: &mut Self) -> Result<(), TensorError> {
-        let (r, m, n) = self.tr_matmul_dims(other)?;
+        let (_, m, n) = self.tr_matmul_dims(other)?;
         if acc.shape != [m, n] {
             return Err(TensorError::ShapeMismatch {
                 left: vec![m, n],
                 right: acc.shape.clone(),
             });
         }
-        kernels::tr_matmul_fast_into(&self.data, &other.data, &mut acc.data, r, m, n);
+        self.tr_matmul_acc_into(other, &mut acc.data)
+    }
+
+    /// [`tr_matmul_acc`](Self::tr_matmul_acc) onto a row-major `[m, n]`
+    /// slice: the fused step's `dW`, formed in thread scratch.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`tr_matmul`](Self::tr_matmul), plus
+    /// [`TensorError::ShapeMismatch`] unless `acc` has `m · n` elements.
+    pub(crate) fn tr_matmul_acc_into(
+        &self,
+        other: &Self,
+        acc: &mut [f32],
+    ) -> Result<(), TensorError> {
+        let (r, m, n) = self.tr_matmul_dims(other)?;
+        if acc.len() != m * n {
+            return Err(TensorError::ShapeMismatch {
+                left: vec![m, n],
+                right: vec![acc.len()],
+            });
+        }
+        kernels::tr_matmul_fast_into(&self.data, &other.data, acc, r, m, n);
         Ok(())
     }
 
@@ -566,14 +588,25 @@ impl Tensor {
     pub fn sum_rows(&self) -> Self {
         let stride = self.cols();
         let mut out = vec![0.0f32; stride];
-        for r in 0..self.rows() {
-            for (o, &v) in out.iter_mut().zip(self.row(r)) {
-                *o += v;
-            }
-        }
+        self.sum_rows_acc(&mut out);
         Self {
             data: out,
             shape: vec![stride],
+        }
+    }
+
+    /// `acc += ` each row in turn: onto zeros, [`sum_rows`](Self::sum_rows)
+    /// bit for bit — the fused step's `db`, formed in thread scratch.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `acc` has one element per column.
+    pub(crate) fn sum_rows_acc(&self, acc: &mut [f32]) {
+        assert_eq!(acc.len(), self.cols(), "row-sum width");
+        for r in 0..self.rows() {
+            for (o, &v) in acc.iter_mut().zip(self.row(r)) {
+                *o += v;
+            }
         }
     }
 

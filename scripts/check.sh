@@ -55,7 +55,9 @@ cargo test --workspace -q --no-fail-fast
 # serve protocol waits on a buffered socket read (one that waited on the
 # socket while its bytes sat in the buffer would hang). All must also
 # finish when all threads share one core. Re-runs the inline-vs-worker and
-# job-beside-the-worker tests, the pinned trainer literals (budgets 2 and 3
+# job-beside-the-worker tests (with them the check that a worker step leaves
+# no `Linear` gradient allocated, `a_worker_step_allocates_no_linear_gradient`),
+# the pinned trainer literals (budgets 2 and 3
 # must reproduce them on one core), the dispatcher's own tests (panics on
 # the caller and on a helper included), the phase kit's unit tests, the
 # staged fold, the data-free budget sweep (caller, refine thread and step
