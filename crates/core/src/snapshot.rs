@@ -667,9 +667,11 @@ pub fn write_driver(w: &mut dyn StateSink, driver: &DriverState) {
 ///
 /// # Errors
 ///
-/// [`SnapshotError::Malformed`] on an unknown direction tag, or on a round
-/// counter or a ledger byte total past `isize::MAX`: every later round
-/// adds to both, and half the range is headroom no run uses up.
+/// [`SnapshotError::Malformed`] on an unknown direction tag, on a ledger
+/// record from a round not yet driven (the next round would bill it as its
+/// own traffic), or on a round counter or a ledger byte total past
+/// `isize::MAX`: every later round adds to both, and half the range is
+/// headroom no run uses up.
 pub fn read_driver(r: &mut dyn StateSource) -> Result<DriverState, SnapshotError> {
     const ROOM: usize = isize::MAX as usize;
     let rounds_driven = r.take_usize()?;
@@ -695,6 +697,11 @@ pub fn read_driver(r: &mut dyn StateSource) -> Result<DriverState, SnapshotError
             }
         };
         let bytes = r.take_usize()?;
+        if round >= rounds_driven {
+            return Err(SnapshotError::Malformed(format!(
+                "ledger record from round {round}, but only {rounds_driven} driven"
+            )));
+        }
         total = total
             .checked_add(bytes)
             .filter(|&total| total <= ROOM)
@@ -1080,6 +1087,24 @@ mod tests {
         let mut r = bytes.as_slice();
         assert_eq!(read_driver(&mut r).unwrap(), driver);
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn a_ledger_record_from_a_round_not_yet_driven_is_malformed() {
+        for round in [3, usize::MAX] {
+            let mut ledger = CommLedger::new();
+            ledger.record_bytes(2, 0, Direction::Uplink, 120);
+            ledger.record_bytes(round, 1, Direction::Uplink, 8);
+            let mut bytes: Vec<u8> = Vec::new();
+            write_driver(&mut bytes, &DriverState::from_parts(3, ledger));
+            assert!(
+                matches!(
+                    read_driver(&mut bytes.as_slice()),
+                    Err(SnapshotError::Malformed(_))
+                ),
+                "round {round}"
+            );
+        }
     }
 
     #[test]

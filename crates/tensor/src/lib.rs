@@ -44,8 +44,11 @@
 //!
 //! The last three calls are the reference form of a training step. The
 //! training loops use the fused one,
-//! [`models::ClassifierModel::backward_step`] (built on
-//! [`nn::Layer::backward_with`]): same bits, one pass over each weight.
+//! [`models::ClassifierModel::backward_step`]: same bits, one pass over
+//! each weight. Both run the one backward every layer writes,
+//! [`nn::Layer::backward_with`]: `backward` under a hook that does
+//! nothing, the fused step under one that updates each parameter the
+//! moment its gradient is final.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -128,15 +128,16 @@ impl ClassifierModel {
     }
 
     /// Backpropagates a logit gradient plus an optional extra gradient on
-    /// the feature embedding (the prototype-loss path). Returns the input
-    /// gradient.
+    /// the feature embedding (the prototype-loss path), accumulating every
+    /// parameter gradient: [`backward_dual_with`](Self::backward_dual_with)
+    /// under a hook that does nothing. Returns the input gradient.
     ///
     /// # Panics
     ///
     /// Panics if called before a forward pass, or if `feature_grad` has a
     /// different shape than the cached features.
     pub fn backward_dual(&mut self, logit_grad: &Tensor, feature_grad: Option<&Tensor>) -> Tensor {
-        self.backward_dual_via(logit_grad, feature_grad, |part, g, _| part.backward(g))
+        self.backward_dual_with(logit_grad, feature_grad, &mut |_: usize, _: &mut Param| {})
     }
 
     /// [`backward_dual`](Self::backward_dual) with a per-parameter hook:
@@ -153,7 +154,8 @@ impl ClassifierModel {
     }
 
     /// [`backward_dual_with`](Self::backward_dual_with), slots numbered
-    /// from `first_slot`.
+    /// from `first_slot`: the head, then — with the extra feature gradient
+    /// added — the backbone.
     fn backward_dual_from(
         &mut self,
         first_slot: usize,
@@ -161,9 +163,15 @@ impl ClassifierModel {
         feature_grad: Option<&Tensor>,
         hook: &mut dyn ParamHook,
     ) -> Tensor {
-        self.backward_dual_via(logit_grad, feature_grad, |part, g, slot| {
-            part.backward_with(g, first_slot + slot, hook)
-        })
+        let mut g_features = self
+            .head
+            .backward_with(logit_grad, first_slot + self.head_slot, hook);
+        if let Some(extra) = feature_grad {
+            g_features
+                .axpy(1.0, extra)
+                .expect("feature gradient shape mismatch");
+        }
+        self.backbone.backward_with(&g_features, first_slot, hook)
     }
 
     /// The fused training step: [`backward_dual`](Self::backward_dual),
@@ -209,24 +217,6 @@ impl ClassifierModel {
         let mut hook = worker;
         self.backward_dual_with(logit_grad, feature_grad, &mut hook)
     }
-
-    /// The dual backward's skeleton: `run(part, grad, first_slot)` is
-    /// [`Layer::backward`] or [`Layer::backward_with`], applied to the head
-    /// and then — with the extra feature gradient added — to the backbone.
-    fn backward_dual_via(
-        &mut self,
-        logit_grad: &Tensor,
-        feature_grad: Option<&Tensor>,
-        mut run: impl FnMut(&mut dyn Layer, &Tensor, usize) -> Tensor,
-    ) -> Tensor {
-        let mut g_features = run(&mut self.head, logit_grad, self.head_slot);
-        if let Some(extra) = feature_grad {
-            g_features
-                .axpy(1.0, extra)
-                .expect("feature gradient shape mismatch");
-        }
-        run(&mut self.backbone, &g_features, 0)
-    }
 }
 
 impl std::fmt::Debug for ClassifierModel {
@@ -242,10 +232,6 @@ impl std::fmt::Debug for ClassifierModel {
 impl Layer for ClassifierModel {
     fn forward_pass(&mut self, input: &Tensor, pass: Pass) -> Tensor {
         self.forward_full_pass(input, pass).1
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.backward_dual(grad_out, None)
     }
 
     fn backward_with(

@@ -1,6 +1,6 @@
 //! The element-wise activation layer.
 
-use super::{Layer, Param, Pass, ReluMask};
+use super::{Layer, Param, ParamHook, Pass, ReluMask};
 use crate::Tensor;
 
 /// Rectified linear unit: `max(0, x)`.
@@ -22,7 +22,7 @@ impl Layer for Relu {
         input.map(|x| x.max(0.0))
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_with(&mut self, grad_out: &Tensor, _: usize, _: &mut dyn ParamHook) -> Tensor {
         self.mask
             .as_ref()
             .expect("backward called before forward")

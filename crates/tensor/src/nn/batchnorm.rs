@@ -1,6 +1,6 @@
 //! Batch normalization for rank-2 activations.
 
-use super::{Layer, Param, Pass};
+use super::{Layer, Param, ParamHook, Pass};
 use crate::Tensor;
 
 /// Batch normalization over the feature dimension of `[batch, features]`
@@ -161,7 +161,14 @@ impl Layer for BatchNorm1d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    /// Accumulates `dγ` and `dβ`, computes `dx` — which reads γ — and only
+    /// then hands γ and β to `hook`, which may change them.
+    fn backward_with(
+        &mut self,
+        grad_out: &Tensor,
+        first_slot: usize,
+        hook: &mut dyn ParamHook,
+    ) -> Tensor {
         let xhat = self
             .cached_xhat
             .as_ref()
@@ -200,11 +207,49 @@ impl Layer for BatchNorm1d {
             .expect("accumulate dbeta");
         let gamma = self.gamma.value.as_slice();
 
-        // When the forward pass normalized with running statistics (a
-        // single-row training batch), mean/var do not depend on the input
-        // and the chain rule reduces to dx = dxhat · std_inv.
-        if !self.cached_batch_stats {
-            let mut dx = Tensor::zeros(&[n, d]);
+        let mut dx = Tensor::zeros(&[n, d]);
+        if self.cached_batch_stats {
+            // dx = gamma·std_inv/N · (N·dxhat − Σdxhat − xhat·Σ(dxhat·xhat))
+            // where dxhat = grad_out · gamma.
+            let mut sum_dxhat = vec![0.0f32; d];
+            let mut sum_dxhat_xhat = vec![0.0f32; d];
+            for (g, h) in grad_out
+                .as_slice()
+                .chunks_exact(d)
+                .zip(xhat.as_slice().chunks_exact(d))
+            {
+                for (((sd, sdh), (&g, &h)), &ga) in sum_dxhat
+                    .iter_mut()
+                    .zip(sum_dxhat_xhat.iter_mut())
+                    .zip(g.iter().zip(h))
+                    .zip(gamma)
+                {
+                    let dxh = g * ga;
+                    *sd += dxh;
+                    *sdh += dxh * h;
+                }
+            }
+            for ((g, h), o) in grad_out
+                .as_slice()
+                .chunks_exact(d)
+                .zip(xhat.as_slice().chunks_exact(d))
+                .zip(dx.as_mut_slice().chunks_exact_mut(d))
+            {
+                for ((((o, (&g, &h)), &ga), &si), (&sd, &sdh)) in o
+                    .iter_mut()
+                    .zip(g.iter().zip(h))
+                    .zip(gamma)
+                    .zip(std_inv)
+                    .zip(sum_dxhat.iter().zip(&sum_dxhat_xhat))
+                {
+                    let dxh = g * ga;
+                    *o = si / n as f32 * (n as f32 * dxh - sd - h * sdh);
+                }
+            }
+        } else {
+            // The forward pass normalized with running statistics (a
+            // single-row training batch): mean/var do not depend on the
+            // input and the chain rule reduces to dx = dxhat · std_inv.
             for (g, o) in grad_out
                 .as_slice()
                 .chunks_exact(d)
@@ -214,48 +259,9 @@ impl Layer for BatchNorm1d {
                     *o = g * ga * si;
                 }
             }
-            return dx;
         }
-
-        // Input gradient:
-        // dx = gamma·std_inv/N · (N·dxhat − Σdxhat − xhat·Σ(dxhat·xhat))
-        // where dxhat = grad_out · gamma.
-        let mut sum_dxhat = vec![0.0f32; d];
-        let mut sum_dxhat_xhat = vec![0.0f32; d];
-        for (g, h) in grad_out
-            .as_slice()
-            .chunks_exact(d)
-            .zip(xhat.as_slice().chunks_exact(d))
-        {
-            for (((sd, sdh), (&g, &h)), &ga) in sum_dxhat
-                .iter_mut()
-                .zip(sum_dxhat_xhat.iter_mut())
-                .zip(g.iter().zip(h))
-                .zip(gamma)
-            {
-                let dxh = g * ga;
-                *sd += dxh;
-                *sdh += dxh * h;
-            }
-        }
-        let mut dx = Tensor::zeros(&[n, d]);
-        for ((g, h), o) in grad_out
-            .as_slice()
-            .chunks_exact(d)
-            .zip(xhat.as_slice().chunks_exact(d))
-            .zip(dx.as_mut_slice().chunks_exact_mut(d))
-        {
-            for ((((o, (&g, &h)), &ga), &si), (&sd, &sdh)) in o
-                .iter_mut()
-                .zip(g.iter().zip(h))
-                .zip(gamma)
-                .zip(std_inv)
-                .zip(sum_dxhat.iter().zip(&sum_dxhat_xhat))
-            {
-                let dxh = g * ga;
-                *o = si / n as f32 * (n as f32 * dxh - sd - h * sdh);
-            }
-        }
+        hook.param(first_slot, &mut self.gamma);
+        hook.param(first_slot + 1, &mut self.beta);
         dx
     }
 

@@ -1,6 +1,6 @@
 //! 2-D convolution via im2col.
 
-use super::{Layer, Param, Pass};
+use super::{Layer, Param, ParamHook, Pass};
 use crate::Tensor;
 use fedpkd_rng::Rng;
 
@@ -179,7 +179,14 @@ impl Layer for Conv2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    /// Accumulates `dW` and `db` and computes `dx` in one per-sample loop,
+    /// then hands W and b to `hook`, which may change them.
+    fn backward_with(
+        &mut self,
+        grad_out: &Tensor,
+        first_slot: usize,
+        hook: &mut dyn ParamHook,
+    ) -> Tensor {
         let in_shape = self
             .cached_in_shape
             .as_deref()
@@ -218,6 +225,8 @@ impl Layer for Conv2d {
             let dxs = self.col2im(&dcol, h, w, oh, ow);
             dx.row_mut(s).copy_from_slice(&dxs);
         }
+        hook.param(first_slot, &mut self.weight);
+        hook.param(first_slot + 1, &mut self.bias);
         dx
     }
 

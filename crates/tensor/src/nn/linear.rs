@@ -43,18 +43,6 @@ pub struct Linear {
     relu_mask: Option<ReluMask>,
 }
 
-/// `dW += xᵀ · g`, through the transposed kernel, straight into the
-/// weight gradient.
-fn accumulate_weight_grad(x: &Tensor, g: &Tensor, weight: &mut Param) {
-    x.tr_matmul_acc(g, weight.grad_mut()).expect("dW shape");
-}
-
-/// `db += column sums of g`.
-fn accumulate_bias_grad(g: &Tensor, bias: &mut Param) {
-    let db = g.sum_rows();
-    bias.grad_mut().axpy(1.0, &db).expect("db accumulate");
-}
-
 const FROZEN: &str = "no weight gradient after a frozen forward pass: it keeps no input";
 
 /// The parameter-gradient products of one [`Linear`] backward pass, not yet
@@ -63,7 +51,7 @@ const FROZEN: &str = "no weight gradient after a frozen forward pass: it keeps n
 /// masked copy of a fused one), the forward input `x` as a read-only share
 /// of the layer's cache — so a [`ParamHook::linear`] may apply it on the
 /// spot, or [`into_owned`](Self::into_owned) anywhere, on any thread: the
-/// same two kernels on the same operands as the layer's own backward.
+/// same two kernels on the same operands wherever they run.
 /// After a [`Pass::Frozen`] forward it has no `x`, and only dropping it is
 /// allowed.
 #[derive(Debug)]
@@ -73,15 +61,19 @@ pub struct PendingGrads<'a> {
 }
 
 impl PendingGrads<'_> {
-    /// Applies both products to the two gradients.
+    /// Applies both products to the two gradients: `dW += xᵀ · g` through
+    /// the transposed kernel, straight into the weight gradient, then
+    /// `db += column sums of g`.
     ///
     /// # Panics
     ///
     /// Panics if the layer's last forward was [`Pass::Frozen`].
     pub fn apply(self, weight: &mut Param, bias: &mut Param) {
         let x = self.x.expect(FROZEN);
-        accumulate_weight_grad(&x, &self.g, weight);
-        accumulate_bias_grad(&self.g, bias);
+        x.tr_matmul_acc(&self.g, weight.grad_mut())
+            .expect("dW shape");
+        let db = self.g.sum_rows();
+        bias.grad_mut().axpy(1.0, &db).expect("db accumulate");
     }
 
     /// The fused step's use of the products: forms `dW` and `db` in the
@@ -225,23 +217,6 @@ impl Layer for Linear {
             pass != Pass::Eval && self.fuse_relu,
         );
         out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward called before forward");
-        let masked;
-        let grad_out = if self.fuse_relu {
-            masked = self.masked(grad_out);
-            &masked
-        } else {
-            grad_out
-        };
-        accumulate_weight_grad(input, grad_out, &mut self.weight);
-        accumulate_bias_grad(grad_out, &mut self.bias);
-        self.input_grad(grad_out)
     }
 
     /// Computes `dx`, the one result the rest of the pass waits for, and

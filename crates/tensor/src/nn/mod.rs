@@ -1,10 +1,12 @@
 //! Neural-network layers with explicit forward/backward passes.
 //!
 //! The [`Layer`] trait is the backbone of the training stack: each layer
-//! caches what it needs during [`Layer::forward`] and produces input
-//! gradients (while accumulating parameter gradients) in
-//! [`Layer::backward`]. Containers ([`Sequential`], [`Residual`]) compose
-//! layers into networks.
+//! caches what it needs during [`Layer::forward`] and writes one backward,
+//! [`Layer::backward_with`], which returns the input gradient and hands
+//! each parameter to a [`ParamHook`] once its gradient is final.
+//! [`Layer::backward`] is that pass under a hook that does nothing, so the
+//! parameter gradients simply accumulate. Containers ([`Sequential`],
+//! [`Residual`]) compose layers into networks.
 
 mod activations;
 mod batchnorm;
@@ -19,6 +21,7 @@ pub use linear::{Linear, PendingGrads};
 pub use pool::{AvgPool2d, Flatten, GlobalAvgPool2d};
 
 use crate::Tensor;
+use std::borrow::Cow;
 
 /// A trainable parameter: a value tensor plus its accumulated gradient.
 ///
@@ -104,8 +107,8 @@ pub trait ParamHook {
     /// lack what `pending` holds, and nothing else in the backward pass
     /// waits for it. The default applies the products on the spot
     /// (allocating either gradient on its first accumulation) and hands
-    /// both parameters to [`param`](ParamHook::param) — exactly what the
-    /// layer's own [`backward`](Layer::backward) would have left; an
+    /// both parameters to [`param`](ParamHook::param), which is how
+    /// [`backward`](Layer::backward) accumulates a `Linear`'s gradients; an
     /// override may carry `pending` elsewhere
     /// ([`into_owned`](PendingGrads::into_owned)) as long as it is applied
     /// before the parameter's update, or drop it when no update follows.
@@ -148,9 +151,10 @@ pub enum Pass {
 /// to the forward output. `backward` accumulates gradients into the layer's
 /// [`Param`]s (so multiple backward passes sum) and returns the gradient with
 /// respect to the forward input. Call [`zero_grad`](Layer::zero_grad)
-/// between optimizer steps — or use [`backward_with`](Layer::backward_with),
-/// which hands every parameter to a hook as soon as its gradient is final,
-/// so the optimizer update and the gradient reset happen inside the
+/// between optimizer steps — or pass a hook to
+/// [`backward_with`](Layer::backward_with), the one backward a layer
+/// implements, which hands every parameter over as soon as its gradient is
+/// final, so the optimizer update and the gradient reset happen inside the
 /// backward pass instead of as two more sweeps over the model.
 ///
 /// Layers are `Send` so simulated clients can train on worker threads.
@@ -165,42 +169,37 @@ pub trait Layer: Send {
         self.forward_pass(input, if train { Pass::Train } else { Pass::Eval })
     }
 
-    /// Backpropagates `grad_out` (gradient w.r.t. the last forward output),
-    /// accumulating parameter gradients and returning the gradient w.r.t.
-    /// the last forward input.
+    /// Backpropagates `grad_out` (gradient w.r.t. the last forward output)
+    /// and returns the gradient w.r.t. the last forward input, handing each
+    /// of this layer's parameters to `hook` the moment its gradient is
+    /// final: `hook.param(slot, param)`, numbered from `first_slot` in
+    /// [`visit_params`](Layer::visit_params) order, or, for a [`Linear`],
+    /// [`ParamHook::linear`] with its gradient products not yet applied.
+    ///
+    /// A layer computes its input gradient before it hands a parameter
+    /// over, so the hook may then change the parameter. Containers pass the
+    /// hook down, so a child's parameters are handed over while the
+    /// backward pass is still at that child — before the layers below it
+    /// run — and a hook that updates weights must therefore only ever see a
+    /// parameter whose value no later part of the pass reads.
     ///
     /// # Panics
     ///
     /// Implementations may panic if called before `forward` or with a
     /// gradient whose shape does not match the last forward output.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
-    /// [`backward`](Layer::backward), then `hook.param(slot, param)` for
-    /// each of this layer's parameters, numbered from `first_slot` in
-    /// [`visit_params`](Layer::visit_params) order. Returns the same input
-    /// gradient, and leaves the same parameter gradients for the hook to
-    /// read, as `backward` does — the hook may then change the parameter.
-    ///
-    /// The default serves every leaf layer. Containers override it to pass
-    /// the hook down, so a child's parameters are handed over while the
-    /// backward pass is still at that child — before the layers below it
-    /// run — and a hook that updates weights must therefore only ever see a
-    /// parameter whose value no later part of the pass reads. [`Linear`]
-    /// overrides it to offer its not-yet-applied gradient products through
-    /// [`ParamHook::linear`].
     fn backward_with(
         &mut self,
         grad_out: &Tensor,
         first_slot: usize,
         hook: &mut dyn ParamHook,
-    ) -> Tensor {
-        let grad_in = self.backward(grad_out);
-        let mut slot = first_slot;
-        self.visit_params_mut(&mut |p| {
-            hook.param(slot, p);
-            slot += 1;
-        });
-        grad_in
+    ) -> Tensor;
+
+    /// [`backward_with`](Layer::backward_with) under a hook that does
+    /// nothing: every parameter gradient accumulates (so multiple backward
+    /// passes sum), a [`Linear`]'s through the default
+    /// [`ParamHook::linear`].
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backward_with(grad_out, 0, &mut |_: usize, _: &mut Param| {})
     }
 
     /// Number of parameter tensors ([`Param`]s, not scalars) this layer
@@ -384,10 +383,6 @@ impl Layer for Sequential {
         x
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        chain_backward(&mut self.layers, grad_out, |layer, g| layer.backward(g))
-    }
-
     fn backward_with(
         &mut self,
         grad_out: &Tensor,
@@ -396,10 +391,12 @@ impl Layer for Sequential {
     ) -> Tensor {
         // Children run last to first, so slots are handed out from the end.
         let mut slot = first_slot + self.slot_count();
-        chain_backward(&mut self.layers, grad_out, |layer, g| {
+        let mut g = Cow::Borrowed(grad_out);
+        for layer in self.layers.iter_mut().rev() {
             slot -= layer.slot_count();
-            layer.backward_with(g, slot, hook)
-        })
+            g = Cow::Owned(layer.backward_with(&g, slot, hook));
+        }
+        g.into_owned()
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -427,24 +424,6 @@ impl Layer for Sequential {
     }
 }
 
-/// Runs `step` over `layers` last to first, feeding each the gradient the
-/// one after it returned — the two backward flavours of [`Sequential`]
-/// differ only in which child method `step` calls.
-fn chain_backward(
-    layers: &mut [Box<dyn Layer>],
-    grad_out: &Tensor,
-    mut step: impl FnMut(&mut dyn Layer, &Tensor) -> Tensor,
-) -> Tensor {
-    let Some((last, rest)) = layers.split_last_mut() else {
-        return grad_out.clone();
-    };
-    let mut g = step(last.as_mut(), grad_out);
-    for layer in rest.iter_mut().rev() {
-        g = step(layer.as_mut(), &g);
-    }
-    g
-}
-
 /// A residual block: `output = body(x) + x`. The body must preserve the
 /// input's shape.
 pub struct Residual {
@@ -455,15 +434,6 @@ impl Residual {
     /// Creates a residual block around `body`.
     pub fn new(body: Box<dyn Layer>) -> Self {
         Self { body }
-    }
-
-    /// `grad_body + grad_out`, in place: the skip path's gradient is
-    /// `grad_out` itself, and `a + 1.0·b` is `a + b` bit for bit.
-    fn join_grads(mut grad_body: Tensor, grad_out: &Tensor) -> Tensor {
-        grad_body
-            .axpy(1.0, grad_out)
-            .expect("residual input gradients must agree in shape");
-        grad_body
     }
 }
 
@@ -477,15 +447,11 @@ impl std::fmt::Debug for Residual {
 
 impl Layer for Residual {
     fn forward_pass(&mut self, input: &Tensor, pass: Pass) -> Tensor {
-        // In place, as `join_grads`: `a + 1.0·b` is `a + b` bit for bit.
+        // In place: `a + 1.0·b` is `a + b` bit for bit.
         let mut main = self.body.forward_pass(input, pass);
         main.axpy(1.0, input)
             .expect("residual body must preserve the input shape");
         main
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        Self::join_grads(self.body.backward(grad_out), grad_out)
     }
 
     fn backward_with(
@@ -494,10 +460,12 @@ impl Layer for Residual {
         first_slot: usize,
         hook: &mut dyn ParamHook,
     ) -> Tensor {
-        Self::join_grads(
-            self.body.backward_with(grad_out, first_slot, hook),
-            grad_out,
-        )
+        // The skip path's gradient is `grad_out` itself, added in place.
+        let mut grad_in = self.body.backward_with(grad_out, first_slot, hook);
+        grad_in
+            .axpy(1.0, grad_out)
+            .expect("residual input gradients must agree in shape");
+        grad_in
     }
 
     fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -737,29 +705,54 @@ mod tests {
         grads
     }
 
-    #[test]
-    fn backward_with_hands_over_every_param_once_at_its_visit_slot() {
-        let mut rng = Rng::seed_from_u64(8);
-        let x = Tensor::rand_uniform(&[6, 4], -1.0, 1.0, &mut rng);
-        let g = Tensor::rand_uniform(&[6, 3], -1.0, 1.0, &mut rng);
-        let (mut plain, mut hooked) = (nested_net(9), nested_net(9));
-        plain.forward(&x, true);
-        hooked.forward(&x, true);
-        let dx_plain = plain.backward(&g);
-        let expected = grads_of(&plain);
+    /// Backpropagates `g` through `plain` and, under a hook that records
+    /// each parameter's final gradient and then zeroes its value and
+    /// gradient (what the fused step does), through `hooked`, an identical
+    /// net: every parameter arrives once, at its visit slot, with the
+    /// plain pass's gradient, and the hook never reaches `dx`.
+    fn assert_hands_over_every_param_once(
+        plain: &mut dyn Layer,
+        hooked: &mut dyn Layer,
+        x: &Tensor,
+        g: &Tensor,
+    ) {
+        plain.forward(x, true);
+        hooked.forward(x, true);
+        let dx_plain = plain.backward(g);
+        let expected = grads_of(plain);
         assert_eq!(plain.slot_count(), expected.len());
 
         let mut seen: Vec<Option<Vec<u32>>> = vec![None; expected.len()];
-        let dx_hooked = hooked.backward_with(&g, 0, &mut |slot: usize, p: &mut Param| {
+        let dx_hooked = hooked.backward_with(g, 0, &mut |slot: usize, p: &mut Param| {
             assert!(seen[slot].is_none(), "slot {slot} handed over twice");
             seen[slot] = Some(grad_bits(p));
-            // What the fused step does: change the weight, clear the grad.
             p.value.fill(0.0);
             p.zero_grad();
         });
         assert_eq!(dx_hooked, dx_plain, "the hook must not reach the pass");
         let seen: Vec<Vec<u32>> = seen.into_iter().map(Option::unwrap).collect();
         assert_eq!(seen, expected, "final gradients, in visit order");
+    }
+
+    #[test]
+    fn backward_with_hands_over_every_param_once_at_its_visit_slot() {
+        let mut rng = Rng::seed_from_u64(8);
+        let x = Tensor::rand_uniform(&[6, 4], -1.0, 1.0, &mut rng);
+        let g = Tensor::rand_uniform(&[6, 3], -1.0, 1.0, &mut rng);
+        assert_hands_over_every_param_once(&mut nested_net(9), &mut nested_net(9), &x, &g);
+
+        // The conv family: `Conv2d` in and out of residual blocks, the two
+        // pools and `Flatten` between them and the fused-ReLU projection.
+        let spec = crate::models::ModelSpec::ConvNet {
+            in_channels: 2,
+            image_size: 4,
+            num_classes: 3,
+            tier: crate::models::DepthTier::T11,
+        };
+        let build = || spec.build(&mut Rng::seed_from_u64(10));
+        let x = Tensor::rand_uniform(&[2, 2, 4, 4], -1.0, 1.0, &mut rng);
+        let g = Tensor::rand_uniform(&[2, 3], -1.0, 1.0, &mut rng);
+        assert_hands_over_every_param_once(&mut build(), &mut build(), &x, &g);
     }
 
     #[test]

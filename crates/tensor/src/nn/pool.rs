@@ -1,6 +1,6 @@
 //! Pooling and reshaping layers for the convolutional path.
 
-use super::{Layer, Param, Pass};
+use super::{Layer, Param, ParamHook, Pass};
 use crate::Tensor;
 
 /// Average pooling over non-overlapping (or strided) square windows of a
@@ -67,7 +67,7 @@ impl Layer for AvgPool2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_with(&mut self, grad_out: &Tensor, _: usize, _: &mut dyn ParamHook) -> Tensor {
         let in_shape = self
             .cached_in_shape
             .as_ref()
@@ -138,7 +138,7 @@ impl Layer for GlobalAvgPool2d {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_with(&mut self, grad_out: &Tensor, _: usize, _: &mut dyn ParamHook) -> Tensor {
         let in_shape = self
             .cached_in_shape
             .as_ref()
@@ -185,7 +185,7 @@ impl Layer for Flatten {
             .expect("flatten preserves element count")
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward_with(&mut self, grad_out: &Tensor, _: usize, _: &mut dyn ParamHook) -> Tensor {
         let in_shape = self
             .cached_in_shape
             .as_ref()

@@ -7,13 +7,15 @@
 //! An update step is [`Optimizer::begin_step`] once, then
 //! [`Optimizer::update`] once per parameter, in any order, each with the
 //! parameter's values and its gradient as slices. Two drivers exist over
-//! that one per-parameter kernel:
+//! that one per-parameter kernel, both behind the one backward a layer
+//! writes, [`Layer::backward_with`]:
 //!
-//! - [`Optimizer::step`] walks the model after a finished backward pass,
-//!   reading each parameter's accumulated gradient
+//! - [`Optimizer::step`] walks the model after a finished backward pass
+//!   ([`Layer::backward`], which is `backward_with` under a hook that does
+//!   nothing), reading each parameter's accumulated gradient
 //!   ([`Optimizer::update_param`]);
-//! - the fused step ([`FusedStep`] as the hook of
-//!   [`Layer::backward_with`], packaged as
+//! - the fused step ([`FusedStep`] as the hook of `backward_with`,
+//!   packaged as
 //!   [`crate::models::ClassifierModel::backward_step`]) updates each
 //!   parameter inside the backward pass, the moment its gradient is final.
 //!   A [`Linear`](crate::nn::Linear)'s `dW` and `db` go from the stepping

@@ -9,7 +9,10 @@
 //! takes each parameter out of the model *by value* the moment the pass is
 //! done with it (with, for every [`Linear`](crate::nn::Linear), the
 //! unapplied [`PendingGrads`]) and queues it for the thread running
-//! [`serve`](StepWorker::serve). The training thread keeps only what the
+//! [`serve`](StepWorker::serve). Every layer's
+//! [`backward_with`](Layer::backward_with) hands its parameters over only
+//! after computing its `dx`, so nothing the pass still reads leaves the
+//! model. The training thread keeps only what the
 //! backward chain waits for — the forward and each layer's `dx` — and the
 //! worker gets the rest. The step returns with parameters still out. The
 //! next forward ([`ClassifierModel::forward_train_on`]) takes each layer's
@@ -230,24 +233,13 @@ impl<'a> StepWorker<'a> {
                 mut bias,
                 pending,
             } => {
-                self.update_linear(slot, &mut weight, &mut bias, pending);
+                // `step` consumes `pending`, so the layer is the input
+                // buffer's sole owner again before the caller can see the
+                // job finished.
+                pending.step(&mut **self.optimizer(), slot, &mut weight, &mut bias);
                 self.give_back([(slot, weight), (slot + 1, bias)]);
             }
         }
-    }
-
-    /// A `Linear`'s products, in this thread's scratch, and both updates
-    /// ([`PendingGrads::step`]). `pending` is consumed here, so on the
-    /// worker the layer is the input buffer's sole owner again before the
-    /// caller can see the job finished.
-    fn update_linear(
-        &self,
-        slot: usize,
-        weight: &mut Param,
-        bias: &mut Param,
-        pending: PendingGrads<'_>,
-    ) {
-        pending.step(&mut **self.optimizer(), slot, weight, bias);
     }
 
     fn give_back<const N: usize>(&self, params: [(usize, Param); N]) {
@@ -379,7 +371,7 @@ impl ParamHook for &StepWorker<'_> {
         pending: PendingGrads<'_>,
     ) {
         if !self.serving.load(Ordering::Relaxed) {
-            return self.update_linear(slot, weight, bias, pending);
+            return pending.step(&mut **self.optimizer(), slot, weight, bias);
         }
         self.hand_over(Job::Linear {
             slot,

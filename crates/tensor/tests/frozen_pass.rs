@@ -101,8 +101,10 @@ fn a_frozen_t56_model_matches_a_training_one_bitwise() {
     assert_eq!(bits(&frozen_logits), bits(&logits));
 }
 
+/// `backward` is `backward_with` under a closure hook, whose default
+/// `linear` applies the products: the panic is the products' own.
 #[test]
-#[should_panic(expected = "backward called before forward")]
+#[should_panic(expected = "no weight gradient after a frozen forward pass")]
 fn a_weight_gradient_backward_after_a_frozen_forward_panics() {
     let mut layer = Linear::new(12, 9, &mut Rng::seed_from_u64(1));
     layer.forward_pass(&input(12), Pass::Train);

@@ -40,6 +40,24 @@ if [ -n "$spawns" ]; then
     echo "error: the lines above start a thread outside the worker budget" >&2
     exit 1
 fi
+# One backward per layer: every `impl Layer` writes `backward_with`, and
+# `Layer::backward` is the trait's provided method (that pass under a hook
+# that does nothing). Outside tests, no other `fn backward(&mut self` may
+# come back. Prints `file:line:enclosing trait or impl: line`.
+backwards=$(find crates/*/src -name '*.rs' -print0 |
+    xargs -0 awk '
+        FNR == 1 { live = 1; owner = "" }
+        /^#\[cfg\(test\)\]/ { live = 0 }
+        !live || $1 ~ /^\/\// { next }
+        /^(pub )?(trait|impl)/ { owner = $0 }
+        /fn backward\(&mut self/ { print FILENAME ":" FNR ":" owner ": " $0 }' |
+    grep -vE '^crates/tensor/src/nn/mod\.rs:[0-9]+:pub trait Layer: Send \{: ' ||
+    true)
+if [ -n "$backwards" ]; then
+    echo "$backwards"
+    echo "error: the lines above write a second backward; write backward_with only" >&2
+    exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings
 # The vendored third-party crate is exempt from the doc gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q --exclude proptest
